@@ -350,6 +350,10 @@ class ProjectionSpec:
     def validate(self) -> None:
         if self.scale == 0:
             raise ValueError("zero scale")
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
+        if any(c not in _EDGE_COLOR_NAMES for c in self.colors):
+            raise ValueError(f"edge colours must lie in 1..4, got {self.colors}")
         g00 = sum(x * x for x in self.basis[0])
         g11 = sum(x * x for x in self.basis[1])
         g01 = sum(x * y for x, y in zip(self.basis[0], self.basis[1]))
@@ -470,34 +474,30 @@ def render_projection(spec: ProjectionSpec) -> str:
 # command-line interface
 # ---------------------------------------------------------------------------
 
-_BUILD_TARGETS = ("cube", "hemi", "map", "roli", "enantiomorph", "cover", "mk")
+def _mk_certificate(cfg: CliConfig) -> dict:
+    config = mk.build_configuration(policy=cfg.seed_labels)
+    data = config.to_json_dict()
+    table_cmp = mk.compare_with_table(config)
+    g = mk.group_333()
+    data["table_match"] = {"matches": table_cmp["matches"],
+                           "literal": table_cmp["literal"],
+                           "relabeling": (list(table_cmp["relabeling"])
+                                          if table_cmp["relabeling"] else None)}
+    data["unitary_group"] = {k: v for k, v in g.items() if k != "group"}
+    return data
 
 
-def _build_certificate(target: str, cfg: CliConfig) -> dict:
-    if target == "cube":
-        return cf.build_cube().certificate()
-    if target == "hemi":
-        return cf.build_hemi().certificate()
-    if target == "map":
-        return cf.build_map().certificate()
-    if target == "roli":
-        return cf.build_roli().certificate()
-    if target == "enantiomorph":
-        return cf.build_enantiomorph().certificate()
-    if target == "cover":
-        return cf.build_cover().certificate()
-    if target == "mk":
-        config = mk.build_configuration(policy=cfg.seed_labels)
-        data = config.to_json_dict()
-        table_cmp = mk.compare_with_table(config)
-        g = mk.group_333()
-        data["table_match"] = {"matches": table_cmp["matches"],
-                               "literal": table_cmp["literal"],
-                               "relabeling": (list(table_cmp["relabeling"])
-                                              if table_cmp["relabeling"] else None)}
-        data["unitary_group"] = {k: v for k, v in g.items() if k != "group"}
-        return data
-    raise ValueError(f"unknown build target {target!r}")
+# build target -> certificate builder
+_BUILDERS = {
+    "cube": lambda cfg: cf.build_cube().certificate(),
+    "hemi": lambda cfg: cf.build_hemi().certificate(),
+    "map": lambda cfg: cf.build_map().certificate(),
+    "roli": lambda cfg: cf.build_roli().certificate(),
+    "enantiomorph": lambda cfg: cf.build_enantiomorph().certificate(),
+    "cover": lambda cfg: cf.build_cover().certificate(),
+    "mk": _mk_certificate,
+}
+_BUILD_TARGETS = tuple(_BUILDERS)
 
 
 def _emit(data: dict, fmt: str, out: str | None) -> None:
@@ -553,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "build":
-            data = _build_certificate(args.target, cfg)
+            data = _BUILDERS[args.target](cfg)
             _emit(data, args.format, args.out)
             return 0
 

@@ -34,6 +34,7 @@ from .polycore import (
     ColoredGraph,
     FacePerm,
     RankedIncidenceStructure,
+    _check_face_map,
     central_quotient,
     classify,
     colourful_polytope,
@@ -115,6 +116,11 @@ def _canonical_cycle(seq: tuple[Point, ...]) -> tuple[Point, ...]:
     return best
 
 
+def _cycle_edges(cycle) -> frozenset:
+    n = len(cycle)
+    return frozenset(tuple(sorted((cycle[k], cycle[(k + 1) % n]))) for k in range(n))
+
+
 class PetriePolygon:
     """A closed 8-step edge path in which any 3, but no 4, consecutive edges
     lie in a cube facet.  Stored in canonical cyclic form (lexicographically
@@ -174,10 +180,7 @@ class PetriePolygon:
         return frozenset(self.vertices)
 
     def edge_set(self) -> frozenset:
-        verts = self.vertices
-        n = len(verts)
-        return frozenset(
-            tuple(sorted((verts[k], verts[(k + 1) % n]))) for k in range(n))
+        return _cycle_edges(self.vertices)
 
     def transformed(self, g: SignedPerm) -> "PetriePolygon":
         return PetriePolygon(tuple(g.act(v) for v in self.vertices))
@@ -564,33 +567,42 @@ def presentation_unitary_triangle() -> Presentation:
 # realization plumbing
 # ---------------------------------------------------------------------------
 
-def _act_point(obj: Point, g: SignedPerm):
-    return g.act(obj)
+def _face_image(rank: int, face, f):
+    """Image of a face of the polygon family under the point map f.  A face
+    is a point (rank 0), a sorted vertex pair (1), a canonical vertex cycle
+    (2) or a sorted tuple of edges (3)."""
+    if rank == 0:
+        return f(face)
+    if rank == 1:
+        return tuple(sorted(map(f, face)))
+    if rank == 2:
+        return _canonical_cycle(tuple(map(f, face)))
+    return tuple(sorted(_face_image(1, e, f) for e in face))
 
 
-def _act_pair(obj, g: SignedPerm):
-    return tuple(sorted(g.act(p) for p in obj))
+# geometric containment between faces of the polygon family, by rank pair
+_FACE_CONTAINS = {
+    (0, 1): lambda p, e: p in e,
+    (0, 2): lambda p, o: p in o,
+    (0, 3): lambda p, m: any(p in e for e in m),
+    (1, 2): lambda e, o: e in _cycle_edges(o),
+    (1, 3): lambda e, m: e in m,
+    (2, 3): lambda o, m: _cycle_edges(o) <= set(m),
+}
 
 
-def _act_polygon(obj, g: SignedPerm):
-    return _canonical_cycle(tuple(g.act(p) for p in obj))
-
-
-def _act_edge_set(obj, g: SignedPerm):
-    return tuple(sorted(tuple(sorted(g.act(p) for p in e)) for e in obj))
-
-
-def _attach_realization(struct: RankedIncidenceStructure, base_objects, actions,
-                        contains) -> None:
+def _attach_realization(struct: RankedIncidenceStructure, base_faces, image=_face_image,
+                        contains=_FACE_CONTAINS) -> None:
     """Attach geometric meaning to a coset structure and confirm that coset
-    incidence coincides with geometric containment."""
-    for r, (obj, action) in enumerate(zip(base_objects, actions)):
+    incidence coincides with geometric containment.  The rank-r face of
+    coset key g is image(r, base_faces[r], g.act)."""
+    for r, face in enumerate(base_faces):
         for s in struct.subgroups[r].generator_list():
-            assert action(obj, s) == obj, f"base object at rank {r} not stabilized"
+            assert image(r, face, s.act) == face, f"base face at rank {r} not stabilized"
     realization = {}
     for r in range(struct.rank):
         for ref in struct.refs(r):
-            realization[ref] = actions[r](base_objects[r], struct.key(ref))
+            realization[ref] = image(r, base_faces[r], struct.key(ref).act)
         assert len({realization[ref] for ref in struct.refs(r)}) == len(struct.refs(r)), \
             f"realization not faithful at rank {r}"
     struct.realization = realization
@@ -602,6 +614,15 @@ def _attach_realization(struct: RankedIncidenceStructure, base_objects, actions,
                     geo = test(realization[ra], realization[rb])
                     assert geo == struct.incident(ra, rb), \
                         f"incidence/containment mismatch at {(ra, rb)}"
+
+
+def _realized_face_map(source: RankedIncidenceStructure, target: RankedIncidenceStructure,
+                       f) -> dict:
+    """Send each face of source to the face of target realized by its image
+    under the point map f."""
+    face_of = {(ref[0], target.realization[ref]): ref for ref in target.all_refs()}
+    return {ref: face_of[(ref[0], _face_image(ref[0], source.realization[ref], f))]
+            for ref in source.all_refs()}
 
 
 def _sigma_face_maps(struct: RankedIncidenceStructure, group: ConcreteGroup):
@@ -640,18 +661,20 @@ def build_cube() -> CubeBundle:
     struct = polytope_from_reflections(g)
     assert struct.f_vector == (16, 32, 24, 8)
 
-    base_objects = []
+    base_faces = []
     for r in range(4):
         pts = tuple(sorted(orbit(struct.subgroups[r], atlas.v)))
-        base_objects.append(atlas.v if r == 0 else pts)
-    actions = [_act_point, _act_pair, _act_pair, _act_pair]
+        base_faces.append(atlas.v if r == 0 else pts)
+
+    def vertex_set_image(rank, face, f):
+        return f(face) if rank == 0 else tuple(sorted(map(f, face)))
 
     def vertex_subset(a, b):
         members = (a,) if isinstance(a[0], int) else a
         return set(members) <= set(b)
 
     contains = {(r1, r2): vertex_subset for r1 in range(4) for r2 in range(r1 + 1, 4)}
-    _attach_realization(struct, base_objects, actions, contains)
+    _attach_realization(struct, base_faces, vertex_set_image, contains)
 
     edge_colors = {}
     for ref in struct.refs(1):
@@ -737,7 +760,6 @@ class MapBundle:
     edges: frozenset
     deleted_edges: frozenset
     levi_automorphism_count: int
-    reflection_face_perms: tuple[FacePerm, FacePerm, FacePerm]
     full_automorphism_order: int
     regularity_hom: Homomorphism
     rotation_classification: Classification
@@ -776,17 +798,7 @@ def build_map() -> MapBundle:
     rot = group_map_rotation()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
-    edges = {base_edge}
-    frontier = [base_edge]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in rot.generator_list():
-                img = _act_pair(e, g)
-                if img not in edges:
-                    edges.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    edges = set(orbit(rot, base_edge, lambda e, g: _face_image(1, e, g.act)))
     assert len(edges) == 24
 
     octagons = {atlas.base_octagon.transformed(g) for g in rot}
@@ -811,10 +823,9 @@ def build_map() -> MapBundle:
         for p in e:
             pairs.append(((0, p), (1, e)))
     for okey in oct_keys:
-        o_edges = PetriePolygon(okey).edge_set()
         for p in okey:
             pairs.append(((0, p), (2, okey)))
-        for e in o_edges:
+        for e in _cycle_edges(okey):
             pairs.append(((1, e), (2, okey)))
     struct = RankedIncidenceStructure(3, [points, sorted(edges), oct_keys], pairs)
     struct.validate_polytope()
@@ -827,22 +838,9 @@ def build_map() -> MapBundle:
     assert (len(sub0), len(sub1), len(sub2)) == (3, 2, 8)
     cosets = coset_geometry(rot, [sub0, sub1, sub2])
     assert cosets.f_vector == (16, 24, 6)
-    base_objects = [atlas.v, base_edge, atlas.base_octagon.vertices]
-    actions = [_act_point, _act_pair, _act_polygon]
-    contains = {
-        (0, 1): lambda p, e: p in e,
-        (0, 2): lambda p, o: p in o,
-        (1, 2): lambda e, o: e in PetriePolygon(o).edge_set(),
-    }
-    _attach_realization(cosets, base_objects, actions, contains)
-    iso_map = {}
-    for r in range(3):
-        for ref in cosets.refs(r):
-            iso_map[ref] = struct.ref(r, cosets.realization[ref])
-    for a in cosets.all_refs():
-        for b in cosets.all_refs():
-            if a[0] < b[0]:
-                assert cosets.incident(a, b) == struct.incident(iso_map[a], iso_map[b])
+    _attach_realization(cosets, [atlas.v, base_edge, atlas.base_octagon.vertices])
+    _check_face_map(cosets, {ref: struct.ref(ref[0], cosets.realization[ref])
+                             for ref in cosets.all_refs()}, struct)
 
     levi = nx.Graph(list(edges))
     assert nx.vf2pp_is_isomorphic(levi, gp83_graph())
@@ -850,14 +848,8 @@ def build_map() -> MapBundle:
     assert aut_count == 96
 
     def geo_face_map(g: SignedPerm) -> dict:
-        fm = {}
-        for p in points:
-            fm[struct.ref(0, p)] = struct.ref(0, g.act(p))
-        for e in edges:
-            fm[struct.ref(1, e)] = struct.ref(1, _act_pair(e, g))
-        for okey in oct_keys:
-            fm[struct.ref(2, okey)] = struct.ref(2, _act_polygon(okey, g))
-        return fm
+        return {ref: struct.ref(ref[0], _face_image(ref[0], struct.key(ref), g.act))
+                for ref in struct.all_refs()}
 
     rot_result = classify(struct, [geo_face_map(atlas.sigma1), geo_face_map(atlas.sigma2)])
     assert rot_result.orbit_count == 2 and rot_result.flag_count == 96
@@ -904,19 +896,18 @@ def build_map() -> MapBundle:
     assert hom.is_involutory()
 
     full = group_cube()
-    stab = frozenset(g for g in full
-                     if {_act_pair(e, g) for e in edges} == edges)
+    stab = setwise_stabilizer(full, edges,
+                              lambda e, g: _face_image(1, e, g.act)).element_set
     assert stab == rot.element_set
     assert all(g.determinant() == 1 for g in stab)
-    mu0_keeps = {_act_pair(e, atlas.mu0) for e in edges} == edges
+    mu0_keeps = {_face_image(1, e, atlas.mu0.act) for e in edges} == edges
     assert not mu0_keeps
-    assert {_act_pair(e, atlas.mu0) for e in deleted} != deleted
+    assert {_face_image(1, e, atlas.mu0.act) for e in deleted} != deleted
 
     return MapBundle(
         structure=struct, structure_cosets=cosets,
         octagons=tuple(sorted(octagons)), edges=frozenset(edges),
         deleted_edges=deleted, levi_automorphism_count=aut_count,
-        reflection_face_perms=tuple(t_gens),
         full_automorphism_order=96, regularity_hom=hom,
         rotation_classification=rot_result.kind,
         full_classification=full_result.kind,
@@ -933,7 +924,6 @@ class RoliBundle:
     orbit_count: int
     flag_count: int
     type_vector: tuple[int, ...]
-    chirality_failure: HomomorphismFailure
     witness_holds: bool
     two_faces_class: str
     facets_are_map_copies: bool
@@ -983,17 +973,8 @@ def build_roli() -> RoliBundle:
     map_bundle = build_map()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
     base_facet = tuple(sorted(map_bundle.edges))
-    base_objects = [atlas.v, base_edge, atlas.base_octagon.vertices, base_facet]
-    actions = [_act_point, _act_pair, _act_polygon, _act_edge_set]
-    contains = {
-        (0, 1): lambda p, e: p in e,
-        (0, 2): lambda p, o: p in o,
-        (0, 3): lambda p, m: any(p in e for e in m),
-        (1, 2): lambda e, o: e in PetriePolygon(o).edge_set(),
-        (1, 3): lambda e, m: e in m,
-        (2, 3): lambda o, m: PetriePolygon(o).edge_set() <= set(m),
-    }
-    _attach_realization(struct, base_objects, actions, contains)
+    _attach_realization(struct, [atlas.v, base_edge, atlas.base_octagon.vertices,
+                                 base_facet])
 
     polys = petrie_polygons()
     class_r = {p.vertices for p in polys if p.chiral_class == "R"}
@@ -1036,7 +1017,7 @@ def build_roli() -> RoliBundle:
         structure=struct, stabilizer_orders=orders,
         classification=result.kind, orbit_count=result.orbit_count,
         flag_count=result.flag_count, type_vector=struct.schlafli_type(),
-        chirality_failure=failure, witness_holds=witness,
+        witness_holds=witness,
         two_faces_class="R", facets_are_map_copies=True,
     )
 
@@ -1075,7 +1056,7 @@ def build_enantiomorph() -> EnantiomorphBundle:
 
     mirror_octagon = atlas.base_octagon.transformed(rho0)
     assert mirror_octagon.chiral_class == "L"
-    mirror_facet = _act_edge_set(tuple(sorted(build_map().edges)), rho0)
+    mirror_facet = _face_image(3, tuple(sorted(build_map().edges)), rho0.act)
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     sub0 = rot.subgroup([atlas.sigma2_bar, atlas.sigma3_bar])
@@ -1083,11 +1064,7 @@ def build_enantiomorph() -> EnantiomorphBundle:
     sub1 = rot.subgroup([atlas.sigma1_bar * atlas.sigma2_bar, atlas.sigma3_bar])
     assert sub1.element_set == setwise_stabilizer(rot, set(base_edge)).element_set
     sub2 = setwise_stabilizer(rot, mirror_octagon.vertex_set())
-    sub3_elems = [g for g in rot
-                  if _act_edge_set(mirror_facet, g) == mirror_facet]
-    sub3 = ConcreteGroup(sub3_elems,
-                         {f"s{i}": g for i, g in enumerate(sub3_elems)},
-                         rot.identity)
+    sub3 = stabilizer(rot, mirror_facet, lambda m, g: _face_image(3, m, g.act))
     orders = (len(sub0), len(sub1), len(sub2), len(sub3))
     assert orders == (12, 6, 16, 48)
 
@@ -1100,37 +1077,15 @@ def build_enantiomorph() -> EnantiomorphBundle:
 
     struct = coset_geometry(rot, [sub0, sub1, sub2, sub3])
     assert struct.f_vector == (16, 32, 12, 4)
-    base_objects = [atlas.v_bar, base_edge, mirror_octagon.vertices, mirror_facet]
-    actions = [_act_point, _act_pair, _act_polygon, _act_edge_set]
-    contains = {
-        (0, 1): lambda p, e: p in e,
-        (0, 2): lambda p, o: p in o,
-        (0, 3): lambda p, m: any(p in e for e in m),
-        (1, 2): lambda e, o: e in PetriePolygon(o).edge_set(),
-        (1, 3): lambda e, m: e in m,
-        (2, 3): lambda o, m: PetriePolygon(o).edge_set() <= set(m),
-    }
-    _attach_realization(struct, base_objects, actions, contains)
+    _attach_realization(struct, [atlas.v_bar, base_edge, mirror_octagon.vertices,
+                                 mirror_facet])
 
     for ref in struct.refs(2):
         assert PetriePolygon(struct.realization[ref]).chiral_class == "L"
 
     # mirroring by rho0 is a poset isomorphism from the right-handed polytope
-    r_struct = roli.structure
-    mirror_map = {}
-    mirror_actions = [_act_point, _act_pair, _act_polygon, _act_edge_set]
-    for r in range(4):
-        for ref in r_struct.refs(r):
-            target = mirror_actions[r](r_struct.realization[ref], rho0)
-            mirror_map[ref] = next(
-                cand for cand in struct.refs(r) if struct.realization[cand] == target)
-    assert all(len({mirror_map[ref] for ref in r_struct.refs(r)}) == len(r_struct.refs(r))
-               for r in range(4))
-    for a in r_struct.all_refs():
-        for b in r_struct.all_refs():
-            if a[0] < b[0]:
-                assert r_struct.incident(a, b) == struct.incident(
-                    mirror_map[a], mirror_map[b])
+    _check_face_map(roli.structure, _realized_face_map(roli.structure, struct, rho0.act),
+                    struct)
 
     bar_group = group_rotation_sigma_bar()
     note = ("rank-2/3 subgroups are the rho0-conjugates of the right-handed "
@@ -1155,7 +1110,6 @@ class CoverBundle:
     intersection_ok: bool
     centre_plus: frozenset
     centre_word_identities: bool
-    quotient_hom: Homomorphism
     injective_on_tetrahedral: bool
     covering_right: "object"
     covering_left: "object"
@@ -1197,16 +1151,6 @@ def _project_second_mirror(p8):
     return (-p8[4],) + p8[5:]
 
 
-def _project_face(obj, rank: int, proj) -> object:
-    if rank == 0:
-        return proj(obj)
-    if rank == 1:
-        return tuple(sorted(proj(p) for p in obj))
-    if rank == 2:
-        return _canonical_cycle(tuple(proj(p) for p in obj))
-    return tuple(sorted(tuple(sorted(proj(p) for p in e)) for e in obj))
-
-
 @lru_cache(maxsize=None)
 def build_cover() -> CoverBundle:
     atlas = build_atlas()
@@ -1229,34 +1173,11 @@ def build_cover() -> CoverBundle:
     for _ in range(7):
         oct_cycle.append(atlas.kappa1.act(oct_cycle[-1]))
     base_oct = _canonical_cycle(tuple(oct_cycle))
-    facet_edges = {base_edge}
-    frontier = [base_edge]
-    facet_group = [atlas.tau0, atlas.tau1, atlas.tau2]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in facet_group:
-                img = _act_pair(e, g)
-                if img not in facet_edges:
-                    facet_edges.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    base_facet = tuple(sorted(facet_edges))
+    # struct.subgroups[3] is generated by tau0, tau1, tau2 in that order
+    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
+                                    lambda e, g: _face_image(1, e, g.act))))
     assert len(base_facet) == 24
-
-    base_objects = [bv, base_edge, base_oct, base_facet]
-    actions = [_act_point, _act_pair, _act_polygon, _act_edge_set]
-    contains = {
-        (0, 1): lambda p, e: p in e,
-        (0, 2): lambda p, o: p in o,
-        (0, 3): lambda p, m: any(p in e for e in m),
-        (1, 2): lambda e, o: e in {
-            tuple(sorted((o[k], o[(k + 1) % len(o)]))) for k in range(len(o))},
-        (1, 3): lambda e, m: e in m,
-        (2, 3): lambda o, m: {
-            tuple(sorted((o[k], o[(k + 1) % len(o)]))) for k in range(len(o))} <= set(m),
-    }
-    _attach_realization(struct, base_objects, actions, contains)
+    _attach_realization(struct, [bv, base_edge, base_oct, base_facet])
 
     result = classify(struct, _sigma_face_maps(struct, t_full))
     assert result.kind is Classification.REGULAR
@@ -1306,23 +1227,10 @@ def build_cover() -> CoverBundle:
     roli = build_roli()
     bar = build_enantiomorph()
 
-    def projection_map(target: RankedIncidenceStructure, proj) -> dict:
-        reverse = {}
-        for r in range(4):
-            for ref in target.refs(r):
-                reverse[(r, target.realization[ref])] = ref
-        fm = {}
-        for r in range(4):
-            for ref in struct.refs(r):
-                image = _project_face(struct.realization[ref], r, proj)
-                fm[ref] = reverse[(r, image)]
-        return fm
-
-    covering_right = verify_covering(struct, roli.structure,
-                                     projection_map(roli.structure, _project_first))
-    covering_left = verify_covering(struct, bar.structure,
-                                    projection_map(bar.structure,
-                                                   _project_second_mirror))
+    covering_right = verify_covering(struct, roli.structure, _realized_face_map(
+        struct, roli.structure, _project_first))
+    covering_left = verify_covering(struct, bar.structure, _realized_face_map(
+        struct, bar.structure, _project_second_mirror))
     for report in (covering_right, covering_left):
         assert report.uniform_fiber_size() == 2
         assert report.is_k_covering
@@ -1340,7 +1248,7 @@ def build_cover() -> CoverBundle:
         structure=struct, classification=result.kind, flag_count=result.flag_count,
         type_vector=struct.schlafli_type(), string_ok=string_ok,
         intersection_ok=intersection_ok, centre_plus=centre_plus,
-        centre_word_identities=word_ids, quotient_hom=hom,
+        centre_word_identities=word_ids,
         injective_on_tetrahedral=injective,
         covering_right=covering_right, covering_left=covering_left,
         covering_cube=covering_cube,
@@ -1364,7 +1272,7 @@ def geometric_chirality_report() -> dict:
         "non_rotation_preserves_edges": any(g in stab for g in non_rotations),
         "mu0_preserves_edges": bundle.mu0_preserves_edges,
         "mu0_preserves_deleted_matching":
-            {_act_pair(e, atlas.mu0) for e in bundle.deleted_edges}
+            {_face_image(1, e, atlas.mu0.act) for e in bundle.deleted_edges}
             == set(bundle.deleted_edges),
     }
 

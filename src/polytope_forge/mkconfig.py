@@ -176,11 +176,6 @@ class QF:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 3 ** 0.5
 
-    def to_complex(self) -> complex:
-        root = 3 ** 0.5
-        return complex(float(self.a) + float(self.b) * root,
-                       float(self.c) + float(self.d) * root)
-
     def __repr__(self) -> str:
         return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
 

@@ -110,6 +110,7 @@ class RankedIncidenceStructure:
         # optional metadata attached by builders
         self.group: ConcreteGroup | None = None
         self.subgroups: tuple | None = None
+        self.coset_canon: tuple[dict, ...] | None = None  # per rank: element -> coset rep
         self.realization: dict[FaceRef, object] | None = None
 
     # -- face bookkeeping ----------------------------------------------------
@@ -360,16 +361,20 @@ class ClassifyResult:
     adjacent_pairs_split: bool
 
 
-def _check_face_map(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef]) -> None:
+def _check_face_map(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
+                    target: RankedIncidenceStructure | None = None) -> None:
+    """Raise ValueError unless fm is a rank-preserving bijection from the
+    faces of p onto those of target (default: p itself) under which two
+    faces are incident exactly when their images are."""
+    q = p if target is None else target
     for r in range(p.rank):
         refs = p.refs(r)
         images = {fm[ref] for ref in refs}
-        if images != set(refs):
+        if len(images) != len(refs) or images != set(q.refs(r)):
             raise ValueError(f"face map is not a bijection at rank {r}")
     for ref in p.all_refs():
-        for other in p._inc[ref]:
-            if not p.incident(fm[ref], fm[other]):
-                raise ValueError(f"face map breaks incidence at {(ref, other)}")
+        if {fm[other] for other in p._inc[ref]} != q._inc[fm[ref]]:
+            raise ValueError(f"face map breaks incidence at {ref}")
 
 
 def classify(p: RankedIncidenceStructure,
@@ -448,28 +453,16 @@ def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup],
             raise ValueError("rank subgroup escapes the group")
     rank = len(subgroups)
     decomps = [_coset_decomposition(group, sub) for sub in subgroups]
-    faces_by_rank = [reps for reps, _ in decomps]
+    canons = tuple(canon for _, canon in decomps)
+    # the cosets of alpha and beta meet iff some g lies in both
+    pairs = {((j, canons[j][g]), (k, canons[k][g]))
+             for g in group.elements
+             for j in range(rank) for k in range(j + 1, rank)}
 
-    products: dict[tuple[int, int], frozenset] = {}
-    for j in range(rank):
-        for k in range(j + 1, rank):
-            products[(j, k)] = frozenset(
-                a * b for a in subgroups[k].elements for b in subgroups[j].elements)
-
-    pairs = []
-    for j in range(rank):
-        for k in range(j + 1, rank):
-            prod = products[(j, k)]
-            for alpha in faces_by_rank[j]:
-                alpha_inv = alpha.inverse()
-                for beta in faces_by_rank[k]:
-                    if beta * alpha_inv in prod:
-                        pairs.append(((j, alpha), (k, beta)))
-
-    struct = RankedIncidenceStructure(rank, faces_by_rank, pairs)
+    struct = RankedIncidenceStructure(rank, [reps for reps, _ in decomps], pairs)
     struct.group = group
     struct.subgroups = tuple(subgroups)
-    struct.coset_canon = tuple(canon for _, canon in decomps)
+    struct.coset_canon = canons
     if validate:
         struct.validate_polytope()
     return struct
@@ -477,7 +470,7 @@ def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup],
 
 def coset_face_action(struct: RankedIncidenceStructure, element) -> dict[FaceRef, FaceRef]:
     """The face permutation induced by right multiplication on cosets."""
-    if getattr(struct, "coset_canon", None) is None:
+    if struct.coset_canon is None:
         raise ValueError("structure carries no coset decomposition")
     fm = {}
     for r in range(struct.rank):

@@ -152,8 +152,9 @@ def test_main_usage_errors(capsys):
     assert exc.value.code == 2
     code = cli.main(["verify", "no.such-claim"])
     assert code == 2
-    code = cli.main(["project", "--scale", "0"])
-    assert code == 2
+    for bad in (["--scale", "0"], ["--scale", "nan"], ["--scale", "inf"],
+                ["--scale=-inf"], ["--colors", "1,9"], ["--colors", "9"]):
+        assert cli.main(["project", *bad]) == 2, bad
 
 
 def test_main_verify_list(capsys):

@@ -4,7 +4,6 @@ map, the chiral polytope, its mirror, and the cover in E^8."""
 import math
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from polytope_forge.cubefamily import (
@@ -154,20 +153,25 @@ def test_colour_sequences_through_base_vertex_split_by_parity(atlas):
 
 
 def test_petrie_symmetry_rotates_invariant_planes_by_45_and_135_degrees(atlas):
-    mat = np.array(atlas.pi.matrix(), dtype=float)
+    mat = atlas.pi.matrix()
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
     s = 1 / math.sqrt(2)
     planes = [
-        (np.array([s, 0.5, 0.0, -0.5]), np.array([0.0, 0.5, s, 0.5])),
-        (np.array([s, -0.5, 0.0, 0.5]), np.array([0.0, 0.5, -s, 0.5])),
+        ([s, 0.5, 0.0, -0.5], [0.0, 0.5, s, 0.5]),
+        ([s, -0.5, 0.0, 0.5], [0.0, 0.5, -s, 0.5]),
     ]
     angles = []
     for e1, e2 in planes:
-        img = e1 @ mat
+        img = [dot(e1, column) for column in zip(*mat)]  # row vector times matrix
         # the basis is orthonormal; the plane is invariant
-        assert abs(e1 @ e2) < 1e-12
-        resid = img - (img @ e1) * e1 - (img @ e2) * e2
-        assert np.linalg.norm(resid) < 1e-9
-        angles.append(math.degrees(math.acos(max(-1.0, min(1.0, img @ e1)))))
+        assert abs(dot(e1, e2)) < 1e-12
+        resid = [x - dot(img, e1) * a - dot(img, e2) * b
+                 for x, a, b in zip(img, e1, e2)]
+        assert math.sqrt(dot(resid, resid)) < 1e-9
+        angles.append(math.degrees(math.acos(max(-1.0, min(1.0, dot(img, e1))))))
     assert abs(angles[0] - 45.0) < 1e-9
     assert abs(angles[1] - 135.0) < 1e-9
 

@@ -7,6 +7,7 @@ import pytest
 
 from polytope_forge.cubefamily import (
     build_atlas,
+    build_cover,
     build_cube,
     build_hemi,
     build_map,
@@ -32,6 +33,7 @@ from polytope_forge.polycore import (
     polytope_from_reflections,
     verify_covering,
 )
+from polytope_forge.signedperm import SignedPerm
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +103,39 @@ def test_coset_geometry_agrees_with_reflection_construction():
     assert all(direct.incident(a, b) == wythoff.incident(a, b)
                for a in direct.all_refs() for b in direct.all_refs()
                if a[0] != b[0])
+
+
+def _b3_polytope():
+    rho0 = SignedPerm((-1, 1, 1), (1, 2, 3))
+    swaps = [SignedPerm.from_cycles(3, [(i, i + 1)]) for i in (1, 2)]
+    return polytope_from_reflections(ConcreteGroup.generate([rho0] + swaps))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cube().structure,
+    lambda: build_roli().structure,
+    lambda: build_map().structure_cosets,
+    lambda: build_cover().structure,
+    _b3_polytope,
+], ids=["cube", "roli", "map", "cover", "b3"])
+def test_coset_incidence_matches_its_definition(make):
+    # faces alpha (rank j) and beta (rank k) are incident iff
+    # beta * alpha^-1 lies in the product set H_k * H_j
+    struct = make()
+    for j in range(struct.rank):
+        for k in range(j + 1, struct.rank):
+            prod = {a * b for a in struct.subgroups[k].elements
+                    for b in struct.subgroups[j].elements}
+            expected = {(ra, rb) for ra in struct.refs(j) for rb in struct.refs(k)
+                        if struct.key(rb) * struct.key(ra).inverse() in prod}
+            actual = {(ra, rb) for ra in struct.refs(j) for rb in struct.refs(k)
+                      if struct.incident(ra, rb)}
+            assert expected and actual == expected, (j, k)
+
+
+def test_coset_face_action_needs_coset_data():
+    with pytest.raises(ValueError):
+        coset_face_action(build_cube().colourful, group_cube().identity)
 
 
 def test_roli_coset_geometry_f_vector():
