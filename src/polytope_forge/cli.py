@@ -12,13 +12,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import networkx as nx
 
 from . import cubefamily as cf
 from . import mkconfig as mk
-from .groupcore import CapExceeded, Homomorphism, enumerate_cosets, eval_word
+from .groupcore import (CapExceeded, Homomorphism, enumerate_cosets, eval_word,
+                        setwise_stabilizer)
 from .polycore import Classification
 from .signedperm import SignedPerm
 
@@ -81,258 +83,239 @@ class CliConfig:
     seed_labels: str = "lex"
 
 
-def _claim(claim_id: str, criterion: int, expected, computed, note: str = "") -> Claim:
-    return Claim(claim_id=claim_id, criterion=criterion,
-                 expected=str(expected), computed=str(computed),
-                 passed=str(expected) == str(computed), note=note)
-
-
-def _bool_claim(claim_id: str, criterion: int, ok: bool, note: str = "") -> Claim:
-    return Claim(claim_id=claim_id, criterion=criterion, expected="True",
-                 computed=str(bool(ok)), passed=bool(ok), note=note)
-
-
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------
 
-def _claims_orders(cfg: CliConfig) -> list[Claim]:
-    full_pres = enumerate_cosets(cf.presentation_map_full(), (), cap=cfg.cap)
-    return [
-        _claim("orders.cube-full", 1, 384, len(cf.group_cube())),
-        _claim("orders.cube-rotation", 1, 192, len(cf.group_rotation())),
-        _claim("orders.map-rotation", 1, 48, len(cf.group_map_rotation())),
-        _claim("orders.map-full", 1, 96, full_pres.index,
-               note="trivial-subgroup enumeration of the reflection presentation"),
-        _claim("orders.cover-rotation", 1, 384, len(cf.group_cover_rotation())),
-        _claim("orders.cover-full", 1, 768, len(cf.group_cover())),
-        _claim("orders.unitary-triangle", 1, 24, len(cf.group_unitary())),
-    ]
+class _Row(NamedTuple):
+    """One claim.  `compute(cfg)` gives the computed value; a boolean claim
+    expects True and computes a real bool.  When `note` is None the note
+    reports on the computed value, and `compute` returns (value, note)."""
+    claim_id: str
+    criterion: int
+    expected: object
+    compute: Callable[[CliConfig], object]
+    note: str | None = ""
 
 
-def _claims_cosets(cfg: CliConfig) -> list[Claim]:
-    out = []
-    t1 = enumerate_cosets(cf.presentation_map_rotation(), [(1,)], cap=cfg.cap)
-    out.append(_claim("cosets.map-rotation-over-s1", 2, 6, t1.index))
+def _evaluate(row: _Row, cfg: CliConfig) -> Claim:
+    value, note = row.compute(cfg), row.note
+    if note is None:
+        value, note = value
+    return Claim(claim_id=row.claim_id, criterion=row.criterion,
+                 expected=str(row.expected), computed=str(value),
+                 passed=str(row.expected) == str(value), note=note)
 
-    t2 = enumerate_cosets(cf.presentation_roli(with_chirality_breaker=False),
-                          [(1,), (2,)], cap=cfg.cap)
-    out.append(_claim("cosets.chiral-partial-over-s1-s2", 2, 8, t2.index,
-                      note="bounds the partially presented group by 8*48=384"))
 
-    t3 = enumerate_cosets(cf.presentation_roli(), (), cap=cfg.cap)
+def _configuration(cfg: CliConfig) -> mk.Configuration:
+    return mk.build_configuration(policy=cfg.seed_labels)
+
+
+def _chiral_full_matches_rotation_group(cfg: CliConfig) -> tuple[bool, str]:
+    table = enumerate_cosets(cf.presentation_roli(), (), cap=cfg.cap)
     atlas = cf.build_atlas()
     assignment = [atlas.sigma1, atlas.sigma2, atlas.sigma3]
     ident = SignedPerm.identity(4)
-    images = {eval_word(assignment, w, ident) for w in t3.representative_words()}
-    match = (t3.index == 192 and len(images) == 192
+    images = {eval_word(assignment, w, ident) for w in table.representative_words()}
+    match = (table.index == 192 and len(images) == 192
              and images == cf.group_rotation().element_set)
-    out.append(_bool_claim("cosets.chiral-full-matches-rotation-group", 2, match,
-                           note=f"index {t3.index}, distinct images {len(images)}"))
-
-    t4 = enumerate_cosets(cf.presentation_unitary_triangle(), (), cap=cfg.cap)
-    out.append(_claim("cosets.unitary-triangle-order", 2, 24, t4.index))
-    return out
+    return match, f"index {table.index}, distinct images {len(images)}"
 
 
-def _claims_petrie(cfg: CliConfig) -> list[Claim]:
-    orbit = cf.petrie_polygons()
-    brute = cf.petrie_polygons_brute_force()
-    same = tuple(p.vertices for p in orbit) == tuple(p.vertices for p in brute)
+def _petrie_class_split(cfg: CliConfig) -> str:
     split = {"R": 0, "L": 0}
-    dets_ok = True
-    for p in orbit:
+    for p in cf.petrie_polygons():
         split[p.chiral_class] += 1
-        if p.det4() != {"R": 8, "L": -8}[p.chiral_class]:
-            dets_ok = False
-    k_full = cf.group_petrie_stabilizer()
-    atlas = cf.build_atlas()
-    from .groupcore import setwise_stabilizer
-    k_rot = setwise_stabilizer(cf.group_rotation(), atlas.base_octagon.vertex_set())
-    return [
-        _bool_claim("petrie.brute-force-equals-orbit", 3, same,
-                    note="byte-identical canonical forms"),
-        _claim("petrie.count", 3, 24, len(orbit)),
-        _claim("petrie.class-split", 3, "12R/12L", f"{split['R']}R/{split['L']}L"),
-        _bool_claim("petrie.window-determinants", 3, dets_ok,
-                    note="+8 on class R, -8 on class L"),
-        _claim("petrie.stabilizer-orders", 3, "16/16", f"{len(k_full)}/{len(k_rot)}",
-               note="base octagon stabilizer in the full and rotation groups"),
-    ]
+    return f"{split['R']}R/{split['L']}L"
 
 
-def _claims_map(cfg: CliConfig) -> list[Claim]:
-    bundle = cf.build_map()
-    labels = cf.octagon_label_sets()
-    expected_labels = frozenset(
-        frozenset(s) for s in ((0, 2, 4, 6), (1, 3, 5, 7), (0, 5, 4, 1),
-                               (1, 2, 5, 6), (2, 3, 6, 7), (0, 7, 4, 3)))
-    gp_iso = nx.vf2pp_is_isomorphic(nx.Graph(list(bundle.edges)), cf.gp83_graph())
-    hom = bundle.regularity_hom
-    return [
-        _claim("map.f-vector", 4, (16, 24, 6), bundle.structure.f_vector),
-        _bool_claim("map.octagon-alternate-labels", 4, labels == expected_labels,
-                    note="0246 1357 0541 1256 2367 0743"),
-        _bool_claim("map.skeleton-generalized-petersen", 4, gp_iso),
-        _claim("map.levi-automorphisms", 4, 96, bundle.levi_automorphism_count),
-        _bool_claim("map.regularity-automorphism", 4,
-                    isinstance(hom, Homomorphism) and hom.is_involutory(),
-                    note="s1 -> s1^-1, s2 -> s1^2 s2 extends involutorily"),
-        _bool_claim("map.geometric-chirality", 4,
-                    (not bundle.mu0_preserves_edges
-                     and bundle.edge_stabilizer_in_full_group
-                     == cf.group_map_rotation().element_set),
-                    note="no orientation-reversing symmetry keeps the edge set"),
-    ]
+def _petrie_stabilizer_orders(cfg: CliConfig) -> str:
+    octagon = cf.build_atlas().base_octagon.vertex_set()
+    k_rot = setwise_stabilizer(cf.group_rotation(), octagon)
+    return f"{len(cf.group_petrie_stabilizer())}/{len(k_rot)}"
 
 
-def _claims_roli(cfg: CliConfig) -> list[Claim]:
+def _roli_classification(cfg: CliConfig) -> tuple[bool, str]:
     bundle = cf.build_roli()
-    return [
-        _claim("roli.f-vector", 5, (16, 32, 12, 4), bundle.structure.f_vector),
-        _claim("roli.stabilizer-orders", 5, (12, 6, 16, 48), bundle.stabilizer_orders),
-        _bool_claim("roli.classification-chiral", 5,
-                    bundle.classification is Classification.CHIRAL
-                    and bundle.orbit_count == 2,
-                    note=f"{bundle.orbit_count} flag orbits, adjacent flags split"),
-        _bool_claim("roli.chirality-witness", 5, bundle.witness_holds,
-                    note="(s1 s3)^4 is central and nontrivial, (s1^-1 s3)^4 = 1"),
-        _claim("roli.vertex-figure-type", 5, (3, 3), bundle.type_vector[1:]),
-    ]
+    return (bundle.classification is Classification.CHIRAL and bundle.orbit_count == 2,
+            f"{bundle.orbit_count} flag orbits, adjacent flags split")
 
 
-def _claims_cover(cfg: CliConfig) -> list[Claim]:
-    bundle = cf.build_cover()
-    right, left = bundle.covering_right, bundle.covering_left
-    return [
-        _bool_claim("cover.string-c-group", 6,
-                    bundle.string_ok and bundle.intersection_ok
-                    and len(cf.group_cover()) == 768),
-        _bool_claim("cover.regular-type-833", 6,
-                    bundle.classification is Classification.REGULAR
-                    and bundle.type_vector == (8, 3, 3)
-                    and bundle.flag_count == 768,
-                    note="768 = 2 * 384 flags"),
-        _bool_claim("cover.two-to-one-three-coverings", 6,
-                    right.uniform_fiber_size() == 2 and right.is_k_covering
-                    and left.uniform_fiber_size() == 2 and left.is_k_covering),
-        _bool_claim("cover.quotient-criterion", 6, bundle.injective_on_tetrahedral,
-                    note="reflection images are injective on the vertex subgroup"),
-        _bool_claim("cover.centre", 6,
-                    len(bundle.centre_plus) == 4 and bundle.centre_word_identities,
-                    note="(z,1), (1,z), (z,z) as words in the block generators"),
-    ]
-
-
-def _claims_mk(cfg: CliConfig) -> list[Claim]:
-    config = mk.build_configuration(policy=cfg.seed_labels)
+def _mk_complex_structure(cfg: CliConfig) -> bool:
     j = mk.build_J()
     a1, b1, a2, b2 = mk.build_L()
     identity = tuple(
         tuple(mk.QF(1 if r == c else 0) for c in range(4)) for r in range(4))
-    minus_identity = tuple(
-        tuple(mk.QF(-1 if r == c else 0) for c in range(4)) for r in range(4))
-    j_ok = (mk.mat_mul(j, j) == minus_identity
+    minus_identity = tuple(tuple(-x for x in row) for row in identity)
+    return (mk.mat_mul(j, j) == minus_identity
             and mk.mat_mul(j, mk.mat_transpose(j)) == identity
             and mk.row_times_matrix(a1, j) == b1
             and mk.row_times_matrix(a2, j) == b2
             and mk.dot(a1, a1) == mk.dot(b1, b1)
             and mk.dot(a1, b1) == mk.ZERO)
-    table_cmp = mk.compare_with_table(config)
+
+
+def _mk_coordinate_table(cfg: CliConfig) -> tuple[bool, str]:
+    table_cmp = mk.compare_with_table(_configuration(cfg))
+    return table_cmp["matches"], ("literal match" if table_cmp["literal"]
+                                  else f"up to relabeling {table_cmp['relabeling']}")
+
+
+def _mk_unitary_triangle_group(cfg: CliConfig) -> bool:
     g = mk.group_333()
-    bt = cf.binary_tetrahedral_check()
-    incidence_ok = (config.incidence_row_sums() == (3,) * 8
-                    and config.incidence_col_sums() == (3,) * 8)
-    return [
-        _bool_claim("mk.complex-structure", 7, j_ok,
-                    note="J^2 = -I, J orthogonal, a1 J = b1, a2 J = b2, "
-                         "|a1| = |b1|, a1 . b1 = 0"),
-        _bool_claim("mk.incidence-8-8-3", 7, incidence_ok,
-                    note="8 points, 8 lines, 3 per row and column, exact"),
-        _bool_claim("mk.line-167-equation", 7, mk.line_matches_paper(config),
-                    note="r(1-i) z1 + 2 z2 = 2r(1+i), satisfied by exactly 1,6,7"),
-        _bool_claim("mk.coordinate-table", 7, table_cmp["matches"],
-                    note=("literal match" if table_cmp["literal"]
-                          else f"up to relabeling {table_cmp['relabeling']}")),
-        _bool_claim("mk.unitary-triangle-group", 7,
-                    g["relators_hold"] and g["braid_relation"]
-                    and g["group_order"] == 24 and g["centralizer_equals_group"]
-                    and g["presentation_index"] == 24,
-                    note="order 24, centralizer of J, presentation index 24"),
-        _bool_claim("mk.binary-tetrahedral", 7,
-                    bt["identities_hold"] and bt["order"] == 24
-                    and bt["normal_in_map_rotation_group"],
-                    note="a^3 = b^3 = (ab)^2 = central involution; order 24; normal"),
-    ]
+    return (g["relators_hold"] and g["braid_relation"]
+            and g["group_order"] == 24 and g["centralizer_equals_group"]
+            and g["presentation_index"] == 24)
 
 
-def _claims_colourful(cfg: CliConfig) -> list[Claim]:
-    cube = cf.build_cube()
-    hemi = cf.build_hemi()
-    return [
-        _bool_claim("colourful.cube-skeleton", 8,
-                    cube.colourful.isomorphic_to(cube.structure)),
-        _bool_claim("colourful.k44-hemi", 8,
-                    hemi.colourful.isomorphic_to(hemi.structure)
-                    and hemi.generator_product_order == 4,
-                    note="generator product has order 4 in the quotient"),
-    ]
-
-
-def _claims_projection(cfg: CliConfig) -> list[Claim]:
+def _projection_isometric(cfg: CliConfig) -> tuple[bool, str]:
     lengths = projected_edge_lengths(coxeter_projection_spec())
-    iso_ok = (len(lengths) == 32
-              and max(lengths) - min(lengths) <= TOL)
+    spread = max(lengths) - min(lengths)
+    return (len(lengths) == 32 and spread <= TOL,
+            f"32 projected edges, spread {spread:.2e}")
+
+
+def _projection_plane_positions(cfg: CliConfig) -> tuple[bool, str]:
     fit = plane_positions_fit()
-    return [
-        _bool_claim("projection.isometric", 9, iso_ok,
-                    note=f"32 projected edges, spread {max(lengths) - min(lengths):.2e}"),
-        _bool_claim("projection.plane-positions", 9, fit <= TOL,
-                    note=f"similarity fit residual {fit:.2e}"),
-    ]
+    return fit <= TOL, f"similarity fit residual {fit:.2e}"
 
 
-_CLAIM_GROUPS = {
-    "orders": _claims_orders,
-    "cosets": _claims_cosets,
-    "petrie": _claims_petrie,
-    "map": _claims_map,
-    "roli": _claims_roli,
-    "cover": _claims_cover,
-    "mk": _claims_mk,
-    "colourful": _claims_colourful,
-    "projection": _claims_projection,
-}
+# The only place that declares a claim, in report order.  A row is computed
+# only when its claim is selected; the builders it calls are cached.
+_CLAIMS: tuple[_Row, ...] = (
+    _Row("orders.cube-full", 1, 384, lambda cfg: len(cf.group_cube())),
+    _Row("orders.cube-rotation", 1, 192, lambda cfg: len(cf.group_rotation())),
+    _Row("orders.map-rotation", 1, 48, lambda cfg: len(cf.group_map_rotation())),
+    _Row("orders.map-full", 1, 96,
+         lambda cfg: enumerate_cosets(cf.presentation_map_full(), (), cap=cfg.cap).index,
+         "trivial-subgroup enumeration of the reflection presentation"),
+    _Row("orders.cover-rotation", 1, 384, lambda cfg: len(cf.group_cover_rotation())),
+    _Row("orders.cover-full", 1, 768, lambda cfg: len(cf.group_cover())),
+    _Row("orders.unitary-triangle", 1, 24, lambda cfg: len(cf.group_unitary())),
+
+    _Row("cosets.map-rotation-over-s1", 2, 6,
+         lambda cfg: enumerate_cosets(cf.presentation_map_rotation(), [(1,)],
+                                      cap=cfg.cap).index),
+    _Row("cosets.chiral-partial-over-s1-s2", 2, 8,
+         lambda cfg: enumerate_cosets(cf.presentation_roli(with_chirality_breaker=False),
+                                      [(1,), (2,)], cap=cfg.cap).index,
+         "bounds the partially presented group by 8*48=384"),
+    _Row("cosets.chiral-full-matches-rotation-group", 2, True,
+         _chiral_full_matches_rotation_group, None),
+    _Row("cosets.unitary-triangle-order", 2, 24,
+         lambda cfg: enumerate_cosets(cf.presentation_unitary_triangle(), (),
+                                      cap=cfg.cap).index),
+
+    _Row("petrie.brute-force-equals-orbit", 3, True,
+         lambda cfg: (tuple(p.vertices for p in cf.petrie_polygons())
+                      == tuple(p.vertices for p in cf.petrie_polygons_brute_force())),
+         "byte-identical canonical forms"),
+    _Row("petrie.count", 3, 24, lambda cfg: len(cf.petrie_polygons())),
+    _Row("petrie.class-split", 3, "12R/12L", _petrie_class_split),
+    _Row("petrie.window-determinants", 3, True,
+         lambda cfg: all(p.det4() == {"R": 8, "L": -8}[p.chiral_class]
+                         for p in cf.petrie_polygons()),
+         "+8 on class R, -8 on class L"),
+    _Row("petrie.stabilizer-orders", 3, "16/16", _petrie_stabilizer_orders,
+         "base octagon stabilizer in the full and rotation groups"),
+
+    _Row("map.f-vector", 4, (16, 24, 6), lambda cfg: cf.build_map().structure.f_vector),
+    _Row("map.octagon-alternate-labels", 4, True,
+         lambda cfg: cf.octagon_label_sets() == frozenset(
+             frozenset(s) for s in ((0, 2, 4, 6), (1, 3, 5, 7), (0, 5, 4, 1),
+                                    (1, 2, 5, 6), (2, 3, 6, 7), (0, 7, 4, 3))),
+         "0246 1357 0541 1256 2367 0743"),
+    _Row("map.skeleton-generalized-petersen", 4, True,
+         lambda cfg: nx.vf2pp_is_isomorphic(nx.Graph(list(cf.build_map().edges)),
+                                            cf.gp83_graph())),
+    _Row("map.levi-automorphisms", 4, 96, lambda cfg: cf.build_map().levi_automorphism_count),
+    _Row("map.regularity-automorphism", 4, True,
+         lambda cfg: (isinstance(cf.build_map().regularity_hom, Homomorphism)
+                      and cf.build_map().regularity_hom.is_involutory()),
+         "s1 -> s1^-1, s2 -> s1^2 s2 extends involutorily"),
+    _Row("map.geometric-chirality", 4, True,
+         lambda cfg: (not cf.build_map().mu0_preserves_edges
+                      and cf.build_map().edge_stabilizer_in_full_group
+                      == cf.group_map_rotation().element_set),
+         "no orientation-reversing symmetry keeps the edge set"),
+
+    _Row("roli.f-vector", 5, (16, 32, 12, 4), lambda cfg: cf.build_roli().structure.f_vector),
+    _Row("roli.stabilizer-orders", 5, (12, 6, 16, 48),
+         lambda cfg: cf.build_roli().stabilizer_orders),
+    _Row("roli.classification-chiral", 5, True, _roli_classification, None),
+    _Row("roli.chirality-witness", 5, True, lambda cfg: cf.build_roli().witness_holds,
+         "(s1 s3)^4 is central and nontrivial, (s1^-1 s3)^4 = 1"),
+    _Row("roli.vertex-figure-type", 5, (3, 3), lambda cfg: cf.build_roli().type_vector[1:]),
+
+    _Row("cover.string-c-group", 6, True,
+         lambda cfg: (cf.build_cover().string_ok and cf.build_cover().intersection_ok
+                      and len(cf.group_cover()) == 768)),
+    _Row("cover.regular-type-833", 6, True,
+         lambda cfg: (cf.build_cover().classification is Classification.REGULAR
+                      and cf.build_cover().type_vector == (8, 3, 3)
+                      and cf.build_cover().flag_count == 768),
+         "768 = 2 * 384 flags"),
+    _Row("cover.two-to-one-three-coverings", 6, True,
+         lambda cfg: all(c.uniform_fiber_size() == 2 and c.is_k_covering for c in
+                         (cf.build_cover().covering_right, cf.build_cover().covering_left))),
+    _Row("cover.quotient-criterion", 6, True,
+         lambda cfg: cf.build_cover().injective_on_tetrahedral,
+         "reflection images are injective on the vertex subgroup"),
+    _Row("cover.centre", 6, True,
+         lambda cfg: (len(cf.build_cover().centre_plus) == 4
+                      and cf.build_cover().centre_word_identities),
+         "(z,1), (1,z), (z,z) as words in the block generators"),
+
+    _Row("mk.complex-structure", 7, True, _mk_complex_structure,
+         "J^2 = -I, J orthogonal, a1 J = b1, a2 J = b2, |a1| = |b1|, a1 . b1 = 0"),
+    _Row("mk.incidence-8-8-3", 7, True,
+         lambda cfg: (_configuration(cfg).incidence_row_sums() == (3,) * 8
+                      and _configuration(cfg).incidence_col_sums() == (3,) * 8),
+         "8 points, 8 lines, 3 per row and column, exact"),
+    _Row("mk.line-167-equation", 7, True,
+         lambda cfg: mk.line_matches_paper(_configuration(cfg)),
+         "r(1-i) z1 + 2 z2 = 2r(1+i), satisfied by exactly 1,6,7"),
+    _Row("mk.coordinate-table", 7, True, _mk_coordinate_table, None),
+    _Row("mk.unitary-triangle-group", 7, True, _mk_unitary_triangle_group,
+         "order 24, centralizer of J, presentation index 24"),
+    _Row("mk.binary-tetrahedral", 7, True,
+         lambda cfg: (cf.binary_tetrahedral_check()["identities_hold"]
+                      and cf.binary_tetrahedral_check()["order"] == 24
+                      and cf.binary_tetrahedral_check()["normal_in_map_rotation_group"]),
+         "a^3 = b^3 = (ab)^2 = central involution; order 24; normal"),
+
+    _Row("colourful.cube-skeleton", 8, True,
+         lambda cfg: cf.build_cube().colourful.isomorphic_to(cf.build_cube().structure)),
+    _Row("colourful.k44-hemi", 8, True,
+         lambda cfg: (cf.build_hemi().colourful.isomorphic_to(cf.build_hemi().structure)
+                      and cf.build_hemi().generator_product_order == 4),
+         "generator product has order 4 in the quotient"),
+
+    _Row("projection.isometric", 9, True, _projection_isometric, None),
+    _Row("projection.plane-positions", 9, True, _projection_plane_positions, None),
+)
 
 
 def run_claims(cfg: CliConfig | None = None, only: set[str] | None = None) -> Report:
+    """Compute the claims in `only` (every claim when it is None), in
+    battery order.  An unknown id raises KeyError before anything is built."""
     cfg = cfg or CliConfig()
     start = time.perf_counter()
-    if only is None:
-        groups = list(_CLAIM_GROUPS.values())
-    else:
-        prefixes = {claim_id.split(".", 1)[0] for claim_id in only}
-        unknown_prefix = prefixes - set(_CLAIM_GROUPS)
-        if unknown_prefix:
-            raise KeyError(f"unknown claim ids: {sorted(only)}")
-        groups = [_CLAIM_GROUPS[p] for p in _CLAIM_GROUPS if p in prefixes]
-    claims: list[Claim] = []
-    for group in groups:
-        claims.extend(group(cfg))
-    ids = [c.claim_id for c in claims]
+    ids = all_claim_ids()
     assert len(ids) == len(set(ids)), "claim ids must be unique"
-    if only is not None:
-        unknown = only - set(ids)
-        if unknown:
-            raise KeyError(f"unknown claim ids: {sorted(unknown)}")
-        claims = [c for c in claims if c.claim_id in only]
+    unknown = set() if only is None else only - set(ids)
+    if unknown:
+        raise KeyError(f"unknown claim ids: {sorted(unknown)}")
+    claims = [_evaluate(row, cfg) for row in _CLAIMS
+              if only is None or row.claim_id in only]
     report = Report(object_name="verification-battery", claims=claims)
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
 
 def all_claim_ids() -> list[str]:
-    return [c.claim_id for c in run_claims().claims]
+    """The claim ids in battery order, read from the table: builds nothing."""
+    return [row.claim_id for row in _CLAIMS]
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +331,10 @@ class ProjectionSpec:
     labelled_points_only: bool = False
 
     def validate(self) -> None:
-        if self.scale == 0:
-            raise ValueError("zero scale")
-        if not math.isfinite(self.scale):
-            raise ValueError(f"scale must be finite, got {self.scale}")
-        if any(c not in _EDGE_COLOR_NAMES for c in self.colors):
-            raise ValueError(f"edge colours must lie in 1..4, got {self.colors}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        if not self.colors or any(c not in _EDGE_COLOR_NAMES for c in self.colors):
+            raise ValueError(f"edge colours must be one or more of 1..4, got {self.colors}")
         g00 = sum(x * x for x in self.basis[0])
         g11 = sum(x * x for x in self.basis[1])
         g01 = sum(x * y for x, y in zip(self.basis[0], self.basis[1]))
@@ -475,7 +456,7 @@ def render_projection(spec: ProjectionSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _mk_certificate(cfg: CliConfig) -> dict:
-    config = mk.build_configuration(policy=cfg.seed_labels)
+    config = _configuration(cfg)
     data = config.to_json_dict()
     table_cmp = mk.compare_with_table(config)
     g = mk.group_333()
@@ -499,17 +480,28 @@ _BUILDERS = {
 }
 _BUILD_TARGETS = tuple(_BUILDERS)
 
+_PRESETS = {"coxeter": coxeter_projection_spec, "plane": plane_projection_spec}
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write to the file `out`, or to standard output when it is not given;
+    a file that cannot be written is a usage error."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
 
 def _emit(data: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     else:
         text = "".join(f"{k}: {v}\n" for k, v in sorted(data.items()))
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -542,8 +534,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_project = sub.add_parser("project", parents=[common],
                                help="render an SVG projection")
-    p_project.add_argument("--preset", choices=("coxeter", "plane"),
-                           default="coxeter")
+    p_project.add_argument("--preset", choices=tuple(_PRESETS), default="coxeter")
     p_project.add_argument("--scale", type=float, default=100.0)
     p_project.add_argument("--colors", default="1,2,3,4",
                            help="edge direction classes to draw")
@@ -572,11 +563,7 @@ def main(argv: list[str] | None = None) -> int:
                 body = "".join(c.line() + "\n" for c in report.claims)
                 body += (f"{'all claims pass' if report.all_passed else 'FAILURES'}"
                          f" in {report.elapsed_seconds:.1f}s\n")
-                if args.out:
-                    with open(args.out, "w", encoding="utf-8") as handle:
-                        handle.write(body)
-                else:
-                    sys.stdout.write(body)
+                _write(body, args.out)
             if not report.all_passed:
                 first = next(c for c in report.claims if not c.passed)
                 print(f"first failing claim: {first.claim_id}", file=sys.stderr)
@@ -585,16 +572,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "project":
             colors = tuple(int(tok) for tok in args.colors.split(",") if tok)
-            if args.preset == "coxeter":
-                spec = coxeter_projection_spec(scale=args.scale, colors=colors)
-            else:
-                spec = plane_projection_spec(scale=args.scale)
-            svg = render_projection(spec)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(svg)
-            else:
-                sys.stdout.write(svg)
+            spec = replace(_PRESETS[args.preset](scale=args.scale), colors=colors)
+            _write(render_projection(spec), args.out)
             return 0
     except (CapExceeded, ValueError, KeyError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -926,7 +926,6 @@ class RoliBundle:
     type_vector: tuple[int, ...]
     witness_holds: bool
     two_faces_class: str
-    facets_are_map_copies: bool
 
     def certificate(self) -> dict:
         return {
@@ -1018,7 +1017,7 @@ def build_roli() -> RoliBundle:
         classification=result.kind, orbit_count=result.orbit_count,
         flag_count=result.flag_count, type_vector=struct.schlafli_type(),
         witness_holds=witness,
-        two_faces_class="R", facets_are_map_copies=True,
+        two_faces_class="R",
     )
 
 

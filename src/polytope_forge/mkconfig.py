@@ -534,8 +534,11 @@ def expected_shadow_positions() -> set:
 # the unitary triangle group and the centralizer of J
 # ---------------------------------------------------------------------------
 
-def _matrix_of(g) -> Mat4:
-    return tuple(tuple(QF(x) for x in row) for row in g.matrix())
+def _commutes(g, m: Mat4) -> bool:
+    """Does g = diag(e)·P(mu) commute with m?  Row i of gm is e_i·m[(i)mu],
+    and row i of mg is m[i] acted on by g."""
+    return all(tuple(e * x for x in m[p - 1]) == g.act(m[i])
+               for i, (e, p) in enumerate(zip(g.signs, g.perm)))
 
 
 @lru_cache(maxsize=None)
@@ -551,8 +554,7 @@ def group_333() -> dict:
     group = group_unitary()
 
     j = build_J()
-    centralizer = [g for g in group_cube()
-                   if mat_mul(_matrix_of(g), j) == mat_mul(j, _matrix_of(g))]
+    centralizer = [g for g in group_cube() if _commutes(g, j)]
 
     pres = presentation_unitary_triangle()
     table = enumerate_cosets(pres, subgroup_words=(), cap=10_000)

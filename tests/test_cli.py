@@ -21,6 +21,7 @@ def test_every_claim_passes(report):
 def test_claim_ids_are_unique_and_cover_all_criteria(report):
     ids = [c.claim_id for c in report.claims]
     assert len(ids) == len(set(ids))
+    assert cli.all_claim_ids() == ids
     assert {c.criterion for c in report.claims} == set(range(1, 10))
 
 
@@ -29,9 +30,17 @@ def test_report_json_is_deterministic(report):
     assert report.to_json_dict() == again.to_json_dict()
 
 
-def test_selected_claims_only():
+def test_selected_claims_only(monkeypatch):
     sub = cli.run_claims(only={"petrie.count", "map.f-vector"})
     assert sorted(c.claim_id for c in sub.claims) == ["map.f-vector", "petrie.count"]
+
+    def centralizer_scan():
+        raise AssertionError("the incidence claim must not need the centralizer of J")
+
+    monkeypatch.setattr(cli.mk, "group_333", centralizer_scan)
+    sub = cli.run_claims(only={"mk.incidence-8-8-3"})
+    assert [c.claim_id for c in sub.claims] == ["mk.incidence-8-8-3"]
+    assert sub.all_passed
     with pytest.raises(KeyError):
         cli.run_claims(only={"no.such-claim"})
 
@@ -153,13 +162,26 @@ def test_main_usage_errors(capsys):
     code = cli.main(["verify", "no.such-claim"])
     assert code == 2
     for bad in (["--scale", "0"], ["--scale", "nan"], ["--scale", "inf"],
-                ["--scale=-inf"], ["--colors", "1,9"], ["--colors", "9"]):
+                ["--scale=-inf"], ["--scale=-1"], ["--colors", "1,9"], ["--colors", "9"],
+                ["--preset", "plane", "--colors", "9"], ["--colors", ","]):
         assert cli.main(["project", *bad]) == 2, bad
 
 
-def test_main_verify_list(capsys):
+def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out.txt")
+    for argv in (["build", "cube"], ["verify", "petrie.count"], ["project"]):
+        assert cli.main([*argv, "--out", out]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: cannot write"), argv
+
+
+def test_main_verify_list(capsys, monkeypatch):
+    def battery(*args, **kwargs):
+        raise AssertionError("listing the claims must not run the battery")
+
+    monkeypatch.setattr(cli, "run_claims", battery)
     code = cli.main(["verify", "--list"])
     out = capsys.readouterr().out.split()
     assert code == 0
+    assert out == cli.all_claim_ids()
+    assert len(out) == 42 and len(out) == len(set(out))
     assert "petrie.count" in out
-    assert len(out) == len(set(out))

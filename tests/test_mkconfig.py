@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytope_forge import mkconfig as mk
-from polytope_forge.cubefamily import build_atlas, point_labels
+from polytope_forge.cubefamily import build_atlas, group_cube, point_labels
 from polytope_forge.mkconfig import ONE, QF, ZERO
 
 
@@ -220,6 +220,25 @@ def test_gamma1_is_an_unsigned_three_cycle():
 def test_j_commutes_with_exactly_the_triangle_group():
     report = mk.group_333()
     assert report["centralizer_equals_group"]
+
+
+def test_commutation_test_agrees_with_integer_products():
+    # K = sqrt(3) J has entries 0 and +-1: g commutes with J exactly when
+    # the integer products gK and Kg agree.
+    j = mk.build_J()
+    scaled = [[x * QF.sqrt3() for x in row] for row in j]
+    assert all(x.is_rational() and x.a in (0, 1, -1) for row in scaled for x in row)
+    k = [[int(x.a) for x in row] for row in scaled]
+
+    def mul(p, q):
+        return [[sum(p[r][t] * q[t][c] for t in range(4)) for c in range(4)]
+                for r in range(4)]
+
+    group = group_cube()
+    commuting = [g for g in group if mul(g.matrix(), k) == mul(k, g.matrix())]
+    assert len(group) == 384 and len(commuting) == 24
+    for g in group:
+        assert mk._commutes(g, j) == (g in commuting), g
 
 
 def test_cross_polytope():
