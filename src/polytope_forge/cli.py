@@ -15,13 +15,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
-import networkx as nx
-
 from . import cubefamily as cf
 from . import mkconfig as mk
 from .groupcore import (CapExceeded, Homomorphism, enumerate_cosets, eval_word,
                         setwise_stabilizer)
-from .polycore import Classification
+from .polycore import Classification, isomorphisms
 from .signedperm import SignedPerm
 
 __all__ = [
@@ -226,8 +224,8 @@ _CLAIMS: tuple[_Row, ...] = (
                                     (1, 2, 5, 6), (2, 3, 6, 7), (0, 7, 4, 3))),
          "0246 1357 0541 1256 2367 0743"),
     _Row("map.skeleton-generalized-petersen", 4, True,
-         lambda cfg: nx.vf2pp_is_isomorphic(nx.Graph(list(cf.build_map().edges)),
-                                            cf.gp83_graph())),
+         lambda cfg: next(isomorphisms(cf._adjacency(cf.build_map().edges),
+                                       cf.gp83_graph()), None) is not None),
     _Row("map.levi-automorphisms", 4, 96, lambda cfg: cf.build_map().levi_automorphism_count),
     _Row("map.regularity-automorphism", 4, True,
          lambda cfg: (isinstance(cf.build_map().regularity_hom, Homomorphism)
@@ -504,11 +502,20 @@ def _emit(data: dict, fmt: str, out: str | None) -> None:
     _write(text, out)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--cap", type=int, default=10**6,
+    common.add_argument("--cap", type=_positive_int, default=10**6,
                         help="cap for closures and coset enumeration")
     common.add_argument("--seed-labels", choices=("lex", "table"), default="lex",
                         help="label-assignment policy for the configuration")
@@ -550,8 +557,9 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "verify":
             if args.list_ids:
-                for claim_id in all_claim_ids():
-                    print(claim_id)
+                ids = all_claim_ids()
+                _write(json.dumps(ids, indent=2) + "\n" if args.format == "json"
+                       else "".join(claim_id + "\n" for claim_id in ids), args.out)
                 return 0
             if not args.run_all and not args.claims:
                 parser.error("verify needs claim ids or --all")

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import networkx as nx
-
 from .groupcore import (
     ConcreteGroup,
     Homomorphism,
@@ -40,6 +38,7 @@ from .polycore import (
     colourful_polytope,
     coset_face_action,
     coset_geometry,
+    isomorphisms,
     polytope_from_reflections,
     verify_covering,
 )
@@ -740,10 +739,12 @@ def build_hemi() -> HemiBundle:
         vertices=tuple(sorted({antipodal(p) for p in cube.skeleton.vertices})),
         edge_colors=edge_colors, d=4)
 
-    graph = nx.Graph(list(map(tuple, edge_colors)))
-    sides = nx.bipartite.sets(graph)
-    assert sorted(map(len, sides)) == [4, 4]
-    assert all(graph.has_edge(x, y) for x in sides[0] for y in sides[1])
+    # K_{4,4}: far = one vertex's neighbours, near = the rest; each sees the other
+    graph = _adjacency(map(tuple, edge_colors))
+    far = graph[k44.vertices[0]]
+    near = graph.keys() - far
+    assert len(far) == len(near) == 4
+    assert all(graph[x] == (far if x in near else near) for x in graph)
 
     colourful = colourful_polytope(k44)
     assert colourful.isomorphic_to(struct)
@@ -782,14 +783,21 @@ class MapBundle:
         }
 
 
-def gp83_graph() -> nx.Graph:
-    """The generalized Petersen graph on an octagon with skip 3."""
-    graph = nx.Graph()
-    for i in range(8):
-        graph.add_edge(("u", i), ("u", (i + 1) % 8))
-        graph.add_edge(("w", i), ("w", (i + 3) % 8))
-        graph.add_edge(("u", i), ("w", i))
-    return graph
+def _adjacency(edges) -> dict:
+    """node -> set of neighbours of the undirected graph with these edges."""
+    adj: dict = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def gp83_graph() -> dict:
+    """GP(8,3), the generalized Petersen graph, as node -> set of neighbours."""
+    return _adjacency(edge for i in range(8) for edge in (
+        (("u", i), ("u", (i + 1) % 8)),
+        (("w", i), ("w", (i + 3) % 8)),
+        (("u", i), ("w", i))))
 
 
 @lru_cache(maxsize=None)
@@ -842,9 +850,9 @@ def build_map() -> MapBundle:
     _check_face_map(cosets, {ref: struct.ref(ref[0], cosets.realization[ref])
                              for ref in cosets.all_refs()}, struct)
 
-    levi = nx.Graph(list(edges))
-    assert nx.vf2pp_is_isomorphic(levi, gp83_graph())
-    aut_count = sum(1 for _ in nx.vf2pp_all_isomorphisms(levi, levi))
+    levi = _adjacency(edges)
+    assert next(isomorphisms(levi, gp83_graph()), None) is not None
+    aut_count = sum(1 for _ in isomorphisms(levi, levi))
     assert aut_count == 96
 
     def geo_face_map(g: SignedPerm) -> dict:
@@ -854,10 +862,7 @@ def build_map() -> MapBundle:
     rot_result = classify(struct, [geo_face_map(atlas.sigma1), geo_face_map(atlas.sigma2)])
     assert rot_result.orbit_count == 2 and rot_result.flag_count == 96
 
-    inc_graph = struct.nx_incidence_graph()
-    autos = [FacePerm.from_mapping(struct, mapping)
-             for mapping in nx.vf2pp_all_isomorphisms(inc_graph, inc_graph,
-                                                      node_label="rank")]
+    autos = [FacePerm.from_mapping(struct, mapping) for mapping in struct.automorphisms()]
     assert len(autos) == 96
     full_result = classify(struct, [a.as_mapping() for a in autos])
     assert full_result.kind is Classification.REGULAR

@@ -12,9 +12,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Mapping, Sequence
-
-import networkx as nx
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .groupcore import ConcreteGroup, QuotientElem
 
@@ -40,6 +39,7 @@ __all__ = [
     "verify_covering",
     "coset_face_action",
     "FacePerm",
+    "isomorphisms",
 ]
 
 FaceRef = tuple[int, int]  # (rank, index within rank)
@@ -77,6 +77,66 @@ class NotACovering(Exception):
         self.reason = reason
         self.witness = witness
         super().__init__(f"{reason}" + (f": {witness!r}" if witness is not None else ""))
+
+
+def _reach(start: Hashable, neighbours: Callable[[Hashable], Iterable]) -> set:
+    """Every node reached from start."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        fresh = set(neighbours(stack.pop())) - seen
+        seen |= fresh
+        stack.extend(fresh)
+    return seen
+
+
+def _connected(nodes: Iterable, neighbours: Callable[[Hashable], Iterable]) -> bool:
+    """Whether every node is reached from the first; an empty graph is connected."""
+    nodes = list(nodes)
+    return not nodes or len(_reach(nodes[0], neighbours)) == len(nodes)
+
+
+def isomorphisms(adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
+                 label_a: Callable = lambda v: None,
+                 label_b: Callable = lambda v: None) -> Iterator[dict]:
+    """Every label-preserving isomorphism from graph a onto graph b, as a
+    dict node -> node.  Graphs are given as node -> set of neighbours.
+
+    Nodes of a are placed in breadth-first order, each next to its placed
+    parent.  A candidate image has the node's label and degree, is adjacent
+    to the images of all earlier neighbours and to no other placed image."""
+    if len(adj_a) != len(adj_b):
+        return
+    parent: dict = {}  # node -> position of its parent in order, None at a root
+    order: list = []
+    for root in adj_a:
+        queue = [] if root in parent else [root]
+        parent.setdefault(root, None)
+        for v in queue:  # the queue grows while it is read
+            order.append(v)
+            for w in adj_a[v]:
+                if w not in parent:
+                    parent[w] = len(order) - 1
+                    queue.append(w)
+    index = {v: k for k, v in enumerate(order)}
+    earlier = [[index[u] for u in adj_a[v] if index[u] < k] for k, v in enumerate(order)]
+    image: list = []
+
+    def extend(k: int) -> Iterator[dict]:  # recursion depth: the number of nodes
+        if k == len(order):
+            yield dict(zip(order, image))
+            return
+        v = order[k]
+        used = set(image)
+        pool = adj_b if parent[v] is None else adj_b[image[parent[v]]]
+        need = {image[j] for j in earlier[k]}
+        for c in [c for c in pool if c not in used and label_b(c) == label_a(v)
+                  and len(adj_b[c]) == len(adj_a[v]) and adj_b[c] & used == need]:
+            image.append(c)
+            yield from extend(k + 1)
+            image.pop()
+
+    yield from extend(0)
 
 
 class RankedIncidenceStructure:
@@ -207,17 +267,10 @@ class RankedIncidenceStructure:
         self._flag_adj[key] = out
         return out
 
-    def flag_graph(self) -> nx.Graph:
-        """Graph on flags; edges carry the rank at which the flags differ."""
-        graph = nx.Graph()
-        flag_list = self.flags()
-        pos = {f: i for i, f in enumerate(flag_list)}
-        graph.add_nodes_from(range(len(flag_list)))
-        for f in flag_list:
-            for j in range(self.rank):
-                for g in self.flag_adjacent(f, j):
-                    graph.add_edge(pos[f], pos[g], rank=j)
-        return graph
+    def flag_graph(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+        """flag -> {adjacent flag: the rank at which the two differ}."""
+        return {f: {g: j for j in range(self.rank) for g in self.flag_adjacent(f, j)}
+                for f in self.flags()}
 
     # -- polytope verification -------------------------------------------------
 
@@ -276,15 +329,12 @@ class RankedIncidenceStructure:
                                 and not self.incident(lo, hi)):
                             continue
                         mid = self.between(lo, hi)
-                        graph = nx.Graph()
-                        graph.add_nodes_from(mid)
-                        for a, b in itertools.combinations(mid, 2):
-                            if a[0] != b[0] and self.incident(a, b):
-                                graph.add_edge(a, b)
-                        if mid and not nx.is_connected(graph):
+                        inside = set(mid)
+                        if not _connected(mid, lambda a: self._inc[a] & inside):
                             raise NotAPolytope("section not connected", (lo, hi))
 
-        if not nx.is_connected(self.flag_graph()):
+        flag_graph = self.flag_graph()
+        if not _connected(flag_graph, flag_graph.__getitem__):
             raise NotAPolytope("flag graph not connected")
 
     def schlafli_type(self) -> tuple[int, ...]:
@@ -308,21 +358,15 @@ class RankedIncidenceStructure:
 
     # -- comparisons / export ----------------------------------------------------
 
-    def nx_incidence_graph(self) -> nx.Graph:
-        graph = nx.Graph()
-        for ref in self.all_refs():
-            graph.add_node(ref, rank=ref[0])
-        for ref in self.all_refs():
-            for other in self._inc[ref]:
-                graph.add_edge(ref, other)
-        return graph
+    def automorphisms(self) -> Iterator[dict[FaceRef, FaceRef]]:
+        """Every rank-preserving face bijection that preserves incidence."""
+        return isomorphisms(self._inc, self._inc, itemgetter(0), itemgetter(0))
 
     def isomorphic_to(self, other: "RankedIncidenceStructure") -> bool:
         if self.rank != other.rank or self.f_vector != other.f_vector:
             return False
-        return nx.vf2pp_is_isomorphic(self.nx_incidence_graph(),
-                                      other.nx_incidence_graph(),
-                                      node_label="rank")
+        return next(isomorphisms(self._inc, other._inc, itemgetter(0), itemgetter(0)),
+                    None) is not None
 
     def to_json_dict(self, classification: str | None = None) -> dict:
         data = {
@@ -590,15 +634,7 @@ class ColoredGraph:
                 yield w
 
     def component(self, v, colors: frozenset) -> tuple:
-        seen = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u, colors):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return tuple(sorted(seen))
+        return tuple(sorted(_reach(v, lambda u: self.neighbors(u, colors))))
 
 
 def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:

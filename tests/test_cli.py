@@ -165,6 +165,12 @@ def test_main_usage_errors(capsys):
                 ["--scale=-inf"], ["--scale=-1"], ["--colors", "1,9"], ["--colors", "9"],
                 ["--preset", "plane", "--colors", "9"], ["--colors", ","]):
         assert cli.main(["project", *bad]) == 2, bad
+    # --cap must be positive, also where no coset enumeration would read it
+    for argv in (["verify", "orders.cube-full", "--cap", "-5"],
+                 ["verify", "orders.cube-full", "--cap", "0"], ["build", "cube", "--cap", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys):
@@ -185,3 +191,15 @@ def test_main_verify_list(capsys, monkeypatch):
     assert out == cli.all_claim_ids()
     assert len(out) == 42 and len(out) == len(set(out))
     assert "petrie.count" in out
+
+
+def test_main_verify_list_honours_out_and_format(tmp_path, capsys):
+    ids = cli.all_claim_ids()
+    text, as_json = tmp_path / "ids.txt", tmp_path / "ids.json"
+    assert cli.main(["verify", "--list", "--out", str(text)]) == 0
+    assert cli.main(["verify", "--list", "--format", "json", "--out", str(as_json)]) == 0
+    assert capsys.readouterr().out == ""
+    assert text.read_text(encoding="utf-8") == "".join(i + "\n" for i in ids)
+    assert json.loads(as_json.read_text(encoding="utf-8")) == ids
+    assert cli.main(["verify", "--list", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == ids

@@ -2,16 +2,24 @@
 polytopes, classification, coverings."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
+import polytope_forge
 from polytope_forge.cubefamily import (
+    _adjacency,
     build_atlas,
     build_cover,
     build_cube,
     build_hemi,
     build_map,
     build_roli,
+    gp83_graph,
     group_cube,
     group_cover,
     group_rotation_sigma,
@@ -30,6 +38,7 @@ from polytope_forge.polycore import (
     colourful_polytope,
     coset_face_action,
     coset_geometry,
+    isomorphisms,
     polytope_from_reflections,
     verify_covering,
 )
@@ -155,11 +164,11 @@ def test_degenerate_coset_geometry_rejected(atlas):
 def test_flag_graph_edges_carry_ranks():
     struct = build_cube().structure
     graph = struct.flag_graph()
-    assert graph.number_of_nodes() == 384
-    ranks = {data["rank"] for _, _, data in graph.edges(data=True)}
+    assert len(graph) == 384
+    ranks = {j for neighbours in graph.values() for j in neighbours.values()}
     assert ranks == {0, 1, 2, 3}
     # every flag has exactly one neighbour per rank
-    assert all(deg == 4 for _, deg in graph.degree())
+    assert all(len(neighbours) == 4 for neighbours in graph.values())
 
 
 def test_flag_membership_checks():
@@ -354,3 +363,90 @@ def test_validate_polytope_accepts_polygon():
     struct.validate_polytope()
     assert struct.schlafli_type() == (5,)
     assert len(struct.flags()) == 2 * n
+
+
+def test_validate_polytope_rejects_disconnected_section():
+    # two disjoint squares satisfy the diamond condition but not connectivity
+    faces = [[f"v{i}" for i in range(8)], [f"e{i}" for i in range(8)]]
+    pairs = []
+    for i in range(8):
+        square, k = divmod(i, 4)
+        pairs.append(((0, f"v{i}"), (1, f"e{i}")))
+        pairs.append(((0, f"v{4 * square + (k + 1) % 4}"), (1, f"e{i}")))
+    struct = RankedIncidenceStructure(2, faces, pairs)
+    with pytest.raises(NotAPolytope) as exc:
+        struct.validate_polytope()
+    assert exc.value.axiom == "section not connected"
+
+
+# -- graph isomorphism, against networkx as an independent oracle ------------------
+
+
+def _nx_graph(adj, label):
+    graph = nx.Graph()
+    graph.add_nodes_from((v, {"label": label(v)}) for v in adj)
+    graph.add_edges_from((v, w) for v in adj for w in adj[v])
+    return graph
+
+
+def _agree(adj_a, adj_b, label_a=lambda v: None, label_b=lambda v: None) -> int:
+    """Check that isomorphisms and vf2pp find the same mappings; return
+    their number."""
+    ours = {frozenset(m.items()) for m in isomorphisms(adj_a, adj_b, label_a, label_b)}
+    theirs = {frozenset(m.items()) for m in nx.vf2pp_all_isomorphisms(
+        _nx_graph(adj_a, label_a), _nx_graph(adj_b, label_b), node_label="label")}
+    assert ours == theirs
+    return len(ours)
+
+
+def _rank(ref):
+    return ref[0]
+
+
+def test_levi_graph_automorphisms_agree_with_networkx():
+    levi = _adjacency(build_map().edges)
+    assert _agree(levi, levi) == 96
+    assert _agree(levi, gp83_graph()) > 0
+
+
+def test_map_incidence_automorphisms_agree_with_networkx():
+    struct = build_map().structure
+    assert _agree(struct._inc, struct._inc, _rank, _rank) == 96
+    assert len(list(struct.automorphisms())) == 96
+
+
+@pytest.mark.parametrize("build", [build_cube, build_hemi])
+def test_colourful_and_coset_structures_agree_with_networkx(build):
+    bundle = build()
+    a, b = bundle.colourful, bundle.structure
+    assert next(isomorphisms(a._inc, b._inc, _rank, _rank), None) is not None
+    assert nx.vf2pp_is_isomorphic(_nx_graph(a._inc, _rank), _nx_graph(b._inc, _rank),
+                                  node_label="label")
+    assert a.isomorphic_to(b)
+
+
+def test_non_isomorphic_cubic_graphs():
+    # K_{3,3} and the triangular prism: both cubic on 6 vertices
+    k33 = _adjacency((i, j) for i in range(3) for j in range(3, 6))
+    prism = _adjacency([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                        (0, 3), (1, 4), (2, 5)])
+    assert _agree(k33, prism) == 0
+    assert _agree(k33, k33) == 72 and _agree(prism, prism) == 12
+
+
+def test_labels_must_match():
+    hexagon = _adjacency((i, (i + 1) % 6) for i in range(6))
+    # adjacent equal labels against opposite equal labels: same label and
+    # degree counts, no isomorphism
+    runs, spread = (0, 0, 1, 1, 2, 2), (0, 1, 2, 0, 1, 2)
+    assert _agree(hexagon, hexagon, runs.__getitem__, spread.__getitem__) == 0
+    assert _agree(hexagon, hexagon, runs.__getitem__, (1, 1, 2, 2, 0, 0).__getitem__) == 1
+    # a label outside the other graph's labels
+    assert _agree(hexagon, hexagon, runs.__getitem__, (0, 0, 1, 1, 2, 3).__getitem__) == 0
+
+
+def test_cli_import_leaves_networkx_out():
+    src = str(Path(polytope_forge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import polytope_forge.cli, sys; sys.exit('networkx' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
