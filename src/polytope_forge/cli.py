@@ -516,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--cap", type=_positive_int, default=10**6,
-                        help="cap for closures and coset enumeration")
+                        help="cap on the number of cosets in coset enumeration")
     common.add_argument("--seed-labels", choices=("lex", "table"), default="lex",
                         help="label-assignment policy for the configuration")
 

@@ -1322,10 +1322,6 @@ class Labeling:
     label_of: dict
     valid_count: int
 
-    def line_points(self) -> tuple:
-        return tuple(frozenset(self.point_of[i] for i in line)
-                     for line in CONFIGURATION_LINES)
-
 
 def _parity(p: Point) -> int:
     return sum(1 for x in p if x < 0) % 2

@@ -187,10 +187,6 @@ Vec4 = tuple[QF, QF, QF, QF]
 Mat4 = tuple[Vec4, Vec4, Vec4, Vec4]
 
 
-def vec(*entries) -> tuple[QF, ...]:
-    return tuple(QF._coerce(x) for x in entries)
-
-
 def dot(u: Vec4, v: Vec4) -> QF:
     total = ZERO
     for x, y in zip(u, v):

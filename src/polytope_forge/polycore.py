@@ -9,7 +9,6 @@ of the structures built here can share all their vertices.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -166,7 +165,7 @@ class RankedIncidenceStructure:
             self._inc[a].add(b)
             self._inc[b].add(a)
         self._flags: tuple[tuple[int, ...], ...] | None = None
-        self._flag_adj: dict = {}
+        self._flag_graph: dict | None = None
         # optional metadata attached by builders
         self.group: ConcreteGroup | None = None
         self.subgroups: tuple | None = None
@@ -197,19 +196,32 @@ class RankedIncidenceStructure:
     def incident_at_rank(self, ref: FaceRef, rank: int) -> list[FaceRef]:
         return sorted(x for x in self._inc[ref] if x[0] == rank)
 
+    def _common(self, faces: Iterable[FaceRef]) -> Iterable[FaceRef]:
+        """Faces incident with every face in `faces`; every face when none."""
+        sets = [self._inc[f] for f in faces]
+        return set.intersection(*sets) if sets else self.all_refs()
+
     def between(self, lo: FaceRef | None, hi: FaceRef | None) -> list[FaceRef]:
-        """Faces strictly between lo and hi (None = formal bottom / top)."""
+        """Faces strictly between lo and hi (None = formal bottom / top), sorted."""
         lo_rank = -1 if lo is None else lo[0]
         hi_rank = self.rank if hi is None else hi[0]
-        out = []
-        for r in range(lo_rank + 1, hi_rank):
-            for ref in self.refs(r):
-                if lo is not None and not self.incident(lo, ref):
-                    continue
-                if hi is not None and not self.incident(hi, ref):
-                    continue
-                out.append(ref)
-        return out
+        return sorted(x for x in self._common(f for f in (lo, hi) if f is not None)
+                      if lo_rank < x[0] < hi_rank)
+
+    def sections(self, lo_rank: int, hi_rank: int
+                 ) -> Iterator[tuple[FaceRef | None, FaceRef | None, list[FaceRef]]]:
+        """(lo, hi, faces strictly between) for every incident pair with lo
+        of rank lo_rank and hi of rank hi_rank; rank -1 and rank n stand for
+        the formal bottom and top, given as None."""
+        for lo in [None] if lo_rank == -1 else self.refs(lo_rank):
+            if hi_rank == self.rank:
+                his = [None]
+            elif lo is None:
+                his = self.refs(hi_rank)
+            else:
+                his = self.incident_at_rank(lo, hi_rank)
+            for hi in his:
+                yield lo, hi, self.between(lo, hi)
 
     # -- flags ----------------------------------------------------------------
 
@@ -217,19 +229,13 @@ class RankedIncidenceStructure:
         """All maximal chains hitting every rank, as index tuples."""
         if self._flags is None:
             out = []
-            n = self.rank
 
             def extend(chain: list[FaceRef]):
-                r = len(chain)
-                if r == n:
+                if len(chain) == self.rank:
                     out.append(tuple(i for (_, i) in chain))
                     return
-                if r == 0:
-                    candidates = self.refs(0)
-                else:
-                    candidates = [x for x in self._inc[chain[-1]] if x[0] == r]
-                for cand in candidates:
-                    if all(self.incident(cand, prev) for prev in chain[:-1]):
+                for cand in self._common(chain):
+                    if cand[0] == len(chain):
                         extend(chain + [cand])
 
             extend([])
@@ -243,34 +249,24 @@ class RankedIncidenceStructure:
         return all(self.incident(a, b)
                    for a, b in itertools.combinations(refs, 2))
 
-    def flag_adjacent(self, flag: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        """Flags differing from `flag` exactly in the rank-j face."""
-        key = (flag, j)
-        cached = self._flag_adj.get(key)
-        if cached is not None:
-            return cached
-        refs = [(r, i) for r, i in enumerate(flag)]
-        others = [ref for r, ref in enumerate(refs) if r != j]
-        anchors = [ref for ref in others if abs(ref[0] - j) == 1]
-        if anchors:
-            candidates = set(self.incident_at_rank(anchors[0], j))
-            for anchor in anchors[1:]:
-                candidates &= set(self.incident_at_rank(anchor, j))
-        else:
-            candidates = set(self.refs(j))
-        out = []
-        for cand in sorted(candidates):
-            if cand[1] == flag[j]:
-                continue
-            if all(self.incident(cand, other) for other in others):
-                out.append(flag[:j] + (cand[1],) + flag[j + 1:])
-        self._flag_adj[key] = out
-        return out
-
     def flag_graph(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-        """flag -> {adjacent flag: the rank at which the two differ}."""
-        return {f: {g: j for j in range(self.rank) for g in self.flag_adjacent(f, j)}
-                for f in self.flags()}
+        """flag -> {adjacent flag: the rank at which the two differ}, built
+        once and shared: flags that agree away from rank j are j-adjacent."""
+        if self._flag_graph is None:
+            graph: dict = {f: {} for f in self.flags()}
+            for j in range(self.rank):
+                groups: dict = {}
+                for f in self.flags():
+                    groups.setdefault(f[:j] + f[j + 1:], []).append(f)
+                for group in groups.values():
+                    for f in group:
+                        graph[f].update((g, j) for g in group if g != f)
+            self._flag_graph = graph
+        return self._flag_graph
+
+    def flag_adjacent(self, flag: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+        """Flags differing from `flag` exactly in the rank-j face, sorted."""
+        return [g for g, k in self.flag_graph()[flag].items() if k == j]
 
     # -- polytope verification -------------------------------------------------
 
@@ -283,55 +279,32 @@ class RankedIncidenceStructure:
 
         # diamond: every section of rank 1 has exactly two proper faces
         for r in range(-1, n - 1):
-            los = [None] if r == -1 else self.refs(r)
-            for lo in los:
-                his = [None] if r + 2 == n else self.refs(r + 2)
-                for hi in his:
-                    if lo is not None and hi is not None and not self.incident(lo, hi):
-                        continue
-                    mid = self.between(lo, hi)
-                    if len(mid) != 2:
-                        raise NotAPolytope("diamond condition", (lo, hi, mid))
+            for lo, hi, mid in self.sections(r, r + 2):
+                if len(mid) != 2:
+                    raise NotAPolytope("diamond condition", (lo, hi, mid))
 
         # every chain extends to a flag through every rank
-        flag_sets = [frozenset(zip(range(n), f)) for f in self.flags()]
         containing: dict[FaceRef, set[int]] = {ref: set() for ref in self.all_refs()}
-        for idx, fs in enumerate(flag_sets):
-            for ref in fs:
+        for idx, flag in enumerate(self.flags()):
+            for ref in enumerate(flag):
                 containing[ref].add(idx)
 
-        def chain_in_flag(chain: list[FaceRef]) -> bool:
-            live = None
-            for ref in chain:
-                live = containing[ref] if live is None else live & containing[ref]
-                if not live:
-                    return False
-            return True
-
-        def walk(chain: list[FaceRef], next_rank: int):
-            if chain and not chain_in_flag(chain):
+        def walk(chain: list[FaceRef]):
+            if chain and not set.intersection(*(containing[ref] for ref in chain)):
                 raise NotAPolytope("chain not contained in any flag", chain)
-            for r in range(next_rank, n):
-                for cand in self.refs(r):
-                    if all(self.incident(cand, prev) for prev in chain):
-                        walk(chain + [cand], r + 1)
+            top = chain[-1][0] if chain else -1
+            for cand in sorted(x for x in self._common(chain) if x[0] > top):
+                walk(chain + [cand])
 
-        walk([], 0)
+        walk([])
 
         # strong connectivity: every section of rank >= 2 is connected
         for lo_rank in range(-1, n - 2):
-            los = [None] if lo_rank == -1 else self.refs(lo_rank)
             for hi_rank in range(lo_rank + 3, n + 1):
-                his = [None] if hi_rank == n else self.refs(hi_rank)
-                for lo in los:
-                    for hi in his:
-                        if (lo is not None and hi is not None
-                                and not self.incident(lo, hi)):
-                            continue
-                        mid = self.between(lo, hi)
-                        inside = set(mid)
-                        if not _connected(mid, lambda a: self._inc[a] & inside):
-                            raise NotAPolytope("section not connected", (lo, hi))
+                for lo, hi, mid in self.sections(lo_rank, hi_rank):
+                    inside = set(mid)
+                    if not _connected(mid, lambda a: self._inc[a] & inside):
+                        raise NotAPolytope("section not connected", (lo, hi))
 
         flag_graph = self.flag_graph()
         if not _connected(flag_graph, flag_graph.__getitem__):
@@ -339,18 +312,10 @@ class RankedIncidenceStructure:
 
     def schlafli_type(self) -> tuple[int, ...]:
         """The type vector {p_1, ..., p_{n-1}}; raises NotEquivelar."""
-        n = self.rank
         out = []
-        for j in range(1, n):
-            values = set()
-            los = [None] if j - 2 < 0 else self.refs(j - 2)
-            his = [None] if j + 1 >= n else self.refs(j + 1)
-            for lo in los:
-                for hi in his:
-                    if lo is not None and hi is not None and not self.incident(lo, hi):
-                        continue
-                    count = sum(1 for ref in self.between(lo, hi) if ref[0] == j - 1)
-                    values.add(count)
+        for j in range(1, self.rank):
+            values = {sum(1 for ref in mid if ref[0] == j - 1)
+                      for _, _, mid in self.sections(j - 2, j + 1)}
             if len(values) != 1:
                 raise NotEquivelar(f"rank {j} sections disagree: {sorted(values)}")
             out.append(values.pop())
@@ -430,34 +395,18 @@ def classify(p: RankedIncidenceStructure,
     """
     for fm in face_maps:
         _check_face_map(p, fm)
-    flag_list = p.flags()
-    pos = {f: i for i, f in enumerate(flag_list)}
 
-    def apply(fm, flag):
-        return tuple(fm[(r, i)][1] for r, i in enumerate(flag))
+    def images(flag):
+        return [tuple(fm[(r, i)][1] for r, i in enumerate(flag)) for fm in face_maps]
 
-    orbit_of = [-1] * len(flag_list)
+    orbit_of: dict[tuple[int, ...], int] = {}
     orbits = 0
-    for start in range(len(flag_list)):
-        if orbit_of[start] != -1:
-            continue
-        orbit_of[start] = orbits
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for fm in face_maps:
-                j = pos[apply(fm, flag_list[i])]
-                if orbit_of[j] == -1:
-                    orbit_of[j] = orbits
-                    queue.append(j)
-        orbits += 1
-
-    split = True
-    for i, f in enumerate(flag_list):
-        for j in range(p.rank):
-            for g in p.flag_adjacent(f, j):
-                if orbit_of[pos[g]] == orbit_of[i]:
-                    split = False
+    for flag in p.flags():
+        if flag not in orbit_of:
+            orbit_of.update(dict.fromkeys(_reach(flag, images), orbits))
+            orbits += 1
+    split = all(orbit_of[f] != orbit_of[g]
+                for f, neighbours in p.flag_graph().items() for g in neighbours)
     if orbits == 1:
         kind = Classification.REGULAR
     elif orbits == 2 and split:
@@ -465,7 +414,7 @@ def classify(p: RankedIncidenceStructure,
     else:
         kind = Classification.OTHER
     return ClassifyResult(kind=kind, orbit_count=orbits,
-                          flag_count=len(flag_list), adjacent_pairs_split=split)
+                          flag_count=len(p.flags()), adjacent_pairs_split=split)
 
 
 # -- coset geometries -----------------------------------------------------------
@@ -487,11 +436,11 @@ def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup):
     return sorted(reps), canon
 
 
-def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup],
-                   validate: bool = True) -> RankedIncidenceStructure:
+def coset_geometry(group: ConcreteGroup,
+                   subgroups: Sequence[ConcreteGroup]) -> RankedIncidenceStructure:
     """Faces of rank j are right cosets of subgroups[j]; two faces are
-    incident when the cosets intersect.  Raises NotAPolytope when asked to
-    validate and an axiom fails."""
+    incident when the cosets intersect.  Raises NotAPolytope when an axiom
+    fails."""
     for sub in subgroups:
         if not group.is_subgroup(sub):
             raise ValueError("rank subgroup escapes the group")
@@ -507,8 +456,7 @@ def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup],
     struct.group = group
     struct.subgroups = tuple(subgroups)
     struct.coset_canon = canons
-    if validate:
-        struct.validate_polytope()
+    struct.validate_polytope()
     return struct
 
 
@@ -746,9 +694,6 @@ class FacePerm:
 
 @dataclass(frozen=True)
 class CoveringReport:
-    rank_preserving: bool
-    surjective: bool
-    adjacency_preserving: bool
     preimage_counts: tuple[tuple[int, ...], ...]
     isomorphic_on_facets: bool
     isomorphic_on_vertex_figures: bool
@@ -818,9 +763,6 @@ def verify_covering(cover: RankedIncidenceStructure, base: RankedIncidenceStruct
         for v in cover.refs(0))
 
     return CoveringReport(
-        rank_preserving=True,
-        surjective=True,
-        adjacency_preserving=True,
         preimage_counts=tuple(counts),
         isomorphic_on_facets=facets_ok,
         isomorphic_on_vertex_figures=vertices_ok,

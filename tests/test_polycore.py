@@ -30,6 +30,7 @@ from polytope_forge.polycore import (
     ColoredGraph,
     ImproperColouring,
     NotAPolytope,
+    NotEquivelar,
     NotCentral,
     NotACovering,
     RankedIncidenceStructure,
@@ -169,6 +170,16 @@ def test_flag_graph_edges_carry_ranks():
     assert ranks == {0, 1, 2, 3}
     # every flag has exactly one neighbour per rank
     assert all(len(neighbours) == 4 for neighbours in graph.values())
+
+
+@pytest.mark.parametrize("build", [build_cube, build_map, build_roli])
+def test_flag_adjacency_against_brute_force(build):
+    struct = build().structure
+    flags = struct.flags()
+    for f in flags:
+        differ = [(g, [k for k in range(struct.rank) if g[k] != f[k]]) for g in flags]
+        for j in range(struct.rank):
+            assert struct.flag_adjacent(f, j) == sorted(g for g, ks in differ if ks == [j])
 
 
 def test_flag_membership_checks():
@@ -363,6 +374,45 @@ def test_validate_polytope_accepts_polygon():
     struct.validate_polytope()
     assert struct.schlafli_type() == (5,)
     assert len(struct.flags()) == 2 * n
+
+
+def _from_vertex_sets(faces_by_rank):
+    """Faces given as sorted vertex tuples; incident when one contains the other."""
+    refs = [(r, face) for r, faces in enumerate(faces_by_rank) for face in faces]
+    pairs = [(a, b) for a, b in itertools.combinations(refs, 2)
+             if a[0] != b[0] and set(a[1]) <= set(b[1])]
+    return RankedIncidenceStructure(len(faces_by_rank), faces_by_rank, pairs)
+
+
+def test_validate_polytope_rejects_face_outside_every_flag():
+    # a tetrahedron plus one vertex incident to nothing
+    faces = [[(v,) for v in range(5)]] + [
+        list(itertools.combinations(range(4), k)) for k in (2, 3)]
+    struct = _from_vertex_sets(faces)
+    with pytest.raises(NotAPolytope) as exc:
+        struct.validate_polytope()
+    assert exc.value.axiom == "chain not contained in any flag"
+    assert exc.value.witness == [(0, 4)]
+
+
+def test_validate_polytope_rejects_empty_rank():
+    struct = RankedIncidenceStructure(2, [["a", "b"], []], [])
+    with pytest.raises(NotAPolytope) as exc:
+        struct.validate_polytope()
+    assert exc.value.axiom == "empty rank"
+
+
+def test_triangular_prism_is_a_polytope_but_not_equivelar():
+    edges = ([(i, (i + 1) % 3) for i in range(3)] + [(3 + i, 3 + (i + 1) % 3) for i in range(3)]
+             + [(i, i + 3) for i in range(3)])
+    squares = [(i, (i + 1) % 3, i + 3, (i + 1) % 3 + 3) for i in range(3)]
+    faces = [[(v,) for v in range(6)], [tuple(sorted(e)) for e in edges],
+             [(0, 1, 2), (3, 4, 5)] + [tuple(sorted(q)) for q in squares]]
+    struct = _from_vertex_sets(faces)
+    struct.validate_polytope()
+    assert struct.f_vector == (6, 9, 5)
+    with pytest.raises(NotEquivelar, match=r"rank 1 sections disagree: \[3, 4\]"):
+        struct.schlafli_type()
 
 
 def test_validate_polytope_rejects_disconnected_section():
