@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple
 
 from . import cubefamily as cf
 from . import mkconfig as mk
-from .groupcore import (CapExceeded, Homomorphism, enumerate_cosets, eval_word,
-                        setwise_stabilizer)
+from .groupcore import (CapExceeded, CheckFailed, Homomorphism, check, enumerate_cosets,
+                        eval_word, setwise_stabilizer)
 from .polycore import Classification, isomorphisms
 from .signedperm import SignedPerm
 
@@ -300,7 +300,7 @@ def run_claims(cfg: CliConfig | None = None, only: set[str] | None = None) -> Re
     cfg = cfg or CliConfig()
     start = time.perf_counter()
     ids = all_claim_ids()
-    assert len(ids) == len(set(ids)), "claim ids must be unique"
+    check(len(ids) == len(set(ids)), "battery.claim-ids-unique")
     unknown = set() if only is None else only - set(ids)
     if unknown:
         raise KeyError(f"unknown claim ids: {sorted(unknown)}")
@@ -583,7 +583,10 @@ def main(argv: list[str] | None = None) -> int:
             spec = replace(_PRESETS[args.preset](scale=args.scale), colors=colors)
             _write(render_projection(spec), args.out)
             return 0
-    except (CapExceeded, ValueError, KeyError, AssertionError) as exc:
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    except (CapExceeded, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

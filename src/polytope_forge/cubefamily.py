@@ -18,6 +18,7 @@ from .groupcore import (
     Homomorphism,
     HomomorphismFailure,
     Presentation,
+    check,
     extend_homomorphism,
     intersection_condition,
     orbit,
@@ -61,11 +62,6 @@ __all__ = [
 Point = tuple[int, ...]
 
 _SP = SignedPerm.parse
-
-
-def _require(cond: bool, what: str) -> None:
-    if not cond:
-        raise AssertionError(f"atlas consistency failure: {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,7 @@ def _trace_polygon(start: Point, directions: list[int]) -> PetriePolygon:
     for d in directions:
         prev = verts[-1]
         verts.append(prev[:d - 1] + (-prev[d - 1],) + prev[d:])
-    assert verts[-1] == start
+    check(verts[-1] == start, "petrie.traced-path-closes", verts[-1])
     return PetriePolygon(tuple(verts[:-1]))
 
 
@@ -257,88 +253,85 @@ def build_atlas() -> Atlas:
     rho3 = SignedPerm.from_cycles(4, [(3, 4)])
 
     pi = rho0 * rho1 * rho2 * rho3
-    _require(pi == _SP("(-1,1,1,1)·(4,3,2,1)"), "pi display")
-    _require(pi.order() == 8, "pi has period 8")
+    check(pi == _SP("(-1,1,1,1)·(4,3,2,1)"), "atlas.pi-display", pi)
+    check(pi.order() == 8, "atlas.pi-period-8", pi.order())
     zeta = pi ** 4
-    _require(zeta == SignedPerm((-1, -1, -1, -1), ident.perm), "zeta display")
-    for g in (rho0, rho1, rho2, rho3):
-        _require(zeta * g == g * zeta, "zeta central")
+    check(zeta == SignedPerm((-1, -1, -1, -1), ident.perm), "atlas.zeta-display", zeta)
+    check(all(zeta * g == g * zeta for g in (rho0, rho1, rho2, rho3)), "atlas.zeta-central")
 
     mu0 = rho0 * rho2 * rho3 * rho2
-    _require(mu0 == _SP("(-1,1,1,1)·(2,4)"), "mu0 display")
+    check(mu0 == _SP("(-1,1,1,1)·(2,4)"), "atlas.mu0-display", mu0)
     mu1 = mu0 * pi
-    _require(mu1 == _SP("(1,1,1,1)·(1,4)(2,3)"), "mu1 display")
-    _require(mu1 == rho2 * rho3 * rho2 * rho1 * rho2 * rho3, "mu1 word")
+    check(mu1 == _SP("(1,1,1,1)·(1,4)(2,3)"), "atlas.mu1-display", mu1)
+    check(mu1 == rho2 * rho3 * rho2 * rho1 * rho2 * rho3, "atlas.mu1-word")
     mu2 = rho1 * rho2 * rho0 * rho1
-    _require(mu2 == _SP("(1,-1,1,1)·(1,3)"), "mu2 display")
+    check(mu2 == _SP("(1,-1,1,1)·(1,3)"), "atlas.mu2-display", mu2)
 
     sigma1 = pi
     sigma2 = rho3 * rho2 * rho1 * rho3
-    _require(sigma2 == _SP("(1,1,1,1)·(1,2,4)"), "sigma2 display")
+    check(sigma2 == _SP("(1,1,1,1)·(1,2,4)"), "atlas.sigma2-display", sigma2)
     sigma3 = rho2 * rho3
-    _require(sigma3 == _SP("(1,1,1,1)·(2,4,3)"), "sigma3 display")
-    _require(sigma1 == (rho0 * rho1) * (rho2 * rho3), "sigma1 as paired rotations")
-    _require(sigma2 == (rho3 * rho2) * (rho1 * rho2) * (rho2 * rho3),
-             "sigma2 as paired rotations")
-    _require(sigma2 * sigma3 == mu1, "sigma2*sigma3 = mu1")
+    check(sigma3 == _SP("(1,1,1,1)·(2,4,3)"), "atlas.sigma3-display", sigma3)
+    check(sigma1 == (rho0 * rho1) * (rho2 * rho3), "atlas.sigma1-paired-rotations")
+    check(sigma2 == (rho3 * rho2) * (rho1 * rho2) * (rho2 * rho3),
+          "atlas.sigma2-paired-rotations")
+    check(sigma2 * sigma3 == mu1, "atlas.sigma2-sigma3-is-mu1")
 
     sigma1_bar = sigma1.inverse()
-    _require(sigma1_bar == _SP("(1,1,1,-1)·(1,2,3,4)"), "sigma1_bar display")
+    check(sigma1_bar == _SP("(1,1,1,-1)·(1,2,3,4)"), "atlas.sigma1-bar-display", sigma1_bar)
     sigma2_bar = sigma1 * sigma1 * sigma2
-    _require(sigma2_bar == _SP("(-1,-1,1,1)·(1,3,2)"), "sigma2_bar display")
+    check(sigma2_bar == _SP("(-1,-1,1,1)·(1,3,2)"), "atlas.sigma2-bar-display", sigma2_bar)
     sigma3_bar = sigma3
 
     kappa1 = block_pair(sigma1, sigma1_bar)
     kappa2 = block_pair(sigma2, sigma2_bar)
     kappa3 = block_pair(sigma3, sigma3_bar)
-    _require(kappa1 == _SP("(-1,1,1,1,1,1,1,-1)·(4,3,2,1)(5,6,7,8)"), "kappa1 display")
-    _require(kappa2 == _SP("(1,1,1,1,-1,-1,1,1)·(1,2,4)(5,7,6)"), "kappa2 display")
-    _require(kappa3 == _SP("(1,1,1,1,1,1,1,1)·(2,4,3)(6,8,7)"), "kappa3 display")
+    check(kappa1 == _SP("(-1,1,1,1,1,1,1,-1)·(4,3,2,1)(5,6,7,8)"), "atlas.kappa1-display",
+          kappa1)
+    check(kappa2 == _SP("(1,1,1,1,-1,-1,1,1)·(1,2,4)(5,7,6)"), "atlas.kappa2-display", kappa2)
+    check(kappa3 == _SP("(1,1,1,1,1,1,1,1)·(2,4,3)(6,8,7)"), "atlas.kappa3-display", kappa3)
 
     tau0 = SignedPerm.from_cycles(8, [(1, 5), (2, 6), (3, 7), (4, 8)])
-    for kap, s, sb in ((kappa1, sigma1, sigma1_bar),
-                       (kappa2, sigma2, sigma2_bar),
-                       (kappa3, sigma3, sigma3_bar)):
-        _require(kap.conjugate(tau0) == block_pair(sb, s),
-                 "tau0 swaps the two 4-spaces")
+    check(all(kap.conjugate(tau0) == block_pair(sb, s)
+              for kap, s, sb in ((kappa1, sigma1, sigma1_bar), (kappa2, sigma2, sigma2_bar),
+                                 (kappa3, sigma3, sigma3_bar))),
+          "atlas.tau0-swaps-the-two-4-spaces")
     tau1 = tau0 * kappa1
     tau2 = tau0 * kappa1 * kappa2
     tau3 = tau0 * kappa1 * kappa2 * kappa3
-    for t in (tau0, tau1, tau2, tau3):
-        _require(t.is_involution(), "tau generators are involutions")
+    check(all(t.is_involution() for t in (tau0, tau1, tau2, tau3)),
+          "atlas.taus-are-involutions")
 
     gamma1 = rho1 * rho2 * rho3 * rho2
-    _require(gamma1 == _SP("(1,1,1,1)·(1,4,2)"), "gamma1 display")
+    check(gamma1 == _SP("(1,1,1,1)·(1,4,2)"), "atlas.gamma1-display", gamma1)
     gamma2 = rho2 * rho0 * rho1 * rho0
-    _require(gamma2 == _SP("(-1,1,-1,1)·(1,2,3)"), "gamma2 display")
+    check(gamma2 == _SP("(-1,1,-1,1)·(1,2,3)"), "atlas.gamma2-display", gamma2)
 
     v = (1, 1, 1, 1)
     v_bar = rho0.act(v)
-    _require(v_bar == (-1, 1, 1, 1), "v_bar")
-    _require(mu0.act(v) == v_bar, "v*mu0 = v_bar")
+    check(v_bar == (-1, 1, 1, 1), "atlas.v-bar-display", v_bar)
+    check(mu0.act(v) == v_bar, "atlas.mu0-sends-v-to-v-bar")
     w = (rho1 * rho0 * rho1).act(v)
-    _require(w == (1, -1, 1, 1), "w display")
-    for s in (sigma2, sigma3):
-        _require(s.act(v) == v, "sigma2, sigma3 fix the base vertex")
-    _require({p for p in itertools.product((1, -1), repeat=4)
-              if sigma2.act(p) == p and sigma3.act(p) == p} == {v, tuple(-x for x in v)},
-             "v spans the subspace fixed by sigma2 and sigma3")
-    for s in (sigma2_bar, sigma3_bar):
-        _require(s.act(v_bar) == v_bar, "barred generators fix v_bar")
+    check(w == (1, -1, 1, 1), "atlas.w-display", w)
+    check(sigma2.act(v) == v and sigma3.act(v) == v, "atlas.sigma2-sigma3-fix-v")
+    check({p for p in itertools.product((1, -1), repeat=4)
+           if sigma2.act(p) == p and sigma3.act(p) == p} == {v, tuple(-x for x in v)},
+          "atlas.v-spans-the-fixed-subspace")
+    check(sigma2_bar.act(v_bar) == v_bar and sigma3_bar.act(v_bar) == v_bar,
+          "atlas.barred-generators-fix-v-bar")
 
     cycle = [v]
     for _ in range(7):
         cycle.append(pi.act(cycle[-1]))
-    _require(cycle[1] == (1, 1, 1, -1) and cycle[2] == (1, 1, -1, -1)
-             and cycle[3] == (1, -1, -1, -1) and cycle[4] == (-1, -1, -1, -1),
-             "octagon vertex cycle")
+    check(cycle[1:5] == [(1, 1, 1, -1), (1, 1, -1, -1), (1, -1, -1, -1), (-1, -1, -1, -1)],
+          "atlas.octagon-vertex-cycle", cycle)
     base_octagon = PetriePolygon(tuple(cycle))
     base_octagram = _trace_polygon(w, [4, 1, 2, 3, 4, 1, 2, 3])
-    _require(base_octagon.vertex_set().isdisjoint(base_octagram.vertex_set()),
-             "octagon and octagram are vertex-disjoint")
-    _require(base_octagon.transformed(mu2) == base_octagram,
-             "mu2 swaps octagon and octagram")
-    _require(base_octagon.det4() == 8, "base octagon is right-handed")
+    check(base_octagon.vertex_set().isdisjoint(base_octagram.vertex_set()),
+          "atlas.octagon-and-octagram-disjoint")
+    check(base_octagon.transformed(mu2) == base_octagram,
+          "atlas.mu2-swaps-octagon-and-octagram")
+    check(base_octagon.det4() == 8, "atlas.base-octagon-right-handed", base_octagon.det4())
 
     return Atlas(
         rho0=rho0, rho1=rho1, rho2=rho2, rho3=rho3, pi=pi, zeta=zeta,
@@ -362,7 +355,7 @@ def group_cube() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate(
         {"rho0": a.rho0, "rho1": a.rho1, "rho2": a.rho2, "rho3": a.rho3})
-    assert len(g) == 384
+    check(len(g) == 384, "groups.cube-order", len(g))
     return g
 
 
@@ -371,7 +364,7 @@ def group_rotation() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate(
         {"r01": a.rho0 * a.rho1, "r12": a.rho1 * a.rho2, "r23": a.rho2 * a.rho3})
-    assert len(g) == 192
+    check(len(g) == 192, "groups.rotation-order", len(g))
     return g
 
 
@@ -380,7 +373,7 @@ def group_rotation_sigma() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate(
         {"sigma1": a.sigma1, "sigma2": a.sigma2, "sigma3": a.sigma3})
-    assert g.element_set == group_rotation().element_set
+    check(g.element_set == group_rotation().element_set, "groups.sigmas-generate-rotations")
     return g
 
 
@@ -389,7 +382,8 @@ def group_rotation_sigma_bar() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate(
         {"sigma1": a.sigma1_bar, "sigma2": a.sigma2_bar, "sigma3": a.sigma3_bar})
-    assert g.element_set == group_rotation().element_set
+    check(g.element_set == group_rotation().element_set,
+          "groups.barred-sigmas-generate-rotations")
     return g
 
 
@@ -397,7 +391,7 @@ def group_rotation_sigma_bar() -> ConcreteGroup:
 def group_map_rotation() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate({"sigma1": a.sigma1, "sigma2": a.sigma2})
-    assert len(g) == 48
+    check(len(g) == 48, "groups.map-rotation-order", len(g))
     return g
 
 
@@ -405,11 +399,12 @@ def group_map_rotation() -> ConcreteGroup:
 def group_petrie_stabilizer() -> ConcreteGroup:
     a = build_atlas()
     k = setwise_stabilizer(group_cube(), a.base_octagon.vertex_set())
-    assert len(k) == 16
-    assert a.mu0 in k and a.mu1 in k and a.pi in k
-    assert a.mu0.inverse() * a.pi * a.mu0 == a.pi.inverse()  # dihedral
-    assert k.element_set == ConcreteGroup.generate(
-        {"mu0": a.mu0, "mu1": a.mu1}).element_set
+    check(len(k) == 16, "groups.petrie-stabilizer-order", len(k))
+    check(a.mu0 in k and a.mu1 in k and a.pi in k, "groups.petrie-stabilizer-holds-mu0-mu1-pi")
+    check(a.mu0.inverse() * a.pi * a.mu0 == a.pi.inverse(),
+          "groups.petrie-stabilizer-dihedral")
+    check(k.element_set == ConcreteGroup.generate({"mu0": a.mu0, "mu1": a.mu1}).element_set,
+          "groups.petrie-stabilizer-generated-by-mu0-mu1")
     return k
 
 
@@ -418,7 +413,7 @@ def group_cover_rotation() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate(
         {"kappa1": a.kappa1, "kappa2": a.kappa2, "kappa3": a.kappa3})
-    assert len(g) == 384
+    check(len(g) == 384, "groups.cover-rotation-order", len(g))
     return g
 
 
@@ -427,7 +422,7 @@ def group_cover() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate(
         {"tau0": a.tau0, "tau1": a.tau1, "tau2": a.tau2, "tau3": a.tau3})
-    assert len(g) == 768
+    check(len(g) == 768, "groups.cover-order", len(g))
     return g
 
 
@@ -435,7 +430,7 @@ def group_cover() -> ConcreteGroup:
 def group_unitary() -> ConcreteGroup:
     a = build_atlas()
     g = ConcreteGroup.generate({"gamma1": a.gamma1, "gamma2": a.gamma2})
-    assert len(g) == 24
+    check(len(g) == 24, "groups.unitary-order", len(g))
     return g
 
 
@@ -491,7 +486,7 @@ def companion(p: PetriePolygon, polys: tuple[PetriePolygon, ...] | None = None
     matches = [q for q in polys
                if q.chiral_class == p.chiral_class
                and q.vertex_set().isdisjoint(p.vertex_set())]
-    assert len(matches) == 1, f"companion not unique: {len(matches)}"
+    check(len(matches) == 1, "petrie.companion-unique", len(matches))
     return matches[0]
 
 
@@ -595,24 +590,20 @@ def _attach_realization(struct: RankedIncidenceStructure, base_faces, image=_fac
     """Attach geometric meaning to a coset structure and confirm that coset
     incidence coincides with geometric containment.  The rank-r face of
     coset key g is image(r, base_faces[r], g.act)."""
-    for r, face in enumerate(base_faces):
-        for s in struct.subgroups[r].generator_list():
-            assert image(r, face, s.act) == face, f"base face at rank {r} not stabilized"
-    realization = {}
-    for r in range(struct.rank):
-        for ref in struct.refs(r):
-            realization[ref] = image(r, base_faces[r], struct.key(ref).act)
-        assert len({realization[ref] for ref in struct.refs(r)}) == len(struct.refs(r)), \
-            f"realization not faithful at rank {r}"
+    moved = next(((r, s) for r, face in enumerate(base_faces)
+                  for s in struct.subgroups[r].generator_list()
+                  if image(r, face, s.act) != face), None)
+    check(moved is None, "realization.base-faces-stabilized", moved)
+    realization = {ref: image(ref[0], base_faces[ref[0]], struct.key(ref).act)
+                   for ref in struct.all_refs()}
+    check(len({(ref[0], face) for ref, face in realization.items()}) == len(realization),
+          "realization.faithful")
     struct.realization = realization
-    for r1 in range(struct.rank):
-        for r2 in range(r1 + 1, struct.rank):
-            test = contains[(r1, r2)]
-            for ra in struct.refs(r1):
-                for rb in struct.refs(r2):
-                    geo = test(realization[ra], realization[rb])
-                    assert geo == struct.incident(ra, rb), \
-                        f"incidence/containment mismatch at {(ra, rb)}"
+    mismatch = next(((ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
+                     for ra in struct.refs(r1) for rb in struct.refs(r2)
+                     if contains[(r1, r2)](realization[ra], realization[rb])
+                     != struct.incident(ra, rb)), None)
+    check(mismatch is None, "realization.incidence-is-containment", mismatch)
 
 
 def _realized_face_map(source: RankedIncidenceStructure, target: RankedIncidenceStructure,
@@ -622,6 +613,13 @@ def _realized_face_map(source: RankedIncidenceStructure, target: RankedIncidence
     face_of = {(ref[0], target.realization[ref]): ref for ref in target.all_refs()}
     return {ref: face_of[(ref[0], _face_image(ref[0], source.realization[ref], f))]
             for ref in source.all_refs()}
+
+
+def _two_faces_class(struct: RankedIncidenceStructure) -> str:
+    """The chiral class of the realized 2-faces, checked to be one class."""
+    classes = {PetriePolygon(struct.realization[ref]).chiral_class for ref in struct.refs(2)}
+    check(len(classes) == 1, "realization.two-faces-share-a-chiral-class", classes)
+    return classes.pop()
 
 
 def _sigma_face_maps(struct: RankedIncidenceStructure, group: ConcreteGroup):
@@ -658,7 +656,7 @@ def build_cube() -> CubeBundle:
     atlas = build_atlas()
     g = group_cube()
     struct = polytope_from_reflections(g)
-    assert struct.f_vector == (16, 32, 24, 8)
+    check(struct.f_vector == (16, 32, 24, 8), "cube.f-vector", struct.f_vector)
 
     base_faces = []
     for r in range(4):
@@ -683,10 +681,10 @@ def build_cube() -> CubeBundle:
         vertices=tuple(sorted(struct.realization[ref] for ref in struct.refs(0))),
         edge_colors=edge_colors, d=4)
     colourful = colourful_polytope(skeleton)
-    assert colourful.isomorphic_to(struct)
+    check(colourful.isomorphic_to(struct), "cube.colourful-isomorphic")
 
     result = classify(struct, _sigma_face_maps(struct, g))
-    assert result.kind is Classification.REGULAR
+    check(result.kind is Classification.REGULAR, "cube.regular", result.kind)
     return CubeBundle(structure=struct, skeleton=skeleton, colourful=colourful,
                       classification=result.kind, type_vector=struct.schlafli_type())
 
@@ -716,9 +714,9 @@ def build_hemi() -> HemiBundle:
     atlas = build_atlas()
     cube = build_cube()
     struct = central_quotient(cube.structure, atlas.zeta)
-    assert struct.f_vector == (8, 16, 12, 4)
+    check(struct.f_vector == (8, 16, 12, 4), "hemi.f-vector", struct.f_vector)
     qgroup = struct.group
-    assert len(qgroup) == 192
+    check(len(qgroup) == 192, "hemi.quotient-group-order", len(qgroup))
 
     prod = qgroup.identity
     for gen in qgroup.generator_list():
@@ -728,13 +726,14 @@ def build_hemi() -> HemiBundle:
     def antipodal(p: Point) -> tuple:
         return tuple(sorted((p, tuple(-x for x in p))))
 
-    edge_colors = {}
-    for edge, color in cube.skeleton.edge_colors.items():
-        a, b = tuple(edge)
-        qedge = frozenset((antipodal(a), antipodal(b)))
-        prior = edge_colors.get(qedge)
-        assert prior is None or prior == color
-        edge_colors[qedge] = color
+    def quotient_edge(edge) -> frozenset:
+        return frozenset(map(antipodal, edge))
+
+    cube_colors = cube.skeleton.edge_colors
+    edge_colors = {quotient_edge(edge): color for edge, color in cube_colors.items()}
+    clash = next((edge for edge, color in cube_colors.items()
+                  if edge_colors[quotient_edge(edge)] != color), None)
+    check(clash is None, "hemi.antipodal-edges-share-a-colour", clash)
     k44 = ColoredGraph(
         vertices=tuple(sorted({antipodal(p) for p in cube.skeleton.vertices})),
         edge_colors=edge_colors, d=4)
@@ -743,11 +742,12 @@ def build_hemi() -> HemiBundle:
     graph = _adjacency(map(tuple, edge_colors))
     far = graph[k44.vertices[0]]
     near = graph.keys() - far
-    assert len(far) == len(near) == 4
-    assert all(graph[x] == (far if x in near else near) for x in graph)
+    check(len(far) == len(near) == 4, "hemi.k44-sides-of-four", (len(far), len(near)))
+    check(all(graph[x] == (far if x in near else near) for x in graph),
+          "hemi.k44-complete-bipartite")
 
     colourful = colourful_polytope(k44)
-    assert colourful.isomorphic_to(struct)
+    check(colourful.isomorphic_to(struct), "hemi.colourful-isomorphic")
     return HemiBundle(structure=struct, quotient_group_order=len(qgroup),
                       generator_product_order=prod_order, k44=k44,
                       colourful=colourful)
@@ -774,7 +774,7 @@ class MapBundle:
             "object": "map",
             "f_vector": list(self.structure.f_vector),
             "type_vector": list(self.structure.schlafli_type()),
-            "rotation_group_order": 48,
+            "rotation_group_order": len(self.structure_cosets.group),
             "full_automorphism_order": self.full_automorphism_order,
             "levi_automorphism_count": self.levi_automorphism_count,
             "geometrically_chiral": not self.mu0_preserves_edges,
@@ -807,22 +807,22 @@ def build_map() -> MapBundle:
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     edges = set(orbit(rot, base_edge, lambda e, g: _face_image(1, e, g.act)))
-    assert len(edges) == 24
+    check(len(edges) == 24, "map.edge-count", len(edges))
 
     octagons = {atlas.base_octagon.transformed(g) for g in rot}
-    assert len(octagons) == 6
-    assert atlas.base_octagram in octagons
-    all_petrie = set(petrie_polygons())
-    assert octagons <= all_petrie
-    for oct_ in octagons:
-        assert oct_.edge_set() <= edges
-    for e in edges:
-        assert sum(1 for oct_ in octagons if e in oct_.edge_set()) == 2
+    check(len(octagons) == 6, "map.octagon-count", len(octagons))
+    check(atlas.base_octagram in octagons, "map.octagram-is-a-face")
+    check(octagons <= set(petrie_polygons()), "map.faces-are-petrie-polygons")
+    check(all(oct_.edge_set() <= edges for oct_ in octagons),
+          "map.octagon-edges-are-map-edges")
+    lone = next((e for e in edges
+                 if sum(e in oct_.edge_set() for oct_ in octagons) != 2), None)
+    check(lone is None, "map.edge-on-two-octagons", lone)
 
     cube_edges = {tuple(sorted(e)) for e in build_cube().skeleton.edge_colors}
     deleted = frozenset(cube_edges - edges)
-    assert len(deleted) == 8
-    assert len({p for e in deleted for p in e}) == 16  # a perfect matching
+    check(len(deleted) == 8, "map.deleted-edge-count", len(deleted))
+    check(len({p for e in deleted for p in e}) == 16, "map.deleted-edges-perfect-matching")
 
     points = sorted(itertools.product((1, -1), repeat=4))
     oct_keys = sorted(o.vertices for o in octagons)
@@ -837,83 +837,83 @@ def build_map() -> MapBundle:
             pairs.append(((1, e), (2, okey)))
     struct = RankedIncidenceStructure(3, [points, sorted(edges), oct_keys], pairs)
     struct.validate_polytope()
-    assert struct.f_vector == (16, 24, 6)
-    assert struct.schlafli_type() == (8, 3)
+    check(struct.f_vector == (16, 24, 6), "map.f-vector", struct.f_vector)
+    check(struct.schlafli_type() == (8, 3), "map.type-8-3", struct.schlafli_type())
 
     sub0 = rot.subgroup([atlas.sigma2])
     sub1 = rot.subgroup([atlas.sigma1 * atlas.sigma2])
     sub2 = rot.subgroup([atlas.sigma1])
-    assert (len(sub0), len(sub1), len(sub2)) == (3, 2, 8)
+    orders = (len(sub0), len(sub1), len(sub2))
+    check(orders == (3, 2, 8), "map.coset-subgroup-orders", orders)
     cosets = coset_geometry(rot, [sub0, sub1, sub2])
-    assert cosets.f_vector == (16, 24, 6)
+    check(cosets.f_vector == (16, 24, 6), "map.coset-f-vector", cosets.f_vector)
     _attach_realization(cosets, [atlas.v, base_edge, atlas.base_octagon.vertices])
     _check_face_map(cosets, {ref: struct.ref(ref[0], cosets.realization[ref])
-                             for ref in cosets.all_refs()}, struct)
+                             for ref in cosets.all_refs()},
+                    "map.cosets-realize-the-map", struct)
 
     levi = _adjacency(edges)
-    assert next(isomorphisms(levi, gp83_graph()), None) is not None
+    check(next(isomorphisms(levi, gp83_graph()), None) is not None, "map.levi-graph-is-gp-8-3")
     aut_count = sum(1 for _ in isomorphisms(levi, levi))
-    assert aut_count == 96
+    check(aut_count == 96, "map.levi-automorphisms", aut_count)
 
     def geo_face_map(g: SignedPerm) -> dict:
         return {ref: struct.ref(ref[0], _face_image(ref[0], struct.key(ref), g.act))
                 for ref in struct.all_refs()}
 
     rot_result = classify(struct, [geo_face_map(atlas.sigma1), geo_face_map(atlas.sigma2)])
-    assert rot_result.orbit_count == 2 and rot_result.flag_count == 96
+    check(rot_result.orbit_count == 2 and rot_result.flag_count == 96,
+          "map.rotation-group-has-two-flag-orbits", rot_result)
 
     autos = [FacePerm.from_mapping(struct, mapping) for mapping in struct.automorphisms()]
-    assert len(autos) == 96
+    check(len(autos) == 96, "map.automorphism-count", len(autos))
     full_result = classify(struct, [a.as_mapping() for a in autos])
-    assert full_result.kind is Classification.REGULAR
+    check(full_result.kind is Classification.REGULAR, "map.full-group-regular",
+          full_result.kind)
 
     # the three distinguished involutions: each maps the base flag to one of
     # its adjacent flags; they satisfy the full-group presentation
-    base_flag_refs = (struct.ref(0, atlas.v), struct.ref(1, base_edge),
-                      struct.ref(2, atlas.base_octagon.vertices))
-    base_flag = tuple(i for (_, i) in base_flag_refs)
-    flag_pos = {f: True for f in struct.flags()}
-    assert base_flag in flag_pos
-    t_gens = []
-    for j in range(3):
-        target = struct.flag_adjacent(base_flag, j)
-        assert len(target) == 1
-        wanted = target[0]
-        hits = [a for a in autos
-                if tuple(a.images[r][i] for r, i in enumerate(base_flag)) == wanted]
-        assert len(hits) == 1
-        t_gens.append(hits[0])
-    assert verify_relators(t_gens, presentation_map_full())
-    assert len(ConcreteGroup.generate(t_gens, names=["t0", "t1", "t2"])) == 96
+    base_flag = (struct.ref(0, atlas.v)[1], struct.ref(1, base_edge)[1],
+                 struct.ref(2, atlas.base_octagon.vertices)[1])
+    check(base_flag in struct.flag_graph(), "map.base-flag-is-a-flag", base_flag)
+    hits = [[a for a in autos if tuple(a.images[r][i] for r, i in enumerate(base_flag)) == f]
+            for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
+    check([len(h) for h in hits] == [1, 1, 1], "map.one-automorphism-per-adjacent-flag",
+          [len(h) for h in hits])
+    t_gens = [h[0] for h in hits]
+    check(verify_relators(t_gens, presentation_map_full()), "map.full-presentation")
+    check(len(ConcreteGroup.generate(t_gens, names=["t0", "t1", "t2"])) == 96,
+          "map.involutions-generate-the-full-group")
 
     # the same involutions arise as words in the base one and the rotations:
     # t1 = t0 * s1 and t2 = t0 * s1 * s2 as face bijections
     fs1 = FacePerm.from_mapping(struct, geo_face_map(atlas.sigma1))
     fs2 = FacePerm.from_mapping(struct, geo_face_map(atlas.sigma2))
-    assert t_gens[1] == t_gens[0] * fs1
-    assert t_gens[2] == t_gens[0] * fs1 * fs2
+    check(t_gens[1] == t_gens[0] * fs1, "map.t1-is-t0-s1")
+    check(t_gens[2] == t_gens[0] * fs1 * fs2, "map.t2-is-t0-s1-s2")
 
     hom = extend_homomorphism(rot, {
         "sigma1": atlas.sigma1.inverse(),
         "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2,
     })
-    assert isinstance(hom, Homomorphism)
-    assert hom.is_involutory()
+    check(isinstance(hom, Homomorphism), "map.regularity-automorphism-extends", hom)
+    check(hom.is_involutory(), "map.regularity-automorphism-involutory")
 
     full = group_cube()
     stab = setwise_stabilizer(full, edges,
                               lambda e, g: _face_image(1, e, g.act)).element_set
-    assert stab == rot.element_set
-    assert all(g.determinant() == 1 for g in stab)
+    check(stab == rot.element_set, "map.edge-stabilizer-is-the-rotation-group", len(stab))
+    check(all(g.determinant() == 1 for g in stab), "map.edge-stabilizer-rotational")
     mu0_keeps = {_face_image(1, e, atlas.mu0.act) for e in edges} == edges
-    assert not mu0_keeps
-    assert {_face_image(1, e, atlas.mu0.act) for e in deleted} != deleted
+    check(not mu0_keeps, "map.mu0-moves-the-edges")
+    check({_face_image(1, e, atlas.mu0.act) for e in deleted} != deleted,
+          "map.mu0-moves-the-deleted-matching")
 
     return MapBundle(
         structure=struct, structure_cosets=cosets,
         octagons=tuple(sorted(octagons)), edges=frozenset(edges),
         deleted_edges=deleted, levi_automorphism_count=aut_count,
-        full_automorphism_order=96, regularity_hom=hom,
+        full_automorphism_order=len(autos), regularity_hom=hom,
         rotation_classification=rot_result.kind,
         full_classification=full_result.kind,
         edge_stabilizer_in_full_group=stab,
@@ -936,7 +936,7 @@ class RoliBundle:
         return {
             "schema": "polytope-forge/1",
             "object": "roli",
-            "group_order": 192,
+            "group_order": len(self.structure.group),
             "f_vector": list(self.structure.f_vector),
             "stabilizer_orders": list(self.stabilizer_orders),
             "type_vector": list(self.type_vector),
@@ -965,14 +965,15 @@ def build_roli() -> RoliBundle:
     rot = group_rotation_sigma()
     subs = _roli_subgroups(rot)
     orders = tuple(len(s) for s in subs)
-    assert orders == (12, 6, 16, 48)
-    assert subs[0].element_set == stabilizer(rot, atlas.v).element_set
-    assert subs[2].element_set == setwise_stabilizer(
-        rot, atlas.base_octagon.vertex_set()).element_set
+    check(orders == (12, 6, 16, 48), "roli.stabilizer-orders", orders)
+    check(subs[0].element_set == stabilizer(rot, atlas.v).element_set,
+          "roli.vertex-stabilizer")
+    check(subs[2].element_set == setwise_stabilizer(
+        rot, atlas.base_octagon.vertex_set()).element_set, "roli.octagon-stabilizer")
 
     struct = coset_geometry(rot, list(subs))
-    assert struct.f_vector == (16, 32, 12, 4)
-    assert struct.schlafli_type() == (8, 3, 3)
+    check(struct.f_vector == (16, 32, 12, 4), "roli.f-vector", struct.f_vector)
+    check(struct.schlafli_type() == (8, 3, 3), "roli.type-8-3-3", struct.schlafli_type())
 
     map_bundle = build_map()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
@@ -981,48 +982,48 @@ def build_roli() -> RoliBundle:
                                  base_facet])
 
     polys = petrie_polygons()
+    two_faces_class = _two_faces_class(struct)
     class_r = {p.vertices for p in polys if p.chiral_class == "R"}
-    two_faces = {struct.realization[ref] for ref in struct.refs(2)}
-    assert two_faces == class_r
+    check(two_faces_class == "R"
+          and {struct.realization[ref] for ref in struct.refs(2)} == class_r,
+          "roli.two-faces-right-handed", two_faces_class)
 
     facet_edge_sets = [frozenset(struct.realization[ref]) for ref in struct.refs(3)]
-    assert len(facet_edge_sets) == 4
-    for m in facet_edge_sets:
-        assert len(m) == 24
-        assert sum(1 for p in polys if p.edge_set() <= m) == 6
-    for p in (p for p in polys if p.chiral_class == "R"):
-        assert sum(1 for m in facet_edge_sets if p.edge_set() <= m) == 2
+    check(len(facet_edge_sets) == 4, "roli.facet-count", len(facet_edge_sets))
+    check(all(len(m) == 24 and sum(p.edge_set() <= m for p in polys) == 6
+              for m in facet_edge_sets), "roli.facets-are-map-copies")
+    check(all(sum(p.edge_set() <= m for m in facet_edge_sets) == 2
+              for p in polys if p.chiral_class == "R"), "roli.octagon-on-two-facets")
 
     result = classify(struct, _sigma_face_maps(struct, rot))
-    assert result.kind is Classification.CHIRAL
+    check(result.kind is Classification.CHIRAL, "roli.chiral", result)
 
     failure = extend_homomorphism(rot, {
         "sigma1": atlas.sigma1.inverse(),
         "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2,
         "sigma3": atlas.sigma3,
     })
-    assert isinstance(failure, HomomorphismFailure)
+    check(isinstance(failure, HomomorphismFailure), "roli.no-mirror-automorphism")
 
     ident = SignedPerm.identity(4)
     witness = ((atlas.sigma1 * atlas.sigma3) ** 4 == atlas.zeta
                and (atlas.sigma1.inverse() * atlas.sigma3) ** 4 == ident
                and atlas.zeta != ident)
-    assert witness
-    assert witness_pair_inconsistent(
+    check(witness, "roli.chirality-witness")
+    check(witness_pair_inconsistent(
         rot,
         {"sigma1": atlas.sigma1.inverse(),
          "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2,
          "sigma3": atlas.sigma3},
         ("sigma1", "sigma3") * 4,
         ("sigma1",) * 4,
-    )
+    ), "roli.witness-words-certify-the-failure")
 
     return RoliBundle(
         structure=struct, stabilizer_orders=orders,
         classification=result.kind, orbit_count=result.orbit_count,
         flag_count=result.flag_count, type_vector=struct.schlafli_type(),
-        witness_holds=witness,
-        two_faces_class="R",
+        witness_holds=witness, two_faces_class=two_faces_class,
     )
 
 
@@ -1039,7 +1040,7 @@ class EnantiomorphBundle:
         return {
             "schema": "polytope-forge/1",
             "object": "enantiomorph",
-            "group_order": 192,
+            "group_order": len(self.structure.group),
             "f_vector": list(self.structure.f_vector),
             "stabilizer_orders": list(self.stabilizer_orders),
             "two_face_chiral_class": self.two_faces_class,
@@ -1059,44 +1060,47 @@ def build_enantiomorph() -> EnantiomorphBundle:
     rho0 = atlas.rho0
 
     mirror_octagon = atlas.base_octagon.transformed(rho0)
-    assert mirror_octagon.chiral_class == "L"
+    check(mirror_octagon.chiral_class == "L", "enantiomorph.mirror-octagon-left-handed")
     mirror_facet = _face_image(3, tuple(sorted(build_map().edges)), rho0.act)
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     sub0 = rot.subgroup([atlas.sigma2_bar, atlas.sigma3_bar])
-    assert sub0.element_set == stabilizer(rot, atlas.v_bar).element_set
+    check(sub0.element_set == stabilizer(rot, atlas.v_bar).element_set,
+          "enantiomorph.vertex-stabilizer")
     sub1 = rot.subgroup([atlas.sigma1_bar * atlas.sigma2_bar, atlas.sigma3_bar])
-    assert sub1.element_set == setwise_stabilizer(rot, set(base_edge)).element_set
+    check(sub1.element_set == setwise_stabilizer(rot, set(base_edge)).element_set,
+          "enantiomorph.edge-stabilizer")
     sub2 = setwise_stabilizer(rot, mirror_octagon.vertex_set())
     sub3 = stabilizer(rot, mirror_facet, lambda m, g: _face_image(3, m, g.act))
     orders = (len(sub0), len(sub1), len(sub2), len(sub3))
-    assert orders == (12, 6, 16, 48)
+    check(orders == (12, 6, 16, 48), "enantiomorph.stabilizer-orders", orders)
 
     # the barred generator words reproduce the right-handed rank-2 and
     # rank-3 stabilizers, so the mirrored stabilizers are computed directly
     k = group_petrie_stabilizer()
     barred_rank2 = rot.subgroup([atlas.sigma1_bar, atlas.sigma2_bar * atlas.sigma3_bar])
-    assert barred_rank2.element_set == k.element_set
-    assert sub2.element_set == frozenset(rho0 * g * rho0 for g in k)
+    check(barred_rank2.element_set == k.element_set,
+          "enantiomorph.barred-words-give-the-octagon-stabilizer")
+    check(sub2.element_set == frozenset(rho0 * g * rho0 for g in k),
+          "enantiomorph.octagon-stabilizer-is-mirrored")
 
     struct = coset_geometry(rot, [sub0, sub1, sub2, sub3])
-    assert struct.f_vector == (16, 32, 12, 4)
+    check(struct.f_vector == (16, 32, 12, 4), "enantiomorph.f-vector", struct.f_vector)
     _attach_realization(struct, [atlas.v_bar, base_edge, mirror_octagon.vertices,
                                  mirror_facet])
-
-    for ref in struct.refs(2):
-        assert PetriePolygon(struct.realization[ref]).chiral_class == "L"
+    two_faces_class = _two_faces_class(struct)
+    check(two_faces_class == "L", "enantiomorph.two-faces-left-handed", two_faces_class)
 
     # mirroring by rho0 is a poset isomorphism from the right-handed polytope
     _check_face_map(roli.structure, _realized_face_map(roli.structure, struct, rho0.act),
-                    struct)
+                    "enantiomorph.mirror-by-rho0-is-an-isomorphism", struct)
 
     bar_group = group_rotation_sigma_bar()
     note = ("rank-2/3 subgroups are the rho0-conjugates of the right-handed "
             "stabilizers; the barred generator words regenerate the "
             "right-handed ones")
     return EnantiomorphBundle(
-        structure=struct, stabilizer_orders=orders, two_faces_class="L",
+        structure=struct, stabilizer_orders=orders, two_faces_class=two_faces_class,
         mirror_iso_by_rho0=True,
         sigma_bar_generate_rotation_group=(
             bar_group.element_set == rot.element_set),
@@ -1126,7 +1130,7 @@ class CoverBundle:
         return {
             "schema": "polytope-forge/1",
             "object": "cover",
-            "group_order": 768,
+            "group_order": len(self.structure.group),
             "rotation_group_order": 384,
             "f_vector": list(self.structure.f_vector),
             "type_vector": list(self.type_vector),
@@ -1164,12 +1168,12 @@ def build_cover() -> CoverBundle:
 
     string_ok = string_condition(taus)
     intersection_ok = intersection_condition(taus)
-    assert string_ok and intersection_ok
-    assert verify_relators(taus, presentation_cover(corrected=True))
+    check(string_ok and intersection_ok, "cover.string-c-group", (string_ok, intersection_ok))
+    check(verify_relators(taus, presentation_cover(corrected=True)), "cover.presentation")
 
     struct = polytope_from_reflections(t_full)
-    assert struct.f_vector == (32, 64, 24, 8)
-    assert struct.schlafli_type() == (8, 3, 3)
+    check(struct.f_vector == (32, 64, 24, 8), "cover.f-vector", struct.f_vector)
+    check(struct.schlafli_type() == (8, 3, 3), "cover.type-8-3-3", struct.schlafli_type())
 
     bv = atlas.v + atlas.v_bar
     base_edge = tuple(sorted((bv, atlas.tau0.act(bv))))
@@ -1180,35 +1184,35 @@ def build_cover() -> CoverBundle:
     # struct.subgroups[3] is generated by tau0, tau1, tau2 in that order
     base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
                                     lambda e, g: _face_image(1, e, g.act))))
-    assert len(base_facet) == 24
+    check(len(base_facet) == 24, "cover.facet-edge-count", len(base_facet))
     _attach_realization(struct, [bv, base_edge, base_oct, base_facet])
 
     result = classify(struct, _sigma_face_maps(struct, t_full))
-    assert result.kind is Classification.REGULAR
-    assert result.flag_count == 768
+    check(result.kind is Classification.REGULAR and result.flag_count == 768,
+          "cover.regular-with-768-flags", result)
 
     centre_plus = t_plus.centre().element_set
     ident8 = SignedPerm.identity(8)
     z1 = block_pair(atlas.zeta, SignedPerm.identity(4))
     z2 = block_pair(SignedPerm.identity(4), atlas.zeta)
     zz = block_pair(atlas.zeta, atlas.zeta)
-    assert centre_plus == {ident8, z1, z2, zz}
+    check(centre_plus == {ident8, z1, z2, zz}, "cover.rotation-group-centre", len(centre_plus))
     word_ids = ((atlas.kappa1 * atlas.kappa3) ** 4 == z1
                 and (atlas.kappa1.inverse() * atlas.kappa3) ** 4 == z2
                 and atlas.kappa1 ** 4 == zz)
-    assert word_ids
-    assert t_full.centre().element_set == {ident8, zz}
+    check(word_ids, "cover.centre-words")
+    check(t_full.centre().element_set == {ident8, zz}, "cover.centre")
 
     hom = extend_homomorphism(t_full, {
         "tau0": atlas.rho0, "tau1": atlas.rho1,
         "tau2": atlas.rho2, "tau3": atlas.rho3})
-    assert isinstance(hom, Homomorphism)
+    check(isinstance(hom, Homomorphism), "cover.reflections-extend-to-the-cube-group", hom)
     tetra = t_full.subgroup([atlas.tau1, atlas.tau2, atlas.tau3])
-    assert len(tetra) == 24
+    check(len(tetra) == 24, "cover.vertex-subgroup-order", len(tetra))
     injective = hom.is_injective_on(tetra.elements)
-    assert injective
-    assert frozenset(hom.kernel()) == {ident8, zz}
-    assert hom.image_set() == group_cube().element_set
+    check(injective, "cover.quotient-criterion")
+    check(frozenset(hom.kernel()) == {ident8, zz}, "cover.cube-kernel")
+    check(hom.image_set() == group_cube().element_set, "cover.onto-the-cube-group")
 
     hom_r = extend_homomorphism(t_plus, {
         "kappa1": atlas.sigma1, "kappa2": atlas.sigma2, "kappa3": atlas.sigma3})
@@ -1218,15 +1222,14 @@ def build_cover() -> CoverBundle:
     hom_p = extend_homomorphism(t_plus, {
         "kappa1": atlas.rho0 * atlas.rho1, "kappa2": atlas.rho1 * atlas.rho2,
         "kappa3": atlas.rho2 * atlas.rho3})
-    for h in (hom_r, hom_l, hom_p):
-        assert isinstance(h, Homomorphism)
-        assert h.image_set() == group_rotation().element_set
+    check(all(isinstance(h, Homomorphism) and h.image_set() == group_rotation().element_set
+              for h in (hom_r, hom_l, hom_p)), "cover.rotation-homs-onto-the-rotation-group")
     kernel_r = frozenset(hom_r.kernel())
     kernel_l = frozenset(hom_l.kernel())
     kernel_p = frozenset(hom_p.kernel())
-    assert kernel_r == {ident8, z2}
-    assert kernel_l == {ident8, z1}
-    assert kernel_p == {ident8, zz}
+    check(kernel_r == {ident8, z2}, "cover.right-kernel")
+    check(kernel_l == {ident8, z1}, "cover.left-kernel")
+    check(kernel_p == {ident8, zz}, "cover.cube-rotation-kernel")
 
     roli = build_roli()
     bar = build_enantiomorph()
@@ -1235,9 +1238,9 @@ def build_cover() -> CoverBundle:
         struct, roli.structure, _project_first))
     covering_left = verify_covering(struct, bar.structure, _realized_face_map(
         struct, bar.structure, _project_second_mirror))
-    for report in (covering_right, covering_left):
-        assert report.uniform_fiber_size() == 2
-        assert report.is_k_covering
+    check(all(report.uniform_fiber_size() == 2 and report.is_k_covering
+              for report in (covering_right, covering_left)),
+          "cover.two-to-one-three-coverings", (covering_right, covering_left))
 
     cube = build_cube()
     fm_cube = {}
@@ -1246,7 +1249,8 @@ def build_cover() -> CoverBundle:
         for ref in struct.refs(r):
             fm_cube[ref] = cube.structure.ref(r, canon[hom(struct.key(ref))])
     covering_cube = verify_covering(struct, cube.structure, fm_cube)
-    assert [c[0] for c in covering_cube.preimage_counts] == [2, 2, 1, 1]
+    check([c[0] for c in covering_cube.preimage_counts] == [2, 2, 1, 1],
+          "cover.cube-fibers", covering_cube.preimage_counts)
 
     return CoverBundle(
         structure=struct, classification=result.kind, flag_count=result.flag_count,
@@ -1345,7 +1349,7 @@ def point_labels() -> Labeling:
 
     odd = [p for p in adjacency if _parity(p) == 1]
     even = [p for p in adjacency if _parity(p) == 0]
-    assert len(odd) == 8 and len(even) == 8
+    check(len(odd) == len(even) == 8, "labels.eight-of-each-parity", (len(odd), len(even)))
 
     def alternate_cycle(poly: PetriePolygon) -> list[Point]:
         return [p for p in poly.vertices if _parity(p) == 1]
@@ -1378,7 +1382,7 @@ def point_labels() -> Labeling:
                 continue
             solutions.append(label_of)
 
-    assert solutions, "no labeling satisfies the constraints"
+    check(solutions, "labels.a-labeling-satisfies-the-constraints")
     keyed = sorted(solutions,
                    key=lambda sol: tuple(sol[p] for p in sorted(sol)))
     best = keyed[0]

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
+    "CheckFailed",
+    "check",
     "CapExceeded",
     "NotASubgroup",
     "ConcreteGroup",
@@ -36,11 +38,28 @@ __all__ = [
 DEFAULT_CAP = 10**6
 
 
+class CheckFailed(Exception):
+    """A build-time check failed.  `name` is the check's stable id and
+    `witness`, when given, the value that broke it."""
+
+    def __init__(self, name: str, witness=None):
+        self.name = name
+        self.witness = witness
+        super().__init__(name if witness is None else f"{name}: {witness!r}")
+
+
+def check(ok, name: str, witness=None) -> None:
+    """Raise CheckFailed(name, witness) unless ok.  Unlike `assert`, this
+    also runs under `python -O`."""
+    if not ok:
+        raise CheckFailed(name, witness)
+
+
 class CapExceeded(Exception):
     """Closure or coset table grew past the requested cap."""
 
 
-class NotASubgroup(Exception):
+class NotASubgroup(CheckFailed):
     pass
 
 
@@ -138,7 +157,7 @@ class ConcreteGroup:
                 continue
             reps.append(g)
             covered.update(s * g for s in sub.elements)
-        assert len(reps) * len(sub) == len(self)
+        check(len(reps) * len(sub) == len(self), "group.cosets-partition-the-group", len(reps))
         return reps
 
     def element_order(self, g) -> int:
@@ -273,7 +292,7 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
                 mapping[e2] = img2
                 words[e2] = w2
                 queue.append(e2)
-    assert len(mapping) == len(src)
+    check(len(mapping) == len(src), "hom.extension-covers-the-group", len(mapping))
     return Homomorphism(source=src, gen_images=dict(images), mapping=mapping)
 
 
@@ -429,7 +448,7 @@ class CosetTable:
                 if d not in words:
                     words[d] = words[c] + (x,)
                     queue.append(d)
-        assert len(words) == self.index
+        check(len(words) == self.index, "cosets.every-coset-reached", len(words))
         return [words[i] for i in range(self.index)]
 
     def validate(self, pres: Presentation) -> bool:
@@ -570,6 +589,10 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         if (stats["defined"], stats["merged"]) == before:
             break
 
+    hole = next(((c, col) for c in range(len(table)) if find(c) == c
+                 for col in range(ncols) if table[c][col] == -1), None)
+    check(hole is None, "cosets.table-complete", hole)
+
     # compact: breadth-first renumbering from the subgroup coset
     start = find(0)
     order: dict[int, int] = {start: 0}
@@ -577,9 +600,7 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
     while queue:
         c = queue.popleft()
         for col in range(ncols):
-            d = table[c][col]
-            assert d != -1, "incomplete table after stabilization"
-            d = find(d)
+            d = find(table[c][col])
             if d not in order:
                 order[d] = len(order)
                 queue.append(d)
@@ -588,7 +609,7 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                  for c in live)
     result = CosetTable(generator_count=ngens, rows=rows,
                         subgroup_words=subgroup_words)
-    assert result.validate(pres), "coset table fails its own presentation"
+    check(result.validate(pres), "cosets.table-satisfies-presentation")
     return result
 
 

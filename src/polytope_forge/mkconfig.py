@@ -23,7 +23,7 @@ from .cubefamily import (
     point_labels,
     presentation_unitary_triangle,
 )
-from .groupcore import enumerate_cosets, verify_relators
+from .groupcore import CheckFailed, check, enumerate_cosets, verify_relators
 
 __all__ = [
     "QF",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class CollinearityFailure(Exception):
+class CollinearityFailure(CheckFailed):
     pass
 
 
@@ -133,7 +133,7 @@ class QF:
         """Product over all four conjugates; lands in Q."""
         n1 = self * self.conj_i()
         full = n1 * n1.conj_sqrt3()
-        assert full.b == full.c == full.d == 0
+        check(full.is_rational(), "qf.norm-is-rational", full)
         return full.a
 
     def inverse(self) -> "QF":
@@ -230,9 +230,9 @@ def build_J() -> Mat4:
         (s, s, z, s),
         (s, -s, -s, z),
     )
-    assert mat_mul(rows, rows) == tuple(
-        tuple(-x for x in row) for row in _IDENTITY4)
-    assert mat_mul(rows, mat_transpose(rows)) == _IDENTITY4
+    check(mat_mul(rows, rows) == tuple(tuple(-x for x in row) for row in _IDENTITY4),
+          "mk.j-squares-to-minus-identity")
+    check(mat_mul(rows, mat_transpose(rows)) == _IDENTITY4, "mk.j-orthogonal")
     return rows
 
 
@@ -250,14 +250,13 @@ def build_L() -> Mat4:
         scalar_mul(f, (t, QF(1), QF(1), s3)),
     )
     a1, b1, a2, b2 = rows
-    assert dot(a1, a1) == dot(b1, b1) and dot(a1, b1) == ZERO
-    assert dot(a2, a2) == dot(b2, b2) and dot(a2, b2) == ZERO
-    for x in (a1, b1):
-        for y in (a2, b2):
-            assert dot(x, y) == ZERO
+    check(dot(a1, a1) == dot(b1, b1) and dot(a1, b1) == ZERO, "mk.a1-b1-orthogonal-pair")
+    check(dot(a2, a2) == dot(b2, b2) and dot(a2, b2) == ZERO, "mk.a2-b2-orthogonal-pair")
+    check(all(dot(x, y) == ZERO for x in (a1, b1) for y in (a2, b2)),
+          "mk.plane-orthogonal-to-its-complement")
     j = build_J()
-    assert row_times_matrix(a1, j) == b1
-    assert row_times_matrix(a2, j) == b2
+    check(row_times_matrix(a1, j) == b1 and row_times_matrix(a2, j) == b2,
+          "mk.basis-adapted-to-j")
     return rows
 
 
@@ -280,12 +279,12 @@ def complexify(point) -> tuple[QF, QF]:
     y1 = dot(u, b1) / dot(b1, b1)
     x2 = dot(u, a2) / dot(a2, a2)
     y2 = dot(u, b2) / dot(b2, b2)
-    for part in (x1, y1, x2, y2):
-        assert part.is_real()
+    check(all(part.is_real() for part in (x1, y1, x2, y2)), "mk.complexify-parts-real",
+          (x1, y1, x2, y2))
     z1 = QF(x1.a, x1.b, y1.a, y1.b)
     z2 = QF(x2.a, x2.b, y2.a, y2.b)
     recon = vec_add(apply_complex(z1, a1), apply_complex(z2, a2))
-    assert recon == u
+    check(recon == u, "mk.complexify-reconstructs-the-point", u)
     return z1, z2
 
 
@@ -347,7 +346,7 @@ def _line_through(p: MKPoint, q: MKPoint, s: MKPoint) -> MKLine:
     ez1 = s.z1 - p.z1
     ez2 = s.z2 - p.z2
     if not (dz1 * ez2 - dz2 * ez1).is_zero():
-        raise CollinearityFailure(f"points {p.label},{q.label},{s.label} not collinear")
+        raise CollinearityFailure("points not collinear", (p.label, q.label, s.label))
     coeff_z1, coeff_z2 = dz2, -dz1
     rhs = coeff_z1 * p.z1 + coeff_z2 * p.z2
     return MKLine(coeff_z1=coeff_z1, coeff_z2=coeff_z2, rhs=rhs,
@@ -381,14 +380,11 @@ def table_labeling() -> Labeling:
     for label in range(8):
         z1, z2 = table_coordinates()[label]
         ambient = vec_add(apply_complex(z1, a1), apply_complex(z2, a2))
-        ints = []
-        for x in ambient:
-            assert x.is_rational() and x.a.denominator == 1
-            ints.append(int(x.a))
-        assert set(ints) <= {1, -1}
-        point_of.append(tuple(ints))
+        check(all(x.is_rational() and x.a in (1, -1) for x in ambient),
+              "mk.table-row-decodes-to-a-cube-vertex", label)
+        point_of.append(tuple(int(x.a) for x in ambient))
     label_of = {p: lab for lab, p in enumerate(point_of)}
-    assert len(label_of) == 8
+    check(len(label_of) == 8, "mk.table-rows-distinct", len(label_of))
     return Labeling(point_of=tuple(point_of), label_of=label_of, valid_count=1)
 
 
@@ -429,8 +425,8 @@ def build_configuration(policy: str = "lex") -> Configuration:
         line = _line_through(points[a], points[b], points[c])
         on_line = [p.label for p in points if line.contains(p)]
         if on_line != sorted(triple):
-            raise CollinearityFailure(
-                f"line {sorted(triple)} passes through {on_line}")
+            raise CollinearityFailure("line passes through other points",
+                                      (sorted(triple), on_line))
         lines.append(line)
     lines.sort(key=lambda ln: ln.points)
 
@@ -438,8 +434,8 @@ def build_configuration(policy: str = "lex") -> Configuration:
         tuple(1 if p in ln.points else 0 for p in range(8)) for ln in lines)
     config = Configuration(points=tuple(points), lines=tuple(lines),
                            incidence=incidence, labeling=labeling)
-    assert config.incidence_row_sums() == (3,) * 8
-    assert config.incidence_col_sums() == (3,) * 8
+    check(config.incidence_row_sums() == config.incidence_col_sums() == (3,) * 8,
+          "mk.incidence-8-8-3", config.incidence)
     _check_mutually_inscribed(config)
     return config
 
@@ -451,14 +447,20 @@ def _check_mutually_inscribed(config: Configuration) -> None:
     pairings = (((0, 2, 4, 6), (1, 3, 5, 7)),
                 ((0, 5, 4, 1), (2, 3, 6, 7)),
                 ((1, 2, 5, 6), (0, 7, 4, 3)))
-    for quad_a, quad_b in pairings:
-        for quad, other in ((quad_a, quad_b), (quad_b, quad_a)):
-            for k in range(4):
-                edge = {quad[k], quad[(k + 1) % 4]}
-                matches = [ln for ln in line_sets if edge <= ln]
-                assert len(matches) == 1
-                (third,) = matches[0] - edge
-                assert third in other
+
+    def inscribed(quad, other) -> bool:
+        """Each side of quad lies on one line, whose third point is in other."""
+        for k in range(4):
+            edge = {quad[k], quad[(k + 1) % 4]}
+            matches = [ln for ln in line_sets if edge <= ln]
+            if len(matches) != 1 or not (matches[0] - edge) <= set(other):
+                return False
+        return True
+
+    unmet = next(((quad, other) for quad_a, quad_b in pairings
+                  for quad, other in ((quad_a, quad_b), (quad_b, quad_a))
+                  if not inscribed(quad, other)), None)
+    check(unmet is None, "mk.quadrangles-mutually-inscribed", unmet)
 
 
 def paper_line_coefficients() -> tuple[QF, QF, QF]:

@@ -14,7 +14,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .groupcore import ConcreteGroup, QuotientElem
+from .groupcore import CheckFailed, ConcreteGroup, NotASubgroup, QuotientElem, check
 
 __all__ = [
     "NotAPolytope",
@@ -44,38 +44,32 @@ __all__ = [
 FaceRef = tuple[int, int]  # (rank, index within rank)
 
 
-class NotAPolytope(Exception):
-    def __init__(self, axiom: str, witness=None):
-        self.axiom = axiom
-        self.witness = witness
-        super().__init__(f"{axiom}" + (f": {witness!r}" if witness is not None else ""))
-
-
-class ConditionFailed(Exception):
+class NotAPolytope(CheckFailed):
     pass
 
 
-class NotEquivelar(Exception):
+class ConditionFailed(CheckFailed):
     pass
 
 
-class NotCentral(Exception):
+class NotEquivelar(CheckFailed):
     pass
 
 
-class NotFree(Exception):
+class NotCentral(CheckFailed):
     pass
 
 
-class ImproperColouring(Exception):
+class NotFree(CheckFailed):
     pass
 
 
-class NotACovering(Exception):
-    def __init__(self, reason: str, witness=None):
-        self.reason = reason
-        self.witness = witness
-        super().__init__(f"{reason}" + (f": {witness!r}" if witness is not None else ""))
+class ImproperColouring(CheckFailed):
+    pass
+
+
+class NotACovering(CheckFailed):
+    pass
 
 
 def _reach(start: Hashable, neighbours: Callable[[Hashable], Iterable]) -> set:
@@ -242,13 +236,6 @@ class RankedIncidenceStructure:
             self._flags = tuple(sorted(out))
         return self._flags
 
-    def is_flag(self, refs: Sequence[FaceRef]) -> bool:
-        """One face per rank 0..n-1, mutually incident."""
-        if [r for r, _ in refs] != list(range(self.rank)):
-            return False
-        return all(self.incident(a, b)
-                   for a, b in itertools.combinations(refs, 2))
-
     def flag_graph(self) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
         """flag -> {adjacent flag: the rank at which the two differ}, built
         once and shared: flags that agree away from rank j are j-adjacent."""
@@ -317,11 +304,11 @@ class RankedIncidenceStructure:
             values = {sum(1 for ref in mid if ref[0] == j - 1)
                       for _, _, mid in self.sections(j - 2, j + 1)}
             if len(values) != 1:
-                raise NotEquivelar(f"rank {j} sections disagree: {sorted(values)}")
+                raise NotEquivelar(f"rank {j} sections disagree", sorted(values))
             out.append(values.pop())
         return tuple(out)
 
-    # -- comparisons / export ----------------------------------------------------
+    # -- comparisons ---------------------------------------------------------------
 
     def automorphisms(self) -> Iterator[dict[FaceRef, FaceRef]]:
         """Every rank-preserving face bijection that preserves incidence."""
@@ -332,25 +319,6 @@ class RankedIncidenceStructure:
             return False
         return next(isomorphisms(self._inc, other._inc, itemgetter(0), itemgetter(0)),
                     None) is not None
-
-    def to_json_dict(self, classification: str | None = None) -> dict:
-        data = {
-            "schema": "polytope-forge/1",
-            "rank": self.rank,
-            "f_vector": list(self.f_vector),
-            "faces": {str(r): [str(k) for k in keys]
-                      for r, keys in enumerate(self.faces_by_rank)},
-            "incidence": sorted(
-                [[a[0], a[1], b[0], b[1]] for a in self.all_refs()
-                 for b in self._inc[a] if a < b]),
-        }
-        try:
-            data["type_vector"] = list(self.schlafli_type())
-        except NotEquivelar:
-            data["type_vector"] = None
-        if classification is not None:
-            data["classification"] = classification
-        return data
 
 
 # -- classification ----------------------------------------------------------
@@ -370,20 +338,27 @@ class ClassifyResult:
     adjacent_pairs_split: bool
 
 
-def _check_face_map(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
+def _face_map_fault(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
+                    faces: Sequence[FaceRef], q: RankedIncidenceStructure,
+                    targets: Iterable[FaceRef]) -> tuple | None:
+    """None when fm maps the faces `faces` of p bijectively onto the faces
+    `targets` of q, keeping each face's rank, with two faces incident
+    exactly when their images are; otherwise (fault, face)."""
+    inside, targets = set(faces), set(targets)
+    if len(inside) != len(targets) or {fm[a] for a in inside} != targets:
+        return "not a bijection", None
+    return next((("breaks rank or incidence", a) for a in faces
+                 if fm[a][0] != a[0] or {fm[b] for b in p._inc[a] & inside}
+                 != q._inc[fm[a]] & targets), None)
+
+
+def _check_face_map(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef], name: str,
                     target: RankedIncidenceStructure | None = None) -> None:
-    """Raise ValueError unless fm is a rank-preserving bijection from the
-    faces of p onto those of target (default: p itself) under which two
-    faces are incident exactly when their images are."""
+    """Raise CheckFailed(name, fault) unless fm is an isomorphism from p
+    onto target (default: p itself)."""
     q = p if target is None else target
-    for r in range(p.rank):
-        refs = p.refs(r)
-        images = {fm[ref] for ref in refs}
-        if len(images) != len(refs) or images != set(q.refs(r)):
-            raise ValueError(f"face map is not a bijection at rank {r}")
-    for ref in p.all_refs():
-        if {fm[other] for other in p._inc[ref]} != q._inc[fm[ref]]:
-            raise ValueError(f"face map breaks incidence at {ref}")
+    fault = _face_map_fault(p, fm, p.all_refs(), q, q.all_refs())
+    check(fault is None, name, fault)
 
 
 def classify(p: RankedIncidenceStructure,
@@ -394,7 +369,7 @@ def classify(p: RankedIncidenceStructure,
     is split across them.  Anything else: Other.
     """
     for fm in face_maps:
-        _check_face_map(p, fm)
+        _check_face_map(p, fm, "classify.face-map-is-automorphism")
 
     def images(flag):
         return [tuple(fm[(r, i)][1] for r, i in enumerate(flag)) for fm in face_maps]
@@ -443,7 +418,7 @@ def coset_geometry(group: ConcreteGroup,
     fails."""
     for sub in subgroups:
         if not group.is_subgroup(sub):
-            raise ValueError("rank subgroup escapes the group")
+            raise NotASubgroup("rank subgroup escapes the group")
     rank = len(subgroups)
     decomps = [_coset_decomposition(group, sub) for sub in subgroups]
     canons = tuple(canon for _, canon in decomps)
@@ -521,7 +496,7 @@ def central_quotient(p: RankedIncidenceStructure, z,
     if z != identity:
         for ref in p.all_refs():
             if face_map[ref] == ref:
-                raise NotFree(f"face {ref} fixed by the centre")
+                raise NotFree("face fixed by the centre", ref)
 
     faces_by_rank = []
     orbit_key = {}
@@ -564,16 +539,16 @@ class ColoredGraph:
         seen_at: dict = {v: set() for v in self.vertices}
         for edge, color in self.edge_colors.items():
             if len(edge) != 2 or not edge <= set(self.vertices):
-                raise ImproperColouring(f"bad edge {edge}")
+                raise ImproperColouring("bad edge", edge)
             if not 1 <= color <= self.d:
-                raise ImproperColouring(f"colour {color} outside 1..{self.d}")
+                raise ImproperColouring("colour outside 1..d", (color, self.d))
             for v in edge:
                 if color in seen_at[v]:
-                    raise ImproperColouring(f"colour {color} repeated at {v}")
+                    raise ImproperColouring("colour repeated at a vertex", (color, v))
                 seen_at[v].add(color)
         for v, colors in seen_at.items():
             if len(colors) != self.d:
-                raise ImproperColouring(f"vertex {v} misses a colour class")
+                raise ImproperColouring("vertex misses a colour class", v)
 
     def neighbors(self, v, colors: frozenset):
         for edge, color in self.edge_colors.items():
@@ -626,13 +601,10 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
     struct.validate_polytope()
 
     # the 1-skeleton must reproduce the input graph (for d = 1 the single
-    # edge is the maximal face and there is nothing to compare)
+    # edge is the maximal face and there is nothing to compare); a rank-1
+    # component other than an edge is a mismatch too
     if cg.d >= 2:
-        skeleton = set()
-        for key in faces_by_rank[1]:
-            comp = key[1]
-            assert len(comp) == 2
-            skeleton.add(frozenset(comp))
+        skeleton = {frozenset(comp) for _, comp in faces_by_rank[1]}
         if skeleton != set(map(frozenset, cg.edge_colors)):
             raise ImproperColouring("1-skeleton mismatch")
     return struct
@@ -708,25 +680,6 @@ class CoveringReport:
         return sizes.pop() if len(sizes) == 1 else None
 
 
-def _section_isomorphic(cover, base, fm, cover_anchor, base_anchor, side: str) -> bool:
-    if side == "down":
-        cover_sec = cover.between(None, cover_anchor) + [cover_anchor]
-        base_sec = base.between(None, base_anchor) + [base_anchor]
-    else:
-        cover_sec = cover.between(cover_anchor, None) + [cover_anchor]
-        base_sec = base.between(base_anchor, None) + [base_anchor]
-    image = [fm[ref] for ref in cover_sec]
-    if len(set(image)) != len(cover_sec) or set(image) != set(base_sec):
-        return False
-    for a, b in itertools.combinations(range(len(cover_sec)), 2):
-        ca, cb = cover_sec[a], cover_sec[b]
-        if ca[0] == cb[0]:
-            continue
-        if cover.incident(ca, cb) != base.incident(image[a], image[b]):
-            return False
-    return True
-
-
 def verify_covering(cover: RankedIncidenceStructure, base: RankedIncidenceStructure,
                     face_map: Mapping[FaceRef, FaceRef]) -> CoveringReport:
     """Check a rank- and adjacency-preserving surjection of proper faces and
@@ -755,12 +708,16 @@ def verify_covering(cover: RankedIncidenceStructure, base: RankedIncidenceStruct
             if not base.incident(face_map[a], face_map[b]):
                 raise NotACovering("adjacency broken", (a, b))
 
-    facets_ok = all(
-        _section_isomorphic(cover, base, face_map, f, face_map[f], "down")
-        for f in cover.refs(cover.rank - 1))
-    vertices_ok = all(
-        _section_isomorphic(cover, base, face_map, v, face_map[v], "up")
-        for v in cover.refs(0))
+    def closed_section(s: RankedIncidenceStructure, a: FaceRef, below: bool) -> list:
+        return (s.between(None, a) if below else s.between(a, None)) + [a]
+
+    def isomorphic_on(anchors: list[FaceRef], below: bool) -> bool:
+        return all(_face_map_fault(cover, face_map, closed_section(cover, a, below),
+                                   base, closed_section(base, face_map[a], below)) is None
+                   for a in anchors)
+
+    facets_ok = isomorphic_on(cover.refs(cover.rank - 1), below=True)
+    vertices_ok = isomorphic_on(cover.refs(0), below=False)
 
     return CoveringReport(
         preimage_counts=tuple(counts),

@@ -1,0 +1,117 @@
+"""Build checks fail one way: `check` raises `CheckFailed`, the command line
+exits 1 and names the check, and all of it holds under `python -O`."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import polytope_forge
+from polytope_forge import cli
+from polytope_forge import cubefamily as cf
+from polytope_forge.groupcore import CheckFailed, NotASubgroup, Presentation, check
+from polytope_forge.mkconfig import CollinearityFailure
+from polytope_forge.polycore import (ConditionFailed, ImproperColouring, NotACovering,
+                                     NotAPolytope, NotCentral, NotEquivelar, NotFree)
+
+PACKAGE = Path(polytope_forge.__file__).resolve().parent
+
+
+def _wrong_map_relator(patch):
+    """(t0 t1)^8 = 1 becomes (t0 t1)^4 = 1, which the map's involutions break."""
+    real = cf.presentation_map_full
+    patch(cf, "presentation_map_full", lambda: Presentation(3, tuple(
+        (1, 2) * 4 if rel == (1, 2) * 8 else rel for rel in real().relators)))
+
+
+def _equal_roli_subgroups(patch):
+    real = cf._roli_subgroups
+    patch(cf, "_roli_subgroups", lambda rot: (real(rot)[0],) * 4)
+
+
+def _perturbed_pi_display(patch):
+    real = cf._SP
+    patch(cf, "_SP", lambda text: real(
+        "(1,1,1,1)·(4,3,2,1)" if text == "(-1,1,1,1)·(4,3,2,1)" else text))
+
+
+# fault -> (injection, command, the check it must name, names of the
+# cached builds between the fault and the command)
+FAULTS = {
+    "map-relator": (_wrong_map_relator, ["build", "map"], "map.full-presentation",
+                    ("build_map",)),
+    "roli-subgroups": (_equal_roli_subgroups, ["build", "roli"], "roli.stabilizer-orders",
+                       ("build_roli",)),
+    "atlas-display": (_perturbed_pi_display, ["build", "cube"], "atlas.pi-display",
+                      ("build_atlas", "group_cube", "build_cube")),
+}
+
+
+def run_fault(fault: str, patch=setattr) -> int:
+    """Inject the fault, run its command through `cli.main`, return the exit
+    code.  The caches are cleared first, so the build runs under the fault,
+    and again after, so no cached value outlives it."""
+    inject, argv, _, caches = FAULTS[fault]
+    inject(patch)
+    for name in caches:
+        getattr(cf, name).cache_clear()
+    try:
+        return cli.main(argv)
+    finally:
+        for name in caches:
+            getattr(cf, name).cache_clear()
+
+
+def _optimized(*args: str) -> subprocess.CompletedProcess:
+    """Run `python -O` with the package and this directory importable."""
+    path = os.pathsep.join([str(PACKAGE.parent), str(Path(__file__).resolve().parent)])
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_exits_1_and_names_its_check(fault, monkeypatch, capsys):
+    assert run_fault(fault, monkeypatch.setattr) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"check failed: {FAULTS[fault][2]}"), err
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_exits_1_and_names_its_check_under_optimize(fault):
+    run = _optimized("-c", "import sys, test_checks; "
+                           f"sys.exit(test_checks.run_fault({fault!r}))")
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith(f"check failed: {FAULTS[fault][2]}"), run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_verify_all_under_optimize_prints_the_same_claims(capsys):
+    assert cli.main(["verify", "--all"]) == 0
+    normal = capsys.readouterr().out.splitlines()
+    run = _optimized("-m", "polytope_forge.cli", "verify", "--all")
+    assert run.returncode == 0, run.stderr
+    optimized = run.stdout.splitlines()
+    assert optimized[:-1] == normal[:-1]
+    assert optimized[-1].startswith("all claims pass in ")
+
+
+def test_package_has_no_assert_statement():
+    found = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_check_names_its_failure_and_witness():
+    check(True, "never.raised")
+    with pytest.raises(CheckFailed) as exc:
+        check(0, "some.check")
+    assert str(exc.value) == exc.value.name == "some.check" and exc.value.witness is None
+    with pytest.raises(CheckFailed, match=r"^some\.check: \[1, 'a'\]$"):
+        check([], "some.check", [1, "a"])
+    for typed in (NotAPolytope, NotACovering, ConditionFailed, NotEquivelar, NotCentral,
+                  NotFree, ImproperColouring, CollinearityFailure, NotASubgroup):
+        assert issubclass(typed, CheckFailed), typed

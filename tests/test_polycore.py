@@ -182,16 +182,6 @@ def test_flag_adjacency_against_brute_force(build):
             assert struct.flag_adjacent(f, j) == sorted(g for g, ks in differ if ks == [j])
 
 
-def test_flag_membership_checks():
-    struct = build_cube().structure
-    flag = struct.flags()[0]
-    refs = [(r, i) for r, i in enumerate(flag)]
-    assert struct.is_flag(refs)
-    off_edge = next(v for v in struct.refs(0) if not struct.incident(v, refs[1]))
-    assert not struct.is_flag([off_edge] + refs[1:])
-    assert not struct.is_flag(refs[:3])
-
-
 def test_reflection_construction_rejects_bad_generators(atlas):
     from polytope_forge.polycore import ConditionFailed
     # reordering breaks the linear-diagram commutation
@@ -260,17 +250,6 @@ def test_quotient_by_face_fixing_involution_rejected(atlas):
     assert digon.f_vector == (2, 2)
     with pytest.raises(NotFree):
         central_quotient(digon, flip1)
-
-
-def test_structure_json_dump():
-    struct = build_map().structure
-    data = struct.to_json_dict(classification="regular")
-    assert data["schema"] == "polytope-forge/1"
-    assert data["f_vector"] == [16, 24, 6]
-    assert data["type_vector"] == [8, 3]
-    assert data["classification"] == "regular"
-    assert len(data["faces"]["0"]) == 16
-    assert all(len(entry) == 4 for entry in data["incidence"])
 
 
 def test_regular_flag_counts_match_group_orders():
@@ -391,7 +370,7 @@ def test_validate_polytope_rejects_face_outside_every_flag():
     struct = _from_vertex_sets(faces)
     with pytest.raises(NotAPolytope) as exc:
         struct.validate_polytope()
-    assert exc.value.axiom == "chain not contained in any flag"
+    assert exc.value.name == "chain not contained in any flag"
     assert exc.value.witness == [(0, 4)]
 
 
@@ -399,7 +378,7 @@ def test_validate_polytope_rejects_empty_rank():
     struct = RankedIncidenceStructure(2, [["a", "b"], []], [])
     with pytest.raises(NotAPolytope) as exc:
         struct.validate_polytope()
-    assert exc.value.axiom == "empty rank"
+    assert exc.value.name == "empty rank"
 
 
 def test_triangular_prism_is_a_polytope_but_not_equivelar():
@@ -426,7 +405,7 @@ def test_validate_polytope_rejects_disconnected_section():
     struct = RankedIncidenceStructure(2, faces, pairs)
     with pytest.raises(NotAPolytope) as exc:
         struct.validate_polytope()
-    assert exc.value.axiom == "section not connected"
+    assert exc.value.name == "section not connected"
 
 
 # -- graph isomorphism, against networkx as an independent oracle ------------------
