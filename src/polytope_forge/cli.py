@@ -587,7 +587,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (CapExceeded, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     return 2
 

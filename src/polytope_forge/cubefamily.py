@@ -1131,7 +1131,7 @@ class CoverBundle:
             "schema": "polytope-forge/1",
             "object": "cover",
             "group_order": len(self.structure.group),
-            "rotation_group_order": 384,
+            "rotation_group_order": len(group_cover_rotation()),
             "f_vector": list(self.structure.f_vector),
             "type_vector": list(self.type_vector),
             "classification": self.classification.value,
@@ -1165,9 +1165,11 @@ def build_cover() -> CoverBundle:
     t_plus = group_cover_rotation()
     t_full = group_cover()
     taus = t_full.generator_list()
+    check(t_plus.element_set <= t_full.element_set and 2 * len(t_plus) == len(t_full),
+          "cover.rotation-subgroup-of-index-2", len(t_plus))
 
     string_ok = string_condition(taus)
-    intersection_ok = intersection_condition(taus)
+    intersection_ok = intersection_condition(t_full)
     check(string_ok and intersection_ok, "cover.string-c-group", (string_ok, intersection_ok))
     check(verify_relators(taus, presentation_cover(corrected=True)), "cover.presentation")
 
@@ -1243,11 +1245,9 @@ def build_cover() -> CoverBundle:
           "cover.two-to-one-three-coverings", (covering_right, covering_left))
 
     cube = build_cube()
-    fm_cube = {}
-    for r in range(4):
-        canon = cube.structure.coset_canon[r]
-        for ref in struct.refs(r):
-            fm_cube[ref] = cube.structure.ref(r, canon[hom(struct.key(ref))])
+    cube_index = cube.structure.group.table().index
+    fm_cube = {ref: (ref[0], cube.structure.coset_canon[ref[0]][cube_index[hom(struct.key(ref))]])
+               for ref in struct.all_refs()}
     covering_cube = verify_covering(struct, cube.structure, fm_cube)
     check([c[0] for c in covering_cube.preimage_counts] == [2, 2, 1, 1],
           "cover.cube-fibers", covering_cube.preimage_counts)

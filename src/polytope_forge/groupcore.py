@@ -2,9 +2,11 @@
 stabilizers, homomorphism extension over a Cayley graph, string/intersection
 conditions, and coset enumeration of finite presentations.
 
-Everything is brute force by design: the groups in scope have order at most
-768, so exhaustive closure beats clever data structures on clarity and makes
-every claim directly checkable.
+Every group is fully enumerated.  Its closure is kept as an integer action
+table (the Cayley graph of the generators, with a breadth-first spanning
+tree that gives each element a generator word), so subgroups generated by
+some of the generators, right cosets and products with an element become
+integer searches rather than fresh products of group elements.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "CheckFailed",
     "check",
     "CapExceeded",
     "NotASubgroup",
+    "ActionTable",
     "ConcreteGroup",
     "orbit",
     "stabilizer",
@@ -63,12 +66,28 @@ class NotASubgroup(CheckFailed):
     pass
 
 
+class ActionTable(NamedTuple):
+    """A group's closure as integers: `index[e]` is the position of element
+    e, `act[i][k]` the position of elements[i] * gens[k], and `parent[i] =
+    (p, k)` says that elements[i] = elements[p] * gens[k] with p < i (None
+    at the identity, position 0).  Following parents back to the identity
+    spells a generator word for every element."""
+
+    index: dict
+    act: list
+    parent: list
+
+
 class ConcreteGroup:
     """A fully enumerated finite group with named generators.
 
     Elements may be any hashable values supporting `*` and `.inverse()`;
     the element list is kept in breadth-first closure order, which makes
-    every derived listing deterministic.
+    every derived listing deterministic.  Under it sits an ActionTable:
+    `generate` records it while it closes, and a group built directly gets
+    it from products on first use.  Subgroups generated by generator
+    columns, right cosets and products with an element's word are then
+    integer searches over the table.
     """
 
     def __init__(self, elements: Sequence, generators: Mapping[str, object], identity):
@@ -78,11 +97,14 @@ class ConcreteGroup:
         self.identity = identity
         if len(self.element_set) != len(self.elements):
             raise ValueError("duplicate elements")
+        self._table: ActionTable | None = None
+        self._spans: dict[int, list[int]] = {}
 
     @classmethod
     def generate(cls, generators, cap: int = DEFAULT_CAP, names: Sequence[str] | None = None
                  ) -> "ConcreteGroup":
-        """Close a generating set under multiplication (fixed-point pass)."""
+        """Close a generating set under multiplication, breadth first,
+        recording the action table on the way."""
         if isinstance(generators, Mapping):
             named = dict(generators)
         else:
@@ -95,22 +117,26 @@ class ConcreteGroup:
         gen_list = list(named.values())
         identity = gen_list[0] * gen_list[0].inverse()
         elements = [identity]
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for g in gen_list:
-                    prod = e * g
-                    if prod not in seen:
-                        seen.add(prod)
-                        elements.append(prod)
-                        nxt.append(prod)
-                        if len(elements) > cap:
-                            raise CapExceeded(
-                                f"closure exceeded cap={cap}; wrong generators?")
-            frontier = nxt
-        return cls(elements, named, identity)
+        index = {identity: 0}
+        act = []
+        parent = [None]
+        for i, e in enumerate(elements):  # the list grows while it is read
+            row = []
+            for k, g in enumerate(gen_list):
+                prod = e * g
+                j = index.get(prod)
+                if j is None:
+                    j = index[prod] = len(elements)
+                    elements.append(prod)
+                    parent.append((i, k))
+                    if len(elements) > cap:
+                        raise CapExceeded(
+                            f"closure exceeded cap={cap}; wrong generators?")
+                row.append(j)
+            act.append(row)
+        group = cls(elements, named, identity)
+        group._table = ActionTable(index, act, parent)
+        return group
 
     # -- basics --------------------------------------------------------------
 
@@ -136,9 +162,6 @@ class ConcreteGroup:
             raise NotASubgroup("generators escape the ambient group")
         return sub
 
-    def is_subgroup(self, other: "ConcreteGroup") -> bool:
-        return other.element_set <= self.element_set
-
     def centre(self) -> "ConcreteGroup":
         gens = self.generator_list()
         central = [z for z in self.elements
@@ -146,26 +169,100 @@ class ConcreteGroup:
         names = {f"z{i}": z for i, z in enumerate(central)}
         return ConcreteGroup(central, names, self.identity)
 
-    def coset_reps(self, sub: "ConcreteGroup") -> list:
-        """One representative per right coset (sub)g, in first-appearance order."""
-        if not self.is_subgroup(sub):
-            raise NotASubgroup("coset_reps: not a subgroup")
-        reps = []
-        covered = set()
-        for g in self.elements:
-            if g in covered:
-                continue
-            reps.append(g)
-            covered.update(s * g for s in sub.elements)
-        check(len(reps) * len(sub) == len(self), "group.cosets-partition-the-group", len(reps))
-        return reps
-
     def element_order(self, g) -> int:
         k, e = 1, g
         while e != self.identity:
             e = e * g
             k += 1
         return k
+
+    # -- the action table -----------------------------------------------------
+
+    def table(self) -> ActionTable:
+        """The action table; for a group built directly, from products, with
+        each element's parent the first (p, k) with p before it."""
+        if self._table is None:
+            index = {e: i for i, e in enumerate(self.elements)}
+            gens = self.generator_list()
+            act = [[index.get(e * g) for g in gens] for e in self.elements]
+            parent = [None] * len(self)
+            for i, row in enumerate(act):
+                for k, j in enumerate(row):
+                    if j is not None and j > i and parent[j] is None:
+                        parent[j] = (i, k)
+            hole = next((i for i, row in enumerate(act) if None in row), None)
+            check(hole is None, "group.closed-under-generators", hole)
+            unreached = next((i for i in range(1, len(self)) if parent[i] is None), None)
+            check(self.elements[0] == self.identity and unreached is None,
+                  "group.generators-reach-every-element", unreached)
+            self._table = ActionTable(index, act, parent)
+        return self._table
+
+    def word(self, i: int) -> list[int]:
+        """Generator columns that spell elements[i] from the identity."""
+        parent = self.table().parent
+        out = []
+        while i:
+            i, k = parent[i]
+            out.append(k)
+        out.reverse()
+        return out
+
+    def walk(self, i: int, word: Iterable[int]) -> int:
+        """The position of elements[i] times the generators of `word`."""
+        act = self.table().act
+        for k in word:
+            i = act[i][k]
+        return i
+
+    def span(self, mask: int) -> list[int]:
+        """Positions of the subgroup generated by the generators whose bits
+        are set in mask, in breadth-first order from the identity."""
+        if mask not in self._spans:
+            act = self.table().act
+            cols = [k for k in range(len(self.generators)) if mask >> k & 1]
+            seen = bytearray(len(self))
+            seen[0] = 1
+            out = [0]
+            for i in out:  # the list grows while it is read
+                row = act[i]
+                for k in cols:
+                    j = row[k]
+                    if not seen[j]:
+                        seen[j] = 1
+                        out.append(j)
+            self._spans[mask] = out
+        return self._spans[mask]
+
+    def right_cosets(self, sub: "ConcreteGroup") -> list[list[int]]:
+        """The right cosets (sub)g as lists of positions, in order of first
+        appearance.  The coset of g is the walk of every h in sub along the
+        word of g; it is found one step at a time: if g = p * gens[k], then
+        (sub)g is (sub)p moved by column k."""
+        index, act, parent = self.table()
+        sub_positions = [index.get(h) for h in sub.elements]
+        if None in sub_positions:
+            raise NotASubgroup("subgroup escapes the group")
+        coset_of = [-1] * len(self)
+        cosets: list[list[int]] = []
+        for g in range(len(self)):
+            if coset_of[g] >= 0:
+                continue
+            if g:
+                p, k = parent[g]
+                members = [act[x][k] for x in cosets[coset_of[p]]]
+            else:
+                members = sub_positions
+            for x in members:
+                coset_of[x] = len(cosets)
+            cosets.append(members)
+        check(len(cosets) * len(sub) == len(self), "group.cosets-partition-the-group",
+              len(cosets))
+        return cosets
+
+    def coset_reps(self, sub: "ConcreteGroup") -> list:
+        """One representative per right coset (sub)g, in first-appearance order."""
+        return [self.elements[min(coset)] for coset in self.right_cosets(sub)]
 
 
 # -- orbits -------------------------------------------------------------------
@@ -276,24 +373,21 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
         raise ValueError(f"images missing for generators {sorted(missing)}")
     some_image = next(iter(images.values()))
     target_identity = some_image * some_image.inverse()
-    mapping = {src.identity: target_identity}
-    words = {src.identity: ()}
-    queue = deque([src.identity])
-    while queue:
-        e = queue.popleft()
-        for name, g in src.generators.items():
-            e2 = e * g
-            img2 = mapping[e] * images[name]
-            w2 = words[e] + (name,)
-            if e2 in mapping:
-                if mapping[e2] != img2:
-                    return HomomorphismFailure(word_a=w2, word_b=words[e2])
-            else:
-                mapping[e2] = img2
-                words[e2] = w2
-                queue.append(e2)
-    check(len(mapping) == len(src), "hom.extension-covers-the-group", len(mapping))
-    return Homomorphism(source=src, gen_images=dict(images), mapping=mapping)
+    names = list(src.generators)
+    _, act, parent = src.table()
+    image = [target_identity] + [None] * (len(src) - 1)
+    for i, row in enumerate(act):  # parents come first: image[i] is set
+        for k, j in enumerate(row):
+            img = image[i] * images[names[k]]
+            if parent[j] == (i, k):
+                image[j] = img
+            elif image[j] != img:
+                return HomomorphismFailure(
+                    word_a=tuple(names[c] for c in src.word(i)) + (names[k],),
+                    word_b=tuple(names[c] for c in src.word(j)))
+    check(None not in image, "hom.extension-covers-the-group", image.count(None))
+    return Homomorphism(source=src, gen_images=dict(images),
+                        mapping=dict(zip(src.elements, image)))
 
 
 def witness_pair_inconsistent(src: ConcreteGroup, images: Mapping[str, object],
@@ -327,25 +421,19 @@ def string_condition(gens: Sequence) -> bool:
     return True
 
 
-def intersection_condition(gens: Sequence, cap: int = DEFAULT_CAP) -> bool:
-    """<g_i : i in I> meet <g_i : i in J> equals <g_i : i in I&J>, all I, J.
+def intersection_condition(group: ConcreteGroup) -> bool:
+    """<g_i : i in I> meet <g_i : i in J> equals <g_i : i in I&J>, for all
+    subsets I, J of the group's generators.
 
-    Computed by explicit closure over every subset of the generators.
+    Each subgroup is the closure of the identity under its generator
+    columns of the action table.
     """
-    for g in gens:
+    for g in group.generator_list():
         if not g.is_involution():
             raise ValueError("intersection_condition expects involutions")
-    n = len(gens)
-    identity = gens[0] * gens[0].inverse()
-    closures: dict[int, frozenset] = {0: frozenset([identity])}
-    for mask in range(1, 1 << n):
-        sub = [gens[i] for i in range(n) if mask & (1 << i)]
-        closures[mask] = ConcreteGroup.generate(sub, cap=cap).element_set
-    for mask_i in range(1 << n):
-        for mask_j in range(mask_i, 1 << n):
-            if closures[mask_i] & closures[mask_j] != closures[mask_i & mask_j]:
-                return False
-    return True
+    masks = range(1 << len(group.generators))
+    spans = [frozenset(group.span(mask)) for mask in masks]
+    return all(spans[i] & spans[j] == spans[i & j] for i in masks for j in masks if j >= i)
 
 
 # -- presentations --------------------------------------------------------------
@@ -454,10 +542,15 @@ class CosetTable:
     def validate(self, pres: Presentation) -> bool:
         if pres.generator_count != self.generator_count:
             return False
-        for c in range(self.index):
-            for rel in pres.relators:
-                if self.trace(c, rel) != c:
-                    return False
+        # every relator acts on the cosets as the identity permutation
+        identity = list(range(self.index))
+        for rel in pres.relators:
+            images = identity
+            for x in rel:
+                col = self._col(x)
+                images = [self.rows[c][col] for c in images]
+            if images != identity:
+                return False
         return all(self.trace(0, w) == 0 for w in self.subgroup_words)
 
 
@@ -491,9 +584,6 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         while parent[a] != root:
             parent[a], a = root, parent[a]
         return root
-
-    def col_of(letter: int) -> int:
-        return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
     def define(a: int, c: int) -> int:
         if stats["defined"] >= cap:
@@ -535,18 +625,19 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                 if d != -1:
                     deduce(x, c, find(d))
 
-    def scan_and_fill(a: int, word: Sequence[int]) -> None:
-        n = len(word)
+    def scan_and_fill(a: int, cols: Sequence[int]) -> None:
+        """Scan the word whose letters are the table columns `cols`."""
+        n = len(cols)
         if n == 0:
             return
         f, i = find(a), 0
         b, j = find(a), n
         while True:
             while i < j:
-                nxt = table[f][col_of(word[i])]
+                nxt = table[f][cols[i]]
                 if nxt == -1:
                     break
-                f = find(nxt)
+                f = nxt if parent[nxt] == nxt else find(nxt)
                 i += 1
             if i == j:
                 if f != b:
@@ -554,34 +645,35 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                     process_pending()
                 return
             while j > i + 1:
-                prv = table[b][col_of(word[j - 1]) ^ 1]
+                prv = table[b][cols[j - 1] ^ 1]
                 if prv == -1:
                     break
-                b = find(prv)
+                b = prv if parent[prv] == prv else find(prv)
                 j -= 1
             if j == i + 1:
-                deduce(f, col_of(word[i]), b)
+                deduce(f, cols[i], b)
                 process_pending()
                 return
-            f = define(f, col_of(word[i]))
+            f = define(f, cols[i])
             i += 1
 
+    relator_cols = [[CosetTable._col(x) for x in rel] for rel in pres.relators]
     for w in subgroup_words:
-        scan_and_fill(find(0), w)
+        scan_and_fill(find(0), [CosetTable._col(x) for x in w])
 
     while True:
         before = (stats["defined"], stats["merged"])
         i = 0
         while i < len(table):
-            if find(i) == i:
-                for rel in pres.relators:
-                    if find(i) != i:
+            if parent[i] == i:  # i is live
+                for cols in relator_cols:
+                    if parent[i] != i:
                         break
-                    scan_and_fill(i, rel)
+                    scan_and_fill(i, cols)
             i += 1
         i = 0
         while i < len(table):
-            if find(i) == i:
+            if parent[i] == i:
                 for c in range(ncols):
                     if table[i][c] == -1:
                         define(i, c)

@@ -14,7 +14,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .groupcore import CheckFailed, ConcreteGroup, NotASubgroup, QuotientElem, check
+from .groupcore import CheckFailed, ConcreteGroup, QuotientElem, check
 
 __all__ = [
     "NotAPolytope",
@@ -163,7 +163,8 @@ class RankedIncidenceStructure:
         # optional metadata attached by builders
         self.group: ConcreteGroup | None = None
         self.subgroups: tuple | None = None
-        self.coset_canon: tuple[dict, ...] | None = None  # per rank: element -> coset rep
+        # per rank: position of a group element -> index of its coset's face
+        self.coset_canon: tuple[list[int], ...] | None = None
         self.realization: dict[FaceRef, object] | None = None
 
     # -- face bookkeeping ----------------------------------------------------
@@ -395,37 +396,32 @@ def classify(p: RankedIncidenceStructure,
 # -- coset geometries -----------------------------------------------------------
 
 
-def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup):
-    """Canonical representative (minimum) per right coset, plus the map
-    element -> canonical representative of its coset."""
-    canon: dict = {}
-    reps = []
-    for g in group.elements:
-        if g in canon:
-            continue
-        members = sorted(s * g for s in sub.elements)
-        rep = members[0]
-        reps.append(rep)
-        for m in members:
-            canon[m] = rep
-    return sorted(reps), canon
+def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup) -> tuple[list, list[int]]:
+    """The canonical representative (the least member) of each right coset
+    of sub, sorted, and canon[i]: the position among them of the coset of
+    group.elements[i]."""
+    elements = group.elements
+    coset_of = {min(coset, key=elements.__getitem__): coset for coset in group.right_cosets(sub)}
+    reps = sorted(coset_of, key=elements.__getitem__)
+    canon = [0] * len(group)
+    for face, rep in enumerate(reps):
+        for i in coset_of[rep]:
+            canon[i] = face
+    return [elements[i] for i in reps], canon
 
 
 def coset_geometry(group: ConcreteGroup,
                    subgroups: Sequence[ConcreteGroup]) -> RankedIncidenceStructure:
     """Faces of rank j are right cosets of subgroups[j]; two faces are
-    incident when the cosets intersect.  Raises NotAPolytope when an axiom
-    fails."""
-    for sub in subgroups:
-        if not group.is_subgroup(sub):
-            raise NotASubgroup("rank subgroup escapes the group")
+    incident when the cosets intersect.  Raises NotASubgroup when a
+    subgroup escapes the group and NotAPolytope when an axiom fails."""
     rank = len(subgroups)
     decomps = [_coset_decomposition(group, sub) for sub in subgroups]
     canons = tuple(canon for _, canon in decomps)
-    # the cosets of alpha and beta meet iff some g lies in both
-    pairs = {((j, canons[j][g]), (k, canons[k][g]))
-             for g in group.elements
-             for j in range(rank) for k in range(j + 1, rank)}
+    # the cosets of faces a and b meet iff some element lies in both
+    pairs = {((j, decomps[j][0][a]), (k, decomps[k][0][b]))
+             for j in range(rank) for k in range(j + 1, rank)
+             for a, b in set(zip(canons[j], canons[k]))}
 
     struct = RankedIncidenceStructure(rank, [reps for reps, _ in decomps], pairs)
     struct.group = group
@@ -436,16 +432,15 @@ def coset_geometry(group: ConcreteGroup,
 
 
 def coset_face_action(struct: RankedIncidenceStructure, element) -> dict[FaceRef, FaceRef]:
-    """The face permutation induced by right multiplication on cosets."""
+    """The face permutation induced by right multiplication on cosets: each
+    representative walks along the word of `element`."""
     if struct.coset_canon is None:
         raise ValueError("structure carries no coset decomposition")
-    fm = {}
-    for r in range(struct.rank):
-        canon = struct.coset_canon[r]
-        for ref in struct.refs(r):
-            rep = struct.key(ref)
-            fm[ref] = struct.ref(r, canon[rep * element])
-    return fm
+    group = struct.group
+    index = group.table().index
+    word = group.word(index[element])
+    return {ref: (ref[0], struct.coset_canon[ref[0]][group.walk(index[struct.key(ref)], word)])
+            for ref in struct.all_refs()}
 
 
 def polytope_from_reflections(group: ConcreteGroup) -> RankedIncidenceStructure:
@@ -458,16 +453,13 @@ def polytope_from_reflections(group: ConcreteGroup) -> RankedIncidenceStructure:
     from .groupcore import string_condition, intersection_condition
     if not string_condition(gens):
         raise ConditionFailed("string condition fails")
-    if not intersection_condition(gens):
+    if not intersection_condition(group):
         raise ConditionFailed("intersection condition fails")
-    subgroups = []
-    for j in range(len(gens)):
-        rest = [g for i, g in enumerate(gens) if i != j]
-        if rest:
-            subgroups.append(group.subgroup(rest))
-        else:
-            subgroups.append(ConcreteGroup([group.identity],
-                                           {"e": group.identity}, group.identity))
+    named = list(group.generators.items())
+    full = (1 << len(named)) - 1
+    subgroups = [ConcreteGroup([group.elements[i] for i in group.span(full & ~(1 << j))],
+                               dict(named[:j] + named[j + 1:]), group.identity)
+                 for j in range(len(named))]
     return coset_geometry(group, subgroups)
 
 

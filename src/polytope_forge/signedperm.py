@@ -56,6 +56,16 @@ class SignedPerm:
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "_hash", hash((signs, perm)))
 
+    @classmethod
+    def _trusted(cls, signs: tuple, perm: tuple) -> "SignedPerm":
+        """Build from tuples already known to be valid, such as the product
+        or inverse of valid signed permutations, skipping the checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "_hash", hash((signs, perm)))
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SignedPerm is immutable")
 
@@ -102,7 +112,7 @@ class SignedPerm:
         eo, po = other.signs, other.perm
         signs = tuple(es[i] * eo[ps[i] - 1] for i in range(len(ps)))
         perm = tuple(po[ps[i] - 1] for i in range(len(ps)))
-        return SignedPerm(signs, perm)
+        return SignedPerm._trusted(signs, perm)
 
     def inverse(self) -> "SignedPerm":
         n = self.n
@@ -110,7 +120,7 @@ class SignedPerm:
         for i, img in enumerate(self.perm):
             inv[img - 1] = i + 1
         signs = tuple(self.signs[inv[j] - 1] for j in range(n))
-        return SignedPerm(signs, tuple(inv))
+        return SignedPerm._trusted(signs, tuple(inv))
 
     def __pow__(self, k: int) -> "SignedPerm":
         if k < 0:

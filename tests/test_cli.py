@@ -173,6 +173,11 @@ def test_main_usage_errors(capsys):
         assert exc.value.code == 2, argv
 
 
+def test_main_unknown_claim_id_message(capsys):
+    assert cli.main(["verify", "no.such-claim"]) == 2
+    assert capsys.readouterr().err == "error: unknown claim ids: ['no.such-claim']\n"
+
+
 def test_main_unwritable_out_is_a_usage_error(tmp_path, capsys):
     out = str(tmp_path / "missing" / "out.txt")
     for argv in (["build", "cube"], ["verify", "petrie.count"], ["project"]):

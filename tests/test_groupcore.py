@@ -4,6 +4,7 @@ import pytest
 
 from polytope_forge.cubefamily import (
     build_atlas,
+    group_cover,
     group_cover_rotation,
     group_cube,
     group_map_rotation,
@@ -20,6 +21,7 @@ from polytope_forge.groupcore import (
     NotASubgroup,
     Presentation,
     QuotientElem,
+    eval_word,
     extend_homomorphism,
     intersection_condition,
     orbit,
@@ -171,13 +173,15 @@ def test_string_condition(atlas):
 
 
 def test_intersection_condition(atlas):
-    assert intersection_condition([atlas.rho0, atlas.rho1, atlas.rho2, atlas.rho3])
-    assert intersection_condition([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3])
-    assert intersection_condition([atlas.rho0])
+    assert intersection_condition(
+        ConcreteGroup.generate([atlas.rho0, atlas.rho1, atlas.rho2, atlas.rho3]))
+    assert intersection_condition(
+        ConcreteGroup.generate([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3]))
+    assert intersection_condition(ConcreteGroup.generate([atlas.rho0]))
     # a frozen counterexample that still satisfies the string condition
     bad = [atlas.rho0, atlas.rho1, atlas.zeta * atlas.rho0]
     assert string_condition(bad)
-    assert not intersection_condition(bad)
+    assert not intersection_condition(ConcreteGroup.generate(bad))
 
 
 def test_verify_relators(atlas):
@@ -208,3 +212,84 @@ def test_quotient_elements(atlas):
         {name: QuotientElem(g, atlas.zeta)
          for name, g in group_cube().generators.items()})
     assert len(quotient) == 192
+
+
+# -- the action table ------------------------------------------------------------
+
+
+def _bn_group(n):
+    """B_n from its Coxeter reflections as signed permutations."""
+    rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
+    swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
+    return ConcreteGroup.generate([rho0] + swaps)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _bn_group(3), lambda: _bn_group(4), lambda: _bn_group(5), group_cover,
+], ids=["b3", "b4", "b5", "cover"])
+def test_action_table_against_products(make):
+    g = make()
+    gens = g.generator_list()
+    index, act, parent = g.table()
+    assert [index[e] for e in g.elements] == list(range(len(g)))
+    for i, e in enumerate(g.elements):
+        assert [g.elements[j] for j in act[i]] == [e * s for s in gens]
+        if i:
+            assert parent[i][0] < i
+        word = g.word(i)
+        assert eval_word(gens, [k + 1 for k in word], g.identity) == e
+        assert g.walk(0, word) == i
+    # a group built directly gets the same table from products
+    assert ConcreteGroup(g.elements, g.generators, g.identity).table() == g.table()
+
+
+def _intersection_by_closure(gens):
+    """The closure routine intersection_condition used before the table."""
+    n = len(gens)
+    closures = {0: frozenset([gens[0] * gens[0].inverse()])}
+    for mask in range(1, 1 << n):
+        sub = [gens[i] for i in range(n) if mask & (1 << i)]
+        closures[mask] = ConcreteGroup.generate(sub).element_set
+    return closures, all(closures[a] & closures[b] == closures[a & b]
+                         for a in range(1 << n) for b in range(a, 1 << n))
+
+
+@pytest.mark.parametrize("names", [
+    ("rho0", "rho1", "rho2", "rho3"), ("tau0", "tau1", "tau2", "tau3"), ("rho0",), "bad",
+], ids=["rho", "tau", "rho0", "bad"])
+def test_intersection_condition_against_closures(atlas, names, monkeypatch):
+    if names == "bad":
+        gens = [atlas.rho0, atlas.rho1, atlas.zeta * atlas.rho0]
+    else:
+        gens = [getattr(atlas, name) for name in names]
+    closures, expected = _intersection_by_closure(gens)
+    group = ConcreteGroup.generate(gens)
+    assert expected is (names != "bad")
+    for mask, closure in closures.items():
+        assert {group.elements[i] for i in group.span(mask)} == closure
+    # the integer condition closes no group of its own
+    monkeypatch.setattr(ConcreteGroup, "generate", None)
+    assert intersection_condition(group) is expected
+
+
+def _coset_reps_by_products(group, sub):
+    """The product routine coset_reps used before the table."""
+    reps, covered = [], set()
+    for g in group.elements:
+        if g not in covered:
+            reps.append(g)
+            covered.update(s * g for s in sub.elements)
+    return reps
+
+
+def test_coset_reps_against_products(atlas):
+    g = group_cube()
+    rot = group_rotation_sigma()
+    k = setwise_stabilizer(g, atlas.base_octagon.vertex_set())  # its table comes lazily
+    for group, sub in ((g, g.subgroup([atlas.rho1, atlas.rho2, atlas.rho3])),
+                       (k, k.subgroup([atlas.mu0])),
+                       (g, stabilizer(g, atlas.v)),
+                       (g, setwise_stabilizer(g, atlas.base_octagon.vertex_set())),
+                       (rot, rot.subgroup([atlas.sigma1, atlas.sigma2])),
+                       (g, g)):
+        assert group.coset_reps(sub) == _coset_reps_by_products(group, sub)

@@ -16,6 +16,7 @@ from polytope_forge.cubefamily import (
     build_atlas,
     build_cover,
     build_cube,
+    build_enantiomorph,
     build_hemi,
     build_map,
     build_roli,
@@ -26,6 +27,7 @@ from polytope_forge.cubefamily import (
 )
 from polytope_forge.groupcore import ConcreteGroup
 from polytope_forge.polycore import (
+    _coset_decomposition,
     Classification,
     ColoredGraph,
     ImproperColouring,
@@ -141,6 +143,49 @@ def test_coset_incidence_matches_its_definition(make):
             actual = {(ra, rb) for ra in struct.refs(j) for rb in struct.refs(k)
                       if struct.incident(ra, rb)}
             assert expected and actual == expected, (j, k)
+
+
+def _decomposition_by_products(group, sub):
+    """The sorted-product routine _coset_decomposition used before the
+    action table: element -> least member of its right coset."""
+    canon = {}
+    for g in group.elements:
+        if g not in canon:
+            members = sorted(s * g for s in sub.elements)
+            canon.update(dict.fromkeys(members, members[0]))
+    return sorted(set(canon.values())), canon
+
+
+def _b4_polytope():
+    rho0 = SignedPerm((-1, 1, 1, 1), (1, 2, 3, 4))
+    swaps = [SignedPerm.from_cycles(4, [(i, i + 1)]) for i in (1, 2, 3)]
+    return polytope_from_reflections(ConcreteGroup.generate([rho0] + swaps))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cube().structure,
+    lambda: build_map().structure_cosets,
+    lambda: build_roli().structure,
+    lambda: build_enantiomorph().structure,  # two subgroups are stabilizers
+    lambda: build_cover().structure,
+    _b4_polytope,
+], ids=["cube", "map", "roli", "enantiomorph", "cover", "b4"])
+def test_coset_decomposition_against_products(make, monkeypatch):
+    struct = make()
+    group = struct.group
+    old = [_decomposition_by_products(group, sub) for sub in struct.subgroups]
+    elements = group.generator_list() + list(group.elements[-3:])
+    old_actions = [{ref: struct.ref(ref[0], old[ref[0]][1][struct.key(ref) * g])
+                    for ref in struct.all_refs()} for g in elements]
+    # the integer routines multiply no group elements
+    products = []
+    monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(1))
+    for (old_reps, old_canon), sub in zip(old, struct.subgroups):
+        reps, canon = _coset_decomposition(group, sub)
+        assert reps == old_reps
+        assert [reps[c] for c in canon] == [old_canon[g] for g in group.elements]
+    assert [coset_face_action(struct, g) for g in elements] == old_actions
+    assert products == []
 
 
 def test_coset_face_action_needs_coset_data():

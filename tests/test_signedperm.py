@@ -164,10 +164,22 @@ def test_dimension_mismatch_rejected(atlas):
         atlas.pi.act((1, 1, 1, 1, 1, 1, 1, 1))
 
 
+def test_products_and_inverses_match_the_public_constructor():
+    # products and inverses skip the validity checks; over all of B_4 each
+    # one equals the signed permutation the checked constructor builds
+    b4 = group_cube().elements
+    for a in b4:
+        for g in [a.inverse()] + [a * b for b in b4]:
+            rebuilt = SignedPerm(g.signs, g.perm)
+            assert (g.signs, g.perm) == (rebuilt.signs, rebuilt.perm)
+            assert type(g.signs) is type(g.perm) is tuple and hash(g) == hash(rebuilt)
+
+
 def test_invalid_constructions_rejected():
-    with pytest.raises(ValueError):
-        SignedPerm((1, 1, 1, 2), (1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        SignedPerm((1, 1, 1, 1), (1, 2, 2, 4))
+    for signs, perm in [((1, 1, 1, 2), (1, 2, 3, 4)), ((1, 0, 1, 1), (1, 2, 3, 4)),
+                        ((1, 1, 1, 1), (1, 2, 2, 4)), ((1, 1, 1, 1), (0, 1, 2, 3)),
+                        ((1, 1, 1, 1), (2, 3, 4, 5)), ((1, 1, 1), (1, 2, 3, 4))]:
+        with pytest.raises(ValueError):
+            SignedPerm(signs, perm)
     with pytest.raises(ValueError):
         SignedPerm.parse("garbage")
