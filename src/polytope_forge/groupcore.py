@@ -23,6 +23,7 @@ __all__ = [
     "NotASubgroup",
     "ActionTable",
     "ConcreteGroup",
+    "reach",
     "orbit",
     "stabilizer",
     "setwise_stabilizer",
@@ -268,25 +269,25 @@ class ConcreteGroup:
 # -- orbits -------------------------------------------------------------------
 
 
+def reach(start, neighbours: Callable[[object], Iterable]) -> list:
+    """Every node reached from start along `neighbours`, in breadth-first
+    first-visit order."""
+    out = [start]
+    seen = {start}
+    for p in out:  # the list grows while it is read
+        for q in neighbours(p):
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+    return out
+
+
 def orbit(group: ConcreteGroup, point, action: Callable = None) -> list:
     """Orbit of a point under the group, in first-visit order."""
     if action is None:
         action = lambda p, g: g.act(p)
     gens = group.generator_list()
-    out = [point]
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = action(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    return out
+    return reach(point, lambda p: [action(p, g) for g in gens])
 
 
 def stabilizer(group: ConcreteGroup, point, action: Callable = None) -> ConcreteGroup:
@@ -299,13 +300,11 @@ def stabilizer(group: ConcreteGroup, point, action: Callable = None) -> Concrete
 
 def setwise_stabilizer(group: ConcreteGroup, points: Iterable, action: Callable = None
                        ) -> ConcreteGroup:
+    """The stabilizer of a set of points: `stabilizer` acting on frozensets."""
     if action is None:
         action = lambda p, g: g.act(p)
-    pts = frozenset(points)
-    elems = [g for g in group.elements
-             if frozenset(action(p, g) for p in pts) == pts]
-    names = {f"s{i}": g for i, g in enumerate(elems)}
-    return ConcreteGroup(elems, names, group.identity)
+    return stabilizer(group, frozenset(points),
+                      lambda pts, g: frozenset(action(p, g) for p in pts))
 
 
 # -- homomorphisms -------------------------------------------------------------

@@ -14,7 +14,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .groupcore import CheckFailed, ConcreteGroup, QuotientElem, check
+from .groupcore import CheckFailed, ConcreteGroup, QuotientElem, check, reach
 
 __all__ = [
     "NotAPolytope",
@@ -72,21 +72,10 @@ class NotACovering(CheckFailed):
     pass
 
 
-def _reach(start: Hashable, neighbours: Callable[[Hashable], Iterable]) -> set:
-    """Every node reached from start."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        fresh = set(neighbours(stack.pop())) - seen
-        seen |= fresh
-        stack.extend(fresh)
-    return seen
-
-
 def _connected(nodes: Iterable, neighbours: Callable[[Hashable], Iterable]) -> bool:
     """Whether every node is reached from the first; an empty graph is connected."""
     nodes = list(nodes)
-    return not nodes or len(_reach(nodes[0], neighbours)) == len(nodes)
+    return not nodes or len(reach(nodes[0], neighbours)) == len(nodes)
 
 
 def isomorphisms(adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
@@ -154,8 +143,11 @@ class RankedIncidenceStructure:
         for (r1, k1), (r2, k2) in incident_pairs:
             if r1 == r2:
                 raise ValueError("incidence requires distinct ranks")
-            a = (r1, self._index[(r1, k1)])
-            b = (r2, self._index[(r2, k2)])
+            try:
+                a = (r1, self._index[(r1, k1)])
+                b = (r2, self._index[(r2, k2)])
+            except KeyError as err:
+                raise ValueError("incidence names an unknown face", err.args[0]) from None
             self._inc[a].add(b)
             self._inc[b].add(a)
         self._flags: tuple[tuple[int, ...], ...] | None = None
@@ -259,8 +251,12 @@ class RankedIncidenceStructure:
     # -- polytope verification -------------------------------------------------
 
     def validate_polytope(self) -> None:
-        """Raise NotAPolytope unless the diamond condition, full chains and
-        strong connectivity all hold."""
+        """Raise NotAPolytope unless the axioms of an abstract polytope hold
+        (McMullen & Schulte, Abstract Regular Polytopes, 2A).  The chain
+        axiom is checked locally: when incidence is transitive and every
+        section of rank gap >= 2 is non-empty, a face between two consecutive
+        members of a chain is incident with the whole chain, so every chain
+        extends to a flag."""
         n = self.rank
         if any(count == 0 for count in self.f_vector):
             raise NotAPolytope("empty rank", self.f_vector)
@@ -271,28 +267,27 @@ class RankedIncidenceStructure:
                 if len(mid) != 2:
                     raise NotAPolytope("diamond condition", (lo, hi, mid))
 
-        # every chain extends to a flag through every rank
-        containing: dict[FaceRef, set[int]] = {ref: set() for ref in self.all_refs()}
-        for idx, flag in enumerate(self.flags()):
-            for ref in enumerate(flag):
-                containing[ref].add(idx)
-
-        def walk(chain: list[FaceRef]):
-            if chain and not set.intersection(*(containing[ref] for ref in chain)):
-                raise NotAPolytope("chain not contained in any flag", chain)
-            top = chain[-1][0] if chain else -1
-            for cand in sorted(x for x in self._common(chain) if x[0] > top):
-                walk(chain + [cand])
-
-        walk([])
+        # chains: no section of rank gap >= 3 is empty (the diamond covers
+        # gap 2), and F < G, G < H give F < H, one scan per middle face G
+        wide = [section for lo_rank in range(-1, n - 2)
+                for hi_rank in range(lo_rank + 3, n + 1)
+                for section in self.sections(lo_rank, hi_rank)]
+        for lo, hi, mid in wide:
+            if not mid:
+                raise NotAPolytope("chain not contained in any flag",
+                                   [f for f in (lo, hi) if f is not None])
+        for g in self.all_refs():
+            above = {h for h in self._inc[g] if h[0] > g[0]}
+            for f in sorted(f for f in self._inc[g] if f[0] < g[0]):
+                missing = above - self._inc[f]
+                if missing:
+                    raise NotAPolytope("incidence not transitive", (f, g, min(missing)))
 
         # strong connectivity: every section of rank >= 2 is connected
-        for lo_rank in range(-1, n - 2):
-            for hi_rank in range(lo_rank + 3, n + 1):
-                for lo, hi, mid in self.sections(lo_rank, hi_rank):
-                    inside = set(mid)
-                    if not _connected(mid, lambda a: self._inc[a] & inside):
-                        raise NotAPolytope("section not connected", (lo, hi))
+        for lo, hi, mid in wide:
+            inside = set(mid)
+            if not _connected(mid, lambda a: self._inc[a] & inside):
+                raise NotAPolytope("section not connected", (lo, hi))
 
         flag_graph = self.flag_graph()
         if not _connected(flag_graph, flag_graph.__getitem__):
@@ -379,7 +374,7 @@ def classify(p: RankedIncidenceStructure,
     orbits = 0
     for flag in p.flags():
         if flag not in orbit_of:
-            orbit_of.update(dict.fromkeys(_reach(flag, images), orbits))
+            orbit_of.update(dict.fromkeys(reach(flag, images), orbits))
             orbits += 1
     split = all(orbit_of[f] != orbit_of[g]
                 for f, neighbours in p.flag_graph().items() for g in neighbours)
@@ -549,7 +544,7 @@ class ColoredGraph:
                 yield w
 
     def component(self, v, colors: frozenset) -> tuple:
-        return tuple(sorted(_reach(v, lambda u: self.neighbors(u, colors))))
+        return tuple(sorted(reach(v, lambda u: self.neighbors(u, colors))))
 
 
 def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:

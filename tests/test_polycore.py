@@ -1,8 +1,11 @@
 """Incidence structures: Wythoff construction, quotients, colourful
 polytopes, classification, coverings."""
 
+import collections
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -117,10 +120,20 @@ def test_coset_geometry_agrees_with_reflection_construction():
                if a[0] != b[0])
 
 
-def _b3_polytope():
-    rho0 = SignedPerm((-1, 1, 1), (1, 2, 3))
-    swaps = [SignedPerm.from_cycles(3, [(i, i + 1)]) for i in (1, 2)]
+def _bn_polytope(n):
+    """The n-cube from the reflections of B_n: rho_0 negates coordinate 1,
+    rho_i swaps coordinates i and i+1."""
+    rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
+    swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
     return polytope_from_reflections(ConcreteGroup.generate([rho0] + swaps))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ncube_from_reflections_up_to_rank_5(n):
+    # polytope_from_reflections validates every rank up to 5 on the way
+    struct = _bn_polytope(n)
+    assert struct.f_vector == tuple(math.comb(n, k) * 2 ** (n - k) for k in range(n))
+    assert len(struct.flags()) == 2 ** n * math.factorial(n)
 
 
 @pytest.mark.parametrize("make", [
@@ -128,7 +141,7 @@ def _b3_polytope():
     lambda: build_roli().structure,
     lambda: build_map().structure_cosets,
     lambda: build_cover().structure,
-    _b3_polytope,
+    lambda: _bn_polytope(3),
 ], ids=["cube", "roli", "map", "cover", "b3"])
 def test_coset_incidence_matches_its_definition(make):
     # faces alpha (rank j) and beta (rank k) are incident iff
@@ -156,19 +169,13 @@ def _decomposition_by_products(group, sub):
     return sorted(set(canon.values())), canon
 
 
-def _b4_polytope():
-    rho0 = SignedPerm((-1, 1, 1, 1), (1, 2, 3, 4))
-    swaps = [SignedPerm.from_cycles(4, [(i, i + 1)]) for i in (1, 2, 3)]
-    return polytope_from_reflections(ConcreteGroup.generate([rho0] + swaps))
-
-
 @pytest.mark.parametrize("make", [
     lambda: build_cube().structure,
     lambda: build_map().structure_cosets,
     lambda: build_roli().structure,
     lambda: build_enantiomorph().structure,  # two subgroups are stabilizers
     lambda: build_cover().structure,
-    _b4_polytope,
+    lambda: _bn_polytope(4),
 ], ids=["cube", "map", "roli", "enantiomorph", "cover", "b4"])
 def test_coset_decomposition_against_products(make, monkeypatch):
     struct = make()
@@ -451,6 +458,119 @@ def test_validate_polytope_rejects_disconnected_section():
     with pytest.raises(NotAPolytope) as exc:
         struct.validate_polytope()
     assert exc.value.name == "section not connected"
+
+
+def _rebuilt(struct, drop=(), add=()):
+    """A fresh structure on the same faces, with the incident pairs `drop`
+    removed and the pairs `add` added (faces given as refs)."""
+    pairs = {frozenset((a, b)) for a in struct.all_refs() for b in struct._inc[a]}
+    pairs = (pairs - {frozenset(p) for p in drop}) | {frozenset(p) for p in add}
+    return RankedIncidenceStructure(
+        struct.rank, struct.faces_by_rank,
+        [tuple((ref[0], struct.key(ref)) for ref in sorted(p)) for p in pairs])
+
+
+def test_validate_polytope_rejects_intransitive_incidence():
+    # edge (1, 24) still lies on squares (2, 8) and (2, 16), which both lie
+    # on facet (3, 2): without the pair itself the structure is not a poset
+    cube = build_cube().structure
+    struct = _rebuilt(cube, drop=[((1, 24), (3, 2))])
+    with pytest.raises(NotAPolytope) as exc:
+        struct.validate_polytope()
+    assert exc.value.name == "incidence not transitive"
+    assert exc.value.witness == ((1, 24), (2, 8), (3, 2))
+
+
+def test_constructor_rejects_incidence_with_unknown_face():
+    with pytest.raises(ValueError) as exc:
+        RankedIncidenceStructure(2, [["a", "b"], ["ab"]],
+                                 [((0, "a"), (1, "ab")), ((0, "c"), (1, "ab"))])
+    assert exc.value.args == ("incidence names an unknown face", (0, "c"))
+
+
+def _walk_validate(struct):
+    """The polytope check as it was before the local chain axiom, kept as
+    an oracle: the chain axiom walks every chain and looks it up in an
+    index from each face to the flags that contain it; connectivity is
+    networkx's."""
+    n = struct.rank
+    if any(count == 0 for count in struct.f_vector):
+        raise NotAPolytope("empty rank", struct.f_vector)
+    for r in range(-1, n - 1):
+        for lo, hi, mid in struct.sections(r, r + 2):
+            if len(mid) != 2:
+                raise NotAPolytope("diamond condition", (lo, hi, mid))
+
+    containing = {ref: set() for ref in struct.all_refs()}
+    for idx, flag in enumerate(struct.flags()):
+        for ref in enumerate(flag):
+            containing[ref].add(idx)
+
+    def walk(chain):
+        if chain and not set.intersection(*(containing[ref] for ref in chain)):
+            raise NotAPolytope("chain not contained in any flag", chain)
+        top = chain[-1][0] if chain else -1
+        for cand in sorted(x for x in struct._common(chain) if x[0] > top):
+            walk(chain + [cand])
+
+    walk([])
+
+    def connected(adj):
+        graph = nx.Graph()
+        graph.add_nodes_from(adj)
+        graph.add_edges_from((a, b) for a in adj for b in adj[a])
+        return not adj or nx.is_connected(graph)
+
+    for lo_rank in range(-1, n - 2):
+        for hi_rank in range(lo_rank + 3, n + 1):
+            for lo, hi, mid in struct.sections(lo_rank, hi_rank):
+                if not connected({a: struct._inc[a] & set(mid) for a in mid}):
+                    raise NotAPolytope("section not connected", (lo, hi))
+    if not connected(struct.flag_graph()):
+        raise NotAPolytope("flag graph not connected")
+
+
+def _failure(validate):
+    """The NotAPolytope that validate() raises, None when it passes."""
+    try:
+        validate()
+    except NotAPolytope as err:
+        return err
+    return None
+
+
+def test_local_chain_axiom_against_walk_oracle():
+    # perturbed structures: 0-2 incident pairs removed, 0-2 non-incident
+    # pairs added.  The walk's rejections are the local check's, with the
+    # same axiom, unless intransitive incidence is found first; a structure
+    # only the local check rejects is not a poset.
+    rng = random.Random(8)
+    intransitive = "incidence not transitive"
+    outcomes = collections.Counter()
+    for make in (lambda: build_cube().structure, lambda: build_map().structure,
+                 lambda: build_roli().structure, lambda: build_enantiomorph().structure):
+        base = make()
+        refs = base.all_refs()
+        incident = sorted((a, b) for a in refs for b in base._inc[a] if a < b)
+        for _ in range(40):
+            add = set()
+            for _ in range(rng.randint(0, 2)):
+                a, b = sorted(rng.sample(refs, 2))
+                if a[0] != b[0] and not base.incident(a, b):
+                    add.add((a, b))
+            struct = _rebuilt(base, drop=rng.sample(incident, rng.randint(0, 2)), add=add)
+            walk = _failure(lambda: _walk_validate(struct))
+            local = _failure(struct.validate_polytope)
+            outcome = walk and walk.name, local and local.name
+            assert outcome[1] in (outcome[0], intransitive), outcome
+            if outcome[1] == intransitive:
+                f, g, h = local.witness
+                assert f[0] < g[0] < h[0] and struct.incident(f, g) \
+                    and struct.incident(g, h) and not struct.incident(f, h)
+            outcomes[outcome] += 1
+    # the seed reaches each outcome that tells the two checks apart
+    assert outcomes[None, None] and outcomes[None, intransitive]
+    assert outcomes["chain not contained in any flag", "chain not contained in any flag"]
 
 
 # -- graph isomorphism, against networkx as an independent oracle ------------------
