@@ -75,29 +75,24 @@ def _edge_direction(a: Point, b: Point) -> int:
     return diff[0] + 1
 
 
+# the 24 permutations of four columns, each with its sign
+_SIGNED_PERMUTATIONS = tuple(
+    ((-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)), p)
+    for p in itertools.permutations(range(4)))
+
+
 def _det_int(rows) -> int:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det_int(minor)
-    return total
+    """Determinant of a 4×4 integer matrix, as a Leibniz sum."""
+    r0, r1, r2, r3 = rows
+    return sum(sign * r0[a] * r1[b] * r2[c] * r3[d]
+               for sign, (a, b, c, d) in _SIGNED_PERMUTATIONS)
 
 
-def _edges_share_facet(points: list[Point], directions: list[int]) -> bool:
-    """Do consecutive edges through `points` lie in a common cube facet?
-    A facet pins one coordinate; an inside edge cannot run along it."""
-    n = len(points[0])
-    for axis in range(1, n + 1):
-        if axis in directions:
-            continue
-        if len({p[axis - 1] for p in points}) == 1:
-            return True
-    return False
+def _edges_share_facet(directions) -> bool:
+    """Do consecutive edges with these directions lie in a common cube
+    facet?  A facet pins one coordinate, and along a run of edges a
+    coordinate stays fixed exactly when no edge runs along its axis."""
+    return len(set(directions)) < 4
 
 
 def _canonical_cycle(seq: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -138,19 +133,15 @@ class PetriePolygon:
             raise ValueError("repeated vertex")
         dirs = self.colors
         for k in range(n):
-            window_pts = [verts[(k + t) % n] for t in range(4)]
-            window_dirs = [dirs[(k + t) % n] for t in range(3)]
-            if not _edges_share_facet(window_pts, window_dirs):
+            window = [dirs[(k + t) % n] for t in range(4)]
+            if not _edges_share_facet(window[:3]):
                 raise ValueError("three consecutive edges miss every facet")
-            window_pts5 = [verts[(k + t) % n] for t in range(5)]
-            window_dirs4 = [dirs[(k + t) % n] for t in range(4)]
-            if _edges_share_facet(window_pts5, window_dirs4):
+            if _edges_share_facet(window):
                 raise ValueError("four consecutive edges share a facet")
         for k in range(n):
             if verts[(k + n // 2) % n] != tuple(-x for x in verts[k]):
                 raise ValueError("vertex sequence is not centrally symmetric")
-            window = [verts[(k + t) % n] for t in range(4)]
-            if abs(_det_int([list(p) for p in window])) == 0:
+            if _det_int([verts[(k + t) % n] for t in range(4)]) == 0:
                 raise ValueError("four consecutive vertices are degenerate")
 
     @property
@@ -160,7 +151,7 @@ class PetriePolygon:
         return tuple(_edge_direction(verts[k], verts[(k + 1) % n]) for k in range(n))
 
     def det4(self) -> int:
-        return _det_int([list(p) for p in self.vertices[:4]])
+        return _det_int(self.vertices[:4])
 
     @property
     def chiral_class(self) -> str:
@@ -180,9 +171,6 @@ class PetriePolygon:
     def transformed(self, g: SignedPerm) -> "PetriePolygon":
         return PetriePolygon(tuple(g.act(v) for v in self.vertices))
 
-    def key(self) -> tuple:
-        return self.vertices
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PetriePolygon) and self.vertices == other.vertices
 
@@ -194,6 +182,14 @@ class PetriePolygon:
 
     def __repr__(self) -> str:
         return f"PetriePolygon({self.vertices!r})"
+
+
+def _cycle_of(point: Point, g: SignedPerm) -> tuple[Point, ...]:
+    """The points p, p·g, p·g², … up to the first return to p."""
+    cycle = [point]
+    while (nxt := g.act(cycle[-1])) != point:
+        cycle.append(nxt)
+    return tuple(cycle)
 
 
 def _trace_polygon(start: Point, directions: list[int]) -> PetriePolygon:
@@ -320,12 +316,10 @@ def build_atlas() -> Atlas:
     check(sigma2_bar.act(v_bar) == v_bar and sigma3_bar.act(v_bar) == v_bar,
           "atlas.barred-generators-fix-v-bar")
 
-    cycle = [v]
-    for _ in range(7):
-        cycle.append(pi.act(cycle[-1]))
-    check(cycle[1:5] == [(1, 1, 1, -1), (1, 1, -1, -1), (1, -1, -1, -1), (-1, -1, -1, -1)],
+    cycle = _cycle_of(v, pi)
+    check(cycle[1:5] == ((1, 1, 1, -1), (1, 1, -1, -1), (1, -1, -1, -1), (-1, -1, -1, -1)),
           "atlas.octagon-vertex-cycle", cycle)
-    base_octagon = PetriePolygon(tuple(cycle))
+    base_octagon = PetriePolygon(cycle)
     base_octagram = _trace_polygon(w, [4, 1, 2, 3, 4, 1, 2, 3])
     check(base_octagon.vertex_set().isdisjoint(base_octagram.vertex_set()),
           "atlas.octagon-and-octagram-disjoint")
@@ -441,9 +435,8 @@ def group_unitary() -> ConcreteGroup:
 @lru_cache(maxsize=None)
 def petrie_polygons() -> tuple[PetriePolygon, ...]:
     """All Petrie polygons as the symmetry orbit of the base octagon."""
-    a = build_atlas()
-    polys = {a.base_octagon.transformed(g) for g in group_cube()}
-    return tuple(sorted(polys))
+    return tuple(sorted(orbit(group_cube(), build_atlas().base_octagon,
+                              PetriePolygon.transformed)))
 
 
 @lru_cache(maxsize=None)
@@ -477,13 +470,10 @@ def petrie_polygons_brute_force() -> tuple[PetriePolygon, ...]:
     return tuple(sorted(found))
 
 
-def companion(p: PetriePolygon, polys: tuple[PetriePolygon, ...] | None = None
-              ) -> PetriePolygon:
+def companion(p: PetriePolygon) -> PetriePolygon:
     """The unique polygon of the same chiral class on the complementary
     eight vertices."""
-    if polys is None:
-        polys = petrie_polygons()
-    matches = [q for q in polys
+    matches = [q for q in petrie_polygons()
                if q.chiral_class == p.chiral_class
                and q.vertex_set().isdisjoint(p.vertex_set())]
     check(len(matches) == 1, "petrie.companion-unique", len(matches))
@@ -585,23 +575,22 @@ _FACE_CONTAINS = {
 }
 
 
-def _attach_realization(struct: RankedIncidenceStructure, base_faces, image=_face_image,
-                        contains=_FACE_CONTAINS) -> None:
+def _attach_realization(struct: RankedIncidenceStructure, base_faces) -> None:
     """Attach geometric meaning to a coset structure and confirm that coset
     incidence coincides with geometric containment.  The rank-r face of
-    coset key g is image(r, base_faces[r], g.act)."""
+    coset key g is _face_image(r, base_faces[r], g.act)."""
     moved = next(((r, s) for r, face in enumerate(base_faces)
                   for s in struct.subgroups[r].generator_list()
-                  if image(r, face, s.act) != face), None)
+                  if _face_image(r, face, s.act) != face), None)
     check(moved is None, "realization.base-faces-stabilized", moved)
-    realization = {ref: image(ref[0], base_faces[ref[0]], struct.key(ref).act)
+    realization = {ref: _face_image(ref[0], base_faces[ref[0]], struct.key(ref).act)
                    for ref in struct.all_refs()}
     check(len({(ref[0], face) for ref, face in realization.items()}) == len(realization),
           "realization.faithful")
     struct.realization = realization
     mismatch = next(((ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
                      for ra in struct.refs(r1) for rb in struct.refs(r2)
-                     if contains[(r1, r2)](realization[ra], realization[rb])
+                     if _FACE_CONTAINS[(r1, r2)](realization[ra], realization[rb])
                      != struct.incident(ra, rb)), None)
     check(mismatch is None, "realization.incidence-is-containment", mismatch)
 
@@ -658,20 +647,11 @@ def build_cube() -> CubeBundle:
     struct = polytope_from_reflections(g)
     check(struct.f_vector == (16, 32, 24, 8), "cube.f-vector", struct.f_vector)
 
-    base_faces = []
-    for r in range(4):
-        pts = tuple(sorted(orbit(struct.subgroups[r], atlas.v)))
-        base_faces.append(atlas.v if r == 0 else pts)
-
-    def vertex_set_image(rank, face, f):
-        return f(face) if rank == 0 else tuple(sorted(map(f, face)))
-
-    def vertex_subset(a, b):
-        members = (a,) if isinstance(a[0], int) else a
-        return set(members) <= set(b)
-
-    contains = {(r1, r2): vertex_subset for r1 in range(4) for r2 in range(r1 + 1, 4)}
-    _attach_realization(struct, base_faces, vertex_set_image, contains)
+    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
+    square = _canonical_cycle(_cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
+    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
+                                    lambda e, g: _face_image(1, e, g.act))))
+    _attach_realization(struct, [atlas.v, base_edge, square, base_facet])
 
     edge_colors = {}
     for ref in struct.refs(1):
@@ -694,7 +674,6 @@ class HemiBundle:
     structure: RankedIncidenceStructure
     quotient_group_order: int
     generator_product_order: int
-    k44: ColoredGraph
     colourful: RankedIncidenceStructure
 
     def certificate(self) -> dict:
@@ -749,8 +728,7 @@ def build_hemi() -> HemiBundle:
     colourful = colourful_polytope(k44)
     check(colourful.isomorphic_to(struct), "hemi.colourful-isomorphic")
     return HemiBundle(structure=struct, quotient_group_order=len(qgroup),
-                      generator_product_order=prod_order, k44=k44,
-                      colourful=colourful)
+                      generator_product_order=prod_order, colourful=colourful)
 
 
 @dataclass(frozen=True)
@@ -809,7 +787,7 @@ def build_map() -> MapBundle:
     edges = set(orbit(rot, base_edge, lambda e, g: _face_image(1, e, g.act)))
     check(len(edges) == 24, "map.edge-count", len(edges))
 
-    octagons = {atlas.base_octagon.transformed(g) for g in rot}
+    octagons = set(orbit(rot, atlas.base_octagon, PetriePolygon.transformed))
     check(len(octagons) == 6, "map.octagon-count", len(octagons))
     check(atlas.base_octagram in octagons, "map.octagram-is-a-face")
     check(octagons <= set(petrie_polygons()), "map.faces-are-petrie-polygons")
@@ -1179,10 +1157,7 @@ def build_cover() -> CoverBundle:
 
     bv = atlas.v + atlas.v_bar
     base_edge = tuple(sorted((bv, atlas.tau0.act(bv))))
-    oct_cycle = [bv]
-    for _ in range(7):
-        oct_cycle.append(atlas.kappa1.act(oct_cycle[-1]))
-    base_oct = _canonical_cycle(tuple(oct_cycle))
+    base_oct = _canonical_cycle(_cycle_of(bv, atlas.kappa1))
     # struct.subgroups[3] is generated by tau0, tau1, tau2 in that order
     base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
                                     lambda e, g: _face_image(1, e, g.act))))

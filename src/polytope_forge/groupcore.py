@@ -164,9 +164,13 @@ class ConcreteGroup:
         return sub
 
     def centre(self) -> "ConcreteGroup":
-        gens = self.generator_list()
-        central = [z for z in self.elements
-                   if all(z * g == g * z for g in gens)]
+        """The elements z with z * g == g * z for every generator g, read
+        from the action table: z * g is a column of z's row, and g * z is
+        g (a column of the identity's row) walked along z's word."""
+        act = self.table().act
+        words = map(self.word, range(len(self)))
+        central = [z for z, row, word in zip(self.elements, act, words)
+                   if all(row[k] == self.walk(g, word) for k, g in enumerate(act[0]))]
         names = {f"z{i}": z for i, z in enumerate(central)}
         return ConcreteGroup(central, names, self.identity)
 
@@ -315,7 +319,6 @@ class Homomorphism:
     """A homomorphism given by its full element-to-image mapping."""
 
     source: ConcreteGroup
-    gen_images: dict
     mapping: dict
 
     def __call__(self, e):
@@ -385,8 +388,7 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
                     word_a=tuple(names[c] for c in src.word(i)) + (names[k],),
                     word_b=tuple(names[c] for c in src.word(j)))
     check(None not in image, "hom.extension-covers-the-group", image.count(None))
-    return Homomorphism(source=src, gen_images=dict(images),
-                        mapping=dict(zip(src.elements, image)))
+    return Homomorphism(source=src, mapping=dict(zip(src.elements, image)))
 
 
 def witness_pair_inconsistent(src: ConcreteGroup, images: Mapping[str, object],

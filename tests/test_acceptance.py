@@ -9,20 +9,7 @@ import pytest
 
 from polytope_forge import cli
 
-CRITERIA = {
-    1: "group orders 384 / 192 / 48 / 96 / 384 / 768 / 24",
-    2: "coset enumeration indices 6 / 8 / 192-elementwise / 24",
-    3: "Petrie battery: 24 polygons, 12R+12L, determinants +-8, stabilizer 16",
-    4: "trivalent map: f-vector, octagon labels, skeleton, 96 automorphisms, "
-       "regular but geometrically chiral",
-    5: "chiral polytope: f-vector, stabilizers, two split flag orbits, witness",
-    6: "cover: string C-group of order 768, regular {8,3,3}, 2-to-1 "
-       "3-coverings, quotient criterion, centre",
-    7: "configuration: J, L, incidence 8/8/3, line equation, coordinate "
-       "table, triangle group, binary tetrahedral identities (all exact)",
-    8: "colourful construction reproduces the cube and its antipodal quotient",
-    9: "projections: isometric edge lengths and two-square layout (1e-9)",
-}
+CRITERIA = range(1, 10)
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +17,13 @@ def report():
     return cli.run_claims()
 
 
-@pytest.mark.parametrize("criterion", sorted(CRITERIA))
+@pytest.mark.parametrize("criterion", CRITERIA)
 def test_criterion(report, criterion):
     claims = [c for c in report.claims if c.criterion == criterion]
     assert claims, f"criterion {criterion} has no claims"
     failed = [c for c in claims if not c.passed]
     status = "PASS" if not failed else "FAIL"
-    print(f"{status} criterion {criterion}: {CRITERIA[criterion]} "
-          f"({len(claims)} claims)")
+    print(f"{status} criterion {criterion}: {', '.join(c.claim_id for c in claims)}")
     for c in failed:
         print("   " + c.line())
     assert not failed, [c.claim_id for c in failed]

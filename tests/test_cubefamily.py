@@ -1,17 +1,23 @@
 """The concrete objects: atlas identities, Petrie machinery, the trivalent
 map, the chiral polytope, its mirror, and the cover in E^8."""
 
+import itertools
 import math
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polytope_forge.cubefamily import (
     CONFIGURATION_LINES,
     PetriePolygon,
+    _det_int,
+    _edges_share_facet,
     gp83_graph,
     build_atlas,
     build_cover,
+    build_cube,
     build_enantiomorph,
     build_map,
     build_roli,
@@ -82,6 +88,77 @@ def test_brute_force_enumeration_equals_orbit():
     brute = petrie_polygons_brute_force()
     assert len(orbit) == 24
     assert tuple(p.vertices for p in orbit) == tuple(p.vertices for p in brute)
+
+
+def test_petrie_orbit_makes_at_most_96_images(monkeypatch):
+    expected = petrie_polygons()
+    calls = []
+    transformed = PetriePolygon.transformed
+    monkeypatch.setattr(PetriePolygon, "transformed",
+                        lambda p, g: calls.append(g) or transformed(p, g))
+    assert petrie_polygons.__wrapped__() == expected
+    assert len(calls) <= 96
+
+
+def _walk(start, directions):
+    """The points of the edge walk from start along these axes."""
+    points = [start]
+    for d in directions:
+        p = points[-1]
+        points.append(p[:d - 1] + (-p[d - 1],) + p[d:])
+    return points
+
+
+def test_petrie_polygon_rejections(atlas):
+    octagon = atlas.base_octagon.vertices
+    rejected = {
+        # the Gray-code cycle of the facet x4 = +1
+        "four consecutive edges share a facet": _walk(atlas.v, [1, 2, 1, 3, 1, 2, 1, 3])[:-1],
+        "repeated vertex": (atlas.v, atlas.v_bar, atlas.v, atlas.v_bar),
+        "are not adjacent": (octagon[0], octagon[2], octagon[1]) + octagon[3:],
+    }
+    for message, vertices in rejected.items():
+        with pytest.raises(ValueError, match=message):
+            PetriePolygon(tuple(vertices))
+
+
+def _point_window_share_facet(points, directions):
+    """The facet test on point windows that the direction test replaced."""
+    return any(axis not in directions and len({p[axis - 1] for p in points}) == 1
+               for axis in range(1, len(points[0]) + 1))
+
+
+def test_facet_test_on_directions_matches_point_windows():
+    walks = 0
+    for start in itertools.product((1, -1), repeat=4):
+        for steps in (3, 4):
+            for dirs in itertools.product(range(1, 5), repeat=steps):
+                assert _edges_share_facet(dirs) == _point_window_share_facet(
+                    _walk(start, dirs), dirs)
+                walks += 1
+    assert walks == 5120
+
+
+def _laplace_det(rows):
+    """Recursive Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def test_det_matches_laplace_on_polygon_windows():
+    for p in petrie_polygons():
+        verts = p.vertices
+        for k in range(8):
+            window = [verts[(k + t) % 8] for t in range(4)]
+            assert _det_int(window) == _laplace_det(window)
+
+
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_det_matches_laplace_on_integer_matrices(rows):
+    assert _det_int(rows) == _laplace_det(rows)
 
 
 def test_chiral_class_split_and_determinants():
@@ -174,6 +251,18 @@ def test_petrie_symmetry_rotates_invariant_planes_by_45_and_135_degrees(atlas):
         angles.append(math.degrees(math.acos(max(-1.0, min(1.0, dot(img, e1))))))
     assert abs(angles[0] - 45.0) < 1e-9
     assert abs(angles[1] - 135.0) < 1e-9
+
+
+def test_cube_shares_the_face_model():
+    struct = build_cube().structure
+    assert {struct.realization[ref] for ref in struct.refs(0)} == set(
+        itertools.product((1, -1), repeat=4))
+    squares = [struct.realization[ref] for ref in struct.refs(2)]
+    assert all(len(sq) == 4 and all(sum(x != y for x, y in zip(sq[k - 1], sq[k])) == 1
+                                    for k in range(4)) for sq in squares)
+    assert len({frozenset(sq) for sq in squares}) == 24
+    facets = [struct.realization[ref] for ref in struct.refs(3)]
+    assert all(len(m) == 12 and len({p for e in m for p in e}) == 8 for m in facets)
 
 
 # -- the trivalent map --------------------------------------------------------------

@@ -81,6 +81,19 @@ def test_centre_of_cover_rotation_group(atlas):
     assert group_cover_rotation().centre().element_set == expected
 
 
+@pytest.mark.parametrize("make", [group_cube, group_map_rotation, group_cover_rotation,
+                                  group_cover])
+def test_centre_reads_the_action_table(make, monkeypatch):
+    group = make()
+    gens = group.generator_list()
+    by_products = [z for z in group if all(z * g == g * z for g in gens)]
+    calls = []
+    product = SignedPerm.__mul__
+    monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: calls.append(b) or product(a, b))
+    assert list(group.centre().elements) == by_products
+    assert calls == []
+
+
 def test_orbit_of_base_vertex_is_all_sign_vectors(atlas):
     pts = orbit(group_cube(), atlas.v)
     assert len(pts) == 16
