@@ -367,7 +367,7 @@ def projected_edge_lengths(spec: ProjectionSpec) -> list[float]:
     cube = cf.build_cube()
     out = []
     for ref in cube.structure.refs(1):
-        a, b = cube.structure.realization[ref]
+        a, b = cube.realization[ref]
         xa, ya = spec.project(a)
         xb, yb = spec.project(b)
         out.append(math.hypot(xa - xb, ya - yb))
@@ -418,7 +418,7 @@ def render_projection(spec: ProjectionSpec) -> str:
 
     if not spec.labelled_points_only:
         for ref in cube.structure.refs(1):
-            a, b = cube.structure.realization[ref]
+            a, b = cube.realization[ref]
             color_idx = cf._edge_direction(a, b)
             if color_idx not in spec.colors:
                 continue
@@ -428,7 +428,7 @@ def render_projection(spec: ProjectionSpec) -> str:
                 f'<line x1="{fmt(xa)}" y1="{fmt(ya)}" x2="{fmt(xb)}" y2="{fmt(yb)}" '
                 f'stroke="{_EDGE_COLOR_NAMES[color_idx]}" stroke-width="2"/>')
         for ref in cube.structure.refs(0):
-            x, y = spec.project(cube.structure.realization[ref])
+            x, y = spec.project(cube.realization[ref])
             lines.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="5" fill="#333333"/>')
     else:
         labeling = cf.point_labels()

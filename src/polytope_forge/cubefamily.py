@@ -18,6 +18,7 @@ from .groupcore import (
     Homomorphism,
     HomomorphismFailure,
     Presentation,
+    QuotientElem,
     check,
     extend_homomorphism,
     intersection_condition,
@@ -31,6 +32,7 @@ from .groupcore import (
 from .polycore import (
     Classification,
     ColoredGraph,
+    CosetGeometry,
     FacePerm,
     RankedIncidenceStructure,
     _check_face_map,
@@ -575,10 +577,10 @@ _FACE_CONTAINS = {
 }
 
 
-def _attach_realization(struct: RankedIncidenceStructure, base_faces) -> None:
-    """Attach geometric meaning to a coset structure and confirm that coset
-    incidence coincides with geometric containment.  The rank-r face of
-    coset key g is _face_image(r, base_faces[r], g.act)."""
+def _realize(struct: CosetGeometry, base_faces) -> dict:
+    """The geometric meaning of a coset structure, face -> realized face,
+    checked to make coset incidence coincide with geometric containment.
+    The rank-r face of coset key g is _face_image(r, base_faces[r], g.act)."""
     moved = next(((r, s) for r, face in enumerate(base_faces)
                   for s in struct.subgroups[r].generator_list()
                   if _face_image(r, face, s.act) != face), None)
@@ -587,32 +589,36 @@ def _attach_realization(struct: RankedIncidenceStructure, base_faces) -> None:
                    for ref in struct.all_refs()}
     check(len({(ref[0], face) for ref, face in realization.items()}) == len(realization),
           "realization.faithful")
-    struct.realization = realization
+    # With the base faces stabilized, the realization commutes with the
+    # group's right action.  Incidence and containment are both invariant
+    # under it, and it is transitive on each rank, so the face holding the
+    # identity in each lower rank, against every face above, decides all pairs.
     mismatch = next(((ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
-                     for ra in struct.refs(r1) for rb in struct.refs(r2)
+                     for ra in [(r1, struct.canon[r1][0])] for rb in struct.refs(r2)
                      if _FACE_CONTAINS[(r1, r2)](realization[ra], realization[rb])
                      != struct.incident(ra, rb)), None)
     check(mismatch is None, "realization.incidence-is-containment", mismatch)
+    return realization
 
 
-def _realized_face_map(source: RankedIncidenceStructure, target: RankedIncidenceStructure,
-                       f) -> dict:
-    """Send each face of source to the face of target realized by its image
-    under the point map f."""
-    face_of = {(ref[0], target.realization[ref]): ref for ref in target.all_refs()}
-    return {ref: face_of[(ref[0], _face_image(ref[0], source.realization[ref], f))]
-            for ref in source.all_refs()}
+def _realized_face_map(source: dict, target: dict, f) -> dict:
+    """Send each face of the source realization to the face of the target
+    realization that is its image under the point map f."""
+    face_of = {(ref[0], face): ref for ref, face in target.items()}
+    return {ref: face_of[(ref[0], _face_image(ref[0], face, f))]
+            for ref, face in source.items()}
 
 
-def _two_faces_class(struct: RankedIncidenceStructure) -> str:
+def _two_faces_class(realization: dict) -> str:
     """The chiral class of the realized 2-faces, checked to be one class."""
-    classes = {PetriePolygon(struct.realization[ref]).chiral_class for ref in struct.refs(2)}
+    classes = {PetriePolygon(face).chiral_class
+               for (rank, _), face in realization.items() if rank == 2}
     check(len(classes) == 1, "realization.two-faces-share-a-chiral-class", classes)
     return classes.pop()
 
 
-def _sigma_face_maps(struct: RankedIncidenceStructure, group: ConcreteGroup):
-    return [coset_face_action(struct, g) for g in group.generator_list()]
+def _sigma_face_maps(struct: CosetGeometry) -> list:
+    return [coset_face_action(struct, g) for g in struct.group.generator_list()]
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +627,8 @@ def _sigma_face_maps(struct: RankedIncidenceStructure, group: ConcreteGroup):
 
 @dataclass(frozen=True)
 class CubeBundle:
-    structure: RankedIncidenceStructure
+    structure: CosetGeometry
+    realization: dict
     skeleton: ColoredGraph
     colourful: RankedIncidenceStructure
     classification: Classification
@@ -651,21 +658,22 @@ def build_cube() -> CubeBundle:
     square = _canonical_cycle(_cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
     base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
                                     lambda e, g: _face_image(1, e, g.act))))
-    _attach_realization(struct, [atlas.v, base_edge, square, base_facet])
+    realization = _realize(struct, [atlas.v, base_edge, square, base_facet])
 
     edge_colors = {}
     for ref in struct.refs(1):
-        a, b = struct.realization[ref]
+        a, b = realization[ref]
         edge_colors[frozenset((a, b))] = _edge_direction(a, b)
     skeleton = ColoredGraph(
-        vertices=tuple(sorted(struct.realization[ref] for ref in struct.refs(0))),
+        vertices=tuple(sorted(realization[ref] for ref in struct.refs(0))),
         edge_colors=edge_colors, d=4)
     colourful = colourful_polytope(skeleton)
     check(colourful.isomorphic_to(struct), "cube.colourful-isomorphic")
 
-    result = classify(struct, _sigma_face_maps(struct, g))
+    result = classify(struct, _sigma_face_maps(struct))
     check(result.kind is Classification.REGULAR, "cube.regular", result.kind)
-    return CubeBundle(structure=struct, skeleton=skeleton, colourful=colourful,
+    return CubeBundle(structure=struct, realization=realization, skeleton=skeleton,
+                      colourful=colourful,
                       classification=result.kind, type_vector=struct.schlafli_type())
 
 
@@ -694,7 +702,9 @@ def build_hemi() -> HemiBundle:
     cube = build_cube()
     struct = central_quotient(cube.structure, atlas.zeta)
     check(struct.f_vector == (8, 16, 12, 4), "hemi.f-vector", struct.f_vector)
-    qgroup = struct.group
+    qgroup = ConcreteGroup.generate(
+        {name: QuotientElem(g, atlas.zeta) for name, g in group_cube().generators.items()},
+        cap=len(group_cube()) + 1)
     check(len(qgroup) == 192, "hemi.quotient-group-order", len(qgroup))
 
     prod = qgroup.identity
@@ -733,8 +743,7 @@ def build_hemi() -> HemiBundle:
 
 @dataclass(frozen=True)
 class MapBundle:
-    structure: RankedIncidenceStructure          # geometric: points/edges/octagons
-    structure_cosets: RankedIncidenceStructure   # same thing as a coset geometry
+    structure: CosetGeometry
     octagons: tuple[PetriePolygon, ...]
     edges: frozenset
     deleted_edges: frozenset
@@ -752,7 +761,7 @@ class MapBundle:
             "object": "map",
             "f_vector": list(self.structure.f_vector),
             "type_vector": list(self.structure.schlafli_type()),
-            "rotation_group_order": len(self.structure_cosets.group),
+            "rotation_group_order": len(self.structure.group),
             "full_automorphism_order": self.full_automorphism_order,
             "levi_automorphism_count": self.levi_automorphism_count,
             "geometrically_chiral": not self.mu0_preserves_edges,
@@ -802,44 +811,28 @@ def build_map() -> MapBundle:
     check(len(deleted) == 8, "map.deleted-edge-count", len(deleted))
     check(len({p for e in deleted for p in e}) == 16, "map.deleted-edges-perfect-matching")
 
-    points = sorted(itertools.product((1, -1), repeat=4))
-    oct_keys = sorted(o.vertices for o in octagons)
-    pairs = []
-    for e in edges:
-        for p in e:
-            pairs.append(((0, p), (1, e)))
-    for okey in oct_keys:
-        for p in okey:
-            pairs.append(((0, p), (2, okey)))
-        for e in _cycle_edges(okey):
-            pairs.append(((1, e), (2, okey)))
-    struct = RankedIncidenceStructure(3, [points, sorted(edges), oct_keys], pairs)
-    struct.validate_polytope()
-    check(struct.f_vector == (16, 24, 6), "map.f-vector", struct.f_vector)
-    check(struct.schlafli_type() == (8, 3), "map.type-8-3", struct.schlafli_type())
-
     sub0 = rot.subgroup([atlas.sigma2])
     sub1 = rot.subgroup([atlas.sigma1 * atlas.sigma2])
     sub2 = rot.subgroup([atlas.sigma1])
     orders = (len(sub0), len(sub1), len(sub2))
     check(orders == (3, 2, 8), "map.coset-subgroup-orders", orders)
-    cosets = coset_geometry(rot, [sub0, sub1, sub2])
-    check(cosets.f_vector == (16, 24, 6), "map.coset-f-vector", cosets.f_vector)
-    _attach_realization(cosets, [atlas.v, base_edge, atlas.base_octagon.vertices])
-    _check_face_map(cosets, {ref: struct.ref(ref[0], cosets.realization[ref])
-                             for ref in cosets.all_refs()},
-                    "map.cosets-realize-the-map", struct)
+    struct = coset_geometry(rot, [sub0, sub1, sub2])
+    check(struct.f_vector == (16, 24, 6), "map.f-vector", struct.f_vector)
+    check(struct.schlafli_type() == (8, 3), "map.type-8-3", struct.schlafli_type())
+    # with _realize's faithfulness and containment checks, the realized faces
+    # being the points, edges and octagons makes the cosets the map itself
+    realization = _realize(struct, [atlas.v, base_edge, atlas.base_octagon.vertices])
+    realized = [{face for ref, face in realization.items() if ref[0] == r} for r in range(3)]
+    check(realized == [set(itertools.product((1, -1), repeat=4)), edges,
+                       {o.vertices for o in octagons}], "map.cosets-realize-the-map")
 
     levi = _adjacency(edges)
     check(next(isomorphisms(levi, gp83_graph()), None) is not None, "map.levi-graph-is-gp-8-3")
     aut_count = sum(1 for _ in isomorphisms(levi, levi))
     check(aut_count == 96, "map.levi-automorphisms", aut_count)
 
-    def geo_face_map(g: SignedPerm) -> dict:
-        return {ref: struct.ref(ref[0], _face_image(ref[0], struct.key(ref), g.act))
-                for ref in struct.all_refs()}
-
-    rot_result = classify(struct, [geo_face_map(atlas.sigma1), geo_face_map(atlas.sigma2)])
+    rot_maps = _sigma_face_maps(struct)
+    rot_result = classify(struct, rot_maps)
     check(rot_result.orbit_count == 2 and rot_result.flag_count == 96,
           "map.rotation-group-has-two-flag-orbits", rot_result)
 
@@ -851,8 +844,7 @@ def build_map() -> MapBundle:
 
     # the three distinguished involutions: each maps the base flag to one of
     # its adjacent flags; they satisfy the full-group presentation
-    base_flag = (struct.ref(0, atlas.v)[1], struct.ref(1, base_edge)[1],
-                 struct.ref(2, atlas.base_octagon.vertices)[1])
+    base_flag = tuple(canon[0] for canon in struct.canon)  # the faces holding the identity
     check(base_flag in struct.flag_graph(), "map.base-flag-is-a-flag", base_flag)
     hits = [[a for a in autos if tuple(a.images[r][i] for r, i in enumerate(base_flag)) == f]
             for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
@@ -865,8 +857,7 @@ def build_map() -> MapBundle:
 
     # the same involutions arise as words in the base one and the rotations:
     # t1 = t0 * s1 and t2 = t0 * s1 * s2 as face bijections
-    fs1 = FacePerm.from_mapping(struct, geo_face_map(atlas.sigma1))
-    fs2 = FacePerm.from_mapping(struct, geo_face_map(atlas.sigma2))
+    fs1, fs2 = (FacePerm.from_mapping(struct, mapping) for mapping in rot_maps)
     check(t_gens[1] == t_gens[0] * fs1, "map.t1-is-t0-s1")
     check(t_gens[2] == t_gens[0] * fs1 * fs2, "map.t2-is-t0-s1-s2")
 
@@ -877,9 +868,12 @@ def build_map() -> MapBundle:
     check(isinstance(hom, Homomorphism), "map.regularity-automorphism-extends", hom)
     check(hom.is_involutory(), "map.regularity-automorphism-involutory")
 
+    # edges is a rot-orbit, so every member of a right coset (rot)g moves it
+    # as g does: the stabilizer is the union of the cosets whose member keeps it
     full = group_cube()
-    stab = setwise_stabilizer(full, edges,
-                              lambda e, g: _face_image(1, e, g.act)).element_set
+    stab = frozenset(full.elements[i] for coset in full.right_cosets(rot)
+                     if {_face_image(1, e, full.elements[coset[0]].act) for e in edges} == edges
+                     for i in coset)
     check(stab == rot.element_set, "map.edge-stabilizer-is-the-rotation-group", len(stab))
     check(all(g.determinant() == 1 for g in stab), "map.edge-stabilizer-rotational")
     mu0_keeps = {_face_image(1, e, atlas.mu0.act) for e in edges} == edges
@@ -888,8 +882,7 @@ def build_map() -> MapBundle:
           "map.mu0-moves-the-deleted-matching")
 
     return MapBundle(
-        structure=struct, structure_cosets=cosets,
-        octagons=tuple(sorted(octagons)), edges=frozenset(edges),
+        structure=struct, octagons=tuple(sorted(octagons)), edges=frozenset(edges),
         deleted_edges=deleted, levi_automorphism_count=aut_count,
         full_automorphism_order=len(autos), regularity_hom=hom,
         rotation_classification=rot_result.kind,
@@ -901,7 +894,8 @@ def build_map() -> MapBundle:
 
 @dataclass(frozen=True)
 class RoliBundle:
-    structure: RankedIncidenceStructure
+    structure: CosetGeometry
+    realization: dict
     stabilizer_orders: tuple[int, int, int, int]
     classification: Classification
     orbit_count: int
@@ -956,24 +950,24 @@ def build_roli() -> RoliBundle:
     map_bundle = build_map()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
     base_facet = tuple(sorted(map_bundle.edges))
-    _attach_realization(struct, [atlas.v, base_edge, atlas.base_octagon.vertices,
-                                 base_facet])
+    realization = _realize(struct, [atlas.v, base_edge, atlas.base_octagon.vertices,
+                                    base_facet])
 
     polys = petrie_polygons()
-    two_faces_class = _two_faces_class(struct)
+    two_faces_class = _two_faces_class(realization)
     class_r = {p.vertices for p in polys if p.chiral_class == "R"}
     check(two_faces_class == "R"
-          and {struct.realization[ref] for ref in struct.refs(2)} == class_r,
+          and {realization[ref] for ref in struct.refs(2)} == class_r,
           "roli.two-faces-right-handed", two_faces_class)
 
-    facet_edge_sets = [frozenset(struct.realization[ref]) for ref in struct.refs(3)]
+    facet_edge_sets = [frozenset(realization[ref]) for ref in struct.refs(3)]
     check(len(facet_edge_sets) == 4, "roli.facet-count", len(facet_edge_sets))
     check(all(len(m) == 24 and sum(p.edge_set() <= m for p in polys) == 6
               for m in facet_edge_sets), "roli.facets-are-map-copies")
     check(all(sum(p.edge_set() <= m for m in facet_edge_sets) == 2
               for p in polys if p.chiral_class == "R"), "roli.octagon-on-two-facets")
 
-    result = classify(struct, _sigma_face_maps(struct, rot))
+    result = classify(struct, _sigma_face_maps(struct))
     check(result.kind is Classification.CHIRAL, "roli.chiral", result)
 
     failure = extend_homomorphism(rot, {
@@ -998,7 +992,7 @@ def build_roli() -> RoliBundle:
     ), "roli.witness-words-certify-the-failure")
 
     return RoliBundle(
-        structure=struct, stabilizer_orders=orders,
+        structure=struct, realization=realization, stabilizer_orders=orders,
         classification=result.kind, orbit_count=result.orbit_count,
         flag_count=result.flag_count, type_vector=struct.schlafli_type(),
         witness_holds=witness, two_faces_class=two_faces_class,
@@ -1007,11 +1001,11 @@ def build_roli() -> RoliBundle:
 
 @dataclass(frozen=True)
 class EnantiomorphBundle:
-    structure: RankedIncidenceStructure
+    structure: CosetGeometry
+    realization: dict
     stabilizer_orders: tuple[int, int, int, int]
     two_faces_class: str
     mirror_iso_by_rho0: bool
-    sigma_bar_generate_rotation_group: bool
     barred_word_subgroups_note: str
 
     def certificate(self) -> dict:
@@ -1064,31 +1058,30 @@ def build_enantiomorph() -> EnantiomorphBundle:
 
     struct = coset_geometry(rot, [sub0, sub1, sub2, sub3])
     check(struct.f_vector == (16, 32, 12, 4), "enantiomorph.f-vector", struct.f_vector)
-    _attach_realization(struct, [atlas.v_bar, base_edge, mirror_octagon.vertices,
-                                 mirror_facet])
-    two_faces_class = _two_faces_class(struct)
+    realization = _realize(struct, [atlas.v_bar, base_edge, mirror_octagon.vertices,
+                                    mirror_facet])
+    two_faces_class = _two_faces_class(realization)
     check(two_faces_class == "L", "enantiomorph.two-faces-left-handed", two_faces_class)
 
     # mirroring by rho0 is a poset isomorphism from the right-handed polytope
-    _check_face_map(roli.structure, _realized_face_map(roli.structure, struct, rho0.act),
+    _check_face_map(roli.structure, _realized_face_map(roli.realization, realization, rho0.act),
                     "enantiomorph.mirror-by-rho0-is-an-isomorphism", struct)
 
-    bar_group = group_rotation_sigma_bar()
+    group_rotation_sigma_bar()  # checks that the barred sigmas generate rot
     note = ("rank-2/3 subgroups are the rho0-conjugates of the right-handed "
             "stabilizers; the barred generator words regenerate the "
             "right-handed ones")
     return EnantiomorphBundle(
-        structure=struct, stabilizer_orders=orders, two_faces_class=two_faces_class,
-        mirror_iso_by_rho0=True,
-        sigma_bar_generate_rotation_group=(
-            bar_group.element_set == rot.element_set),
+        structure=struct, realization=realization, stabilizer_orders=orders,
+        two_faces_class=two_faces_class, mirror_iso_by_rho0=True,
         barred_word_subgroups_note=note,
     )
 
 
 @dataclass(frozen=True)
 class CoverBundle:
-    structure: RankedIncidenceStructure
+    structure: CosetGeometry
+    realization: dict
     classification: Classification
     flag_count: int
     type_vector: tuple[int, ...]
@@ -1100,9 +1093,6 @@ class CoverBundle:
     covering_right: "object"
     covering_left: "object"
     covering_cube: "object"
-    kernel_right: frozenset
-    kernel_left: frozenset
-    kernel_cube_rotation: frozenset
 
     def certificate(self) -> dict:
         return {
@@ -1162,9 +1152,9 @@ def build_cover() -> CoverBundle:
     base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
                                     lambda e, g: _face_image(1, e, g.act))))
     check(len(base_facet) == 24, "cover.facet-edge-count", len(base_facet))
-    _attach_realization(struct, [bv, base_edge, base_oct, base_facet])
+    realization = _realize(struct, [bv, base_edge, base_oct, base_facet])
 
-    result = classify(struct, _sigma_face_maps(struct, t_full))
+    result = classify(struct, _sigma_face_maps(struct))
     check(result.kind is Classification.REGULAR and result.flag_count == 768,
           "cover.regular-with-768-flags", result)
 
@@ -1201,41 +1191,37 @@ def build_cover() -> CoverBundle:
         "kappa3": atlas.rho2 * atlas.rho3})
     check(all(isinstance(h, Homomorphism) and h.image_set() == group_rotation().element_set
               for h in (hom_r, hom_l, hom_p)), "cover.rotation-homs-onto-the-rotation-group")
-    kernel_r = frozenset(hom_r.kernel())
-    kernel_l = frozenset(hom_l.kernel())
-    kernel_p = frozenset(hom_p.kernel())
-    check(kernel_r == {ident8, z2}, "cover.right-kernel")
-    check(kernel_l == {ident8, z1}, "cover.left-kernel")
-    check(kernel_p == {ident8, zz}, "cover.cube-rotation-kernel")
+    check(frozenset(hom_r.kernel()) == {ident8, z2}, "cover.right-kernel")
+    check(frozenset(hom_l.kernel()) == {ident8, z1}, "cover.left-kernel")
+    check(frozenset(hom_p.kernel()) == {ident8, zz}, "cover.cube-rotation-kernel")
 
     roli = build_roli()
     bar = build_enantiomorph()
 
     covering_right = verify_covering(struct, roli.structure, _realized_face_map(
-        struct, roli.structure, _project_first))
+        realization, roli.realization, _project_first))
     covering_left = verify_covering(struct, bar.structure, _realized_face_map(
-        struct, bar.structure, _project_second_mirror))
+        realization, bar.realization, _project_second_mirror))
     check(all(report.uniform_fiber_size() == 2 and report.is_k_covering
               for report in (covering_right, covering_left)),
           "cover.two-to-one-three-coverings", (covering_right, covering_left))
 
     cube = build_cube()
     cube_index = cube.structure.group.table().index
-    fm_cube = {ref: (ref[0], cube.structure.coset_canon[ref[0]][cube_index[hom(struct.key(ref))]])
+    fm_cube = {ref: (ref[0], cube.structure.canon[ref[0]][cube_index[hom(struct.key(ref))]])
                for ref in struct.all_refs()}
     covering_cube = verify_covering(struct, cube.structure, fm_cube)
     check([c[0] for c in covering_cube.preimage_counts] == [2, 2, 1, 1],
           "cover.cube-fibers", covering_cube.preimage_counts)
 
     return CoverBundle(
-        structure=struct, classification=result.kind, flag_count=result.flag_count,
+        structure=struct, realization=realization, classification=result.kind, flag_count=result.flag_count,
         type_vector=struct.schlafli_type(), string_ok=string_ok,
         intersection_ok=intersection_ok, centre_plus=centre_plus,
         centre_word_identities=word_ids,
         injective_on_tetrahedral=injective,
         covering_right=covering_right, covering_left=covering_left,
         covering_cube=covering_cube,
-        kernel_right=kernel_r, kernel_left=kernel_l, kernel_cube_rotation=kernel_p,
     )
 
 
@@ -1316,11 +1302,7 @@ def point_labels() -> Labeling:
     lexicographically."""
     atlas = build_atlas()
     bundle = build_map()
-    adjacency: dict[Point, set[Point]] = {}
-    for e in bundle.edges:
-        a, b = e
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
+    adjacency = _adjacency(bundle.edges)
 
     odd = [p for p in adjacency if _parity(p) == 1]
     even = [p for p in adjacency if _parity(p) == 0]

@@ -14,7 +14,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .groupcore import CheckFailed, ConcreteGroup, QuotientElem, check, reach
+from .groupcore import CheckFailed, ConcreteGroup, check, reach
 
 __all__ = [
     "NotAPolytope",
@@ -26,6 +26,7 @@ __all__ = [
     "NotACovering",
     "FaceRef",
     "RankedIncidenceStructure",
+    "CosetGeometry",
     "Classification",
     "ClassifyResult",
     "classify",
@@ -152,12 +153,6 @@ class RankedIncidenceStructure:
             self._inc[b].add(a)
         self._flags: tuple[tuple[int, ...], ...] | None = None
         self._flag_graph: dict | None = None
-        # optional metadata attached by builders
-        self.group: ConcreteGroup | None = None
-        self.subgroups: tuple | None = None
-        # per rank: position of a group element -> index of its coset's face
-        self.coset_canon: tuple[list[int], ...] | None = None
-        self.realization: dict[FaceRef, object] | None = None
 
     # -- face bookkeeping ----------------------------------------------------
 
@@ -405,40 +400,47 @@ def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup) -> tuple[list
     return [elements[i] for i in reps], canon
 
 
-def coset_geometry(group: ConcreteGroup,
-                   subgroups: Sequence[ConcreteGroup]) -> RankedIncidenceStructure:
-    """Faces of rank j are right cosets of subgroups[j]; two faces are
-    incident when the cosets intersect.  Raises NotASubgroup when a
-    subgroup escapes the group and NotAPolytope when an axiom fails."""
-    rank = len(subgroups)
-    decomps = [_coset_decomposition(group, sub) for sub in subgroups]
-    canons = tuple(canon for _, canon in decomps)
-    # the cosets of faces a and b meet iff some element lies in both
-    pairs = {((j, decomps[j][0][a]), (k, decomps[k][0][b]))
-             for j in range(rank) for k in range(j + 1, rank)
-             for a, b in set(zip(canons[j], canons[k]))}
+class CosetGeometry(RankedIncidenceStructure):
+    """Faces of rank j are the right cosets of subgroups[j], keyed by their
+    least member; two faces are incident when the cosets intersect.
+    canon[j][i] is the index of the rank-j face holding group.elements[i].
+    Raises NotASubgroup when a subgroup escapes the group."""
 
-    struct = RankedIncidenceStructure(rank, [reps for reps, _ in decomps], pairs)
-    struct.group = group
-    struct.subgroups = tuple(subgroups)
-    struct.coset_canon = canons
+    def __init__(self, group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]):
+        rank = len(subgroups)
+        decomps = [_coset_decomposition(group, sub) for sub in subgroups]
+        canons = tuple(canon for _, canon in decomps)
+        # the cosets of faces a and b meet iff some element lies in both
+        pairs = {((j, decomps[j][0][a]), (k, decomps[k][0][b]))
+                 for j in range(rank) for k in range(j + 1, rank)
+                 for a, b in set(zip(canons[j], canons[k]))}
+        super().__init__(rank, [reps for reps, _ in decomps], pairs)
+        self.group = group
+        self.subgroups = tuple(subgroups)
+        self.canon = canons
+
+
+def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]) -> CosetGeometry:
+    """The coset geometry of group and subgroups, validated: raises
+    NotAPolytope when an axiom fails."""
+    struct = CosetGeometry(group, subgroups)
     struct.validate_polytope()
     return struct
 
 
-def coset_face_action(struct: RankedIncidenceStructure, element) -> dict[FaceRef, FaceRef]:
+def coset_face_action(struct: CosetGeometry, element) -> dict[FaceRef, FaceRef]:
     """The face permutation induced by right multiplication on cosets: each
     representative walks along the word of `element`."""
-    if struct.coset_canon is None:
+    if not isinstance(struct, CosetGeometry):
         raise ValueError("structure carries no coset decomposition")
     group = struct.group
     index = group.table().index
     word = group.word(index[element])
-    return {ref: (ref[0], struct.coset_canon[ref[0]][group.walk(index[struct.key(ref)], word)])
+    return {ref: (ref[0], struct.canon[ref[0]][group.walk(index[struct.key(ref)], word)])
             for ref in struct.all_refs()}
 
 
-def polytope_from_reflections(group: ConcreteGroup) -> RankedIncidenceStructure:
+def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     """Wythoff-style coset geometry from ordered involutory generators:
     rank-j faces are cosets of the subgroup omitting generator j."""
     gens = group.generator_list()
@@ -461,14 +463,12 @@ def polytope_from_reflections(group: ConcreteGroup) -> RankedIncidenceStructure:
 # -- central quotients ------------------------------------------------------------
 
 
-def central_quotient(p: RankedIncidenceStructure, z,
-                     face_map: Mapping[FaceRef, FaceRef] | None = None
-                     ) -> RankedIncidenceStructure:
+def central_quotient(p: CosetGeometry, z) -> RankedIncidenceStructure:
     """Quotient by a central involution acting freely on faces.
 
     `z` is an element of p.group (the trivial quotient by the identity is
     allowed and returns an isomorphic structure)."""
-    if p.group is None:
+    if not isinstance(p, CosetGeometry):
         raise ValueError("structure carries no group")
     if z not in p.group:
         raise NotCentral("element outside the group")
@@ -477,8 +477,7 @@ def central_quotient(p: RankedIncidenceStructure, z,
     identity = p.group.identity
     if z != identity and z * z != identity:
         raise NotCentral("element is not an involution")
-    if face_map is None:
-        face_map = coset_face_action(p, z)
+    face_map = coset_face_action(p, z)
 
     if z != identity:
         for ref in p.all_refs():
@@ -503,9 +502,6 @@ def central_quotient(p: RankedIncidenceStructure, z,
             pairs.add(((a[0], orbit_key[a]), (b[0], orbit_key[b])))
 
     struct = RankedIncidenceStructure(p.rank, faces_by_rank, pairs)
-    quotient_gens = {name: QuotientElem(g, z)
-                     for name, g in p.group.generators.items()}
-    struct.group = ConcreteGroup.generate(quotient_gens, cap=len(p.group) + 1)
     struct.validate_polytope()
     return struct
 

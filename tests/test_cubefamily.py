@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytope_forge.cubefamily import (
+    _FACE_CONTAINS,
     CONFIGURATION_LINES,
     PetriePolygon,
     _det_int,
     _edges_share_facet,
+    _realize,
     gp83_graph,
     build_atlas,
     build_cover,
@@ -22,6 +24,7 @@ from polytope_forge.cubefamily import (
     build_map,
     build_roli,
     companion,
+    group_cover_rotation,
     group_cube,
     group_map_rotation,
     group_rotation,
@@ -31,8 +34,8 @@ from polytope_forge.cubefamily import (
     petrie_polygons_brute_force,
     point_labels,
 )
-from polytope_forge.groupcore import setwise_stabilizer
-from polytope_forge.polycore import Classification
+from polytope_forge.groupcore import ConcreteGroup, extend_homomorphism, setwise_stabilizer
+from polytope_forge.polycore import Classification, RankedIncidenceStructure, _check_face_map
 from polytope_forge.signedperm import SignedPerm, block_pair
 
 
@@ -254,18 +257,74 @@ def test_petrie_symmetry_rotates_invariant_planes_by_45_and_135_degrees(atlas):
 
 
 def test_cube_shares_the_face_model():
-    struct = build_cube().structure
-    assert {struct.realization[ref] for ref in struct.refs(0)} == set(
+    bundle = build_cube()
+    struct = bundle.structure
+    assert {bundle.realization[ref] for ref in struct.refs(0)} == set(
         itertools.product((1, -1), repeat=4))
-    squares = [struct.realization[ref] for ref in struct.refs(2)]
+    squares = [bundle.realization[ref] for ref in struct.refs(2)]
     assert all(len(sq) == 4 and all(sum(x != y for x, y in zip(sq[k - 1], sq[k])) == 1
                                     for k in range(4)) for sq in squares)
     assert len({frozenset(sq) for sq in squares}) == 24
-    facets = [struct.realization[ref] for ref in struct.refs(3)]
+    facets = [bundle.realization[ref] for ref in struct.refs(3)]
     assert all(len(m) == 12 and len({p for e in m for p in e}) == 8 for m in facets)
 
 
+def _containment_mismatches(struct, realization):
+    """The pairs of faces of different ranks whose incidence differs from the
+    containment of their realized faces, by scanning every pair."""
+    return [(ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
+            for ra in struct.refs(r1) for rb in struct.refs(r2)
+            if _FACE_CONTAINS[(r1, r2)](realization[ra], realization[rb])
+            != struct.incident(ra, rb)]
+
+
+def _map_realization(atlas):
+    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
+    return _realize(build_map().structure, [atlas.v, base_edge, atlas.base_octagon.vertices])
+
+
+@pytest.mark.parametrize("build", [build_cube, build_map, build_roli, build_enantiomorph,
+                                   build_cover])
+def test_realized_containment_is_incidence_on_every_pair(build, atlas):
+    # _realize compares one base face per lower rank; the whole scan agrees
+    bundle = build()
+    realization = _map_realization(atlas) if build is build_map else bundle.realization
+    assert _containment_mismatches(bundle.structure, realization) == []
+
+
 # -- the trivalent map --------------------------------------------------------------
+
+
+def _hand_built_map(bundle):
+    """The map as points, edges and octagons, incident when one contains the
+    other, built by hand from the bundle's edges and octagons."""
+    points = sorted(itertools.product((1, -1), repeat=4))
+    oct_keys = sorted(o.vertices for o in bundle.octagons)
+    pairs = [((0, p), (1, e)) for e in bundle.edges for p in e]
+    for okey in oct_keys:
+        pairs += [((0, p), (2, okey)) for p in okey]
+        pairs += [((1, e), (2, okey)) for e in PetriePolygon(okey).edge_set()]
+    struct = RankedIncidenceStructure(3, [points, sorted(bundle.edges), oct_keys], pairs)
+    struct.validate_polytope()
+    return struct
+
+
+def test_map_cosets_are_the_hand_built_map(atlas):
+    bundle = build_map()
+    hand = _hand_built_map(bundle)
+    assert bundle.structure.isomorphic_to(hand)
+    # the realization itself is an isomorphism onto it
+    realization = _map_realization(atlas)
+    _check_face_map(bundle.structure, {ref: hand.ref(ref[0], face)
+                                       for ref, face in realization.items()},
+                    "test.map-realization", hand)
+
+
+def test_map_edge_stabilizer_against_setwise_stabilizer():
+    bundle = build_map()
+    stab = setwise_stabilizer(group_cube(), bundle.edges,
+                              lambda e, g: tuple(sorted(g.act(p) for p in e)))
+    assert bundle.edge_stabilizer_in_full_group == stab.element_set
 
 
 def test_map_battery(atlas):
@@ -361,7 +420,7 @@ def test_roli_two_faces_are_the_right_handed_polygons():
     struct = bundle.structure
     polys = {p.vertices: p for p in petrie_polygons()}
     for ref in struct.refs(2):
-        assert polys[struct.realization[ref]].chiral_class == "R"
+        assert polys[bundle.realization[ref]].chiral_class == "R"
 
 
 def test_roli_facets_share_all_vertices():
@@ -392,20 +451,21 @@ def test_enantiomorph_battery(atlas):
     assert bundle.structure.f_vector == (16, 32, 12, 4)
     assert bundle.stabilizer_orders == (12, 6, 16, 48)
     assert bundle.two_faces_class == "L"
-    assert bundle.sigma_bar_generate_rotation_group
     assert bundle.mirror_iso_by_rho0
+    barred = ConcreteGroup.generate([atlas.sigma1_bar, atlas.sigma2_bar, atlas.sigma3_bar])
+    assert barred.element_set == group_rotation().element_set
 
 
 def test_enantiomorph_two_faces_are_left_handed():
-    struct = build_enantiomorph().structure
-    for ref in struct.refs(2):
-        assert PetriePolygon(struct.realization[ref]).chiral_class == "L"
+    bundle = build_enantiomorph()
+    for ref in bundle.structure.refs(2):
+        assert PetriePolygon(bundle.realization[ref]).chiral_class == "L"
 
 
 def test_any_reflection_induces_the_poset_isomorphism(atlas):
     # the mirror map works with rho1 just as well as with rho0
-    right = build_roli().structure
-    left = build_enantiomorph().structure
+    right_bundle, left_bundle = build_roli(), build_enantiomorph()
+    right, left = right_bundle.structure, left_bundle.structure
     actions = {
         0: lambda obj, g: g.act(obj),
         1: lambda obj, g: tuple(sorted(g.act(p) for p in obj)),
@@ -416,11 +476,11 @@ def test_any_reflection_induces_the_poset_isomorphism(atlas):
     lookup = {}
     for r in range(4):
         for ref in left.refs(r):
-            lookup[(r, left.realization[ref])] = ref
+            lookup[(r, left_bundle.realization[ref])] = ref
     mapping = {}
     for r in range(4):
         for ref in right.refs(r):
-            mapping[ref] = lookup[(r, actions[r](right.realization[ref], atlas.rho1))]
+            mapping[ref] = lookup[(r, actions[r](right_bundle.realization[ref], atlas.rho1))]
     for a in right.all_refs():
         for b in right.all_refs():
             if a[0] < b[0]:
@@ -450,17 +510,24 @@ def test_cover_centre_words(atlas):
         block_pair(atlas.zeta, atlas.zeta),
     }
     assert bundle.centre_word_identities
-    assert bundle.kernel_right == {SignedPerm.identity(8),
-                                   block_pair(ident4, atlas.zeta)}
-    assert bundle.kernel_left == {SignedPerm.identity(8),
-                                  block_pair(atlas.zeta, ident4)}
-    assert bundle.kernel_cube_rotation == {SignedPerm.identity(8),
-                                           block_pair(atlas.zeta, atlas.zeta)}
+
+    def kernel(images):
+        hom = extend_homomorphism(group_cover_rotation(), dict(zip(
+            ("kappa1", "kappa2", "kappa3"), images)))
+        return frozenset(hom.kernel())
+
+    assert kernel((atlas.sigma1, atlas.sigma2, atlas.sigma3)) == {
+        SignedPerm.identity(8), block_pair(ident4, atlas.zeta)}
+    assert kernel((atlas.sigma1_bar, atlas.sigma2_bar, atlas.sigma3_bar)) == {
+        SignedPerm.identity(8), block_pair(atlas.zeta, ident4)}
+    assert kernel((atlas.rho0 * atlas.rho1, atlas.rho1 * atlas.rho2,
+                   atlas.rho2 * atlas.rho3)) == {
+        SignedPerm.identity(8), block_pair(atlas.zeta, atlas.zeta)}
 
 
 def test_cover_base_vertex(atlas):
-    struct = build_cover().structure
-    points = {struct.realization[ref] for ref in struct.refs(0)}
+    bundle = build_cover()
+    points = {bundle.realization[ref] for ref in bundle.structure.refs(0)}
     assert atlas.v + atlas.v_bar in points
     assert len(points) == 32
 
@@ -485,10 +552,10 @@ def test_roli_flag_count_against_chain_oracle():
     # independent chain count over the realized faces
     bundle = build_roli()
     struct = bundle.structure
-    verts = [struct.realization[ref] for ref in struct.refs(0)]
-    edges = [struct.realization[ref] for ref in struct.refs(1)]
-    octs = [struct.realization[ref] for ref in struct.refs(2)]
-    facets = [set(struct.realization[ref]) for ref in struct.refs(3)]
+    verts = [bundle.realization[ref] for ref in struct.refs(0)]
+    edges = [bundle.realization[ref] for ref in struct.refs(1)]
+    octs = [bundle.realization[ref] for ref in struct.refs(2)]
+    facets = [set(bundle.realization[ref]) for ref in struct.refs(3)]
     count = 0
     for e in edges:
         for v in e:

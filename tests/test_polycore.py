@@ -38,6 +38,7 @@ from polytope_forge.polycore import (
     NotEquivelar,
     NotCentral,
     NotACovering,
+    CosetGeometry,
     RankedIncidenceStructure,
     central_quotient,
     classify,
@@ -104,7 +105,7 @@ def test_cover_f_vector_against_coset_count_oracle(atlas):
 def test_coset_geometry_map_f_vector_oracle(atlas):
     # stabilizer orders 3, 2, 8 force 48/3, 48/2, 48/8 faces
     bundle = build_map()
-    assert bundle.structure_cosets.f_vector == (48 // 3, 48 // 2, 48 // 8)
+    assert bundle.structure.f_vector == (48 // 3, 48 // 2, 48 // 8)
 
 
 def test_coset_geometry_agrees_with_reflection_construction():
@@ -139,7 +140,7 @@ def test_ncube_from_reflections_up_to_rank_5(n):
 @pytest.mark.parametrize("make", [
     lambda: build_cube().structure,
     lambda: build_roli().structure,
-    lambda: build_map().structure_cosets,
+    lambda: build_map().structure,
     lambda: build_cover().structure,
     lambda: _bn_polytope(3),
 ], ids=["cube", "roli", "map", "cover", "b3"])
@@ -171,7 +172,7 @@ def _decomposition_by_products(group, sub):
 
 @pytest.mark.parametrize("make", [
     lambda: build_cube().structure,
-    lambda: build_map().structure_cosets,
+    lambda: build_map().structure,
     lambda: build_roli().structure,
     lambda: build_enantiomorph().structure,  # two subgroups are stabilizers
     lambda: build_cover().structure,
@@ -198,6 +199,14 @@ def test_coset_decomposition_against_products(make, monkeypatch):
 def test_coset_face_action_needs_coset_data():
     with pytest.raises(ValueError):
         coset_face_action(build_cube().colourful, group_cube().identity)
+
+
+def test_plain_structures_carry_no_coset_data():
+    # coset data lives on CosetGeometry and realizations on the bundles
+    for struct in (build_cube().colourful, build_hemi().structure, build_hemi().colourful):
+        assert not isinstance(struct, CosetGeometry)
+        assert [name for name in ("group", "subgroups", "canon", "coset_canon", "realization")
+                if hasattr(struct, name)] == []
 
 
 def test_roli_coset_geometry_f_vector():
