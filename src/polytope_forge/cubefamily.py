@@ -1043,7 +1043,11 @@ def build_enantiomorph() -> EnantiomorphBundle:
     check(sub1.element_set == setwise_stabilizer(rot, set(base_edge)).element_set,
           "enantiomorph.edge-stabilizer")
     sub2 = setwise_stabilizer(rot, mirror_octagon.vertex_set())
-    sub3 = stabilizer(rot, mirror_facet, lambda m, g: _face_image(3, m, g.act))
+    # rho0 normalizes rot and maps Roli's base facet to the mirror facet, so
+    # the facet's stabilizer is the rho0-conjugate of Roli's; _realize checks
+    # that it fixes the facet and that the realization is faithful
+    sub3 = rot.subgroup([g.conjugate(rho0)
+                         for g in roli.structure.subgroups[3].generator_list()])
     orders = (len(sub0), len(sub1), len(sub2), len(sub3))
     check(orders == (12, 6, 16, 48), "enantiomorph.stabilizer-orders", orders)
 

@@ -2,9 +2,10 @@
 
 The ambient space is E^4 with a complex structure J (an orthogonal matrix
 with J^2 = -I); scalar multiplication (a+ib)u = au + b(uJ) turns E^4 into
-C^2.  All arithmetic happens in the 4-dimensional Q-algebra
-Q(sqrt(3), i) = {a + b*sqrt(3) + c*i + d*i*sqrt(3)}; there is no floating
-point and no epsilon anywhere in this module.
+C^2.  J and its centralizer are checked on an integer matrix; all other
+arithmetic happens in the 4-dimensional Q-algebra Q(sqrt(3), i) =
+{a + b*sqrt(3) + c*i + d*i*sqrt(3)}; there is no floating point and no
+epsilon anywhere in this module.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "table_labeling",
     "configuration_relabelings",
     "group_333",
-    "cross_polytope_check",
     "CollinearityFailure",
 ]
 
@@ -207,33 +207,25 @@ def row_times_matrix(u, m: Mat4):
         sum((u[i] * m[i][j] for i in range(4)), ZERO) for j in range(4))
 
 
-def mat_mul(p: Mat4, q: Mat4) -> Mat4:
-    return tuple(row_times_matrix(row, q) for row in p)
-
-
-def mat_transpose(m: Mat4) -> Mat4:
-    return tuple(tuple(m[i][j] for i in range(4)) for j in range(4))
-
-
-_IDENTITY4: Mat4 = tuple(
-    tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+# M = sqrt(3)·J.  Every entry of J is 0 or +-1/sqrt(3), so this integer
+# matrix carries J's algebra (M·M = -3I is J^2 = -I, M·M^T = 3I is J
+# orthogonal) and its centralizer: g commutes with J exactly when with M.
+_J_PATTERN = ((0, 1, -1, -1), (-1, 0, -1, 1), (1, 1, 0, 1), (1, -1, -1, 0))
 
 
 @lru_cache(maxsize=None)
 def build_J() -> Mat4:
-    """The complex structure: orthogonal, J^2 = -I, entries 0 or +-1/sqrt(3)."""
-    s = QF.sqrt3().inverse()
-    z = ZERO
-    rows = (
-        (z, s, -s, -s),
-        (-s, z, -s, s),
-        (s, s, z, s),
-        (s, -s, -s, z),
-    )
-    check(mat_mul(rows, rows) == tuple(tuple(-x for x in row) for row in _IDENTITY4),
-          "mk.j-squares-to-minus-identity")
-    check(mat_mul(rows, mat_transpose(rows)) == _IDENTITY4, "mk.j-orthogonal")
-    return rows
+    """The complex structure J = M/sqrt(3) = M·sqrt(3)/3, M = _J_PATTERN:
+    orthogonal with J^2 = -I, both checked on M over the integers."""
+    m = _J_PATTERN
+    square = tuple(tuple(sum(m[r][t] * m[t][c] for t in range(4)) for c in range(4))
+                   for r in range(4))
+    check(square == tuple(tuple(-3 * (r == c) for c in range(4)) for r in range(4)),
+          "mk.j-squares-to-minus-identity", square)
+    gram = tuple(tuple(sum(x * y for x, y in zip(row, other)) for other in m) for row in m)
+    check(gram == tuple(tuple(3 * (r == c) for c in range(4)) for r in range(4)),
+          "mk.j-orthogonal", gram)
+    return tuple(tuple(QF(0, Fraction(x, 3)) for x in row) for row in m)
 
 
 @lru_cache(maxsize=None)
@@ -437,6 +429,7 @@ def build_configuration(policy: str = "lex") -> Configuration:
     check(config.incidence_row_sums() == config.incidence_col_sums() == (3,) * 8,
           "mk.incidence-8-8-3", config.incidence)
     _check_mutually_inscribed(config)
+    _check_cross_polytope_and_shadows(config)
     return config
 
 
@@ -461,6 +454,28 @@ def _check_mutually_inscribed(config: Configuration) -> None:
                   for quad, other in ((quad_a, quad_b), (quad_b, quad_a))
                   if not inscribed(quad, other)), None)
     check(unmet is None, "mk.quadrangles-mutually-inscribed", unmet)
+
+
+def _check_cross_polytope_and_shadows(config: Configuration) -> None:
+    """Labels k and k+4 are antipodes with negated coordinates; the eight
+    points are the odd-parity vertices of the 4-cube and pairwise opposite
+    or orthogonal; projected to z2 = 0 they form the squares (+-r, 0),
+    (0, +-r) and (+-1, +-1)."""
+    pts = config.points
+    check(all(pts[k + 4].ambient == tuple(-x for x in pts[k].ambient)
+              and (pts[k + 4].z1, pts[k + 4].z2) == (-pts[k].z1, -pts[k].z2)
+              for k in range(4)), "mk.labels-k-and-k-plus-4-antipodal")
+    ambient = [p.ambient for p in pts]
+    odd = {v for v in itertools.product((1, -1), repeat=4) if v.count(-1) % 2 == 1}
+    check(set(ambient) == odd
+          and all(sum(x * y for x, y in zip(p, q)) in (0, -4)
+                  for p, q in itertools.combinations(ambient, 2)),
+          "mk.points-form-a-cross-polytope", ambient)
+    r = QF.r()
+    shadows = {(QF(p.z1.a, p.z1.b), QF(p.z1.c, p.z1.d)) for p in pts}
+    squares = ({(r, ZERO), (-r, ZERO), (ZERO, r), (ZERO, -r)}
+               | {(QF(s), QF(t)) for s in (1, -1) for t in (1, -1)})
+    check(shadows == squares, "mk.plane-shadows-two-squares", shadows)
 
 
 def paper_line_coefficients() -> tuple[QF, QF, QF]:
@@ -501,33 +516,6 @@ def compare_with_table(config: Configuration) -> dict:
     return {"matches": False, "relabeling": None, "literal": False}
 
 
-def central_symmetry_pairs(config: Configuration) -> bool:
-    """Label k+4 carries the antipode of label k, with negated coordinates."""
-    for k in range(4):
-        p, q = config.points[k], config.points[k + 4]
-        if q.ambient != tuple(-x for x in p.ambient):
-            return False
-        if q.z1 != -p.z1 or q.z2 != -p.z2:
-            return False
-    return True
-
-
-def plane_shadow_positions(config: Configuration) -> set:
-    """Projections to z2 = 0, as exact (real, imaginary) pairs."""
-    return {(QF(p.z1.a, p.z1.b), QF(p.z1.c, p.z1.d)) for p in config.points}
-
-
-def expected_shadow_positions() -> set:
-    r = QF.r()
-    out = set()
-    for s in (1, -1):
-        out.add((QF(s) * r, ZERO))
-        out.add((ZERO, QF(s) * r))
-        for t in (1, -1):
-            out.add((QF(s), QF(t)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the unitary triangle group and the centralizer of J
 # ---------------------------------------------------------------------------
@@ -544,15 +532,14 @@ def group_333() -> dict:
     """The symmetry group of the complex polygon spanned by the eight
     points: generated by two period-3 elements satisfying the braid
     relation, of order 24, and equal to the centralizer of J in the full
-    cube group."""
+    cube group, found on the integer pattern of J."""
     atlas = build_atlas()
     g1, g2 = atlas.gamma1, atlas.gamma2
     ident = atlas.rho0 * atlas.rho0
     braid = g1 * g2 * g1 == g2 * g1 * g2
     group = group_unitary()
 
-    j = build_J()
-    centralizer = [g for g in group_cube() if _commutes(g, j)]
+    centralizer = [g for g in group_cube() if _commutes(g, _J_PATTERN)]
 
     pres = presentation_unitary_triangle()
     table = enumerate_cosets(pres, subgroup_words=(), cap=10_000)
@@ -566,25 +553,4 @@ def group_333() -> dict:
         "centralizer_order": len(centralizer),
         "centralizer_equals_group": frozenset(centralizer) == group.element_set,
         "presentation_index": table.index,
-        "group": group,
-    }
-
-
-def cross_polytope_check() -> dict:
-    """The eight labelled vertices are pairwise opposite or orthogonal, and
-    are exactly the odd-parity vertices of the ambient 4-cube."""
-    labeling = point_labels()
-    pts = [labeling.point_of[k] for k in range(8)]
-    ok_angles = True
-    for p, q in itertools.combinations(pts, 2):
-        prod = sum(x * y for x, y in zip(p, q))
-        if prod not in (0, -4):
-            ok_angles = False
-    odd = {p for p in itertools.product((1, -1), repeat=4)
-           if sum(1 for x in p if x < 0) % 2 == 1}
-    return {
-        "pairwise_opposite_or_orthogonal": ok_angles,
-        "exactly_odd_parity_vertices": set(pts) == odd,
-        "point_0_opposite_4": pts[0] == tuple(-x for x in pts[4]),
-        "point_0_orthogonal_1": sum(x * y for x, y in zip(pts[0], pts[1])) == 0,
     }

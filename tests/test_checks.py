@@ -12,6 +12,7 @@ import pytest
 import polytope_forge
 from polytope_forge import cli
 from polytope_forge import cubefamily as cf
+from polytope_forge import mkconfig as mk
 from polytope_forge.groupcore import CheckFailed, NotASubgroup, Presentation, check
 from polytope_forge.mkconfig import CollinearityFailure
 from polytope_forge.polycore import (ConditionFailed, ImproperColouring, NotACovering,
@@ -38,15 +39,24 @@ def _perturbed_pi_display(patch):
         "(1,1,1,1)·(4,3,2,1)" if text == "(-1,1,1,1)·(4,3,2,1)" else text))
 
 
-# fault -> (injection, command, the check it must name, names of the
-# cached builds between the fault and the command)
+def _flipped_j_entry(patch):
+    """One sign of the integer pattern sqrt(3)·J flips, so J^2 is not -I."""
+    rows = [list(row) for row in mk._J_PATTERN]
+    rows[0][1] = -rows[0][1]
+    patch(mk, "_J_PATTERN", tuple(map(tuple, rows)))
+
+
+# fault -> (injection, command, the check it must name, the cached builds
+# between the fault and the command)
 FAULTS = {
     "map-relator": (_wrong_map_relator, ["build", "map"], "map.full-presentation",
-                    ("build_map",)),
+                    (cf.build_map,)),
     "roli-subgroups": (_equal_roli_subgroups, ["build", "roli"], "roli.stabilizer-orders",
-                       ("build_roli",)),
+                       (cf.build_roli,)),
     "atlas-display": (_perturbed_pi_display, ["build", "cube"], "atlas.pi-display",
-                      ("build_atlas", "group_cube", "build_cube")),
+                      (cf.build_atlas, cf.group_cube, cf.build_cube)),
+    "mk-j-pattern": (_flipped_j_entry, ["build", "mk"], "mk.j-squares-to-minus-identity",
+                     (mk.build_J, mk.build_L, mk.build_configuration)),
 }
 
 
@@ -56,13 +66,13 @@ def run_fault(fault: str, patch=setattr) -> int:
     and again after, so no cached value outlives it."""
     inject, argv, _, caches = FAULTS[fault]
     inject(patch)
-    for name in caches:
-        getattr(cf, name).cache_clear()
+    for build in caches:
+        build.cache_clear()
     try:
         return cli.main(argv)
     finally:
-        for name in caches:
-            getattr(cf, name).cache_clear()
+        for build in caches:
+            build.cache_clear()
 
 
 def _optimized(*args: str) -> subprocess.CompletedProcess:

@@ -15,6 +15,7 @@ from polytope_forge.cubefamily import (
     PetriePolygon,
     _det_int,
     _edges_share_facet,
+    _face_image,
     _realize,
     gp83_graph,
     build_atlas,
@@ -27,6 +28,7 @@ from polytope_forge.cubefamily import (
     group_cover_rotation,
     group_cube,
     group_map_rotation,
+    group_petrie_stabilizer,
     group_rotation,
     binary_tetrahedral_check,
     octagon_label_sets,
@@ -34,7 +36,8 @@ from polytope_forge.cubefamily import (
     petrie_polygons_brute_force,
     point_labels,
 )
-from polytope_forge.groupcore import ConcreteGroup, extend_homomorphism, setwise_stabilizer
+from polytope_forge.groupcore import (ConcreteGroup, extend_homomorphism, setwise_stabilizer,
+                                      stabilizer)
 from polytope_forge.polycore import Classification, RankedIncidenceStructure, _check_face_map
 from polytope_forge.signedperm import SignedPerm, block_pair
 
@@ -207,6 +210,14 @@ def test_every_polygon_has_stabilizer_sixteen():
     for p in petrie_polygons():
         assert len(setwise_stabilizer(full, p.vertex_set())) == 16
         assert len(setwise_stabilizer(rot, p.vertex_set())) == 16
+
+
+def test_petrie_stabilizer_rotations_are_its_determinant_one_part(atlas):
+    # the petrie.stabilizer-orders claim filters the full stabilizer by determinant
+    rotations = {g for g in group_petrie_stabilizer() if g.determinant() == 1}
+    octagon = atlas.base_octagon.vertex_set()
+    assert rotations == setwise_stabilizer(group_rotation(), octagon).element_set
+    assert len(rotations) == 16
 
 
 def test_colour_sequences_through_base_vertex_split_by_parity(atlas):
@@ -460,6 +471,16 @@ def test_enantiomorph_two_faces_are_left_handed():
     bundle = build_enantiomorph()
     for ref in bundle.structure.refs(2):
         assert PetriePolygon(bundle.realization[ref]).chiral_class == "L"
+
+
+def test_enantiomorph_facet_stabilizer_against_stabilizer_scan(atlas):
+    # the facet subgroup is Roli's conjugated by rho0; the scan of every
+    # rotation against the mirrored facet is the oracle
+    struct = build_enantiomorph().structure
+    mirror_facet = _face_image(3, tuple(sorted(build_map().edges)), atlas.rho0.act)
+    scan = stabilizer(struct.group, mirror_facet, lambda m, g: _face_image(3, m, g.act))
+    assert struct.subgroups[3].element_set == scan.element_set
+    assert len(scan) == 48
 
 
 def test_any_reflection_induces_the_poset_isomorphism(atlas):

@@ -1,5 +1,7 @@
 """Exact field arithmetic and the configuration of eight points and lines."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polytope_forge import mkconfig as mk
-from polytope_forge.cubefamily import build_atlas, group_cube, point_labels
+from polytope_forge.cubefamily import build_atlas, group_cube, group_unitary, point_labels
+from polytope_forge.groupcore import CheckFailed
 from polytope_forge.mkconfig import ONE, QF, ZERO
 
 
@@ -60,12 +63,18 @@ def test_field_constants():
 # -- the complex structure ----------------------------------------------------------
 
 
+def _qf_mat_mul(p, q):
+    return tuple(tuple(sum((p[r][t] * q[t][c] for t in range(4)), ZERO) for c in range(4))
+                 for r in range(4))
+
+
 def test_j_squares_to_minus_identity():
+    # the build checks M·M = -3I over the integers; here J·J = -I in the field
     j = mk.build_J()
-    minus_i4 = tuple(tuple(-x for x in row) for row in
-                     tuple(tuple(ONE if a == b else ZERO for b in range(4))
-                           for a in range(4)))
-    assert mk.mat_mul(j, j) == minus_i4
+    identity = tuple(tuple(ONE if a == b else ZERO for b in range(4)) for a in range(4))
+    assert _qf_mat_mul(j, j) == tuple(tuple(-x for x in row) for row in identity)
+    assert _qf_mat_mul(j, tuple(zip(*j))) == identity
+    assert j == tuple(tuple(x * QF.sqrt3().inverse() for x in row) for row in mk._J_PATTERN)
 
 
 def test_j_sends_basis_rows_to_their_partners():
@@ -175,11 +184,24 @@ def test_table_policy_agrees_with_constraint_solve():
 
 
 def test_central_symmetry(config):
-    assert mk.central_symmetry_pairs(config)
+    # label k+4 carries the antipode of label k, with negated coordinates
+    for k in range(4):
+        p, q = config.points[k], config.points[k + 4]
+        assert q.ambient == tuple(-x for x in p.ambient)
+        assert q.z1 == -p.z1 and q.z2 == -p.z2
 
 
 def test_plane_shadows(config):
-    assert mk.plane_shadow_positions(config) == mk.expected_shadow_positions()
+    # projections to z2 = 0, as exact (real, imaginary) pairs
+    shadows = {(QF(p.z1.a, p.z1.b), QF(p.z1.c, p.z1.d)) for p in config.points}
+    r = QF.r()
+    expected = set()
+    for s in (1, -1):
+        expected.add((QF(s) * r, ZERO))
+        expected.add((ZERO, QF(s) * r))
+        for t in (1, -1):
+            expected.add((QF(s), QF(t)))
+    assert shadows == expected
 
 
 def test_mutually_inscribed_in_three_ways(config):
@@ -222,6 +244,27 @@ def test_j_commutes_with_exactly_the_triangle_group():
     assert report["centralizer_equals_group"]
 
 
+def test_group_333_makes_no_field_product(monkeypatch):
+    expected = mk.group_333()
+    count = [0]
+    real = QF.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(QF, "__mul__", counted)
+    monkeypatch.setattr(QF, "__rmul__", counted)
+    assert QF.sqrt3() * 2 == 2 * QF.sqrt3() and count[0] == 2  # the patch counts
+    count[0] = 0
+    mk.group_333.cache_clear()
+    try:
+        assert mk.group_333() == expected
+    finally:
+        mk.group_333.cache_clear()
+    assert count[0] == 0
+
+
 def test_commutation_test_agrees_with_integer_products():
     # K = sqrt(3) J has entries 0 and +-1: g commutes with J exactly when
     # the integer products gK and Kg agree.
@@ -237,13 +280,38 @@ def test_commutation_test_agrees_with_integer_products():
     group = group_cube()
     commuting = [g for g in group if mul(g.matrix(), k) == mul(k, g.matrix())]
     assert len(group) == 384 and len(commuting) == 24
+    assert k == [list(row) for row in mk._J_PATTERN]
     for g in group:
         assert mk._commutes(g, j) == (g in commuting), g
+    # group_333 scans on the integer pattern; the field scan is its oracle
+    report = mk.group_333()
+    assert report["centralizer_order"] == len(commuting)
+    assert report["centralizer_equals_group"]
+    assert set(commuting) == {g for g in group if mk._commutes(g, mk._J_PATTERN)}
+    assert set(commuting) == group_unitary().element_set
 
 
 def test_cross_polytope():
-    report = mk.cross_polytope_check()
-    assert all(report.values())
+    # the eight labelled vertices are pairwise opposite or orthogonal, and
+    # are exactly the odd-parity vertices of the ambient 4-cube
+    labeling = point_labels()
+    pts = [labeling.point_of[k] for k in range(8)]
+    for p, q in itertools.combinations(pts, 2):
+        assert sum(x * y for x, y in zip(p, q)) in (0, -4)
+    odd = {p for p in itertools.product((1, -1), repeat=4)
+           if sum(1 for x in p if x < 0) % 2 == 1}
+    assert set(pts) == odd
+    assert pts[0] == tuple(-x for x in pts[4])
+    assert sum(x * y for x, y in zip(pts[0], pts[1])) == 0
+
+
+def test_point_checks_name_a_broken_configuration(config):
+    mk._check_cross_polytope_and_shadows(config)
+    # labels 4..7 rotated by one: 0 and 4 are no longer antipodes
+    rotated = dataclasses.replace(config, points=config.points[:4] + config.points[5:]
+                                  + config.points[4:5])
+    with pytest.raises(CheckFailed, match=r"^mk\.labels-k-and-k-plus-4-antipodal"):
+        mk._check_cross_polytope_and_shadows(rotated)
 
 
 def test_collinearity_guard():
