@@ -319,6 +319,10 @@ class ProjectionSpec:
     def validate(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        width = f"{2 * self.half_width:.1f}"
+        if not (math.isfinite(float(width)) and float(width) > 0):
+            raise ValueError(f"scale {self.scale} gives the SVG viewBox width {width}; "
+                             "it must be finite and positive")
         if not self.colors or any(c not in _EDGE_COLOR_NAMES for c in self.colors):
             raise ValueError(f"edge colours must be one or more of 1..4, got {self.colors}")
         g00 = sum(x * x for x in self.basis[0])
@@ -326,6 +330,11 @@ class ProjectionSpec:
         g01 = sum(x * y for x, y in zip(self.basis[0], self.basis[1]))
         if abs(g00 * g11 - g01 * g01) < 1e-12:
             raise ValueError("degenerate projection basis")
+
+    @property
+    def half_width(self) -> float:
+        """Half the side of the square SVG viewBox."""
+        return 2.6 * self.scale
 
     def project(self, point) -> tuple[float, float]:
         return (sum(float(x) * b for x, b in zip(point, self.basis[0])),
@@ -398,7 +407,7 @@ def render_projection(spec: ProjectionSpec) -> str:
         return f"{value:.6f}"
 
     lines = []
-    half = 2.6 * s
+    half = spec.half_width
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{-half:.1f} {-half:.1f} {2 * half:.1f} {2 * half:.1f}">')
@@ -566,7 +575,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "project":
-            colors = tuple(int(tok) for tok in args.colors.split(",") if tok)
+            try:
+                colors = tuple(int(tok) for tok in args.colors.split(",") if tok)
+            except ValueError:
+                raise ValueError("edge colours must be one or more of 1..4, "
+                                 f"got {args.colors!r}") from None
             spec = replace(_PRESETS[args.preset](scale=args.scale), colors=colors)
             _write(render_projection(spec), args.out)
             return 0

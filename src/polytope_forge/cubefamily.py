@@ -23,8 +23,6 @@ from .groupcore import (
     extend_homomorphism,
     intersection_condition,
     orbit,
-    setwise_stabilizer,
-    stabilizer,
     string_condition,
     verify_relators,
     witness_pair_inconsistent,
@@ -45,15 +43,15 @@ from .polycore import (
     polytope_from_reflections,
     verify_covering,
 )
-from .signedperm import SignedPerm, block_pair
+from .signedperm import SignedPerm, act, block_pair
 
 __all__ = [
     "Atlas", "build_atlas",
-    "PetriePolygon", "petrie_polygons", "petrie_polygons_brute_force", "companion",
+    "PetriePolygon", "petrie_polygons", "petrie_polygons_brute_force",
     "group_cube", "group_rotation", "group_rotation_sigma", "group_map_rotation",
     "group_petrie_stabilizer", "group_cover_rotation", "group_cover", "group_unitary",
     "build_cube", "build_hemi", "build_map", "build_roli", "build_enantiomorph",
-    "build_cover", "binary_tetrahedral_check", "geometric_chirality_report",
+    "build_cover", "binary_tetrahedral_check",
     "point_labels", "Labeling", "octagon_label_sets",
     "gp83_graph",
     "presentation_map_rotation", "presentation_map_full", "presentation_roli",
@@ -391,16 +389,31 @@ def group_map_rotation() -> ConcreteGroup:
     return g
 
 
+def _check_stabilizer(group: ConcreteGroup, sub: ConcreteGroup, point, action, name: str
+                      ) -> None:
+    """Check that sub, a subgroup of group, is the stabilizer of point: its
+    generators fix the point, so sub lies in the stabilizer, and by
+    orbit-stabilizer |sub| * |orbit| = |group| leaves the stabilizer no
+    other element.  The witness is a moving generator (or None) and the two
+    sizes."""
+    moved = next((g for g in sub.generator_list() if action(point, g) != point), None)
+    size = len(orbit(group, point, action))
+    check(moved is None and len(sub) * size == len(group), name, (moved, len(sub), size))
+
+
 @lru_cache(maxsize=None)
 def group_petrie_stabilizer() -> ConcreteGroup:
+    """The stabilizer of the base octagon's vertex set in the full group:
+    the dihedral group <mu0, mu1> of order 16."""
     a = build_atlas()
-    k = setwise_stabilizer(group_cube(), a.base_octagon.vertex_set())
+    k = group_cube().subgroup({"mu0": a.mu0, "mu1": a.mu1})
     check(len(k) == 16, "groups.petrie-stabilizer-order", len(k))
     check(a.mu0 in k and a.mu1 in k and a.pi in k, "groups.petrie-stabilizer-holds-mu0-mu1-pi")
     check(a.mu0.inverse() * a.pi * a.mu0 == a.pi.inverse(),
           "groups.petrie-stabilizer-dihedral")
-    check(k.element_set == ConcreteGroup.generate({"mu0": a.mu0, "mu1": a.mu1}).element_set,
-          "groups.petrie-stabilizer-generated-by-mu0-mu1")
+    _check_stabilizer(group_cube(), k, a.base_octagon.vertex_set(),
+                      lambda pts, g: frozenset(map(g.act, pts)),
+                      "groups.petrie-stabilizer-generated-by-mu0-mu1")
     return k
 
 
@@ -443,7 +456,9 @@ def petrie_polygons() -> tuple[PetriePolygon, ...]:
 
 @lru_cache(maxsize=None)
 def petrie_polygons_brute_force() -> tuple[PetriePolygon, ...]:
-    """All Petrie polygons by direct search over closed edge paths."""
+    """All Petrie polygons by direct search over closed edge paths.  Each
+    cycle is traced once: from its least vertex, in the direction whose
+    second vertex is the smaller of that vertex's two neighbours."""
     vertices = list(itertools.product((1, -1), repeat=4))
     found: set[PetriePolygon] = set()
 
@@ -458,28 +473,19 @@ def petrie_polygons_brute_force() -> tuple[PetriePolygon, ...]:
                 continue  # four consecutive edges may not repeat a direction
             nxt = step(path[-1], axis)
             if nxt == path[0] and len(path) >= 3:
-                try:
-                    found.add(PetriePolygon(tuple(path)))
-                except ValueError:
-                    pass
+                if path[1] < path[-1]:
+                    try:
+                        found.add(PetriePolygon(tuple(path)))
+                    except ValueError:
+                        pass
                 continue
-            if nxt in path:
+            if nxt < path[0] or nxt in path:
                 continue
             extend(path + [nxt], dirs + [axis])
 
     for start in vertices:
         extend([start], [])
     return tuple(sorted(found))
-
-
-def companion(p: PetriePolygon) -> PetriePolygon:
-    """The unique polygon of the same chiral class on the complementary
-    eight vertices."""
-    matches = [q for q in petrie_polygons()
-               if q.chiral_class == p.chiral_class
-               and q.vertex_set().isdisjoint(p.vertex_set())]
-    check(len(matches) == 1, "petrie.companion-unique", len(matches))
-    return matches[0]
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +754,7 @@ class MapBundle:
     edges: frozenset
     deleted_edges: frozenset
     levi_automorphism_count: int
-    full_automorphism_order: int
+    full_group: ConcreteGroup  # generated by t0, t1, t2
     regularity_hom: Homomorphism
     rotation_classification: Classification
     full_classification: Classification
@@ -762,7 +768,7 @@ class MapBundle:
             "f_vector": list(self.structure.f_vector),
             "type_vector": list(self.structure.schlafli_type()),
             "rotation_group_order": len(self.structure.group),
-            "full_automorphism_order": self.full_automorphism_order,
+            "full_automorphism_order": len(self.full_group),
             "levi_automorphism_count": self.levi_automorphism_count,
             "geometrically_chiral": not self.mu0_preserves_edges,
             "rotation_classification": self.rotation_classification.value,
@@ -777,6 +783,12 @@ def _adjacency(edges) -> dict:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
+
+
+def _in_flag(flag: tuple[int, ...]):
+    """The face label (rank, whether the face lies in the flag)."""
+    faces = set(enumerate(flag))
+    return lambda face: (face[0], face in faces)
 
 
 def gp83_graph() -> dict:
@@ -836,24 +848,28 @@ def build_map() -> MapBundle:
     check(rot_result.orbit_count == 2 and rot_result.flag_count == 96,
           "map.rotation-group-has-two-flag-orbits", rot_result)
 
-    autos = [FacePerm.from_mapping(struct, mapping) for mapping in struct.automorphisms()]
-    check(len(autos) == 96, "map.automorphism-count", len(autos))
-    full_result = classify(struct, [a.as_mapping() for a in autos])
-    check(full_result.kind is Classification.REGULAR, "map.full-group-regular",
-          full_result.kind)
-
-    # the three distinguished involutions: each maps the base flag to one of
-    # its adjacent flags; they satisfy the full-group presentation
+    # the three distinguished involutions.  An automorphism is fixed by the
+    # image of one flag (McMullen & Schulte, Abstract Regular Polytopes,
+    # ch. 2), so one search per flag j-adjacent to the base flag, with each
+    # face labelled by its rank and whether it lies in the flag, finds every
+    # automorphism taking the base flag there
     base_flag = tuple(canon[0] for canon in struct.canon)  # the faces holding the identity
     check(base_flag in struct.flag_graph(), "map.base-flag-is-a-flag", base_flag)
-    hits = [[a for a in autos if tuple(a.images[r][i] for r, i in enumerate(base_flag)) == f]
+    hits = [list(isomorphisms(struct._inc, struct._inc, _in_flag(base_flag), _in_flag(f)))
             for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
     check([len(h) for h in hits] == [1, 1, 1], "map.one-automorphism-per-adjacent-flag",
           [len(h) for h in hits])
-    t_gens = [h[0] for h in hits]
+    t_gens = [FacePerm.from_mapping(struct, h[0]) for h in hits]
     check(verify_relators(t_gens, presentation_map_full()), "map.full-presentation")
-    check(len(ConcreteGroup.generate(t_gens, names=["t0", "t1", "t2"])) == 96,
-          "map.involutions-generate-the-full-group")
+    full_result = classify(struct, [h[0] for h in hits])
+    check(full_result.kind is Classification.REGULAR, "map.full-group-regular",
+          full_result.kind)
+    # automorphisms of a polytope act freely on its flags, so a group of
+    # them with one element per flag is the whole automorphism group
+    full_group = ConcreteGroup.generate(t_gens, names=["t0", "t1", "t2"])
+    check(len(full_group) == len(struct.flags()), "map.automorphism-count",
+          (len(full_group), len(struct.flags())))
+    check(len(full_group) == 96, "map.involutions-generate-the-full-group", len(full_group))
 
     # the same involutions arise as words in the base one and the rotations:
     # t1 = t0 * s1 and t2 = t0 * s1 * s2 as face bijections
@@ -884,7 +900,7 @@ def build_map() -> MapBundle:
     return MapBundle(
         structure=struct, octagons=tuple(sorted(octagons)), edges=frozenset(edges),
         deleted_edges=deleted, levi_automorphism_count=aut_count,
-        full_automorphism_order=len(autos), regularity_hom=hom,
+        full_group=full_group, regularity_hom=hom,
         rotation_classification=rot_result.kind,
         full_classification=full_result.kind,
         edge_stabilizer_in_full_group=stab,
@@ -938,10 +954,11 @@ def build_roli() -> RoliBundle:
     subs = _roli_subgroups(rot)
     orders = tuple(len(s) for s in subs)
     check(orders == (12, 6, 16, 48), "roli.stabilizer-orders", orders)
-    check(subs[0].element_set == stabilizer(rot, atlas.v).element_set,
-          "roli.vertex-stabilizer")
-    check(subs[2].element_set == setwise_stabilizer(
-        rot, atlas.base_octagon.vertex_set()).element_set, "roli.octagon-stabilizer")
+    _check_stabilizer(rot, subs[0], atlas.v, act, "roli.vertex-stabilizer")
+    # the octagon's stabilizer in the full group lies in rot exactly when
+    # this holds, and then it is the stabilizer in rot as well
+    check(subs[2].element_set == group_petrie_stabilizer().element_set,
+          "roli.octagon-stabilizer", len(subs[2]))
 
     struct = coset_geometry(rot, list(subs))
     check(struct.f_vector == (16, 32, 12, 4), "roli.f-vector", struct.f_vector)
@@ -1037,22 +1054,22 @@ def build_enantiomorph() -> EnantiomorphBundle:
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     sub0 = rot.subgroup([atlas.sigma2_bar, atlas.sigma3_bar])
-    check(sub0.element_set == stabilizer(rot, atlas.v_bar).element_set,
-          "enantiomorph.vertex-stabilizer")
+    _check_stabilizer(rot, sub0, atlas.v_bar, act, "enantiomorph.vertex-stabilizer")
     sub1 = rot.subgroup([atlas.sigma1_bar * atlas.sigma2_bar, atlas.sigma3_bar])
-    check(sub1.element_set == setwise_stabilizer(rot, set(base_edge)).element_set,
-          "enantiomorph.edge-stabilizer")
-    sub2 = setwise_stabilizer(rot, mirror_octagon.vertex_set())
-    # rho0 normalizes rot and maps Roli's base facet to the mirror facet, so
-    # the facet's stabilizer is the rho0-conjugate of Roli's; _realize checks
-    # that it fixes the facet and that the realization is faithful
+    _check_stabilizer(rot, sub1, base_edge, lambda e, g: _face_image(1, e, g.act),
+                      "enantiomorph.edge-stabilizer")
+    # rho0 normalizes rot and maps the base octagon and Roli's base facet to
+    # the mirror ones, so their stabilizers are the rho0-conjugates of the
+    # right-handed ones; _realize checks that they fix the mirror faces and
+    # that the realization is faithful
+    sub2 = rot.subgroup([g.conjugate(rho0) for g in group_petrie_stabilizer().generator_list()])
     sub3 = rot.subgroup([g.conjugate(rho0)
                          for g in roli.structure.subgroups[3].generator_list()])
     orders = (len(sub0), len(sub1), len(sub2), len(sub3))
     check(orders == (12, 6, 16, 48), "enantiomorph.stabilizer-orders", orders)
 
-    # the barred generator words reproduce the right-handed rank-2 and
-    # rank-3 stabilizers, so the mirrored stabilizers are computed directly
+    # the barred generator words reproduce the right-handed octagon
+    # stabilizer, and its rho0-image is the mirrored one element by element
     k = group_petrie_stabilizer()
     barred_rank2 = rot.subgroup([atlas.sigma1_bar, atlas.sigma2_bar * atlas.sigma3_bar])
     check(barred_rank2.element_set == k.element_set,
@@ -1229,27 +1246,6 @@ def build_cover() -> CoverBundle:
     )
 
 
-def geometric_chirality_report() -> dict:
-    """Scan the full symmetry group for elements preserving the map's edge
-    set: only rotations qualify, and the candidate mirror symmetry moves
-    the deleted-edge matching."""
-    atlas = build_atlas()
-    bundle = build_map()
-    stab = bundle.edge_stabilizer_in_full_group
-    non_rotations = [g for g in group_cube() if g.determinant() == -1]
-    return {
-        "stabilizer_order": len(stab),
-        "stabilizer_is_rotational": stab == group_map_rotation().element_set,
-        "identity_preserves_edges": group_cube().identity in stab,
-        "non_rotations_scanned": len(non_rotations),
-        "non_rotation_preserves_edges": any(g in stab for g in non_rotations),
-        "mu0_preserves_edges": bundle.mu0_preserves_edges,
-        "mu0_preserves_deleted_matching":
-            {_face_image(1, e, atlas.mu0.act) for e in bundle.deleted_edges}
-            == set(bundle.deleted_edges),
-    }
-
-
 # ---------------------------------------------------------------------------
 # binary tetrahedral subgroup of the map's rotation group
 # ---------------------------------------------------------------------------
@@ -1264,9 +1260,10 @@ def binary_tetrahedral_check() -> dict:
     identities = (a ** 3 == atlas.zeta and b ** 3 == atlas.zeta
                   and (a * b) ** 2 == atlas.zeta)
     sub = ConcreteGroup.generate({"a": a, "b": b})
-    normal = all(
-        frozenset(g.inverse() * h * g for h in sub) == sub.element_set
-        for g in rot)
+    # conjugation by each generator keeps sub, so conjugation by every
+    # product of generators does, and in a finite group that is every element
+    normal = all(frozenset(g.inverse() * h * g for h in sub) == sub.element_set
+                 for g in rot.generator_list())
     centre_ok = rot.centre().element_set == frozenset(
         (rot.identity, s1 ** 4)) and s1 ** 4 == atlas.zeta
     return {

@@ -11,7 +11,6 @@ integer searches rather than fresh products of group elements.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -265,10 +264,6 @@ class ConcreteGroup:
               len(cosets))
         return cosets
 
-    def coset_reps(self, sub: "ConcreteGroup") -> list:
-        """One representative per right coset (sub)g, in first-appearance order."""
-        return [self.elements[min(coset)] for coset in self.right_cosets(sub)]
-
 
 # -- orbits -------------------------------------------------------------------
 
@@ -459,22 +454,6 @@ class Presentation:
             if not _freely_reduced(rel):
                 raise ValueError(f"relator {rel} is not freely reduced")
 
-    def to_json_dict(self) -> dict:
-        return {"generators": self.generator_count,
-                "relators": [list(r) for r in self.relators]}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "Presentation":
-        return cls(int(data["generators"]),
-                   tuple(tuple(r) for r in data["relators"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "Presentation":
-        return cls.from_json_dict(json.loads(text))
-
 
 def eval_word(assignment: Sequence, word: Sequence[int], identity):
     """Evaluate a signed word; assignment[i] realizes generator i+1."""
@@ -519,11 +498,6 @@ class CosetTable:
         for x in word:
             c = self.rows[c][self._col(x)]
         return c
-
-    def generator_permutation(self, gen: int) -> tuple[int, ...]:
-        """Action of generator `gen` (1-based) on cosets, as an image tuple."""
-        col = self._col(gen)
-        return tuple(row[col] for row in self.rows)
 
     def representative_words(self) -> list[tuple[int, ...]]:
         """A word reaching each coset from coset 0, by breadth-first search."""

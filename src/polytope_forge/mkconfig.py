@@ -252,10 +252,6 @@ def build_L() -> Mat4:
     return rows
 
 
-def lift(point) -> tuple[QF, ...]:
-    return tuple(QF(x) for x in point)
-
-
 def apply_complex(z: QF, u) -> tuple[QF, ...]:
     """(x + iy) u = x*u + y*(uJ), with x, y in Q(sqrt(3))."""
     x = QF(z.a, z.b)
@@ -263,14 +259,17 @@ def apply_complex(z: QF, u) -> tuple[QF, ...]:
     return vec_add(scalar_mul(x, u), scalar_mul(y, row_times_matrix(u, build_J())))
 
 
+@lru_cache(maxsize=None)
+def _inverse_norms() -> tuple[QF, QF, QF, QF]:
+    """1 / (x . x) for each row x of build_L()."""
+    return tuple(dot(x, x).inverse() for x in build_L())
+
+
 def complexify(point) -> tuple[QF, QF]:
     """Coordinates (z1, z2) of a vector in the C-basis a1, a2."""
     u = tuple(x if isinstance(x, QF) else QF(x) for x in point)
-    a1, b1, a2, b2 = build_L()
-    x1 = dot(u, a1) / dot(a1, a1)
-    y1 = dot(u, b1) / dot(b1, b1)
-    x2 = dot(u, a2) / dot(a2, a2)
-    y2 = dot(u, b2) / dot(b2, b2)
+    a1, _, a2, _ = rows = build_L()
+    x1, y1, x2, y2 = (dot(u, x) * inv for x, inv in zip(rows, _inverse_norms()))
     check(all(part.is_real() for part in (x1, y1, x2, y2)), "mk.complexify-parts-real",
           (x1, y1, x2, y2))
     z1 = QF(x1.a, x1.b, y1.a, y1.b)

@@ -616,10 +616,6 @@ class FacePerm:
             for r in range(struct.rank))
         return cls(images)
 
-    def as_mapping(self) -> dict[FaceRef, FaceRef]:
-        return {(r, i): (r, img) for r, row in enumerate(self.images)
-                for i, img in enumerate(row)}
-
     def __mul__(self, other: "FacePerm") -> "FacePerm":
         return FacePerm(tuple(
             tuple(orow[i] for i in srow)

@@ -2,7 +2,9 @@
 exits 1 and names the check, and all of it holds under `python -O`."""
 
 import ast
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +41,13 @@ def _perturbed_pi_display(patch):
         "(1,1,1,1)·(4,3,2,1)" if text == "(-1,1,1,1)·(4,3,2,1)" else text))
 
 
+def _unbarred_sigma1(patch):
+    """The atlas hands the enantiomorph sigma1 for sigma1_bar, so its edge
+    subgroup <sigma1 sigma2_bar, sigma3_bar> no longer fixes the base edge."""
+    real = cf.build_atlas
+    patch(cf, "build_atlas", lambda: dataclasses.replace(real(), sigma1_bar=real().sigma1))
+
+
 def _flipped_j_entry(patch):
     """One sign of the integer pattern sqrt(3)·J flips, so J^2 is not -I."""
     rows = [list(row) for row in mk._J_PATTERN]
@@ -57,6 +66,9 @@ FAULTS = {
                       (cf.build_atlas, cf.group_cube, cf.build_cube)),
     "mk-j-pattern": (_flipped_j_entry, ["build", "mk"], "mk.j-squares-to-minus-identity",
                      (mk.build_J, mk.build_L, mk.build_configuration)),
+    "enantiomorph-sigma1-bar": (_unbarred_sigma1, ["build", "enantiomorph"],
+                                "enantiomorph.edge-stabilizer",
+                                (cf.build_enantiomorph, cf.group_rotation_sigma_bar)),
 }
 
 
@@ -113,6 +125,51 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# functions that pass their name argument on to `check`, and where it sits
+_NAMED_CHECKS = {"check": 1, "_check_face_map": 2, "_check_stabilizer": 4}
+_CHECK_ID = re.compile(r"[a-z][a-z0-9]*\.[a-z0-9]+(-[a-z0-9]+)*")
+
+
+def _check_names(tree: ast.AST) -> list:
+    """The name argument, as the node passed, of every call to `check` or
+    to a helper that passes its name on to it; a helper handing on its
+    own name parameter is skipped."""
+    inside_helpers = {id(node) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name in _NAMED_CHECKS
+                      for node in ast.walk(fn)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if callee not in _NAMED_CHECKS:
+            continue
+        pos = _NAMED_CHECKS[callee]
+        arg = node.args[pos] if len(node.args) > pos else next(
+            (k.value for k in node.keywords if k.arg == "name"), None)
+        if not (id(node) in inside_helpers and isinstance(arg, ast.Name)):
+            out.append(arg)
+    return out
+
+
+def test_check_ids_are_unique_layer_kebab_literals():
+    ids, bad = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for arg in _check_names(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str) \
+                    and _CHECK_ID.fullmatch(arg.value):
+                ids.append(arg.value)
+            else:
+                bad.append(f"{path.name}:{getattr(arg, 'lineno', '?')}")
+    assert not bad, bad
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    assert not repeated, repeated
+    # both forwarding helpers' sites are collected, and the plain ones
+    assert {"enantiomorph.edge-stabilizer", "enantiomorph.mirror-by-rho0-is-an-isomorphism",
+            "atlas.pi-display"} <= set(ids)
+    assert len(ids) >= 150
 
 
 def test_check_names_its_failure_and_witness():

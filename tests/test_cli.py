@@ -173,6 +173,21 @@ def test_main_usage_errors(capsys):
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("scale,width", [("1e308", "inf"), ("1e-320", "0.0")])
+def test_main_project_rejects_a_scale_that_breaks_the_view_box(tmp_path, capsys, scale, width):
+    out = tmp_path / "x.svg"
+    assert cli.main(["project", "--scale", scale, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale ") and f"viewBox width {width}" in err, err
+    assert str(float(scale)) in err, err
+    assert not out.exists()
+
+
+def test_main_project_rejects_colours_that_are_not_numbers(capsys):
+    assert cli.main(["project", "--colors", "abc"]) == 2
+    assert capsys.readouterr().err == "error: edge colours must be one or more of 1..4, got 'abc'\n"
+
+
 def test_main_unknown_claim_id_message(capsys):
     assert cli.main(["verify", "no.such-claim"]) == 2
     assert capsys.readouterr().err == "error: unknown claim ids: ['no.such-claim']\n"

@@ -117,7 +117,7 @@ def test_table_validation_and_actions():
     table = enumerate_cosets(pres, [(1,)])
     assert table.validate(pres)
     for gen in (1, 2):
-        perm = table.generator_permutation(gen)
+        perm = [table.trace(c, (gen,)) for c in range(table.index)]
         assert sorted(perm) == list(range(table.index))
     for rel in pres.relators:
         for c in range(table.index):

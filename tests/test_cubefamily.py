@@ -1,6 +1,8 @@
 """The concrete objects: atlas identities, Petrie machinery, the trivalent
 map, the chiral polytope, its mirror, and the cover in E^8."""
 
+import contextlib
+import io
 import itertools
 import math
 
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polytope_forge import cli, groupcore, mkconfig, polycore
+from polytope_forge import cubefamily as cf
 from polytope_forge.cubefamily import (
     _FACE_CONTAINS,
     CONFIGURATION_LINES,
@@ -24,7 +28,6 @@ from polytope_forge.cubefamily import (
     build_enantiomorph,
     build_map,
     build_roli,
-    companion,
     group_cover_rotation,
     group_cube,
     group_map_rotation,
@@ -36,9 +39,10 @@ from polytope_forge.cubefamily import (
     petrie_polygons_brute_force,
     point_labels,
 )
-from polytope_forge.groupcore import (ConcreteGroup, extend_homomorphism, setwise_stabilizer,
-                                      stabilizer)
-from polytope_forge.polycore import Classification, RankedIncidenceStructure, _check_face_map
+from polytope_forge.groupcore import (CheckFailed, ConcreteGroup, check, extend_homomorphism,
+                                      setwise_stabilizer, stabilizer)
+from polytope_forge.polycore import (Classification, FacePerm, RankedIncidenceStructure,
+                                     _check_face_map)
 from polytope_forge.signedperm import SignedPerm, block_pair
 
 
@@ -94,6 +98,46 @@ def test_brute_force_enumeration_equals_orbit():
     brute = petrie_polygons_brute_force()
     assert len(orbit) == 24
     assert tuple(p.vertices for p in orbit) == tuple(p.vertices for p in brute)
+
+
+def _brute_force_from_every_start():
+    """The earlier search: every cycle traced from each of its vertices, in
+    both directions."""
+    found = set()
+
+    def step(p, axis):
+        return p[:axis - 1] + (-p[axis - 1],) + p[axis:]
+
+    def extend(path, dirs):
+        for axis in range(1, 5):
+            if dirs and axis == dirs[-1]:
+                continue
+            if len(dirs) >= 3 and axis in dirs[-3:]:
+                continue
+            nxt = step(path[-1], axis)
+            if nxt == path[0] and len(path) >= 3:
+                try:
+                    found.add(PetriePolygon(tuple(path)))
+                except ValueError:
+                    pass
+                continue
+            if nxt in path:
+                continue
+            extend(path + [nxt], dirs + [axis])
+
+    for start in itertools.product((1, -1), repeat=4):
+        extend([start], [])
+    return tuple(sorted(found))
+
+
+def test_brute_force_traces_each_polygon_once(monkeypatch):
+    oracle = _brute_force_from_every_start()
+    built = []
+    init = PetriePolygon.__init__
+    monkeypatch.setattr(PetriePolygon, "__init__",
+                        lambda p, vertices: built.append(vertices) or init(p, vertices))
+    assert petrie_polygons_brute_force.__wrapped__() == oracle
+    assert len(built) == len(oracle) == 24
 
 
 def test_petrie_orbit_makes_at_most_96_images(monkeypatch):
@@ -189,6 +233,16 @@ def test_octagram_class_via_rotation(atlas):
     assert atlas.base_octagram.chiral_class == "R"
 
 
+def companion(p: PetriePolygon) -> PetriePolygon:
+    """The unique polygon of the same chiral class on the complementary
+    eight vertices."""
+    matches = [q for q in petrie_polygons()
+               if q.chiral_class == p.chiral_class
+               and q.vertex_set().isdisjoint(p.vertex_set())]
+    check(len(matches) == 1, "petrie.companion-unique", len(matches))
+    return matches[0]
+
+
 def test_companion_pairing(atlas):
     assert companion(atlas.base_octagon) == atlas.base_octagram
     for p in petrie_polygons():
@@ -210,6 +264,30 @@ def test_every_polygon_has_stabilizer_sixteen():
     for p in petrie_polygons():
         assert len(setwise_stabilizer(full, p.vertex_set())) == 16
         assert len(setwise_stabilizer(rot, p.vertex_set())) == 16
+
+
+def test_petrie_stabilizer_against_setwise_stabilizer(atlas):
+    # the build closes <mu0, mu1> and counts it by orbit-stabilizer; the
+    # scan of all 384 symmetries is the oracle
+    scan = setwise_stabilizer(group_cube(), atlas.base_octagon.vertex_set())
+    assert group_petrie_stabilizer().element_set == scan.element_set
+    assert list(group_petrie_stabilizer().generators) == ["mu0", "mu1"]
+
+
+def test_stabilizer_check_names_a_moving_generator_or_a_short_subgroup(atlas):
+    rot = group_rotation()
+    vertex = lambda p, g: g.act(p)
+    cf._check_stabilizer(rot, rot.subgroup([atlas.sigma2, atlas.sigma3]), atlas.v, vertex,
+                         "test.vertex")
+    # sigma2 fixes v, but <sigma2> is a quarter of v's stabilizer
+    with pytest.raises(CheckFailed) as exc:
+        cf._check_stabilizer(rot, rot.subgroup([atlas.sigma2]), atlas.v, vertex, "test.short")
+    assert exc.value.name == "test.short" and exc.value.witness == (None, 3, 16)
+    # another vertex's stabilizer has the right order, but moves v
+    moving = [g.conjugate(atlas.sigma1) for g in (atlas.sigma2, atlas.sigma3)]
+    with pytest.raises(CheckFailed) as exc:
+        cf._check_stabilizer(rot, rot.subgroup(moving), atlas.v, vertex, "test.moves")
+    assert exc.value.witness == (moving[0], 12, 16)
 
 
 def test_petrie_stabilizer_rotations_are_its_determinant_one_part(atlas):
@@ -366,22 +444,36 @@ def test_map_is_abstractly_regular_but_geometrically_chiral():
     bundle = build_map()
     assert bundle.rotation_classification is Classification.CHIRAL
     assert bundle.full_classification is Classification.REGULAR
-    assert bundle.full_automorphism_order == 96
+    assert len(bundle.full_group) == 96
     assert bundle.regularity_hom.is_involutory()
     assert not bundle.mu0_preserves_edges
     assert bundle.edge_stabilizer_in_full_group == group_map_rotation().element_set
 
 
-def test_geometric_chirality_report():
-    from polytope_forge.cubefamily import geometric_chirality_report
-    report = geometric_chirality_report()
-    assert report["stabilizer_order"] == 48
-    assert report["stabilizer_is_rotational"]
-    assert report["identity_preserves_edges"]
-    assert report["non_rotations_scanned"] == 192
-    assert not report["non_rotation_preserves_edges"]
-    assert not report["mu0_preserves_edges"]
-    assert not report["mu0_preserves_deleted_matching"]
+def test_geometric_chirality_report(atlas):
+    # only rotations keep the edge set, and mu0 moves the deleted matching
+    bundle = build_map()
+    stab = bundle.edge_stabilizer_in_full_group
+    non_rotations = [g for g in group_cube() if g.determinant() == -1]
+    assert len(stab) == 48
+    assert stab == group_map_rotation().element_set
+    assert group_cube().identity in stab
+    assert len(non_rotations) == 192
+    assert not any(g in stab for g in non_rotations)
+    assert not bundle.mu0_preserves_edges
+    moved = {_face_image(1, e, atlas.mu0.act) for e in bundle.deleted_edges}
+    assert moved != set(bundle.deleted_edges)
+
+
+def test_map_involutions_generate_every_automorphism():
+    # the build searches only for t0, t1, t2; every automorphism of the
+    # map's incidence graph is the oracle
+    bundle = build_map()
+    struct = bundle.structure
+    every = {FacePerm.from_mapping(struct, m) for m in struct.automorphisms()}
+    assert bundle.full_group.element_set == every
+    assert list(bundle.full_group.generators) == ["t0", "t1", "t2"]
+    assert all(t.inverse() == t for t in bundle.full_group.generator_list())
 
 
 def test_deleted_edges_form_a_perfect_matching(atlas):
@@ -471,6 +563,16 @@ def test_enantiomorph_two_faces_are_left_handed():
     bundle = build_enantiomorph()
     for ref in bundle.structure.refs(2):
         assert PetriePolygon(bundle.realization[ref]).chiral_class == "L"
+
+
+def test_enantiomorph_octagon_stabilizer_against_setwise_stabilizer(atlas):
+    # the octagon subgroup is the Petrie stabilizer conjugated by rho0; the
+    # scan of every rotation against the mirrored octagon is the oracle
+    struct = build_enantiomorph().structure
+    mirror = atlas.base_octagon.transformed(atlas.rho0).vertex_set()
+    scan = setwise_stabilizer(struct.group, mirror)
+    assert struct.subgroups[2].element_set == scan.element_set
+    assert len(scan) == 16
 
 
 def test_enantiomorph_facet_stabilizer_against_stabilizer_scan(atlas):
@@ -602,3 +704,43 @@ def test_binary_tetrahedral_subgroup(atlas):
     b = s2 * s1 ** 4
     assert a ** 3 == atlas.zeta and b ** 3 == atlas.zeta
     assert (a * b) ** 2 == atlas.zeta
+
+
+def _normal_by_generators(group, sub):
+    return all(frozenset(g.inverse() * h * g for h in sub) == sub.element_set
+               for g in group.generator_list())
+
+
+def _normal_by_scan(group, sub):
+    return all(frozenset(g.inverse() * h * g for h in sub) == sub.element_set
+               for g in group)
+
+
+def test_normality_on_generators_agrees_with_the_scan(atlas):
+    rot = group_map_rotation()
+    s1, s2 = atlas.sigma1, atlas.sigma2
+    tetrahedral = rot.subgroup([s1.inverse() * s2 * s1.inverse(), s2 * s1 ** 4])
+    vertex = rot.subgroup([s2])  # a vertex stabilizer, moved by sigma1
+    assert _normal_by_generators(rot, tetrahedral) is _normal_by_scan(rot, tetrahedral) is True
+    assert _normal_by_generators(rot, vertex) is _normal_by_scan(rot, vertex) is False
+    assert binary_tetrahedral_check()["normal_in_map_rotation_group"]
+
+
+def test_verify_all_scans_no_group_element_by_element(monkeypatch):
+    """Stabilizers come from orbit-stabilizer and the map's automorphisms
+    from three flag searches, so the scans may all raise."""
+    def scan(*args, **kwargs):
+        raise AssertionError("a build scanned a group element by element")
+
+    modules = (cli, cf, groupcore, mkconfig, polycore)
+    for name in ("stabilizer", "setwise_stabilizer"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scan)
+    monkeypatch.setattr(RankedIncidenceStructure, "automorphisms", scan)
+    for module in (cf, mkconfig):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--all"]) == 0

@@ -18,6 +18,10 @@ rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 field_elements = st.builds(QF, rationals, rationals, rationals, rationals)
 
 
+def _lift(point) -> tuple[QF, ...]:
+    return tuple(QF(x) for x in point)
+
+
 # -- the field -------------------------------------------------------------------
 
 
@@ -87,7 +91,7 @@ def test_j_sends_basis_rows_to_their_partners():
 def test_i_of_i_u_is_minus_u():
     i = QF.i()
     for point in [(1, 1, 1, 1), (1, -1, 1, -1), (2, 0, 3, -1)]:
-        u = mk.lift(point)
+        u = _lift(point)
         twice = mk.apply_complex(i, mk.apply_complex(i, u))
         assert twice == tuple(-x for x in u)
 
@@ -125,8 +129,8 @@ def test_complexify_labelled_points():
 @given(a=rationals, b=rationals)
 def test_complexify_is_complex_linear(a, b):
     scalar = QF(a, 0, b, 0)
-    u = mk.lift((1, 1, 1, -1))
-    w = mk.lift((1, -1, 1, 1))
+    u = _lift((1, 1, 1, -1))
+    w = _lift((1, -1, 1, 1))
     lhs = mk.complexify(mk.vec_add(u, mk.apply_complex(scalar, w)))
     zu = mk.complexify(u)
     zw = mk.complexify(w)

@@ -317,7 +317,7 @@ def test_regular_flag_counts_match_group_orders():
     # simply transitive actions: flag count equals the group order
     assert len(build_cube().structure.flags()) == 384
     bundle = build_map()
-    assert len(bundle.structure.flags()) == 96 == bundle.full_automorphism_order
+    assert len(bundle.structure.flags()) == 96 == len(bundle.full_group)
 
 
 # -- colourful polytopes ---------------------------------------------------------
