@@ -78,7 +78,6 @@ class Report:
 @dataclass(frozen=True)
 class CliConfig:
     cap: int = 10**6
-    seed_labels: str = "lex"
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +102,6 @@ def _evaluate(row: _Row, cfg: CliConfig) -> Claim:
     return Claim(claim_id=row.claim_id, criterion=row.criterion,
                  expected=str(row.expected), computed=str(value),
                  passed=str(row.expected) == str(value), note=note)
-
-
-def _configuration(cfg: CliConfig) -> mk.Configuration:
-    return mk.build_configuration(policy=cfg.seed_labels)
 
 
 def _chiral_full_matches_rotation_group(cfg: CliConfig) -> tuple[bool, str]:
@@ -137,12 +132,6 @@ def _roli_classification(cfg: CliConfig) -> tuple[bool, str]:
     bundle = cf.build_roli()
     return (bundle.classification is Classification.CHIRAL and bundle.orbit_count == 2,
             f"{bundle.orbit_count} flag orbits, adjacent flags split")
-
-
-def _mk_coordinate_table(cfg: CliConfig) -> tuple[bool, str]:
-    table_cmp = mk.compare_with_table(_configuration(cfg))
-    return table_cmp["matches"], ("literal match" if table_cmp["literal"]
-                                  else f"up to relabeling {table_cmp['relabeling']}")
 
 
 def _mk_unitary_triangle_group(cfg: CliConfig) -> bool:
@@ -255,13 +244,15 @@ _CLAIMS: tuple[_Row, ...] = (
          lambda cfg: mk.build_J() is not None and mk.build_L() is not None,
          "J^2 = -I, J orthogonal, a1 J = b1, a2 J = b2, |a1| = |b1|, a1 . b1 = 0"),
     _Row("mk.incidence-8-8-3", 7, True,
-         lambda cfg: (_configuration(cfg).incidence_row_sums() == (3,) * 8
-                      and _configuration(cfg).incidence_col_sums() == (3,) * 8),
+         lambda cfg: (mk.build_configuration().incidence_row_sums() == (3,) * 8
+                      and mk.build_configuration().incidence_col_sums() == (3,) * 8),
          "8 points, 8 lines, 3 per row and column, exact"),
     _Row("mk.line-167-equation", 7, True,
-         lambda cfg: mk.line_matches_paper(_configuration(cfg)),
+         lambda cfg: mk.line_matches_paper(mk.build_configuration()),
          "r(1-i) z1 + 2 z2 = 2r(1+i), satisfied by exactly 1,6,7"),
-    _Row("mk.coordinate-table", 7, True, _mk_coordinate_table, None),
+    # build_configuration checks every point against the published table
+    _Row("mk.coordinate-table", 7, True, lambda cfg: mk.build_configuration() is not None,
+         "literal match"),
     _Row("mk.unitary-triangle-group", 7, True, _mk_unitary_triangle_group,
          "order 24, centralizer of J, presentation index 24"),
     _Row("mk.binary-tetrahedral", 7, True,
@@ -288,7 +279,8 @@ def run_claims(cfg: CliConfig | None = None, only: set[str] | None = None) -> Re
     cfg = cfg or CliConfig()
     start = time.perf_counter()
     ids = all_claim_ids()
-    check(len(ids) == len(set(ids)), "battery.claim-ids-unique")
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    check(not repeated, "battery.claim-ids-unique", repeated)
     unknown = set() if only is None else only - set(ids)
     if unknown:
         raise KeyError(f"unknown claim ids: {sorted(unknown)}")
@@ -319,7 +311,7 @@ class ProjectionSpec:
     def validate(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and positive, got {self.scale}")
-        width = f"{2 * self.half_width:.1f}"
+        origin, width = self.view_box
         if not (math.isfinite(float(width)) and float(width) > 0):
             raise ValueError(f"scale {self.scale} gives the SVG viewBox width {width}; "
                              "it must be finite and positive")
@@ -330,11 +322,27 @@ class ProjectionSpec:
         g01 = sum(x * y for x, y in zip(self.basis[0], self.basis[1]))
         if abs(g00 * g11 - g01 * g01) < 1e-12:
             raise ValueError("degenerate projection basis")
+        low, high = float(origin), float(origin) + float(width)
+        outside = next((c for p in self.drawn_points() for c in self.project(p)
+                        if not low <= c * self.scale <= high), None)
+        if outside is not None:
+            raise ValueError(f"scale {self.scale} gives the SVG viewBox {origin} {origin} "
+                             f"{width} {width}, which does not frame the vertex "
+                             f"coordinate {outside * self.scale:.6f}")
 
     @property
-    def half_width(self) -> float:
-        """Half the side of the square SVG viewBox."""
-        return 2.6 * self.scale
+    def view_box(self) -> tuple[str, str]:
+        """Origin and side of the square SVG viewBox, as written: one decimal."""
+        half = 2.6 * self.scale
+        return f"{-half:.1f}", f"{2 * half:.1f}"
+
+    def drawn_points(self) -> tuple:
+        """The points of 4-space the SVG marks: every vertex of the 4-cube,
+        or only the eight labelled ones, in label order."""
+        if self.labelled_points_only:
+            return cf.point_labels().point_of
+        cube = cf.build_cube()
+        return tuple(cube.realization[ref] for ref in cube.structure.refs(0))
 
     def project(self, point) -> tuple[float, float]:
         return (sum(float(x) * b for x, b in zip(point, self.basis[0])),
@@ -407,10 +415,10 @@ def render_projection(spec: ProjectionSpec) -> str:
         return f"{value:.6f}"
 
     lines = []
-    half = spec.half_width
+    origin, width = spec.view_box
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{-half:.1f} {-half:.1f} {2 * half:.1f} {2 * half:.1f}">')
+        f'viewBox="{origin} {origin} {width} {width}">')
     lines.append(f'<!-- projection preset: {spec.name} -->')
 
     if not spec.labelled_points_only:
@@ -424,20 +432,19 @@ def render_projection(spec: ProjectionSpec) -> str:
             lines.append(
                 f'<line x1="{fmt(xa)}" y1="{fmt(ya)}" x2="{fmt(xb)}" y2="{fmt(yb)}" '
                 f'stroke="{_EDGE_COLOR_NAMES[color_idx]}" stroke-width="2"/>')
-        for ref in cube.structure.refs(0):
-            x, y = spec.project(cube.realization[ref])
+        for point in spec.drawn_points():
+            x, y = spec.project(point)
             lines.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="5" fill="#333333"/>')
     else:
-        labeling = cf.point_labels()
-        config = mk.build_configuration()
-        for line_obj in config.lines:
-            pts = [spec.project(labeling.point_of[k]) for k in line_obj.points]
+        points = spec.drawn_points()
+        for line_obj in mk.build_configuration().lines:
+            pts = [spec.project(points[k]) for k in line_obj.points]
             path = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in pts)
             lines.append(
                 f'<polygon points="{path}" fill="none" stroke="#bbbbbb" '
                 f'stroke-width="1"/>')
-        for label in range(8):
-            x, y = spec.project(labeling.point_of[label])
+        for label, point in enumerate(points):
+            x, y = spec.project(point)
             lines.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="6" fill="#333333"/>')
             lines.append(
                 f'<text x="{fmt(x)}" y="{fmt(y)}" dx="9" dy="-9" '
@@ -451,13 +458,10 @@ def render_projection(spec: ProjectionSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _mk_certificate(cfg: CliConfig) -> dict:
-    config = _configuration(cfg)
-    data = config.to_json_dict()
-    table_cmp = mk.compare_with_table(config)
-    data["table_match"] = {"matches": table_cmp["matches"],
-                           "literal": table_cmp["literal"],
-                           "relabeling": (list(table_cmp["relabeling"])
-                                          if table_cmp["relabeling"] else None)}
+    data = mk.build_configuration().to_json_dict()
+    # build_configuration checks each point against the table row of its own
+    # label (mk.coordinates-match-the-table), so the match is literal
+    data["table_match"] = {"matches": True, "literal": True, "relabeling": list(range(8))}
     data["unitary_group"] = dict(mk.group_333())
     return data
 
@@ -513,8 +517,6 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--cap", type=_positive_int, default=10**6,
                         help="cap on the number of cosets in coset enumeration")
-    common.add_argument("--seed-labels", choices=("lex", "table"), default="lex",
-                        help="label-assignment policy for the configuration")
 
     parser = argparse.ArgumentParser(
         prog="polytope-forge",
@@ -543,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="edge direction classes to draw")
 
     args = parser.parse_args(argv)
-    cfg = CliConfig(cap=args.cap, seed_labels=args.seed_labels)
+    cfg = CliConfig(cap=args.cap)
 
     try:
         if args.command == "build":

@@ -1286,7 +1286,6 @@ CONFIGURATION_LINES = tuple(
 class Labeling:
     point_of: tuple  # label -> point, as a tuple indexed by label
     label_of: dict
-    valid_count: int
 
 
 def _parity(p: Point) -> int:
@@ -1299,8 +1298,7 @@ def point_labels() -> Labeling:
     solving: lines are {i, i+1, i+3} mod 8 at the trivalent graph's
     degree-3 line vertices, the base octagon carries 1357 and its companion
     0246, the line 013 sits at (-1,-1,1,1), and label 1 is adjacent to the
-    base vertex.  Residual freedom (none remains) would be resolved
-    lexicographically."""
+    base vertex.  The constraints leave exactly one labeling."""
     atlas = build_atlas()
     bundle = build_map()
     adjacency = _adjacency(bundle.edges)
@@ -1340,15 +1338,12 @@ def point_labels() -> Labeling:
                 continue
             solutions.append(label_of)
 
-    check(solutions, "labels.a-labeling-satisfies-the-constraints")
-    keyed = sorted(solutions,
-                   key=lambda sol: tuple(sol[p] for p in sorted(sol)))
-    best = keyed[0]
+    check(len(solutions) == 1, "labels.constraints-pin-one-labeling", len(solutions))
+    label_of = solutions[0]
     point_of = [None] * 8
-    for p, lab in best.items():
+    for p, lab in label_of.items():
         point_of[lab] = p
-    return Labeling(point_of=tuple(point_of), label_of=dict(best),
-                    valid_count=len(solutions))
+    return Labeling(point_of=tuple(point_of), label_of=label_of)
 
 
 def octagon_label_sets(labeling: Labeling | None = None) -> frozenset:

@@ -676,7 +676,8 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                  for c in live)
     result = CosetTable(generator_count=ngens, rows=rows,
                         subgroup_words=subgroup_words)
-    check(result.validate(pres), "cosets.table-satisfies-presentation")
+    check(result.validate(pres), "cosets.table-satisfies-presentation",
+          (result.index, result.generator_count))
     return result
 
 

@@ -17,7 +17,6 @@ from functools import lru_cache
 
 from .cubefamily import (
     CONFIGURATION_LINES,
-    Labeling,
     build_atlas,
     group_cube,
     group_unitary,
@@ -31,14 +30,11 @@ __all__ = [
     "build_J",
     "build_L",
     "complexify",
-    "apply_complex",
     "MKPoint",
     "MKLine",
     "Configuration",
     "build_configuration",
     "table_coordinates",
-    "table_labeling",
-    "configuration_relabelings",
     "group_333",
     "CollinearityFailure",
 ]
@@ -129,13 +125,6 @@ class QF:
         """The automorphism sqrt(3) -> -sqrt(3)."""
         return QF(self.a, -self.b, self.c, -self.d)
 
-    def norm(self) -> Fraction:
-        """Product over all four conjugates; lands in Q."""
-        n1 = self * self.conj_i()
-        full = n1 * n1.conj_sqrt3()
-        check(full.is_rational(), "qf.norm-is-rational", full)
-        return full.a
-
     def inverse(self) -> "QF":
         n1 = self * self.conj_i()
         n = (n1 * n1.conj_sqrt3()).a
@@ -154,9 +143,6 @@ class QF:
 
     def is_zero(self) -> bool:
         return self.a == self.b == self.c == self.d == 0
-
-    def is_rational(self) -> bool:
-        return self.b == self.c == self.d == 0
 
     def is_real(self) -> bool:
         return self.c == self.d == 0
@@ -242,21 +228,16 @@ def build_L() -> Mat4:
         scalar_mul(f, (t, QF(1), QF(1), s3)),
     )
     a1, b1, a2, b2 = rows
-    check(dot(a1, a1) == dot(b1, b1) and dot(a1, b1) == ZERO, "mk.a1-b1-orthogonal-pair")
-    check(dot(a2, a2) == dot(b2, b2) and dot(a2, b2) == ZERO, "mk.a2-b2-orthogonal-pair")
-    check(all(dot(x, y) == ZERO for x in (a1, b1) for y in (a2, b2)),
-          "mk.plane-orthogonal-to-its-complement")
+    gram1 = (dot(a1, a1), dot(b1, b1), dot(a1, b1))
+    check(gram1[0] == gram1[1] and gram1[2] == ZERO, "mk.a1-b1-orthogonal-pair", gram1)
+    gram2 = (dot(a2, a2), dot(b2, b2), dot(a2, b2))
+    check(gram2[0] == gram2[1] and gram2[2] == ZERO, "mk.a2-b2-orthogonal-pair", gram2)
+    cross = tuple(dot(x, y) for x in (a1, b1) for y in (a2, b2))
+    check(cross == (ZERO,) * 4, "mk.plane-orthogonal-to-its-complement", cross)
     j = build_J()
-    check(row_times_matrix(a1, j) == b1 and row_times_matrix(a2, j) == b2,
-          "mk.basis-adapted-to-j")
+    images = (row_times_matrix(a1, j), row_times_matrix(a2, j))
+    check(images == (b1, b2), "mk.basis-adapted-to-j", images)
     return rows
-
-
-def apply_complex(z: QF, u) -> tuple[QF, ...]:
-    """(x + iy) u = x*u + y*(uJ), with x, y in Q(sqrt(3))."""
-    x = QF(z.a, z.b)
-    y = QF(z.c, z.d)
-    return vec_add(scalar_mul(x, u), scalar_mul(y, row_times_matrix(u, build_J())))
 
 
 @lru_cache(maxsize=None)
@@ -268,13 +249,15 @@ def _inverse_norms() -> tuple[QF, QF, QF, QF]:
 def complexify(point) -> tuple[QF, QF]:
     """Coordinates (z1, z2) of a vector in the C-basis a1, a2."""
     u = tuple(x if isinstance(x, QF) else QF(x) for x in point)
-    a1, _, a2, _ = rows = build_L()
+    a1, b1, a2, b2 = rows = build_L()
     x1, y1, x2, y2 = (dot(u, x) * inv for x, inv in zip(rows, _inverse_norms()))
     check(all(part.is_real() for part in (x1, y1, x2, y2)), "mk.complexify-parts-real",
           (x1, y1, x2, y2))
     z1 = QF(x1.a, x1.b, y1.a, y1.b)
     z2 = QF(x2.a, x2.b, y2.a, y2.b)
-    recon = vec_add(apply_complex(z1, a1), apply_complex(z2, a2))
+    # z1 a1 + z2 a2, since build_L checks a1 J = b1 and a2 J = b2
+    recon = vec_add(vec_add(scalar_mul(x1, a1), scalar_mul(y1, b1)),
+                    vec_add(scalar_mul(x2, a2), scalar_mul(y2, b2)))
     check(recon == u, "mk.complexify-reconstructs-the-point", u)
     return z1, z2
 
@@ -307,7 +290,6 @@ class Configuration:
     points: tuple[MKPoint, ...]
     lines: tuple[MKLine, ...]
     incidence: tuple[tuple[int, ...], ...]
-    labeling: Labeling
 
     def incidence_row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.incidence)
@@ -346,7 +328,8 @@ def _line_through(p: MKPoint, q: MKPoint, s: MKPoint) -> MKLine:
 
 @lru_cache(maxsize=None)
 def table_coordinates() -> dict[int, tuple[QF, QF]]:
-    """The published complex coordinates, r = sqrt(3) - 1.  The final row is
+    """The published complex coordinates, r = sqrt(3) - 1, which
+    build_configuration checks the solved points against.  The final row is
     labelled 0 in print but is forced to be point 7 by central symmetry."""
     r = QF.r()
     i = QF.i()
@@ -363,52 +346,17 @@ def table_coordinates() -> dict[int, tuple[QF, QF]]:
 
 
 @lru_cache(maxsize=None)
-def table_labeling() -> Labeling:
-    """Decode the coordinate table back to ambient vertices: an alternative
-    label-assignment policy."""
-    a1, b1, a2, b2 = build_L()
-    point_of = []
-    for label in range(8):
-        z1, z2 = table_coordinates()[label]
-        ambient = vec_add(apply_complex(z1, a1), apply_complex(z2, a2))
-        check(all(x.is_rational() and x.a in (1, -1) for x in ambient),
-              "mk.table-row-decodes-to-a-cube-vertex", label)
-        point_of.append(tuple(int(x.a) for x in ambient))
-    label_of = {p: lab for lab, p in enumerate(point_of)}
-    check(len(label_of) == 8, "mk.table-rows-distinct", len(label_of))
-    return Labeling(point_of=tuple(point_of), label_of=label_of, valid_count=1)
-
-
-@lru_cache(maxsize=None)
-def configuration_relabelings() -> tuple[tuple[int, ...], ...]:
-    """All permutations of the labels 0..7 mapping the line system onto
-    itself (the incidence-preserving relabelings)."""
-    lines = set(CONFIGURATION_LINES)
-    out = []
-    for perm in itertools.permutations(range(8)):
-        if {frozenset(perm[i] for i in line) for line in lines} == lines:
-            out.append(perm)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def build_configuration(policy: str = "lex") -> Configuration:
-    """Points, lines and the 8x8 incidence matrix of the configuration.
-
-    `policy` picks the label assignment: "lex" solves the constraints on
-    the trivalent graph, "table" decodes the published coordinates."""
-    if policy == "lex":
-        labeling = point_labels()
-    elif policy == "table":
-        labeling = table_labeling()
-    else:
-        raise ValueError(f"unknown labeling policy {policy!r}")
-
+def build_configuration() -> Configuration:
+    """Points, lines and the 8x8 incidence matrix of the configuration, on
+    the labels solved from the trivalent graph; each point's coordinates
+    are checked against the published table."""
     points = []
-    for label in range(8):
-        ambient = labeling.point_of[label]
+    for label, ambient in enumerate(point_labels().point_of):
         z1, z2 = complexify(ambient)
         points.append(MKPoint(label=label, ambient=ambient, z1=z1, z2=z2))
+    table = table_coordinates()
+    mismatch = next((p.label for p in points if (p.z1, p.z2) != table[p.label]), None)
+    check(mismatch is None, "mk.coordinates-match-the-table", mismatch)
 
     lines = []
     for triple in CONFIGURATION_LINES:
@@ -424,7 +372,7 @@ def build_configuration(policy: str = "lex") -> Configuration:
     incidence = tuple(
         tuple(1 if p in ln.points else 0 for p in range(8)) for ln in lines)
     config = Configuration(points=tuple(points), lines=tuple(lines),
-                           incidence=incidence, labeling=labeling)
+                           incidence=incidence)
     check(config.incidence_row_sums() == config.incidence_col_sums() == (3,) * 8,
           "mk.incidence-8-8-3", config.incidence)
     _check_mutually_inscribed(config)
@@ -461,9 +409,10 @@ def _check_cross_polytope_and_shadows(config: Configuration) -> None:
     or orthogonal; projected to z2 = 0 they form the squares (+-r, 0),
     (0, +-r) and (+-1, +-1)."""
     pts = config.points
-    check(all(pts[k + 4].ambient == tuple(-x for x in pts[k].ambient)
-              and (pts[k + 4].z1, pts[k + 4].z2) == (-pts[k].z1, -pts[k].z2)
-              for k in range(4)), "mk.labels-k-and-k-plus-4-antipodal")
+    unpaired = next((k for k in range(4)
+                     if pts[k + 4].ambient != tuple(-x for x in pts[k].ambient)
+                     or (pts[k + 4].z1, pts[k + 4].z2) != (-pts[k].z1, -pts[k].z2)), None)
+    check(unpaired is None, "mk.labels-k-and-k-plus-4-antipodal", unpaired)
     ambient = [p.ambient for p in pts]
     odd = {v for v in itertools.product((1, -1), repeat=4) if v.count(-1) % 2 == 1}
     check(set(ambient) == odd
@@ -500,19 +449,6 @@ def line_matches_paper(config: Configuration) -> bool:
         if satisfied != (label in (1, 6, 7)):
             return False
     return True
-
-
-def compare_with_table(config: Configuration) -> dict:
-    """Match the computed coordinates against the published table, allowing
-    an incidence-preserving relabeling; report which one was needed."""
-    table = table_coordinates()
-    mine = {p.label: (p.z1, p.z2) for p in config.points}
-    if all(mine[k] == table[k] for k in range(8)):
-        return {"matches": True, "relabeling": tuple(range(8)), "literal": True}
-    for perm in configuration_relabelings():
-        if all(mine[perm[k]] == table[k] for k in range(8)):
-            return {"matches": True, "relabeling": perm, "literal": False}
-    return {"matches": False, "relabeling": None, "literal": False}
 
 
 # ---------------------------------------------------------------------------

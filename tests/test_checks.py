@@ -55,6 +55,12 @@ def _flipped_j_entry(patch):
     patch(mk, "_J_PATTERN", tuple(map(tuple, rows)))
 
 
+def _swapped_table_rows(patch):
+    """Rows 1 and 2 of the published coordinate table trade places."""
+    real = mk.table_coordinates
+    patch(mk, "table_coordinates", lambda: {**real(), 1: real()[2], 2: real()[1]})
+
+
 # fault -> (injection, command, the check it must name, the cached builds
 # between the fault and the command)
 FAULTS = {
@@ -66,6 +72,8 @@ FAULTS = {
                       (cf.build_atlas, cf.group_cube, cf.build_cube)),
     "mk-j-pattern": (_flipped_j_entry, ["build", "mk"], "mk.j-squares-to-minus-identity",
                      (mk.build_J, mk.build_L, mk.build_configuration)),
+    "mk-table-rows": (_swapped_table_rows, ["build", "mk"], "mk.coordinates-match-the-table",
+                      (mk.table_coordinates, mk.build_configuration)),
     "enantiomorph-sigma1-bar": (_unbarred_sigma1, ["build", "enantiomorph"],
                                 "enantiomorph.edge-stabilizer",
                                 (cf.build_enantiomorph, cf.group_rotation_sigma_bar)),
@@ -170,6 +178,15 @@ def test_check_ids_are_unique_layer_kebab_literals():
     assert {"enantiomorph.edge-stabilizer", "enantiomorph.mirror-by-rho0-is-an-isomorphism",
             "atlas.pi-display"} <= set(ids)
     assert len(ids) >= 150
+
+
+def test_every_check_in_mkconfig_groupcore_and_cli_passes_a_witness():
+    bare = [f"{path.name}:{node.lineno}"
+            for path in (PACKAGE / name for name in ("mkconfig.py", "groupcore.py", "cli.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"
+            and len(node.args) < 3 and not any(k.arg == "witness" for k in node.keywords)]
+    assert not bare, bare
 
 
 def test_check_names_its_failure_and_witness():

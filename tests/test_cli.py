@@ -132,14 +132,11 @@ def test_main_build_all_targets(tmp_path, target, expect):
     assert data[key] == value
 
 
-def test_main_build_mk_with_table_policy(tmp_path):
-    out = tmp_path / "mk.json"
-    code = cli.main(["build", "mk", "--format", "json", "--seed-labels", "table",
-                     "--out", str(out)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["table_match"]["matches"] is True
-    assert len(data["points"]) == 8 and len(data["lines"]) == 8
+def test_main_build_mk_has_no_labeling_option():
+    # one labeling exists; the published table is a build check on it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "mk", "--seed-labels", "table"])
+    assert exc.value.code == 2
 
 
 def test_main_project(tmp_path):
@@ -181,6 +178,22 @@ def test_main_project_rejects_a_scale_that_breaks_the_view_box(tmp_path, capsys,
     assert err.startswith("error: scale ") and f"viewBox width {width}" in err, err
     assert str(float(scale)) in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["coxeter", "plane"])
+def test_main_project_rejects_a_scale_whose_view_box_misses_the_drawing(
+        tmp_path, capsys, preset):
+    # at scale 0.01 the one-decimal viewBox is "-0.0 -0.0 0.1 0.1", which
+    # leaves the vertices with negative coordinates outside
+    out = tmp_path / "x.svg"
+    argv = ["project", "--preset", preset, "--out", str(out)]
+    assert cli.main([*argv, "--scale", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale 0.01 gives the SVG viewBox -0.0 -0.0 0.1 0.1"), err
+    assert not out.exists()
+    assert cli.main([*argv, "--scale", "1"]) == 0
+    svg = out.read_text(encoding="utf-8")
+    assert 'viewBox="-2.6 -2.6 5.2 5.2"' in svg
 
 
 def test_main_project_rejects_colours_that_are_not_numbers(capsys):

@@ -486,9 +486,29 @@ def test_deleted_edges_form_a_perfect_matching(atlas):
     assert moved != bundle.deleted_edges
 
 
-def test_label_solve_is_unique_and_pins_the_lines(atlas):
-    lab = point_labels()
-    assert lab.valid_count == 1
+def test_label_solve_is_unique_and_pins_the_lines(atlas, monkeypatch):
+    # the solve passes its check that exactly one labeling meets the constraints
+    seen = {}
+    real = cf.check
+
+    def recording(ok, name, witness=None):
+        seen[name] = (bool(ok), witness)
+        real(ok, name, witness)
+
+    monkeypatch.setattr(cf, "check", recording)
+    point_labels.cache_clear()
+    try:
+        lab = point_labels()
+        assert seen["labels.constraints-pin-one-labeling"] == (True, 1)
+        # no labeling puts the lines {i, i+1, i+2} at the line vertices
+        monkeypatch.setattr(cf, "CONFIGURATION_LINES", tuple(
+            frozenset({i, (i + 1) % 8, (i + 2) % 8}) for i in range(8)))
+        point_labels.cache_clear()
+        with pytest.raises(groupcore.CheckFailed,
+                           match=r"^labels\.constraints-pin-one-labeling: 0$"):
+            point_labels()
+    finally:
+        point_labels.cache_clear()
     # every line vertex of the trivalent graph sees one of the eight triples
     bundle = build_map()
     adjacency = {}

@@ -22,6 +22,43 @@ def _lift(point) -> tuple[QF, ...]:
     return tuple(QF(x) for x in point)
 
 
+def _norm(x: QF) -> Fraction:
+    """The product of x's four conjugates, which lies in Q."""
+    n1 = x * x.conj_i()
+    full = n1 * n1.conj_sqrt3()
+    assert full.b == full.c == full.d == 0, full
+    return full.a
+
+
+def _apply_complex(z: QF, u) -> tuple[QF, ...]:
+    """(x + iy) u = x*u + y*(uJ), with x, y in Q(sqrt(3))."""
+    x = QF(z.a, z.b)
+    y = QF(z.c, z.d)
+    return mk.vec_add(mk.scalar_mul(x, u),
+                      mk.scalar_mul(y, mk.row_times_matrix(u, mk.build_J())))
+
+
+def _decode_table() -> tuple[tuple[int, ...], ...]:
+    """The ambient cube vertex of each published table row, z1 a1 + z2 a2."""
+    a1, _, a2, _ = mk.build_L()
+    point_of = []
+    for label in range(8):
+        z1, z2 = mk.table_coordinates()[label]
+        ambient = mk.vec_add(_apply_complex(z1, a1), _apply_complex(z2, a2))
+        assert all(x.b == x.c == x.d == 0 and x.a in (1, -1) for x in ambient), label
+        point_of.append(tuple(int(x.a) for x in ambient))
+    assert len(set(point_of)) == 8
+    return tuple(point_of)
+
+
+def _configuration_relabelings() -> list[tuple[int, ...]]:
+    """Every permutation of the labels 0..7 that maps the line system onto
+    itself, found by filtering all 8! permutations."""
+    lines = set(mk.CONFIGURATION_LINES)
+    return [perm for perm in itertools.permutations(range(8))
+            if {frozenset(perm[i] for i in line) for line in lines} == lines]
+
+
 # -- the field -------------------------------------------------------------------
 
 
@@ -45,7 +82,7 @@ def test_conjugations_are_ring_automorphisms(x, y):
 
 @given(x=field_elements, y=field_elements)
 def test_norm_is_multiplicative(x, y):
-    assert (x * y).norm() == x.norm() * y.norm()
+    assert _norm(x * y) == _norm(x) * _norm(y)
 
 
 @given(x=field_elements)
@@ -92,7 +129,7 @@ def test_i_of_i_u_is_minus_u():
     i = QF.i()
     for point in [(1, 1, 1, 1), (1, -1, 1, -1), (2, 0, 3, -1)]:
         u = _lift(point)
-        twice = mk.apply_complex(i, mk.apply_complex(i, u))
+        twice = _apply_complex(i, _apply_complex(i, u))
         assert twice == tuple(-x for x in u)
 
 
@@ -131,7 +168,7 @@ def test_complexify_is_complex_linear(a, b):
     scalar = QF(a, 0, b, 0)
     u = _lift((1, 1, 1, -1))
     w = _lift((1, -1, 1, 1))
-    lhs = mk.complexify(mk.vec_add(u, mk.apply_complex(scalar, w)))
+    lhs = mk.complexify(mk.vec_add(u, _apply_complex(scalar, w)))
     zu = mk.complexify(u)
     zw = mk.complexify(w)
     rhs = (zu[0] + scalar * zw[0], zu[1] + scalar * zw[1])
@@ -169,8 +206,8 @@ def test_line_167_equation_matches_display(config):
 
 
 def test_coordinate_table_matches_literally(config):
-    cmp = mk.compare_with_table(config)
-    assert cmp["matches"] and cmp["literal"]
+    table = mk.table_coordinates()
+    assert [(p.z1, p.z2) for p in config.points] == [table[k] for k in range(8)]
 
 
 def test_published_last_row_is_the_antipode_of_point_three():
@@ -179,12 +216,12 @@ def test_published_last_row_is_the_antipode_of_point_three():
     table = mk.table_coordinates()
     z1, z2 = table[7]
     assert (z1, z2) == (-table[3][0], -table[3][1])
-    decoded = mk.table_labeling()
-    assert decoded.point_of[7] == tuple(-x for x in decoded.point_of[3])
+    decoded = _decode_table()
+    assert decoded[7] == tuple(-x for x in decoded[3])
 
 
-def test_table_policy_agrees_with_constraint_solve():
-    assert mk.table_labeling().point_of == point_labels().point_of
+def test_table_decodes_to_the_solved_labeling():
+    assert _decode_table() == point_labels().point_of
 
 
 def test_central_symmetry(config):
@@ -214,7 +251,7 @@ def test_mutually_inscribed_in_three_ways(config):
 
 
 def test_relabelings_form_a_group_of_order_48():
-    relabelings = mk.configuration_relabelings()
+    relabelings = _configuration_relabelings()
     assert len(relabelings) == 48
     perms = set(relabelings)
     for p in list(perms)[:8]:
@@ -274,7 +311,7 @@ def test_commutation_test_agrees_with_integer_products():
     # the integer products gK and Kg agree.
     j = mk.build_J()
     scaled = [[x * QF.sqrt3() for x in row] for row in j]
-    assert all(x.is_rational() and x.a in (0, 1, -1) for row in scaled for x in row)
+    assert all(x.b == x.c == x.d == 0 and x.a in (0, 1, -1) for row in scaled for x in row)
     k = [[int(x.a) for x in row] for row in scaled]
 
     def mul(p, q):
