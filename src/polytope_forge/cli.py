@@ -531,11 +531,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the verification battery")
-    p_verify.add_argument("claims", nargs="*",
-                          help="claim ids to run (default: --all)")
-    p_verify.add_argument("--all", action="store_true", dest="run_all")
-    p_verify.add_argument("--list", action="store_true", dest="list_ids",
-                          help="list claim ids and exit")
+    # one of: claim ids, --all, --list.  The positional's default must be a
+    # value argparse can tell from an empty match, or a bare --all conflicts
+    chosen = p_verify.add_mutually_exclusive_group()
+    chosen.add_argument("claims", nargs="*", default=[], help="claim ids to run")
+    chosen.add_argument("--all", action="store_true", dest="run_all")
+    chosen.add_argument("--list", action="store_true", dest="list_ids",
+                        help="list claim ids and exit")
 
     p_project = sub.add_parser("project", parents=[common],
                                help="render an SVG projection")
@@ -561,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 0
             if not args.run_all and not args.claims:
                 parser.error("verify needs claim ids or --all")
-            only = None if args.run_all or not args.claims else set(args.claims)
+            only = set(args.claims) or None
             report = run_claims(cfg, only=only)
             if args.format == "json":
                 _emit(report.to_json_dict(), "json", args.out)

@@ -19,7 +19,6 @@ __all__ = [
     "CheckFailed",
     "check",
     "CapExceeded",
-    "NotASubgroup",
     "ActionTable",
     "ConcreteGroup",
     "reach",
@@ -32,7 +31,7 @@ __all__ = [
     "string_condition",
     "intersection_condition",
     "Presentation",
-    "verify_relators",
+    "broken_relator",
     "CosetTable",
     "enumerate_cosets",
     "QuotientElem",
@@ -60,10 +59,6 @@ def check(ok, name: str, witness=None) -> None:
 
 class CapExceeded(Exception):
     """Closure or coset table grew past the requested cap."""
-
-
-class NotASubgroup(CheckFailed):
-    pass
 
 
 class ActionTable(NamedTuple):
@@ -158,8 +153,8 @@ class ConcreteGroup:
 
     def subgroup(self, generators, names: Sequence[str] | None = None) -> "ConcreteGroup":
         sub = ConcreteGroup.generate(generators, cap=len(self) + 1, names=names)
-        if not sub.element_set <= self.element_set:
-            raise NotASubgroup("generators escape the ambient group")
+        outside = next((h for h in sub.elements if h not in self.element_set), None)
+        check(outside is None, "group.subgroup-inside", outside)
         return sub
 
     def centre(self) -> "ConcreteGroup":
@@ -245,8 +240,8 @@ class ConcreteGroup:
         (sub)g is (sub)p moved by column k."""
         index, act, parent = self.table()
         sub_positions = [index.get(h) for h in sub.elements]
-        if None in sub_positions:
-            raise NotASubgroup("subgroup escapes the group")
+        outside = next((h for h, i in zip(sub.elements, sub_positions) if i is None), None)
+        check(outside is None, "group.cosets-of-a-subgroup", outside)
         coset_of = [-1] * len(self)
         cosets: list[list[int]] = []
         for g in range(len(self)):
@@ -329,10 +324,6 @@ class Homomorphism:
     def is_involutory(self) -> bool:
         """For an endomorphism: applying twice is the identity map."""
         return all(self.mapping[self.mapping[e]] == e for e in self.source.elements)
-
-    def is_injective_on(self, elements: Iterable) -> bool:
-        elems = list(elements)
-        return len({self.mapping[e] for e in elems}) == len(elems)
 
 
 @dataclass(frozen=True)
@@ -464,13 +455,15 @@ def eval_word(assignment: Sequence, word: Sequence[int], identity):
     return e
 
 
-def verify_relators(assignment: Sequence, pres: Presentation) -> bool:
+def broken_relator(assignment: Sequence, pres: Presentation) -> tuple | None:
+    """The first relator of pres that the assignment breaks, None when it
+    satisfies them all."""
     if len(assignment) < pres.generator_count:
         raise ValueError("assignment shorter than generator count")
     some = assignment[0]
     identity = some * some.inverse()
-    return all(eval_word(assignment, rel, identity) == identity
-               for rel in pres.relators)
+    return next((rel for rel in pres.relators
+                 if eval_word(assignment, rel, identity) != identity), None)
 
 
 # -- Todd-Coxeter coset enumeration ---------------------------------------------

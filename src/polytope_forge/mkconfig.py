@@ -23,7 +23,7 @@ from .cubefamily import (
     point_labels,
     presentation_unitary_triangle,
 )
-from .groupcore import CheckFailed, check, enumerate_cosets, verify_relators
+from .groupcore import broken_relator, check, enumerate_cosets
 
 __all__ = [
     "QF",
@@ -36,12 +36,7 @@ __all__ = [
     "build_configuration",
     "table_coordinates",
     "group_333",
-    "CollinearityFailure",
 ]
-
-
-class CollinearityFailure(CheckFailed):
-    pass
 
 
 class QF:
@@ -318,8 +313,8 @@ def _line_through(p: MKPoint, q: MKPoint, s: MKPoint) -> MKLine:
     dz2 = q.z2 - p.z2
     ez1 = s.z1 - p.z1
     ez2 = s.z2 - p.z2
-    if not (dz1 * ez2 - dz2 * ez1).is_zero():
-        raise CollinearityFailure("points not collinear", (p.label, q.label, s.label))
+    check((dz1 * ez2 - dz2 * ez1).is_zero(), "mk.points-collinear",
+          (p.label, q.label, s.label))
     coeff_z1, coeff_z2 = dz2, -dz1
     rhs = coeff_z1 * p.z1 + coeff_z2 * p.z2
     return MKLine(coeff_z1=coeff_z1, coeff_z2=coeff_z2, rhs=rhs,
@@ -363,9 +358,7 @@ def build_configuration() -> Configuration:
         a, b, c = sorted(triple)
         line = _line_through(points[a], points[b], points[c])
         on_line = [p.label for p in points if line.contains(p)]
-        if on_line != sorted(triple):
-            raise CollinearityFailure("line passes through other points",
-                                      (sorted(triple), on_line))
+        check(on_line == [a, b, c], "mk.line-meets-only-its-points", ([a, b, c], on_line))
         lines.append(line)
     lines.sort(key=lambda ln: ln.points)
 
@@ -483,7 +476,7 @@ def group_333() -> dict:
         "gamma1_order_3": g1 ** 3 == ident,
         "gamma2_order_3": g2 ** 3 == ident,
         "braid_relation": braid,
-        "relators_hold": verify_relators([g1, g2], pres),
+        "relators_hold": broken_relator([g1, g2], pres) is None,
         "group_order": len(group),
         "centralizer_order": len(centralizer),
         "centralizer_equals_group": frozenset(centralizer) == group.element_set,

@@ -9,21 +9,16 @@ of the structures built here can share all their vertices.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .groupcore import CheckFailed, ConcreteGroup, check, reach
+from .groupcore import (ConcreteGroup, check, intersection_condition, reach,
+                        string_condition)
 
 __all__ = [
-    "NotAPolytope",
-    "ConditionFailed",
-    "NotEquivelar",
-    "NotCentral",
-    "NotFree",
-    "ImproperColouring",
-    "NotACovering",
     "FaceRef",
     "RankedIncidenceStructure",
     "CosetGeometry",
@@ -45,38 +40,10 @@ __all__ = [
 FaceRef = tuple[int, int]  # (rank, index within rank)
 
 
-class NotAPolytope(CheckFailed):
-    pass
-
-
-class ConditionFailed(CheckFailed):
-    pass
-
-
-class NotEquivelar(CheckFailed):
-    pass
-
-
-class NotCentral(CheckFailed):
-    pass
-
-
-class NotFree(CheckFailed):
-    pass
-
-
-class ImproperColouring(CheckFailed):
-    pass
-
-
-class NotACovering(CheckFailed):
-    pass
-
-
-def _connected(nodes: Iterable, neighbours: Callable[[Hashable], Iterable]) -> bool:
-    """Whether every node is reached from the first; an empty graph is connected."""
-    nodes = list(nodes)
-    return not nodes or len(reach(nodes[0], neighbours)) == len(nodes)
+def _reached(nodes: Sequence, neighbours: Callable[[Hashable], Iterable]) -> int:
+    """How many nodes are reached from the first; the graph is connected
+    when that is all of them (0 of 0 for an empty graph)."""
+    return len(reach(nodes[0], neighbours)) if nodes else 0
 
 
 def isomorphisms(adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
@@ -246,56 +213,55 @@ class RankedIncidenceStructure:
     # -- polytope verification -------------------------------------------------
 
     def validate_polytope(self) -> None:
-        """Raise NotAPolytope unless the axioms of an abstract polytope hold
-        (McMullen & Schulte, Abstract Regular Polytopes, 2A).  The chain
-        axiom is checked locally: when incidence is transitive and every
-        section of rank gap >= 2 is non-empty, a face between two consecutive
-        members of a chain is incident with the whole chain, so every chain
-        extends to a flag."""
+        """Check the axioms of an abstract polytope (McMullen & Schulte,
+        Abstract Regular Polytopes, 2A); each failure is a `polytope.*`
+        check.  The chain axiom is checked locally: when incidence is
+        transitive and every section of rank gap >= 2 is non-empty, a face
+        between two consecutive members of a chain is incident with the
+        whole chain, so every chain extends to a flag."""
         n = self.rank
-        if any(count == 0 for count in self.f_vector):
-            raise NotAPolytope("empty rank", self.f_vector)
+        check(all(self.f_vector), "polytope.no-empty-rank", self.f_vector)
 
         # diamond: every section of rank 1 has exactly two proper faces
-        for r in range(-1, n - 1):
-            for lo, hi, mid in self.sections(r, r + 2):
-                if len(mid) != 2:
-                    raise NotAPolytope("diamond condition", (lo, hi, mid))
+        bad = next(((lo, hi, mid) for r in range(-1, n - 1)
+                    for lo, hi, mid in self.sections(r, r + 2) if len(mid) != 2), None)
+        check(bad is None, "polytope.diamond", bad)
 
         # chains: no section of rank gap >= 3 is empty (the diamond covers
         # gap 2), and F < G, G < H give F < H, one scan per middle face G
         wide = [section for lo_rank in range(-1, n - 2)
                 for hi_rank in range(lo_rank + 3, n + 1)
                 for section in self.sections(lo_rank, hi_rank)]
-        for lo, hi, mid in wide:
-            if not mid:
-                raise NotAPolytope("chain not contained in any flag",
-                                   [f for f in (lo, hi) if f is not None])
-        for g in self.all_refs():
-            above = {h for h in self._inc[g] if h[0] > g[0]}
-            for f in sorted(f for f in self._inc[g] if f[0] < g[0]):
-                missing = above - self._inc[f]
-                if missing:
-                    raise NotAPolytope("incidence not transitive", (f, g, min(missing)))
+        bad = next(([f for f in (lo, hi) if f is not None] for lo, hi, mid in wide if not mid),
+                   None)
+        check(bad is None, "polytope.chain-in-a-flag", bad)
+        bad = next(((f, g, min(above - self._inc[f])) for g in self.all_refs()
+                    for above in [{h for h in self._inc[g] if h[0] > g[0]}]
+                    for f in sorted(f for f in self._inc[g] if f[0] < g[0])
+                    if not above <= self._inc[f]), None)
+        check(bad is None, "polytope.incidence-transitive", bad)
 
         # strong connectivity: every section of rank >= 2 is connected
-        for lo, hi, mid in wide:
+        def connected(mid: list[FaceRef]) -> bool:
             inside = set(mid)
-            if not _connected(mid, lambda a: self._inc[a] & inside):
-                raise NotAPolytope("section not connected", (lo, hi))
+            return _reached(mid, lambda a: self._inc[a] & inside) == len(mid)
+
+        bad = next(((lo, hi) for lo, hi, mid in wide if not connected(mid)), None)
+        check(bad is None, "polytope.sections-connected", bad)
 
         flag_graph = self.flag_graph()
-        if not _connected(flag_graph, flag_graph.__getitem__):
-            raise NotAPolytope("flag graph not connected")
+        reached = _reached(self.flags(), flag_graph.__getitem__)
+        check(reached == len(flag_graph), "polytope.flag-graph-connected",
+              (reached, len(flag_graph)))
 
     def schlafli_type(self) -> tuple[int, ...]:
-        """The type vector {p_1, ..., p_{n-1}}; raises NotEquivelar."""
+        """The type vector {p_1, ..., p_{n-1}}; fails the check
+        `polytope.equivelar` when the rank-j sections disagree."""
         out = []
         for j in range(1, self.rank):
             values = {sum(1 for ref in mid if ref[0] == j - 1)
                       for _, _, mid in self.sections(j - 2, j + 1)}
-            if len(values) != 1:
-                raise NotEquivelar(f"rank {j} sections disagree", sorted(values))
+            check(len(values) == 1, "polytope.equivelar", (j, sorted(values)))
             out.append(values.pop())
         return tuple(out)
 
@@ -326,7 +292,6 @@ class ClassifyResult:
     kind: Classification
     orbit_count: int
     flag_count: int
-    adjacent_pairs_split: bool
 
 
 def _face_map_fault(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
@@ -371,16 +336,14 @@ def classify(p: RankedIncidenceStructure,
         if flag not in orbit_of:
             orbit_of.update(dict.fromkeys(reach(flag, images), orbits))
             orbits += 1
-    split = all(orbit_of[f] != orbit_of[g]
-                for f, neighbours in p.flag_graph().items() for g in neighbours)
     if orbits == 1:
         kind = Classification.REGULAR
-    elif orbits == 2 and split:
+    elif orbits == 2 and all(orbit_of[f] != orbit_of[g]
+                             for f, neighbours in p.flag_graph().items() for g in neighbours):
         kind = Classification.CHIRAL
     else:
         kind = Classification.OTHER
-    return ClassifyResult(kind=kind, orbit_count=orbits,
-                          flag_count=len(p.flags()), adjacent_pairs_split=split)
+    return ClassifyResult(kind=kind, orbit_count=orbits, flag_count=len(p.flags()))
 
 
 # -- coset geometries -----------------------------------------------------------
@@ -404,7 +367,7 @@ class CosetGeometry(RankedIncidenceStructure):
     """Faces of rank j are the right cosets of subgroups[j], keyed by their
     least member; two faces are incident when the cosets intersect.
     canon[j][i] is the index of the rank-j face holding group.elements[i].
-    Raises NotASubgroup when a subgroup escapes the group."""
+    A subgroup that escapes the group fails `group.cosets-of-a-subgroup`."""
 
     def __init__(self, group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]):
         rank = len(subgroups)
@@ -421,8 +384,8 @@ class CosetGeometry(RankedIncidenceStructure):
 
 
 def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]) -> CosetGeometry:
-    """The coset geometry of group and subgroups, validated: raises
-    NotAPolytope when an axiom fails."""
+    """The coset geometry of group and subgroups, validated: a failed axiom
+    fails its `polytope.*` check."""
     struct = CosetGeometry(group, subgroups)
     struct.validate_polytope()
     return struct
@@ -444,15 +407,12 @@ def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     """Wythoff-style coset geometry from ordered involutory generators:
     rank-j faces are cosets of the subgroup omitting generator j."""
     gens = group.generator_list()
-    for g in gens:
-        if not g.is_involution():
-            raise ConditionFailed("generators must be involutions")
-    from .groupcore import string_condition, intersection_condition
-    if not string_condition(gens):
-        raise ConditionFailed("string condition fails")
-    if not intersection_condition(group):
-        raise ConditionFailed("intersection condition fails")
     named = list(group.generators.items())
+    bad = next(((name, g) for name, g in named if not g.is_involution()), None)
+    check(bad is None, "reflections.involutions", bad)
+    check(string_condition(gens), "reflections.string-condition", list(group.generators))
+    check(intersection_condition(group), "reflections.intersection-condition",
+          list(group.generators))
     full = (1 << len(named)) - 1
     subgroups = [ConcreteGroup([group.elements[i] for i in group.span(full & ~(1 << j))],
                                dict(named[:j] + named[j + 1:]), group.identity)
@@ -470,37 +430,20 @@ def central_quotient(p: CosetGeometry, z) -> RankedIncidenceStructure:
     allowed and returns an isomorphic structure)."""
     if not isinstance(p, CosetGeometry):
         raise ValueError("structure carries no group")
-    if z not in p.group:
-        raise NotCentral("element outside the group")
-    if any(z * g != g * z for g in p.group.generator_list()):
-        raise NotCentral("element is not central")
+    check(z in p.group, "quotient.element-in-the-group", z)
+    check(all(z * g == g * z for g in p.group.generator_list()), "quotient.element-central", z)
     identity = p.group.identity
-    if z != identity and z * z != identity:
-        raise NotCentral("element is not an involution")
+    check(z == identity or z * z == identity, "quotient.element-an-involution", z)
     face_map = coset_face_action(p, z)
+    fixed = None if z == identity else next(
+        (ref for ref in p.all_refs() if face_map[ref] == ref), None)
+    check(fixed is None, "quotient.acts-freely", fixed)
 
-    if z != identity:
-        for ref in p.all_refs():
-            if face_map[ref] == ref:
-                raise NotFree("face fixed by the centre", ref)
-
-    faces_by_rank = []
-    orbit_key = {}
-    for r in range(p.rank):
-        keys = []
-        for ref in p.refs(r):
-            mate = face_map[ref]
-            key = min(p.key(ref), p.key(mate))
-            orbit_key[ref] = key
-            if ref <= mate:
-                keys.append(key)
-        faces_by_rank.append(keys)
-
-    pairs = set()
-    for a in p.all_refs():
-        for b in p._inc[a]:
-            pairs.add(((a[0], orbit_key[a]), (b[0], orbit_key[b])))
-
+    # a face and its mate are one face of the quotient, keyed by the lesser key
+    orbit_key = {ref: min(p.key(ref), p.key(face_map[ref])) for ref in p.all_refs()}
+    faces_by_rank = [[orbit_key[ref] for ref in p.refs(r) if ref <= face_map[ref]]
+                     for r in range(p.rank)]
+    pairs = {((a[0], orbit_key[a]), (b[0], orbit_key[b])) for a in p.all_refs() for b in p._inc[a]}
     struct = RankedIncidenceStructure(p.rank, faces_by_rank, pairs)
     struct.validate_polytope()
     return struct
@@ -519,19 +462,22 @@ class ColoredGraph:
     d: int
 
     def __post_init__(self):
-        seen_at: dict = {v: set() for v in self.vertices}
-        for edge, color in self.edge_colors.items():
-            if len(edge) != 2 or not edge <= set(self.vertices):
-                raise ImproperColouring("bad edge", edge)
-            if not 1 <= color <= self.d:
-                raise ImproperColouring("colour outside 1..d", (color, self.d))
-            for v in edge:
-                if color in seen_at[v]:
-                    raise ImproperColouring("colour repeated at a vertex", (color, v))
-                seen_at[v].add(color)
-        for v, colors in seen_at.items():
-            if len(colors) != self.d:
-                raise ImproperColouring("vertex misses a colour class", v)
+        vertices = set(self.vertices)
+        bad = next((edge for edge in self.edge_colors
+                    if len(edge) != 2 or not edge <= vertices), None)
+        check(bad is None, "colouring.edge-joins-two-vertices", bad)
+        bad = next(((color, self.d) for color in self.edge_colors.values()
+                    if not 1 <= color <= self.d), None)
+        check(bad is None, "colouring.colour-in-range", bad)
+        # edges are distinct, so a (vertex, colour) pair met twice is a
+        # colour repeated at that vertex; without repeats, d pairs at a
+        # vertex are its d colours
+        at = Counter((v, color) for edge, color in self.edge_colors.items() for v in edge)
+        bad = next(((color, v) for (v, color), count in at.items() if count > 1), None)
+        check(bad is None, "colouring.colour-once-at-a-vertex", bad)
+        colours_at = Counter(v for v, _ in at)
+        bad = next((v for v in self.vertices if colours_at[v] != self.d), None)
+        check(bad is None, "colouring.every-colour-at-every-vertex", bad)
 
     def neighbors(self, v, colors: frozenset):
         for edge, color in self.edge_colors.items():
@@ -547,8 +493,8 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
     """The simple d-polytope whose j-faces are (colour set of size j,
     connected component); its 1-skeleton is the graph itself."""
     all_colors = frozenset(range(1, cg.d + 1))
-    if cg.component(cg.vertices[0], all_colors) != tuple(sorted(cg.vertices)):
-        raise ImproperColouring("graph is not connected")
+    reached = cg.component(cg.vertices[0], all_colors)
+    check(reached == tuple(sorted(cg.vertices)), "colouring.graph-connected", len(reached))
 
     faces_by_rank: list[list] = []
     comp_of: list[dict] = []
@@ -569,16 +515,12 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
         faces_by_rank.append(keys)
         comp_of.append(lookup)
 
-    colors_sorted = sorted(all_colors)
-    pairs = []
-    for j in range(cg.d):
-        for key in faces_by_rank[j]:
-            cset, comp = set(key[0]), key[1]
-            for k in range(j + 1, cg.d):
-                for dcolors in itertools.combinations(colors_sorted, k):
-                    if cset <= set(dcolors):
-                        dkey = comp_of[k][(frozenset(dcolors), comp[0])]
-                        pairs.append(((j, key), (k, dkey)))
+    # a j-face lies on the k-face of each larger colour set through its first vertex
+    pairs = [((j, key), (k, comp_of[k][(frozenset(dcolors), key[1][0])]))
+             for j in range(cg.d) for key in faces_by_rank[j]
+             for k in range(j + 1, cg.d)
+             for dcolors in itertools.combinations(sorted(all_colors), k)
+             if set(key[0]) <= set(dcolors)]
 
     struct = RankedIncidenceStructure(cg.d, faces_by_rank, pairs)
     struct.validate_polytope()
@@ -587,9 +529,9 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
     # edge is the maximal face and there is nothing to compare); a rank-1
     # component other than an edge is a mismatch too
     if cg.d >= 2:
-        skeleton = {frozenset(comp) for _, comp in faces_by_rank[1]}
-        if skeleton != set(map(frozenset, cg.edge_colors)):
-            raise ImproperColouring("1-skeleton mismatch")
+        stray = ({frozenset(comp) for _, comp in faces_by_rank[1]}
+                 ^ set(map(frozenset, cg.edge_colors)))
+        check(not stray, "colouring.skeleton-is-the-graph", stray)
     return struct
 
 
@@ -664,28 +606,23 @@ def verify_covering(cover: RankedIncidenceStructure, base: RankedIncidenceStruct
     """Check a rank- and adjacency-preserving surjection of proper faces and
     report preimage counts plus whether the map is isomorphic on facets and
     vertex-figures."""
-    if cover.rank != base.rank:
-        raise NotACovering("rank mismatch")
-    for ref in cover.all_refs():
-        if ref not in face_map:
-            raise NotACovering("face map misses a proper face", ref)
-        if face_map[ref][0] != ref[0]:
-            raise NotACovering("face map changes rank", ref)
+    check(cover.rank == base.rank, "covering.same-rank", (cover.rank, base.rank))
+    refs = cover.all_refs()
+    bad = next((ref for ref in refs if ref not in face_map), None)
+    check(bad is None, "covering.face-map-covers-every-face", bad)
+    bad = next((ref for ref in refs if face_map[ref][0] != ref[0]), None)
+    check(bad is None, "covering.face-map-keeps-rank", bad)
 
-    counts = []
-    for r in range(base.rank):
-        per_face = {ref: 0 for ref in base.refs(r)}
-        for ref in cover.refs(r):
-            per_face[face_map[ref]] += 1
-        if any(c == 0 for c in per_face.values()):
-            missing = next(ref for ref, c in per_face.items() if c == 0)
-            raise NotACovering("not surjective", missing)
-        counts.append(tuple(per_face[ref] for ref in base.refs(r)))
+    per_face = dict.fromkeys(base.all_refs(), 0)
+    for ref in refs:
+        per_face[face_map[ref]] += 1
+    bad = next((ref for ref, count in per_face.items() if count == 0), None)
+    check(bad is None, "covering.onto", bad)
+    counts = [tuple(per_face[ref] for ref in base.refs(r)) for r in range(base.rank)]
 
-    for a in cover.all_refs():
-        for b in cover._inc[a]:
-            if not base.incident(face_map[a], face_map[b]):
-                raise NotACovering("adjacency broken", (a, b))
+    bad = next(((a, b) for a in refs for b in cover._inc[a]
+                if not base.incident(face_map[a], face_map[b])), None)
+    check(bad is None, "covering.keeps-incidence", bad)
 
     def closed_section(s: RankedIncidenceStructure, a: FaceRef, below: bool) -> list:
         return (s.between(None, a) if below else s.between(a, None)) + [a]

@@ -226,6 +226,22 @@ def test_main_verify_list(capsys, monkeypatch):
     assert "petrie.count" in out
 
 
+@pytest.mark.parametrize("argv", [["--all", "petrie.count"], ["--list", "petrie.count"],
+                                  ["--list", "--all"]])
+def test_main_verify_rejects_conflicting_selections(argv, capsys, monkeypatch):
+    # claim ids, --all and --list each choose what verify does; two at once
+    # is a usage error, not one silently ignored
+    def battery(*args, **kwargs):
+        raise AssertionError("a conflicting selection must not run the battery")
+
+    monkeypatch.setattr(cli, "run_claims", battery)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err, err
+
+
 def test_main_verify_list_honours_out_and_format(tmp_path, capsys):
     ids = cli.all_claim_ids()
     text, as_json = tmp_path / "ids.txt", tmp_path / "ids.json"

@@ -574,7 +574,7 @@ def test_enantiomorph_battery(atlas):
     assert bundle.structure.f_vector == (16, 32, 12, 4)
     assert bundle.stabilizer_orders == (12, 6, 16, 48)
     assert bundle.two_faces_class == "L"
-    assert bundle.mirror_iso_by_rho0
+    assert bundle.certificate()["poset_isomorphic_to_roli"] is True
     barred = ConcreteGroup.generate([atlas.sigma1_bar, atlas.sigma2_bar, atlas.sigma3_bar])
     assert barred.element_set == group_rotation().element_set
 

@@ -15,12 +15,13 @@ from polytope_forge.cubefamily import (
 )
 from polytope_forge.groupcore import (
     CapExceeded,
+    CheckFailed,
     ConcreteGroup,
     Homomorphism,
     HomomorphismFailure,
-    NotASubgroup,
     Presentation,
     QuotientElem,
+    broken_relator,
     eval_word,
     extend_homomorphism,
     intersection_condition,
@@ -28,7 +29,6 @@ from polytope_forge.groupcore import (
     setwise_stabilizer,
     stabilizer,
     string_condition,
-    verify_relators,
     witness_pair_inconsistent,
 )
 from polytope_forge.signedperm import SignedPerm, block_pair
@@ -177,8 +177,13 @@ def test_coset_reps(atlas):
     rot = group_rotation_sigma()
     facet_sub = rot.subgroup([atlas.sigma1, atlas.sigma2])
     assert len(_coset_reps(rot, facet_sub)) == 4
-    with pytest.raises(NotASubgroup):
+    with pytest.raises(CheckFailed) as exc:
         _coset_reps(group_map_rotation(), g)
+    assert exc.value.name == "group.cosets-of-a-subgroup"
+    assert exc.value.witness in g and exc.value.witness not in group_map_rotation()
+    with pytest.raises(CheckFailed) as exc:
+        group_map_rotation().subgroup([atlas.rho0])
+    assert (exc.value.name, exc.value.witness) == ("group.subgroup-inside", atlas.rho0)
 
 
 def test_string_condition(atlas):
@@ -203,14 +208,13 @@ def test_intersection_condition(atlas):
 
 
 def test_verify_relators(atlas):
-    assert verify_relators([atlas.sigma1, atlas.sigma2], presentation_map_rotation())
-    assert verify_relators([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3],
-                           presentation_cover(corrected=True))
-    assert verify_relators([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3],
-                           presentation_cover(corrected=False))
-    assert verify_relators([atlas.pi], Presentation(1, ()))
-    assert not verify_relators([atlas.sigma1, atlas.sigma2],
-                               Presentation(2, ((1, 1),)))
+    taus = [atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3]
+    assert broken_relator([atlas.sigma1, atlas.sigma2], presentation_map_rotation()) is None
+    assert broken_relator(taus, presentation_cover(corrected=True)) is None
+    assert broken_relator(taus, presentation_cover(corrected=False)) is None
+    assert broken_relator([atlas.pi], Presentation(1, ())) is None
+    # sigma1 has order 8, so sigma1^2 = 1 is the relator it breaks
+    assert broken_relator([atlas.sigma1, atlas.sigma2], Presentation(2, ((1, 1),))) == (1, 1)
 
 
 def test_presentation_validation():

@@ -362,5 +362,6 @@ def test_collinearity_guard():
         z1, z2 = mk.complexify(labeling.point_of[label])
         pts.append(mk.MKPoint(label=label, ambient=labeling.point_of[label],
                               z1=z1, z2=z2))
-    with pytest.raises(mk.CollinearityFailure):
+    with pytest.raises(CheckFailed) as exc:
         mk._line_through(*pts)  # 0, 1, 2 are not collinear
+    assert exc.value.name == "mk.points-collinear" and exc.value.witness == (0, 1, 2)

@@ -28,16 +28,11 @@ from polytope_forge.cubefamily import (
     group_cover,
     group_rotation_sigma,
 )
-from polytope_forge.groupcore import ConcreteGroup
+from polytope_forge.groupcore import CheckFailed, ConcreteGroup
 from polytope_forge.polycore import (
     _coset_decomposition,
     Classification,
     ColoredGraph,
-    ImproperColouring,
-    NotAPolytope,
-    NotEquivelar,
-    NotCentral,
-    NotACovering,
     CosetGeometry,
     RankedIncidenceStructure,
     central_quotient,
@@ -216,8 +211,9 @@ def test_roli_coset_geometry_f_vector():
 def test_degenerate_coset_geometry_rejected(atlas):
     g = ConcreteGroup.generate({"a": atlas.rho0, "b": atlas.rho1})
     sub = g.subgroup([atlas.rho0])
-    with pytest.raises(NotAPolytope):
+    with pytest.raises(CheckFailed) as exc:
         coset_geometry(g, [sub, sub])
+    assert exc.value.name == "polytope.diamond"
 
 
 # -- flags, classification -----------------------------------------------------
@@ -244,15 +240,18 @@ def test_flag_adjacency_against_brute_force(build):
 
 
 def test_reflection_construction_rejects_bad_generators(atlas):
-    from polytope_forge.polycore import ConditionFailed
     # reordering breaks the linear-diagram commutation
     bad = ConcreteGroup.generate(
         {"a": atlas.rho0, "b": atlas.rho2, "c": atlas.rho1})
-    with pytest.raises(ConditionFailed):
+    with pytest.raises(CheckFailed) as exc:
         polytope_from_reflections(bad)
+    assert exc.value.name == "reflections.string-condition"
+    assert exc.value.witness == ["a", "b", "c"]
     # non-involutory generators are rejected outright
-    with pytest.raises(ConditionFailed):
+    with pytest.raises(CheckFailed) as exc:
         polytope_from_reflections(ConcreteGroup.generate({"p": atlas.pi}))
+    assert exc.value.name == "reflections.involutions"
+    assert exc.value.witness == ("p", atlas.pi)
 
 
 def test_classification_regular_chiral_other(atlas):
@@ -264,8 +263,7 @@ def test_classification_regular_chiral_other(atlas):
     rmaps = [coset_face_action(roli, g)
              for g in group_rotation_sigma().generator_list()]
     res = classify(roli, rmaps)
-    assert res.kind is Classification.CHIRAL
-    assert res.orbit_count == 2 and res.adjacent_pairs_split
+    assert res.kind is Classification.CHIRAL and res.orbit_count == 2
 
     # a single reflection generates far too little: neither regular nor chiral
     tiny = classify(cube, [coset_face_action(cube, atlas.rho0)])
@@ -296,21 +294,24 @@ def test_quotient_by_identity_is_isomorphic(atlas):
 
 
 def test_quotient_by_noncentral_element_rejected(atlas):
-    with pytest.raises(NotCentral):
+    with pytest.raises(CheckFailed) as exc:
         central_quotient(build_cube().structure, atlas.rho0)
+    assert exc.value.name == "quotient.element-central" and exc.value.witness == atlas.rho0
 
 
 def test_quotient_by_face_fixing_involution_rejected(atlas):
     # sign flips of the first two coordinates commute; the first one fixes
     # its own edge-coset in the resulting digon
-    from polytope_forge.polycore import NotFree
     flip1 = atlas.rho0
     flip2 = atlas.rho0.conjugate(atlas.rho1)
     digon = polytope_from_reflections(
         ConcreteGroup.generate({"a": flip1, "b": flip2}))
     assert digon.f_vector == (2, 2)
-    with pytest.raises(NotFree):
+    with pytest.raises(CheckFailed) as exc:
         central_quotient(digon, flip1)
+    fixed = exc.value.witness
+    assert exc.value.name == "quotient.acts-freely" and fixed[0] == 1
+    assert coset_face_action(digon, flip1)[fixed] == fixed
 
 
 def test_regular_flag_counts_match_group_orders():
@@ -349,18 +350,20 @@ def test_colourful_output_is_simple():
 
 
 def test_improper_colourings_rejected():
-    with pytest.raises(ImproperColouring):
+    with pytest.raises(CheckFailed) as exc:
         ColoredGraph(vertices=("a", "b", "c", "d"),
                      edge_colors={frozenset({"a", "b"}): 1,
                                   frozenset({"b", "c"}): 1,
                                   frozenset({"c", "d"}): 1,
                                   frozenset({"a", "d"}): 1}, d=1)
+    assert exc.value.name == "colouring.colour-once-at-a-vertex"
     # properly coloured but disconnected
     cg = ColoredGraph(vertices=("a", "b", "c", "d"),
                       edge_colors={frozenset({"a", "b"}): 1,
                                    frozenset({"c", "d"}): 1}, d=1)
-    with pytest.raises(ImproperColouring):
+    with pytest.raises(CheckFailed) as exc:
         colourful_polytope(cg)
+    assert exc.value.name == "colouring.graph-connected" and exc.value.witness == 2
 
 
 # -- coverings -------------------------------------------------------------------
@@ -378,16 +381,70 @@ def test_rank_breaking_map_rejected():
     struct = build_cube().structure
     bad = {ref: ref for ref in struct.all_refs()}
     bad[(0, 0)] = (1, 0)
-    with pytest.raises(NotACovering):
+    with pytest.raises(CheckFailed) as exc:
         verify_covering(struct, struct, bad)
+    assert exc.value.name == "covering.face-map-keeps-rank" and exc.value.witness == (0, 0)
 
 
 def test_non_surjective_map_rejected():
     struct = build_cube().structure
     bad = {ref: ref for ref in struct.all_refs()}
     bad[(0, 0)] = (0, 1)
-    with pytest.raises(NotACovering):
+    with pytest.raises(CheckFailed) as exc:
         verify_covering(struct, struct, bad)
+    assert exc.value.name == "covering.onto" and exc.value.witness == (0, 0)
+
+
+def test_covering_that_breaks_incidence_rejected():
+    # two vertices trade images: every rank is still covered once
+    struct = build_cube().structure
+    bad = {ref: ref for ref in struct.all_refs()}
+    bad[(0, 0)], bad[(0, 1)] = (0, 1), (0, 0)
+    with pytest.raises(CheckFailed) as exc:
+        verify_covering(struct, struct, bad)
+    a, b = exc.value.witness
+    assert exc.value.name == "covering.keeps-incidence" and a == (0, 0)
+    assert struct.incident(a, b) and not struct.incident(bad[a], bad[b])
+
+
+def _cyclic_geometry(c):
+    """The rank-1 coset geometry of the cyclic group <c> on its elements."""
+    group = ConcreteGroup.generate({"c": c})
+    return CosetGeometry(group, [group.subgroup([group.identity])])
+
+
+# failure -> (what fails, given the atlas; the check it names; its witness)
+FAILURES = {
+    "edge-outside": (lambda a: ColoredGraph(("a", "b"), {frozenset("ac"): 1}, 1),
+                     "colouring.edge-joins-two-vertices", lambda a: frozenset("ac")),
+    "colour-2-of-1": (lambda a: ColoredGraph(("a", "b"), {frozenset("ab"): 2}, 1),
+                      "colouring.colour-in-range", lambda a: (2, 1)),
+    "bare-vertex": (lambda a: ColoredGraph(("a", "b", "c"), {frozenset("ab"): 1}, 1),
+                    "colouring.every-colour-at-every-vertex", lambda a: "c"),
+    "cube-onto-map": (lambda a: verify_covering(build_cube().structure,
+                                                build_map().structure, {}),
+                      "covering.same-rank", lambda a: (4, 3)),
+    "face-unmapped": (lambda a: verify_covering(build_cube().structure, build_cube().structure,
+                                                {ref: ref for ref in build_cube().structure
+                                                 .all_refs() if ref != (2, 3)}),
+                      "covering.face-map-covers-every-face", lambda a: (2, 3)),
+    "zeta-of-the-cover": (lambda a: central_quotient(build_cube().structure, a.tau0),
+                          "quotient.element-in-the-group", lambda a: a.tau0),
+    "order-4-centre": (lambda a: central_quotient(_cyclic_geometry(a.sigma1 ** 2),
+                                                  a.sigma1 ** 2),
+                       "quotient.element-an-involution", lambda a: a.sigma1 ** 2),
+    "intersection": (lambda a: polytope_from_reflections(ConcreteGroup.generate(
+                         {"a": a.rho0, "b": a.rho1, "c": a.zeta * a.rho0})),
+                     "reflections.intersection-condition", lambda a: ["a", "b", "c"]),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_failure_names_its_check_and_witness(failure, atlas):
+    run, name, witness = FAILURES[failure]
+    with pytest.raises(CheckFailed) as exc:
+        run(atlas)
+    assert (exc.value.name, exc.value.witness) == (name, witness(atlas))
 
 
 # -- polytope axioms on a hand-built poset ---------------------------------------
@@ -399,8 +456,9 @@ def test_validate_polytope_diamond_failure():
     pairs = [((0, "a"), (1, "ab")), ((0, "b"), (1, "ab")),
              ((0, "b"), (1, "bc")), ((0, "c"), (1, "bc"))]
     struct = RankedIncidenceStructure(2, faces, pairs)
-    with pytest.raises(NotAPolytope):
+    with pytest.raises(CheckFailed) as exc:
         struct.validate_polytope()
+    assert exc.value.name == "polytope.diamond"
 
 
 def test_validate_polytope_accepts_polygon():
@@ -429,17 +487,17 @@ def test_validate_polytope_rejects_face_outside_every_flag():
     faces = [[(v,) for v in range(5)]] + [
         list(itertools.combinations(range(4), k)) for k in (2, 3)]
     struct = _from_vertex_sets(faces)
-    with pytest.raises(NotAPolytope) as exc:
+    with pytest.raises(CheckFailed) as exc:
         struct.validate_polytope()
-    assert exc.value.name == "chain not contained in any flag"
+    assert exc.value.name == "polytope.chain-in-a-flag"
     assert exc.value.witness == [(0, 4)]
 
 
 def test_validate_polytope_rejects_empty_rank():
     struct = RankedIncidenceStructure(2, [["a", "b"], []], [])
-    with pytest.raises(NotAPolytope) as exc:
+    with pytest.raises(CheckFailed) as exc:
         struct.validate_polytope()
-    assert exc.value.name == "empty rank"
+    assert exc.value.name == "polytope.no-empty-rank"
 
 
 def test_triangular_prism_is_a_polytope_but_not_equivelar():
@@ -451,8 +509,9 @@ def test_triangular_prism_is_a_polytope_but_not_equivelar():
     struct = _from_vertex_sets(faces)
     struct.validate_polytope()
     assert struct.f_vector == (6, 9, 5)
-    with pytest.raises(NotEquivelar, match=r"rank 1 sections disagree: \[3, 4\]"):
+    with pytest.raises(CheckFailed) as exc:
         struct.schlafli_type()
+    assert exc.value.name == "polytope.equivelar" and exc.value.witness == (1, [3, 4])
 
 
 def test_validate_polytope_rejects_disconnected_section():
@@ -464,9 +523,9 @@ def test_validate_polytope_rejects_disconnected_section():
         pairs.append(((0, f"v{i}"), (1, f"e{i}")))
         pairs.append(((0, f"v{4 * square + (k + 1) % 4}"), (1, f"e{i}")))
     struct = RankedIncidenceStructure(2, faces, pairs)
-    with pytest.raises(NotAPolytope) as exc:
+    with pytest.raises(CheckFailed) as exc:
         struct.validate_polytope()
-    assert exc.value.name == "section not connected"
+    assert exc.value.name == "polytope.sections-connected"
 
 
 def _rebuilt(struct, drop=(), add=()):
@@ -484,9 +543,9 @@ def test_validate_polytope_rejects_intransitive_incidence():
     # on facet (3, 2): without the pair itself the structure is not a poset
     cube = build_cube().structure
     struct = _rebuilt(cube, drop=[((1, 24), (3, 2))])
-    with pytest.raises(NotAPolytope) as exc:
+    with pytest.raises(CheckFailed) as exc:
         struct.validate_polytope()
-    assert exc.value.name == "incidence not transitive"
+    assert exc.value.name == "polytope.incidence-transitive"
     assert exc.value.witness == ((1, 24), (2, 8), (3, 2))
 
 
@@ -504,11 +563,11 @@ def _walk_validate(struct):
     networkx's."""
     n = struct.rank
     if any(count == 0 for count in struct.f_vector):
-        raise NotAPolytope("empty rank", struct.f_vector)
+        raise CheckFailed("polytope.no-empty-rank", struct.f_vector)
     for r in range(-1, n - 1):
         for lo, hi, mid in struct.sections(r, r + 2):
             if len(mid) != 2:
-                raise NotAPolytope("diamond condition", (lo, hi, mid))
+                raise CheckFailed("polytope.diamond", (lo, hi, mid))
 
     containing = {ref: set() for ref in struct.all_refs()}
     for idx, flag in enumerate(struct.flags()):
@@ -517,7 +576,7 @@ def _walk_validate(struct):
 
     def walk(chain):
         if chain and not set.intersection(*(containing[ref] for ref in chain)):
-            raise NotAPolytope("chain not contained in any flag", chain)
+            raise CheckFailed("polytope.chain-in-a-flag", chain)
         top = chain[-1][0] if chain else -1
         for cand in sorted(x for x in struct._common(chain) if x[0] > top):
             walk(chain + [cand])
@@ -534,16 +593,16 @@ def _walk_validate(struct):
         for hi_rank in range(lo_rank + 3, n + 1):
             for lo, hi, mid in struct.sections(lo_rank, hi_rank):
                 if not connected({a: struct._inc[a] & set(mid) for a in mid}):
-                    raise NotAPolytope("section not connected", (lo, hi))
+                    raise CheckFailed("polytope.sections-connected", (lo, hi))
     if not connected(struct.flag_graph()):
-        raise NotAPolytope("flag graph not connected")
+        raise CheckFailed("polytope.flag-graph-connected")
 
 
 def _failure(validate):
-    """The NotAPolytope that validate() raises, None when it passes."""
+    """The CheckFailed that validate() raises, None when it passes."""
     try:
         validate()
-    except NotAPolytope as err:
+    except CheckFailed as err:
         return err
     return None
 
@@ -554,7 +613,7 @@ def test_local_chain_axiom_against_walk_oracle():
     # same axiom, unless intransitive incidence is found first; a structure
     # only the local check rejects is not a poset.
     rng = random.Random(8)
-    intransitive = "incidence not transitive"
+    intransitive = "polytope.incidence-transitive"
     outcomes = collections.Counter()
     for make in (lambda: build_cube().structure, lambda: build_map().structure,
                  lambda: build_roli().structure, lambda: build_enantiomorph().structure):
@@ -579,7 +638,7 @@ def test_local_chain_axiom_against_walk_oracle():
             outcomes[outcome] += 1
     # the seed reaches each outcome that tells the two checks apart
     assert outcomes[None, None] and outcomes[None, intransitive]
-    assert outcomes["chain not contained in any flag", "chain not contained in any flag"]
+    assert outcomes["polytope.chain-in-a-flag", "polytope.chain-in-a-flag"]
 
 
 # -- graph isomorphism, against networkx as an independent oracle ------------------
