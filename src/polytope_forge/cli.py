@@ -516,7 +516,9 @@ def main(argv: list[str] | None = None) -> int:
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", default=None, help="write output to a file")
     common.add_argument("--cap", type=_positive_int, default=10**6,
-                        help="cap on the number of cosets in coset enumeration")
+                        help="cap on the number of cosets defined during coset "
+                             "enumeration (cosets later merged count too, so "
+                             "this bounds the work, not the index)")
 
     parser = argparse.ArgumentParser(
         prog="polytope-forge",

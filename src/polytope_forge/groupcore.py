@@ -526,24 +526,51 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                      cap: int = DEFAULT_CAP) -> CosetTable:
     """Relator-driven coset enumeration with immediate deductions.
 
+    A generator g with a relator (g, g) or (-g, -g) is an involution: it
+    gets one column, which is its own inverse, and its (g, g) relator holds
+    in the table by construction, so it is not scanned.  Every other
+    generator gets a column for g and one for g^-1.  Each pass scans every
+    relator at every live coset, filling gaps with new cosets, and the
+    enumeration stops after the first pass that leaves no hole: every live
+    coset then has every relator closed at it, and merges keep a closed
+    cycle closed.  A pass that leaves holes defines a coset at each before
+    the next pass.  `validate` still checks every relator, (g, g)
+    included, on the result.
+
     Cosets are numbered in first-appearance order and the final table is
     renumbered by breadth-first search from the subgroup coset, so the
-    output is reproducible bit for bit.  Raises CapExceeded once the number
-    of defined cosets passes `cap` (the presentation may define a larger or
-    infinite group).
+    output is reproducible bit for bit; an involution's column is written
+    twice, as g and as g^-1.  Raises CapExceeded once the number of cosets
+    *defined* during enumeration passes `cap`; that count includes cosets
+    later merged, so it bounds the work, not the index (the presentation
+    may define a larger or infinite group).
     """
     ngens = pres.generator_count
-    ncols = 2 * ngens
     subgroup_words = tuple(tuple(w) for w in subgroup_words)
     for w in subgroup_words:
         for x in w:
             if x == 0 or abs(x) > ngens:
                 raise ValueError(f"subgroup word letter {x} out of range")
 
+    squares = {rel for rel in pres.relators if len(rel) == 2 and rel[0] == rel[1]}
+    involutions = {abs(rel[0]) for rel in squares}
+    # col[x] is the table column of the signed letter x, inv[c] the column
+    # of its inverse
+    col: dict[int, int] = {}
+    inv: list[int] = []
+    for g in range(1, ngens + 1):
+        col[g] = len(inv)
+        if g in involutions:
+            col[-g] = col[g]
+            inv.append(col[g])
+        else:
+            col[-g] = col[g] + 1
+            inv += [col[g] + 1, col[g]]
+    ncols = len(inv)
+
     table: list[list[int]] = [[-1] * ncols]
     parent = [0]
     pending: deque[tuple[int, int]] = deque()
-    stats = {"defined": 1, "merged": 0}
 
     def find(a: int) -> int:
         root = a
@@ -554,14 +581,13 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         return root
 
     def define(a: int, c: int) -> int:
-        if stats["defined"] >= cap:
+        b = len(table)  # every coset ever defined keeps its row
+        if b >= cap:
             raise CapExceeded(f"coset count exceeded cap={cap}")
-        b = len(table)
         table.append([-1] * ncols)
         parent.append(b)
         table[a][c] = b
-        table[b][c ^ 1] = a
-        stats["defined"] += 1
+        table[b][inv[c]] = a
         return b
 
     def deduce(a: int, c: int, b: int) -> None:
@@ -571,9 +597,9 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             table[a][c] = b
         elif find(ea) != b:
             pending.append((find(ea), b))
-        eb = table[b][c ^ 1]
+        eb = table[b][inv[c]]
         if eb == -1:
-            table[b][c ^ 1] = a
+            table[b][inv[c]] = a
         elif find(eb) != a:
             pending.append((find(eb), a))
 
@@ -586,7 +612,6 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             if y < x:
                 x, y = y, x
             parent[y] = x
-            stats["merged"] += 1
             row = table[y]
             for c in range(ncols):
                 d = row[c]
@@ -613,7 +638,7 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                     process_pending()
                 return
             while j > i + 1:
-                prv = table[b][cols[j - 1] ^ 1]
+                prv = table[b][inv[cols[j - 1]]]
                 if prv == -1:
                     break
                 b = prv if parent[prv] == prv else find(prv)
@@ -625,12 +650,11 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             f = define(f, cols[i])
             i += 1
 
-    relator_cols = [[CosetTable._col(x) for x in rel] for rel in pres.relators]
+    relator_cols = [[col[x] for x in rel] for rel in pres.relators if rel not in squares]
     for w in subgroup_words:
-        scan_and_fill(find(0), [CosetTable._col(x) for x in w])
+        scan_and_fill(find(0), [col[x] for x in w])
 
     while True:
-        before = (stats["defined"], stats["merged"])
         i = 0
         while i < len(table):
             if parent[i] == i:  # i is live
@@ -639,35 +663,32 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                         break
                     scan_and_fill(i, cols)
             i += 1
-        i = 0
-        while i < len(table):
-            if parent[i] == i:
-                for c in range(ncols):
-                    if table[i][c] == -1:
-                        define(i, c)
-            i += 1
-        if (stats["defined"], stats["merged"]) == before:
+        holes = [(c, k) for c in range(len(table)) if parent[c] == c
+                 for k in range(ncols) if table[c][k] == -1]
+        if not holes:
             break
+        for c, k in holes:
+            define(c, k)
 
-    hole = next(((c, col) for c in range(len(table)) if find(c) == c
-                 for col in range(ncols) if table[c][col] == -1), None)
+    hole = next(((c, k) for c in range(len(table)) if find(c) == c
+                 for k in range(ncols) if table[c][k] == -1), None)
     check(hole is None, "cosets.table-complete", hole)
 
-    # compact: breadth-first renumbering from the subgroup coset
+    # compact: breadth-first renumbering from the subgroup coset; rows come
+    # out in the order cosets are numbered
+    out = [col[x] for g in range(1, ngens + 1) for x in (g, -g)]
     start = find(0)
     order: dict[int, int] = {start: 0}
     queue = deque([start])
+    rows = []
     while queue:
-        c = queue.popleft()
-        for col in range(ncols):
-            d = find(table[c][col])
+        row = [find(d) for d in table[queue.popleft()]]
+        for d in row:
             if d not in order:
                 order[d] = len(order)
                 queue.append(d)
-    live = sorted(order, key=order.get)
-    rows = tuple(tuple(order[find(table[c][col])] for col in range(ncols))
-                 for c in live)
-    result = CosetTable(generator_count=ngens, rows=rows,
+        rows.append(tuple(order[row[k]] for k in out))
+    result = CosetTable(generator_count=ngens, rows=tuple(rows),
                         subgroup_words=subgroup_words)
     check(result.validate(pres), "cosets.table-satisfies-presentation",
           (result.index, result.generator_count))

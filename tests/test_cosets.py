@@ -1,8 +1,12 @@
-"""Coset enumeration: classical sanity groups, the published indices, and
-determinism of the tables."""
+"""Coset enumeration: classical sanity groups, the published indices,
+determinism of the tables, and equality with a two-column oracle."""
+
+import random
+from collections import deque
 
 import pytest
 
+from polytope_forge import groupcore
 from polytope_forge.cubefamily import (
     build_atlas,
     group_cover,
@@ -15,7 +19,9 @@ from polytope_forge.cubefamily import (
 )
 from polytope_forge.groupcore import (
     CapExceeded,
+    CheckFailed,
     ConcreteGroup,
+    CosetTable,
     Presentation,
     enumerate_cosets,
     eval_word,
@@ -146,3 +152,262 @@ def test_index_meets_the_concrete_bound():
             or [ident])
         table = enumerate_cosets(pres, sub_words)
         assert table.index == len(concrete) // len(sub_elems)
+
+
+# -- the two-column oracle -------------------------------------------------------
+
+
+def _two_column_oracle(pres: Presentation, subgroup_words=(), cap: int = 10**6) -> CosetTable:
+    """The plain HLT enumerator, kept as the reference: two columns per
+    generator, every relator scanned, (g, g) included, and it stops only
+    after a scan pass and a hole-filling pass that define and merge
+    nothing."""
+    ngens = pres.generator_count
+    ncols = 2 * ngens
+    subgroup_words = tuple(tuple(w) for w in subgroup_words)
+    table = [[-1] * ncols]
+    parent = [0]
+    pending = deque()
+    stats = {"defined": 1, "merged": 0}
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def define(a, c):
+        if stats["defined"] >= cap:
+            raise CapExceeded(f"coset count exceeded cap={cap}")
+        b = len(table)
+        table.append([-1] * ncols)
+        parent.append(b)
+        table[a][c] = b
+        table[b][c ^ 1] = a
+        stats["defined"] += 1
+        return b
+
+    def deduce(a, c, b):
+        a, b = find(a), find(b)
+        ea = table[a][c]
+        if ea == -1:
+            table[a][c] = b
+        elif find(ea) != b:
+            pending.append((find(ea), b))
+        eb = table[b][c ^ 1]
+        if eb == -1:
+            table[b][c ^ 1] = a
+        elif find(eb) != a:
+            pending.append((find(eb), a))
+
+    def process_pending():
+        while pending:
+            x, y = pending.popleft()
+            x, y = find(x), find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            parent[y] = x
+            stats["merged"] += 1
+            row = table[y]
+            for c in range(ncols):
+                d = row[c]
+                if d != -1:
+                    deduce(x, c, find(d))
+
+    def scan_and_fill(a, cols):
+        n = len(cols)
+        if n == 0:
+            return
+        f, i = find(a), 0
+        b, j = find(a), n
+        while True:
+            while i < j:
+                nxt = table[f][cols[i]]
+                if nxt == -1:
+                    break
+                f = find(nxt)
+                i += 1
+            if i == j:
+                if f != b:
+                    pending.append((f, b))
+                    process_pending()
+                return
+            while j > i + 1:
+                prv = table[b][cols[j - 1] ^ 1]
+                if prv == -1:
+                    break
+                b = find(prv)
+                j -= 1
+            if j == i + 1:
+                deduce(f, cols[i], b)
+                process_pending()
+                return
+            f = define(f, cols[i])
+            i += 1
+
+    relator_cols = [[CosetTable._col(x) for x in rel] for rel in pres.relators]
+    for w in subgroup_words:
+        scan_and_fill(find(0), [CosetTable._col(x) for x in w])
+    while True:
+        before = (stats["defined"], stats["merged"])
+        i = 0
+        while i < len(table):
+            if parent[i] == i:
+                for cols in relator_cols:
+                    if parent[i] != i:
+                        break
+                    scan_and_fill(i, cols)
+            i += 1
+        i = 0
+        while i < len(table):
+            if parent[i] == i:
+                for c in range(ncols):
+                    if table[i][c] == -1:
+                        define(i, c)
+            i += 1
+        if (stats["defined"], stats["merged"]) == before:
+            break
+
+    start = find(0)
+    order = {start: 0}
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        for col in range(ncols):
+            d = find(table[c][col])
+            if d not in order:
+                order[d] = len(order)
+                queue.append(d)
+    live = sorted(order, key=order.get)
+    rows = tuple(tuple(order[find(table[c][col])] for col in range(ncols)) for c in live)
+    return CosetTable(generator_count=ngens, rows=rows, subgroup_words=subgroup_words)
+
+
+def _coxeter_b(n: int) -> Presentation:
+    """[4,3,...,3] on n involutions, from its Coxeter matrix."""
+    def m(i, j):
+        return 1 if i == j else 4 if {i, j} == {1, 2} else 3 if abs(i - j) == 1 else 2
+    return Presentation(n, tuple((i, j) * m(i, j) if i != j else (i, i)
+                                 for i in range(1, n + 1) for j in range(i, n + 1)))
+
+
+# Every presentation and subgroup-word pair that the claims, the
+# Moebius-Kantor stage and this file enumerate, the B_n ladder, and the
+# involution edge cases.
+_ORACLE_CASES = {
+    "map-full": (presentation_map_full, ()),
+    "map-rotation-over-s1": (presentation_map_rotation, [(1,)]),
+    "map-rotation-over-s1-s2": (presentation_map_rotation, [(1,), (2,)]),
+    "map-rotation": (presentation_map_rotation, ()),
+    "roli-partial-over-s1-s2": (lambda: presentation_roli(with_chirality_breaker=False),
+                                [(1,), (2,)]),
+    "roli": (presentation_roli, ()),
+    "roli-over-s1-s2": (presentation_roli, [(1,), (2,)]),
+    "unitary-triangle": (presentation_unitary_triangle, ()),
+    "cover-corrected": (lambda: presentation_cover(corrected=True), ()),
+    "s3": (lambda: Presentation(2, ((1, 1), (2, 2), (1, 2) * 3)), ()),
+    "s4": (lambda: Presentation(3, ((1, 1), (2, 2), (3, 3),
+                                    (1, 2) * 3, (2, 3) * 3, (1, 3) * 2)), ()),
+    "trivial": (lambda: Presentation(2, ((1,), (2,))), ()),
+    "cyclic-5": (lambda: Presentation(1, ((1,) * 5,)), ()),
+    "involution-and-cube": (lambda: Presentation(1, ((1, 1), (1, 1, 1))), ()),
+    "b4-relators-by-kind": (lambda: Presentation(4, (
+        (1, 1), (2, 2), (3, 3), (4, 4), (1, 2) * 4, (2, 3) * 3, (3, 4) * 3,
+        (1, 3) * 2, (1, 4) * 2, (2, 4) * 2)), ()),
+    "b3": (lambda: _coxeter_b(3), ()),
+    "b4": (lambda: _coxeter_b(4), ()),
+    "b5": (lambda: _coxeter_b(5), ()),
+    # involutions declared only as (-g, -g)
+    "s3-inverse-squares": (lambda: Presentation(2, ((-1, -1), (-2, -2), (1, 2) * 3)), ()),
+    # a rotation of order 4 and a reflection, the reflection written as -2
+    # in a relator and in the subgroup word
+    "dihedral-8-over-reflection": (
+        lambda: Presentation(2, ((1,) * 4, (2, 2), (-2, 1, 2, 1))), [(-2,)]),
+    "dihedral-8-over-rotation-squared": (
+        lambda: Presentation(2, ((1,) * 4, (-2, -2), (2, 1, -2, 1))), [(1, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_tables_equal_the_two_column_oracle(case):
+    make, words = _ORACLE_CASES[case]
+    pres = make()
+    assert enumerate_cosets(pres, words) == _two_column_oracle(pres, words)
+
+
+def test_random_presentations_equal_the_two_column_oracle():
+    # one to three generators, about half of them involutions written as
+    # (g, g) or (-g, -g), a few short relators and subgroup words
+    rng = random.Random(3)
+    finished = 0
+    for _ in range(300):
+        n = rng.choice((1, 2, 3))
+        letters = [x for g in range(1, n + 1) for x in (g, -g)]
+        relators = [rng.choice(((g, g), (-g, -g))) for g in range(1, n + 1)
+                    if rng.random() < 0.5]
+        target = len(relators) + n + rng.randint(0, 2)
+        while len(relators) < target:
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+            if all(word[i] != -word[i + 1] for i in range(len(word) - 1)):
+                relators.append(word)
+        pres = Presentation(n, tuple(relators))
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+                 for _ in range(rng.randint(0, 2))]
+        try:
+            expected = _two_column_oracle(pres, words, cap=300)
+        except CapExceeded:
+            continue
+        assert enumerate_cosets(pres, words, cap=300) == expected, (pres, words)
+        finished += 1
+    assert finished >= 200
+
+
+def test_oracle_cases_cover_every_enumeration_in_the_claims():
+    from polytope_forge import cli, mkconfig
+
+    seen = []
+    real = groupcore.enumerate_cosets
+
+    def spy(pres, subgroup_words=(), cap=groupcore.DEFAULT_CAP):
+        seen.append((pres, tuple(tuple(w) for w in subgroup_words)))
+        return real(pres, subgroup_words, cap)
+
+    mkconfig.group_333.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "enumerate_cosets", spy)
+            mp.setattr(mkconfig, "enumerate_cosets", spy)
+            cli.run_claims()
+    finally:
+        mkconfig.group_333.cache_clear()
+    cases = {(make(), tuple(tuple(w) for w in words))
+             for make, words in _ORACLE_CASES.values()}
+    assert len(seen) >= 6
+    assert set(seen) <= cases
+
+
+def test_involution_columns_are_written_twice():
+    table = enumerate_cosets(Presentation(2, ((1,) * 4, (-2, -2), (2, 1, -2, 1))))
+    assert table.index == 8
+    assert all(row[2] == row[3] for row in table.rows)
+    assert any(row[0] != row[1] for row in table.rows)
+
+
+def test_validate_checks_the_involution_relators():
+    pres = Presentation(1, ((1, 1),))
+    assert CosetTable(1, ((1, 1), (0, 0)), ()).validate(pres)
+    cyclic_4 = CosetTable(1, ((1, 3), (2, 0), (3, 1), (0, 2)), ())
+    assert cyclic_4.validate(Presentation(1, ((1,) * 4,)))
+    assert not cyclic_4.validate(pres)
+
+
+def test_every_result_is_validated(monkeypatch):
+    monkeypatch.setattr(CosetTable, "validate", lambda self, pres: False)
+    with pytest.raises(CheckFailed) as err:
+        enumerate_cosets(Presentation(1, ((1, 1),)))
+    assert err.value.name == "cosets.table-satisfies-presentation"
+    assert err.value.witness == (2, 1)
