@@ -1171,7 +1171,7 @@ def build_cover() -> CoverBundle:
     check(t_plus.element_set <= t_full.element_set and 2 * len(t_plus) == len(t_full),
           "cover.rotation-subgroup-of-index-2", len(t_plus))
 
-    string_ok = string_condition(taus)
+    string_ok = string_condition(t_full)
     intersection_ok = intersection_condition(t_full)
     check(string_ok and intersection_ok, "cover.string-c-group", (string_ok, intersection_ok))
     broken = broken_relator(taus, presentation_cover(corrected=True))

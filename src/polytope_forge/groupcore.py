@@ -11,9 +11,12 @@ integer searches rather than fresh products of group elements.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+from .signedperm import SignedPerm
 
 __all__ = [
     "CheckFailed",
@@ -99,7 +102,8 @@ class ConcreteGroup:
     def generate(cls, generators, cap: int = DEFAULT_CAP, names: Sequence[str] | None = None
                  ) -> "ConcreteGroup":
         """Close a generating set under multiplication, breadth first,
-        recording the action table on the way."""
+        recording the action table on the way.  The closure runs on the
+        codes of `_codec` and decodes each element once, at the end."""
         if isinstance(generators, Mapping):
             named = dict(generators)
         else:
@@ -110,27 +114,30 @@ class ConcreteGroup:
         if not named:
             raise ValueError("need at least one generator")
         gen_list = list(named.values())
-        identity = gen_list[0] * gen_list[0].inverse()
-        elements = [identity]
-        index = {identity: 0}
+        encode, operand, compose, decode = _codec(gen_list)
+        operands = [operand(g) for g in gen_list]
+        found = [compose(encode(gen_list[0]), operand(gen_list[0].inverse()))]
+        index = {found[0]: 0}
         act = []
         parent = [None]
-        for i, e in enumerate(elements):  # the list grows while it is read
+        for i, e in enumerate(found):  # the list grows while it is read
             row = []
-            for k, g in enumerate(gen_list):
-                prod = e * g
+            for k, g in enumerate(operands):
+                prod = compose(e, g)
                 j = index.get(prod)
                 if j is None:
-                    j = index[prod] = len(elements)
-                    elements.append(prod)
+                    j = index[prod] = len(found)
+                    found.append(prod)
                     parent.append((i, k))
-                    if len(elements) > cap:
+                    if len(found) > cap:
                         raise CapExceeded(
                             f"closure exceeded cap={cap}; wrong generators?")
                 row.append(j)
             act.append(row)
-        group = cls(elements, named, identity)
-        group._table = ActionTable(index, act, parent)
+        elements = list(map(decode, found))
+        del found, index  # the codes are not needed past the closure
+        group = cls(elements, named, elements[0])
+        group._table = ActionTable(dict(zip(elements, range(len(elements)))), act, parent)
         return group
 
     # -- basics --------------------------------------------------------------
@@ -214,6 +221,12 @@ class ConcreteGroup:
             i = act[i][k]
         return i
 
+    def generator_is_involution(self, k: int) -> bool:
+        """Whether generator k has order two: its column moves the identity,
+        and a second step along it comes back."""
+        act = self.table().act
+        return act[0][k] != 0 and act[act[0][k]][k] == 0
+
     def span(self, mask: int) -> list[int]:
         """Positions of the subgroup generated by the generators whose bits
         are set in mask, in breadth-first order from the identity."""
@@ -258,6 +271,33 @@ class ConcreteGroup:
         check(len(cosets) * len(sub) == len(self), "group.cosets-partition-the-group",
               len(cosets))
         return cosets
+
+
+def _same(x):
+    return x
+
+
+def _point_code(g: SignedPerm) -> bytes:
+    return bytes(g.points())
+
+
+def _point_operand(g: SignedPerm) -> bytes:
+    """The translation table that sends point p to its image under g."""
+    return _point_code(g) + bytes(range(2 * g.n, 256))
+
+
+def _codec(values: Sequence) -> tuple[Callable, Callable, Callable, Callable]:
+    """(encode, operand, compose, decode) for products of `values`:
+    compose(encode(a), operand(b)) is encode(a * b), and decode(encode(a))
+    is a.  Signed permutations of one degree n <= 128 are coded as the byte
+    string of their 2n point images (`SignedPerm.points`), so a product is
+    one `bytes.translate`.  Byte strings, unlike tuples, are not kept on a
+    free list once the codes are dropped, so closing on them does not raise
+    peak memory; any other values are their own codes."""
+    if (all(isinstance(v, SignedPerm) for v in values)
+            and {v.n for v in values} == {values[0].n} and values[0].n <= 128):
+        return _point_code, _point_operand, bytes.translate, SignedPerm.from_points
+    return _same, _same, operator.mul, _same
 
 
 # -- orbits -------------------------------------------------------------------
@@ -354,19 +394,21 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
 
     Returns the unique extension when consistent, otherwise a failure
     carrying two words that evaluate equally in `src` but differently
-    under the assignment.
+    under the assignment.  The images are walked as codes of `_codec` and
+    decoded once, for the mapping.
     """
     missing = set(src.generators) - set(images)
     if missing:
         raise ValueError(f"images missing for generators {sorted(missing)}")
     some_image = next(iter(images.values()))
-    target_identity = some_image * some_image.inverse()
     names = list(src.generators)
+    encode, operand, compose, decode = _codec(list(images.values()))
+    operands = [operand(images[name]) for name in names]
     _, act, parent = src.table()
-    image = [target_identity] + [None] * (len(src) - 1)
+    image = [compose(encode(some_image), operand(some_image.inverse()))] + [None] * (len(src) - 1)
     for i, row in enumerate(act):  # parents come first: image[i] is set
         for k, j in enumerate(row):
-            img = image[i] * images[names[k]]
+            img = compose(image[i], operands[k])
             if parent[j] == (i, k):
                 image[j] = img
             elif image[j] != img:
@@ -374,7 +416,7 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
                     word_a=tuple(names[c] for c in src.word(i)) + (names[k],),
                     word_b=tuple(names[c] for c in src.word(j)))
     check(None not in image, "hom.extension-covers-the-group", image.count(None))
-    return Homomorphism(source=src, mapping=dict(zip(src.elements, image)))
+    return Homomorphism(source=src, mapping=dict(zip(src.elements, map(decode, image))))
 
 
 def witness_pair_inconsistent(src: ConcreteGroup, images: Mapping[str, object],
@@ -394,18 +436,13 @@ def witness_pair_inconsistent(src: ConcreteGroup, images: Mapping[str, object],
 # -- string C-group conditions --------------------------------------------------
 
 
-def string_condition(gens: Sequence) -> bool:
-    """Generators pairwise commute whenever their indices differ by >= 2."""
-    for g in gens:
-        if not g.is_involution():
-            raise ValueError("string_condition expects involutions")
-    n = len(gens)
-    for i in range(n):
-        for j in range(i + 2, n):
-            prod = gens[i] * gens[j]
-            if prod * prod != gens[i] * gens[i].inverse():
-                return False
-    return True
+def string_condition(group: ConcreteGroup) -> bool:
+    """Generators pairwise commute whenever their indices differ by >= 2:
+    the word g_i g_j g_i g_j walks the identity back to itself."""
+    n = len(group.generators)
+    if not all(map(group.generator_is_involution, range(n))):
+        raise ValueError("string_condition expects involutions")
+    return all(group.walk(0, (i, j, i, j)) == 0 for i in range(n) for j in range(i + 2, n))
 
 
 def intersection_condition(group: ConcreteGroup) -> bool:
@@ -415,9 +452,8 @@ def intersection_condition(group: ConcreteGroup) -> bool:
     Each subgroup is the closure of the identity under its generator
     columns of the action table.
     """
-    for g in group.generator_list():
-        if not g.is_involution():
-            raise ValueError("intersection_condition expects involutions")
+    if not all(map(group.generator_is_involution, range(len(group.generators)))):
+        raise ValueError("intersection_condition expects involutions")
     masks = range(1 << len(group.generators))
     spans = [frozenset(group.span(mask)) for mask in masks]
     return all(spans[i] & spans[j] == spans[i & j] for i in masks for j in masks if j >= i)
@@ -724,8 +760,12 @@ class QuotientElem:
     def __hash__(self) -> int:
         return hash(("quot", self.rep))
 
+    @property
+    def key(self) -> tuple:
+        return self.rep.key
+
     def __lt__(self, other: "QuotientElem") -> bool:
-        return self.rep < other.rep
+        return self.key < other.key
 
     def __repr__(self) -> str:
         return f"QuotientElem({self.rep!s})"

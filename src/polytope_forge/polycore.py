@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .groupcore import (ConcreteGroup, check, intersection_condition, reach,
@@ -89,6 +89,12 @@ def isomorphisms(adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
     yield from extend(0)
 
 
+def _order(key):
+    """What a face key sorts by: a group element's `key`, the tuple that its
+    `<` compares, and any other key itself."""
+    return getattr(key, "key", key)
+
+
 class RankedIncidenceStructure:
     """Faces organized by rank with a symmetric incidence relation between
     distinct ranks.  Formal least and greatest faces are implicit."""
@@ -99,7 +105,7 @@ class RankedIncidenceStructure:
             raise ValueError("need one face list per rank 0..rank-1")
         self.rank = rank
         self.faces_by_rank: tuple[tuple, ...] = tuple(
-            tuple(sorted(keys)) for keys in faces_by_rank)
+            tuple(sorted(keys, key=_order)) for keys in faces_by_rank)
         self._index: dict[tuple[int, Hashable], int] = {}
         for r, keys in enumerate(self.faces_by_rank):
             if len(set(keys)) != len(keys):
@@ -202,7 +208,10 @@ class RankedIncidenceStructure:
                     groups.setdefault(f[:j] + f[j + 1:], []).append(f)
                 for group in groups.values():
                     for f in group:
-                        graph[f].update((g, j) for g in group if g != f)
+                        row = graph[f]
+                        for g in group:
+                            if g != f:
+                                row[g] = j
             self._flag_graph = graph
         return self._flag_graph
 
@@ -327,8 +336,12 @@ def classify(p: RankedIncidenceStructure,
     for fm in face_maps:
         _check_face_map(p, fm, "classify.face-map-is-automorphism")
 
+    # tables[m][r][i]: the index of the image of face (r, i) under face_maps[m]
+    tables = [[[fm[(r, i)][1] for i in range(len(keys))] for r, keys in enumerate(p.faces_by_rank)]
+              for fm in face_maps]
+
     def images(flag):
-        return [tuple(fm[(r, i)][1] for r, i in enumerate(flag)) for fm in face_maps]
+        return [tuple(map(getitem, table, flag)) for table in tables]
 
     orbit_of: dict[tuple[int, ...], int] = {}
     orbits = 0
@@ -349,13 +362,14 @@ def classify(p: RankedIncidenceStructure,
 # -- coset geometries -----------------------------------------------------------
 
 
-def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup) -> tuple[list, list[int]]:
+def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup, keys: Sequence[tuple]
+                         ) -> tuple[list, list[int]]:
     """The canonical representative (the least member) of each right coset
     of sub, sorted, and canon[i]: the position among them of the coset of
-    group.elements[i]."""
+    group.elements[i].  keys[i] is group.elements[i].key, the order of `<`."""
     elements = group.elements
-    coset_of = {min(coset, key=elements.__getitem__): coset for coset in group.right_cosets(sub)}
-    reps = sorted(coset_of, key=elements.__getitem__)
+    coset_of = {min(coset, key=keys.__getitem__): coset for coset in group.right_cosets(sub)}
+    reps = sorted(coset_of, key=keys.__getitem__)
     canon = [0] * len(group)
     for face, rep in enumerate(reps):
         for i in coset_of[rep]:
@@ -371,7 +385,8 @@ class CosetGeometry(RankedIncidenceStructure):
 
     def __init__(self, group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]):
         rank = len(subgroups)
-        decomps = [_coset_decomposition(group, sub) for sub in subgroups]
+        keys = [e.key for e in group.elements]
+        decomps = [_coset_decomposition(group, sub, keys) for sub in subgroups]
         canons = tuple(canon for _, canon in decomps)
         # the cosets of faces a and b meet iff some element lies in both
         pairs = {((j, decomps[j][0][a]), (k, decomps[k][0][b]))
@@ -406,11 +421,11 @@ def coset_face_action(struct: CosetGeometry, element) -> dict[FaceRef, FaceRef]:
 def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     """Wythoff-style coset geometry from ordered involutory generators:
     rank-j faces are cosets of the subgroup omitting generator j."""
-    gens = group.generator_list()
     named = list(group.generators.items())
-    bad = next(((name, g) for name, g in named if not g.is_involution()), None)
+    bad = next(((name, g) for k, (name, g) in enumerate(named)
+                if not group.generator_is_involution(k)), None)
     check(bad is None, "reflections.involutions", bad)
-    check(string_condition(gens), "reflections.string-condition", list(group.generators))
+    check(string_condition(group), "reflections.string-condition", list(group.generators))
     check(intersection_condition(group), "reflections.intersection-condition",
           list(group.generators))
     full = (1 << len(named)) - 1
@@ -578,8 +593,12 @@ class FacePerm:
     def __hash__(self) -> int:
         return hash(self.images)
 
+    @property
+    def key(self) -> tuple:
+        return self.images
+
     def __lt__(self, other: "FacePerm") -> bool:
-        return self.images < other.images
+        return self.key < other.key
 
     def __repr__(self) -> str:
         return f"FacePerm({self.images!r})"

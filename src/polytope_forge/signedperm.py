@@ -66,6 +66,15 @@ class SignedPerm:
         object.__setattr__(self, "_hash", hash((signs, perm)))
         return self
 
+    @classmethod
+    def from_points(cls, points: Sequence[int]) -> "SignedPerm":
+        """The inverse of `points`, trusted: `points` must be the image
+        table of a signed permutation, such as a product of two."""
+        n = len(points) // 2
+        head = points[:n]
+        return cls._trusted(tuple(1 if p < n else -1 for p in head),
+                            tuple(p % n + 1 for p in head))
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("SignedPerm is immutable")
 
@@ -156,6 +165,16 @@ class SignedPerm:
         for i in range(self.n):
             out[self.perm[i] - 1] = self.signs[i] * point[i]
         return tuple(out)
+
+    def points(self) -> tuple[int, ...]:
+        """The permutation of the 2n signed points: +i is point i-1 and -i
+        point n+i-1, and entry p is the image of point p.  The product
+        a * b is then tuple(map(b.points().__getitem__, a.points()))."""
+        n = self.n
+        image = [0] * (2 * n)
+        for i, (s, p) in enumerate(zip(self.signs, self.perm)):
+            image[i], image[n + i] = (p - 1, n + p - 1) if s > 0 else (n + p - 1, p - 1)
+        return tuple(image)
 
     def matrix(self) -> tuple[tuple[int, ...], ...]:
         n = self.n

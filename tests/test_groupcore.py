@@ -1,7 +1,11 @@
 """Group engine: closures, centres, orbits, homomorphisms, conditions."""
 
+import random
+from operator import attrgetter
+
 import pytest
 
+from polytope_forge import cubefamily
 from polytope_forge.cubefamily import (
     build_atlas,
     group_cover,
@@ -14,6 +18,8 @@ from polytope_forge.cubefamily import (
     presentation_map_rotation,
 )
 from polytope_forge.groupcore import (
+    DEFAULT_CAP,
+    ActionTable,
     CapExceeded,
     CheckFailed,
     ConcreteGroup,
@@ -31,6 +37,7 @@ from polytope_forge.groupcore import (
     string_condition,
     witness_pair_inconsistent,
 )
+from polytope_forge.polycore import FacePerm
 from polytope_forge.signedperm import SignedPerm, block_pair
 
 
@@ -187,12 +194,21 @@ def test_coset_reps(atlas):
 
 
 def test_string_condition(atlas):
-    assert string_condition([atlas.rho0, atlas.rho1, atlas.rho2, atlas.rho3])
-    assert string_condition([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3])
-    assert string_condition([atlas.rho0])
-    assert not string_condition([atlas.rho0, atlas.rho2, atlas.rho1])
+    def condition(gens):
+        return string_condition(ConcreteGroup.generate(gens))
+
+    assert condition([atlas.rho0, atlas.rho1, atlas.rho2, atlas.rho3])
+    assert condition([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3])
+    assert condition([atlas.rho0])
+    assert not condition([atlas.rho0, atlas.rho2, atlas.rho1])
     with pytest.raises(ValueError):
-        string_condition([atlas.pi])
+        condition([atlas.pi])
+    # the group version reads the table: it agrees with products
+    for gens in ([atlas.rho0, atlas.rho1, atlas.rho2, atlas.rho3],
+                 [atlas.rho0, atlas.rho2, atlas.rho1], [atlas.rho0, atlas.rho2, atlas.rho3]):
+        assert condition(gens) is all(
+            (gens[i] * gens[j]) ** 2 == SignedPerm.identity(gens[i].n)
+            for i in range(len(gens)) for j in range(i + 2, len(gens)))
 
 
 def test_intersection_condition(atlas):
@@ -203,7 +219,7 @@ def test_intersection_condition(atlas):
     assert intersection_condition(ConcreteGroup.generate([atlas.rho0]))
     # a frozen counterexample that still satisfies the string condition
     bad = [atlas.rho0, atlas.rho1, atlas.zeta * atlas.rho0]
-    assert string_condition(bad)
+    assert string_condition(ConcreteGroup.generate(bad))
     assert not intersection_condition(ConcreteGroup.generate(bad))
 
 
@@ -313,3 +329,201 @@ def test_coset_reps_against_products(atlas):
                        (rot, rot.subgroup([atlas.sigma1, atlas.sigma2])),
                        (g, g)):
         assert _coset_reps(group, sub) == _coset_reps_by_products(group, sub)
+
+
+# -- closure on codes ------------------------------------------------------------
+
+
+def _closure_by_products(generators, cap=DEFAULT_CAP, names=None):
+    """The closure loop of ConcreteGroup.generate before it closed signed
+    permutations as point tuples: every product is an element product."""
+    if isinstance(generators, dict):
+        named = dict(generators)
+    else:
+        gens = list(generators)
+        if names is None:
+            names = [f"g{i}" for i in range(len(gens))]
+        named = dict(zip(names, gens))
+    gen_list = list(named.values())
+    identity = gen_list[0] * gen_list[0].inverse()
+    elements = [identity]
+    index = {identity: 0}
+    act = []
+    parent = [None]
+    for i, e in enumerate(elements):
+        row = []
+        for k, g in enumerate(gen_list):
+            prod = e * g
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(elements)
+                elements.append(prod)
+                parent.append((i, k))
+                if len(elements) > cap:
+                    raise CapExceeded(f"closure exceeded cap={cap}; wrong generators?")
+            row.append(j)
+        act.append(row)
+    return elements, named, ActionTable(index, act, parent)
+
+
+def _assert_closure_matches(generators, cap=DEFAULT_CAP, names=None):
+    group = ConcreteGroup.generate(generators, cap=cap, names=names)
+    elements, named, table = _closure_by_products(generators, cap=cap, names=names)
+    assert list(group.elements) == elements
+    assert group.identity == elements[0]
+    assert group.generators == named
+    assert group.table() == table
+    assert list(group.table().index) == elements  # the same insertion order
+    return group
+
+
+def _random_signed_perm(rng, n, support=None):
+    """A random signed permutation of 1..n moving only the coordinates in
+    `support` (all of them by default)."""
+    support = list(range(1, n + 1)) if support is None else sorted(support)
+    image = support[:]
+    rng.shuffle(image)
+    perm = list(range(1, n + 1))
+    signs = [1] * n
+    for a, b in zip(support, image):
+        perm[a - 1] = b
+        signs[a - 1] = rng.choice((1, -1))
+    return SignedPerm(signs, perm)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_closure_against_products_on_bn(n):
+    rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
+    gens = [rho0] + [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
+    assert len(_assert_closure_matches(gens, names=[f"r{i}" for i in range(n)])) \
+        == 2 ** n * [1, 1, 2, 6, 24, 120][n]
+
+
+def test_closure_against_products_on_every_build_group():
+    calls = []
+    real = ConcreteGroup.generate.__func__
+
+    def spy(cls, generators, cap=DEFAULT_CAP, names=None):
+        calls.append((generators, cap, names))
+        return real(cls, generators, cap, names)
+
+    builds = (cubefamily.build_cube, cubefamily.build_map, cubefamily.build_roli,
+              cubefamily.build_enantiomorph, cubefamily.build_cover, cubefamily.build_hemi)
+    caches = [value for value in vars(cubefamily).values()
+              if hasattr(value, "cache_clear") and value.__module__ == cubefamily.__name__]
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ConcreteGroup, "generate", classmethod(spy))
+            for build in builds:
+                build()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    kinds = set()
+    for generators, cap, names in calls:
+        group = _assert_closure_matches(generators, cap=cap, names=names)
+        kinds.add(type(group.identity))
+    assert kinds == {SignedPerm, QuotientElem, FacePerm}
+    assert len(calls) >= 10
+
+
+def test_closure_against_products_on_random_degree_8_sets():
+    rng = random.Random(2026)
+    for _ in range(50):
+        # at most four coordinates move, so the group has order <= 384
+        support = rng.sample(range(1, 9), rng.randint(1, 4))
+        h = _random_signed_perm(rng, 8)
+        gens = [_random_signed_perm(rng, 8, support).conjugate(h)
+                for _ in range(rng.randint(1, 3))]
+        _assert_closure_matches(gens, cap=400)
+
+
+def test_closure_cap_and_degree_errors_match_products():
+    gens = _bn_group(3).generator_list()
+    for cap in range(1, 50):
+        outcomes = []
+        for close in (ConcreteGroup.generate, _closure_by_products):
+            try:
+                close(gens, cap=cap)
+                outcomes.append(None)
+            except CapExceeded as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1], cap
+        assert (outcomes[0] is None) is (cap >= 48)
+    for mixed in ([SignedPerm.identity(3), SignedPerm.identity(4)],
+                  [SignedPerm.from_cycles(4, [(1, 2)]), SignedPerm.from_cycles(5, [(1, 2)])]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ConcreteGroup.generate(mixed)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _closure_by_products(mixed)
+    # past 128 coordinates the points no longer fit a byte: closure falls
+    # back to products, with the same result
+    wide = [SignedPerm.from_cycles(129, [(1, 129)]), SignedPerm.from_cycles(129, [(1, 2)])]
+    assert len(_assert_closure_matches(wide)) == 6
+    assert len(_assert_closure_matches([SignedPerm.from_cycles(128, [(1, 128)])])) == 2
+
+
+def _extension_by_products(src, images):
+    """extend_homomorphism before it composed point tuples: the mapping, or
+    the two failure words."""
+    names = list(src.generators)
+    some_image = next(iter(images.values()))
+    _, act, parent = src.table()
+    image = [some_image * some_image.inverse()] + [None] * (len(src) - 1)
+    for i, row in enumerate(act):
+        for k, j in enumerate(row):
+            img = image[i] * images[names[k]]
+            if parent[j] == (i, k):
+                image[j] = img
+            elif image[j] != img:
+                return (tuple(names[c] for c in src.word(i)) + (names[k],),
+                        tuple(names[c] for c in src.word(j)))
+    return dict(zip(src.elements, image))
+
+
+def test_extend_homomorphism_against_products(atlas):
+    rot = group_rotation_sigma()
+    cases = [
+        (group_map_rotation(), {"sigma1": atlas.sigma1.inverse(),
+                                "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2}),
+        (rot, {"sigma1": atlas.sigma1.inverse(),
+               "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2,
+               "sigma3": atlas.sigma3}),
+        (rot, dict(zip(rot.generators, [atlas.sigma3, atlas.sigma2, atlas.sigma1]))),
+        (group_cover(), {"tau0": atlas.rho0, "tau1": atlas.rho1,
+                         "tau2": atlas.rho2, "tau3": atlas.rho3}),
+        (group_cover(), {"tau0": atlas.rho3, "tau1": atlas.rho2,
+                         "tau2": atlas.rho1, "tau3": atlas.rho0}),
+        (group_cube(), {name: QuotientElem(g, atlas.zeta)
+                        for name, g in group_cube().generators.items()}),
+    ]
+    # images of two degrees still fail on the first product between them
+    mixed = {"rho0": atlas.rho0, "rho1": atlas.rho1, "rho2": atlas.rho2,
+             "rho3": block_pair(atlas.rho3, atlas.rho3)}
+    for extend in (extend_homomorphism, _extension_by_products):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            extend(group_cube(), mixed)
+    outcomes = set()
+    for src, images in cases:
+        expected = _extension_by_products(src, images)
+        got = extend_homomorphism(src, images)
+        if isinstance(expected, dict):
+            assert isinstance(got, Homomorphism) and got.mapping == expected
+        else:
+            assert isinstance(got, HomomorphismFailure)
+            assert (got.word_a, got.word_b) == expected
+        outcomes.add(type(got))
+    assert outcomes == {Homomorphism, HomomorphismFailure}
+
+
+def test_one_order_for_group_elements(atlas):
+    rng = random.Random(7)
+    perms = [_random_signed_perm(rng, rng.randint(1, 8)) for _ in range(200)]
+    cube = group_cube()
+    quotients = [QuotientElem(g, atlas.zeta) for g in rng.sample(cube.elements, 100)]
+    faces = [FacePerm(tuple(tuple(rng.sample(range(k), k)) for k in (3, 4, 2)))
+             for _ in range(100)]
+    for xs in (perms, quotients, faces):
+        assert sorted(xs) == sorted(xs, key=attrgetter("key"))

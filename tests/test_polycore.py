@@ -165,7 +165,7 @@ def _decomposition_by_products(group, sub):
     return sorted(set(canon.values())), canon
 
 
-@pytest.mark.parametrize("make", [
+_COSET_STRUCTURES = pytest.mark.parametrize("make", [
     lambda: build_cube().structure,
     lambda: build_map().structure,
     lambda: build_roli().structure,
@@ -173,6 +173,9 @@ def _decomposition_by_products(group, sub):
     lambda: build_cover().structure,
     lambda: _bn_polytope(4),
 ], ids=["cube", "map", "roli", "enantiomorph", "cover", "b4"])
+
+
+@_COSET_STRUCTURES
 def test_coset_decomposition_against_products(make, monkeypatch):
     struct = make()
     group = struct.group
@@ -180,15 +183,64 @@ def test_coset_decomposition_against_products(make, monkeypatch):
     elements = group.generator_list() + list(group.elements[-3:])
     old_actions = [{ref: struct.ref(ref[0], old[ref[0]][1][struct.key(ref) * g])
                     for ref in struct.all_refs()} for g in elements]
+    keys = [e.key for e in group.elements]
     # the integer routines multiply no group elements
     products = []
     monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(1))
     for (old_reps, old_canon), sub in zip(old, struct.subgroups):
-        reps, canon = _coset_decomposition(group, sub)
+        reps, canon = _coset_decomposition(group, sub, keys)
         assert reps == old_reps
         assert [reps[c] for c in canon] == [old_canon[g] for g in group.elements]
     assert [coset_face_action(struct, g) for g in elements] == old_actions
     assert products == []
+
+
+def _decomposition_by_element_order(group, sub):
+    """The table routine _coset_decomposition used before the precomputed
+    keys: the least member found by comparing the elements themselves."""
+    elements = group.elements
+    coset_of = {min(coset, key=elements.__getitem__): coset for coset in group.right_cosets(sub)}
+    reps = sorted(coset_of, key=elements.__getitem__)
+    canon = [0] * len(group)
+    for face, rep in enumerate(reps):
+        for i in coset_of[rep]:
+            canon[i] = face
+    return [elements[i] for i in reps], canon
+
+
+@_COSET_STRUCTURES
+def test_coset_decomposition_against_the_element_order(make):
+    struct = make()
+    group = struct.group
+    keys = [e.key for e in group.elements]
+    for sub in struct.subgroups:
+        assert _coset_decomposition(group, sub, keys) == _decomposition_by_element_order(group, sub)
+
+
+def test_ladder_rung_makes_no_products(monkeypatch):
+    # the B_4 rung of the n-cube ladder: closure, the Wythoff construction
+    # and classification run on integers once the generators are built
+    rho0 = SignedPerm((-1, 1, 1, 1), range(1, 5))
+    h = SignedPerm((1, -1, -1, 1), (3, 1, 4, 2))
+    gens = [g.conjugate(h) for g in
+            [rho0] + [SignedPerm.from_cycles(4, [(i, i + 1)]) for i in range(1, 4)]]
+    calls = collections.Counter()
+    mul, lt = SignedPerm.__mul__, SignedPerm.__lt__
+
+    def counted(name, method):
+        def wrapper(a, b):
+            calls[name] += 1
+            return method(a, b)
+        return wrapper
+
+    monkeypatch.setattr(SignedPerm, "__mul__", counted("mul", mul))
+    monkeypatch.setattr(SignedPerm, "__lt__", counted("lt", lt))
+    group = ConcreteGroup.generate(gens, names=[f"r{i}" for i in range(4)])
+    poly = polytope_from_reflections(group)
+    result = classify(poly, [coset_face_action(poly, g) for g in gens])
+    assert (len(group), poly.f_vector, result.kind) == (384, (16, 32, 24, 8),
+                                                         Classification.REGULAR)
+    assert calls == {}
 
 
 def test_coset_face_action_needs_coset_data():

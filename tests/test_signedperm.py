@@ -157,6 +157,23 @@ def test_text_round_trip():
     assert SignedPerm.parse(str(g8)) == g8
 
 
+@given(a=signed_perms, b=signed_perms)
+def test_point_tuples_compose_as_the_product(a, b):
+    # +i is point i-1 and -i point n+i-1; entry p of points() is p's image
+    n = a.n
+    signed = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+    for p, q in zip(signed, a.points()):
+        image = a.act(tuple(1 if j == abs(p) else 0 for j in range(1, n + 1)))
+        k = next(j for j, x in enumerate(image) if x)
+        assert q == (k if p * image[k] > 0 else n + k)
+    product = tuple(map(b.points().__getitem__, a.points()))
+    assert product == (a * b).points()
+    decoded = SignedPerm.from_points(product)
+    assert decoded == a * b and (decoded.signs, decoded.perm) == ((a * b).signs, (a * b).perm)
+    assert hash(decoded) == hash(a * b)
+    assert SignedPerm.from_points(SignedPerm.identity(n).points()) == SignedPerm.identity(n)
+
+
 def test_dimension_mismatch_rejected(atlas):
     with pytest.raises(ValueError):
         atlas.pi * atlas.kappa1
