@@ -12,11 +12,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 from . import cubefamily as cf
-from . import mkconfig as mk
 from .groupcore import (CapExceeded, CheckFailed, Homomorphism, check, enumerate_cosets,
                         eval_word)
 from .polycore import Classification, isomorphisms
@@ -32,8 +30,16 @@ SCHEMA = "polytope-forge/1"
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Claim:
+def _mk():
+    """The Möbius–Kantor module, imported on first use: only the `mk.*`
+    rows, `build mk` and the plane projection need it (and `fractions`,
+    which it brings).  Callers reach its functions through the module, so
+    a function rebound there is the one they call."""
+    from . import mkconfig
+    return mkconfig
+
+
+class Claim(NamedTuple):
     claim_id: str
     criterion: int
     expected: str
@@ -53,11 +59,15 @@ class Claim:
                 "passed": self.passed, "note": self.note}
 
 
-@dataclass
 class Report:
-    object_name: str
-    claims: list[Claim] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    """The battery's outcome; `run_claims` sets the time once the claims
+    are in, so unlike the value records it is mutable."""
+
+    def __init__(self, object_name: str, claims: list[Claim] | None = None,
+                 elapsed_seconds: float = 0.0):
+        self.object_name = object_name
+        self.claims = [] if claims is None else claims
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def all_passed(self) -> bool:
@@ -75,8 +85,7 @@ class Report:
         return data
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     cap: int = 10**6
 
 
@@ -135,7 +144,7 @@ def _roli_classification(cfg: CliConfig) -> tuple[bool, str]:
 
 
 def _mk_unitary_triangle_group(cfg: CliConfig) -> bool:
-    g = mk.group_333()
+    g = _mk().group_333()
     return (g["relators_hold"] and g["braid_relation"]
             and g["group_order"] == 24 and g["centralizer_equals_group"]
             and g["presentation_index"] == 24)
@@ -241,17 +250,17 @@ _CLAIMS: tuple[_Row, ...] = (
 
     # build_J and build_L check these six relations and raise when one fails
     _Row("mk.complex-structure", 7, True,
-         lambda cfg: mk.build_J() is not None and mk.build_L() is not None,
+         lambda cfg: _mk().build_J() is not None and _mk().build_L() is not None,
          "J^2 = -I, J orthogonal, a1 J = b1, a2 J = b2, |a1| = |b1|, a1 . b1 = 0"),
     _Row("mk.incidence-8-8-3", 7, True,
-         lambda cfg: (mk.build_configuration().incidence_row_sums() == (3,) * 8
-                      and mk.build_configuration().incidence_col_sums() == (3,) * 8),
+         lambda cfg: (_mk().build_configuration().incidence_row_sums() == (3,) * 8
+                      and _mk().build_configuration().incidence_col_sums() == (3,) * 8),
          "8 points, 8 lines, 3 per row and column, exact"),
     _Row("mk.line-167-equation", 7, True,
-         lambda cfg: mk.line_matches_paper(mk.build_configuration()),
+         lambda cfg: _mk().line_matches_paper(_mk().build_configuration()),
          "r(1-i) z1 + 2 z2 = 2r(1+i), satisfied by exactly 1,6,7"),
     # build_configuration checks every point against the published table
-    _Row("mk.coordinate-table", 7, True, lambda cfg: mk.build_configuration() is not None,
+    _Row("mk.coordinate-table", 7, True, lambda cfg: _mk().build_configuration() is not None,
          "literal match"),
     _Row("mk.unitary-triangle-group", 7, True, _mk_unitary_triangle_group,
          "order 24, centralizer of J, presentation index 24"),
@@ -300,8 +309,7 @@ def all_claim_ids() -> list[str]:
 # projections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjectionSpec:
+class ProjectionSpec(NamedTuple):
     name: str
     basis: tuple[tuple[float, float, float, float], tuple[float, float, float, float]]
     scale: float = 100.0
@@ -362,7 +370,7 @@ def coxeter_projection_spec(scale: float = 100.0,
 def plane_projection_spec(scale: float = 100.0) -> ProjectionSpec:
     """The plane spanned by the first two rows of the adapted basis; the
     eight labelled vertices form two concentric squares."""
-    a1, b1, _, _ = mk.build_L()
+    a1, b1, _, _ = _mk().build_L()
     to_floats = lambda row: tuple(float(x) for x in row)
     return ProjectionSpec(name="plane", basis=(to_floats(a1), to_floats(b1)),
                           scale=scale, labelled_points_only=True)
@@ -437,7 +445,7 @@ def render_projection(spec: ProjectionSpec) -> str:
             lines.append(f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="5" fill="#333333"/>')
     else:
         points = spec.drawn_points()
-        for line_obj in mk.build_configuration().lines:
+        for line_obj in _mk().build_configuration().lines:
             pts = [spec.project(points[k]) for k in line_obj.points]
             path = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in pts)
             lines.append(
@@ -458,11 +466,11 @@ def render_projection(spec: ProjectionSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _mk_certificate(cfg: CliConfig) -> dict:
-    data = mk.build_configuration().to_json_dict()
+    data = _mk().build_configuration().to_json_dict()
     # build_configuration checks each point against the table row of its own
     # label (mk.coordinates-match-the-table), so the match is literal
     data["table_match"] = {"matches": True, "literal": True, "relabeling": list(range(8))}
-    data["unitary_group"] = dict(mk.group_333())
+    data["unitary_group"] = dict(_mk().group_333())
     return data
 
 
@@ -586,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError:
                 raise ValueError("edge colours must be one or more of 1..4, "
                                  f"got {args.colors!r}") from None
-            spec = replace(_PRESETS[args.preset](scale=args.scale), colors=colors)
+            spec = _PRESETS[args.preset](scale=args.scale)._replace(colors=colors)
             _write(render_projection(spec), args.out)
             return 0
     except CheckFailed as exc:

@@ -10,8 +10,8 @@ against its sign-vector/cycle display at construction time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .groupcore import (
     ConcreteGroup,
@@ -205,8 +205,7 @@ def _trace_polygon(start: Point, directions: list[int]) -> PetriePolygon:
 # atlas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(NamedTuple):
     """Symbol table of the standard named elements, all relation-checked."""
 
     rho0: SignedPerm
@@ -639,8 +638,7 @@ def _sigma_face_maps(struct: CosetGeometry) -> list:
 # builds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubeBundle:
+class CubeBundle(NamedTuple):
     structure: CosetGeometry
     realization: dict
     skeleton: ColoredGraph
@@ -691,8 +689,7 @@ def build_cube() -> CubeBundle:
                       classification=result.kind, type_vector=struct.schlafli_type())
 
 
-@dataclass(frozen=True)
-class HemiBundle:
+class HemiBundle(NamedTuple):
     structure: RankedIncidenceStructure
     quotient_group_order: int
     generator_product_order: int
@@ -755,8 +752,7 @@ def build_hemi() -> HemiBundle:
                       generator_product_order=prod_order, colourful=colourful)
 
 
-@dataclass(frozen=True)
-class MapBundle:
+class MapBundle(NamedTuple):
     structure: CosetGeometry
     octagons: tuple[PetriePolygon, ...]
     edges: frozenset
@@ -925,8 +921,7 @@ def build_map() -> MapBundle:
     )
 
 
-@dataclass(frozen=True)
-class RoliBundle:
+class RoliBundle(NamedTuple):
     structure: CosetGeometry
     realization: dict
     stabilizer_orders: tuple[int, int, int, int]
@@ -1035,8 +1030,7 @@ def build_roli() -> RoliBundle:
     )
 
 
-@dataclass(frozen=True)
-class EnantiomorphBundle:
+class EnantiomorphBundle(NamedTuple):
     structure: CosetGeometry
     realization: dict
     stabilizer_orders: tuple[int, int, int, int]
@@ -1113,8 +1107,7 @@ def build_enantiomorph() -> EnantiomorphBundle:
                               stabilizer_orders=orders, two_faces_class=two_faces_class)
 
 
-@dataclass(frozen=True)
-class CoverBundle:
+class CoverBundle(NamedTuple):
     structure: CosetGeometry
     realization: dict
     classification: Classification
@@ -1306,8 +1299,7 @@ CONFIGURATION_LINES = tuple(
     frozenset({i, (i + 1) % 8, (i + 3) % 8}) for i in range(8))
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     point_of: tuple  # label -> point, as a tuple indexed by label
     label_of: dict
 

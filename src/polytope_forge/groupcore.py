@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .signedperm import SignedPerm
@@ -344,8 +343,7 @@ def setwise_stabilizer(group: ConcreteGroup, points: Iterable, action: Callable 
 # -- homomorphisms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(NamedTuple):
     """A homomorphism given by its full element-to-image mapping."""
 
     source: ConcreteGroup
@@ -366,8 +364,7 @@ class Homomorphism:
         return all(self.mapping[self.mapping[e]] == e for e in self.source.elements)
 
 
-@dataclass(frozen=True)
-class HomomorphismFailure:
+class HomomorphismFailure(NamedTuple):
     """Witness that a generator assignment extends to no homomorphism.
 
     `word_a` and `word_b` are positive generator-name words with equal
@@ -466,20 +463,31 @@ def _freely_reduced(word: Sequence[int]) -> bool:
     return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Abstract generators and relator words as signed 1-based indices."""
-
+class _PresentationFields(NamedTuple):
     generator_count: int
     relators: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for rel in self.relators:
+
+class Presentation(_PresentationFields):
+    """Abstract generators and relator words as signed 1-based indices."""
+
+    __slots__ = ()
+
+    # a NamedTuple body may not define __new__, so the fields live in the
+    # base and this subclass validates every construction
+    def __new__(cls, generator_count: int, relators: tuple[tuple[int, ...], ...]):
+        for rel in relators:
             for x in rel:
-                if x == 0 or abs(x) > self.generator_count:
-                    raise ValueError(f"letter {x} outside +-1..{self.generator_count}")
+                if x == 0 or abs(x) > generator_count:
+                    raise ValueError(f"letter {x} outside +-1..{generator_count}")
             if not _freely_reduced(rel):
                 raise ValueError(f"relator {rel} is not freely reduced")
+        return super().__new__(cls, generator_count, relators)
+
+    @classmethod
+    def _make(cls, iterable):
+        """`_replace` builds through here: validate it too."""
+        return cls(*iterable)
 
 
 def eval_word(assignment: Sequence, word: Sequence[int], identity):
@@ -505,8 +513,7 @@ def broken_relator(assignment: Sequence, pres: Presentation) -> tuple | None:
 # -- Todd-Coxeter coset enumeration ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(NamedTuple):
     """A completed coset table: one row per coset, one column per signed
     generator (g1, g1^-1, g2, g2^-1, ...), entries are coset indices."""
 

@@ -11,9 +11,9 @@ epsilon anywhere in this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cubefamily import (
     CONFIGURATION_LINES,
@@ -261,16 +261,14 @@ def complexify(point) -> tuple[QF, QF]:
 # the configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MKPoint:
+class MKPoint(NamedTuple):
     label: int
     ambient: tuple[int, ...]
     z1: QF
     z2: QF
 
 
-@dataclass(frozen=True)
-class MKLine:
+class MKLine(NamedTuple):
     coeff_z1: QF
     coeff_z2: QF
     rhs: QF
@@ -280,8 +278,7 @@ class MKLine:
         return (self.coeff_z1 * p.z1 + self.coeff_z2 * p.z2 - self.rhs).is_zero()
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     points: tuple[MKPoint, ...]
     lines: tuple[MKLine, ...]
     incidence: tuple[tuple[int, ...], ...]

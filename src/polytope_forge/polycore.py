@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from operator import getitem, itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .groupcore import (ConcreteGroup, check, intersection_condition, reach,
                         string_condition)
@@ -296,8 +295,7 @@ class Classification(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     kind: Classification
     orbit_count: int
     flag_count: int
@@ -467,32 +465,43 @@ def central_quotient(p: CosetGeometry, z) -> RankedIncidenceStructure:
 # -- colourful polytopes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
-    """A properly edge-coloured d-valent graph: every colour class is a
-    perfect matching."""
-
+class _ColoredGraphFields(NamedTuple):
     vertices: tuple
     edge_colors: Mapping[frozenset, int]
     d: int
 
-    def __post_init__(self):
-        vertices = set(self.vertices)
-        bad = next((edge for edge in self.edge_colors
-                    if len(edge) != 2 or not edge <= vertices), None)
+
+class ColoredGraph(_ColoredGraphFields):
+    """A properly edge-coloured d-valent graph: every colour class is a
+    perfect matching."""
+
+    __slots__ = ()
+
+    # a NamedTuple body may not define __new__, so the fields live in the
+    # base and this subclass checks every construction
+    def __new__(cls, vertices: tuple, edge_colors: Mapping[frozenset, int], d: int):
+        vertex_set = set(vertices)
+        bad = next((edge for edge in edge_colors
+                    if len(edge) != 2 or not edge <= vertex_set), None)
         check(bad is None, "colouring.edge-joins-two-vertices", bad)
-        bad = next(((color, self.d) for color in self.edge_colors.values()
-                    if not 1 <= color <= self.d), None)
+        bad = next(((color, d) for color in edge_colors.values()
+                    if not 1 <= color <= d), None)
         check(bad is None, "colouring.colour-in-range", bad)
         # edges are distinct, so a (vertex, colour) pair met twice is a
         # colour repeated at that vertex; without repeats, d pairs at a
         # vertex are its d colours
-        at = Counter((v, color) for edge, color in self.edge_colors.items() for v in edge)
+        at = Counter((v, color) for edge, color in edge_colors.items() for v in edge)
         bad = next(((color, v) for (v, color), count in at.items() if count > 1), None)
         check(bad is None, "colouring.colour-once-at-a-vertex", bad)
         colours_at = Counter(v for v, _ in at)
-        bad = next((v for v in self.vertices if colours_at[v] != self.d), None)
+        bad = next((v for v in vertices if colours_at[v] != d), None)
         check(bad is None, "colouring.every-colour-at-every-vertex", bad)
+        return super().__new__(cls, vertices, edge_colors, d)
+
+    @classmethod
+    def _make(cls, iterable):
+        """`_replace` builds through here: check it too."""
+        return cls(*iterable)
 
     def neighbors(self, v, colors: frozenset):
         for edge, color in self.edge_colors.items():
@@ -604,8 +613,7 @@ class FacePerm:
         return f"FacePerm({self.images!r})"
 
 
-@dataclass(frozen=True)
-class CoveringReport:
+class CoveringReport(NamedTuple):
     preimage_counts: tuple[tuple[int, ...], ...]
     isomorphic_on_facets: bool
     isomorphic_on_vertex_figures: bool

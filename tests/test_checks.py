@@ -2,7 +2,6 @@
 exits 1 and names the check, and all of it holds under `python -O`."""
 
 import ast
-import dataclasses
 import os
 import re
 import subprocess
@@ -42,7 +41,7 @@ def _unbarred_sigma1(patch):
     """The atlas hands the enantiomorph sigma1 for sigma1_bar, so its edge
     subgroup <sigma1 sigma2_bar, sigma3_bar> no longer fixes the base edge."""
     real = cf.build_atlas
-    patch(cf, "build_atlas", lambda: dataclasses.replace(real(), sigma1_bar=real().sigma1))
+    patch(cf, "build_atlas", lambda: real()._replace(sigma1_bar=real().sigma1))
 
 
 def _flipped_j_entry(patch):
@@ -55,7 +54,7 @@ def _flipped_j_entry(patch):
 def _non_central_zeta(patch):
     """The atlas hands the hemi-cube rho0 for the central involution zeta."""
     real = cf.build_atlas
-    patch(cf, "build_atlas", lambda: dataclasses.replace(real(), zeta=real().rho0))
+    patch(cf, "build_atlas", lambda: real()._replace(zeta=real().rho0))
 
 
 def _swapped_table_rows(patch):

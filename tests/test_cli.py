@@ -37,7 +37,7 @@ def test_selected_claims_only(monkeypatch):
     def centralizer_scan():
         raise AssertionError("the incidence claim must not need the centralizer of J")
 
-    monkeypatch.setattr(cli.mk, "group_333", centralizer_scan)
+    monkeypatch.setattr("polytope_forge.mkconfig.group_333", centralizer_scan)
     sub = cli.run_claims(only={"mk.incidence-8-8-3"})
     assert [c.claim_id for c in sub.claims] == ["mk.incidence-8-8-3"]
     assert sub.all_passed

@@ -1,6 +1,5 @@
 """Exact field arithmetic and the configuration of eight points and lines."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -349,8 +348,8 @@ def test_cross_polytope():
 def test_point_checks_name_a_broken_configuration(config):
     mk._check_cross_polytope_and_shadows(config)
     # labels 4..7 rotated by one: 0 and 4 are no longer antipodes
-    rotated = dataclasses.replace(config, points=config.points[:4] + config.points[5:]
-                                  + config.points[4:5])
+    rotated = config._replace(points=config.points[:4] + config.points[5:]
+                              + config.points[4:5])
     with pytest.raises(CheckFailed, match=r"^mk\.labels-k-and-k-plus-4-antipodal"):
         mk._check_cross_polytope_and_shadows(rotated)
 

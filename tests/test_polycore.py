@@ -759,8 +759,32 @@ def test_labels_must_match():
     assert _agree(hexagon, hexagon, runs.__getitem__, (0, 0, 1, 1, 2, 3).__getitem__) == 0
 
 
-def test_cli_import_leaves_networkx_out():
+def _imported(args: tuple) -> set:
+    """Every module a fresh interpreter imports to run `args`, read from
+    its -X importtime report."""
     src = str(Path(polytope_forge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import polytope_forge.cli, sys; sys.exit('networkx' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+_CLI = ("-m", "polytope_forge.cli")
+# every cold command pays for these; only the Möbius–Kantor rows, `build mk`
+# and the plane projection need mkconfig and its number fields
+_NOT_AT_START = {"networkx", "dataclasses", "inspect", "fractions", "decimal",
+                 "polytope_forge.mkconfig"}
+
+
+@pytest.mark.parametrize("args, absent, present", [
+    (("-c", "import polytope_forge.cli"), _NOT_AT_START, set()),
+    (("-c", "import polytope_forge.polycore"), {"dataclasses"}, set()),  # the ladder's path
+    ((*_CLI, "build", "cube", "--format", "json"), {"polytope_forge.mkconfig"}, set()),
+    ((*_CLI, "verify", "--all"), set(), {"polytope_forge.mkconfig"}),
+], ids=("import-cli", "import-polycore", "build-cube", "verify-all"))
+def test_import_footprint(args, absent, present):
+    imported = _imported(args)
+    assert not absent & imported, absent & imported
+    assert present <= imported, present - imported

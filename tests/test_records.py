@@ -1,0 +1,144 @@
+"""Value records are `NamedTuple`s with fixed field names and defaults whose
+attributes cannot be assigned; the two that validate do so on every
+construction; and nothing in the package uses `dataclasses`, whose class
+decorations cost most of the cold-start import."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import polytope_forge
+from polytope_forge import cli, cubefamily, groupcore, mkconfig, polycore
+from polytope_forge.groupcore import CheckFailed, Presentation
+from polytope_forge.polycore import ColoredGraph
+
+PACKAGE = Path(polytope_forge.__file__).resolve().parent
+
+# record -> its fields in order; certificate keys and keyword construction
+# read these names
+FIELDS = {
+    cli.Claim: ("claim_id", "criterion", "expected", "computed", "passed", "note"),
+    cli.CliConfig: ("cap",),
+    cli.ProjectionSpec: ("name", "basis", "scale", "colors", "labelled_points_only"),
+    cubefamily.Atlas: (
+        "rho0", "rho1", "rho2", "rho3", "pi", "zeta", "mu0", "mu1", "mu2",
+        "sigma1", "sigma2", "sigma3", "sigma1_bar", "sigma2_bar", "sigma3_bar",
+        "kappa1", "kappa2", "kappa3", "tau0", "tau1", "tau2", "tau3", "gamma1", "gamma2",
+        "v", "v_bar", "w", "base_octagon", "base_octagram"),
+    cubefamily.CubeBundle: ("structure", "realization", "skeleton", "colourful",
+                            "classification", "type_vector"),
+    cubefamily.HemiBundle: ("structure", "quotient_group_order", "generator_product_order",
+                            "colourful"),
+    cubefamily.MapBundle: (
+        "structure", "octagons", "edges", "deleted_edges", "levi_automorphism_count",
+        "full_group", "regularity_hom", "rotation_classification", "full_classification",
+        "edge_stabilizer_in_full_group", "mu0_preserves_edges"),
+    cubefamily.RoliBundle: ("structure", "realization", "stabilizer_orders", "classification",
+                            "orbit_count", "flag_count", "type_vector", "witness_holds",
+                            "two_faces_class"),
+    cubefamily.EnantiomorphBundle: ("structure", "realization", "stabilizer_orders",
+                                    "two_faces_class"),
+    cubefamily.CoverBundle: (
+        "structure", "realization", "classification", "flag_count", "type_vector",
+        "string_ok", "intersection_ok", "centre_plus", "centre_word_identities",
+        "injective_on_tetrahedral", "covering_right", "covering_left", "covering_cube"),
+    cubefamily.Labeling: ("point_of", "label_of"),
+    groupcore.Homomorphism: ("source", "mapping"),
+    groupcore.HomomorphismFailure: ("word_a", "word_b"),
+    groupcore.Presentation: ("generator_count", "relators"),
+    groupcore.CosetTable: ("generator_count", "rows", "subgroup_words"),
+    mkconfig.MKPoint: ("label", "ambient", "z1", "z2"),
+    mkconfig.MKLine: ("coeff_z1", "coeff_z2", "rhs", "points"),
+    mkconfig.Configuration: ("points", "lines", "incidence"),
+    polycore.ClassifyResult: ("kind", "orbit_count", "flag_count"),
+    polycore.ColoredGraph: ("vertices", "edge_colors", "d"),
+    polycore.CoveringReport: ("preimage_counts", "isomorphic_on_facets",
+                              "isomorphic_on_vertex_figures"),
+}
+DEFAULTS = {
+    cli.Claim: {"note": ""},
+    cli.CliConfig: {"cap": 10**6},
+    cli.ProjectionSpec: {"scale": 100.0, "colors": (1, 2, 3, 4), "labelled_points_only": False},
+}
+
+
+@pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+def test_record_keeps_its_fields_and_defaults(record):
+    assert record._fields == FIELDS[record]
+    assert record._field_defaults == DEFAULTS.get(record, {})
+
+
+@pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+def test_record_is_immutable(record):
+    # tuple.__new__ skips validation: only the attributes are under test here
+    instance = tuple.__new__(record, (None,) * len(FIELDS[record]))
+    with pytest.raises(AttributeError):
+        setattr(instance, FIELDS[record][0], 1)
+    with pytest.raises(AttributeError):
+        instance.not_a_field = 1
+
+
+def test_report_stays_mutable_with_a_fresh_claim_list_each():
+    first, second = cli.Report(object_name="a"), cli.Report("b")
+    assert first.claims == [] and first.claims is not second.claims
+    assert first.elapsed_seconds == 0.0
+    first.elapsed_seconds = 1.5
+    assert first.to_json_dict(include_timing=True)["timing_seconds"] == 1.5
+
+
+def test_validating_records_check_replace_too():
+    pres = Presentation(generator_count=2, relators=((1, 1),))
+    with pytest.raises(ValueError, match="outside"):
+        pres._replace(relators=((3,),))
+    graph = ColoredGraph(("a", "b"), {frozenset("ab"): 1}, 1)
+    assert graph._replace(vertices=("b", "a")).vertices == ("b", "a")
+    with pytest.raises(CheckFailed, match=r"^colouring\.colour-in-range"):
+        graph._replace(d=0)
+
+
+_OPTIMIZED_FAULTS = """
+from polytope_forge.groupcore import CheckFailed, Presentation
+from polytope_forge.polycore import ColoredGraph
+faults = [
+    lambda: Presentation(1, ((2,),)),
+    lambda: Presentation(generator_count=1, relators=((1, -1),)),
+    lambda: ColoredGraph(("a", "b"), {frozenset("ac"): 1}, 1),
+    lambda: ColoredGraph(("a", "b"), {frozenset("ab"): 2}, 1),
+    lambda: ColoredGraph(("a", "b", "c"), {frozenset("ab"): 1, frozenset("bc"): 1}, 1),
+    lambda: ColoredGraph(vertices=("a", "b", "c"), edge_colors={frozenset("ab"): 1}, d=1),
+]
+for fault in faults:
+    try:
+        fault()
+    except (ValueError, CheckFailed) as exc:
+        print(str(exc).split(":")[0])
+"""
+
+
+def test_validating_records_fire_under_optimize():
+    src = str(PACKAGE.parent)
+    run = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_FAULTS],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == [
+        "letter 2 outside +-1..1", "relator (1, -1) is not freely reduced",
+        "colouring.edge-joins-two-vertices", "colouring.colour-in-range",
+        "colouring.colour-once-at-a-vertex", "colouring.every-colour-at-every-vertex"]
+
+
+def test_package_uses_no_dataclasses():
+    """A NamedTuple never calls __post_init__, so a validation left there
+    would silently stop running."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(
+                    alias.name == "dataclasses" for alias in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "dataclasses" \
+                    or isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
