@@ -862,7 +862,7 @@ def build_map() -> MapBundle:
     # face labelled by its rank and whether it lies in the flag, finds every
     # automorphism taking the base flag there
     base_flag = tuple(canon[0] for canon in struct.canon)  # the faces holding the identity
-    check(base_flag in struct.flag_graph(), "map.base-flag-is-a-flag", base_flag)
+    check(base_flag in struct.flags(), "map.base-flag-is-a-flag", base_flag)
     hits = [list(isomorphisms(struct._inc, struct._inc, _in_flag(base_flag), _in_flag(f)))
             for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
     check([len(h) for h in hits] == [1, 1, 1], "map.one-automorphism-per-adjacent-flag",

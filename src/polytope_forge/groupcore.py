@@ -393,6 +393,11 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
     carrying two words that evaluate equally in `src` but differently
     under the assignment.  The images are walked as codes of `_codec` and
     decoded once, for the mapping.
+
+    Every element j >= 1 has a parent (i, k) with act[i][k] == j: `generate`
+    builds the table so, and `table()` checks it as
+    `group.generators-reach-every-element`.  So row i sets image[j], and
+    the extension covers the group.
     """
     missing = set(src.generators) - set(images)
     if missing:
@@ -412,7 +417,6 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
                 return HomomorphismFailure(
                     word_a=tuple(names[c] for c in src.word(i)) + (names[k],),
                     word_b=tuple(names[c] for c in src.word(j)))
-    check(None not in image, "hom.extension-covers-the-group", image.count(None))
     return Homomorphism(source=src, mapping=dict(zip(src.elements, map(decode, image))))
 
 
@@ -712,10 +716,6 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             break
         for c, k in holes:
             define(c, k)
-
-    hole = next(((c, k) for c in range(len(table)) if find(c) == c
-                 for k in range(ncols) if table[c][k] == -1), None)
-    check(hole is None, "cosets.table-complete", hole)
 
     # compact: breadth-first renumbering from the subgroup coset; rows come
     # out in the order cosets are numbered

@@ -181,7 +181,44 @@ def test_check_ids_are_unique_layer_kebab_literals():
     # both forwarding helpers' sites are collected, and the plain ones
     assert {"enantiomorph.edge-stabilizer", "enantiomorph.mirror-by-rho0-is-an-isomorphism",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 184
+    assert len(ids) >= 180
+
+
+def _calls(tree: ast.AST, name: str) -> list:
+    """Every call to the plain name `name` inside tree."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+
+_BUILD_ATLAS = next(fn for fn in ast.walk(ast.parse(
+    (PACKAGE / "cubefamily.py").read_text(encoding="utf-8")))
+    if isinstance(fn, ast.FunctionDef) and fn.name == "build_atlas")
+# (literal, check id) for each `_SP` display literal a check in build_atlas compares against
+_ATLAS_DISPLAYS = sorted((sp.args[0].value, call.args[1].value)
+                         for call in _calls(_BUILD_ATLAS, "check")
+                         for sp in _calls(call.args[0], "_SP"))
+
+
+def test_every_atlas_display_literal_has_a_fault():
+    assert len(_ATLAS_DISPLAYS) == len(_calls(_BUILD_ATLAS, "_SP")) == 13
+    assert len({name for _, name in _ATLAS_DISPLAYS}) == 13
+
+
+@pytest.mark.parametrize("literal, name", _ATLAS_DISPLAYS,
+                         ids=[name for _, name in _ATLAS_DISPLAYS])
+def test_flipped_atlas_display_names_its_check(literal, name, monkeypatch):
+    """The first sign of one display literal flips; build_atlas must fail
+    that literal's own check."""
+    flipped = "(" + literal[2:] if literal.startswith("(-") else "(-" + literal[1:]
+    real = cf._SP
+    monkeypatch.setattr(cf, "_SP", lambda text: real(flipped if text == literal else text))
+    cf.build_atlas.cache_clear()
+    try:
+        with pytest.raises(CheckFailed) as exc:
+            cf.build_atlas()
+    finally:
+        cf.build_atlas.cache_clear()
+    assert exc.value.name == name
 
 
 def test_every_check_in_the_package_passes_a_witness():

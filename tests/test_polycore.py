@@ -272,16 +272,19 @@ def test_degenerate_coset_geometry_rejected(atlas):
 
 
 def test_flag_graph_edges_carry_ranks():
+    # every flag has exactly one j-adjacent flag for each rank j, and it
+    # differs from the flag in the rank-j face alone
     struct = build_cube().structure
-    graph = struct.flag_graph()
-    assert len(graph) == 384
-    ranks = {j for neighbours in graph.values() for j in neighbours.values()}
-    assert ranks == {0, 1, 2, 3}
-    # every flag has exactly one neighbour per rank
-    assert all(len(neighbours) == 4 for neighbours in graph.values())
+    flags = struct.flags()
+    assert len(flags) == 384
+    for f in flags:
+        for j in range(struct.rank):
+            (g,) = struct.flag_adjacent(f, j)
+            assert g in flags and [k for k in range(struct.rank) if g[k] != f[k]] == [j]
 
 
-@pytest.mark.parametrize("build", [build_cube, build_map, build_roli])
+@pytest.mark.parametrize("build", [build_cube, build_hemi, build_map, build_roli,
+                                   build_enantiomorph])
 def test_flag_adjacency_against_brute_force(build):
     struct = build().structure
     flags = struct.flags()
@@ -391,6 +394,42 @@ def test_colourful_single_edge_is_a_segment():
                       edge_colors={frozenset({"a", "b"}): 1}, d=1)
     seg = colourful_polytope(cg)
     assert seg.f_vector == (2,)
+
+
+def _k44():
+    """The hemi-cube's K_{4,4}: the cube's skeleton with antipodal vertices
+    identified, each edge keeping its colour."""
+    skeleton = build_cube().skeleton
+
+    def antipodal(p):
+        return tuple(sorted((p, tuple(-x for x in p))))
+
+    return ColoredGraph(
+        vertices=tuple(sorted({antipodal(p) for p in skeleton.vertices})),
+        edge_colors={frozenset(map(antipodal, edge)): color
+                     for edge, color in skeleton.edge_colors.items()}, d=4)
+
+
+def _coordinate_cube(n):
+    """Q_n on the sign vectors, each edge coloured by the coordinate it flips."""
+    vertices = tuple(itertools.product((1, -1), repeat=n))
+    return ColoredGraph(vertices=vertices, edge_colors={
+        frozenset((v, v[:i] + (-v[i],) + v[i + 1:])): i + 1
+        for v in vertices for i in range(n)}, d=n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cube().skeleton, _k44,
+    *(lambda n=n: _coordinate_cube(n) for n in range(2, 6)),
+], ids=["cube", "k44", "q2", "q3", "q4", "q5"])
+def test_colourful_skeleton_is_the_graph(make):
+    # each colour class is a perfect matching, so each one-colour component
+    # is one edge: the rank-1 faces are exactly the graph's edges
+    cg = make()
+    struct = colourful_polytope(cg)
+    assert len(cg.edge_colors) == struct.f_vector[1]
+    assert {frozenset(comp) for _, comp in struct.faces_by_rank[1]} \
+        == set(map(frozenset, cg.edge_colors))
 
 
 def test_colourful_output_is_simple():
@@ -608,11 +647,35 @@ def test_constructor_rejects_incidence_with_unknown_face():
     assert exc.value.args == ("incidence names an unknown face", (0, "c"))
 
 
+def _flag_graph(struct):
+    """flag -> the flags adjacent to it: flags that agree away from one rank
+    j are j-adjacent, found by grouping the flags on the other ranks."""
+    graph = {f: set() for f in struct.flags()}
+    for j in range(struct.rank):
+        groups = collections.defaultdict(list)
+        for f in struct.flags():
+            groups[f[:j] + f[j + 1:]].append(f)
+        for group in groups.values():
+            for f in group:
+                graph[f].update(g for g in group if g != f)
+    return graph
+
+
+def _connected(adj):
+    """networkx's connectivity of the graph node -> neighbours; an empty
+    graph counts as connected."""
+    graph = nx.Graph()
+    graph.add_nodes_from(adj)
+    graph.add_edges_from((a, b) for a in adj for b in adj[a])
+    return not adj or nx.is_connected(graph)
+
+
 def _walk_validate(struct):
     """The polytope check as it was before the local chain axiom, kept as
     an oracle: the chain axiom walks every chain and looks it up in an
     index from each face to the flags that contain it; connectivity is
-    networkx's."""
+    networkx's, and it still includes the flag graph, which the package
+    no longer checks because strong connectivity implies it."""
     n = struct.rank
     if any(count == 0 for count in struct.f_vector):
         raise CheckFailed("polytope.no-empty-rank", struct.f_vector)
@@ -635,18 +698,12 @@ def _walk_validate(struct):
 
     walk([])
 
-    def connected(adj):
-        graph = nx.Graph()
-        graph.add_nodes_from(adj)
-        graph.add_edges_from((a, b) for a in adj for b in adj[a])
-        return not adj or nx.is_connected(graph)
-
     for lo_rank in range(-1, n - 2):
         for hi_rank in range(lo_rank + 3, n + 1):
             for lo, hi, mid in struct.sections(lo_rank, hi_rank):
-                if not connected({a: struct._inc[a] & set(mid) for a in mid}):
+                if not _connected({a: struct._inc[a] & set(mid) for a in mid}):
                     raise CheckFailed("polytope.sections-connected", (lo, hi))
-    if not connected(struct.flag_graph()):
+    if not _connected(_flag_graph(struct)):
         raise CheckFailed("polytope.flag-graph-connected")
 
 
@@ -691,6 +748,28 @@ def test_local_chain_axiom_against_walk_oracle():
     # the seed reaches each outcome that tells the two checks apart
     assert outcomes[None, None] and outcomes[None, intransitive]
     assert outcomes["polytope.chain-in-a-flag", "polytope.chain-in-a-flag"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cube().structure,
+    lambda: build_hemi().structure,
+    lambda: build_map().structure,
+    lambda: build_roli().structure,
+    lambda: build_enantiomorph().structure,
+    lambda: build_cover().structure,
+    lambda: build_cube().colourful,
+    lambda: build_hemi().colourful,
+    lambda: _bn_polytope(3),
+    lambda: _bn_polytope(4),
+    lambda: _bn_polytope(5),
+], ids=["cube", "hemi", "map", "roli", "enantiomorph", "cover", "cube-colourful",
+        "hemi-colourful", "b3", "b4", "b5"])
+def test_flag_graph_is_connected(make):
+    # validate_polytope leaves flag connectivity to strong connectivity
+    # (McMullen & Schulte, 2A); networkx confirms it on every structure
+    # the builds make
+    adj = _flag_graph(make())
+    assert adj and _connected(adj)
 
 
 # -- graph isomorphism, against networkx as an independent oracle ------------------
