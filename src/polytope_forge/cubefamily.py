@@ -18,14 +18,13 @@ from .groupcore import (
     Homomorphism,
     HomomorphismFailure,
     Presentation,
-    QuotientElem,
     broken_relator,
     check,
+    eval_word,
     extend_homomorphism,
     intersection_condition,
     orbit,
     string_condition,
-    witness_pair_inconsistent,
 )
 from .polycore import (
     Classification,
@@ -33,7 +32,7 @@ from .polycore import (
     CosetGeometry,
     FacePerm,
     RankedIncidenceStructure,
-    _check_face_map,
+    _face_map_fault,
     central_quotient,
     classify,
     colourful_polytope,
@@ -395,16 +394,16 @@ def group_map_rotation() -> ConcreteGroup:
     return g
 
 
-def _check_stabilizer(group: ConcreteGroup, sub: ConcreteGroup, point, action, name: str
-                      ) -> None:
-    """Check that sub, a subgroup of group, is the stabilizer of point: its
+def _stabilizer_fault(group: ConcreteGroup, sub: ConcreteGroup, point, action
+                      ) -> tuple | None:
+    """None when sub, a subgroup of group, is the stabilizer of point: its
     generators fix the point, so sub lies in the stabilizer, and by
     orbit-stabilizer |sub| * |orbit| = |group| leaves the stabilizer no
-    other element.  The witness is a moving generator (or None) and the two
+    other element.  Otherwise a moving generator (or None) and the two
     sizes."""
     moved = next((g for g in sub.generator_list() if action(point, g) != point), None)
     size = len(orbit(group, point, action))
-    check(moved is None and len(sub) * size == len(group), name, (moved, len(sub), size))
+    return None if moved is None and len(sub) * size == len(group) else (moved, len(sub), size)
 
 
 @lru_cache(maxsize=None)
@@ -418,9 +417,9 @@ def group_petrie_stabilizer() -> ConcreteGroup:
     check(not missing, "groups.petrie-stabilizer-holds-mu0-mu1-pi", missing)
     conjugate = a.mu0.inverse() * a.pi * a.mu0
     check(conjugate == a.pi.inverse(), "groups.petrie-stabilizer-dihedral", conjugate)
-    _check_stabilizer(group_cube(), k, a.base_octagon.vertex_set(),
-                      lambda pts, g: frozenset(map(g.act, pts)),
-                      "groups.petrie-stabilizer-generated-by-mu0-mu1")
+    fault = _stabilizer_fault(group_cube(), k, a.base_octagon.vertex_set(),
+                              lambda pts, g: frozenset(map(g.act, pts)))
+    check(fault is None, "groups.petrie-stabilizer-generated-by-mu0-mu1", fault)
     return k
 
 
@@ -713,15 +712,17 @@ def build_hemi() -> HemiBundle:
     cube = build_cube()
     struct = central_quotient(cube.structure, atlas.zeta)
     check(struct.f_vector == (8, 16, 12, 4), "hemi.f-vector", struct.f_vector)
-    qgroup = ConcreteGroup.generate(
-        {name: QuotientElem(g, atlas.zeta) for name, g in group_cube().generators.items()},
-        cap=len(group_cube()) + 1)
-    check(len(qgroup) == 192, "hemi.quotient-group-order", len(qgroup))
-
-    prod = qgroup.identity
-    for gen in qgroup.generator_list():
-        prod = prod * gen
-    prod_order = qgroup.element_order(prod)
+    # the quotient by the centre <zeta> is read off the cube group's table:
+    # its elements are the cosets of <zeta>, and a power of rho0 rho1 rho2
+    # rho3 is trivial in it when the walk along that word lands in <zeta>
+    group = group_cube()
+    quotient_order = len(group.right_cosets(group.subgroup([atlas.zeta])))
+    check(quotient_order == 192, "hemi.quotient-group-order", quotient_order)
+    centre = {0, group.table().index[atlas.zeta]}
+    word = range(len(group.generators))
+    prod_order, i = 1, group.walk(0, word)
+    while i not in centre:
+        prod_order, i = prod_order + 1, group.walk(i, word)
 
     def antipodal(p: Point) -> tuple:
         return tuple(sorted((p, tuple(-x for x in p))))
@@ -748,7 +749,7 @@ def build_hemi() -> HemiBundle:
 
     colourful = colourful_polytope(k44)
     check(colourful.isomorphic_to(struct), "hemi.colourful-isomorphic", colourful.f_vector)
-    return HemiBundle(structure=struct, quotient_group_order=len(qgroup),
+    return HemiBundle(structure=struct, quotient_group_order=quotient_order,
                       generator_product_order=prod_order, colourful=colourful)
 
 
@@ -966,7 +967,8 @@ def build_roli() -> RoliBundle:
     subs = _roli_subgroups(rot)
     orders = tuple(len(s) for s in subs)
     check(orders == (12, 6, 16, 48), "roli.stabilizer-orders", orders)
-    _check_stabilizer(rot, subs[0], atlas.v, act, "roli.vertex-stabilizer")
+    fault = _stabilizer_fault(rot, subs[0], atlas.v, act)
+    check(fault is None, "roli.vertex-stabilizer", fault)
     # the octagon's stabilizer in the full group lies in rot exactly when
     # this holds, and then it is the stabilizer in rot as well
     check(subs[2].element_set == group_petrie_stabilizer().element_set,
@@ -1001,11 +1003,9 @@ def build_roli() -> RoliBundle:
     result = classify(struct, _sigma_face_maps(struct))
     check(result.kind is Classification.CHIRAL, "roli.chiral", result)
 
-    failure = extend_homomorphism(rot, {
-        "sigma1": atlas.sigma1.inverse(),
-        "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2,
-        "sigma3": atlas.sigma3,
-    })
+    # the mirror map sigma1 -> sigma1^-1, sigma2 -> sigma1^2 sigma2, sigma3 -> sigma3
+    mirror = [atlas.sigma1.inverse(), atlas.sigma1 * atlas.sigma1 * atlas.sigma2, atlas.sigma3]
+    failure = extend_homomorphism(rot, dict(zip(rot.generators, mirror)))
     check(isinstance(failure, HomomorphismFailure), "roli.no-mirror-automorphism",
           type(failure).__name__)
 
@@ -1013,14 +1013,12 @@ def build_roli() -> RoliBundle:
     powers = ((atlas.sigma1 * atlas.sigma3) ** 4, (atlas.sigma1.inverse() * atlas.sigma3) ** 4)
     witness = powers == (atlas.zeta, ident) and atlas.zeta != ident
     check(witness, "roli.chirality-witness", powers)
-    words = (("sigma1", "sigma3") * 4, ("sigma1",) * 4)
-    check(witness_pair_inconsistent(
-        rot,
-        {"sigma1": atlas.sigma1.inverse(),
-         "sigma2": atlas.sigma1 * atlas.sigma1 * atlas.sigma2,
-         "sigma3": atlas.sigma3},
-        *words,
-    ), "roli.witness-words-certify-the-failure", words)
+    # (sigma1 sigma3)^4 and sigma1^4 are equal, and their mirror images are not
+    words = ((1, 3) * 4, (1,) * 4)
+    sigma_a, sigma_b = (eval_word(rot.generator_list(), w, ident) for w in words)
+    mirror_a, mirror_b = (eval_word(mirror, w, ident) for w in words)
+    check(sigma_a == sigma_b and mirror_a != mirror_b,
+          "roli.witness-words-certify-the-failure", words)
 
     return RoliBundle(
         structure=struct, realization=realization, stabilizer_orders=orders,
@@ -1068,10 +1066,11 @@ def build_enantiomorph() -> EnantiomorphBundle:
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     sub0 = rot.subgroup([atlas.sigma2_bar, atlas.sigma3_bar])
-    _check_stabilizer(rot, sub0, atlas.v_bar, act, "enantiomorph.vertex-stabilizer")
+    fault = _stabilizer_fault(rot, sub0, atlas.v_bar, act)
+    check(fault is None, "enantiomorph.vertex-stabilizer", fault)
     sub1 = rot.subgroup([atlas.sigma1_bar * atlas.sigma2_bar, atlas.sigma3_bar])
-    _check_stabilizer(rot, sub1, base_edge, lambda e, g: _face_image(1, e, g.act),
-                      "enantiomorph.edge-stabilizer")
+    fault = _stabilizer_fault(rot, sub1, base_edge, lambda e, g: _face_image(1, e, g.act))
+    check(fault is None, "enantiomorph.edge-stabilizer", fault)
     # rho0 normalizes rot and maps the base octagon and Roli's base facet to
     # the mirror ones, so their stabilizers are the rho0-conjugates of the
     # right-handed ones; _realize checks that they fix the mirror faces and
@@ -1099,8 +1098,10 @@ def build_enantiomorph() -> EnantiomorphBundle:
     check(two_faces_class == "L", "enantiomorph.two-faces-left-handed", two_faces_class)
 
     # mirroring by rho0 is a poset isomorphism from the right-handed polytope
-    _check_face_map(roli.structure, _realized_face_map(roli.realization, realization, rho0.act),
-                    "enantiomorph.mirror-by-rho0-is-an-isomorphism", struct)
+    fault = _face_map_fault(roli.structure,
+                            _realized_face_map(roli.realization, realization, rho0.act),
+                            roli.structure.all_refs(), struct, struct.all_refs())
+    check(fault is None, "enantiomorph.mirror-by-rho0-is-an-isomorphism", fault)
 
     group_rotation_sigma_bar()  # checks that the barred sigmas generate rot
     return EnantiomorphBundle(structure=struct, realization=realization,

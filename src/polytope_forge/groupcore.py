@@ -36,7 +36,6 @@ __all__ = [
     "broken_relator",
     "CosetTable",
     "enumerate_cosets",
-    "QuotientElem",
 ]
 
 DEFAULT_CAP = 10**6
@@ -173,13 +172,6 @@ class ConcreteGroup:
                    if all(row[k] == self.walk(g, word) for k, g in enumerate(act[0]))]
         names = {f"z{i}": z for i, z in enumerate(central)}
         return ConcreteGroup(central, names, self.identity)
-
-    def element_order(self, g) -> int:
-        k, e = 1, g
-        while e != self.identity:
-            e = e * g
-            k += 1
-        return k
 
     # -- the action table -----------------------------------------------------
 
@@ -378,13 +370,6 @@ class HomomorphismFailure(NamedTuple):
         return False
 
 
-def _eval_name_word(images: Mapping[str, object], word: Sequence[str], identity):
-    e = identity
-    for name in word:
-        e = e * images[name]
-    return e
-
-
 def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
                         ) -> Homomorphism | HomomorphismFailure:
     """Extend a generator assignment along the Cayley graph of `src`.
@@ -418,20 +403,6 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
                     word_a=tuple(names[c] for c in src.word(i)) + (names[k],),
                     word_b=tuple(names[c] for c in src.word(j)))
     return Homomorphism(source=src, mapping=dict(zip(src.elements, map(decode, image))))
-
-
-def witness_pair_inconsistent(src: ConcreteGroup, images: Mapping[str, object],
-                              word_a: Sequence[str], word_b: Sequence[str]) -> bool:
-    """Check that two words certify failure: equal in src, unequal in images."""
-    src_a = _eval_name_word(src.generators, word_a, src.identity)
-    src_b = _eval_name_word(src.generators, word_b, src.identity)
-    if src_a != src_b:
-        return False
-    some_image = next(iter(images.values()))
-    target_identity = some_image * some_image.inverse()
-    img_a = _eval_name_word(images, word_a, target_identity)
-    img_b = _eval_name_word(images, word_b, target_identity)
-    return img_a != img_b
 
 
 # -- string C-group conditions --------------------------------------------------
@@ -539,20 +510,18 @@ class CosetTable(NamedTuple):
             c = self.rows[c][self._col(x)]
         return c
 
-    def representative_words(self) -> list[tuple[int, ...]]:
-        """A word reaching each coset from coset 0, by breadth-first search."""
-        words: dict[int, tuple[int, ...]] = {0: ()}
-        queue = deque([0])
-        letters = [x for g in range(1, self.generator_count + 1) for x in (g, -g)]
-        while queue:
-            c = queue.popleft()
-            for x in letters:
-                d = self.rows[c][self._col(x)]
-                if d not in words:
-                    words[d] = words[c] + (x,)
-                    queue.append(d)
-        check(len(words) == self.index, "cosets.every-coset-reached", len(words))
-        return [words[i] for i in range(self.index)]
+    def forward_action(self) -> list[list[int]]:
+        """The action of g1..gn on the cosets laid out as an ActionTable's
+        `act`: the forward columns rows[c][2k], with the cosets renumbered
+        in breadth-first order from coset 0 along them.  Each column is a
+        permutation of finitely many cosets, so its inverse is one of its
+        powers and the walk reaches every coset.  `ConcreteGroup.generate`
+        numbers a closure the same way, so when this equals the closure's
+        act, coset -> element is a bijection that respects the generators."""
+        forward = lambda c: [self.rows[c][2 * k] for k in range(self.generator_count)]
+        order = reach(0, forward)
+        number = {c: i for i, c in enumerate(order)}
+        return [[number[d] for d in forward(c)] for c in order]
 
     def validate(self, pres: Presentation) -> bool:
         if pres.generator_count != self.generator_count:
@@ -736,43 +705,3 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
     check(result.validate(pres), "cosets.table-satisfies-presentation",
           (result.index, result.generator_count))
     return result
-
-
-# -- quotient elements -----------------------------------------------------------
-
-
-class QuotientElem:
-    """An element of G/<z> for a central involution z, held by a canonical
-    representative (the smaller of g, g*z under the element ordering)."""
-
-    __slots__ = ("rep", "z")
-
-    def __init__(self, g, z):
-        alt = g * z
-        object.__setattr__(self, "rep", min(g, alt))
-        object.__setattr__(self, "z", z)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("QuotientElem is immutable")
-
-    def __mul__(self, other: "QuotientElem") -> "QuotientElem":
-        return QuotientElem(self.rep * other.rep, self.z)
-
-    def inverse(self) -> "QuotientElem":
-        return QuotientElem(self.rep.inverse(), self.z)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuotientElem) and self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash(("quot", self.rep))
-
-    @property
-    def key(self) -> tuple:
-        return self.rep.key
-
-    def __lt__(self, other: "QuotientElem") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"QuotientElem({self.rep!s})"

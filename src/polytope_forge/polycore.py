@@ -295,15 +295,6 @@ def _face_map_fault(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
                  != q._inc[fm[a]] & targets), None)
 
 
-def _check_face_map(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef], name: str,
-                    target: RankedIncidenceStructure | None = None) -> None:
-    """Raise CheckFailed(name, fault) unless fm is an isomorphism from p
-    onto target (default: p itself)."""
-    q = p if target is None else target
-    fault = _face_map_fault(p, fm, p.all_refs(), q, q.all_refs())
-    check(fault is None, name, fault)
-
-
 def classify(p: RankedIncidenceStructure,
              face_maps: Sequence[Mapping[FaceRef, FaceRef]]) -> ClassifyResult:
     """Flag-orbit classification under a group given by face bijections.
@@ -312,7 +303,8 @@ def classify(p: RankedIncidenceStructure,
     is split across them.  Anything else: Other.
     """
     for fm in face_maps:
-        _check_face_map(p, fm, "classify.face-map-is-automorphism")
+        fault = _face_map_fault(p, fm, p.all_refs(), p, p.all_refs())
+        check(fault is None, "classify.face-map-is-automorphism", fault)
 
     # tables[m][r][i]: the index of the image of face (r, i) under face_maps[m]
     tables = [[[fm[(r, i)][1] for i in range(len(keys))] for r, keys in enumerate(p.faces_by_rank)]

@@ -252,3 +252,26 @@ def test_main_verify_list_honours_out_and_format(tmp_path, capsys):
     assert json.loads(as_json.read_text(encoding="utf-8")) == ids
     assert cli.main(["verify", "--list", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == ids
+
+
+def test_hemi_and_the_chiral_row_read_tables_not_products(monkeypatch):
+    """Once the cube and rotation groups are closed, build_hemi reads the
+    quotient by zeta off the cube group's table, and the chiral cosets row
+    compares integer tables: neither multiplies group elements much."""
+    from polytope_forge import cubefamily as cf
+    from polytope_forge.signedperm import SignedPerm
+
+    cf.build_cube(), cf.group_cube(), cf.group_rotation_sigma()
+    products = []
+    real = SignedPerm.__mul__
+    monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(b) or real(a, b))
+    cf.build_hemi.cache_clear()
+    try:
+        cf.build_hemi()
+    finally:
+        cf.build_hemi.cache_clear()
+    assert len(products) <= 40
+    products.clear()
+    assert cli._chiral_full_matches_rotation_group(cli.CliConfig()) \
+        == (True, "index 192, distinct images 192")
+    assert products == []

@@ -10,7 +10,10 @@ from polytope_forge import groupcore
 from polytope_forge.cubefamily import (
     build_atlas,
     group_cover,
+    group_map_rotation,
     group_rotation,
+    group_rotation_sigma,
+    group_unitary,
     presentation_cover,
     presentation_map_full,
     presentation_map_rotation,
@@ -78,13 +81,29 @@ def test_chiral_presentation_partial_gives_eight_cosets():
     assert enumerate_cosets(pres, [(1,), (2,)]).index == 8
 
 
+def _representative_words(table: CosetTable) -> list[tuple[int, ...]]:
+    """A word reaching each coset from coset 0, by breadth-first search."""
+    words: dict[int, tuple[int, ...]] = {0: ()}
+    queue = deque([0])
+    letters = [x for g in range(1, table.generator_count + 1) for x in (g, -g)]
+    while queue:
+        c = queue.popleft()
+        for x in letters:
+            d = table.trace(c, (x,))
+            if d not in words:
+                words[d] = words[c] + (x,)
+                queue.append(d)
+    assert len(words) == table.index
+    return [words[i] for i in range(table.index)]
+
+
 def test_chiral_presentation_matches_rotation_group_elementwise():
     atlas = build_atlas()
     table = enumerate_cosets(presentation_roli())
     assert table.index == 192
     assignment = [atlas.sigma1, atlas.sigma2, atlas.sigma3]
     ident = SignedPerm.identity(4)
-    images = [eval_word(assignment, w, ident) for w in table.representative_words()]
+    images = [eval_word(assignment, w, ident) for w in _representative_words(table)]
     assert len(set(images)) == 192
     assert set(images) == set(group_rotation().element_set)
 
@@ -99,7 +118,7 @@ def test_cover_presentation_corrected_reading():
     assert table.index == 768
     assignment = [atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3]
     ident = SignedPerm.identity(8)
-    images = {eval_word(assignment, w, ident) for w in table.representative_words()}
+    images = {eval_word(assignment, w, ident) for w in _representative_words(table)}
     assert images == set(group_cover().element_set)
 
 
@@ -129,6 +148,42 @@ def test_table_validation_and_actions():
         for c in range(table.index):
             assert table.trace(c, rel) == c
     assert table.trace(0, (1,)) == 0  # subgroup word fixes the subgroup coset
+
+
+def _conjugated_bn(n: int, rng: random.Random) -> ConcreteGroup:
+    """B_n from its Coxeter reflections, conjugated by a random signed
+    permutation."""
+    h = SignedPerm([rng.choice((1, -1)) for _ in range(n)], rng.sample(range(1, n + 1), n))
+    rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
+    swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
+    return ConcreteGroup.generate([r.conjugate(h) for r in [rho0] + swaps])
+
+
+@pytest.mark.parametrize("n, seed", [(3, 1), (3, 7), (4, 1), (4, 7), (5, 1), (5, 7)])
+def test_forward_action_is_the_coxeter_closure(n, seed):
+    """The second derivation of B_n: the presented group is the concrete one."""
+    group = _conjugated_bn(n, random.Random(seed))
+    assert enumerate_cosets(_coxeter_b(n)).forward_action() == group.table().act
+
+
+@pytest.mark.parametrize("pres, group", [
+    (presentation_cover, group_cover),
+    (presentation_map_rotation, group_map_rotation),
+    (presentation_unitary_triangle, group_unitary),
+    (presentation_roli, group_rotation_sigma),
+], ids=["cover", "map-rotation", "unitary-triangle", "roli"])
+def test_forward_action_is_the_build_closure(pres, group):
+    assert enumerate_cosets(pres()).forward_action() == group().table().act
+
+
+def test_chiral_row_fails_without_the_chirality_breaker(monkeypatch):
+    from polytope_forge import cli, cubefamily
+
+    real = cubefamily.presentation_roli
+    monkeypatch.setattr(cubefamily, "presentation_roli",
+                        lambda: real(with_chirality_breaker=False))
+    assert cli._chiral_full_matches_rotation_group(cli.CliConfig()) \
+        == (False, "index 384, distinct images 384")
 
 
 def test_index_meets_the_concrete_bound():

@@ -8,6 +8,7 @@ import pytest
 from polytope_forge import cubefamily
 from polytope_forge.cubefamily import (
     build_atlas,
+    build_hemi,
     group_cover,
     group_cover_rotation,
     group_cube,
@@ -26,7 +27,6 @@ from polytope_forge.groupcore import (
     Homomorphism,
     HomomorphismFailure,
     Presentation,
-    QuotientElem,
     broken_relator,
     eval_word,
     extend_homomorphism,
@@ -35,7 +35,6 @@ from polytope_forge.groupcore import (
     setwise_stabilizer,
     stabilizer,
     string_condition,
-    witness_pair_inconsistent,
 )
 from polytope_forge.polycore import FacePerm
 from polytope_forge.signedperm import SignedPerm, block_pair
@@ -147,6 +146,25 @@ def test_extend_homomorphism_success_on_map_rotations(atlas):
     assert hom.is_involutory()
 
 
+def _eval_name_word(images, word, identity):
+    e = identity
+    for name in word:
+        e = e * images[name]
+    return e
+
+
+def _witness_pair_inconsistent(src, images, word_a, word_b) -> bool:
+    """Two generator-name words certify a failure: equal in src, unequal
+    under the images."""
+    if _eval_name_word(src.generators, word_a, src.identity) \
+            != _eval_name_word(src.generators, word_b, src.identity):
+        return False
+    some_image = next(iter(images.values()))
+    target_identity = some_image * some_image.inverse()
+    return _eval_name_word(images, word_a, target_identity) \
+        != _eval_name_word(images, word_b, target_identity)
+
+
 def test_extend_homomorphism_failure_on_full_rotations(atlas):
     images = {
         "sigma1": atlas.sigma1.inverse(),
@@ -157,11 +175,16 @@ def test_extend_homomorphism_failure_on_full_rotations(atlas):
     assert isinstance(failure, HomomorphismFailure)
     assert not failure
     # the failure's own witness words really are inconsistent
-    assert witness_pair_inconsistent(group_rotation_sigma(), images,
-                                     failure.word_a, failure.word_b)
-    # the classical witness pair is accepted too
-    assert witness_pair_inconsistent(group_rotation_sigma(), images,
-                                     ("sigma1", "sigma3") * 4, ("sigma1",) * 4)
+    assert _witness_pair_inconsistent(group_rotation_sigma(), images,
+                                      failure.word_a, failure.word_b)
+    # the classical witness pair is accepted too; a pair the images keep
+    # equal is not, nor one that differs in the source
+    assert _witness_pair_inconsistent(group_rotation_sigma(), images,
+                                      ("sigma1", "sigma3") * 4, ("sigma1",) * 4)
+    assert not _witness_pair_inconsistent(group_rotation_sigma(), images,
+                                          ("sigma3",) * 3, ())
+    assert not _witness_pair_inconsistent(group_rotation_sigma(), images,
+                                          ("sigma1",) * 4, ("sigma3",) * 4)
 
 
 def test_extend_homomorphism_identity_assignment(atlas):
@@ -240,14 +263,53 @@ def test_presentation_validation():
         Presentation(2, ((3,),))  # letter out of range
 
 
+class _QuotientElem:
+    """An element of G/<z> for a central involution z, held by a canonical
+    representative (the smaller of g, g*z under the element ordering).  Its
+    product closure is the oracle for build_hemi, which reads the quotient
+    off the cube group's table."""
+
+    __slots__ = ("rep", "z")
+
+    def __init__(self, g, z):
+        self.rep, self.z = min(g, g * z), z
+
+    def __mul__(self, other):
+        return _QuotientElem(self.rep * other.rep, self.z)
+
+    def inverse(self):
+        return _QuotientElem(self.rep.inverse(), self.z)
+
+    def __eq__(self, other):
+        return isinstance(other, _QuotientElem) and self.rep == other.rep
+
+    def __hash__(self):
+        return hash(("quot", self.rep))
+
+    @property
+    def key(self):
+        return self.rep.key
+
+    def __lt__(self, other):
+        return self.key < other.key
+
+
 def test_quotient_elements(atlas):
-    q = QuotientElem(atlas.pi, atlas.zeta)
-    assert q == QuotientElem(atlas.pi * atlas.zeta, atlas.zeta)
-    assert q * q.inverse() == QuotientElem(SignedPerm.identity(4), atlas.zeta)
+    q = _QuotientElem(atlas.pi, atlas.zeta)
+    assert q == _QuotientElem(atlas.pi * atlas.zeta, atlas.zeta)
+    assert q * q.inverse() == _QuotientElem(SignedPerm.identity(4), atlas.zeta)
     quotient = ConcreteGroup.generate(
-        {name: QuotientElem(g, atlas.zeta)
+        {name: _QuotientElem(g, atlas.zeta)
          for name, g in group_cube().generators.items()})
-    assert len(quotient) == 192
+    assert len(quotient) == 192 == build_hemi().quotient_group_order
+    # the order of rho0 rho1 rho2 rho3 in the quotient, by products
+    prod = quotient.identity
+    for gen in quotient.generator_list():
+        prod = prod * gen
+    order, e = 1, prod
+    while e != quotient.identity:
+        order, e = order + 1, e * prod
+    assert order == 4 == build_hemi().generator_product_order
 
 
 # -- the action table ------------------------------------------------------------
@@ -425,7 +487,7 @@ def test_closure_against_products_on_every_build_group():
     for generators, cap, names in calls:
         group = _assert_closure_matches(generators, cap=cap, names=names)
         kinds.add(type(group.identity))
-    assert kinds == {SignedPerm, QuotientElem, FacePerm}
+    assert kinds == {SignedPerm, FacePerm}
     assert len(calls) >= 10
 
 
@@ -496,7 +558,7 @@ def test_extend_homomorphism_against_products(atlas):
                          "tau2": atlas.rho2, "tau3": atlas.rho3}),
         (group_cover(), {"tau0": atlas.rho3, "tau1": atlas.rho2,
                          "tau2": atlas.rho1, "tau3": atlas.rho0}),
-        (group_cube(), {name: QuotientElem(g, atlas.zeta)
+        (group_cube(), {name: _QuotientElem(g, atlas.zeta)
                         for name, g in group_cube().generators.items()}),
     ]
     # images of two degrees still fail on the first product between them
@@ -514,6 +576,7 @@ def test_extend_homomorphism_against_products(atlas):
         else:
             assert isinstance(got, HomomorphismFailure)
             assert (got.word_a, got.word_b) == expected
+            assert _witness_pair_inconsistent(src, images, got.word_a, got.word_b)
         outcomes.add(type(got))
     assert outcomes == {Homomorphism, HomomorphismFailure}
 
@@ -522,7 +585,7 @@ def test_one_order_for_group_elements(atlas):
     rng = random.Random(7)
     perms = [_random_signed_perm(rng, rng.randint(1, 8)) for _ in range(200)]
     cube = group_cube()
-    quotients = [QuotientElem(g, atlas.zeta) for g in rng.sample(cube.elements, 100)]
+    quotients = [_QuotientElem(g, atlas.zeta) for g in rng.sample(cube.elements, 100)]
     faces = [FacePerm(tuple(tuple(rng.sample(range(k), k)) for k in (3, 4, 2)))
              for _ in range(100)]
     for xs in (perms, quotients, faces):
