@@ -2,11 +2,12 @@
 stabilizers, homomorphism extension over a Cayley graph, string/intersection
 conditions, and coset enumeration of finite presentations.
 
-Every group is fully enumerated.  Its closure is kept as an integer action
-table (the Cayley graph of the generators, with a breadth-first spanning
-tree that gives each element a generator word), so subgroups generated by
-some of the generators, right cosets and products with an element become
-integer searches rather than fresh products of group elements.
+Every group is a closure from generators, fully enumerated.  The closure
+is kept as an integer action table (the Cayley graph of the generators,
+with a breadth-first spanning tree that gives each element a generator
+word), so subgroups generated by some of the generators, right cosets and
+products with an element become integer searches rather than fresh
+products of group elements.
 """
 
 from __future__ import annotations
@@ -78,23 +79,20 @@ class ConcreteGroup:
     """A fully enumerated finite group with named generators.
 
     Elements may be any hashable values supporting `*` and `.inverse()`;
-    the element list is kept in breadth-first closure order, which makes
-    every derived listing deterministic.  Under it sits an ActionTable:
-    `generate` records it while it closes, and a group built directly gets
-    it from products on first use.  Subgroups generated by generator
+    the element list is kept in breadth-first closure order from the
+    identity, which makes every derived listing deterministic.  Every group
+    is made by `generate` (or `subgroup`, which calls it), and keeps the
+    ActionTable recorded while it closed.  Subgroups generated by generator
     columns, right cosets and products with an element's word are then
     integer searches over the table.
     """
 
-    def __init__(self, elements: Sequence, generators: Mapping[str, object], identity):
+    def __init__(self, elements: Sequence, generators: Mapping[str, object], table: ActionTable):
         self.elements: tuple = tuple(elements)
         self.element_set: frozenset = frozenset(elements)
         self.generators: dict = dict(generators)
-        self.identity = identity
-        if len(self.element_set) != len(self.elements):
-            raise ValueError("duplicate elements")
-        self._table: ActionTable | None = None
-        self._spans: dict[int, list[int]] = {}
+        self.identity = self.elements[0]
+        self._table = table
 
     @classmethod
     def generate(cls, generators, cap: int = DEFAULT_CAP, names: Sequence[str] | None = None
@@ -134,17 +132,12 @@ class ConcreteGroup:
             act.append(row)
         elements = list(map(decode, found))
         del found, index  # the codes are not needed past the closure
-        group = cls(elements, named, elements[0])
-        group._table = ActionTable(dict(zip(elements, range(len(elements)))), act, parent)
-        return group
+        return cls(elements, named, ActionTable(dict(zip(elements, range(len(elements)))),
+                                                act, parent))
 
     # -- basics --------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def order(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
@@ -170,29 +163,13 @@ class ConcreteGroup:
         words = map(self.word, range(len(self)))
         central = [z for z, row, word in zip(self.elements, act, words)
                    if all(row[k] == self.walk(g, word) for k, g in enumerate(act[0]))]
-        names = {f"z{i}": z for i, z in enumerate(central)}
-        return ConcreteGroup(central, names, self.identity)
+        return self.subgroup(central)
 
     # -- the action table -----------------------------------------------------
 
     def table(self) -> ActionTable:
-        """The action table; for a group built directly, from products, with
-        each element's parent the first (p, k) with p before it."""
-        if self._table is None:
-            index = {e: i for i, e in enumerate(self.elements)}
-            gens = self.generator_list()
-            act = [[index.get(e * g) for g in gens] for e in self.elements]
-            parent = [None] * len(self)
-            for i, row in enumerate(act):
-                for k, j in enumerate(row):
-                    if j is not None and j > i and parent[j] is None:
-                        parent[j] = (i, k)
-            hole = next((i for i, row in enumerate(act) if None in row), None)
-            check(hole is None, "group.closed-under-generators", hole)
-            unreached = next((i for i in range(1, len(self)) if parent[i] is None), None)
-            check(self.elements[0] == self.identity and unreached is None,
-                  "group.generators-reach-every-element", unreached)
-            self._table = ActionTable(index, act, parent)
+        """The action table `generate` recorded.  It is closed under the
+        generators and reaches every element by construction."""
         return self._table
 
     def word(self, i: int) -> list[int]:
@@ -221,21 +198,9 @@ class ConcreteGroup:
     def span(self, mask: int) -> list[int]:
         """Positions of the subgroup generated by the generators whose bits
         are set in mask, in breadth-first order from the identity."""
-        if mask not in self._spans:
-            act = self.table().act
-            cols = [k for k in range(len(self.generators)) if mask >> k & 1]
-            seen = bytearray(len(self))
-            seen[0] = 1
-            out = [0]
-            for i in out:  # the list grows while it is read
-                row = act[i]
-                for k in cols:
-                    j = row[k]
-                    if not seen[j]:
-                        seen[j] = 1
-                        out.append(j)
-            self._spans[mask] = out
-        return self._spans[mask]
+        act = self.table().act
+        cols = [k for k in range(len(self.generators)) if mask >> k & 1]
+        return reach(0, lambda i: [act[i][k] for k in cols])
 
     def right_cosets(self, sub: "ConcreteGroup") -> list[list[int]]:
         """The right cosets (sub)g as lists of positions, in order of first
@@ -318,9 +283,7 @@ def orbit(group: ConcreteGroup, point, action: Callable = None) -> list:
 def stabilizer(group: ConcreteGroup, point, action: Callable = None) -> ConcreteGroup:
     if action is None:
         action = lambda p, g: g.act(p)
-    elems = [g for g in group.elements if action(point, g) == point]
-    names = {f"s{i}": g for i, g in enumerate(elems)}
-    return ConcreteGroup(elems, names, group.identity)
+    return group.subgroup([g for g in group.elements if action(point, g) == point])
 
 
 def setwise_stabilizer(group: ConcreteGroup, points: Iterable, action: Callable = None
@@ -380,9 +343,8 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
     decoded once, for the mapping.
 
     Every element j >= 1 has a parent (i, k) with act[i][k] == j: `generate`
-    builds the table so, and `table()` checks it as
-    `group.generators-reach-every-element`.  So row i sets image[j], and
-    the extension covers the group.
+    builds every group's table so.  So row i sets image[j], and the
+    extension covers the group.
     """
     missing = set(src.generators) - set(images)
     if missing:
@@ -688,19 +650,16 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
 
     # compact: breadth-first renumbering from the subgroup coset; rows come
     # out in the order cosets are numbered
+    def resolved(c: int) -> list[int]:
+        """Row c with every entry its live coset; the walk reads each once."""
+        table[c] = [find(d) for d in table[c]]
+        return table[c]
+
     out = [col[x] for g in range(1, ngens + 1) for x in (g, -g)]
-    start = find(0)
-    order: dict[int, int] = {start: 0}
-    queue = deque([start])
-    rows = []
-    while queue:
-        row = [find(d) for d in table[queue.popleft()]]
-        for d in row:
-            if d not in order:
-                order[d] = len(order)
-                queue.append(d)
-        rows.append(tuple(order[row[k]] for k in out))
-    result = CosetTable(generator_count=ngens, rows=tuple(rows),
+    order = reach(find(0), resolved)
+    number = {c: i for i, c in enumerate(order)}
+    rows = tuple(tuple(number[table[c][k]] for k in out) for c in order)
+    result = CosetTable(generator_count=ngens, rows=rows,
                         subgroup_words=subgroup_words)
     check(result.validate(pres), "cosets.table-satisfies-presentation",
           (result.index, result.generator_count))

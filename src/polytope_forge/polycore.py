@@ -398,9 +398,8 @@ def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     check(string_condition(group), "reflections.string-condition", list(group.generators))
     check(intersection_condition(group), "reflections.intersection-condition",
           list(group.generators))
-    full = (1 << len(named)) - 1
-    subgroups = [ConcreteGroup([group.elements[i] for i in group.span(full & ~(1 << j))],
-                               dict(named[:j] + named[j + 1:]), group.identity)
+    # a rank-1 group omits its only generator: the trivial subgroup
+    subgroups = [group.subgroup(dict(named[:j] + named[j + 1:]) or [group.identity])
                  for j in range(len(named))]
     return coset_geometry(group, subgroups)
 

@@ -36,7 +36,7 @@ from polytope_forge.groupcore import (
     stabilizer,
     string_condition,
 )
-from polytope_forge.polycore import FacePerm
+from polytope_forge.polycore import FacePerm, polytope_from_reflections
 from polytope_forge.signedperm import SignedPerm, block_pair
 
 
@@ -337,8 +337,51 @@ def test_action_table_against_products(make):
         word = g.word(i)
         assert eval_word(gens, [k + 1 for k in word], g.identity) == e
         assert g.walk(0, word) == i
-    # a group built directly gets the same table from products
-    assert ConcreteGroup(g.elements, g.generators, g.identity).table() == g.table()
+    assert _table_by_products(g) == g.table()
+
+
+def _table_by_products(group):
+    """The products branch `table()` had for a group built from an element
+    list, with its two conditions: the elements are closed under the
+    generators, and the generators reach every element from the identity.
+    Each element's parent is the first (p, k) with p before it."""
+    index = {e: i for i, e in enumerate(group.elements)}
+    gens = group.generator_list()
+    act = [[index.get(e * g) for g in gens] for e in group.elements]
+    parent = [None] * len(group)
+    for i, row in enumerate(act):
+        for k, j in enumerate(row):
+            if j is not None and j > i and parent[j] is None:
+                parent[j] = (i, k)
+    assert not any(None in row for row in act)
+    assert group.elements[0] == group.identity and None not in parent[1:]
+    return ActionTable(index, act, parent)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _bn_group(3), lambda: _bn_group(4), lambda: _bn_group(5), group_cube, group_cover,
+    lambda: ConcreteGroup.generate({"r": build_atlas().rho0}),
+], ids=["b3", "b4", "b5", "cube", "cover", "segment"])
+def test_reflection_subgroups_are_closures_of_their_spans(make):
+    group = make()
+    full = (1 << len(group.generators)) - 1
+    for j, sub in enumerate(polytope_from_reflections(group).subgroups):
+        assert sub.elements == tuple(group.elements[i] for i in group.span(full & ~(1 << j)))
+        assert sub.table() == _table_by_products(sub)
+
+
+def test_centres_and_stabilizers_are_closures(atlas):
+    g = group_cube()
+    for make in (group_cube, group_map_rotation, group_cover_rotation, group_cover):
+        centre = make().centre()
+        assert centre.table() == _table_by_products(centre)
+    octagon = frozenset(atlas.base_octagon.vertex_set())
+    for stab, fixes in ((stabilizer(g, atlas.v), lambda x: x.act(atlas.v) == atlas.v),
+                        (setwise_stabilizer(g, octagon),
+                         lambda x: frozenset(map(x.act, octagon)) == octagon)):
+        # the closure keeps the group's order of the stabilizing elements
+        assert stab.elements == tuple(filter(fixes, g))
+        assert stab.table() == _table_by_products(stab)
 
 
 def _intersection_by_closure(gens):
@@ -383,7 +426,7 @@ def _coset_reps_by_products(group, sub):
 def test_coset_reps_against_products(atlas):
     g = group_cube()
     rot = group_rotation_sigma()
-    k = setwise_stabilizer(g, atlas.base_octagon.vertex_set())  # its table comes lazily
+    k = setwise_stabilizer(g, atlas.base_octagon.vertex_set())
     for group, sub in ((g, g.subgroup([atlas.rho1, atlas.rho2, atlas.rho3])),
                        (k, k.subgroup([atlas.mu0])),
                        (g, stabilizer(g, atlas.v)),

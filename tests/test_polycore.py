@@ -124,12 +124,17 @@ def _bn_polytope(n):
     return polytope_from_reflections(ConcreteGroup.generate([rho0] + swaps))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 2])
 def test_ncube_from_reflections_up_to_rank_5(n):
     # polytope_from_reflections validates every rank up to 5 on the way
     struct = _bn_polytope(n)
     assert struct.f_vector == tuple(math.comb(n, k) * 2 ** (n - k) for k in range(n))
     assert len(struct.flags()) == 2 ** n * math.factorial(n)
+    if n % 2 == 0:
+        # the hemi-n-cube: -I is central and pairs off the faces of every rank
+        minus_one = SignedPerm((-1,) * n, range(1, n + 1))
+        hemi = central_quotient(struct, minus_one)
+        assert hemi.f_vector == tuple(f // 2 for f in struct.f_vector)
 
 
 @pytest.mark.parametrize("make", [
