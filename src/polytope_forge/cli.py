@@ -586,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "project":
             try:
-                colors = tuple(int(tok) for tok in args.colors.split(",") if tok)
+                colors = tuple(int(tok) for tok in args.colors.split(","))
             except ValueError:
                 raise ValueError("edge colours must be one or more of 1..4, "
                                  f"got {args.colors!r}") from None

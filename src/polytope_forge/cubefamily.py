@@ -762,7 +762,6 @@ class MapBundle(NamedTuple):
     full_group: ConcreteGroup  # generated by t0, t1, t2
     regularity_hom: Homomorphism
     rotation_classification: Classification
-    full_classification: Classification
     edge_stabilizer_in_full_group: frozenset
     mu0_preserves_edges: bool
 
@@ -777,7 +776,8 @@ class MapBundle(NamedTuple):
             "levi_automorphism_count": self.levi_automorphism_count,
             "geometrically_chiral": not self.mu0_preserves_edges,
             "rotation_classification": self.rotation_classification.value,
-            "full_classification": self.full_classification.value,
+            # one flag orbit, by the check `map.automorphism-count`
+            "full_classification": "regular",
         }
 
 
@@ -871,11 +871,9 @@ def build_map() -> MapBundle:
     t_gens = [FacePerm.from_mapping(struct, h[0]) for h in hits]
     broken = broken_relator(t_gens, presentation_map_full())
     check(broken is None, "map.full-presentation", broken)
-    full_result = classify(struct, [h[0] for h in hits])
-    check(full_result.kind is Classification.REGULAR, "map.full-group-regular",
-          full_result.kind)
     # automorphisms of a polytope act freely on its flags, so a group of
-    # them with one element per flag is the whole automorphism group
+    # them with one element per flag is the whole automorphism group, and
+    # it has one flag orbit: the map is regular
     full_group = ConcreteGroup.generate(t_gens, names=["t0", "t1", "t2"])
     check(len(full_group) == len(struct.flags()), "map.automorphism-count",
           (len(full_group), len(struct.flags())))
@@ -916,7 +914,6 @@ def build_map() -> MapBundle:
         deleted_edges=deleted, levi_automorphism_count=aut_count,
         full_group=full_group, regularity_hom=hom,
         rotation_classification=rot_result.kind,
-        full_classification=full_result.kind,
         edge_stabilizer_in_full_group=stab,
         mu0_preserves_edges=mu0_keeps,
     )

@@ -301,32 +301,31 @@ def classify(p: RankedIncidenceStructure,
 
     Regular: one orbit.  Chiral: two orbits and every pair of adjacent flags
     is split across them.  Anything else: Other.
+
+    Each face map must be an automorphism of the polytope p; none is
+    checked.  A coset face action is one, since right multiplication keeps
+    intersecting cosets intersecting.  Automorphisms of a polytope act
+    freely on its flags (McMullen & Schulte, Abstract Regular Polytopes,
+    2B), so every orbit has as many flags as the orbit of the base flag,
+    the only one walked.  Automorphisms commute with j-adjacency, so when
+    the base flag's j-adjacent flag lies outside its orbit, j-adjacency maps
+    the base orbit injectively into the other orbit, of the same size, and
+    so onto it: every j-adjacent pair is split, and `rank` adjacency tests
+    decide chirality.
     """
-    for fm in face_maps:
-        fault = _face_map_fault(p, fm, p.all_refs(), p, p.all_refs())
-        check(fault is None, "classify.face-map-is-automorphism", fault)
-
-    # tables[m][r][i]: the index of the image of face (r, i) under face_maps[m]
-    tables = [[[fm[(r, i)][1] for i in range(len(keys))] for r, keys in enumerate(p.faces_by_rank)]
-              for fm in face_maps]
-
-    def images(flag):
-        return [tuple(map(getitem, table, flag)) for table in tables]
-
-    orbit_of: dict[tuple[int, ...], int] = {}
-    orbits = 0
-    for flag in p.flags():
-        if flag not in orbit_of:
-            orbit_of.update(dict.fromkeys(reach(flag, images), orbits))
-            orbits += 1
+    tables = [FacePerm.from_mapping(p, fm).images for fm in face_maps]
+    flags = p.flags()
+    base = flags[0]
+    orbit = set(reach(base, lambda flag: [tuple(map(getitem, table, flag)) for table in tables]))
+    orbits = len(flags) // len(orbit)
     if orbits == 1:
         kind = Classification.REGULAR
-    elif orbits == 2 and all(orbit_of[f] != orbit_of[g] for f in p.flags()
-                             for j in range(p.rank) for g in p.flag_adjacent(f, j)):
+    elif orbits == 2 and not any(g in orbit for j in range(p.rank)
+                                 for g in p.flag_adjacent(base, j)):
         kind = Classification.CHIRAL
     else:
         kind = Classification.OTHER
-    return ClassifyResult(kind=kind, orbit_count=orbits, flag_count=len(p.flags()))
+    return ClassifyResult(kind=kind, orbit_count=orbits, flag_count=len(flags))
 
 
 # -- coset geometries -----------------------------------------------------------

@@ -174,7 +174,7 @@ def test_check_ids_are_unique_layer_kebab_literals():
     # the stabilizer and face-map sites are plain checks like the rest
     assert {"enantiomorph.edge-stabilizer", "enantiomorph.mirror-by-rho0-is-an-isomorphism",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 177
+    assert len(ids) >= 175
 
 
 def _calls(tree: ast.AST, name: str) -> list:

@@ -160,7 +160,8 @@ def test_main_usage_errors(capsys):
     assert code == 2
     for bad in (["--scale", "0"], ["--scale", "nan"], ["--scale", "inf"],
                 ["--scale=-inf"], ["--scale=-1"], ["--colors", "1,9"], ["--colors", "9"],
-                ["--preset", "plane", "--colors", "9"], ["--colors", ","]):
+                ["--preset", "plane", "--colors", "9"], ["--colors", ","],
+                ["--colors", "1,,2"], ["--colors", "1,"]):
         assert cli.main(["project", *bad]) == 2, bad
     # --cap must be positive, also where no coset enumeration would read it
     for argv in (["verify", "orders.cube-full", "--cap", "-5"],

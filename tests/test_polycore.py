@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import getitem
 from pathlib import Path
 
 import networkx as nx
@@ -28,10 +29,12 @@ from polytope_forge.cubefamily import (
     group_cover,
     group_rotation_sigma,
 )
-from polytope_forge.groupcore import CheckFailed, ConcreteGroup
+from polytope_forge.groupcore import CheckFailed, ConcreteGroup, reach
 from polytope_forge.polycore import (
     _coset_decomposition,
+    _face_map_fault,
     Classification,
+    ClassifyResult,
     ColoredGraph,
     CosetGeometry,
     RankedIncidenceStructure,
@@ -116,12 +119,13 @@ def test_coset_geometry_agrees_with_reflection_construction():
                if a[0] != b[0])
 
 
-def _bn_polytope(n):
+def _bn_polytope(n, h=None):
     """The n-cube from the reflections of B_n: rho_0 negates coordinate 1,
-    rho_i swaps coordinates i and i+1."""
+    rho_i swaps coordinates i and i+1; each conjugated by h when given."""
     rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
     swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
-    return polytope_from_reflections(ConcreteGroup.generate([rho0] + swaps))
+    gens = [g if h is None else g.conjugate(h) for g in [rho0] + swaps]
+    return polytope_from_reflections(ConcreteGroup.generate(gens))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 2])
@@ -328,6 +332,107 @@ def test_classification_regular_chiral_other(atlas):
     # a single reflection generates far too little: neither regular nor chiral
     tiny = classify(cube, [coset_face_action(cube, atlas.rho0)])
     assert tiny.kind is Classification.OTHER
+
+
+def _classify_by_face_maps(p, face_maps):
+    """The classification before it walked one orbit: every face map checked
+    to be an automorphism, every flag sorted into an orbit and every
+    adjacent pair of flags tested for the chiral case."""
+    for fm in face_maps:
+        fault = _face_map_fault(p, fm, p.all_refs(), p, p.all_refs())
+        assert fault is None, fault
+    tables = [[[fm[(r, i)][1] for i in range(len(keys))] for r, keys in enumerate(p.faces_by_rank)]
+              for fm in face_maps]
+
+    def images(flag):
+        return [tuple(map(getitem, table, flag)) for table in tables]
+
+    orbit_of = {}
+    orbits = 0
+    for flag in p.flags():
+        if flag not in orbit_of:
+            orbit_of.update(dict.fromkeys(reach(flag, images), orbits))
+            orbits += 1
+    if orbits == 1:
+        kind = Classification.REGULAR
+    elif orbits == 2 and all(orbit_of[f] != orbit_of[g] for f in p.flags()
+                             for j in range(p.rank) for g in p.flag_adjacent(f, j)):
+        kind = Classification.CHIRAL
+    else:
+        kind = Classification.OTHER
+    return ClassifyResult(kind=kind, orbit_count=orbits, flag_count=len(p.flags()))
+
+
+def _own_action(struct):
+    return struct, [coset_face_action(struct, g) for g in struct.group.generator_list()]
+
+
+def _cube_action(*words):
+    """The cube under the subgroup generated by these words in rho0..rho3."""
+    atlas, cube = build_atlas(), build_cube().structure
+    rho = (atlas.rho0, atlas.rho1, atlas.rho2, atlas.rho3)
+    gens = [math.prod((rho[k] for k in word[1:]), start=rho[word[0]]) for word in words]
+    return cube, [coset_face_action(cube, g) for g in gens]
+
+
+def _ladder_rung(n):
+    """B_n as the n-cube ladder builds it, conjugated by a seeded signed
+    permutation."""
+    rng = random.Random(n)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return _own_action(_bn_polytope(n, SignedPerm([rng.choice((1, -1)) for _ in range(n)], perm)))
+
+
+def _map_full_group():
+    bundle = build_map()
+    return bundle.structure, [
+        {(r, i): (r, j) for r, row in enumerate(t.images) for i, j in enumerate(row)}
+        for t in bundle.full_group.generator_list()]
+
+
+REG, CHI, OTH = Classification.REGULAR, Classification.CHIRAL, Classification.OTHER
+
+
+@pytest.mark.parametrize("make,kind,orbits", [
+    (lambda: _own_action(build_cube().structure), REG, 1),
+    (lambda: _own_action(build_map().structure), CHI, 2),
+    (lambda: _own_action(build_roli().structure), CHI, 2),
+    (lambda: _own_action(build_enantiomorph().structure), CHI, 2),
+    (lambda: _own_action(build_cover().structure), REG, 1),
+    (lambda: _ladder_rung(3), REG, 1),
+    (lambda: _ladder_rung(4), REG, 1),
+    (lambda: _ladder_rung(5), REG, 1),
+    # the map's t0, t1, t2 generate its full group: what map.automorphism-count implies
+    (_map_full_group, REG, 1),
+    (lambda: _cube_action((0,)), OTH, 192),
+    (lambda: _cube_action((0,), (1,)), OTH, 48),
+    (lambda: _cube_action((0, 1), (1, 2), (2, 3)), CHI, 2),
+    # two orbits, but rho1 keeps 1-adjacent flags in one orbit
+    (lambda: _cube_action((1,), (2,), (3,), (0, 1, 0)), OTH, 2),
+], ids=["cube", "map-rotations", "roli", "enantiomorph", "cover", "b3", "b4", "b5",
+        "map-full-group", "cube-rho0", "cube-rho0-rho1", "cube-rotations",
+        "cube-rho1-rho2-rho3-rho0rho1rho0"])
+def test_classify_against_the_face_map_oracle(make, kind, orbits):
+    p, face_maps = make()
+    result = classify(p, face_maps)
+    assert result == _classify_by_face_maps(p, face_maps)
+    assert (result.kind, result.orbit_count, result.flag_count) == (kind, orbits, len(p.flags()))
+
+
+def test_classify_makes_rank_adjacency_tests(monkeypatch):
+    # the chiral test reads the flags adjacent to the base flag, not to every flag
+    roli, face_maps = _own_action(build_roli().structure)
+    calls = []
+    adjacent = RankedIncidenceStructure.flag_adjacent
+
+    def counted(self, flag, j):
+        calls.append((flag, j))
+        return adjacent(self, flag, j)
+
+    monkeypatch.setattr(RankedIncidenceStructure, "flag_adjacent", counted)
+    assert classify(roli, face_maps).kind is Classification.CHIRAL
+    assert len(calls) <= roli.rank == 4
 
 
 def test_schlafli_types():

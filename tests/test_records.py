@@ -35,7 +35,7 @@ FIELDS = {
                             "colourful"),
     cubefamily.MapBundle: (
         "structure", "octagons", "edges", "deleted_edges", "levi_automorphism_count",
-        "full_group", "regularity_hom", "rotation_classification", "full_classification",
+        "full_group", "regularity_hom", "rotation_classification",
         "edge_stabilizer_in_full_group", "mu0_preserves_edges"),
     cubefamily.RoliBundle: ("structure", "realization", "stabilizer_orders", "classification",
                             "orbit_count", "flag_count", "type_vector", "witness_holds",
