@@ -321,6 +321,8 @@ class ProjectionSpec(NamedTuple):
                              "it must be finite and positive")
         if not self.colors or any(c not in _EDGE_COLOR_NAMES for c in self.colors):
             raise ValueError(f"edge colours must be one or more of 1..4, got {self.colors}")
+        if len(set(self.colors)) != len(self.colors):
+            raise ValueError(f"edge colours must not repeat, got {self.colors}")
         g00 = sum(x * x for x in self.basis[0])
         g11 = sum(x * x for x in self.basis[1])
         g01 = sum(x * y for x, y in zip(self.basis[0], self.basis[1]))

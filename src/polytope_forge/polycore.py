@@ -406,8 +406,12 @@ def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
 # -- central quotients ------------------------------------------------------------
 
 
-def central_quotient(p: CosetGeometry, z) -> RankedIncidenceStructure:
-    """Quotient by a central involution acting freely on faces.
+def central_quotient(p: CosetGeometry, z) -> CosetGeometry:
+    """Quotient by a central involution acting freely on faces: the coset
+    geometry of the subgroups H_j<z>.  Since z is central, H<z>g is the
+    union of the face Hg and its mate Hgz, so the least member of that
+    union is the lesser of the two faces' keys; and z fixes Hg exactly when
+    g z g^-1 = z lies in H, so it acts freely when no H_j holds it.
 
     `z` is an element of p.group (the trivial quotient by the identity is
     allowed and returns an isomorphic structure)."""
@@ -417,19 +421,11 @@ def central_quotient(p: CosetGeometry, z) -> RankedIncidenceStructure:
     check(all(z * g == g * z for g in p.group.generator_list()), "quotient.element-central", z)
     identity = p.group.identity
     check(z == identity or z * z == identity, "quotient.element-an-involution", z)
-    face_map = coset_face_action(p, z)
     fixed = None if z == identity else next(
-        (ref for ref in p.all_refs() if face_map[ref] == ref), None)
+        ((j, p.canon[j][0]) for j, sub in enumerate(p.subgroups) if z in sub), None)
     check(fixed is None, "quotient.acts-freely", fixed)
-
-    # a face and its mate are one face of the quotient, keyed by the lesser key
-    orbit_key = {ref: min(p.key(ref), p.key(face_map[ref])) for ref in p.all_refs()}
-    faces_by_rank = [[orbit_key[ref] for ref in p.refs(r) if ref <= face_map[ref]]
-                     for r in range(p.rank)]
-    pairs = {((a[0], orbit_key[a]), (b[0], orbit_key[b])) for a in p.all_refs() for b in p._inc[a]}
-    struct = RankedIncidenceStructure(p.rank, faces_by_rank, pairs)
-    struct.validate_polytope()
-    return struct
+    return coset_geometry(p.group, [p.group.subgroup(sub.generator_list() + [z])
+                                    for sub in p.subgroups])
 
 
 # -- colourful polytopes ----------------------------------------------------------

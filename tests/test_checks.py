@@ -174,7 +174,125 @@ def test_check_ids_are_unique_layer_kebab_literals():
     # the stabilizer and face-map sites are plain checks like the rest
     assert {"enantiomorph.edge-stabilizer", "enantiomorph.mirror-by-rho0-is-an-isomorphism",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 175
+    assert len(ids) >= 157
+
+
+def _package_check_ids() -> set:
+    return {arg.value for path in sorted(PACKAGE.glob("*.py"))
+            for arg in _check_names(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(arg, ast.Constant)}
+
+
+# the checks of the map's coset geometry that, with the realization, make
+# the cosets the map itself
+_MAP_REALIZED = ("map.coset-subgroup-orders", "map.type-8-3", "polytope.diamond",
+                 "realization.faithful", "realization.incidence-is-containment",
+                 "map.cosets-realize-the-map")
+
+# deleted check id -> the check ids that imply it (none where the
+# construction does), with why
+DELETED_AS_IMPLIED = {
+    "roli.f-vector": (("roli.stabilizer-orders", "groups.rotation-order"),
+                      "a rank-j face is a right coset: f_j = 192 / |H_j|"),
+    "roli.facet-count": (("roli.stabilizer-orders", "groups.rotation-order"),
+                         "f_3 = 192 / 48"),
+    "enantiomorph.f-vector": (("enantiomorph.stabilizer-orders", "groups.rotation-order"),
+                              "f_j = 192 / |H_j|"),
+    "map.f-vector": (("map.coset-subgroup-orders", "groups.map-rotation-order"),
+                     "f_j = 48 / |H_j|"),
+    "cover.vertex-subgroup-order": (("cover.f-vector", "groups.cover-order"),
+                                    "the vertex subgroup is struct.subgroups[0]: 768 / 32"),
+    "map.edge-count": (_MAP_REALIZED, "the realized edges are the 48 / 2 edge cosets"),
+    "map.octagon-count": (_MAP_REALIZED, "the realized octagons are the 48 / 8 cosets"),
+    "map.octagon-edges-are-map-edges": (_MAP_REALIZED,
+                                        "incidence is containment of realized faces"),
+    "map.edge-on-two-octagons": (_MAP_REALIZED, "the diamond at each edge"),
+    "map.deleted-edge-count": (_MAP_REALIZED + ("cube.f-vector",), "32 - 24"),
+    "map.mu0-moves-the-deleted-matching": (
+        ("map.mu0-moves-the-edges",),
+        "mu0 keeps the cube's edges, and the deleted ones are the map's complement"),
+    "map.involutions-generate-the-full-group": (
+        ("map.automorphism-count", "map.rotation-group-has-two-flag-orbits"),
+        "as many automorphisms as the 96 flags"),
+    "atlas.sigma2-sigma3-fix-v": (("atlas.v-spans-the-fixed-subspace",), "v is in that set"),
+    "hemi.quotient-group-order": (("groups.cube-order", "atlas.zeta-display"),
+                                  "384 / |<zeta>| with zeta = -I"),
+    "group.cosets-partition-the-group": (
+        (), "the right cosets of a subgroup closed by generate inside the group"),
+    "map.base-flag-is-a-flag": ((), "the faces that hold the identity meet pairwise"),
+    "groups.petrie-stabilizer-holds-mu0-mu1-pi": (
+        (), "build_atlas defines mu1 = mu0 pi, so pi = mu0 mu1"),
+    "enantiomorph.octagon-stabilizer-is-mirrored": (
+        (), "the octagon subgroup is generated by rho0-conjugates"),
+}
+
+
+def test_deleted_checks_stay_deleted_and_their_reasons_stand():
+    ids = _package_check_ids()
+    assert len(DELETED_AS_IMPLIED) == 18
+    assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
+    missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
+    assert not missing, sorted(missing)
+    assert IMPLIED_FACTS.keys() == DELETED_AS_IMPLIED.keys()
+
+
+def _deleted_edges() -> set:
+    return {tuple(sorted(e)) for e in cf.build_cube().skeleton.edge_colors} - cf.build_map().edges
+
+
+def _cosets_partition_every_built_group() -> bool:
+    structs = [cf.build_cube().structure, cf.build_hemi().structure, cf.build_map().structure,
+               cf.build_roli().structure, cf.build_enantiomorph().structure,
+               cf.build_cover().structure]
+    return all(sorted(i for coset in s.group.right_cosets(sub) for i in coset)
+               == list(range(len(s.group))) for s in structs for sub in s.subgroups)
+
+
+def _mirrored_octagon_stabilizer() -> bool:
+    rho0 = cf.build_atlas().rho0
+    return cf.build_enantiomorph().structure.subgroups[2].element_set == frozenset(
+        rho0 * g * rho0 for g in cf.group_petrie_stabilizer())
+
+
+# deleted check id -> its fact, asserted on the built objects
+IMPLIED_FACTS = {
+    "roli.f-vector": lambda: cf.build_roli().structure.f_vector == (16, 32, 12, 4),
+    "roli.facet-count": lambda: len(cf.build_roli().structure.refs(3)) == 4,
+    "enantiomorph.f-vector": lambda: cf.build_enantiomorph().structure.f_vector
+    == (16, 32, 12, 4),
+    "map.f-vector": lambda: cf.build_map().structure.f_vector == (16, 24, 6),
+    "cover.vertex-subgroup-order": lambda: cf.build_cover().structure.subgroups[0].element_set
+    == cf.group_cover().subgroup(cf.group_cover().generator_list()[1:]).element_set
+    and len(cf.build_cover().structure.subgroups[0]) == 24,
+    "map.edge-count": lambda: len(cf.build_map().edges) == 24,
+    "map.octagon-count": lambda: len(cf.build_map().octagons) == 6,
+    "map.octagon-edges-are-map-edges": lambda: all(
+        o.edge_set() <= cf.build_map().edges for o in cf.build_map().octagons),
+    "map.edge-on-two-octagons": lambda: all(
+        sum(e in o.edge_set() for o in cf.build_map().octagons) == 2
+        for e in cf.build_map().edges),
+    "map.deleted-edge-count": lambda: len(_deleted_edges()) == 8,
+    "map.mu0-moves-the-deleted-matching": lambda: {
+        cf._face_image(1, e, cf.build_atlas().mu0.act) for e in _deleted_edges()}
+    != _deleted_edges(),
+    "map.involutions-generate-the-full-group": lambda: len(cf.build_map().full_group) == 96,
+    "atlas.sigma2-sigma3-fix-v": lambda: (
+        cf.build_atlas().sigma2.act(cf.build_atlas().v),
+        cf.build_atlas().sigma3.act(cf.build_atlas().v)) == (cf.build_atlas().v,) * 2,
+    "hemi.quotient-group-order": lambda: cf.build_hemi().quotient_group_order == 192,
+    "group.cosets-partition-the-group": _cosets_partition_every_built_group,
+    "map.base-flag-is-a-flag": lambda: tuple(canon[0] for canon in cf.build_map().structure.canon)
+    in cf.build_map().structure.flags(),
+    "groups.petrie-stabilizer-holds-mu0-mu1-pi": lambda: all(
+        g in cf.group_petrie_stabilizer()
+        for g in (cf.build_atlas().mu0, cf.build_atlas().mu1, cf.build_atlas().pi)),
+    "enantiomorph.octagon-stabilizer-is-mirrored": _mirrored_octagon_stabilizer,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DELETED_AS_IMPLIED))
+def test_fact_of_a_deleted_check_holds(name):
+    assert IMPLIED_FACTS[name]()
 
 
 def _calls(tree: ast.AST, name: str) -> list:

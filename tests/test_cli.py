@@ -161,7 +161,8 @@ def test_main_usage_errors(capsys):
     for bad in (["--scale", "0"], ["--scale", "nan"], ["--scale", "inf"],
                 ["--scale=-inf"], ["--scale=-1"], ["--colors", "1,9"], ["--colors", "9"],
                 ["--preset", "plane", "--colors", "9"], ["--colors", ","],
-                ["--colors", "1,,2"], ["--colors", "1,"]):
+                ["--colors", "1,,2"], ["--colors", "1,"], ["--colors", "1,1"],
+                ["--colors", "1,1,1,1,2"]):
         assert cli.main(["project", *bad]) == 2, bad
     # --cap must be positive, also where no coset enumeration would read it
     for argv in (["verify", "orders.cube-full", "--cap", "-5"],
@@ -256,13 +257,14 @@ def test_main_verify_list_honours_out_and_format(tmp_path, capsys):
 
 
 def test_hemi_and_the_chiral_row_read_tables_not_products(monkeypatch):
-    """Once the cube and rotation groups are closed, build_hemi reads the
-    quotient by zeta off the cube group's table, and the chiral cosets row
-    compares integer tables: neither multiplies group elements much."""
+    """Once the atlas is built and the cube and rotation groups are closed,
+    build_hemi reads the quotient by zeta off the cube group's table, and
+    the chiral cosets row compares integer tables: neither multiplies group
+    elements much."""
     from polytope_forge import cubefamily as cf
     from polytope_forge.signedperm import SignedPerm
 
-    cf.build_cube(), cf.group_cube(), cf.group_rotation_sigma()
+    cf.build_atlas(), cf.build_cube(), cf.group_cube(), cf.group_rotation_sigma()
     products = []
     real = SignedPerm.__mul__
     monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(b) or real(a, b))

@@ -26,6 +26,7 @@ from polytope_forge.groupcore import (
     ConcreteGroup,
     CosetTable,
     Presentation,
+    broken_relator,
     enumerate_cosets,
     eval_word,
 )
@@ -112,9 +113,16 @@ def test_unitary_triangle_presentation_order():
     assert enumerate_cosets(presentation_unitary_triangle()).index == 24
 
 
+def _published_cover_presentation() -> Presentation:
+    """The cover's relators as published: (t3 t3)^3 stands where
+    `presentation_cover` reads (t2 t3)^3."""
+    return Presentation(4, tuple((4, 4) * 3 if rel == (3, 4) * 3 else rel
+                                 for rel in presentation_cover().relators))
+
+
 def test_cover_presentation_corrected_reading():
     atlas = build_atlas()
-    table = enumerate_cosets(presentation_cover(corrected=True))
+    table = enumerate_cosets(presentation_cover())
     assert table.index == 768
     assignment = [atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3]
     ident = SignedPerm.identity(8)
@@ -123,10 +131,15 @@ def test_cover_presentation_corrected_reading():
 
 
 def test_cover_presentation_verbatim_reading_does_not_close():
-    # the literal relator list repeats a generator; enumeration blows past
-    # any reasonable cap instead of stopping at 768
+    # the literal relator list repeats a generator; the taus satisfy it,
+    # but so does a larger group: enumeration blows past any reasonable cap
+    # instead of stopping at 768
+    atlas = build_atlas()
+    published = _published_cover_presentation()
+    assert published.relators != presentation_cover().relators
+    assert broken_relator([atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3], published) is None
     with pytest.raises(CapExceeded):
-        enumerate_cosets(presentation_cover(corrected=False), cap=4096)
+        enumerate_cosets(published, cap=4096)
 
 
 def test_tables_are_reproducible_bit_for_bit():
@@ -363,7 +376,7 @@ _ORACLE_CASES = {
     "roli": (presentation_roli, ()),
     "roli-over-s1-s2": (presentation_roli, [(1,), (2,)]),
     "unitary-triangle": (presentation_unitary_triangle, ()),
-    "cover-corrected": (lambda: presentation_cover(corrected=True), ()),
+    "cover-corrected": (presentation_cover, ()),
     "s3": (lambda: Presentation(2, ((1, 1), (2, 2), (1, 2) * 3)), ()),
     "s4": (lambda: Presentation(3, ((1, 1), (2, 2), (3, 3),
                                     (1, 2) * 3, (2, 3) * 3, (1, 3) * 2)), ()),

@@ -459,8 +459,8 @@ def test_geometric_chirality_report(atlas):
     assert len(non_rotations) == 192
     assert not any(g in stab for g in non_rotations)
     assert not bundle.mu0_preserves_edges
-    moved = {_face_image(1, e, atlas.mu0.act) for e in bundle.deleted_edges}
-    assert moved != set(bundle.deleted_edges)
+    deleted = _deleted_edges(bundle)
+    assert {_face_image(1, e, atlas.mu0.act) for e in deleted} != deleted
 
 
 def test_map_involutions_generate_every_automorphism():
@@ -474,14 +474,18 @@ def test_map_involutions_generate_every_automorphism():
     assert all(t.inverse() == t for t in bundle.full_group.generator_list())
 
 
+def _deleted_edges(bundle) -> set:
+    """The cube's edges that the map leaves out, as sorted vertex pairs."""
+    return {tuple(sorted(e)) for e in build_cube().skeleton.edge_colors} - bundle.edges
+
+
 def test_deleted_edges_form_a_perfect_matching(atlas):
-    bundle = build_map()
-    assert len(bundle.deleted_edges) == 8
-    covered = [p for e in bundle.deleted_edges for p in e]
+    deleted = _deleted_edges(build_map())
+    assert len(deleted) == 8
+    covered = [p for e in deleted for p in e]
     assert len(covered) == len(set(covered)) == 16
-    moved = {tuple(sorted(atlas.mu0.act(p) for p in e))
-             for e in bundle.deleted_edges}
-    assert moved != bundle.deleted_edges
+    moved = {tuple(sorted(atlas.mu0.act(p) for p in e)) for e in deleted}
+    assert moved != deleted
 
 
 def test_label_solve_is_unique_and_pins_the_lines(atlas, monkeypatch):

@@ -249,8 +249,7 @@ def test_intersection_condition(atlas):
 def test_verify_relators(atlas):
     taus = [atlas.tau0, atlas.tau1, atlas.tau2, atlas.tau3]
     assert broken_relator([atlas.sigma1, atlas.sigma2], presentation_map_rotation()) is None
-    assert broken_relator(taus, presentation_cover(corrected=True)) is None
-    assert broken_relator(taus, presentation_cover(corrected=False)) is None
+    assert broken_relator(taus, presentation_cover()) is None
     assert broken_relator([atlas.pi], Presentation(1, ())) is None
     # sigma1 has order 8, so sigma1^2 = 1 is the relator it breaks
     assert broken_relator([atlas.sigma1, atlas.sigma2], Presentation(2, ((1, 1),))) == (1, 1)

@@ -47,7 +47,7 @@ from polytope_forge.polycore import (
     polytope_from_reflections,
     verify_covering,
 )
-from polytope_forge.signedperm import SignedPerm
+from polytope_forge.signedperm import SignedPerm, block_pair
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +259,7 @@ def test_coset_face_action_needs_coset_data():
 
 def test_plain_structures_carry_no_coset_data():
     # coset data lives on CosetGeometry and realizations on the bundles
-    for struct in (build_cube().colourful, build_hemi().structure, build_hemi().colourful):
+    for struct in (build_cube().colourful, build_hemi().colourful):
         assert not isinstance(struct, CosetGeometry)
         assert [name for name in ("group", "subgroups", "canon", "coset_canon", "realization")
                 if hasattr(struct, name)] == []
@@ -449,6 +449,53 @@ def test_hemi_quotient(atlas):
     assert hemi.structure.f_vector == (8, 16, 12, 4)
     assert hemi.quotient_group_order == 192
     assert hemi.generator_product_order == 4
+
+
+def _central_quotient_by_face_pairs(p, z):
+    """The face-pairing quotient: a face and its mate under z are one face,
+    keyed by the lesser key, and incident when some members are."""
+    face_map = coset_face_action(p, z)
+    key = {ref: min(p.key(ref), p.key(face_map[ref])) for ref in p.all_refs()}
+    faces_by_rank = [[key[ref] for ref in p.refs(r) if ref <= face_map[ref]]
+                     for r in range(p.rank)]
+    pairs = {((a[0], key[a]), (b[0], key[b])) for a in p.all_refs() for b in p._inc[a]}
+    return RankedIncidenceStructure(p.rank, faces_by_rank, pairs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: (build_cube().structure, a.zeta),
+    lambda a: (build_cube().structure, group_cube().identity),
+    lambda a: (_bn_polytope(2), SignedPerm((-1, -1), (1, 2))),
+    lambda a: (_bn_polytope(4, a.pi), a.zeta),
+], ids=["hemi-cube", "identity", "hemi-square", "hemi-b4-conjugated"])
+def test_central_quotient_against_the_face_pairing_oracle(make, atlas):
+    p, z = make(atlas)
+    quotient = central_quotient(p, z)
+    oracle = _central_quotient_by_face_pairs(p, z)
+    assert isinstance(quotient, CosetGeometry) and quotient.group is p.group
+    assert quotient.faces_by_rank == oracle.faces_by_rank
+    assert quotient._inc == oracle._inc
+
+
+def test_cover_centre_fixes_exactly_the_octagons_and_facets(atlas):
+    # one membership test per rank finds the ranks whose faces z fixes: the
+    # first is the witness
+    cover = build_cover().structure
+    zz = block_pair(atlas.zeta, atlas.zeta)
+    with pytest.raises(CheckFailed) as exc:
+        central_quotient(cover, zz)
+    assert (exc.value.name, exc.value.witness) == ("quotient.acts-freely", (2, cover.canon[2][0]))
+    face_map = coset_face_action(cover, zz)
+    assert [ref for ref in cover.all_refs() if face_map[ref] == ref] \
+        == cover.refs(2) + cover.refs(3)
+    assert [j for j, sub in enumerate(cover.subgroups) if zz in sub] == [2, 3]
+
+
+def test_hemi_cube_is_a_coset_geometry(atlas):
+    hemi = build_hemi().structure
+    assert isinstance(hemi, CosetGeometry) and hemi.group is group_cube()
+    assert [len(sub) for sub in hemi.subgroups] == [48, 24, 32, 96]
+    assert all(atlas.zeta in sub for sub in hemi.subgroups)
 
 
 def test_quotient_by_identity_is_isomorphic(atlas):

@@ -28,13 +28,13 @@ FIELDS = {
         "rho0", "rho1", "rho2", "rho3", "pi", "zeta", "mu0", "mu1", "mu2",
         "sigma1", "sigma2", "sigma3", "sigma1_bar", "sigma2_bar", "sigma3_bar",
         "kappa1", "kappa2", "kappa3", "tau0", "tau1", "tau2", "tau3", "gamma1", "gamma2",
-        "v", "v_bar", "w", "base_octagon", "base_octagram"),
+        "v", "v_bar", "base_octagon", "base_octagram"),
     cubefamily.CubeBundle: ("structure", "realization", "skeleton", "colourful",
                             "classification", "type_vector"),
     cubefamily.HemiBundle: ("structure", "quotient_group_order", "generator_product_order",
                             "colourful"),
     cubefamily.MapBundle: (
-        "structure", "octagons", "edges", "deleted_edges", "levi_automorphism_count",
+        "structure", "octagons", "edges", "levi_automorphism_count",
         "full_group", "regularity_hom", "rotation_classification",
         "edge_stabilizer_in_full_group", "mu0_preserves_edges"),
     cubefamily.RoliBundle: ("structure", "realization", "stabilizer_orders", "classification",
