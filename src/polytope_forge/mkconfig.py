@@ -11,6 +11,7 @@ epsilon anywhere in this module.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -40,18 +41,30 @@ __all__ = [
 
 
 class QF:
-    """An element a + b*sqrt(3) + c*i + d*i*sqrt(3) with rational parts."""
+    """An element a + b*sqrt(3) + c*i + d*i*sqrt(3) with rational parts,
+    stored as four integer numerators over one positive common denominator
+    in lowest terms, so equal values are equal tuples and no arithmetic
+    builds a `Fraction`.  The parts are given as `int`s or `Fraction`s."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_q",)  # (a, b, c, d, den): the parts are a/den .. d/den
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
-        object.__setattr__(self, "d", Fraction(d))
+        parts = (a, b, c, d)
+        for x in parts:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"QF parts are int or Fraction, not {type(x).__name__}")
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so the result is in lowest terms
+        den = math.lcm(*(x.denominator for x in parts))
+        _set(self, "_q", (*(x.numerator * (den // x.denominator) for x in parts), den))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QF is immutable")
+
+    a = property(lambda self: Fraction(self._q[0], self._q[4]))
+    b = property(lambda self: Fraction(self._q[1], self._q[4]))
+    c = property(lambda self: Fraction(self._q[2], self._q[4]))
+    d = property(lambda self: Fraction(self._q[3], self._q[4]))
 
     # constructors
     @classmethod
@@ -80,13 +93,17 @@ class QF:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QF(self.a + other.a, self.b + other.b,
-                  self.c + other.c, self.d + other.d)
+        a, b, c, d, m = self._q
+        e, f, g, h, n = other._q
+        if m == n:
+            return _reduced(a + e, b + f, c + g, d + h, m)
+        return _reduced(a * n + e * m, b * n + f * m, c * n + g * m, d * n + h * m, m * n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QF(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, m = self._q
+        return _exact((-a, -b, -c, -d, m))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -101,31 +118,35 @@ class QF:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = other.a, other.b, other.c, other.d
-        return QF(
-            a * e + 3 * b * f - c * g - 3 * d * h,
+        a, b, c, d, m = self._q
+        e, f, g, h, n = other._q
+        return _reduced(
+            a * e + 3 * (b * f - d * h) - c * g,
             a * f + b * e - c * h - d * g,
             a * g + c * e + 3 * (b * h + d * f),
             a * h + d * e + b * g + c * f,
+            m * n,
         )
 
     __rmul__ = __mul__
 
     def conj_i(self) -> "QF":
         """The automorphism i -> -i."""
-        return QF(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, m = self._q
+        return _exact((a, b, -c, -d, m))
 
     def conj_sqrt3(self) -> "QF":
         """The automorphism sqrt(3) -> -sqrt(3)."""
-        return QF(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, m = self._q
+        return _exact((a, -b, c, -d, m))
 
     def inverse(self) -> "QF":
         n1 = self * self.conj_i()
-        n = (n1 * n1.conj_sqrt3()).a
-        if n == 0:
+        # the norm num/den is |x|^2 |x'|^2 for x' = x.conj_sqrt3(), so num >= 0
+        num, _, _, _, den = (n1 * n1.conj_sqrt3())._q
+        if num == 0:
             raise ZeroDivisionError("QF division by zero")
-        return self.conj_i() * n1.conj_sqrt3() * QF(Fraction(1, 1) / n)
+        return self.conj_i() * n1.conj_sqrt3() * _exact((den, 0, 0, 0, num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -137,28 +158,52 @@ class QF:
         return self._coerce(other) * self.inverse()
 
     def is_zero(self) -> bool:
-        return self.a == self.b == self.c == self.d == 0
+        return self._q[:4] == (0, 0, 0, 0)
 
     def is_real(self) -> bool:
-        return self.c == self.d == 0
+        return self._q[2] == self._q[3] == 0
+
+    def real_imag(self) -> tuple["QF", "QF"]:
+        """(x, y) in Q(sqrt(3)) with self = x + i*y."""
+        a, b, c, d, m = self._q
+        return _reduced(a, b, 0, 0, m), _reduced(c, d, 0, 0, m)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return self._q == other._q
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._q)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 3 ** 0.5
+        a, b, _, _, m = self._q
+        return a / m + b / m * 3 ** 0.5  # int / int rounds as float(Fraction) does
 
     def __repr__(self) -> str:
         return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+_set = object.__setattr__
+
+
+def _exact(q: tuple[int, int, int, int, int]) -> QF:
+    """The QF stored as q, which is already in lowest terms."""
+    x = object.__new__(QF)
+    _set(x, "_q", q)
+    return x
+
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> QF:
+    """(a + b*sqrt(3) + c*i + d*i*sqrt(3)) / den for den > 0, in lowest terms."""
+    g = math.gcd(a, b, c, d, den)
+    if g == 1:
+        return _exact((a, b, c, d, den))
+    return _exact((a // g, b // g, c // g, d // g, den // g))
 
 
 ZERO = QF(0)
@@ -206,7 +251,7 @@ def build_J() -> Mat4:
     gram = tuple(tuple(sum(x * y for x, y in zip(row, other)) for other in m) for row in m)
     check(gram == tuple(tuple(3 * (r == c) for c in range(4)) for r in range(4)),
           "mk.j-orthogonal", gram)
-    return tuple(tuple(QF(0, Fraction(x, 3)) for x in row) for row in m)
+    return tuple(tuple(_reduced(0, x, 0, 0, 3) for x in row) for row in m)
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +286,13 @@ def _inverse_norms() -> tuple[QF, QF, QF, QF]:
     return tuple(dot(x, x).inverse() for x in build_L())
 
 
+def _complex(x: QF, y: QF) -> QF:
+    """x + i*y for x, y in Q(sqrt(3))."""
+    a, b, _, _, m = x._q
+    c, d, _, _, n = y._q
+    return _reduced(a * n, b * n, c * m, d * m, m * n)
+
+
 def complexify(point) -> tuple[QF, QF]:
     """Coordinates (z1, z2) of a vector in the C-basis a1, a2."""
     u = tuple(x if isinstance(x, QF) else QF(x) for x in point)
@@ -248,8 +300,7 @@ def complexify(point) -> tuple[QF, QF]:
     x1, y1, x2, y2 = (dot(u, x) * inv for x, inv in zip(rows, _inverse_norms()))
     check(all(part.is_real() for part in (x1, y1, x2, y2)), "mk.complexify-parts-real",
           (x1, y1, x2, y2))
-    z1 = QF(x1.a, x1.b, y1.a, y1.b)
-    z2 = QF(x2.a, x2.b, y2.a, y2.b)
+    z1, z2 = _complex(x1, y1), _complex(x2, y2)
     # z1 a1 + z2 a2, since build_L checks a1 J = b1 and a2 J = b2
     recon = vec_add(vec_add(scalar_mul(x1, a1), scalar_mul(y1, b1)),
                     vec_add(scalar_mul(x2, a2), scalar_mul(y2, b2)))
@@ -410,7 +461,7 @@ def _check_cross_polytope_and_shadows(config: Configuration) -> None:
                   for p, q in itertools.combinations(ambient, 2)),
           "mk.points-form-a-cross-polytope", ambient)
     r = QF.r()
-    shadows = {(QF(p.z1.a, p.z1.b), QF(p.z1.c, p.z1.d)) for p in pts}
+    shadows = {p.z1.real_imag() for p in pts}
     squares = ({(r, ZERO), (-r, ZERO), (ZERO, r), (ZERO, -r)}
                | {(QF(s), QF(t)) for s in (1, -1) for t in (1, -1)})
     check(shadows == squares, "mk.plane-shadows-two-squares", shadows)

@@ -63,40 +63,40 @@ def _swapped_table_rows(patch):
     patch(mk, "table_coordinates", lambda: {**real(), 1: real()[2], 2: real()[1]})
 
 
-# fault -> (injection, command, the check it must name, the cached builds
-# between the fault and the command)
+# fault -> (injection, command, the check it must name)
 FAULTS = {
-    "map-relator": (_wrong_map_relator, ["build", "map"], "map.full-presentation",
-                    (cf.build_map,)),
-    "roli-subgroups": (_equal_roli_subgroups, ["build", "roli"], "roli.stabilizer-orders",
-                       (cf.build_roli,)),
-    "atlas-display": (_perturbed_pi_display, ["build", "cube"], "atlas.pi-display",
-                      (cf.build_atlas, cf.group_cube, cf.build_cube)),
-    "mk-j-pattern": (_flipped_j_entry, ["build", "mk"], "mk.j-squares-to-minus-identity",
-                     (mk.build_J, mk.build_L, mk.build_configuration)),
-    "mk-table-rows": (_swapped_table_rows, ["build", "mk"], "mk.coordinates-match-the-table",
-                      (mk.table_coordinates, mk.build_configuration)),
-    "hemi-zeta": (_non_central_zeta, ["build", "hemi"], "quotient.element-central",
-                  (cf.build_atlas, cf.build_hemi)),
+    "map-relator": (_wrong_map_relator, ["build", "map"], "map.full-presentation"),
+    "roli-subgroups": (_equal_roli_subgroups, ["build", "roli"], "roli.stabilizer-orders"),
+    "atlas-display": (_perturbed_pi_display, ["build", "cube"], "atlas.pi-display"),
+    "mk-j-pattern": (_flipped_j_entry, ["build", "mk"], "mk.j-squares-to-minus-identity"),
+    "mk-table-rows": (_swapped_table_rows, ["build", "mk"], "mk.coordinates-match-the-table"),
+    "hemi-zeta": (_non_central_zeta, ["build", "hemi"], "quotient.element-central"),
     "enantiomorph-sigma1-bar": (_unbarred_sigma1, ["build", "enantiomorph"],
-                                "enantiomorph.edge-stabilizer",
-                                (cf.build_enantiomorph, cf.group_rotation_sigma_bar)),
+                                "enantiomorph.edge-stabilizer"),
 }
+
+
+def clear_build_caches() -> None:
+    """Empty every cached build of `cubefamily` and `mkconfig`, so no object
+    built before (or under) a fault meets one built after it."""
+    for module in (cf, mk):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
 
 
 def run_fault(fault: str, patch=setattr) -> int:
     """Inject the fault, run its command through `cli.main`, return the exit
-    code.  The caches are cleared first, so the build runs under the fault,
-    and again after, so no cached value outlives it."""
-    inject, argv, _, caches = FAULTS[fault]
+    code.  Every build cache is cleared first, while no build is patched
+    away, so the command builds under the fault, and again after, so no
+    value built under the fault outlives it."""
+    inject, argv, _ = FAULTS[fault]
+    clear_build_caches()
     inject(patch)
-    for build in caches:
-        build.cache_clear()
     try:
         return cli.main(argv)
     finally:
-        for build in caches:
-            build.cache_clear()
+        clear_build_caches()
 
 
 def _optimized(*args: str) -> subprocess.CompletedProcess:
@@ -321,14 +321,14 @@ def test_flipped_atlas_display_names_its_check(literal, name, monkeypatch):
     """The first sign of one display literal flips; build_atlas must fail
     that literal's own check."""
     flipped = "(" + literal[2:] if literal.startswith("(-") else "(-" + literal[1:]
+    clear_build_caches()
     real = cf._SP
     monkeypatch.setattr(cf, "_SP", lambda text: real(flipped if text == literal else text))
-    cf.build_atlas.cache_clear()
     try:
         with pytest.raises(CheckFailed) as exc:
             cf.build_atlas()
     finally:
-        cf.build_atlas.cache_clear()
+        clear_build_caches()
     assert exc.value.name == name
 
 

@@ -257,14 +257,13 @@ def test_main_verify_list_honours_out_and_format(tmp_path, capsys):
 
 
 def test_hemi_and_the_chiral_row_read_tables_not_products(monkeypatch):
-    """Once the atlas is built and the cube and rotation groups are closed,
-    build_hemi reads the quotient by zeta off the cube group's table, and
-    the chiral cosets row compares integer tables: neither multiplies group
-    elements much."""
+    """Once the cube and rotation groups are closed, build_hemi reads the
+    quotient by zeta off the cube group's table, and the chiral cosets row
+    compares integer tables: neither multiplies group elements much."""
     from polytope_forge import cubefamily as cf
     from polytope_forge.signedperm import SignedPerm
 
-    cf.build_atlas(), cf.build_cube(), cf.group_cube(), cf.group_rotation_sigma()
+    cf.build_cube(), cf.group_cube(), cf.group_rotation_sigma()
     products = []
     real = SignedPerm.__mul__
     monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(b) or real(a, b))

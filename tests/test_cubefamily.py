@@ -44,6 +44,7 @@ from polytope_forge.groupcore import (ConcreteGroup, check, extend_homomorphism,
 from polytope_forge.polycore import (Classification, FacePerm, RankedIncidenceStructure,
                                      _face_map_fault)
 from polytope_forge.signedperm import SignedPerm, block_pair
+from test_checks import clear_build_caches
 
 
 @pytest.fixture(scope="module")
@@ -762,10 +763,7 @@ def test_verify_all_scans_no_group_element_by_element(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, scan)
     monkeypatch.setattr(RankedIncidenceStructure, "automorphisms", scan)
-    for module in (cf, mkconfig):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
-                value.cache_clear()
+    clear_build_caches()
     products = []
     real = SignedPerm.__mul__
     monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(b) or real(a, b))

@@ -38,6 +38,7 @@ from polytope_forge.groupcore import (
 )
 from polytope_forge.polycore import FacePerm, polytope_from_reflections
 from polytope_forge.signedperm import SignedPerm, block_pair
+from test_checks import clear_build_caches
 
 
 @pytest.fixture(scope="module")
@@ -513,18 +514,14 @@ def test_closure_against_products_on_every_build_group():
 
     builds = (cubefamily.build_cube, cubefamily.build_map, cubefamily.build_roli,
               cubefamily.build_enantiomorph, cubefamily.build_cover, cubefamily.build_hemi)
-    caches = [value for value in vars(cubefamily).values()
-              if hasattr(value, "cache_clear") and value.__module__ == cubefamily.__name__]
-    for cache in caches:
-        cache.cache_clear()
+    clear_build_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ConcreteGroup, "generate", classmethod(spy))
             for build in builds:
                 build()
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        clear_build_caches()
     kinds = set()
     for generators, cap, names in calls:
         group = _assert_closure_matches(generators, cap=cap, names=names)

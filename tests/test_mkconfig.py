@@ -1,6 +1,7 @@
 """Exact field arithmetic and the configuration of eight points and lines."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,198 @@ def _configuration_relabelings() -> list[tuple[int, ...]]:
 
 
 # -- the field -------------------------------------------------------------------
+
+
+def _canonical(x: QF) -> bool:
+    """Four numerators over a positive denominator, sharing no factor."""
+    *_, den = x._q
+    return den > 0 and math.gcd(*x._q) == 1
+
+
+@given(x=field_elements, y=field_elements)
+def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
+    ox, oy = (_FractionQF(*v.as_tuple()) for v in (x, y))
+    pairs = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
+             (x.conj_i(), ox.conj_i()), (x.conj_sqrt3(), ox.conj_sqrt3()),
+             (x + 2, ox + 2), (Fraction(1, 3) * y, Fraction(1, 3) * oy)]
+    if not y.is_zero():
+        pairs += [(y.inverse(), oy.inverse()), (x / y, ox / oy)]
+    for new, old in pairs:
+        assert _canonical(new)
+        assert new.as_tuple() == old.as_tuple()
+        assert (repr(new), float(new)) == (repr(old), float(old))
+        assert (new.is_zero(), new.is_real()) == (old.is_zero(), old.is_real())
+    assert (x == y) == (ox == oy) and (x == x.conj_i()) == (ox == ox.conj_i())
+    assert (x.a, x.b, x.c, x.d) == (ox.a, ox.b, ox.c, ox.d)
+
+
+def test_equal_values_are_stored_alike():
+    half_third = QF(Fraction(1, 2), 0, Fraction(1, 3))
+    ways = [QF(Fraction(2, 4), 0, Fraction(-3, -9)),
+            QF(1) / 2 + QF.i() / 3,
+            QF(3, 0, 2) * QF(Fraction(1, 6)),
+            (half_third * QF.r()) * QF.r().inverse(),
+            half_third + QF.sqrt3() - QF.sqrt3()]
+    for x in ways:
+        assert x == half_third and hash(x) == hash(half_third) and _canonical(x)
+        assert x.as_tuple() == (Fraction(1, 2), 0, Fraction(1, 3), 0)
+    zeros = [QF(), QF(Fraction(5, 7)) - QF(Fraction(10, 14)), half_third * 0,
+             QF.sqrt3() / 6 + (-QF.sqrt3()) / 6]
+    assert all(z._q == (0, 0, 0, 0, 1) and z == ZERO and z.is_zero() for z in zeros)
+    assert len({hash(z) for z in zeros}) == 1
+    assert {x: None for x in ways}.keys() == {half_third}
+
+
+@pytest.mark.parametrize("part", [0.1, "1/3", 1j, None])
+def test_parts_must_be_rational(part):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        QF(part)
+    with pytest.raises(TypeError):
+        QF(1, 0, part)
+    with pytest.raises(TypeError):
+        QF.sqrt3() * part
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    x, y = QF(Fraction(1, 2), -3, Fraction(2, 7), 1), QF(-1, Fraction(5, 3), 0, 2)
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(mk, "Fraction", Counted)
+    assert x.a == Fraction(1, 2) and len(made) == 1  # the patch counts
+    made.clear()
+    results = [x + y, -x, x - y, x * y, y * x, x.conj_i(), y.conj_sqrt3(),
+               x == y, x == x, (x - x).is_zero(), x.is_zero(), x.is_real()]
+    assert made == [] and len(results) == 12
+
+
+class _FractionQF:
+    """The former `QF`, one `Fraction` per part: the oracle for the integer
+    representation."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a=0, b=0, c=0, d=0):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(self, "d", Fraction(d))
+
+    def __setattr__(self, name, value):  # pragma: no cover - guard
+        raise AttributeError("_FractionQF is immutable")
+
+    # constructors
+    @classmethod
+    def sqrt3(cls) -> "_FractionQF":
+        return cls(0, 1)
+
+    @classmethod
+    def i(cls) -> "_FractionQF":
+        return cls(0, 0, 1)
+
+    @classmethod
+    def r(cls) -> "_FractionQF":
+        """sqrt(3) - 1, the inner-square radius."""
+        return cls(-1, 1)
+
+    @staticmethod
+    def _coerce(x) -> "_FractionQF":
+        if isinstance(x, _FractionQF):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return _FractionQF(x)
+        return NotImplemented
+
+    # ring operations
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _FractionQF(self.a + other.a, self.b + other.b,
+                  self.c + other.c, self.d + other.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _FractionQF(-self.a, -self.b, -self.c, -self.d)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return _FractionQF(
+            a * e + 3 * b * f - c * g - 3 * d * h,
+            a * f + b * e - c * h - d * g,
+            a * g + c * e + 3 * (b * h + d * f),
+            a * h + d * e + b * g + c * f,
+        )
+
+    __rmul__ = __mul__
+
+    def conj_i(self) -> "_FractionQF":
+        """The automorphism i -> -i."""
+        return _FractionQF(self.a, self.b, -self.c, -self.d)
+
+    def conj_sqrt3(self) -> "_FractionQF":
+        """The automorphism sqrt(3) -> -sqrt(3)."""
+        return _FractionQF(self.a, -self.b, self.c, -self.d)
+
+    def inverse(self) -> "_FractionQF":
+        n1 = self * self.conj_i()
+        n = (n1 * n1.conj_sqrt3()).a
+        if n == 0:
+            raise ZeroDivisionError("_FractionQF division by zero")
+        return self.conj_i() * n1.conj_sqrt3() * _FractionQF(Fraction(1, 1) / n)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def is_zero(self) -> bool:
+        return self.a == self.b == self.c == self.d == 0
+
+    def is_real(self) -> bool:
+        return self.c == self.d == 0
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
+
+    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return (self.a, self.b, self.c, self.d)
+
+    def __float__(self) -> float:
+        return float(self.a) + float(self.b) * 3 ** 0.5
+
+    def __repr__(self) -> str:
+        return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
+
+
 
 
 @given(x=field_elements, y=field_elements, z=field_elements)
