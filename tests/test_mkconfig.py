@@ -62,73 +62,6 @@ def _configuration_relabelings() -> list[tuple[int, ...]]:
 # -- the field -------------------------------------------------------------------
 
 
-def _canonical(x: QF) -> bool:
-    """Four numerators over a positive denominator, sharing no factor."""
-    *_, den = x._q
-    return den > 0 and math.gcd(*x._q) == 1
-
-
-@given(x=field_elements, y=field_elements)
-def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
-    ox, oy = (_FractionQF(*v.as_tuple()) for v in (x, y))
-    pairs = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
-             (x.conj_i(), ox.conj_i()), (x.conj_sqrt3(), ox.conj_sqrt3()),
-             (x + 2, ox + 2), (Fraction(1, 3) * y, Fraction(1, 3) * oy)]
-    if not y.is_zero():
-        pairs += [(y.inverse(), oy.inverse()), (x / y, ox / oy)]
-    for new, old in pairs:
-        assert _canonical(new)
-        assert new.as_tuple() == old.as_tuple()
-        assert (repr(new), float(new)) == (repr(old), float(old))
-        assert (new.is_zero(), new.is_real()) == (old.is_zero(), old.is_real())
-    assert (x == y) == (ox == oy) and (x == x.conj_i()) == (ox == ox.conj_i())
-    assert (x.a, x.b, x.c, x.d) == (ox.a, ox.b, ox.c, ox.d)
-
-
-def test_equal_values_are_stored_alike():
-    half_third = QF(Fraction(1, 2), 0, Fraction(1, 3))
-    ways = [QF(Fraction(2, 4), 0, Fraction(-3, -9)),
-            QF(1) / 2 + QF.i() / 3,
-            QF(3, 0, 2) * QF(Fraction(1, 6)),
-            (half_third * QF.r()) * QF.r().inverse(),
-            half_third + QF.sqrt3() - QF.sqrt3()]
-    for x in ways:
-        assert x == half_third and hash(x) == hash(half_third) and _canonical(x)
-        assert x.as_tuple() == (Fraction(1, 2), 0, Fraction(1, 3), 0)
-    zeros = [QF(), QF(Fraction(5, 7)) - QF(Fraction(10, 14)), half_third * 0,
-             QF.sqrt3() / 6 + (-QF.sqrt3()) / 6]
-    assert all(z._q == (0, 0, 0, 0, 1) and z == ZERO and z.is_zero() for z in zeros)
-    assert len({hash(z) for z in zeros}) == 1
-    assert {x: None for x in ways}.keys() == {half_third}
-
-
-@pytest.mark.parametrize("part", [0.1, "1/3", 1j, None])
-def test_parts_must_be_rational(part):
-    with pytest.raises(TypeError, match="int or Fraction"):
-        QF(part)
-    with pytest.raises(TypeError):
-        QF(1, 0, part)
-    with pytest.raises(TypeError):
-        QF.sqrt3() * part
-
-
-def test_arithmetic_builds_no_fraction(monkeypatch):
-    x, y = QF(Fraction(1, 2), -3, Fraction(2, 7), 1), QF(-1, Fraction(5, 3), 0, 2)
-    made = []
-
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
-
-    monkeypatch.setattr(mk, "Fraction", Counted)
-    assert x.a == Fraction(1, 2) and len(made) == 1  # the patch counts
-    made.clear()
-    results = [x + y, -x, x - y, x * y, y * x, x.conj_i(), y.conj_sqrt3(),
-               x == y, x == x, (x - x).is_zero(), x.is_zero(), x.is_real()]
-    assert made == [] and len(results) == 12
-
-
 class _FractionQF:
     """The former `QF`, one `Fraction` per part: the oracle for the integer
     representation."""
@@ -252,6 +185,71 @@ class _FractionQF:
         return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
 
 
+def _canonical(x: QF) -> bool:
+    """Four numerators over a positive denominator, sharing no factor."""
+    *_, den = x._q
+    return den > 0 and math.gcd(*x._q) == 1
+
+
+@given(x=field_elements, y=field_elements)
+def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
+    ox, oy = (_FractionQF(*v.as_tuple()) for v in (x, y))
+    pairs = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
+             (x.conj_i(), ox.conj_i()), (x.conj_sqrt3(), ox.conj_sqrt3()),
+             (x + 2, ox + 2), (Fraction(1, 3) * y, Fraction(1, 3) * oy)]
+    if not y.is_zero():
+        pairs += [(y.inverse(), oy.inverse()), (x / y, ox / oy)]
+    for new, old in pairs:
+        assert _canonical(new)
+        assert new.as_tuple() == old.as_tuple()
+        assert (repr(new), float(new)) == (repr(old), float(old))
+        assert (new.is_zero(), new.is_real()) == (old.is_zero(), old.is_real())
+    assert (x == y) == (ox == oy) and (x == x.conj_i()) == (ox == ox.conj_i())
+    assert (x.a, x.b, x.c, x.d) == (ox.a, ox.b, ox.c, ox.d)
+
+
+def test_equal_values_are_stored_alike():
+    half_third = QF(Fraction(1, 2), 0, Fraction(1, 3))
+    ways = [QF(Fraction(2, 4), 0, Fraction(-3, -9)),
+            QF(1) / 2 + QF.i() / 3,
+            QF(3, 0, 2) * QF(Fraction(1, 6)),
+            (half_third * QF.r()) * QF.r().inverse(),
+            half_third + QF.sqrt3() - QF.sqrt3()]
+    for x in ways:
+        assert x == half_third and hash(x) == hash(half_third) and _canonical(x)
+        assert x.as_tuple() == (Fraction(1, 2), 0, Fraction(1, 3), 0)
+    zeros = [QF(), QF(Fraction(5, 7)) - QF(Fraction(10, 14)), half_third * 0,
+             QF.sqrt3() / 6 + (-QF.sqrt3()) / 6]
+    assert all(z._q == (0, 0, 0, 0, 1) and z == ZERO and z.is_zero() for z in zeros)
+    assert len({hash(z) for z in zeros}) == 1
+    assert {x: None for x in ways}.keys() == {half_third}
+
+
+@pytest.mark.parametrize("part", [0.1, "1/3", 1j, None])
+def test_parts_must_be_rational(part):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        QF(part)
+    with pytest.raises(TypeError):
+        QF(1, 0, part)
+    with pytest.raises(TypeError):
+        QF.sqrt3() * part
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    x, y = QF(Fraction(1, 2), -3, Fraction(2, 7), 1), QF(-1, Fraction(5, 3), 0, 2)
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(mk, "Fraction", Counted)
+    assert x.a == Fraction(1, 2) and len(made) == 1  # the patch counts
+    made.clear()
+    results = [x + y, -x, x - y, x * y, y * x, x.conj_i(), y.conj_sqrt3(),
+               x == y, x == x, (x - x).is_zero(), x.is_zero(), x.is_real()]
+    assert made == [] and len(results) == 12
 
 
 @given(x=field_elements, y=field_elements, z=field_elements)
