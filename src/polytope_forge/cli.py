@@ -15,7 +15,8 @@ import time
 from typing import Callable, NamedTuple
 
 from . import cubefamily as cf
-from .groupcore import CapExceeded, CheckFailed, Homomorphism, check, enumerate_cosets
+from .groupcore import (CapExceeded, CheckFailed, Homomorphism, check, enumerate_cosets,
+                        intersection_condition, string_condition)
 from .polycore import Classification, isomorphisms
 
 __all__ = [
@@ -226,7 +227,8 @@ _CLAIMS: tuple[_Row, ...] = (
     _Row("roli.vertex-figure-type", 5, (3, 3), lambda cfg: cf.build_roli().type_vector[1:]),
 
     _Row("cover.string-c-group", 6, True,
-         lambda cfg: (cf.build_cover().string_ok and cf.build_cover().intersection_ok
+         lambda cfg: (string_condition(cf.group_cover())
+                      and intersection_condition(cf.group_cover())
                       and len(cf.group_cover()) == 768)),
     _Row("cover.regular-type-833", 6, True,
          lambda cfg: (cf.build_cover().classification is Classification.REGULAR

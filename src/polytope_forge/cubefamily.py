@@ -22,10 +22,8 @@ from .groupcore import (
     check,
     eval_word,
     extend_homomorphism,
-    intersection_condition,
     orbit,
     reach,
-    string_condition,
 )
 from .polycore import (
     Classification,
@@ -609,8 +607,10 @@ def _realized_face_map(source: dict, target: dict, f) -> dict:
     """Send each face of the source realization to the face of the target
     realization that is its image under the point map f."""
     face_of = {(ref[0], face): ref for ref, face in target.items()}
-    return {ref: face_of[(ref[0], _face_image(ref[0], face, f))]
-            for ref, face in source.items()}
+    images = {ref: (ref[0], _face_image(ref[0], face, f)) for ref, face in source.items()}
+    stray = next(((ref, image) for ref, image in images.items() if image not in face_of), None)
+    check(stray is None, "realization.point-map-sends-faces-to-faces", stray)
+    return {ref: face_of[image] for ref, image in images.items()}
 
 
 def _two_faces_class(realization: dict) -> str:
@@ -949,7 +949,8 @@ def build_roli() -> RoliBundle:
           "roli.octagon-stabilizer", len(subs[2]))
 
     struct = coset_geometry(rot, list(subs))
-    check(struct.schlafli_type() == (8, 3, 3), "roli.type-8-3-3", struct.schlafli_type())
+    type_vector = struct.schlafli_type()
+    check(type_vector == (8, 3, 3), "roli.type-8-3-3", type_vector)
 
     map_bundle = build_map()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
@@ -995,7 +996,7 @@ def build_roli() -> RoliBundle:
     return RoliBundle(
         structure=struct, realization=realization, stabilizer_orders=orders,
         classification=result.kind, orbit_count=result.orbit_count,
-        flag_count=result.flag_count, type_vector=struct.schlafli_type(),
+        flag_count=result.flag_count, type_vector=type_vector,
         witness_holds=witness, two_faces_class=two_faces_class,
     )
 
@@ -1082,8 +1083,6 @@ class CoverBundle(NamedTuple):
     classification: Classification
     flag_count: int
     type_vector: tuple[int, ...]
-    string_ok: bool
-    intersection_ok: bool
     centre_plus: frozenset
     centre_word_identities: bool
     injective_on_tetrahedral: bool
@@ -1101,8 +1100,9 @@ class CoverBundle(NamedTuple):
             "type_vector": list(self.type_vector),
             "classification": self.classification.value,
             "flags": self.flag_count,
-            "string_condition": self.string_ok,
-            "intersection_condition": self.intersection_ok,
+            # checked by reflections.string-condition and reflections.intersection-condition
+            "string_condition": True,
+            "intersection_condition": True,
             "centre_order": len(self.centre_plus),
             "centre_word_identities": self.centre_word_identities,
             "quotient_criterion_injective": self.injective_on_tetrahedral,
@@ -1132,16 +1132,13 @@ def build_cover() -> CoverBundle:
     taus = t_full.generator_list()
     check(t_plus.element_set <= t_full.element_set and 2 * len(t_plus) == len(t_full),
           "cover.rotation-subgroup-of-index-2", len(t_plus))
-
-    string_ok = string_condition(t_full)
-    intersection_ok = intersection_condition(t_full)
-    check(string_ok and intersection_ok, "cover.string-c-group", (string_ok, intersection_ok))
     broken = broken_relator(taus, presentation_cover())
     check(broken is None, "cover.presentation", broken)
 
     struct = polytope_from_reflections(t_full)
     check(struct.f_vector == (32, 64, 24, 8), "cover.f-vector", struct.f_vector)
-    check(struct.schlafli_type() == (8, 3, 3), "cover.type-8-3-3", struct.schlafli_type())
+    type_vector = struct.schlafli_type()
+    check(type_vector == (8, 3, 3), "cover.type-8-3-3", type_vector)
 
     bv = atlas.v + atlas.v_bar
     base_edge = tuple(sorted((bv, atlas.tau0.act(bv))))
@@ -1222,8 +1219,7 @@ def build_cover() -> CoverBundle:
 
     return CoverBundle(
         structure=struct, realization=realization, classification=result.kind, flag_count=result.flag_count,
-        type_vector=struct.schlafli_type(), string_ok=string_ok,
-        intersection_ok=intersection_ok, centre_plus=centre_plus,
+        type_vector=type_vector, centre_plus=centre_plus,
         centre_word_identities=word_ids,
         injective_on_tetrahedral=injective,
         covering_right=covering_right, covering_left=covering_left,
@@ -1314,8 +1310,6 @@ def point_labels() -> Labeling:
             triples = {u: frozenset(label_of[q] for q in adjacency[u]) for u in even}
             if set(triples.values()) != lines_set:
                 continue
-            if len(set(triples.values())) != 8:
-                continue
             if triples[nw] != frozenset({0, 1, 3}):
                 continue
             if 1 not in triples[atlas.v]:
@@ -1324,10 +1318,7 @@ def point_labels() -> Labeling:
 
     check(len(solutions) == 1, "labels.constraints-pin-one-labeling", len(solutions))
     label_of = solutions[0]
-    point_of = [None] * 8
-    for p, lab in label_of.items():
-        point_of[lab] = p
-    return Labeling(point_of=tuple(point_of), label_of=label_of)
+    return Labeling(point_of=tuple(sorted(label_of, key=label_of.get)), label_of=label_of)
 
 
 def octagon_label_sets() -> frozenset:

@@ -379,16 +379,19 @@ def string_condition(group: ConcreteGroup) -> bool:
 
 def intersection_condition(group: ConcreteGroup) -> bool:
     """<g_i : i in I> meet <g_i : i in J> equals <g_i : i in I&J>, for all
-    subsets I, J of the group's generators.
-
-    Each subgroup is the closure of the identity under its generator
-    columns of the action table.
-    """
-    if not all(map(group.generator_is_involution, range(len(group.generators)))):
-        raise ValueError("intersection_condition expects involutions")
-    masks = range(1 << len(group.generators))
-    spans = [frozenset(group.span(mask)) for mask in masks]
-    return all(spans[i] & spans[j] == spans[i & j] for i in masks for j in masks if j >= i)
+    subsets I, J of the generators g_0..g_{n-1}.  For a string group of
+    involutions, McMullen & Schulte (Abstract Regular Polytopes, Prop. 2E16)
+    reduce this to n(n-1)/2 intersections of proper intervals: for i < j,
+    <g_i..g_{j-1}> meets <g_{i+1}..g_j> in <g_{i+1}..g_{j-1}>.  Each interval
+    is spanned along its columns of the action table.  Any other group is
+    a ValueError, here or in `string_condition`."""
+    n = len(group.generators)
+    if not string_condition(group):
+        raise ValueError("intersection_condition expects the string condition (ARP 2E16)")
+    spans = {(a, b): frozenset(group.span((1 << b) - (1 << a)))  # <g_a..g_{b-1}>
+             for a in range(n + 1) for b in range(a, min(a + n, n + 1))}
+    return all(spans[i, j] & spans[i + 1, j + 1] == spans[i + 1, j]
+               for i in range(n) for j in range(i + 1, n))
 
 
 # -- presentations --------------------------------------------------------------

@@ -389,7 +389,10 @@ def coset_face_action(struct: CosetGeometry, element) -> dict[FaceRef, FaceRef]:
 
 def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     """Wythoff-style coset geometry from ordered involutory generators:
-    rank-j faces are cosets of the subgroup omitting generator j."""
+    rank-j faces are cosets of the subgroup omitting generator j.  The
+    `reflections.*` checks make the group a string C-group, whose coset
+    geometry is a regular polytope (McMullen & Schulte, Abstract Regular
+    Polytopes, Thm 2E11), so the result is not validated again."""
     named = list(group.generators.items())
     bad = next(((name, g) for k, (name, g) in enumerate(named)
                 if not group.generator_is_involution(k)), None)
@@ -400,7 +403,7 @@ def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     # a rank-1 group omits its only generator: the trivial subgroup
     subgroups = [group.subgroup(dict(named[:j] + named[j + 1:]) or [group.identity])
                  for j in range(len(named))]
-    return coset_geometry(group, subgroups)
+    return CosetGeometry(group, subgroups)
 
 
 # -- central quotients ------------------------------------------------------------

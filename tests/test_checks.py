@@ -14,7 +14,8 @@ import polytope_forge
 from polytope_forge import cli
 from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
-from polytope_forge.groupcore import CheckFailed, Presentation, check
+from polytope_forge.groupcore import (CheckFailed, Presentation, check, intersection_condition,
+                                      string_condition)
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
 
@@ -57,6 +58,12 @@ def _non_central_zeta(patch):
     patch(cf, "build_atlas", lambda: real()._replace(zeta=real().rho0))
 
 
+def _swapped_cover_projection(patch):
+    """The point map from the cover onto Roli's cube trades the second and
+    third coordinates, so it sends an octagon of the cover to no octagon."""
+    patch(cf, "_project_first", lambda p8: (p8[0], p8[2], p8[1], p8[3]))
+
+
 def _swapped_table_rows(patch):
     """Rows 1 and 2 of the published coordinate table trade places."""
     real = mk.table_coordinates
@@ -73,6 +80,8 @@ FAULTS = {
     "hemi-zeta": (_non_central_zeta, ["build", "hemi"], "quotient.element-central"),
     "enantiomorph-sigma1-bar": (_unbarred_sigma1, ["build", "enantiomorph"],
                                 "enantiomorph.edge-stabilizer"),
+    "cover-point-map": (_swapped_cover_projection, ["build", "cover"],
+                        "realization.point-map-sends-faces-to-faces"),
 }
 
 
@@ -224,12 +233,15 @@ DELETED_AS_IMPLIED = {
         (), "build_atlas defines mu1 = mu0 pi, so pi = mu0 mu1"),
     "enantiomorph.octagon-stabilizer-is-mirrored": (
         (), "the octagon subgroup is generated by rho0-conjugates"),
+    "cover.string-c-group": (
+        ("reflections.string-condition", "reflections.intersection-condition"),
+        "build_cover makes its polytope with polytope_from_reflections(group_cover())"),
 }
 
 
 def test_deleted_checks_stay_deleted_and_their_reasons_stand():
     ids = _package_check_ids()
-    assert len(DELETED_AS_IMPLIED) == 18
+    assert len(DELETED_AS_IMPLIED) == 19
     assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
     missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
     assert not missing, sorted(missing)
@@ -287,6 +299,8 @@ IMPLIED_FACTS = {
         g in cf.group_petrie_stabilizer()
         for g in (cf.build_atlas().mu0, cf.build_atlas().mu1, cf.build_atlas().pi)),
     "enantiomorph.octagon-stabilizer-is-mirrored": _mirrored_octagon_stabilizer,
+    "cover.string-c-group": lambda: string_condition(cf.group_cover())
+    and intersection_condition(cf.group_cover()),
 }
 
 

@@ -40,7 +40,8 @@ from polytope_forge.cubefamily import (
     point_labels,
 )
 from polytope_forge.groupcore import (ConcreteGroup, check, extend_homomorphism,
-                                      setwise_stabilizer, stabilizer)
+                                      intersection_condition, setwise_stabilizer, stabilizer,
+                                      string_condition)
 from polytope_forge.polycore import (Classification, FacePerm, RankedIncidenceStructure,
                                      _face_map_fault)
 from polytope_forge.signedperm import SignedPerm, block_pair
@@ -638,7 +639,8 @@ def test_any_reflection_induces_the_poset_isomorphism(atlas):
 
 def test_cover_battery(atlas):
     bundle = build_cover()
-    assert bundle.string_ok and bundle.intersection_ok
+    group = bundle.structure.group
+    assert string_condition(group) and intersection_condition(group)
     assert bundle.structure.f_vector == (32, 64, 24, 8)
     assert bundle.type_vector == (8, 3, 3)
     assert bundle.classification is Classification.REGULAR

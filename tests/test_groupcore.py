@@ -1,5 +1,6 @@
 """Group engine: closures, centres, orbits, homomorphisms, conditions."""
 
+import collections
 import random
 from operator import attrgetter
 
@@ -365,7 +366,9 @@ def _table_by_products(group):
 def test_reflection_subgroups_are_closures_of_their_spans(make):
     group = make()
     full = (1 << len(group.generators)) - 1
-    for j, sub in enumerate(polytope_from_reflections(group).subgroups):
+    struct = polytope_from_reflections(group)
+    struct.validate_polytope()
+    for j, sub in enumerate(struct.subgroups):
         assert sub.elements == tuple(group.elements[i] for i in group.span(full & ~(1 << j)))
         assert sub.table() == _table_by_products(sub)
 
@@ -411,6 +414,104 @@ def test_intersection_condition_against_closures(atlas, names, monkeypatch):
     # the integer condition closes no group of its own
     monkeypatch.setattr(ConcreteGroup, "generate", None)
     assert intersection_condition(group) is expected
+
+
+def _intersection_on_all_subsets(group):
+    """The test intersection_condition made before the interval test of ARP
+    2E16: every pair of the 2^n generator subsets."""
+    masks = range(1 << len(group.generators))
+    spans = [frozenset(group.span(mask)) for mask in masks]
+    return all(spans[i] & spans[j] == spans[i & j] for i in masks for j in masks if j >= i)
+
+
+def _first_failing_width(group):
+    """The fewest generators g_i..g_j whose end intervals <g_i..g_{j-1}> and
+    <g_{i+1}..g_j> do not meet in <g_{i+1}..g_{j-1}>; None when none fails."""
+    n = len(group.generators)
+    span = lambda a, b: frozenset(group.span((1 << b) - (1 << a)))  # <g_a..g_{b-1}>
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            j = i + width - 1
+            if span(i, j) & span(i + 1, j + 1) != span(i + 1, j):
+                return width
+    return None
+
+
+# every group the tests hand to polytope_from_reflections, up to conjugacy
+_WYTHOFF_INPUTS = {
+    "segment": lambda a: ConcreteGroup.generate({"r": a.rho0}),
+    "digon": lambda a: ConcreteGroup.generate({"a": a.rho0, "b": a.rho0.conjugate(a.rho1)}),
+    **{f"b{n}": lambda a, n=n: _bn_group(n) for n in range(2, 6)},
+    "cube": lambda a: group_cube(),
+    "cover": lambda a: group_cover(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WYTHOFF_INPUTS))
+def test_interval_test_agrees_with_all_subsets_on_wythoff_inputs(name, atlas, monkeypatch):
+    group = _WYTHOFF_INPUTS[name](atlas)
+    n = len(group.generators)
+    assert _intersection_on_all_subsets(group)
+    spanned = []
+    span = ConcreteGroup.span
+    monkeypatch.setattr(ConcreteGroup, "span",
+                        lambda self, mask: spanned.append(mask) or span(self, mask))
+    assert intersection_condition(group) is True
+    # each non-empty proper interval of generators is spanned once, the whole group never
+    intervals = {(1 << b) - (1 << a) for a in range(n) for b in range(a + 1, n + 1)
+                 if b - a < n}
+    assert sorted(m for m in spanned if m) == sorted(intervals)
+
+
+def _random_involution(degree, rng):
+    """A signed permutation of order two: random signs and a random number
+    of disjoint swaps, the two points of a swap sharing one sign."""
+    while True:
+        points = rng.sample(range(1, degree + 1), degree)
+        perm = list(range(1, degree + 1))
+        signs = [rng.choice((1, -1)) for _ in range(degree)]
+        swaps = rng.randint(0, degree // 2)
+        for a, b in zip(points[:2 * swaps:2], points[1:2 * swaps:2]):
+            perm[a - 1], perm[b - 1], signs[b - 1] = b, a, signs[a - 1]
+        g = SignedPerm(signs, perm)
+        if g.is_involution():
+            return g
+
+
+def _random_string_group(rng):
+    """Rank 3 or 4, degree 4 to 6: each new involution commutes with every
+    earlier one but the last."""
+    degree, gens = rng.randint(4, 6), []
+    for _ in range(rng.randint(3, 4)):
+        g = _random_involution(degree, rng)
+        while any(g * h != h * g for h in gens[:-1]):
+            g = _random_involution(degree, rng)
+        gens.append(g)
+    return ConcreteGroup.generate(gens)
+
+
+def test_interval_test_agrees_with_all_subsets_on_random_string_groups():
+    rng = random.Random(24)
+    widths = collections.Counter()
+    for _ in range(100):
+        group = _random_string_group(rng)
+        assert string_condition(group)
+        expected = _intersection_on_all_subsets(group)
+        assert intersection_condition(group) is expected
+        width = _first_failing_width(group)
+        assert (width is None) is expected
+        widths[width] += 1
+    # the sample passes, and fails first at equal neighbours and at wider intervals
+    assert widths[None] and widths[2] and widths[3] + widths[4], widths
+
+
+def test_interval_test_needs_the_string_condition(atlas):
+    not_string = ConcreteGroup.generate([atlas.rho0, atlas.rho2, atlas.rho1])
+    assert not string_condition(not_string)
+    with pytest.raises(ValueError, match="string condition"):
+        intersection_condition(not_string)
+    with pytest.raises(ValueError, match="involutions"):
+        intersection_condition(ConcreteGroup.generate([atlas.rho0, atlas.pi]))
 
 
 def _coset_reps_by_products(group, sub):

@@ -58,6 +58,19 @@ def atlas():
 # -- Wythoff construction ------------------------------------------------------
 
 
+def _wythoff(group):
+    """polytope_from_reflections, with the polytope axioms that it leaves to
+    ARP Thm 2E11 checked explicitly."""
+    struct = polytope_from_reflections(group)
+    struct.validate_polytope()
+    return struct
+
+
+@pytest.mark.parametrize("build", [build_cube, build_cover])
+def test_built_wythoff_polytopes_satisfy_the_axioms(build):
+    build().structure.validate_polytope()
+
+
 def test_cube_f_vector():
     assert build_cube().structure.f_vector == (16, 32, 24, 8)
 
@@ -82,7 +95,7 @@ def test_cube_flag_count_against_chain_oracle():
 
 def test_segment_from_single_reflection(atlas):
     g = ConcreteGroup.generate({"r": atlas.rho0})
-    struct = polytope_from_reflections(g)
+    struct = _wythoff(g)
     assert struct.rank == 1
     assert struct.f_vector == (2,)
     assert len(struct.flags()) == 2
@@ -96,7 +109,7 @@ def test_cover_f_vector_against_coset_count_oracle(atlas):
         rest = [g for i, g in enumerate(taus) if i != j]
         expected.append(len(t) // len(ConcreteGroup.generate(rest)))
     assert expected == [32, 64, 24, 8]
-    struct = polytope_from_reflections(t)
+    struct = _wythoff(t)
     assert struct.f_vector == tuple(expected)
 
 
@@ -112,7 +125,7 @@ def test_coset_geometry_agrees_with_reflection_construction():
     subgroups = [g.subgroup([x for i, x in enumerate(gens) if i != j])
                  for j in range(4)]
     direct = coset_geometry(g, subgroups)
-    wythoff = polytope_from_reflections(g)
+    wythoff = _wythoff(g)
     assert direct.faces_by_rank == wythoff.faces_by_rank
     assert all(direct.incident(a, b) == wythoff.incident(a, b)
                for a in direct.all_refs() for b in direct.all_refs()
@@ -125,12 +138,13 @@ def _bn_polytope(n, h=None):
     rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
     swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
     gens = [g if h is None else g.conjugate(h) for g in [rho0] + swaps]
-    return polytope_from_reflections(ConcreteGroup.generate(gens))
+    return _wythoff(ConcreteGroup.generate(gens))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 2])
 def test_ncube_from_reflections_up_to_rank_5(n):
-    # polytope_from_reflections validates every rank up to 5 on the way
+    # _bn_polytope validates every rank up to 5: polytope_from_reflections
+    # itself trusts ARP Thm 2E11 and does not
     struct = _bn_polytope(n)
     assert struct.f_vector == tuple(math.comb(n, k) * 2 ** (n - k) for k in range(n))
     assert len(struct.flags()) == 2 ** n * math.factorial(n)
@@ -245,7 +259,7 @@ def test_ladder_rung_makes_no_products(monkeypatch):
     monkeypatch.setattr(SignedPerm, "__mul__", counted("mul", mul))
     monkeypatch.setattr(SignedPerm, "__lt__", counted("lt", lt))
     group = ConcreteGroup.generate(gens, names=[f"r{i}" for i in range(4)])
-    poly = polytope_from_reflections(group)
+    poly = _wythoff(group)
     result = classify(poly, [coset_face_action(poly, g) for g in gens])
     assert (len(group), poly.f_vector, result.kind) == (384, (16, 32, 24, 8),
                                                          Classification.REGULAR)
@@ -516,8 +530,7 @@ def test_quotient_by_face_fixing_involution_rejected(atlas):
     # its own edge-coset in the resulting digon
     flip1 = atlas.rho0
     flip2 = atlas.rho0.conjugate(atlas.rho1)
-    digon = polytope_from_reflections(
-        ConcreteGroup.generate({"a": flip1, "b": flip2}))
+    digon = _wythoff(ConcreteGroup.generate({"a": flip1, "b": flip2}))
     assert digon.f_vector == (2, 2)
     with pytest.raises(CheckFailed) as exc:
         central_quotient(digon, flip1)

@@ -44,8 +44,8 @@ FIELDS = {
                                     "two_faces_class"),
     cubefamily.CoverBundle: (
         "structure", "realization", "classification", "flag_count", "type_vector",
-        "string_ok", "intersection_ok", "centre_plus", "centre_word_identities",
-        "injective_on_tetrahedral", "covering_right", "covering_left", "covering_cube"),
+        "centre_plus", "centre_word_identities", "injective_on_tetrahedral",
+        "covering_right", "covering_left", "covering_cube"),
     cubefamily.Labeling: ("point_of", "label_of"),
     groupcore.Homomorphism: ("source", "mapping"),
     groupcore.HomomorphismFailure: ("word_a", "word_b"),
