@@ -15,8 +15,8 @@ import time
 from typing import Callable, NamedTuple
 
 from . import cubefamily as cf
-from .groupcore import (CapExceeded, CheckFailed, Homomorphism, check, enumerate_cosets,
-                        intersection_condition, string_condition)
+from .groupcore import (DEFAULT_CAP, CapExceeded, CheckFailed, Homomorphism, check,
+                        enumerate_cosets, intersection_condition, string_condition)
 from .polycore import Classification, isomorphisms
 
 __all__ = [
@@ -72,20 +72,17 @@ class Report:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        data = {
+    def to_json_dict(self) -> dict:
+        return {
             "schema": SCHEMA,
             "object": self.object_name,
             "claims": [c.to_json_dict() for c in self.claims],
             "all_passed": self.all_passed,
         }
-        if include_timing:
-            data["timing_seconds"] = round(self.elapsed_seconds, 3)
-        return data
 
 
 class CliConfig(NamedTuple):
-    cap: int = 10**6
+    cap: int = DEFAULT_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +354,12 @@ class ProjectionSpec(NamedTuple):
                 sum(float(x) * b for x, b in zip(point, self.basis[1])))
 
 
-def coxeter_projection_spec(scale: float = 100.0,
-                            colors: tuple[int, ...] = (1, 2, 3, 4)) -> ProjectionSpec:
+def coxeter_projection_spec(scale: float = 100.0) -> ProjectionSpec:
     """The most symmetric plane: the 16 vertices land on a regular octagon
     and octagram and all projected edges share one length."""
     s = 1 / math.sqrt(2)
     return ProjectionSpec(name="coxeter",
-                          basis=((s, 0.5, 0.0, -0.5), (0.0, 0.5, s, 0.5)),
-                          scale=scale, colors=colors)
+                          basis=((s, 0.5, 0.0, -0.5), (0.0, 0.5, s, 0.5)), scale=scale)
 
 
 def plane_projection_spec(scale: float = 100.0) -> ProjectionSpec:
@@ -523,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--cap", type=_positive_int, default=10**6,
+    common.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="cap on the number of cosets defined during coset "
                              "enumeration (cosets later merged count too, so "
                              "this bounds the work, not the index)")

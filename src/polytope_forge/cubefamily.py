@@ -29,7 +29,6 @@ from .polycore import (
     Classification,
     ColoredGraph,
     CosetGeometry,
-    FacePerm,
     RankedIncidenceStructure,
     _face_map_fault,
     central_quotient,
@@ -37,6 +36,7 @@ from .polycore import (
     colourful_polytope,
     coset_face_action,
     coset_geometry,
+    face_permutation,
     isomorphisms,
     polytope_from_reflections,
     verify_covering,
@@ -848,7 +848,7 @@ def build_map() -> MapBundle:
             for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
     check([len(h) for h in hits] == [1, 1, 1], "map.one-automorphism-per-adjacent-flag",
           [len(h) for h in hits])
-    t_gens = [FacePerm.from_mapping(struct, h[0]) for h in hits]
+    t_gens = [face_permutation(struct, h[0]) for h in hits]
     broken = broken_relator(t_gens, presentation_map_full())
     check(broken is None, "map.full-presentation", broken)
     # automorphisms of a polytope act freely on its flags, so a group of
@@ -860,7 +860,7 @@ def build_map() -> MapBundle:
 
     # the same involutions arise as words in the base one and the rotations:
     # t1 = t0 * s1 and t2 = t0 * s1 * s2 as face bijections
-    fs1, fs2 = (FacePerm.from_mapping(struct, mapping) for mapping in rot_maps)
+    fs1, fs2 = (face_permutation(struct, mapping) for mapping in rot_maps)
     word = t_gens[0] * fs1
     check(t_gens[1] == word, "map.t1-is-t0-s1", word)
     word = word * fs2

@@ -16,6 +16,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, 
 
 from .groupcore import (ConcreteGroup, check, intersection_condition, reach,
                         string_condition)
+from .signedperm import SignedPerm
 
 __all__ = [
     "FaceRef",
@@ -32,7 +33,7 @@ __all__ = [
     "CoveringReport",
     "verify_covering",
     "coset_face_action",
-    "FacePerm",
+    "face_permutation",
     "isomorphisms",
 ]
 
@@ -255,10 +256,6 @@ class RankedIncidenceStructure:
 
     # -- comparisons ---------------------------------------------------------------
 
-    def automorphisms(self) -> Iterator[dict[FaceRef, FaceRef]]:
-        """Every rank-preserving face bijection that preserves incidence."""
-        return isomorphisms(self._inc, self._inc, itemgetter(0), itemgetter(0))
-
     def isomorphic_to(self, other: "RankedIncidenceStructure") -> bool:
         if self.rank != other.rank or self.f_vector != other.f_vector:
             return False
@@ -313,7 +310,8 @@ def classify(p: RankedIncidenceStructure,
     so onto it: every j-adjacent pair is split, and `rank` adjacency tests
     decide chirality.
     """
-    tables = [FacePerm.from_mapping(p, fm).images for fm in face_maps]
+    tables = [[[fm[(r, i)][1] for i in range(n)] for r, n in enumerate(p.f_vector)]
+              for fm in face_maps]
     flags = p.flags()
     base = flags[0]
     orbit = set(reach(base, lambda flag: [tuple(map(getitem, table, flag)) for table in tables]))
@@ -385,6 +383,19 @@ def coset_face_action(struct: CosetGeometry, element) -> dict[FaceRef, FaceRef]:
     word = group.word(index[element])
     return {ref: (ref[0], struct.canon[ref[0]][group.walk(index[struct.key(ref)], word)])
             for ref in struct.all_refs()}
+
+
+def face_permutation(struct: RankedIncidenceStructure,
+                     mapping: Mapping[FaceRef, FaceRef]) -> SignedPerm:
+    """A rank-preserving face bijection as a group element: the signed
+    permutation, every sign +1, of the faces numbered rank by rank in
+    `all_refs()` order, reading `mapping[ref][1]` within ref's rank.  A
+    mapping that is not a bijection is a `ValueError`."""
+    perm, offset = [], 1
+    for r, n in enumerate(struct.f_vector):
+        perm += [offset + mapping[(r, i)][1] for i in range(n)]
+        offset += n
+    return SignedPerm((1,) * len(perm), perm)
 
 
 def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
@@ -523,57 +534,6 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
 
 
 # -- coverings ---------------------------------------------------------------------
-
-
-class FacePerm:
-    """A rank-preserving face bijection of a fixed structure, usable as a
-    group element (closure, homomorphic images, relator checks)."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("FacePerm is immutable")
-
-    @classmethod
-    def from_mapping(cls, struct: RankedIncidenceStructure,
-                     mapping: Mapping[FaceRef, FaceRef]) -> "FacePerm":
-        images = tuple(
-            tuple(mapping[(r, i)][1] for i in range(len(struct.faces_by_rank[r])))
-            for r in range(struct.rank))
-        return cls(images)
-
-    def __mul__(self, other: "FacePerm") -> "FacePerm":
-        return FacePerm(tuple(
-            tuple(orow[i] for i in srow)
-            for srow, orow in zip(self.images, other.images)))
-
-    def inverse(self) -> "FacePerm":
-        rows = []
-        for row in self.images:
-            inv = [0] * len(row)
-            for i, img in enumerate(row):
-                inv[img] = i
-            rows.append(tuple(inv))
-        return FacePerm(tuple(rows))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FacePerm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    @property
-    def key(self) -> tuple:
-        return self.images
-
-    def __lt__(self, other: "FacePerm") -> bool:
-        return self.key < other.key
-
-    def __repr__(self) -> str:
-        return f"FacePerm({self.images!r})"
 
 
 class CoveringReport(NamedTuple):

@@ -78,7 +78,7 @@ def test_svg_contents():
     svg = cli.render_projection(cli.coxeter_projection_spec())
     assert svg.count("<line") == 32
     assert svg.count("<circle") == 16
-    partial = cli.render_projection(cli.coxeter_projection_spec(colors=(1, 2)))
+    partial = cli.render_projection(cli.coxeter_projection_spec()._replace(colors=(1, 2)))
     assert partial.count("<line") == 16
     plane = cli.render_projection(cli.plane_projection_spec())
     assert plane.count("<circle") == 8

@@ -43,6 +43,7 @@ from polytope_forge.polycore import (
     colourful_polytope,
     coset_face_action,
     coset_geometry,
+    face_permutation,
     isomorphisms,
     polytope_from_reflections,
     verify_covering,
@@ -400,9 +401,9 @@ def _ladder_rung(n):
 
 def _map_full_group():
     bundle = build_map()
-    return bundle.structure, [
-        {(r, i): (r, j) for r, row in enumerate(t.images) for i, j in enumerate(row)}
-        for t in bundle.full_group.generator_list()]
+    refs = bundle.structure.all_refs()
+    return bundle.structure, [{ref: refs[p - 1] for ref, p in zip(refs, t.perm)}
+                              for t in bundle.full_group.generator_list()]
 
 
 REG, CHI, OTH = Classification.REGULAR, Classification.CHIRAL, Classification.OTHER
@@ -447,6 +448,25 @@ def test_classify_makes_rank_adjacency_tests(monkeypatch):
     monkeypatch.setattr(RankedIncidenceStructure, "flag_adjacent", counted)
     assert classify(roli, face_maps).kind is Classification.CHIRAL
     assert len(calls) <= roli.rank == 4
+
+
+def test_face_permutation_is_the_coset_action_as_a_group_element():
+    # right multiplication on cosets: g's face map, then h's, is gh's
+    struct = build_map().structure
+    group = struct.group
+    as_perm = lambda g: face_permutation(struct, coset_face_action(struct, g))
+    assert struct.f_vector == (16, 24, 6)
+    assert as_perm(group.identity) == SignedPerm.identity(46)
+    rng = random.Random(25)
+    for g, h in zip(rng.sample(group.elements, 10), rng.sample(group.elements, 10)):
+        assert as_perm(g) * as_perm(h) == as_perm(g * h)
+
+
+def test_face_permutation_rejects_a_map_that_is_not_a_bijection():
+    struct = build_map().structure
+    collapse = {(r, i): (r, 0) for r, i in struct.all_refs()}
+    with pytest.raises(ValueError, match="not a permutation"):
+        face_permutation(struct, collapse)
 
 
 def test_schlafli_types():
@@ -975,7 +995,7 @@ def test_levi_graph_automorphisms_agree_with_networkx():
 def test_map_incidence_automorphisms_agree_with_networkx():
     struct = build_map().structure
     assert _agree(struct._inc, struct._inc, _rank, _rank) == 96
-    assert len(list(struct.automorphisms())) == 96
+    assert len(list(isomorphisms(struct._inc, struct._inc, _rank, _rank))) == 96
 
 
 @pytest.mark.parametrize("build", [build_cube, build_hemi])

@@ -87,7 +87,7 @@ def test_report_stays_mutable_with_a_fresh_claim_list_each():
     assert first.claims == [] and first.claims is not second.claims
     assert first.elapsed_seconds == 0.0
     first.elapsed_seconds = 1.5
-    assert first.to_json_dict(include_timing=True)["timing_seconds"] == 1.5
+    assert "timing_seconds" not in first.to_json_dict()
 
 
 def test_validating_records_check_replace_too():
