@@ -489,16 +489,33 @@ class CosetTable(NamedTuple):
     def validate(self, pres: Presentation) -> bool:
         if pres.generator_count != self.generator_count:
             return False
-        # every relator acts on the cosets as the identity permutation
-        identity = list(range(self.index))
+        # every relator acts on the cosets as the identity permutation: its
+        # columns compose by itemgetter, and one extra point, fixed by every
+        # column, keeps each tuple of images two long at least (itemgetter
+        # of one index returns a scalar)
+        n = self.index
+        columns = [column + (n,) for column in zip(*self.rows)]
+        identity = tuple(range(n + 1))
         for rel in pres.relators:
             images = identity
             for x in rel:
-                col = self._col(x)
-                images = [self.rows[c][col] for c in images]
+                images = operator.itemgetter(*images)(columns[self._col(x)])
             if images != identity:
                 return False
         return all(self.trace(0, w) == 0 for w in self.subgroup_words)
+
+
+def _repeat_positions(cols: Sequence[int], inv: Sequence[int]) -> list[int]:
+    """The positions p in 1..L-1 of the word w of table columns `cols`, of
+    length L, where w closes whenever it closes at its start: w rotated by
+    p is w, or its inverse (inv[c] for c in reversed(w)) rotated by L - p
+    is w.  The closed cycle read forward, or backward, from the coset after
+    p letters then spells w."""
+    w = list(cols)
+    n = len(w)
+    w_inv = [inv[c] for c in reversed(w)]
+    return [p for p in range(1, n)
+            if w[p:] + w[:p] == w or w_inv[n - p:] + w_inv[:n - p] == w]
 
 
 def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]] = (),
@@ -509,12 +526,23 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
     gets one column, which is its own inverse, and its (g, g) relator holds
     in the table by construction, so it is not scanned.  Every other
     generator gets a column for g and one for g^-1.  Each pass scans every
-    relator at every live coset, filling gaps with new cosets, and the
-    enumeration stops after the first pass that leaves no hole: every live
-    coset then has every relator closed at it, and merges keep a closed
-    cycle closed.  A pass that leaves holes defines a coset at each before
-    the next pass.  `validate` still checks every relator, (g, g)
-    included, on the result.
+    relator at every live coset where it is not yet known to close,
+    filling gaps with new cosets, and the enumeration stops after the first
+    pass that leaves no hole: every live coset then has every relator
+    closed at it, and merges keep a closed cycle closed.  A pass that
+    leaves holes defines a coset at each before the next pass.  `validate`
+    still checks every relator, (g, g) included, on the result.
+
+    A scan that returns leaves its relator w closed at the coset, and the
+    walk of that closed cycle marks the coset and the cosets after each of
+    w's `_repeat_positions`, where w closes too: the cycle read from there
+    spells w again.  A mark is never wrong later: definitions and
+    deductions only add entries, and a merge maps a closed path to a closed
+    path, so merging y into x ORs y's marks into x's.  Scanning a complete
+    closed path meets itself with f == b and touches nothing, so the
+    skipped scans are exactly the scans that do nothing, and the
+    enumeration makes the same definitions, deductions and merges in the
+    same order as one that scans every pair.
 
     Cosets are numbered in first-appearance order and the final table is
     renumbered by breadth-first search from the subgroup coset, so the
@@ -530,7 +558,17 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         for x in w:
             if x == 0 or abs(x) > ngens:
                 raise ValueError(f"subgroup word letter {x} out of range")
+    result = _coset_table(pres, subgroup_words, cap)
+    check(result.validate(pres), "cosets.table-satisfies-presentation",
+          (result.index, result.generator_count))
+    return result
 
+
+def _coset_table(pres: Presentation, subgroup_words: tuple[tuple[int, ...], ...],
+                 cap: int) -> CosetTable:
+    """The enumeration of `enumerate_cosets`, whose working table and marks
+    are freed when it returns, before the result is validated."""
+    ngens = pres.generator_count
     squares = {rel for rel in pres.relators if len(rel) == 2 and rel[0] == rel[1]}
     involutions = {abs(rel[0]) for rel in squares}
     # col[x] is the table column of the signed letter x, inv[c] the column
@@ -546,6 +584,16 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             col[-g] = col[g] + 1
             inv += [col[g] + 1, col[g]]
     ncols = len(inv)
+
+    # per scanned relator: its columns, the walk of its cycle as (column,
+    # whether the coset reached is at a repeat position) up to the last
+    # repeat, and closed[a], set once the relator is known to close at a
+    relators = []
+    for cols in ([col[x] for x in rel] for rel in pres.relators if rel not in squares):
+        repeats = _repeat_positions(cols, inv)
+        walk = [(c, p in repeats) for p, c in enumerate(cols[:max(repeats, default=0)], 1)]
+        relators.append((cols, walk, bytearray(1)))
+    closed_marks = [closed for *_, closed in relators]
 
     table: list[list[int]] = [[-1] * ncols]
     parent = [0]
@@ -565,6 +613,8 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             raise CapExceeded(f"coset count exceeded cap={cap}")
         table.append([-1] * ncols)
         parent.append(b)
+        for closed in closed_marks:
+            closed.append(0)
         table[a][c] = b
         table[b][inv[c]] = a
         return b
@@ -591,6 +641,9 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             if y < x:
                 x, y = y, x
             parent[y] = x
+            for closed in closed_marks:
+                if closed[y]:
+                    closed[x] = 1
             row = table[y]
             for c in range(ncols):
                 d = row[c]
@@ -629,7 +682,17 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             f = define(f, cols[i])
             i += 1
 
-    relator_cols = [[col[x] for x in rel] for rel in pres.relators if rel not in squares]
+    def mark(a: int, walk: Sequence[tuple[int, bool]], closed: bytearray) -> None:
+        """Mark the relator closed at a, where it has just been scanned,
+        and along its cycle at each repeat position."""
+        a = find(a)
+        closed[a] = 1
+        for c, repeat in walk:
+            nxt = table[a][c]
+            a = nxt if parent[nxt] == nxt else find(nxt)
+            if repeat:
+                closed[a] = 1
+
     for w in subgroup_words:
         scan_and_fill(find(0), [col[x] for x in w])
 
@@ -637,10 +700,12 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         i = 0
         while i < len(table):
             if parent[i] == i:  # i is live
-                for cols in relator_cols:
+                for cols, walk, closed in relators:
                     if parent[i] != i:
                         break
-                    scan_and_fill(i, cols)
+                    if not closed[i]:
+                        scan_and_fill(i, cols)
+                        mark(i, walk, closed)
             i += 1
         holes = [(c, k) for c in range(len(table)) if parent[c] == c
                  for k in range(ncols) if table[c][k] == -1]
@@ -650,18 +715,17 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             define(c, k)
 
     # compact: breadth-first renumbering from the subgroup coset; rows come
-    # out in the order cosets are numbered
-    def resolved(c: int) -> list[int]:
-        """Row c with every entry its live coset; the walk reads each once."""
-        table[c] = [find(d) for d in table[c]]
-        return table[c]
-
-    out = [col[x] for g in range(1, ngens + 1) for x in (g, -g)]
-    order = reach(find(0), resolved)
-    number = {c: i for i, c in enumerate(order)}
-    rows = tuple(tuple(number[table[c][k]] for k in out) for c in order)
-    result = CosetTable(generator_count=ngens, rows=rows,
-                        subgroup_words=subgroup_words)
-    check(result.validate(pres), "cosets.table-satisfies-presentation",
-          (result.index, result.generator_count))
-    return result
+    # out in the order cosets are numbered.  number[d] is the number of d's
+    # live coset, so rows are read as the table left them.
+    root = [find(c) for c in range(len(table))]
+    order = reach(root[0], lambda c: map(root.__getitem__, table[c]))
+    number = [0] * len(table)
+    for i, c in enumerate(order):
+        number[c] = i
+    number = [number[r] for r in root]
+    if ngens:  # else one coset and no column; itemgetter needs two indices
+        out = operator.itemgetter(*[col[x] for g in range(1, ngens + 1) for x in (g, -g)])
+        rows = tuple(operator.itemgetter(*out(table[c]))(number) for c in order)
+    else:
+        rows = ((),)
+    return CosetTable(generator_count=ngens, rows=rows, subgroup_words=subgroup_words)

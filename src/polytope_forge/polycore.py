@@ -292,6 +292,20 @@ def _face_map_fault(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
                  != q._inc[fm[a]] & targets), None)
 
 
+def _images_by_rank(struct: RankedIncidenceStructure,
+                    mapping: Mapping[FaceRef, FaceRef]) -> list[list[int]]:
+    """images[r][i]: the index, within rank r, of the image of the face
+    (r, i).  An image of another rank is a `ValueError`."""
+    images = []
+    for r, n in enumerate(struct.f_vector):
+        refs = [mapping[(r, i)] for i in range(n)]
+        moved = next((i for i, ref in enumerate(refs) if ref[0] != r), None)
+        if moved is not None:
+            raise ValueError(f"face map sends {(r, moved)} to {refs[moved]}, of another rank")
+        images.append([i for _, i in refs])
+    return images
+
+
 def classify(p: RankedIncidenceStructure,
              face_maps: Sequence[Mapping[FaceRef, FaceRef]]) -> ClassifyResult:
     """Flag-orbit classification under a group given by face bijections.
@@ -299,7 +313,8 @@ def classify(p: RankedIncidenceStructure,
     Regular: one orbit.  Chiral: two orbits and every pair of adjacent flags
     is split across them.  Anything else: Other.
 
-    Each face map must be an automorphism of the polytope p; none is
+    Each face map must be an automorphism of the polytope p.  One that
+    sends a face to another rank is a `ValueError`; nothing else is
     checked.  A coset face action is one, since right multiplication keeps
     intersecting cosets intersecting.  Automorphisms of a polytope act
     freely on its flags (McMullen & Schulte, Abstract Regular Polytopes,
@@ -310,8 +325,7 @@ def classify(p: RankedIncidenceStructure,
     so onto it: every j-adjacent pair is split, and `rank` adjacency tests
     decide chirality.
     """
-    tables = [[[fm[(r, i)][1] for i in range(n)] for r, n in enumerate(p.f_vector)]
-              for fm in face_maps]
+    tables = [_images_by_rank(p, fm) for fm in face_maps]
     flags = p.flags()
     base = flags[0]
     orbit = set(reach(base, lambda flag: [tuple(map(getitem, table, flag)) for table in tables]))
@@ -389,11 +403,11 @@ def face_permutation(struct: RankedIncidenceStructure,
                      mapping: Mapping[FaceRef, FaceRef]) -> SignedPerm:
     """A rank-preserving face bijection as a group element: the signed
     permutation, every sign +1, of the faces numbered rank by rank in
-    `all_refs()` order, reading `mapping[ref][1]` within ref's rank.  A
-    mapping that is not a bijection is a `ValueError`."""
+    `all_refs()` order.  A mapping that sends a face to another rank, or
+    is not a bijection, is a `ValueError`."""
     perm, offset = [], 1
-    for r, n in enumerate(struct.f_vector):
-        perm += [offset + mapping[(r, i)][1] for i in range(n)]
+    for n, images in zip(struct.f_vector, _images_by_rank(struct, mapping)):
+        perm += [offset + i for i in images]
         offset += n
     return SignedPerm((1,) * len(perm), perm)
 
@@ -403,7 +417,12 @@ def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     rank-j faces are cosets of the subgroup omitting generator j.  The
     `reflections.*` checks make the group a string C-group, whose coset
     geometry is a regular polytope (McMullen & Schulte, Abstract Regular
-    Polytopes, Thm 2E11), so the result is not validated again."""
+    Polytopes, Thm 2E11), so the result is not validated again.
+    `intersection_condition` tests the string condition a second time, as
+    its guard of 2E16's hypothesis for every caller; that is one walk of
+    four letters on the action table per pair of generators two or more
+    apart, a few microseconds, so the checked result is not passed down
+    through a second entry point."""
     named = list(group.generators.items())
     bad = next(((name, g) for k, (name, g) in enumerate(named)
                 if not group.generator_is_involution(k)), None)

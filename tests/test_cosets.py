@@ -2,6 +2,7 @@
 determinism of the tables, and equality with a two-column oracle."""
 
 import random
+import sys
 from collections import deque
 
 import pytest
@@ -397,6 +398,7 @@ _ORACLE_CASES = {
         lambda: Presentation(2, ((1,) * 4, (2, 2), (-2, 1, 2, 1))), [(-2,)]),
     "dihedral-8-over-rotation-squared": (
         lambda: Presentation(2, ((1,) * 4, (-2, -2), (2, 1, -2, 1))), [(1, 1)]),
+    "no-generators": (lambda: Presentation(0, ()), ()),
 }
 
 
@@ -479,3 +481,124 @@ def test_every_result_is_validated(monkeypatch):
         enumerate_cosets(Presentation(1, ((1, 1),)))
     assert err.value.name == "cosets.table-satisfies-presentation"
     assert err.value.witness == (2, 1)
+
+
+# -- closed-cycle marks, the cap and the column-wise validate --------------------
+
+
+@pytest.mark.parametrize("n, cap, index", [(4, 415, 384), (5, 4519, 3840)])
+def test_cap_counts_the_cosets_defined(n, cap, index):
+    # B_4 defines 414 cosets and B_5 4518, merged ones included; a scan
+    # skipped at a closed cycle defines nothing, so the boundary is exact
+    assert enumerate_cosets(_coxeter_b(n), cap=cap).index == index
+    with pytest.raises(CapExceeded, match=f"cap={cap - 1}"):
+        enumerate_cosets(_coxeter_b(n), cap=cap - 1)
+
+
+def test_repeat_positions():
+    involutions = [0, 1]  # two involution columns, each its own inverse
+    assert groupcore._repeat_positions([0, 1] * 4, involutions) == list(range(1, 8))
+    assert groupcore._repeat_positions([0, 1, 0], involutions) == []
+    pairs = [1, 0, 3, 2]  # g1, g1^-1, g2, g2^-1
+    assert groupcore._repeat_positions([0, 0, 2], pairs) == []
+    assert groupcore._repeat_positions([0, 2, 1, 3], pairs) == []  # commutator
+    assert groupcore._repeat_positions([0, 0, 0], pairs) == [1, 2]
+    assert groupcore._repeat_positions([0, 2] * 3, pairs) == [2, 4]
+    assert groupcore._repeat_positions([0, 2, 1], pairs) == []
+    assert groupcore._repeat_positions([0], pairs) == []
+    # a b a b^-1 with a an involution: read backward from the coset after
+    # a, the cycle spells a b a b^-1 again
+    assert groupcore._repeat_positions([0, 1, 0, 2], [0, 2, 1]) == [1]
+
+
+def test_repeat_marks_change_no_table(monkeypatch):
+    # with no repeat positions only the scanned coset is marked: more
+    # scans, the same table
+    pres = _coxeter_b(4)
+    marked = enumerate_cosets(pres)
+    monkeypatch.setattr(groupcore, "_repeat_positions", lambda cols, inv: [])
+    assert enumerate_cosets(pres) == marked
+
+
+def test_closed_cycles_are_not_scanned_again():
+    # B_4 has 384 cosets and 6 relators that are not squares: 2,304 scans
+    # if every relator were scanned at every coset
+    scans = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "scan_and_fill":
+            scans.append(frame.f_locals["cols"])
+
+    sys.setprofile(count)
+    try:
+        table = enumerate_cosets(_coxeter_b(4))
+    finally:
+        sys.setprofile(None)
+    assert table.index == 384
+    assert len(scans) == 464
+
+
+def _validate_by_rows(table: CosetTable, pres: Presentation) -> bool:
+    """`CosetTable.validate` traced row by row: each relator's images are
+    read off the rows, one list per letter."""
+    if pres.generator_count != table.generator_count:
+        return False
+    identity = list(range(table.index))
+    for rel in pres.relators:
+        images = identity
+        for x in rel:
+            col = table._col(x)
+            images = [table.rows[c][col] for c in images]
+        if images != identity:
+            return False
+    return all(table.trace(0, w) == 0 for w in table.subgroup_words)
+
+
+def _corrupted(table: CosetTable, c: int, k: int) -> CosetTable:
+    rows = [list(row) for row in table.rows]
+    rows[c][k] = (rows[c][k] + 1) % table.index
+    return table._replace(rows=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_validate_agrees_with_the_row_oracle(case):
+    make, words = _ORACLE_CASES[case]
+    pres = make()
+    table = enumerate_cosets(pres, words)
+    assert table.validate(pres) is _validate_by_rows(table, pres) is True
+    rng = random.Random(case)
+    cells = [(c, k) for c in range(table.index) for k in range(2 * table.generator_count)]
+    for c, k in rng.sample(cells, min(len(cells), 12)):
+        bad = _corrupted(table, c, k)
+        assert bad.validate(pres) is _validate_by_rows(bad, pres)
+
+
+def test_validate_agrees_with_the_row_oracle_on_one_row():
+    cases = [
+        (CosetTable(1, ((0, 0),), ()), Presentation(1, ((1,),))),
+        (CosetTable(1, ((0, 0),), ((1, 1),)), Presentation(1, ((1, 1), (-1,)))),
+        (CosetTable(2, ((0, 0, 0, 0),), ((2,),)), Presentation(2, ((1,), (2, -1, 2)))),
+        (CosetTable(0, ((),), ()), Presentation(0, ((),))),
+        (CosetTable(2, ((0, 0, 0, 0),), ()), Presentation(1, ((1,),))),  # wrong rank
+    ]
+    for table, pres in cases:
+        assert table.validate(pres) is _validate_by_rows(table, pres)
+    assert [table.validate(pres) for table, pres in cases] == [True] * 4 + [False]
+
+
+def test_validate_rejects_a_relator_that_fails_at_one_coset():
+    # re-pair four cosets of one involution column of B_3: every column is
+    # still a permutation, but some relator breaks
+    pres = _coxeter_b(3)
+    table = enumerate_cosets(pres)
+    rows = [list(row) for row in table.rows]
+    c, d = 0, next(d for d in range(table.index)
+                   if len({0, rows[0][0], d, rows[d][0]}) == 4)
+    c2, d2 = rows[c][0], rows[d][0]
+    for x, y in ((c, d2), (d, c2)):
+        rows[x][0] = rows[x][1] = y
+        rows[y][0] = rows[y][1] = x
+    bad = table._replace(rows=tuple(map(tuple, rows)))
+    assert all(sorted(col) == list(range(table.index)) for col in zip(*bad.rows))
+    assert not bad.validate(pres)
+    assert not _validate_by_rows(bad, pres)

@@ -469,6 +469,18 @@ def test_face_permutation_rejects_a_map_that_is_not_a_bijection():
         face_permutation(struct, collapse)
 
 
+def test_face_maps_that_change_rank_are_rejected():
+    # read by index alone, this map would be the identity permutation, and
+    # classify would count 96 orbits of the map's 96 flags
+    struct = build_map().structure
+    shift = {(r, i): ((r + 1) % 3, i) for r, i in struct.all_refs()}
+    assert len(struct.flags()) == 96
+    with pytest.raises(ValueError, match=r"sends \(0, 0\) to \(1, 0\), of another rank"):
+        face_permutation(struct, shift)
+    with pytest.raises(ValueError, match="of another rank"):
+        classify(struct, [shift])
+
+
 def test_schlafli_types():
     assert build_cube().structure.schlafli_type() == (4, 3, 3)
     assert build_map().structure.schlafli_type() == (8, 3)
