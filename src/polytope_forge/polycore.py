@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from enum import Enum
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .groupcore import (ConcreteGroup, check, intersection_condition, reach,
@@ -295,15 +295,40 @@ def _face_map_fault(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
 def _images_by_rank(struct: RankedIncidenceStructure,
                     mapping: Mapping[FaceRef, FaceRef]) -> list[list[int]]:
     """images[r][i]: the index, within rank r, of the image of the face
-    (r, i).  An image of another rank is a `ValueError`."""
+    (r, i).  A face with no image, or an image of another rank, is a
+    `ValueError`."""
     images = []
     for r, n in enumerate(struct.f_vector):
-        refs = [mapping[(r, i)] for i in range(n)]
+        try:
+            refs = [mapping[(r, i)] for i in range(n)]
+        except KeyError as err:
+            raise ValueError(f"face map has no image of {err.args[0]}") from None
         moved = next((i for i, ref in enumerate(refs) if ref[0] != r), None)
         if moved is not None:
             raise ValueError(f"face map sends {(r, moved)} to {refs[moved]}, of another rank")
         images.append([i for _, i in refs])
     return images
+
+
+def _flag_count(p: RankedIncidenceStructure) -> int:
+    """The number of flags of the polytope p, counted as chains: in a
+    polytope incidence is transitive, so a chain of faces, one per rank,
+    each incident with the next, is a flag.  below[k] is the number of such
+    chains ending at the k-th face of the current rank."""
+    below = [1] * p.f_vector[0]
+    for r in range(1, p.rank):
+        below = [sum(below[i] for s, i in p._inc[(r, k)] if s == r - 1)
+                 for k in range(p.f_vector[r])]
+    return sum(below)
+
+
+def _base_flag(p: RankedIncidenceStructure) -> tuple[int, ...]:
+    """The least face of each rank incident with the chain so far.  Every
+    chain of a polytope extends to a flag, so this is `p.flags()[0]`."""
+    chain: list[FaceRef] = []
+    for r in range(p.rank):
+        chain.append(min(f for f in p._common(chain) if f[0] == r))
+    return tuple(i for _, i in chain)
 
 
 def classify(p: RankedIncidenceStructure,
@@ -314,22 +339,36 @@ def classify(p: RankedIncidenceStructure,
     is split across them.  Anything else: Other.
 
     Each face map must be an automorphism of the polytope p.  One that
-    sends a face to another rank is a `ValueError`; nothing else is
-    checked.  A coset face action is one, since right multiplication keeps
-    intersecting cosets intersecting.  Automorphisms of a polytope act
-    freely on its flags (McMullen & Schulte, Abstract Regular Polytopes,
-    2B), so every orbit has as many flags as the orbit of the base flag,
-    the only one walked.  Automorphisms commute with j-adjacency, so when
-    the base flag's j-adjacent flag lies outside its orbit, j-adjacency maps
-    the base orbit injectively into the other orbit, of the same size, and
-    so onto it: every j-adjacent pair is split, and `rank` adjacency tests
+    misses a face or sends a face to another rank is a `ValueError`;
+    nothing else is checked.  A coset face action is one, since right
+    multiplication keeps intersecting cosets intersecting.  Automorphisms
+    of a polytope act freely on its flags (McMullen & Schulte, Abstract
+    Regular Polytopes, 2B), so every orbit has as many flags as the orbit
+    of the base flag, the only one walked, and the flags are counted, not
+    listed.  Automorphisms commute with j-adjacency, so when the base
+    flag's j-adjacent flag lies outside its orbit, j-adjacency maps the
+    base orbit injectively into the other orbit, of the same size, and so
+    onto it: every j-adjacent pair is split, and `rank` adjacency tests
     decide chirality.
+
+    The orbit is walked a breadth-first layer at a time: the new flags'
+    rank-r faces form one column, each face map moves every column through
+    its rank-r index table, and the moved columns zip back into flags.
     """
     tables = [_images_by_rank(p, fm) for fm in face_maps]
-    flags = p.flags()
-    base = flags[0]
-    orbit = set(reach(base, lambda flag: [tuple(map(getitem, table, flag)) for table in tables]))
-    orbits = len(flags) // len(orbit)
+    base = _base_flag(p)
+    orbit = {base}
+    layer = orbit
+    while layer:
+        columns = list(zip(*layer))
+        moved = set()
+        for table in tables:
+            moved.update(zip(*[map(images.__getitem__, column)
+                               for images, column in zip(table, columns)]))
+        layer = moved - orbit
+        orbit |= layer
+    flag_count = _flag_count(p)
+    orbits = flag_count // len(orbit)
     if orbits == 1:
         kind = Classification.REGULAR
     elif orbits == 2 and not any(g in orbit for j in range(p.rank)
@@ -337,7 +376,7 @@ def classify(p: RankedIncidenceStructure,
         kind = Classification.CHIRAL
     else:
         kind = Classification.OTHER
-    return ClassifyResult(kind=kind, orbit_count=orbits, flag_count=len(flags))
+    return ClassifyResult(kind=kind, orbit_count=orbits, flag_count=flag_count)
 
 
 # -- coset geometries -----------------------------------------------------------
@@ -389,11 +428,14 @@ def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]) -> 
 
 def coset_face_action(struct: CosetGeometry, element) -> dict[FaceRef, FaceRef]:
     """The face permutation induced by right multiplication on cosets: each
-    representative walks along the word of `element`."""
+    representative walks along the word of `element`.  An element outside
+    struct.group is a `ValueError`."""
     if not isinstance(struct, CosetGeometry):
         raise ValueError("structure carries no coset decomposition")
     group = struct.group
     index = group.table().index
+    if element not in index:
+        raise ValueError(f"{element!r} is not in the structure's group")
     word = group.word(index[element])
     return {ref: (ref[0], struct.canon[ref[0]][group.walk(index[struct.key(ref)], word)])
             for ref in struct.all_refs()}
@@ -403,8 +445,8 @@ def face_permutation(struct: RankedIncidenceStructure,
                      mapping: Mapping[FaceRef, FaceRef]) -> SignedPerm:
     """A rank-preserving face bijection as a group element: the signed
     permutation, every sign +1, of the faces numbered rank by rank in
-    `all_refs()` order.  A mapping that sends a face to another rank, or
-    is not a bijection, is a `ValueError`."""
+    `all_refs()` order.  A mapping that misses a face, sends a face to
+    another rank, or is not a bijection, is a `ValueError`."""
     perm, offset = [], 1
     for n, images in zip(struct.f_vector, _images_by_rank(struct, mapping)):
         perm += [offset + i for i in images]

@@ -70,6 +70,15 @@ def _swapped_table_rows(patch):
     patch(mk, "table_coordinates", lambda: {**real(), 1: real()[2], 2: real()[1]})
 
 
+def _fewer_face_maps(patch, group=None):
+    """`classify` gets the face maps of every generator but the last, so the
+    flags fall into more orbits than the build expects.  With `group`, only
+    the coset geometry of that group's build is affected."""
+    real = cf._sigma_face_maps
+    patch(cf, "_sigma_face_maps", lambda struct: real(struct)[:-1]
+          if group is None or struct.group is group() else real(struct))
+
+
 # fault -> (injection, command, the check it must name)
 FAULTS = {
     "map-relator": (_wrong_map_relator, ["build", "map"], "map.full-presentation"),
@@ -82,6 +91,11 @@ FAULTS = {
                                 "enantiomorph.edge-stabilizer"),
     "cover-point-map": (_swapped_cover_projection, ["build", "cover"],
                         "realization.point-map-sends-faces-to-faces"),
+    "cube-face-maps": (_fewer_face_maps, ["build", "cube"], "cube.regular"),
+    "cover-face-maps": (_fewer_face_maps, ["build", "cover"], "cover.regular-with-768-flags"),
+    # build roli classifies the cube and the map first: patch Roli's maps alone
+    "roli-face-maps": (lambda patch: _fewer_face_maps(patch, cf.group_rotation_sigma),
+                       ["build", "roli"], "roli.chiral"),
 }
 
 

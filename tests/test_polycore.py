@@ -31,6 +31,7 @@ from polytope_forge.cubefamily import (
 )
 from polytope_forge.groupcore import CheckFailed, ConcreteGroup, reach
 from polytope_forge.polycore import (
+    _base_flag,
     _coset_decomposition,
     _face_map_fault,
     Classification,
@@ -418,21 +419,43 @@ REG, CHI, OTH = Classification.REGULAR, Classification.CHIRAL, Classification.OT
     (lambda: _ladder_rung(3), REG, 1),
     (lambda: _ladder_rung(4), REG, 1),
     (lambda: _ladder_rung(5), REG, 1),
+    (lambda: _own_action(_wythoff(ConcreteGroup.generate({"r": build_atlas().rho0}))), REG, 1),
+    (lambda: _own_action(_bn_polytope(2)), REG, 1),
     # the map's t0, t1, t2 generate its full group: what map.automorphism-count implies
     (_map_full_group, REG, 1),
+    # no face map: every flag is its own orbit
+    (lambda: (build_cube().structure, []), OTH, 384),
     (lambda: _cube_action((0,)), OTH, 192),
     (lambda: _cube_action((0,), (1,)), OTH, 48),
     (lambda: _cube_action((0, 1), (1, 2), (2, 3)), CHI, 2),
     # two orbits, but rho1 keeps 1-adjacent flags in one orbit
     (lambda: _cube_action((1,), (2,), (3,), (0, 1, 0)), OTH, 2),
 ], ids=["cube", "map-rotations", "roli", "enantiomorph", "cover", "b3", "b4", "b5",
-        "map-full-group", "cube-rho0", "cube-rho0-rho1", "cube-rotations",
-        "cube-rho1-rho2-rho3-rho0rho1rho0"])
+        "segment", "square", "map-full-group", "cube-no-maps", "cube-rho0", "cube-rho0-rho1",
+        "cube-rotations", "cube-rho1-rho2-rho3-rho0rho1rho0"])
 def test_classify_against_the_face_map_oracle(make, kind, orbits):
     p, face_maps = make()
     result = classify(p, face_maps)
     assert result == _classify_by_face_maps(p, face_maps)
     assert (result.kind, result.orbit_count, result.flag_count) == (kind, orbits, len(p.flags()))
+    assert _base_flag(p) == p.flags()[0]
+
+
+@pytest.mark.parametrize("make,kind", [
+    (lambda: _own_action(build_cube().structure), REG),
+    (lambda: _own_action(build_roli().structure), CHI),
+    (lambda: _own_action(build_cover().structure), REG),
+    (lambda: _ladder_rung(5), REG),
+], ids=["cube", "roli", "cover", "b5"])
+def test_classify_lists_no_flags(make, kind, monkeypatch):
+    # flags are counted as chains and only the base orbit is walked
+    p, face_maps = make()
+
+    def listed(self):
+        raise AssertionError("classify listed the flags")
+
+    monkeypatch.setattr(RankedIncidenceStructure, "flags", listed)
+    assert classify(p, face_maps).kind is kind
 
 
 def test_classify_makes_rank_adjacency_tests(monkeypatch):
@@ -479,6 +502,20 @@ def test_face_maps_that_change_rank_are_rejected():
         face_permutation(struct, shift)
     with pytest.raises(ValueError, match="of another rank"):
         classify(struct, [shift])
+
+
+def test_face_maps_that_miss_a_face_are_rejected():
+    cube = build_cube().structure
+    with pytest.raises(ValueError, match=r"no image of \(0, 1\)"):
+        classify(cube, [{(0, 0): (0, 0)}])
+    with pytest.raises(ValueError, match=r"no image of \(0, 1\)"):
+        face_permutation(cube, {(0, 0): (0, 0)})
+
+
+def test_coset_face_action_rejects_an_element_outside_the_group():
+    foreign = SignedPerm.identity(5)
+    with pytest.raises(ValueError, match=r"\(1,1,1,1,1\).* is not in the structure's group"):
+        coset_face_action(build_cube().structure, foreign)
 
 
 def test_schlafli_types():
