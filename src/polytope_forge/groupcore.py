@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .signedperm import SignedPerm
@@ -240,6 +241,32 @@ def _point_operand(g: SignedPerm) -> bytes:
     return _point_code(g) + bytes(range(2 * g.n, 256))
 
 
+class _SignTuples(dict):
+    """Sign tuples keyed by their byte strings of 0 (+1) and 1 (-1),
+    each built once."""
+
+    def __missing__(self, key: bytes) -> tuple[int, ...]:
+        signs = self[key] = tuple(1 - 2 * b for b in key)
+        return signs
+
+
+@lru_cache(maxsize=None)
+def _point_decoder(n: int) -> Callable[[bytes], SignedPerm]:
+    """`SignedPerm.from_points` for the byte codes of degree n <= 128: the
+    first n points are translated once to their images p % n + 1 and once
+    to their signs p >= n, whose tuple is memoised."""
+    pad = bytes(256 - 2 * n)
+    images = bytes(p % n + 1 for p in range(2 * n)) + pad
+    negative = bytes(p >= n for p in range(2 * n)) + pad
+    signs = _SignTuples()
+    new = tuple.__new__
+
+    def decode(code: bytes) -> SignedPerm:
+        head = code[:n]
+        return new(SignedPerm, (n, tuple(head.translate(images)), signs[head.translate(negative)]))
+    return decode
+
+
 def _codec(values: Sequence) -> tuple[Callable, Callable, Callable, Callable]:
     """(encode, operand, compose, decode) for products of `values`:
     compose(encode(a), operand(b)) is encode(a * b), and decode(encode(a))
@@ -250,7 +277,7 @@ def _codec(values: Sequence) -> tuple[Callable, Callable, Callable, Callable]:
     peak memory; any other values are their own codes."""
     if (all(isinstance(v, SignedPerm) for v in values)
             and {v.n for v in values} == {values[0].n} and values[0].n <= 128):
-        return _point_code, _point_operand, bytes.translate, SignedPerm.from_points
+        return _point_code, _point_operand, bytes.translate, _point_decoder(values[0].n)
     return _same, _same, operator.mul, _same
 
 

@@ -408,11 +408,15 @@ class CosetGeometry(RankedIncidenceStructure):
         keys = [e.key for e in group.elements]
         decomps = [_coset_decomposition(group, sub, keys) for sub in subgroups]
         canons = tuple(canon for _, canon in decomps)
-        # the cosets of faces a and b meet iff some element lies in both
-        pairs = {((j, decomps[j][0][a]), (k, decomps[k][0][b]))
-                 for j in range(rank) for k in range(j + 1, rank)
-                 for a, b in set(zip(canons[j], canons[k]))}
-        super().__init__(rank, [reps for reps, _ in decomps], pairs)
+        super().__init__(rank, [reps for reps, _ in decomps], ())
+        # the cosets of faces a and b meet iff some element lies in both;
+        # faces are indexed in the order of `key`, as canon indexes them
+        inc = self._inc
+        for j in range(rank):
+            for k in range(j + 1, rank):
+                for a, b in set(zip(canons[j], canons[k])):
+                    inc[j, a].add((k, b))
+                    inc[k, b].add((j, a))
         self.group = group
         self.subgroups = tuple(subgroups)
         self.canon = canons

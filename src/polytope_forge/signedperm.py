@@ -1,17 +1,18 @@
 """Signed permutations of {1..n} with exact semantics.
 
-An element is stored in factored form: a sign vector e in {+1,-1}^n and a
-permutation mu of {1..n} held as an image table.  The pair corresponds to
-the n x n matrix diag(e) * P(mu), where P(mu) has a 1 in row i, column
-(i)mu.  Points are row vectors acting on the right, so composition reads
-left to right: (p)(a*b) = ((p)a)b and matrix(a*b) = matrix(a) @ matrix(b).
+An element is the record (n, perm, signs): its degree n, a permutation mu
+of {1..n} held as an image table, and a sign vector e in {+1,-1}^n.  The
+record corresponds to the n x n matrix diag(e) * P(mu), where P(mu) has a
+1 in row i, column (i)mu.  Points are row vectors acting on the right, so
+composition reads left to right: (p)(a*b) = ((p)a)b and
+matrix(a*b) = matrix(a) @ matrix(b).  Elements hash, compare and sort as
+the tuple of their fields, which is `key`.
 """
 
 from __future__ import annotations
 
 import re
-from functools import total_ordering
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "SignedPerm",
@@ -37,34 +38,53 @@ def _cycles_to_image(n: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]
     return tuple(image)
 
 
-@total_ordering
-class SignedPerm:
+class _SignedPermFields(NamedTuple):
+    n: int
+    perm: tuple[int, ...]
+    signs: tuple[int, ...]
+
+
+class SignedPerm(_SignedPermFields):
     """A signed permutation matrix in sign-vector * permutation form."""
 
-    __slots__ = ("signs", "perm", "_hash")
+    __slots__ = ()
+
+    # a NamedTuple body may not define __new__, so the fields live in the
+    # base.  Here __new__ stores them and __init__ checks them, so that the
+    # records built by tuple.__new__ (products, inverses, decoded codes) are
+    # trusted and only the public constructor validates.
+    def __new__(cls, signs: Sequence[int], perm: Sequence[int]):
+        perm = tuple(perm)
+        return tuple.__new__(cls, (len(perm), perm, tuple(signs)))
 
     def __init__(self, signs: Sequence[int], perm: Sequence[int]):
-        signs = tuple(signs)
-        perm = tuple(perm)
+        signs, perm = self.signs, self.perm
         if len(signs) != len(perm):
             raise ValueError("sign vector and permutation lengths differ")
         if any(s not in (1, -1) for s in signs):
             raise ValueError(f"signs must be +-1, got {signs}")
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"image table {perm} is not a permutation of 1..{len(perm)}")
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "_hash", hash((signs, perm)))
+
+    @classmethod
+    def _make(cls, iterable) -> "SignedPerm":
+        """`_replace` builds through here: validate it too, and the degree
+        against the image table."""
+        n, perm, signs = iterable
+        g = cls(signs, perm)
+        if g.n != n:
+            raise ValueError(f"degree {n} differs from the image table's {g.n}")
+        return g
+
+    def __getnewargs__(self) -> tuple:
+        """What copy and pickle pass back to __new__."""
+        return self.signs, self.perm
 
     @classmethod
     def _trusted(cls, signs: tuple, perm: tuple) -> "SignedPerm":
         """Build from tuples already known to be valid, such as the product
         or inverse of valid signed permutations, skipping the checks."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "_hash", hash((signs, perm)))
-        return self
+        return tuple.__new__(cls, (len(perm), perm, signs))
 
     @classmethod
     def from_points(cls, points: Sequence[int]) -> "SignedPerm":
@@ -75,12 +95,18 @@ class SignedPerm:
         return cls._trusted(tuple(1 if p < n else -1 for p in head),
                             tuple(p % n + 1 for p in head))
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SignedPerm is immutable")
+    # tuple's concatenation and repetition are no group operations.  The
+    # reflected + raises: were it NotImplemented, `(1,) + g` would fall back
+    # to the left tuple's concatenation.
+    def __add__(self, other):
+        return NotImplemented
 
-    @property
-    def n(self) -> int:
-        return len(self.signs)
+    def __radd__(self, other):
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and 'SignedPerm'")
+
+    def __rmul__(self, other):
+        return NotImplemented
 
     # -- constructors ------------------------------------------------------
 
@@ -227,16 +253,6 @@ class SignedPerm:
     @property
     def key(self) -> tuple:
         return (self.n, self.perm, self.signs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SignedPerm)
-                and self.signs == other.signs and self.perm == other.perm)
-
-    def __lt__(self, other: "SignedPerm") -> bool:
-        return self.key < other.key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         signs = "(" + ",".join(str(s) for s in self.signs) + ")"

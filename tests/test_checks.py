@@ -16,6 +16,7 @@ from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
 from polytope_forge.groupcore import (CheckFailed, Presentation, check, intersection_condition,
                                       string_condition)
+from polytope_forge.signedperm import block_pair
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
 
@@ -50,6 +51,27 @@ def _flipped_j_entry(patch):
     rows = [list(row) for row in mk._J_PATTERN]
     rows[0][1] = -rows[0][1]
     patch(mk, "_J_PATTERN", tuple(map(tuple, rows)))
+
+
+def _rho0_for_sigma1(patch):
+    """The atlas hands rho0 for sigma1: <rho0, sigma2, sigma3> has the
+    rotation group's order, 192, but other elements."""
+    real = cf.build_atlas
+    patch(cf, "build_atlas", lambda: real()._replace(sigma1=real().rho0))
+
+
+def _unbarred_kappas(patch):
+    """Each kappa_i pairs sigma_i with itself, not with its mirror image
+    sigma_i_bar, so the three generate only the diagonal copy of the
+    rotation group, 192 elements, not the 384 of the cover's."""
+    real = cf.build_atlas
+
+    def atlas():
+        a = real()
+        return a._replace(kappa1=block_pair(a.sigma1, a.sigma1),
+                          kappa2=block_pair(a.sigma2, a.sigma2),
+                          kappa3=block_pair(a.sigma3, a.sigma3))
+    patch(cf, "build_atlas", atlas)
 
 
 def _non_central_zeta(patch):
@@ -89,6 +111,9 @@ FAULTS = {
     "hemi-zeta": (_non_central_zeta, ["build", "hemi"], "quotient.element-central"),
     "enantiomorph-sigma1-bar": (_unbarred_sigma1, ["build", "enantiomorph"],
                                 "enantiomorph.edge-stabilizer"),
+    "sigma1-rho0": (_rho0_for_sigma1, ["build", "roli"], "groups.sigmas-generate-rotations"),
+    "cover-unbarred-kappas": (_unbarred_kappas, ["build", "cover"],
+                              "groups.cover-rotation-order"),
     "cover-point-map": (_swapped_cover_projection, ["build", "cover"],
                         "realization.point-map-sends-faces-to-faces"),
     "cube-face-maps": (_fewer_face_maps, ["build", "cube"], "cube.regular"),

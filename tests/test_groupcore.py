@@ -1,10 +1,13 @@
 """Group engine: closures, centres, orbits, homomorphisms, conditions."""
 
 import collections
+import operator
 import random
 from operator import attrgetter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polytope_forge import cubefamily
 from polytope_forge.cubefamily import (
@@ -21,6 +24,8 @@ from polytope_forge.cubefamily import (
 )
 from polytope_forge.groupcore import (
     _codec,
+    _point_decoder,
+    _same,
     DEFAULT_CAP,
     ActionTable,
     CapExceeded,
@@ -668,6 +673,42 @@ def test_closure_cap_and_degree_errors_match_products():
     wide = [SignedPerm.from_cycles(129, [(1, 129)]), SignedPerm.from_cycles(129, [(1, 2)])]
     assert len(_assert_closure_matches(wide)) == 6
     assert len(_assert_closure_matches([SignedPerm.from_cycles(128, [(1, 128)])])) == 2
+
+
+def _assert_decodes_as_from_points(g):
+    """The translate decoder of g's degree reads g's byte code as
+    `SignedPerm.from_points` reads its point tuple, field by field."""
+    decoded = _point_decoder(g.n)(bytes(g.points()))
+    oracle = SignedPerm.from_points(g.points())
+    assert decoded == oracle == g and type(decoded) is SignedPerm
+    assert tuple(map(type, decoded)) == (int, tuple, tuple) and hash(decoded) == hash(g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 127, 128])
+def test_point_decoder_matches_from_points(n):
+    # at n = 128 the 2n points fill all 256 entries of a table: no pad
+    rng = random.Random(n)
+    elements = [SignedPerm.identity(n), SignedPerm((-1,) * n, range(n, 0, -1))]
+    elements += [_random_signed_perm(rng, n) for _ in range(20)]
+    for g in elements:
+        _assert_decodes_as_from_points(g)
+    # each sign pattern's tuple is built once
+    decode, code = _point_decoder(n), bytes(elements[1].points())
+    assert decode(code).signs is decode(code).signs
+
+
+@given(st.integers(1, 128).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.lists(st.sampled_from((1, -1)), min_size=n,
+                                                max_size=n))))
+def test_point_decoder_matches_from_points_on_any_degree(perm_and_signs):
+    perm, signs = perm_and_signs
+    _assert_decodes_as_from_points(SignedPerm(signs, perm))
+
+
+def test_degree_129_takes_the_generic_codec():
+    wide = [SignedPerm.from_cycles(129, [(1, 129)])]
+    assert _codec(wide) == (_same, _same, operator.mul, _same)
+    assert _codec([SignedPerm.identity(128)])[3] is _point_decoder(128)
 
 
 def _extension_by_products(src, images):

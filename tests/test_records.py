@@ -1,5 +1,5 @@
 """Value records are `NamedTuple`s with fixed field names and defaults whose
-attributes cannot be assigned; the two that validate do so on every
+attributes cannot be assigned; the ones that validate do so on every
 construction; and nothing in the package uses `dataclasses`, whose class
 decorations cost most of the cold-start import."""
 
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import polytope_forge
-from polytope_forge import cli, cubefamily, groupcore, mkconfig, polycore
+from polytope_forge import cli, cubefamily, groupcore, mkconfig, polycore, signedperm
 from polytope_forge.groupcore import CheckFailed, Presentation
 from polytope_forge.polycore import ColoredGraph
 
@@ -58,6 +58,7 @@ FIELDS = {
     polycore.ColoredGraph: ("vertices", "edge_colors", "d"),
     polycore.CoveringReport: ("preimage_counts", "isomorphic_on_facets",
                               "isomorphic_on_vertex_figures"),
+    signedperm.SignedPerm: ("n", "perm", "signs"),
 }
 DEFAULTS = {
     cli.Claim: {"note": ""},

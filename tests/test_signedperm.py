@@ -1,5 +1,7 @@
 """Signed permutation algebra against its matrix semantics."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -200,3 +202,41 @@ def test_invalid_constructions_rejected():
             SignedPerm(signs, perm)
     with pytest.raises(ValueError):
         SignedPerm.parse("garbage")
+
+
+def test_copy_deepcopy_and_pickle_round_trip(atlas):
+    for g in (atlas.pi, atlas.kappa2, SignedPerm.identity(1)):
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and type(twin) is SignedPerm
+            assert (twin.n, twin.perm, twin.signs) == (g.n, g.perm, g.signs)
+            assert twin * g.inverse() == SignedPerm.identity(g.n)
+
+
+def test_tuple_operations_are_no_group_operations(atlas):
+    g, h = atlas.pi, atlas.sigma2
+    for bad in (lambda: 2 * g, lambda: g * 2, lambda: g + h, lambda: g + (1,),
+                lambda: (1,) + g, lambda: sum([g], ())):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_make_and_replace_validate(atlas):
+    g = atlas.pi
+    assert g._replace(signs=(1, 1, 1, 1)) == SignedPerm((1, 1, 1, 1), g.perm)
+    assert SignedPerm._make(g) == g
+    for fields in ({"n": 5}, {"n": 3}, {"signs": (1, 1, 1, 2)}, {"perm": (1, 1, 2, 3)},
+                   {"perm": (1, 2, 3)}):
+        with pytest.raises(ValueError):
+            g._replace(**fields)
+    with pytest.raises(ValueError):
+        SignedPerm._make((4, (1, 2, 3), (1, 1, 1)))
+
+
+def test_order_equality_and_hash_are_the_records():
+    # sorting by the tuple of fields is sorting by `key`, and the record's
+    # equality and hash are the fields' ones
+    elements = list(group_cube())
+    random.Random(4).shuffle(elements)
+    assert sorted(elements) == sorted(elements, key=lambda g: g.key)
+    assert all(tuple(g) == g.key and hash(g) == hash(g.key) for g in elements)
+    assert len(set(elements)) == 384
