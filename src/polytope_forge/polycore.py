@@ -35,9 +35,71 @@ __all__ = [
     "coset_face_action",
     "face_permutation",
     "isomorphisms",
+    "automorphism_count",
 ]
 
 FaceRef = tuple[int, int]  # (rank, index within rank)
+
+
+class _Search:
+    """The backtracking search behind `isomorphisms` and `automorphism_count`.
+
+    Nodes of a are placed in breadth-first order, each next to its placed
+    parent.  A candidate image has the node's label and degree, is adjacent
+    to the images of all earlier neighbours and to no other placed image."""
+
+    def __init__(self, adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
+                 label_a: Callable, label_b: Callable):
+        parent: dict = {}  # node -> position of its parent in order, None at a root
+        order: list = []
+        for root in adj_a:
+            queue = [] if root in parent else [root]
+            parent.setdefault(root, None)
+            for v in queue:  # the queue grows while it is read
+                order.append(v)
+                for w in adj_a[v]:
+                    if w not in parent:
+                        parent[w] = len(order) - 1
+                        queue.append(w)
+        index = {v: k for k, v in enumerate(order)}
+        self.order = order
+        self.parent = [parent[v] for v in order]
+        self.earlier = [[index[u] for u in adj_a[v] if index[u] < k]
+                        for k, v in enumerate(order)]
+        self.want = [(label_a(v), len(adj_a[v])) for v in order]
+        self.has = {c: (label_b(c), len(adj_b[c])) for c in adj_b}
+        self.adj_b = adj_b
+        self.image: list = []  # the images of order[:len(image)]
+        self.used: set = set()  # the same images, as a set
+
+    def candidates(self, k: int) -> list:
+        """The images order[k] may take next to the placed ones."""
+        adj_b, image, used, want, has = self.adj_b, self.image, self.used, self.want[k], self.has
+        pool = adj_b if self.parent[k] is None else adj_b[image[self.parent[k]]]
+        need = {image[j] for j in self.earlier[k]}
+        return [c for c in pool
+                if c not in used and has[c] == want and adj_b[c] & used == need]
+
+    def place(self, c) -> None:
+        self.image.append(c)
+        self.used.add(c)
+
+    def unplace(self) -> None:
+        self.used.discard(self.image.pop())
+
+    def extend(self, k: int) -> Iterator[bool]:
+        """Yield True each time the placed images, order[:k]'s, complete to
+        an isomorphism; `image` then holds it.  Closing the generator early
+        unplaces what it placed."""
+        if k == len(self.order):
+            yield True
+            return
+        for c in self.candidates(k):
+            self.place(c)
+            try:
+                yield from self.extend(k + 1)  # recursion depth: the number of nodes
+            finally:
+                self.unplace()
 
 
 def isomorphisms(adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
@@ -45,42 +107,42 @@ def isomorphisms(adj_a: Mapping[Hashable, set], adj_b: Mapping[Hashable, set],
                  label_b: Callable = lambda v: None) -> Iterator[dict]:
     """Every label-preserving isomorphism from graph a onto graph b, as a
     dict node -> node.  Graphs are given as node -> set of neighbours.
-
-    Nodes of a are placed in breadth-first order, each next to its placed
-    parent.  A candidate image has the node's label and degree, is adjacent
-    to the images of all earlier neighbours and to no other placed image."""
+    The search is `_Search`'s."""
     if len(adj_a) != len(adj_b):
         return
-    parent: dict = {}  # node -> position of its parent in order, None at a root
-    order: list = []
-    for root in adj_a:
-        queue = [] if root in parent else [root]
-        parent.setdefault(root, None)
-        for v in queue:  # the queue grows while it is read
-            order.append(v)
-            for w in adj_a[v]:
-                if w not in parent:
-                    parent[w] = len(order) - 1
-                    queue.append(w)
-    index = {v: k for k, v in enumerate(order)}
-    earlier = [[index[u] for u in adj_a[v] if index[u] < k] for k, v in enumerate(order)]
-    image: list = []
+    search = _Search(adj_a, adj_b, label_a, label_b)
+    for _ in search.extend(0):
+        yield dict(zip(search.order, search.image))
 
-    def extend(k: int) -> Iterator[dict]:  # recursion depth: the number of nodes
-        if k == len(order):
-            yield dict(zip(order, image))
-            return
-        v = order[k]
-        used = set(image)
-        pool = adj_b if parent[v] is None else adj_b[image[parent[v]]]
-        need = {image[j] for j in earlier[k]}
-        for c in [c for c in pool if c not in used and label_b(c) == label_a(v)
-                  and len(adj_b[c]) == len(adj_a[v]) and adj_b[c] & used == need]:
-            image.append(c)
-            yield from extend(k + 1)
-            image.pop()
 
-    yield from extend(0)
+def automorphism_count(adj: Mapping[Hashable, set]) -> int:
+    """The number of automorphisms of a graph given as node -> set of
+    neighbours, without listing them.
+
+    Let v_0, v_1, ... be `_Search`'s placing order and Stab_k the
+    automorphisms that fix v_0..v_{k-1}, each to itself, so Stab_0 is the
+    whole group and Stab_n, which fixes all n nodes, is the identity alone.  By orbit-stabilizer
+    |Stab_k| = |orbit_k| · |Stab_{k+1}|, where orbit_k is the orbit of v_k
+    under Stab_k, so |Aut| is the product of the orbit lengths (a stabilizer
+    chain; Seress, Permutation Group Algorithms, 2003, ch. 4).  With
+    v_0..v_{k-1} placed on themselves, every member of Stab_k sends v_k to a
+    candidate of the search, and a candidate c is in orbit_k exactly when
+    the search, with v_k placed on c, completes to an isomorphism: one
+    first hit decides it.  v_k itself is in orbit_k, by the identity."""
+    search = _Search(adj, adj, lambda v: None, lambda v: None)
+    count = 1
+    for k, v in enumerate(search.order):
+        orbit = 1
+        for c in search.candidates(k):
+            if c != v:
+                search.place(c)
+                hits = search.extend(k + 1)
+                orbit += next(hits, False)
+                hits.close()
+                search.unplace()
+        count *= orbit
+        search.place(v)
+    return count
 
 
 def _order(key):

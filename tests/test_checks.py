@@ -101,9 +101,19 @@ def _fewer_face_maps(patch, group=None):
           if group is None or struct.group is group() else real(struct))
 
 
+def _prism_for_gp83(patch):
+    """The Levi graph is compared with GP(8,1), the 8-prism: cubic and of
+    order 16 like GP(8,3), but of girth 4, not 6."""
+    patch(cf, "gp83_graph", lambda: cf._adjacency(edge for i in range(8) for edge in (
+        (("u", i), ("u", (i + 1) % 8)),
+        (("w", i), ("w", (i + 1) % 8)),
+        (("u", i), ("w", i)))))
+
+
 # fault -> (injection, command, the check it must name)
 FAULTS = {
     "map-relator": (_wrong_map_relator, ["build", "map"], "map.full-presentation"),
+    "levi-gp-8-1": (_prism_for_gp83, ["build", "map"], "map.levi-graph-is-gp-8-3"),
     "roli-subgroups": (_equal_roli_subgroups, ["build", "roli"], "roli.stabilizer-orders"),
     "atlas-display": (_perturbed_pi_display, ["build", "cube"], "atlas.pi-display"),
     "mk-j-pattern": (_flipped_j_entry, ["build", "mk"], "mk.j-squares-to-minus-identity"),

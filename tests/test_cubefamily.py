@@ -200,6 +200,19 @@ def _laplace_det(rows):
                for j in range(len(rows)))
 
 
+# the 24 permutations of four columns, each with its sign
+_SIGNED_PERMUTATIONS = tuple(
+    ((-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)), p)
+    for p in itertools.permutations(range(4)))
+
+
+def _leibniz_det(rows):
+    """Determinant of a 4×4 matrix as a Leibniz sum over the 24 permutations."""
+    r0, r1, r2, r3 = rows
+    return sum(sign * r0[a] * r1[b] * r2[c] * r3[d]
+               for sign, (a, b, c, d) in _SIGNED_PERMUTATIONS)
+
+
 def test_det_matches_laplace_on_polygon_windows():
     for p in petrie_polygons():
         verts = p.vertices
@@ -212,6 +225,20 @@ def test_det_matches_laplace_on_polygon_windows():
                 min_size=4, max_size=4))
 def test_det_matches_laplace_on_integer_matrices(rows):
     assert _det_int(rows) == _laplace_det(rows)
+
+
+def test_det_matches_leibniz_on_polygon_windows():
+    for p in petrie_polygons():
+        verts = p.vertices
+        for k in range(8):
+            window = [verts[(k + t) % 8] for t in range(4)]
+            assert _det_int(window) == _leibniz_det(window)
+
+
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_det_matches_leibniz_on_integer_matrices(rows):
+    assert _det_int(rows) == _leibniz_det(rows)
 
 
 def test_chiral_class_split_and_determinants():
@@ -476,6 +503,22 @@ def test_map_involutions_generate_every_automorphism():
     assert bundle.full_group.element_set == every
     assert list(bundle.full_group.generators) == ["t0", "t1", "t2"]
     assert all(t.inverse() == t for t in bundle.full_group.generator_list())
+
+
+def test_build_map_lists_no_levi_automorphisms(monkeypatch):
+    # the 96 are counted by orbit-stabilizer; the build takes one mapping
+    # from the GP(8,3) search and one per flag adjacent to the base flag
+    yielded = []
+
+    def counted(*args):
+        for mapping in isomorphisms(*args):
+            yielded.append(mapping)
+            yield mapping
+
+    monkeypatch.setattr(cf, "isomorphisms", counted)
+    bundle = cf.build_map.__wrapped__()  # uncached
+    assert bundle.levi_automorphism_count == 96
+    assert len(yielded) <= 4
 
 
 def _deleted_edges(bundle) -> set:

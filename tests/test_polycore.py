@@ -13,8 +13,11 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polytope_forge
+from polytope_forge import polycore
 from polytope_forge.cubefamily import (
     _adjacency,
     build_atlas,
@@ -34,6 +37,7 @@ from polytope_forge.polycore import (
     _base_flag,
     _coset_decomposition,
     _face_map_fault,
+    automorphism_count,
     Classification,
     ClassifyResult,
     ColoredGraph,
@@ -1075,6 +1079,61 @@ def test_labels_must_match():
     assert _agree(hexagon, hexagon, runs.__getitem__, (1, 1, 2, 2, 0, 0).__getitem__) == 1
     # a label outside the other graph's labels
     assert _agree(hexagon, hexagon, runs.__getitem__, (0, 0, 1, 1, 2, 3).__getitem__) == 0
+
+
+@pytest.mark.parametrize("adj, count", [
+    (_adjacency(nx.cycle_graph(5).edges), 10),
+    (_adjacency(nx.complete_graph(4).edges), 24),
+    (_adjacency(nx.petersen_graph().edges), 120),
+    (_adjacency(nx.hypercube_graph(3).edges), 48),
+    (gp83_graph(), 96),
+    (_adjacency(nx.frucht_graph().edges), 1),
+    (_adjacency(nx.disjoint_union(nx.cycle_graph(4), nx.cycle_graph(4)).edges), 128),
+    ({}, 1),
+    ({0: set()}, 1),
+], ids=["c5", "k4", "petersen", "3-cube", "gp83", "frucht", "two-c4", "empty", "node"])
+def test_automorphism_count_of_known_graphs(adj, count):
+    assert automorphism_count(adj) == count
+    assert len(list(isomorphisms(adj, adj))) == count
+
+
+@st.composite
+def _small_graphs(draw) -> dict:
+    """A graph on at most 7 nodes, each pair an edge or not, so disconnected
+    graphs and isolated nodes are drawn too."""
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = {v: set() for v in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
+@settings(deadline=None)  # seven isolated nodes have 5,040 automorphisms to list
+@given(_small_graphs())
+def test_automorphism_count_agrees_with_enumeration(adj):
+    count = automorphism_count(adj)
+    assert count == len(list(isomorphisms(adj, adj)))
+    if adj:  # vf2pp yields no mapping of the graph without nodes
+        graph = _nx_graph(adj, lambda v: None)
+        assert count == sum(1 for _ in nx.vf2pp_all_isomorphisms(graph, graph))
+
+
+def test_automorphism_count_of_the_levi_graph_searches_a_fifth_as_much(monkeypatch):
+    # one first-hit search per orbit point, against listing all 96: the
+    # count of positions the backtracking expands stands in for its time
+    levi = _adjacency(build_map().edges)
+    expanded = []
+    candidates = polycore._Search.candidates
+    monkeypatch.setattr(polycore._Search, "candidates",
+                        lambda self, k: expanded.append(k) or candidates(self, k))
+    assert sum(1 for _ in isomorphisms(levi, levi)) == 96
+    listing = len(expanded)
+    expanded.clear()
+    assert automorphism_count(levi) == 96
+    assert len(expanded) * 5 <= listing, (len(expanded), listing)
 
 
 def _imported(args: tuple) -> set:
