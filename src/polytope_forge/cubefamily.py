@@ -36,10 +36,10 @@ from .polycore import (
     classify,
     colourful_polytope,
     coset_face_action,
-    coset_geometry,
     face_permutation,
     isomorphisms,
     polytope_from_reflections,
+    polytope_from_rotations,
     verify_covering,
 )
 from .signedperm import SignedPerm, act, block_pair
@@ -811,12 +811,10 @@ def build_map() -> MapBundle:
     covered = len({p for e in cube_edges - edges for p in e})
     check(covered == 16, "map.deleted-edges-perfect-matching", covered)
 
-    sub0 = rot.subgroup([atlas.sigma2])
-    sub1 = rot.subgroup([atlas.sigma1 * atlas.sigma2])
-    sub2 = rot.subgroup([atlas.sigma1])
-    orders = (len(sub0), len(sub1), len(sub2))
+    # the cosets of <sigma2>, <sigma1 sigma2> and <sigma1>
+    struct = polytope_from_rotations(rot)
+    orders = tuple(map(len, struct.subgroups))
     check(orders == (3, 2, 8), "map.coset-subgroup-orders", orders)
-    struct = coset_geometry(rot, [sub0, sub1, sub2])
     check(struct.schlafli_type() == (8, 3), "map.type-8-3", struct.schlafli_type())
     # with _realize's faithfulness and containment checks, the realized faces
     # being the points, edges and octagons makes the cosets the map itself:
@@ -839,17 +837,19 @@ def build_map() -> MapBundle:
     check(rot_result.orbit_count == 2 and rot_result.flag_count == 96,
           "map.rotation-group-has-two-flag-orbits", rot_result)
 
-    # the three distinguished involutions.  An automorphism is fixed by the
-    # image of one flag (McMullen & Schulte, Abstract Regular Polytopes,
-    # ch. 2), so one search per flag j-adjacent to the base flag, with each
-    # face labelled by its rank and whether it lies in the flag, finds every
-    # automorphism taking the base flag there
+    # the three distinguished involutions.  A search with each face labelled
+    # by its rank and whether it lies in the flag finds the automorphisms
+    # that take the base flag to a given flag.  Automorphisms of a polytope
+    # act freely on its flags (McMullen & Schulte, Abstract Regular
+    # Polytopes, 2B), so the first hit is the only one: one first-hit
+    # search per flag j-adjacent to the base flag
     base_flag = tuple(canon[0] for canon in struct.canon)  # the faces holding the identity
-    hits = [list(isomorphisms(struct._inc, struct._inc, _in_flag(base_flag), _in_flag(f)))
-            for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
-    check([len(h) for h in hits] == [1, 1, 1], "map.one-automorphism-per-adjacent-flag",
-          [len(h) for h in hits])
-    t_gens = [face_permutation(struct, h[0]) for h in hits]
+    adjacent = [f for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
+    hits = [next(isomorphisms(struct._inc, struct._inc, _in_flag(base_flag), _in_flag(f)), None)
+            for f in adjacent]
+    missing = [f for f, hit in zip(adjacent, hits) if hit is None]
+    check(not missing, "map.one-automorphism-per-adjacent-flag", missing)
+    t_gens = [face_permutation(struct, hit) for hit in hits]
     broken = broken_relator(t_gens, presentation_map_full())
     check(broken is None, "map.full-presentation", broken)
     # automorphisms of a polytope act freely on its flags, so a group of
@@ -924,23 +924,14 @@ class RoliBundle(NamedTuple):
         }
 
 
-def _roli_subgroups(rot_sigma: ConcreteGroup):
-    a = build_atlas()
-    s1, s2, s3 = a.sigma1, a.sigma2, a.sigma3
-    return (
-        rot_sigma.subgroup([s2, s3]),
-        rot_sigma.subgroup([s1 * s2, s3]),
-        rot_sigma.subgroup([s1, s2 * s3]),
-        rot_sigma.subgroup([s1, s2]),
-    )
-
-
 @lru_cache(maxsize=None)
 def build_roli() -> RoliBundle:
     atlas = build_atlas()
     rot = group_rotation_sigma()
-    subs = _roli_subgroups(rot)
-    orders = tuple(len(s) for s in subs)
+    # the cosets of <s2, s3>, <s1 s2, s3>, <s1, s2 s3> and <s1, s2>
+    struct = polytope_from_rotations(rot)
+    subs = struct.subgroups
+    orders = tuple(map(len, subs))
     check(orders == (12, 6, 16, 48), "roli.stabilizer-orders", orders)
     fault = _stabilizer_fault(rot, subs[0], atlas.v, act)
     check(fault is None, "roli.vertex-stabilizer", fault)
@@ -949,7 +940,6 @@ def build_roli() -> RoliBundle:
     check(subs[2].element_set == group_petrie_stabilizer().element_set,
           "roli.octagon-stabilizer", len(subs[2]))
 
-    struct = coset_geometry(rot, list(subs))
     type_vector = struct.schlafli_type()
     check(type_vector == (8, 3, 3), "roli.type-8-3-3", type_vector)
 
@@ -1061,7 +1051,10 @@ def build_enantiomorph() -> EnantiomorphBundle:
     check(barred_rank2.element_set == k.element_set,
           "enantiomorph.barred-words-give-the-octagon-stabilizer", len(barred_rank2))
 
-    struct = coset_geometry(rot, [sub0, sub1, sub2, sub3])
+    # unvalidated: the check enantiomorph.mirror-by-rho0-is-an-isomorphism
+    # below maps it face by face, keeping rank and incidence both ways,
+    # onto Roli's polytope, so the polytope axioms carry over from there
+    struct = CosetGeometry(rot, [sub0, sub1, sub2, sub3])
     realization = _realize(struct, [atlas.v_bar, base_edge, mirror_octagon.vertices,
                                     mirror_facet])
     two_faces_class = _two_faces_class(realization)

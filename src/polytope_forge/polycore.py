@@ -26,6 +26,7 @@ __all__ = [
     "ClassifyResult",
     "classify",
     "polytope_from_reflections",
+    "polytope_from_rotations",
     "coset_geometry",
     "central_quotient",
     "ColoredGraph",
@@ -486,7 +487,9 @@ class CosetGeometry(RankedIncidenceStructure):
 
 def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]) -> CosetGeometry:
     """The coset geometry of group and subgroups, validated: a failed axiom
-    fails its `polytope.*` check."""
+    fails its `polytope.*` check.  No build calls it, since each checks
+    the hypothesis of a theorem instead; it is the tests' oracle, and
+    `perfbench/tracer.py` hooks it by name."""
     struct = CosetGeometry(group, subgroups)
     struct.validate_polytope()
     return struct
@@ -544,6 +547,53 @@ def polytope_from_reflections(group: ConcreteGroup) -> CosetGeometry:
     return CosetGeometry(group, subgroups)
 
 
+def polytope_from_rotations(group: ConcreteGroup) -> CosetGeometry:
+    """The rotary coset geometry of Γ = ⟨σ1..σ_{n−1}⟩, rank n = 3 or 4:
+    the rank-j faces are the cosets of Γ_0 = ⟨σ2⟩, Γ_1 = ⟨σ1σ2⟩,
+    Γ_2 = ⟨σ1⟩ in rank 3, and of Γ_0 = ⟨σ2, σ3⟩, Γ_1 = ⟨σ1σ2, σ3⟩,
+    Γ_2 = ⟨σ1, σ2σ3⟩, Γ_3 = ⟨σ1, σ2⟩ in rank 4.  Any other rank is a
+    `ValueError`.
+
+    The `rotations.*` checks are the hypothesis of Schulte & Weiss
+    ("Chiral polytopes", DIMACS Ser. 4, 1991): no σ_i is the identity (a
+    type {p_1, ..., p_{n−1}} has every p_i ≥ 2; with σ1 = 1 in rank 3 the
+    cosets have one vertex and one edge), (σ_i⋯σ_j)² = 1 for i < j, and
+    the intersection condition, which in rank 3 is ⟨σ1⟩ ∩ ⟨σ2⟩ = 1
+    and in rank 4 reduces to ⟨σ1⟩ ∩ ⟨σ2⟩ = 1, ⟨σ2⟩ ∩ ⟨σ3⟩ = 1 and
+    ⟨σ1, σ2⟩ ∩ ⟨σ2, σ3⟩ = ⟨σ2⟩ (Schulte & Weiss, "Chirality and
+    projective linear groups", Discrete Math. 131, 1994).  Then the coset
+    geometry is a chiral or directly regular polytope, so the result is
+    not validated again."""
+    sigmas, names = group.generator_list(), list(group.generators)
+    rank = len(sigmas) + 1
+    if rank not in (3, 4):
+        raise ValueError(f"rotary construction needs 2 or 3 generators, not {len(sigmas)}")
+    bad = [name for name, image in zip(names, group.table().act[0]) if image == 0]
+    check(not bad, "rotations.generators-nontrivial", bad)
+    # σ_i⋯σ_j, twice, is a walk along the columns i..j (0-based) of the table
+    bad = next((names[i:j + 1] for i in range(rank - 1) for j in range(i + 1, rank - 1)
+                if group.walk(0, list(range(i, j + 1)) * 2) != 0), None)
+    check(bad is None, "rotations.relations", bad)
+
+    def span(columns) -> set:
+        return set(group.span(sum(1 << k for k in columns)))
+
+    # (left, right, their meet) as generator columns
+    meets = [((0,), (1,), ())]
+    if rank == 4:
+        meets += [((1,), (2,), ()), ((0, 1), (1, 2), (1,))]
+    bad = next((([names[k] for k in a], [names[k] for k in b]) for a, b, c in meets
+                if span(a) & span(b) != span(c)), None)
+    check(bad is None, "rotations.intersection-condition", bad)
+    if rank == 3:
+        s1, s2 = sigmas
+        gens = [[s2], [s1 * s2], [s1]]
+    else:
+        s1, s2, s3 = sigmas
+        gens = [[s2, s3], [s1 * s2, s3], [s1, s2 * s3], [s1, s2]]
+    return CosetGeometry(group, [group.subgroup(g) for g in gens])
+
+
 # -- central quotients ------------------------------------------------------------
 
 
@@ -555,18 +605,56 @@ def central_quotient(p: CosetGeometry, z) -> CosetGeometry:
     g z g^-1 = z lies in H, so it acts freely when no H_j holds it.
 
     `z` is an element of p.group (the trivial quotient by the identity is
-    allowed and returns an isomorphic structure)."""
+    allowed and returns an isomorphic structure).
+
+    p must be the Wythoff geometry of a string group of involutions
+    ρ_0..ρ_{n−1}, p.group's generators; anything else is a `ValueError`.
+    In Γ/⟨z⟩ the images of the ρ_i keep the string condition, they stay
+    involutions when no ρ_i is z (`quotient.generators-stay-involutions`;
+    in rank 2 and up each ρ_i lies in some H_j, so `quotient.acts-freely`
+    implies it, but the segment's ρ_0 lies in none), and the preimage of
+    ⟨ρ̄_S⟩ is ⟨ρ_S, z⟩.  So `quotient.intersection-condition`, for i < j
+    ⟨ρ_i..ρ_{j−1}, z⟩ ∩ ⟨ρ_{i+1}..ρ_j, z⟩ = ⟨ρ_{i+1}..ρ_{j−1}, z⟩ in Γ, is
+    McMullen & Schulte's 2E16 in Γ/⟨z⟩: the quotient group is a string
+    C-group and its coset geometry, the one returned, a regular polytope
+    (2E11), which is not validated again."""
     if not isinstance(p, CosetGeometry):
         raise ValueError("structure carries no group")
-    check(z in p.group, "quotient.element-in-the-group", z)
-    check(all(z * g == g * z for g in p.group.generator_list()), "quotient.element-central", z)
-    identity = p.group.identity
+    group = p.group
+    full = (1 << len(group.generators)) - 1
+    index = group.table().index
+    wythoff = len(p.subgroups) == len(group.generators) and all(
+        {index.get(h) for h in sub} == set(group.span(full & ~(1 << j)))
+        for j, sub in enumerate(p.subgroups))
+    if not wythoff:
+        raise ValueError("central_quotient expects the Wythoff subgroups of the group")
+    check(z in group, "quotient.element-in-the-group", z)
+    check(all(z * g == g * z for g in group.generator_list()), "quotient.element-central", z)
+    identity = group.identity
     check(z == identity or z * z == identity, "quotient.element-an-involution", z)
     fixed = None if z == identity else next(
         ((j, p.canon[j][0]) for j, sub in enumerate(p.subgroups) if z in sub), None)
     check(fixed is None, "quotient.acts-freely", fixed)
-    return coset_geometry(p.group, [p.group.subgroup(sub.generator_list() + [z])
-                                    for sub in p.subgroups])
+    bad = next((name for name, g in group.generators.items() if g == z), None)
+    check(bad is None, "quotient.generators-stay-involutions", bad)
+    # a group of non-involutions is a ValueError in string_condition
+    if not string_condition(group):
+        raise ValueError("central_quotient expects a string group")
+
+    # ⟨ρ_a..ρ_{b−1}, z⟩ is the span of those columns and its translate by
+    # z, which is central: each position walked along z's word
+    z_word = group.word(index[z])
+
+    def with_z(a: int, b: int) -> set:
+        positions = group.span((1 << b) - (1 << a))
+        return {*positions, *(group.walk(i, z_word) for i in positions)}
+
+    n = len(group.generators)
+    bad = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                if with_z(i, j) & with_z(i + 1, j + 1) != with_z(i + 1, j)), None)
+    check(bad is None, "quotient.intersection-condition", bad)
+    return CosetGeometry(group, [group.subgroup(sub.generator_list() + [z])
+                                 for sub in p.subgroups])
 
 
 # -- colourful polytopes ----------------------------------------------------------
@@ -624,7 +712,13 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
     """The simple d-polytope whose j-faces are (colour set of size j,
     connected component); its 1-skeleton is the graph itself.  That needs
     no check: `ColoredGraph` makes every colour class a perfect matching,
-    so each one-colour component is exactly one edge of the graph."""
+    so each one-colour component is exactly one edge of the graph.
+
+    A connected d-valent graph whose colour classes are perfect matchings
+    gives a colourful d-polytope (Araujo-Pardo, Hubard, Oliveros &
+    Schulte, "Colorful polytopes and graphs", Israel J. Math. 195, 2013).
+    `ColoredGraph` and `colouring.graph-connected` check exactly that
+    hypothesis, so the result is not validated again."""
     all_colors = frozenset(range(1, cg.d + 1))
     reached = cg.component(cg.vertices[0], all_colors)
     check(reached == tuple(sorted(cg.vertices)), "colouring.graph-connected", len(reached))
@@ -655,9 +749,7 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
              for dcolors in itertools.combinations(sorted(all_colors), k)
              if set(key[0]) <= set(dcolors)]
 
-    struct = RankedIncidenceStructure(cg.d, faces_by_rank, pairs)
-    struct.validate_polytope()
-    return struct
+    return RankedIncidenceStructure(cg.d, faces_by_rank, pairs)
 
 
 # -- coverings ---------------------------------------------------------------------

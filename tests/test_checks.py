@@ -16,6 +16,7 @@ from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
 from polytope_forge.groupcore import (CheckFailed, Presentation, check, intersection_condition,
                                       string_condition)
+from polytope_forge.polycore import CosetGeometry
 from polytope_forge.signedperm import block_pair
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
@@ -29,8 +30,16 @@ def _wrong_map_relator(patch):
 
 
 def _equal_roli_subgroups(patch):
-    real = cf._roli_subgroups
-    patch(cf, "_roli_subgroups", lambda rot: (real(rot)[0],) * 4)
+    """Roli's rotary construction takes its vertex subgroup at every rank.
+    The map, built first by `build roli`, keeps its own."""
+    real = cf.polytope_from_rotations
+
+    def collapsed(group):
+        struct = real(group)
+        if group is not cf.group_rotation_sigma():
+            return struct
+        return CosetGeometry(group, [struct.subgroups[0]] * 4)
+    patch(cf, "polytope_from_rotations", collapsed)
 
 
 def _perturbed_pi_display(patch):
@@ -242,8 +251,9 @@ def _package_check_ids() -> set:
 
 
 # the checks of the map's coset geometry that, with the realization, make
-# the cosets the map itself
-_MAP_REALIZED = ("map.coset-subgroup-orders", "map.type-8-3", "polytope.diamond",
+# the cosets the map itself; the rotations.* hypothesis makes it a polytope
+_MAP_REALIZED = ("map.coset-subgroup-orders", "map.type-8-3", "rotations.generators-nontrivial",
+                 "rotations.relations", "rotations.intersection-condition",
                  "realization.faithful", "realization.incidence-is-containment",
                  "map.cosets-realize-the-map")
 

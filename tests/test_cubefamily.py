@@ -521,6 +521,42 @@ def test_build_map_lists_no_levi_automorphisms(monkeypatch):
     assert len(yielded) <= 4
 
 
+def test_build_map_runs_no_flag_search_to_exhaustion(monkeypatch):
+    # automorphisms act freely on flags, so the build stops at the first hit
+    exhausted = []
+
+    def first_hits(*args):
+        yield from isomorphisms(*args)
+        exhausted.append(args[2:])  # reached only when a search runs out
+
+    monkeypatch.setattr(cf, "isomorphisms", first_hits)
+    bundle = cf.build_map.__wrapped__()  # uncached
+    assert len(bundle.full_group) == 96
+    assert exhausted == []
+
+
+def test_no_build_validates_or_calls_coset_geometry(monkeypatch):
+    # every build trusts a checked theorem: validate_polytope and
+    # coset_geometry stay as the tests' oracles
+    calls = []
+    validate = RankedIncidenceStructure.validate_polytope
+    monkeypatch.setattr(RankedIncidenceStructure, "validate_polytope",
+                        lambda self: calls.append("validate_polytope") or validate(self))
+    for module in (polycore, cf):
+        if hasattr(module, "coset_geometry"):
+            real = module.coset_geometry
+            monkeypatch.setattr(module, "coset_geometry", lambda *args, real=real: (
+                calls.append("coset_geometry") or real(*args)))
+    clear_build_caches()
+    try:
+        for build in (cf.build_cube, cf.build_hemi, cf.build_map, cf.build_roli,
+                      cf.build_enantiomorph, cf.build_cover):
+            build()
+    finally:
+        clear_build_caches()
+    assert calls == []
+
+
 def _deleted_edges(bundle) -> set:
     """The cube's edges that the map leaves out, as sorted vertex pairs."""
     return {tuple(sorted(e)) for e in build_cube().skeleton.edge_colors} - bundle.edges

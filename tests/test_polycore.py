@@ -51,6 +51,7 @@ from polytope_forge.polycore import (
     face_permutation,
     isomorphisms,
     polytope_from_reflections,
+    polytope_from_rotations,
     verify_covering,
 )
 from polytope_forge.signedperm import SignedPerm, block_pair
@@ -72,9 +73,78 @@ def _wythoff(group):
     return struct
 
 
-@pytest.mark.parametrize("build", [build_cube, build_cover])
+@pytest.mark.parametrize("build", [build_cube, build_cover, build_map, build_roli,
+                                   build_enantiomorph, build_hemi])
 def test_built_wythoff_polytopes_satisfy_the_axioms(build):
+    # each build trusts a theorem whose hypothesis it checks (Wythoff,
+    # rotary, central quotient) or maps its structure face by face onto
+    # Roli's (the enantiomorph); validate_polytope is the oracle
     build().structure.validate_polytope()
+
+
+@pytest.mark.parametrize("build", [build_cube, build_hemi])
+def test_built_colourful_polytopes_satisfy_the_axioms(build):
+    build().colourful.validate_polytope()
+
+
+def _bn_reflections(n, h=None):
+    """The reflections of B_n: rho_0 negates coordinate 1, rho_i swaps
+    coordinates i and i+1; each conjugated by h when given."""
+    rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
+    swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
+    return [g if h is None else g.conjugate(h) for g in [rho0] + swaps]
+
+
+@pytest.mark.parametrize("n, f_vector", [(3, (8, 12, 6)), (4, (16, 32, 24, 8))])
+def test_rotary_ncube_against_the_coset_geometry_oracle(n, f_vector):
+    # the rotation subgroup of B_n, sigma_i = rho_{i-1} rho_i
+    rho = _bn_reflections(n)
+    group = ConcreteGroup.generate([rho[i - 1] * rho[i] for i in range(1, n)],
+                                   names=[f"sigma{i}" for i in range(1, n)])
+    assert len(group) == 2 ** n * math.factorial(n) // 2
+    struct = polytope_from_rotations(group)
+    struct.validate_polytope()
+    assert struct.f_vector == f_vector
+    oracle = coset_geometry(group, struct.subgroups)
+    assert struct.faces_by_rank == oracle.faces_by_rank and struct._inc == oracle._inc
+
+
+def test_rotary_construction_on_seeded_random_groups():
+    # s2 = s1^-1 t and s3 = s2^-1 u, with t and u signed involutions, make
+    # (s1 s2)^2 = (s2 s3)^2 = 1 hold; every group that passes the
+    # rotations.* checks gives a polytope, by the oracle
+    rng = random.Random(5)
+
+    def signed(n, involution=False):
+        while True:
+            perm = list(range(1, n + 1))
+            rng.shuffle(perm)
+            g = SignedPerm([rng.choice((1, -1)) for _ in range(n)], perm)
+            if not involution or g * g == SignedPerm.identity(n):
+                return g
+
+    outcomes = collections.Counter()
+    for _ in range(300):
+        n = rng.choice((3, 4))
+        sigmas = [signed(n)]
+        for _ in range(rng.choice((1, 2))):
+            sigmas.append(sigmas[-1].inverse() * signed(n, involution=True))
+        group = ConcreteGroup.generate(sigmas)
+        try:
+            struct = polytope_from_rotations(group)
+        except CheckFailed as exc:
+            outcomes[exc.name] += 1
+            continue
+        struct.validate_polytope()
+        outcomes[len(sigmas) + 1] += 1
+    assert outcomes.keys() == {3, 4, "rotations.generators-nontrivial", "rotations.relations",
+                               "rotations.intersection-condition"}, outcomes
+
+
+def test_rotary_construction_takes_rank_3_or_4(atlas):
+    for gens in ([atlas.sigma1], [atlas.sigma1, atlas.sigma2, atlas.sigma3, atlas.pi]):
+        with pytest.raises(ValueError, match="2 or 3 generators"):
+            polytope_from_rotations(ConcreteGroup.generate(gens))
 
 
 def test_cube_f_vector():
@@ -139,12 +209,9 @@ def test_coset_geometry_agrees_with_reflection_construction():
 
 
 def _bn_polytope(n, h=None):
-    """The n-cube from the reflections of B_n: rho_0 negates coordinate 1,
-    rho_i swaps coordinates i and i+1; each conjugated by h when given."""
-    rho0 = SignedPerm((-1,) + (1,) * (n - 1), range(1, n + 1))
-    swaps = [SignedPerm.from_cycles(n, [(i, i + 1)]) for i in range(1, n)]
-    gens = [g if h is None else g.conjugate(h) for g in [rho0] + swaps]
-    return _wythoff(ConcreteGroup.generate(gens))
+    """The n-cube from the reflections of B_n, each conjugated by h when
+    given."""
+    return _wythoff(ConcreteGroup.generate(_bn_reflections(n, h)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 2])
@@ -747,8 +814,98 @@ def _cyclic_geometry(c):
     return CosetGeometry(group, [group.subgroup([group.identity])])
 
 
+def _rotary_pair(cycle):
+    """<s1, s2> with s1 = s2 = one permutation of four points."""
+    c = SignedPerm.from_cycles(4, [cycle])
+    return ConcreteGroup.generate({"s1": c, "s2": c})
+
+
+def _flip_after_identity(a):
+    """<s1, s2> with s1 the identity and s2 = rho0: every relation and
+    every intersection holds."""
+    return ConcreteGroup.generate({"s1": SignedPerm.identity(4), "s2": a.rho0})
+
+
+def _rotary_geometry(group):
+    """The cosets of <s2>, <s1 s2>, <s1>, with no hypothesis checked."""
+    s1, s2 = group.generator_list()
+    return CosetGeometry(group, [group.subgroup([s2]), group.subgroup([s1 * s2]),
+                                 group.subgroup([s1])])
+
+
+def _digon(a):
+    """The digon {2} from two commuting sign flips, and z = rho0 rho1, its
+    central involution: it fixes no face, but <rho0, z> = <rho1, z>."""
+    digon = polytope_from_reflections(ConcreteGroup.generate(
+        {"a": a.rho0, "b": a.rho0.conjugate(a.rho1)}))
+    rho0, rho1 = digon.group.generator_list()
+    return digon, rho0 * rho1
+
+
+def _segment(a):
+    """The segment {} from rho0, and z = rho0: it fixes neither vertex."""
+    return polytope_from_reflections(ConcreteGroup.generate({"r": a.rho0})), a.rho0
+
+
+def _quotient_geometry(p, z):
+    """The cosets of the subgroups H_j<z>, with no hypothesis checked."""
+    return CosetGeometry(p.group, [p.group.subgroup(sub.generator_list() + [z])
+                                   for sub in p.subgroups])
+
+
+# a structure that breaks a construction's hypothesis, built without the
+# construction -> a function of the atlas that builds it
+UNCHECKED = {
+    "rotations-intersection": lambda a: _rotary_geometry(_rotary_pair((1, 2, 3, 4))),
+    "rotations-relations": lambda a: _rotary_geometry(_rotary_pair((1, 2, 3))),
+    "rotations-trivial-sigma": lambda a: _rotary_geometry(_flip_after_identity(a)),
+    "quotient-intersection": lambda a: _quotient_geometry(*_digon(a)),
+    "quotient-of-the-segment": lambda a: _quotient_geometry(*_segment(a)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCHECKED))
+def test_broken_hypothesis_gives_no_polytope(name, atlas):
+    # each case of FAILURES that a construction's own check rejects fails
+    # the oracle too, when its coset geometry is built directly
+    with pytest.raises(CheckFailed) as exc:
+        UNCHECKED[name](atlas).validate_polytope()
+    assert exc.value.name == "polytope.diamond"
+
+
+def test_broken_hypotheses_fail_their_checks_under_optimize():
+    names = sorted(UNCHECKED)
+    code = ("import test_polycore as t\n"
+            "from polytope_forge.cubefamily import build_atlas\n"
+            "from polytope_forge.groupcore import CheckFailed\n"
+            f"for name in {names!r}:\n"
+            "    try:\n"
+            "        t.FAILURES[name][0](build_atlas())\n"
+            "    except CheckFailed as err:\n"
+            "        print(err.name, repr(err.witness))\n")
+    path = os.pathsep.join([str(Path(polytope_forge.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    atlas = build_atlas()
+    assert run.stdout.splitlines() == [f"{FAILURES[name][1]} {FAILURES[name][2](atlas)!r}"
+                                       for name in names]
+
+
 # failure -> (what fails, given the atlas; the check it names; its witness)
 FAILURES = {
+    "rotations-intersection": (
+        lambda a: polytope_from_rotations(_rotary_pair((1, 2, 3, 4))),
+        "rotations.intersection-condition", lambda a: (["s1"], ["s2"])),
+    "rotations-relations": (lambda a: polytope_from_rotations(_rotary_pair((1, 2, 3))),
+                            "rotations.relations", lambda a: ["s1", "s2"]),
+    "rotations-trivial-sigma": (lambda a: polytope_from_rotations(_flip_after_identity(a)),
+                                "rotations.generators-nontrivial", lambda a: ["s1"]),
+    "quotient-intersection": (lambda a: central_quotient(*_digon(a)),
+                              "quotient.intersection-condition", lambda a: (0, 1)),
+    "quotient-of-the-segment": (lambda a: central_quotient(*_segment(a)),
+                                "quotient.generators-stay-involutions", lambda a: "r"),
     "edge-outside": (lambda a: ColoredGraph(("a", "b"), {frozenset("ac"): 1}, 1),
                      "colouring.edge-joins-two-vertices", lambda a: frozenset("ac")),
     "colour-2-of-1": (lambda a: ColoredGraph(("a", "b"), {frozenset("ab"): 2}, 1),
