@@ -252,9 +252,11 @@ class _SignTuples(dict):
 
 @lru_cache(maxsize=None)
 def _point_decoder(n: int) -> Callable[[bytes], SignedPerm]:
-    """`SignedPerm.from_points` for the byte codes of degree n <= 128: the
-    first n points are translated once to their images p % n + 1 and once
-    to their signs p >= n, whose tuple is memoised."""
+    """The inverse of `_point_code` for degree n <= 128.  The code's first
+    n bytes are the images of the points +1..+n, and a byte p stands for
+    +(p % n + 1) when p < n and for -(p % n + 1) otherwise.  So they are
+    translated once to the images p % n + 1 and once to the signs p >= n,
+    whose tuple is memoised."""
     pad = bytes(256 - 2 * n)
     images = bytes(p % n + 1 for p in range(2 * n)) + pad
     negative = bytes(p >= n for p in range(2 * n)) + pad

@@ -146,12 +146,6 @@ def automorphism_count(adj: Mapping[Hashable, set]) -> int:
     return count
 
 
-def _order(key):
-    """What a face key sorts by: a group element's `key`, the tuple that its
-    `<` compares, and any other key itself."""
-    return getattr(key, "key", key)
-
-
 class RankedIncidenceStructure:
     """Faces organized by rank with a symmetric incidence relation between
     distinct ranks.  Formal least and greatest faces are implicit."""
@@ -162,7 +156,7 @@ class RankedIncidenceStructure:
             raise ValueError("need one face list per rank 0..rank-1")
         self.rank = rank
         self.faces_by_rank: tuple[tuple, ...] = tuple(
-            tuple(sorted(keys, key=_order)) for keys in faces_by_rank)
+            tuple(sorted(keys)) for keys in faces_by_rank)
         self._index: dict[tuple[int, Hashable], int] = {}
         for r, keys in enumerate(self.faces_by_rank):
             if len(set(keys)) != len(keys):
@@ -445,14 +439,14 @@ def classify(p: RankedIncidenceStructure,
 # -- coset geometries -----------------------------------------------------------
 
 
-def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup, keys: Sequence[tuple]
-                         ) -> tuple[list, list[int]]:
+def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup) -> tuple[list, list[int]]:
     """The canonical representative (the least member) of each right coset
     of sub, sorted, and canon[i]: the position among them of the coset of
-    group.elements[i].  keys[i] is group.elements[i].key, the order of `<`."""
+    group.elements[i]."""
     elements = group.elements
-    coset_of = {min(coset, key=keys.__getitem__): coset for coset in group.right_cosets(sub)}
-    reps = sorted(coset_of, key=keys.__getitem__)
+    coset_of = {min(coset, key=elements.__getitem__): coset
+                for coset in group.right_cosets(sub)}
+    reps = sorted(coset_of, key=elements.__getitem__)
     canon = [0] * len(group)
     for face, rep in enumerate(reps):
         for i in coset_of[rep]:
@@ -468,12 +462,11 @@ class CosetGeometry(RankedIncidenceStructure):
 
     def __init__(self, group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]):
         rank = len(subgroups)
-        keys = [e.key for e in group.elements]
-        decomps = [_coset_decomposition(group, sub, keys) for sub in subgroups]
+        decomps = [_coset_decomposition(group, sub) for sub in subgroups]
         canons = tuple(canon for _, canon in decomps)
         super().__init__(rank, [reps for reps, _ in decomps], ())
         # the cosets of faces a and b meet iff some element lies in both;
-        # faces are indexed in the order of `key`, as canon indexes them
+        # faces are indexed in the order of their keys, as canon indexes them
         inc = self._inc
         for j in range(rank):
             for k in range(j + 1, rank):

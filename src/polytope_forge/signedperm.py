@@ -6,7 +6,7 @@ record corresponds to the n x n matrix diag(e) * P(mu), where P(mu) has a
 1 in row i, column (i)mu.  Points are row vectors acting on the right, so
 composition reads left to right: (p)(a*b) = ((p)a)b and
 matrix(a*b) = matrix(a) @ matrix(b).  Elements hash, compare and sort as
-the tuple of their fields, which is `key`.
+the tuple of their fields (n, perm, signs).
 """
 
 from __future__ import annotations
@@ -85,15 +85,6 @@ class SignedPerm(_SignedPermFields):
         """Build from tuples already known to be valid, such as the product
         or inverse of valid signed permutations, skipping the checks."""
         return tuple.__new__(cls, (len(perm), perm, signs))
-
-    @classmethod
-    def from_points(cls, points: Sequence[int]) -> "SignedPerm":
-        """The inverse of `points`, trusted: `points` must be the image
-        table of a signed permutation, such as a product of two."""
-        n = len(points) // 2
-        head = points[:n]
-        return cls._trusted(tuple(1 if p < n else -1 for p in head),
-                            tuple(p % n + 1 for p in head))
 
     # tuple's concatenation and repetition are no group operations.  The
     # reflected + raises: were it NotImplemented, `(1,) + g` would fall back
@@ -202,15 +193,6 @@ class SignedPerm(_SignedPermFields):
             image[i], image[n + i] = (p - 1, n + p - 1) if s > 0 else (n + p - 1, p - 1)
         return tuple(image)
 
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.n
-        rows = []
-        for i in range(n):
-            row = [0] * n
-            row[self.perm[i] - 1] = self.signs[i]
-            rows.append(tuple(row))
-        return tuple(rows)
-
     def determinant(self) -> int:
         det = 1
         for s in self.signs:
@@ -248,11 +230,7 @@ class SignedPerm(_SignedPermFields):
             out.append(tuple(cyc))
         return tuple(out)
 
-    # -- ordering / formatting ----------------------------------------------
-
-    @property
-    def key(self) -> tuple:
-        return (self.n, self.perm, self.signs)
+    # -- formatting -----------------------------------------------------------
 
     def __str__(self) -> str:
         signs = "(" + ",".join(str(s) for s in self.signs) + ")"

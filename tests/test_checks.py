@@ -15,8 +15,8 @@ from polytope_forge import cli
 from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
 from polytope_forge.groupcore import (CheckFailed, Presentation, check, intersection_condition,
-                                      string_condition)
-from polytope_forge.polycore import CosetGeometry
+                                      stabilizer, string_condition)
+from polytope_forge.polycore import CosetGeometry, _face_map_fault
 from polytope_forge.signedperm import block_pair
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
@@ -49,8 +49,9 @@ def _perturbed_pi_display(patch):
 
 
 def _unbarred_sigma1(patch):
-    """The atlas hands the enantiomorph sigma1 for sigma1_bar, so its edge
-    subgroup <sigma1 sigma2_bar, sigma3_bar> no longer fixes the base edge."""
+    """The atlas hands the enantiomorph sigma1 for sigma1_bar, so the barred
+    edge subgroup <sigma1 sigma2_bar, sigma3_bar> is not Roli's edge
+    subgroup conjugated by rho0."""
     real = cf.build_atlas
     patch(cf, "build_atlas", lambda: real()._replace(sigma1_bar=real().sigma1))
 
@@ -129,7 +130,7 @@ FAULTS = {
     "mk-table-rows": (_swapped_table_rows, ["build", "mk"], "mk.coordinates-match-the-table"),
     "hemi-zeta": (_non_central_zeta, ["build", "hemi"], "quotient.element-central"),
     "enantiomorph-sigma1-bar": (_unbarred_sigma1, ["build", "enantiomorph"],
-                                "enantiomorph.edge-stabilizer"),
+                                "enantiomorph.barred-words-give-the-mirrored-subgroups"),
     "sigma1-rho0": (_rho0_for_sigma1, ["build", "roli"], "groups.sigmas-generate-rotations"),
     "cover-unbarred-kappas": (_unbarred_kappas, ["build", "cover"],
                               "groups.cover-rotation-order"),
@@ -238,10 +239,11 @@ def test_check_ids_are_unique_layer_kebab_literals():
     assert not bad, bad
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     assert not repeated, repeated
-    # the stabilizer and face-map sites are plain checks like the rest
-    assert {"enantiomorph.edge-stabilizer", "enantiomorph.mirror-by-rho0-is-an-isomorphism",
+    # the stabilizer and barred-subgroup sites are plain checks like the rest
+    assert {"groups.petrie-stabilizer-generated-by-mu0-mu1",
+            "enantiomorph.barred-words-give-the-mirrored-subgroups",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 157
+    assert len(ids) >= 158
 
 
 def _package_check_ids() -> set:
@@ -257,6 +259,10 @@ _MAP_REALIZED = ("map.coset-subgroup-orders", "map.type-8-3", "rotations.generat
                  "realization.faithful", "realization.incidence-is-containment",
                  "map.cosets-realize-the-map")
 
+# the checks of `_realize` that make each subgroup the whole stabilizer of
+# its base face
+_REALIZED = ("realization.base-faces-stabilized", "realization.faithful")
+
 # deleted check id -> the check ids that imply it (none where the
 # construction does), with why
 DELETED_AS_IMPLIED = {
@@ -264,8 +270,8 @@ DELETED_AS_IMPLIED = {
                       "a rank-j face is a right coset: f_j = 192 / |H_j|"),
     "roli.facet-count": (("roli.stabilizer-orders", "groups.rotation-order"),
                          "f_3 = 192 / 48"),
-    "enantiomorph.f-vector": (("enantiomorph.stabilizer-orders", "groups.rotation-order"),
-                              "f_j = 192 / |H_j|"),
+    "enantiomorph.f-vector": (("roli.stabilizer-orders", "groups.rotation-order"),
+                              "f_j = 192 / |H_j|, and conjugation by rho0 keeps |H_j|"),
     "map.f-vector": (("map.coset-subgroup-orders", "groups.map-rotation-order"),
                      "f_j = 48 / |H_j|"),
     "cover.vertex-subgroup-order": (("cover.f-vector", "groups.cover-order"),
@@ -295,12 +301,22 @@ DELETED_AS_IMPLIED = {
     "cover.string-c-group": (
         ("reflections.string-condition", "reflections.intersection-condition"),
         "build_cover makes its polytope with polytope_from_reflections(group_cover())"),
+    "roli.vertex-stabilizer": (_REALIZED, "H_0 fixes v, and g fixing v makes H_0 g and H_0 "
+                                          "one realized point, so g lies in H_0"),
+    "enantiomorph.vertex-stabilizer": (_REALIZED, "as for Roli's cube, at v_bar"),
+    "enantiomorph.edge-stabilizer": (_REALIZED, "as for Roli's cube, at the base edge"),
+    "enantiomorph.stabilizer-orders": (("roli.stabilizer-orders",),
+                                       "conjugation by rho0 keeps orders"),
+    "enantiomorph.mirror-by-rho0-is-an-isomorphism": (
+        ("groups.cube-order", "groups.rotation-order", "groups.sigmas-generate-rotations"),
+        "rho0 normalizes the index-2 rotation group, and the subgroups are Roli's "
+        "conjugated by rho0: H g -> H^rho0 g^rho0"),
 }
 
 
 def test_deleted_checks_stay_deleted_and_their_reasons_stand():
     ids = _package_check_ids()
-    assert len(DELETED_AS_IMPLIED) == 19
+    assert len(DELETED_AS_IMPLIED) == 24
     assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
     missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
     assert not missing, sorted(missing)
@@ -323,6 +339,21 @@ def _mirrored_octagon_stabilizer() -> bool:
     rho0 = cf.build_atlas().rho0
     return cf.build_enantiomorph().structure.subgroups[2].element_set == frozenset(
         rho0 * g * rho0 for g in cf.group_petrie_stabilizer())
+
+
+def _is_stabilizer(bundle, rank: int, face) -> bool:
+    """The bundle's rank-`rank` subgroup is the stabilizer of `face`, by a
+    scan of its group."""
+    struct = bundle.structure
+    scan = stabilizer(struct.group, face, lambda f, g: cf._face_image(rank, f, g.act))
+    return scan.element_set == struct.subgroups[rank].element_set
+
+
+def _mirror_by_rho0_is_an_isomorphism() -> bool:
+    roli, bar = cf.build_roli(), cf.build_enantiomorph()
+    face_map = cf._realized_face_map(roli.realization, bar.realization, cf.build_atlas().rho0.act)
+    return _face_map_fault(roli.structure, face_map, roli.structure.all_refs(),
+                           bar.structure, bar.structure.all_refs()) is None
 
 
 # deleted check id -> its fact, asserted on the built objects
@@ -360,6 +391,14 @@ IMPLIED_FACTS = {
     "enantiomorph.octagon-stabilizer-is-mirrored": _mirrored_octagon_stabilizer,
     "cover.string-c-group": lambda: string_condition(cf.group_cover())
     and intersection_condition(cf.group_cover()),
+    "roli.vertex-stabilizer": lambda: _is_stabilizer(cf.build_roli(), 0, cf.build_atlas().v),
+    "enantiomorph.vertex-stabilizer": lambda: _is_stabilizer(
+        cf.build_enantiomorph(), 0, cf.build_atlas().v_bar),
+    "enantiomorph.edge-stabilizer": lambda: _is_stabilizer(
+        cf.build_enantiomorph(), 1, tuple(sorted((cf.build_atlas().v, cf.build_atlas().v_bar)))),
+    "enantiomorph.stabilizer-orders": lambda: cf.build_enantiomorph().stabilizer_orders
+    == cf.build_roli().stabilizer_orders == (12, 6, 16, 48),
+    "enantiomorph.mirror-by-rho0-is-an-isomorphism": _mirror_by_rho0_is_an_isomorphism,
 }
 
 

@@ -43,10 +43,11 @@ from polytope_forge.cubefamily import (
 from polytope_forge.groupcore import (ConcreteGroup, check, extend_homomorphism,
                                       intersection_condition, setwise_stabilizer, stabilizer,
                                       string_condition)
-from polytope_forge.polycore import (Classification, RankedIncidenceStructure, _face_map_fault,
-                                     face_permutation, isomorphisms)
+from polytope_forge.polycore import (Classification, CosetGeometry, RankedIncidenceStructure,
+                                     _face_map_fault, face_permutation, isomorphisms)
 from polytope_forge.signedperm import SignedPerm, block_pair
 from test_checks import clear_build_caches
+from test_signedperm import matrix
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +351,7 @@ def test_colour_sequences_through_base_vertex_split_by_parity(atlas):
 
 
 def test_petrie_symmetry_rotates_invariant_planes_by_45_and_135_degrees(atlas):
-    mat = atlas.pi.matrix()
+    mat = matrix(atlas.pi)
 
     def dot(x, y):
         return sum(a * b for a, b in zip(x, y))
@@ -662,6 +663,47 @@ def test_enantiomorph_battery(atlas):
     assert bundle.certificate()["poset_isomorphic_to_roli"] is True
     barred = ConcreteGroup.generate([atlas.sigma1_bar, atlas.sigma2_bar, atlas.sigma3_bar])
     assert barred.element_set == group_rotation().element_set
+
+
+def _enantiomorph_by_stabilizers():
+    """The enantiomorph as it was built before it was Roli's cube conjugated
+    by rho0: the vertex and edge subgroups from the barred words, each shown
+    to be its face's stabilizer by orbit-stabilizer, the octagon and facet
+    subgroups as rho0-conjugates, and mirroring by rho0 shown to be a poset
+    isomorphism from Roli's cube, face by face."""
+    atlas, rot, roli = build_atlas(), cf.group_rotation_sigma(), build_roli()
+    rho0 = atlas.rho0
+    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
+    mirror_facet = _face_image(3, tuple(sorted(build_map().edges)), rho0.act)
+    sub0 = rot.subgroup([atlas.sigma2_bar, atlas.sigma3_bar])
+    assert cf._stabilizer_fault(rot, sub0, atlas.v_bar, lambda p, g: g.act(p)) is None
+    sub1 = rot.subgroup([atlas.sigma1_bar * atlas.sigma2_bar, atlas.sigma3_bar])
+    assert cf._stabilizer_fault(rot, sub1, base_edge,
+                                lambda e, g: _face_image(1, e, g.act)) is None
+    sub2 = rot.subgroup([g.conjugate(rho0) for g in group_petrie_stabilizer().generator_list()])
+    sub3 = rot.subgroup([g.conjugate(rho0) for g in roli.structure.subgroups[3].generator_list()])
+    struct = CosetGeometry(rot, [sub0, sub1, sub2, sub3])
+    realization = _realize(struct, [atlas.v_bar, base_edge,
+                                    atlas.base_octagon.transformed(rho0).vertices, mirror_facet])
+    mirror = cf._realized_face_map(roli.realization, realization, rho0.act)
+    assert _face_map_fault(roli.structure, mirror, roli.structure.all_refs(),
+                           struct, struct.all_refs()) is None
+    return cf.EnantiomorphBundle(
+        structure=struct, realization=realization,
+        stabilizer_orders=tuple(map(len, struct.subgroups)),
+        two_faces_class=cf._two_faces_class(realization))
+
+
+def test_enantiomorph_against_the_stabilizer_build():
+    bundle, oracle = build_enantiomorph(), _enantiomorph_by_stabilizers()
+    struct, expected = bundle.structure, oracle.structure
+    assert [sub.element_set for sub in struct.subgroups] \
+        == [sub.element_set for sub in expected.subgroups]
+    assert struct.faces_by_rank == expected.faces_by_rank
+    assert struct.canon == expected.canon
+    assert struct._inc == expected._inc
+    assert bundle.realization == oracle.realization
+    assert bundle.certificate() == oracle.certificate()
 
 
 def test_enantiomorph_two_faces_are_left_handed():

@@ -12,6 +12,7 @@ from polytope_forge import mkconfig as mk
 from polytope_forge.cubefamily import build_atlas, group_cube, group_unitary, point_labels
 from polytope_forge.groupcore import CheckFailed
 from polytope_forge.mkconfig import ONE, QF, ZERO
+from test_signedperm import matrix
 
 
 # n/d in [-20, 20] with d <= 12, drawn as integers: st.fractions draws far slower
@@ -511,7 +512,7 @@ def test_commutation_test_agrees_with_integer_products():
                 for r in range(4)]
 
     group = group_cube()
-    commuting = [g for g in group if mul(g.matrix(), k) == mul(k, g.matrix())]
+    commuting = [g for g in group if mul(matrix(g), k) == mul(k, matrix(g))]
     assert len(group) == 384 and len(commuting) == 24
     assert k == [list(row) for row in mk._J_PATTERN]
     for g in group:

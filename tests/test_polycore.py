@@ -32,7 +32,7 @@ from polytope_forge.cubefamily import (
     group_cover,
     group_rotation_sigma,
 )
-from polytope_forge.groupcore import CheckFailed, ConcreteGroup, reach
+from polytope_forge.groupcore import CheckFailed, ConcreteGroup, intersection_condition, reach
 from polytope_forge.polycore import (
     _base_flag,
     _coset_decomposition,
@@ -55,6 +55,7 @@ from polytope_forge.polycore import (
     verify_covering,
 )
 from polytope_forge.signedperm import SignedPerm, block_pair
+from test_groupcore import _random_string_group
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +78,8 @@ def _wythoff(group):
                                    build_enantiomorph, build_hemi])
 def test_built_wythoff_polytopes_satisfy_the_axioms(build):
     # each build trusts a theorem whose hypothesis it checks (Wythoff,
-    # rotary, central quotient) or maps its structure face by face onto
-    # Roli's (the enantiomorph); validate_polytope is the oracle
+    # rotary, central quotient) or conjugates Roli's subgroups by a
+    # normalizing element (the enantiomorph); validate_polytope is the oracle
     build().structure.validate_polytope()
 
 
@@ -265,7 +266,7 @@ _COSET_STRUCTURES = pytest.mark.parametrize("make", [
     lambda: build_cube().structure,
     lambda: build_map().structure,
     lambda: build_roli().structure,
-    lambda: build_enantiomorph().structure,  # two subgroups are stabilizers
+    lambda: build_enantiomorph().structure,  # Roli's subgroups conjugated by rho0
     lambda: build_cover().structure,
     lambda: _bn_polytope(4),
 ], ids=["cube", "map", "roli", "enantiomorph", "cover", "b4"])
@@ -279,24 +280,25 @@ def test_coset_decomposition_against_products(make, monkeypatch):
     elements = group.generator_list() + list(group.elements[-3:])
     old_actions = [{ref: struct.ref(ref[0], old[ref[0]][1][struct.key(ref) * g])
                     for ref in struct.all_refs()} for g in elements]
-    keys = [e.key for e in group.elements]
     # the integer routines multiply no group elements
     products = []
     monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(1))
     for (old_reps, old_canon), sub in zip(old, struct.subgroups):
-        reps, canon = _coset_decomposition(group, sub, keys)
+        reps, canon = _coset_decomposition(group, sub)
         assert reps == old_reps
         assert [reps[c] for c in canon] == [old_canon[g] for g in group.elements]
     assert [coset_face_action(struct, g) for g in elements] == old_actions
     assert products == []
 
 
-def _decomposition_by_element_order(group, sub):
-    """The table routine _coset_decomposition used before the precomputed
-    keys: the least member found by comparing the elements themselves."""
+def _decomposition_by_field_tuples(group, sub):
+    """The table routine of _coset_decomposition, with each element keyed
+    by its fields (n, perm, signs): the order that `<` on elements must
+    give."""
+    keys = [(e.n, e.perm, e.signs) for e in group.elements]
     elements = group.elements
-    coset_of = {min(coset, key=elements.__getitem__): coset for coset in group.right_cosets(sub)}
-    reps = sorted(coset_of, key=elements.__getitem__)
+    coset_of = {min(coset, key=keys.__getitem__): coset for coset in group.right_cosets(sub)}
+    reps = sorted(coset_of, key=keys.__getitem__)
     canon = [0] * len(group)
     for face, rep in enumerate(reps):
         for i in coset_of[rep]:
@@ -308,9 +310,8 @@ def _decomposition_by_element_order(group, sub):
 def test_coset_decomposition_against_the_element_order(make):
     struct = make()
     group = struct.group
-    keys = [e.key for e in group.elements]
     for sub in struct.subgroups:
-        assert _coset_decomposition(group, sub, keys) == _decomposition_by_element_order(group, sub)
+        assert _coset_decomposition(group, sub) == _decomposition_by_field_tuples(group, sub)
 
 
 def test_ladder_rung_makes_no_products(monkeypatch):
@@ -321,16 +322,13 @@ def test_ladder_rung_makes_no_products(monkeypatch):
     gens = [g.conjugate(h) for g in
             [rho0] + [SignedPerm.from_cycles(4, [(i, i + 1)]) for i in range(1, 4)]]
     calls = collections.Counter()
-    mul, lt = SignedPerm.__mul__, SignedPerm.__lt__
+    mul = SignedPerm.__mul__
 
-    def counted(name, method):
-        def wrapper(a, b):
-            calls[name] += 1
-            return method(a, b)
-        return wrapper
+    def counted(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
 
-    monkeypatch.setattr(SignedPerm, "__mul__", counted("mul", mul))
-    monkeypatch.setattr(SignedPerm, "__lt__", counted("lt", lt))
+    monkeypatch.setattr(SignedPerm, "__mul__", counted)
     group = ConcreteGroup.generate(gens, names=[f"r{i}" for i in range(4)])
     poly = _wythoff(group)
     result = classify(poly, [coset_face_action(poly, g) for g in gens])
@@ -677,6 +675,30 @@ def test_quotient_by_face_fixing_involution_rejected(atlas):
     fixed = exc.value.witness
     assert exc.value.name == "quotient.acts-freely" and fixed[0] == 1
     assert coset_face_action(digon, flip1)[fixed] == fixed
+
+
+def test_central_quotient_on_seeded_random_string_c_groups():
+    # every non-identity central z of each string C-group drawn: a quotient
+    # that passes the quotient.* checks is a polytope, by the oracle
+    rng = random.Random(1)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        group = _random_string_group(rng)
+        if not intersection_condition(group):
+            continue
+        p = polytope_from_reflections(group)
+        for z in group.centre():
+            if z == group.identity:
+                continue
+            try:
+                quotient = central_quotient(p, z)
+            except CheckFailed as exc:
+                outcomes[exc.name] += 1
+                continue
+            quotient.validate_polytope()
+            outcomes["accepted"] += 1
+    assert outcomes.keys() == {"accepted", "quotient.acts-freely",
+                               "quotient.intersection-condition"}, outcomes
 
 
 def test_regular_flag_counts_match_group_orders():

@@ -30,7 +30,7 @@ FIELDS = {
         "kappa1", "kappa2", "kappa3", "tau0", "tau1", "tau2", "tau3", "gamma1", "gamma2",
         "v", "v_bar", "base_octagon", "base_octagram"),
     cubefamily.CubeBundle: ("structure", "realization", "skeleton", "colourful",
-                            "classification", "type_vector"),
+                            "classification", "flag_count", "type_vector"),
     cubefamily.HemiBundle: ("structure", "quotient_group_order", "generator_product_order",
                             "colourful"),
     cubefamily.MapBundle: (

@@ -12,6 +12,25 @@ from polytope_forge.cubefamily import build_atlas, group_cube
 from polytope_forge.signedperm import SignedPerm, act, block_pair
 
 
+def matrix(g):
+    """The n x n matrix diag(signs) * P(perm): row i holds its sign in
+    column perm[i]."""
+    rows = []
+    for i in range(g.n):
+        row = [0] * g.n
+        row[g.perm[i] - 1] = g.signs[i]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def from_points(points):
+    """The signed permutation whose `points()` are `points`: the image table
+    of a signed permutation, such as a product of two."""
+    n = len(points) // 2
+    head = points[:n]
+    return SignedPerm([1 if p < n else -1 for p in head], [p % n + 1 for p in head])
+
+
 def matmul(a, b):
     n = len(a)
     return tuple(
@@ -34,7 +53,7 @@ def atlas():
 def test_petrie_symmetry_display(atlas):
     assert atlas.pi == atlas.rho0 * atlas.rho1 * atlas.rho2 * atlas.rho3
     assert atlas.pi == SignedPerm.parse("(-1,1,1,1)·(4,3,2,1)")
-    assert atlas.pi.matrix() == (
+    assert matrix(atlas.pi) == (
         (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
 
 
@@ -55,7 +74,7 @@ def test_petrie_symmetry_has_period_eight(atlas):
 
 @given(a=signed_perms, b=signed_perms)
 def test_composition_matches_matrix_product(a, b):
-    assert (a * b).matrix() == matmul(a.matrix(), b.matrix())
+    assert matrix(a * b) == matmul(matrix(a), matrix(b))
 
 
 def test_composition_matches_matrix_product_inside_the_big_group():
@@ -63,7 +82,7 @@ def test_composition_matches_matrix_product_inside_the_big_group():
     elements = list(group_cube())
     for _ in range(200):
         a, b = rng.choice(elements), rng.choice(elements)
-        assert (a * b).matrix() == matmul(a.matrix(), b.matrix())
+        assert matrix(a * b) == matmul(matrix(a), matrix(b))
 
 
 def test_inverse_of_identity():
@@ -170,10 +189,10 @@ def test_point_tuples_compose_as_the_product(a, b):
         assert q == (k if p * image[k] > 0 else n + k)
     product = tuple(map(b.points().__getitem__, a.points()))
     assert product == (a * b).points()
-    decoded = SignedPerm.from_points(product)
+    decoded = from_points(product)
     assert decoded == a * b and (decoded.signs, decoded.perm) == ((a * b).signs, (a * b).perm)
     assert hash(decoded) == hash(a * b)
-    assert SignedPerm.from_points(SignedPerm.identity(n).points()) == SignedPerm.identity(n)
+    assert from_points(SignedPerm.identity(n).points()) == SignedPerm.identity(n)
 
 
 def test_dimension_mismatch_rejected(atlas):
@@ -233,10 +252,11 @@ def test_make_and_replace_validate(atlas):
 
 
 def test_order_equality_and_hash_are_the_records():
-    # sorting by the tuple of fields is sorting by `key`, and the record's
-    # equality and hash are the fields' ones
+    # elements sort as the tuple of their fields, and the record's equality
+    # and hash are the fields' ones
     elements = list(group_cube())
     random.Random(4).shuffle(elements)
-    assert sorted(elements) == sorted(elements, key=lambda g: g.key)
-    assert all(tuple(g) == g.key and hash(g) == hash(g.key) for g in elements)
+    assert sorted(elements) == sorted(elements, key=tuple)
+    assert all(tuple(g) == (g.n, g.perm, g.signs) and hash(g) == hash(tuple(g))
+               for g in elements)
     assert len(set(elements)) == 384
