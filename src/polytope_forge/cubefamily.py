@@ -568,6 +568,11 @@ def _face_image(rank: int, face, f):
     return tuple(sorted(_face_image(1, e, f) for e in face))
 
 
+def _edge_image(edge, g: SignedPerm):
+    """The image of a sorted vertex pair under g, the edge action of `orbit`."""
+    return _face_image(1, edge, g.act)
+
+
 # geometric containment between faces of the polygon family, by rank pair
 _FACE_CONTAINS = {
     (0, 1): lambda p, e: p in e,
@@ -663,8 +668,7 @@ def build_cube() -> CubeBundle:
 
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
     square = _canonical_cycle(_cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
-    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
-                                    lambda e, g: _face_image(1, e, g.act))))
+    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge, _edge_image)))
     realization = _realize(struct, [atlas.v, base_edge, square, base_facet])
 
     edge_colors = {}
@@ -804,13 +808,13 @@ def build_map() -> MapBundle:
     rot = group_map_rotation()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
-    edges = set(orbit(rot, base_edge, lambda e, g: _face_image(1, e, g.act)))
+    edges = set(orbit(rot, base_edge, _edge_image))
     octagons = set(orbit(rot, atlas.base_octagon, PetriePolygon.transformed))
     check(atlas.base_octagram in octagons, "map.octagram-is-a-face", atlas.base_octagram)
     stray = octagons - set(petrie_polygons())
     check(not stray, "map.faces-are-petrie-polygons", stray)
 
-    cube_edges = {tuple(sorted(e)) for e in build_cube().skeleton.edge_colors}
+    cube_edges = set(orbit(group_cube(), base_edge, _edge_image))
     covered = len({p for e in cube_edges - edges for p in e})
     check(covered == 16, "map.deleted-edges-perfect-matching", covered)
 
@@ -1128,8 +1132,7 @@ def build_cover() -> CoverBundle:
     base_edge = tuple(sorted((bv, atlas.tau0.act(bv))))
     base_oct = _canonical_cycle(_cycle_of(bv, atlas.kappa1))
     # struct.subgroups[3] is generated by tau0, tau1, tau2 in that order
-    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge,
-                                    lambda e, g: _face_image(1, e, g.act))))
+    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge, _edge_image)))
     check(len(base_facet) == 24, "cover.facet-edge-count", len(base_facet))
     realization = _realize(struct, [bv, base_edge, base_oct, base_facet])
 

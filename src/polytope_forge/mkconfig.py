@@ -169,8 +169,8 @@ class QF:
         return _reduced(a, b, 0, 0, m), _reduced(c, d, 0, 0, m)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        # only a QF equals a QF, so equal values hash alike
+        if not isinstance(other, QF):
             return NotImplemented
         return self._q == other._q
 

@@ -14,8 +14,8 @@ import polytope_forge
 from polytope_forge import cli
 from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
-from polytope_forge.groupcore import (CheckFailed, Presentation, check, intersection_condition,
-                                      stabilizer, string_condition)
+from polytope_forge.groupcore import (CheckFailed, Presentation, check, enumerate_cosets,
+                                      intersection_condition, stabilizer, string_condition)
 from polytope_forge.polycore import CosetGeometry, _face_map_fault
 from polytope_forge.signedperm import block_pair
 
@@ -243,7 +243,7 @@ def test_check_ids_are_unique_layer_kebab_literals():
     assert {"groups.petrie-stabilizer-generated-by-mu0-mu1",
             "enantiomorph.barred-words-give-the-mirrored-subgroups",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 158
+    assert len(ids) >= 156
 
 
 def _package_check_ids() -> set:
@@ -311,12 +311,15 @@ DELETED_AS_IMPLIED = {
         ("groups.cube-order", "groups.rotation-order", "groups.sigmas-generate-rotations"),
         "rho0 normalizes the index-2 rotation group, and the subgroups are Roli's "
         "conjugated by rho0: H g -> H^rho0 g^rho0"),
+    "cosets.table-satisfies-presentation": (
+        (), "enumeration stops after a pass that leaves every relator closed at every coset"),
+    "battery.claim-ids-unique": ((), "the claim table is a constant"),
 }
 
 
 def test_deleted_checks_stay_deleted_and_their_reasons_stand():
     ids = _package_check_ids()
-    assert len(DELETED_AS_IMPLIED) == 24
+    assert len(DELETED_AS_IMPLIED) == 26
     assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
     missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
     assert not missing, sorted(missing)
@@ -354,6 +357,13 @@ def _mirror_by_rho0_is_an_isomorphism() -> bool:
     face_map = cf._realized_face_map(roli.realization, bar.realization, cf.build_atlas().rho0.act)
     return _face_map_fault(roli.structure, face_map, roli.structure.all_refs(),
                            bar.structure, bar.structure.all_refs()) is None
+
+
+def _every_oracle_table_satisfies_its_presentation() -> bool:
+    from test_cosets import _ORACLE_CASES, _validate_by_rows
+
+    return all(_validate_by_rows(enumerate_cosets(make(), words), make())
+               for make, words in _ORACLE_CASES.values())
 
 
 # deleted check id -> its fact, asserted on the built objects
@@ -399,6 +409,8 @@ IMPLIED_FACTS = {
     "enantiomorph.stabilizer-orders": lambda: cf.build_enantiomorph().stabilizer_orders
     == cf.build_roli().stabilizer_orders == (12, 6, 16, 48),
     "enantiomorph.mirror-by-rho0-is-an-isomorphism": _mirror_by_rho0_is_an_isomorphism,
+    "cosets.table-satisfies-presentation": _every_oracle_table_satisfies_its_presentation,
+    "battery.claim-ids-unique": lambda: len(set(cli.all_claim_ids())) == len(cli.all_claim_ids()),
 }
 
 

@@ -23,7 +23,6 @@ from polytope_forge.cubefamily import (
 )
 from polytope_forge.groupcore import (
     CapExceeded,
-    CheckFailed,
     ConcreteGroup,
     CosetTable,
     Presentation,
@@ -83,6 +82,19 @@ def test_chiral_presentation_partial_gives_eight_cosets():
     assert enumerate_cosets(pres, [(1,), (2,)]).index == 8
 
 
+def _col(letter: int) -> int:
+    """The column of a signed letter in a finished table: g1, g1^-1, g2, ..."""
+    return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
+
+
+def trace(table: CosetTable, start: int, word) -> int:
+    """The coset reached from `start` along `word`."""
+    c = start
+    for x in word:
+        c = table.rows[c][_col(x)]
+    return c
+
+
 def _representative_words(table: CosetTable) -> list[tuple[int, ...]]:
     """A word reaching each coset from coset 0, by breadth-first search."""
     words: dict[int, tuple[int, ...]] = {0: ()}
@@ -91,7 +103,7 @@ def _representative_words(table: CosetTable) -> list[tuple[int, ...]]:
     while queue:
         c = queue.popleft()
         for x in letters:
-            d = table.trace(c, (x,))
+            d = trace(table, c, (x,))
             if d not in words:
                 words[d] = words[c] + (x,)
                 queue.append(d)
@@ -154,14 +166,14 @@ def test_tables_are_reproducible_bit_for_bit():
 def test_table_validation_and_actions():
     pres = presentation_map_rotation()
     table = enumerate_cosets(pres, [(1,)])
-    assert table.validate(pres)
+    assert _validate_by_rows(table, pres)
     for gen in (1, 2):
-        perm = [table.trace(c, (gen,)) for c in range(table.index)]
+        perm = [trace(table, c, (gen,)) for c in range(table.index)]
         assert sorted(perm) == list(range(table.index))
     for rel in pres.relators:
         for c in range(table.index):
-            assert table.trace(c, rel) == c
-    assert table.trace(0, (1,)) == 0  # subgroup word fixes the subgroup coset
+            assert trace(table, c, rel) == c
+    assert trace(table, 0, (1,)) == 0  # subgroup word fixes the subgroup coset
 
 
 def _conjugated_bn(n: int, rng: random.Random) -> ConcreteGroup:
@@ -318,9 +330,9 @@ def _two_column_oracle(pres: Presentation, subgroup_words=(), cap: int = 10**6) 
             f = define(f, cols[i])
             i += 1
 
-    relator_cols = [[CosetTable._col(x) for x in rel] for rel in pres.relators]
+    relator_cols = [[_col(x) for x in rel] for rel in pres.relators]
     for w in subgroup_words:
-        scan_and_fill(find(0), [CosetTable._col(x) for x in w])
+        scan_and_fill(find(0), [_col(x) for x in w])
     while True:
         before = (stats["defined"], stats["merged"])
         i = 0
@@ -431,7 +443,9 @@ def test_random_presentations_equal_the_two_column_oracle():
             expected = _two_column_oracle(pres, words, cap=300)
         except CapExceeded:
             continue
-        assert enumerate_cosets(pres, words, cap=300) == expected, (pres, words)
+        table = enumerate_cosets(pres, words, cap=300)
+        assert table == expected, (pres, words)
+        assert _validate_by_rows(table, pres), (pres, words)
         finished += 1
     assert finished >= 200
 
@@ -468,22 +482,15 @@ def test_involution_columns_are_written_twice():
 
 
 def test_validate_checks_the_involution_relators():
+    # enumeration does not scan (g, g): the row oracle still checks it
     pres = Presentation(1, ((1, 1),))
-    assert CosetTable(1, ((1, 1), (0, 0)), ()).validate(pres)
+    assert _validate_by_rows(CosetTable(1, ((1, 1), (0, 0)), ()), pres)
     cyclic_4 = CosetTable(1, ((1, 3), (2, 0), (3, 1), (0, 2)), ())
-    assert cyclic_4.validate(Presentation(1, ((1,) * 4,)))
-    assert not cyclic_4.validate(pres)
+    assert _validate_by_rows(cyclic_4, Presentation(1, ((1,) * 4,)))
+    assert not _validate_by_rows(cyclic_4, pres)
 
 
-def test_every_result_is_validated(monkeypatch):
-    monkeypatch.setattr(CosetTable, "validate", lambda self, pres: False)
-    with pytest.raises(CheckFailed) as err:
-        enumerate_cosets(Presentation(1, ((1, 1),)))
-    assert err.value.name == "cosets.table-satisfies-presentation"
-    assert err.value.witness == (2, 1)
-
-
-# -- closed-cycle marks, the cap and the column-wise validate --------------------
+# -- closed-cycle marks, the cap and the row oracle -------------------------------
 
 
 @pytest.mark.parametrize("n, cap, index", [(4, 415, 384), (5, 4519, 3840)])
@@ -539,19 +546,25 @@ def test_closed_cycles_are_not_scanned_again():
 
 
 def _validate_by_rows(table: CosetTable, pres: Presentation) -> bool:
-    """`CosetTable.validate` traced row by row: each relator's images are
-    read off the rows, one list per letter."""
+    """Whether the table is a coset table of the presentation, traced row
+    by row: the columns of g and g^-1 are inverse to each other, each
+    relator's images, read off the rows one list per letter, are the
+    identity, and each subgroup word fixes coset 0.  Enumeration trusts its
+    closing pass for this; the tests hold it to it."""
     if pres.generator_count != table.generator_count:
         return False
     identity = list(range(table.index))
+    for k in range(0, 2 * table.generator_count, 2):
+        if [table.rows[table.rows[c][k]][k + 1] for c in identity] != identity:
+            return False
     for rel in pres.relators:
         images = identity
         for x in rel:
-            col = table._col(x)
+            col = _col(x)
             images = [table.rows[c][col] for c in images]
         if images != identity:
             return False
-    return all(table.trace(0, w) == 0 for w in table.subgroup_words)
+    return all(trace(table, 0, w) == 0 for w in table.subgroup_words)
 
 
 def _corrupted(table: CosetTable, c: int, k: int) -> CosetTable:
@@ -565,12 +578,14 @@ def test_validate_agrees_with_the_row_oracle(case):
     make, words = _ORACLE_CASES[case]
     pres = make()
     table = enumerate_cosets(pres, words)
-    assert table.validate(pres) is _validate_by_rows(table, pres) is True
+    assert _validate_by_rows(table, pres) is True
     rng = random.Random(case)
     cells = [(c, k) for c in range(table.index) for k in range(2 * table.generator_count)]
     for c, k in rng.sample(cells, min(len(cells), 12)):
         bad = _corrupted(table, c, k)
-        assert bad.validate(pres) is _validate_by_rows(bad, pres)
+        # a one-coset table is its own corruption; any other change breaks
+        # a relator or pairs a column with a g^-1 column it does not invert
+        assert _validate_by_rows(bad, pres) is (bad == table)
 
 
 def test_validate_agrees_with_the_row_oracle_on_one_row():
@@ -581,9 +596,7 @@ def test_validate_agrees_with_the_row_oracle_on_one_row():
         (CosetTable(0, ((),), ()), Presentation(0, ((),))),
         (CosetTable(2, ((0, 0, 0, 0),), ()), Presentation(1, ((1,),))),  # wrong rank
     ]
-    for table, pres in cases:
-        assert table.validate(pres) is _validate_by_rows(table, pres)
-    assert [table.validate(pres) for table, pres in cases] == [True] * 4 + [False]
+    assert [_validate_by_rows(table, pres) for table, pres in cases] == [True] * 4 + [False]
 
 
 def test_validate_rejects_a_relator_that_fails_at_one_coset():
@@ -600,5 +613,4 @@ def test_validate_rejects_a_relator_that_fails_at_one_coset():
         rows[y][0] = rows[y][1] = x
     bad = table._replace(rows=tuple(map(tuple, rows)))
     assert all(sorted(col) == list(range(table.index)) for col in zip(*bad.rows))
-    assert not bad.validate(pres)
     assert not _validate_by_rows(bad, pres)

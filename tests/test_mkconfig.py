@@ -228,6 +228,14 @@ def test_equal_values_are_stored_alike():
     assert {x: None for x in ways}.keys() == {half_third}
 
 
+def test_only_a_qf_equals_a_qf():
+    # an int or Fraction that compared equal would have to hash as the QF
+    for x, part in ((QF(1), 1), (QF(Fraction(1, 2)), Fraction(1, 2)), (ZERO, 0)):
+        assert x != part and part != x
+        assert part not in {x} and x not in {part}
+        assert QF(part) == x and hash(QF(part)) == hash(x)
+
+
 @pytest.mark.parametrize("part", [0.1, "1/3", 1j, None])
 def test_parts_must_be_rational(part):
     with pytest.raises(TypeError, match="int or Fraction"):
