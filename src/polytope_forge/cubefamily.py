@@ -167,7 +167,16 @@ class PetriePolygon:
         return _cycle_edges(self.vertices)
 
     def transformed(self, g: SignedPerm) -> "PetriePolygon":
-        return PetriePolygon(tuple(g.act(v) for v in self.vertices))
+        """The image under g.  Every signed permutation of degree 4 is a
+        symmetry of the 4-cube, so it maps Petrie polygons to Petrie
+        polygons: the image is put in canonical form, not validated again.
+        Any other degree is a `ValueError`."""
+        if g.n != 4:
+            raise ValueError(f"a symmetry of the 4-cube has degree 4, not {g.n}")
+        image = object.__new__(PetriePolygon)
+        object.__setattr__(image, "vertices",
+                           _canonical_cycle(tuple(map(g.act, self.vertices))))
+        return image
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PetriePolygon) and self.vertices == other.vertices
@@ -1168,9 +1177,12 @@ def build_cover() -> CoverBundle:
 
     hom_r = extend_homomorphism(t_plus, {
         "kappa1": atlas.sigma1, "kappa2": atlas.sigma2, "kappa3": atlas.sigma3})
+    # _project_second_mirror negates the first coordinate of the second
+    # block, so the left images are the barred sigmas conjugated by rho0
     hom_l = extend_homomorphism(t_plus, {
-        "kappa1": atlas.sigma1_bar, "kappa2": atlas.sigma2_bar,
-        "kappa3": atlas.sigma3_bar})
+        "kappa1": atlas.sigma1_bar.conjugate(atlas.rho0),
+        "kappa2": atlas.sigma2_bar.conjugate(atlas.rho0),
+        "kappa3": atlas.sigma3_bar.conjugate(atlas.rho0)})
     hom_p = extend_homomorphism(t_plus, {
         "kappa1": atlas.rho0 * atlas.rho1, "kappa2": atlas.rho1 * atlas.rho2,
         "kappa3": atlas.rho2 * atlas.rho3})
@@ -1188,19 +1200,27 @@ def build_cover() -> CoverBundle:
     roli = build_roli()
     bar = build_enantiomorph()
 
-    covering_right = verify_covering(struct, roli.structure, _realized_face_map(
-        realization, roli.realization, _project_first))
-    covering_left = verify_covering(struct, bar.structure, _realized_face_map(
-        realization, bar.realization, _project_second_mirror))
+    def base_flag(p: CosetGeometry) -> tuple[int, ...]:
+        """The faces that hold the identity, where each covering sends the
+        cover's own."""
+        return tuple(canon[0] for canon in p.canon)
+
+    fm_right, covering_right = verify_covering(struct, roli.structure, hom_r,
+                                               base_flag(roli.structure))
+    realized = _realized_face_map(realization, roli.realization, _project_first)
+    bad = next((ref for ref in realized if fm_right[ref] != realized[ref]), None)
+    check(bad is None, "cover.right-face-map-is-realized", bad)
+    realized = _realized_face_map(realization, bar.realization, _project_second_mirror)
+    anchor = [realized[ref][1] for ref in enumerate(base_flag(struct))]
+    fm_left, covering_left = verify_covering(struct, bar.structure, hom_l, anchor)
+    bad = next((ref for ref in realized if fm_left[ref] != realized[ref]), None)
+    check(bad is None, "cover.left-face-map-is-realized", bad)
     check(all(report.uniform_fiber_size() == 2 and report.is_k_covering
               for report in (covering_right, covering_left)),
           "cover.two-to-one-three-coverings", (covering_right, covering_left))
 
     cube = build_cube()
-    cube_index = cube.structure.group.table().index
-    fm_cube = {ref: (ref[0], cube.structure.canon[ref[0]][cube_index[hom(struct.key(ref))]])
-               for ref in struct.all_refs()}
-    covering_cube = verify_covering(struct, cube.structure, fm_cube)
+    _, covering_cube = verify_covering(struct, cube.structure, hom, base_flag(cube.structure))
     check([c[0] for c in covering_cube.preimage_counts] == [2, 2, 1, 1],
           "cover.cube-fibers", covering_cube.preimage_counts)
 

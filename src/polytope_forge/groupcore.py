@@ -340,8 +340,10 @@ class Homomorphism(NamedTuple):
         return frozenset(self.mapping.values())
 
     def kernel(self) -> list:
+        """The elements sent to the identity, in the mapping's order (the
+        source's element order, for `extend_homomorphism`)."""
         target_identity = self.mapping[self.source.identity]
-        return [e for e in self.source.elements if self.mapping[e] == target_identity]
+        return [e for e, image in self.mapping.items() if image == target_identity]
 
     def is_involutory(self) -> bool:
         """For an endomorphism: applying twice is the identity map."""
@@ -488,7 +490,6 @@ class CosetTable(NamedTuple):
 
     generator_count: int
     rows: tuple[tuple[int, ...], ...]
-    subgroup_words: tuple[tuple[int, ...], ...]
 
     @property
     def index(self) -> int:
@@ -585,13 +586,14 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
 
     # per scanned relator: its columns, the walk of its cycle as (column,
     # whether the coset reached is at a repeat position) up to the last
-    # repeat, and closed[a], set once the relator is known to close at a
+    # repeat, and its bit; closed[a] holds the bits of the relators known
+    # to close at coset a
     relators = []
     for cols in ([col[x] for x in rel] for rel in pres.relators if rel not in squares):
         repeats = _repeat_positions(cols, inv)
         walk = [(c, p in repeats) for p, c in enumerate(cols[:max(repeats, default=0)], 1)]
-        relators.append((cols, walk, bytearray(1)))
-    closed_marks = [closed for *_, closed in relators]
+        relators.append((cols, walk, 1 << len(relators)))
+    closed = [0]
 
     table: list[list[int]] = [[-1] * ncols]
     parent = [0]
@@ -611,24 +613,27 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             raise CapExceeded(f"coset count exceeded cap={cap}")
         table.append([-1] * ncols)
         parent.append(b)
-        for closed in closed_marks:
-            closed.append(0)
+        closed.append(0)
         table[a][c] = b
         table[b][inv[c]] = a
         return b
 
     def deduce(a: int, c: int, b: int) -> None:
-        a, b = find(a), find(b)
+        """a times column c is b; a and b are live cosets."""
         ea = table[a][c]
         if ea == -1:
             table[a][c] = b
-        elif find(ea) != b:
-            pending.append((find(ea), b))
+        else:
+            ea = find(ea)
+            if ea != b:
+                pending.append((ea, b))
         eb = table[b][inv[c]]
         if eb == -1:
             table[b][inv[c]] = a
-        elif find(eb) != a:
-            pending.append((find(eb), a))
+        else:
+            eb = find(eb)
+            if eb != a:
+                pending.append((eb, a))
 
     def process_pending() -> None:
         while pending:
@@ -639,9 +644,7 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             if y < x:
                 x, y = y, x
             parent[y] = x
-            for closed in closed_marks:
-                if closed[y]:
-                    closed[x] = 1
+            closed[x] |= closed[y]
             row = table[y]
             for c in range(ncols):
                 d = row[c]
@@ -680,16 +683,16 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             f = define(f, cols[i])
             i += 1
 
-    def mark(a: int, walk: Sequence[tuple[int, bool]], closed: bytearray) -> None:
+    def mark(a: int, walk: Sequence[tuple[int, bool]], bit: int) -> None:
         """Mark the relator closed at a, where it has just been scanned,
         and along its cycle at each repeat position."""
         a = find(a)
-        closed[a] = 1
+        closed[a] |= bit
         for c, repeat in walk:
             nxt = table[a][c]
             a = nxt if parent[nxt] == nxt else find(nxt)
             if repeat:
-                closed[a] = 1
+                closed[a] |= bit
 
     for w in subgroup_words:
         scan_and_fill(find(0), [col[x] for x in w])
@@ -698,12 +701,12 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         i = 0
         while i < len(table):
             if parent[i] == i:  # i is live
-                for cols, walk, closed in relators:
+                for cols, walk, bit in relators:
                     if parent[i] != i:
                         break
-                    if not closed[i]:
+                    if not closed[i] & bit:
                         scan_and_fill(i, cols)
-                        mark(i, walk, closed)
+                        mark(i, walk, bit)
             i += 1
         holes = [(c, k) for c in range(len(table)) if parent[c] == c
                  for k in range(ncols) if table[c][k] == -1]
@@ -726,4 +729,4 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
         rows = tuple(operator.itemgetter(*out(table[c]))(number) for c in order)
     else:
         rows = ((),)
-    return CosetTable(generator_count=ngens, rows=rows, subgroup_words=subgroup_words)
+    return CosetTable(generator_count=ngens, rows=rows)

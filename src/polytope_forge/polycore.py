@@ -1,6 +1,6 @@
 """Ranked incidence structures: coset geometries, flags and flag adjacency,
 regular/chiral classification, central quotients, the colourful-polytope
-construction from an edge-coloured graph, and covering verification.
+construction from an edge-coloured graph, and coverings from their epimorphisms.
 
 Face identity is (rank, canonical key), never a vertex set: distinct faces
 of the structures built here can share all their vertices.
@@ -14,7 +14,7 @@ from enum import Enum
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .groupcore import (ConcreteGroup, check, intersection_condition, reach,
+from .groupcore import (ConcreteGroup, Homomorphism, check, intersection_condition, reach,
                         string_condition)
 from .signedperm import SignedPerm
 
@@ -333,20 +333,6 @@ class ClassifyResult(NamedTuple):
     kind: Classification
     orbit_count: int
     flag_count: int
-
-
-def _face_map_fault(p: RankedIncidenceStructure, fm: Mapping[FaceRef, FaceRef],
-                    faces: Sequence[FaceRef], q: RankedIncidenceStructure,
-                    targets: Iterable[FaceRef]) -> tuple | None:
-    """None when fm maps the faces `faces` of p bijectively onto the faces
-    `targets` of q, keeping each face's rank, with two faces incident
-    exactly when their images are; otherwise (fault, face)."""
-    inside, targets = set(faces), set(targets)
-    if len(inside) != len(targets) or {fm[a] for a in inside} != targets:
-        return "not a bijection", None
-    return next((("breaks rank or incidence", a) for a in faces
-                 if fm[a][0] != a[0] or {fm[b] for b in p._inc[a] & inside}
-                 != q._inc[fm[a]] & targets), None)
 
 
 def _images_by_rank(struct: RankedIncidenceStructure,
@@ -763,42 +749,125 @@ class CoveringReport(NamedTuple):
         return sizes.pop() if len(sizes) == 1 else None
 
 
-def verify_covering(cover: RankedIncidenceStructure, base: RankedIncidenceStructure,
-                    face_map: Mapping[FaceRef, FaceRef]) -> CoveringReport:
-    """Check a rank- and adjacency-preserving surjection of proper faces and
-    report preimage counts plus whether the map is isomorphic on facets and
-    vertex-figures."""
-    check(cover.rank == base.rank, "covering.same-rank", (cover.rank, base.rank))
-    refs = cover.all_refs()
-    bad = next((ref for ref in refs if ref not in face_map), None)
-    check(bad is None, "covering.face-map-covers-every-face", bad)
-    bad = next((ref for ref in refs if face_map[ref][0] != ref[0]), None)
-    check(bad is None, "covering.face-map-keeps-rank", bad)
+def _words(group: ConcreteGroup, elements: Sequence) -> list[list[int]]:
+    """The generator word of each element in group.  An element outside
+    the group is a `ValueError`."""
+    index = group.table().index
+    outside = next((e for e in elements if e not in index), None)
+    if outside is not None:
+        raise ValueError(f"{outside!r} is not in the group")
+    return [group.word(index[e]) for e in elements]
 
-    per_face = dict.fromkeys(base.all_refs(), 0)
-    for ref in refs:
-        per_face[face_map[ref]] += 1
-    bad = next((ref for ref, count in per_face.items() if count == 0), None)
-    check(bad is None, "covering.onto", bad)
-    counts = [tuple(per_face[ref] for ref in base.refs(r)) for r in range(base.rank)]
 
-    bad = next(((a, b) for a in refs for b in cover._inc[a]
-                if not base.incident(face_map[a], face_map[b])), None)
-    check(bad is None, "covering.keeps-incidence", bad)
+def verify_covering(cover: CosetGeometry, base: CosetGeometry, hom: Homomorphism,
+                    anchor: Sequence[int]) -> tuple[dict[FaceRef, FaceRef], CoveringReport]:
+    """The covering of the polytope `base` by the polytope `cover` that an
+    epimorphism gives, as (face map, report).  Anything but two coset
+    geometries is a `ValueError`.
 
-    def closed_section(s: RankedIncidenceStructure, a: FaceRef, below: bool) -> list:
-        return (s.between(None, a) if below else s.between(a, None)) + [a]
+    Let Γ = cover.group with face subgroups Γ_j and Λ = base.group.  `hom`
+    is φ: G -> Λ on G = hom.source, a subgroup of Γ, with kernel K, and
+    G_j = G ∩ Γ_j.  `anchor` names one face A_j of base per rank, where the
+    cover's base flag, the faces Γ_j, goes.  The checks are the hypotheses:
 
-    def isomorphic_on(anchors: list[FaceRef], below: bool) -> bool:
-        return all(_face_map_fault(cover, face_map, closed_section(cover, a, below),
-                                   base, closed_section(base, face_map[a], below)) is None
-                   for a in anchors)
+    - `covering.same-rank`;
+    - `covering.transitive-on-faces`: |G ∩ Γ_j ∩ Γ_k| |Γ| = |G| |Γ_j ∩ Γ_k|
+      for j <= k.  Γ is transitive on the incident pairs of faces of ranks
+      j and k, since cosets that share z are (Γ_j, Γ_k) z, so G is too: every
+      rank-j face is Γ_j g, and every incident pair (Γ_j g, Γ_k g), for some
+      g in G.  With j = k this is |G_j| f_j = |G|;
+    - `covering.anchor-is-a-flag`;
+    - `covering.onto`: φ(G) = Λ;
+    - `covering.stabilizers-fix-the-anchor`: φ(G_j) fixes A_j, and
+      `covering.stabilizer-orders`: |φ(G_j ∩ G_k)| = |Λ_j ∩ Λ_k| for
+      j <= k.  Λ is transitive on the incident pairs of base, so the
+      stabilizer of (A_j, A_k) has that order: φ(G_j) is the stabilizer of
+      A_j, and φ(G_j ∩ G_k) = φ(G_j) ∩ φ(G_k).
 
-    facets_ok = isomorphic_on(cover.refs(cover.rank - 1), below=True)
-    vertices_ok = isomorphic_on(cover.refs(0), below=False)
+    Then f: Γ_j g -> A_j φ(g), g in G, is well defined, since φ(G_j) fixes
+    A_j, and f(F g) = f(F) φ(g).  It keeps rank, keeps incidence (the pair
+    (Γ_j g, Γ_k g) goes to (A_j, A_k) φ(g)) and is onto, as Λ is transitive
+    on each rank: a covering (McMullen & Schulte, Abstract Regular
+    Polytopes, 2D; Monson, Pellicer & Williams, "Mixing and monodromy of
+    abstract polytopes", Trans. AMS 366, 2014).  f is walked a rank at a
+    time from Γ_j and A_j along G's generators and their images; a face
+    reached twice with two images is the witness that φ(G_j) moves A_j.
 
-    return CoveringReport(
-        preimage_counts=tuple(counts),
-        isomorphic_on_facets=facets_ok,
-        isomorphic_on_vertex_figures=vertices_ok,
+    The report reads the kernel:
+
+    - the rank-j faces over A_j are the Γ_j g with φ(g) in φ(G_j), that is g
+      in G_j K: |K| / |K ∩ G_j| faces, and as many over A_j φ(h), moved by h;
+    - f is one-to-one on the section below every facet when it is on the
+      one below Γ_{n−1}, by f(F g) = f(F) φ(g).  Its rank-j faces are the
+      Γ_j s, s in S = G_{n−1}, and Γ_j s, Γ_j s' share an image exactly when
+      s' s^-1 lies in G_j K.  A one-to-one map of a polytope into one of the
+      same rank that keeps rank and incidence is an isomorphism onto it,
+      since the image flags are closed under adjacency.  So f is
+      isomorphic on facets iff S ∩ G_j K = S ∩ G_j for every j, and that is
+      K ∩ S ⊆ G_0 ∩ ... ∩ G_{n−1}: if s in S lies in G_j K, φ(s) lies in
+      φ(S) ∩ φ(G_j) = φ(S ∩ G_j), so s = b k with b in S ∩ G_j and k in K ∩ S.
+      When G acts faithfully, that flag stabilizer is trivial, and this is
+      K ∩ G_{n−1} = 1.  Vertex-figures alike, with G_0.
+
+    Everything is read from the action tables: no products of elements."""
+    if not (isinstance(cover, CosetGeometry) and isinstance(base, CosetGeometry)):
+        raise ValueError("verify_covering expects two coset geometries")
+    n = cover.rank
+    check(n == base.rank, "covering.same-rank", (n, base.rank))
+    if len(anchor) != n or not all(0 <= a < f for a, f in zip(anchor, base.f_vector)):
+        raise ValueError(f"anchor {tuple(anchor)} names no face of each rank of base")
+    group, big, small = hom.source, cover.group, base.group
+    gens = group.generator_list()
+    steps = list(zip(_words(big, gens), _words(small, [hom(g) for g in gens])))
+
+    # Γ_j, G_j and K as positions in Γ, Λ_j as positions in Λ; the orders of
+    # φ(G_j ∩ G_k) = (G_j ∩ G_k) / (G_j ∩ G_k ∩ K) and of φ(G) = G / K
+    index = big.table().index
+    big_subs = [set(map(index.__getitem__, sub)) for sub in cover.subgroups]
+    subs = [{index[e] for e in sub if e in group.element_set} for sub in cover.subgroups]
+    small_subs = [set(map(small.table().index.__getitem__, sub)) for sub in base.subgroups]
+    kernel = set(map(index.__getitem__, hom.kernel()))
+    meets = {(j, k): subs[j] & subs[k] for j in range(n) for k in range(j, n)}
+    bad = next(((j, k) for (j, k), meet in meets.items()
+                if len(meet) * len(big) != len(group) * len(big_subs[j] & big_subs[k])), None)
+    check(bad is None, "covering.transitive-on-faces", bad)
+    bad = next(((j, k) for j, k in meets if j < k
+                and not base.incident((j, anchor[j]), (k, anchor[k]))), None)
+    check(bad is None, "covering.anchor-is-a-flag", bad)
+    check(len(group) == len(kernel) * len(small), "covering.onto",
+          (len(group) // len(kernel), len(small)))
+
+    big_act, small_act = big.table().act, small.table().act
+    face_map: dict[FaceRef, FaceRef] = {}
+    clash = None
+    for j, (canon, canon_base) in enumerate(zip(cover.canon, base.canon)):
+        # face -> (a member of it, a member of its image)
+        at = {canon[0]: (0, canon_base.index(anchor[j]))}
+        queue = [canon[0]]
+        for c in queue:  # the queue grows while it is read
+            start = at[c]
+            for up, down in steps:
+                p, q = start
+                for k in up:
+                    p = big_act[p][k]
+                for k in down:
+                    q = small_act[q][k]
+                d = canon[p]
+                if d not in at:
+                    at[d] = p, q
+                    queue.append(d)
+                elif clash is None and canon_base[at[d][1]] != canon_base[q]:
+                    clash = (j, d)
+        face_map.update(((j, c), (j, canon_base[q])) for c, (_, q) in at.items())
+    check(clash is None, "covering.stabilizers-fix-the-anchor", clash)
+    bad = next(((j, k) for (j, k), meet in meets.items()
+                if len(meet) // len(meet & kernel) != len(small_subs[j] & small_subs[k])), None)
+    check(bad is None, "covering.stabilizer-orders", bad)
+
+    flag_stabilizer = set.intersection(*subs)
+    return face_map, CoveringReport(
+        preimage_counts=tuple((len(kernel) // len(kernel & sub),) * f
+                              for sub, f in zip(subs, base.f_vector)),
+        isomorphic_on_facets=kernel & subs[-1] <= flag_stabilizer,
+        isomorphic_on_vertex_figures=kernel & subs[0] <= flag_stabilizer,
     )

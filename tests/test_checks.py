@@ -16,7 +16,7 @@ from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
 from polytope_forge.groupcore import (CheckFailed, Presentation, check, enumerate_cosets,
                                       intersection_condition, stabilizer, string_condition)
-from polytope_forge.polycore import CosetGeometry, _face_map_fault
+from polytope_forge.polycore import CosetGeometry, verify_covering
 from polytope_forge.signedperm import block_pair
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
@@ -96,6 +96,39 @@ def _swapped_cover_projection(patch):
     patch(cf, "_project_first", lambda p8: (p8[0], p8[2], p8[1], p8[3]))
 
 
+def _rotated_right_projection(patch):
+    """The point map onto Roli's cube is followed by sigma1, a rotation of
+    Roli's cube: it still sends faces to faces, but the cover's base flag
+    no longer goes to Roli's, where hom_r sends it."""
+    sigma1 = cf.build_atlas().sigma1
+    patch(cf, "_project_first", lambda p8: sigma1.act(p8[:4]))
+
+
+def _rotated_left_projection(patch):
+    """The point map onto the enantiomorph is followed by sigma1, so the
+    anchor read from it is a flag that hom_l's stabilizers move."""
+    real, sigma1 = cf._project_second_mirror, cf.build_atlas().sigma1
+    patch(cf, "_project_second_mirror", lambda p8: sigma1.act(real(p8)))
+
+
+def _swapped_left_vertices(patch):
+    """The realized map onto the enantiomorph trades the images of two
+    cover vertices off the base vertex v + v_bar: the anchor, read at the
+    base flag, stays, but the map is no longer the one of hom_l."""
+    real = cf._realized_face_map
+
+    def swapped(source, target, f):
+        out = real(source, target, f)
+        if f is cf._project_second_mirror:
+            base = cf.build_atlas().v + cf.build_atlas().v_bar
+            off = [ref for ref in out if ref[0] == 0 and source[ref] != base]
+            a = off[0]
+            b = next(ref for ref in off if out[ref] != out[a])
+            out[a], out[b] = out[b], out[a]
+        return out
+    patch(cf, "_realized_face_map", swapped)
+
+
 def _swapped_table_rows(patch):
     """Rows 1 and 2 of the published coordinate table trade places."""
     real = mk.table_coordinates
@@ -136,6 +169,12 @@ FAULTS = {
                               "groups.cover-rotation-order"),
     "cover-point-map": (_swapped_cover_projection, ["build", "cover"],
                         "realization.point-map-sends-faces-to-faces"),
+    "cover-right-rotated": (_rotated_right_projection, ["build", "cover"],
+                            "cover.right-face-map-is-realized"),
+    "cover-left-rotated": (_rotated_left_projection, ["build", "cover"],
+                           "covering.stabilizers-fix-the-anchor"),
+    "cover-left-swapped": (_swapped_left_vertices, ["build", "cover"],
+                           "cover.left-face-map-is-realized"),
     "cube-face-maps": (_fewer_face_maps, ["build", "cube"], "cube.regular"),
     "cover-face-maps": (_fewer_face_maps, ["build", "cover"], "cover.regular-with-768-flags"),
     # build roli classifies the cube and the map first: patch Roli's maps alone
@@ -243,7 +282,7 @@ def test_check_ids_are_unique_layer_kebab_literals():
     assert {"groups.petrie-stabilizer-generated-by-mu0-mu1",
             "enantiomorph.barred-words-give-the-mirrored-subgroups",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 156
+    assert len(ids) >= 159
 
 
 def _package_check_ids() -> set:
@@ -314,12 +353,20 @@ DELETED_AS_IMPLIED = {
     "cosets.table-satisfies-presentation": (
         (), "enumeration stops after a pass that leaves every relator closed at every coset"),
     "battery.claim-ids-unique": ((), "the claim table is a constant"),
+    "covering.face-map-covers-every-face": (
+        ("covering.transitive-on-faces",),
+        "the map is walked from Gamma_j along G's generators, and G is transitive on each rank"),
+    "covering.face-map-keeps-rank": ((), "the map is walked a rank at a time"),
+    "covering.keeps-incidence": (
+        ("covering.transitive-on-faces", "covering.anchor-is-a-flag",
+         "covering.stabilizers-fix-the-anchor"),
+        "an incident pair is (Gamma_j g, Gamma_k g) with g in G, sent to (A_j, A_k) phi(g)"),
 }
 
 
 def test_deleted_checks_stay_deleted_and_their_reasons_stand():
     ids = _package_check_ids()
-    assert len(DELETED_AS_IMPLIED) == 26
+    assert len(DELETED_AS_IMPLIED) == 29
     assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
     missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
     assert not missing, sorted(missing)
@@ -353,6 +400,8 @@ def _is_stabilizer(bundle, rank: int, face) -> bool:
 
 
 def _mirror_by_rho0_is_an_isomorphism() -> bool:
+    from test_polycore import _face_map_fault
+
     roli, bar = cf.build_roli(), cf.build_enantiomorph()
     face_map = cf._realized_face_map(roli.realization, bar.realization, cf.build_atlas().rho0.act)
     return _face_map_fault(roli.structure, face_map, roli.structure.all_refs(),
@@ -362,8 +411,22 @@ def _mirror_by_rho0_is_an_isomorphism() -> bool:
 def _every_oracle_table_satisfies_its_presentation() -> bool:
     from test_cosets import _ORACLE_CASES, _validate_by_rows
 
-    return all(_validate_by_rows(enumerate_cosets(make(), words), make())
+    return all(_validate_by_rows(enumerate_cosets(make(), words), make(), words)
                for make, words in _ORACLE_CASES.values())
+
+
+def _cover_face_maps() -> list:
+    """(cover, base, face map) of each of build_cover's three coverings,
+    as verify_covering returns it."""
+    from test_polycore import _base_flag_of, _cover_homs, _left_anchor
+
+    cover = cf.build_cover().structure
+    hom, hom_r, hom_l = _cover_homs(cf.build_atlas())
+    cases = [(cf.build_roli().structure, hom_r, _base_flag_of(cf.build_roli().structure)),
+             (cf.build_enantiomorph().structure, hom_l, _left_anchor()),
+             (cf.build_cube().structure, hom, _base_flag_of(cf.build_cube().structure))]
+    return [(cover, base, verify_covering(cover, base, h, anchor)[0])
+            for base, h, anchor in cases]
 
 
 # deleted check id -> its fact, asserted on the built objects
@@ -411,6 +474,14 @@ IMPLIED_FACTS = {
     "enantiomorph.mirror-by-rho0-is-an-isomorphism": _mirror_by_rho0_is_an_isomorphism,
     "cosets.table-satisfies-presentation": _every_oracle_table_satisfies_its_presentation,
     "battery.claim-ids-unique": lambda: len(set(cli.all_claim_ids())) == len(cli.all_claim_ids()),
+    "covering.face-map-covers-every-face": lambda: all(
+        set(face_map) == set(cover.all_refs()) for cover, _, face_map in _cover_face_maps()),
+    "covering.face-map-keeps-rank": lambda: all(
+        image[0] == ref[0] for _, _, face_map in _cover_face_maps()
+        for ref, image in face_map.items()),
+    "covering.keeps-incidence": lambda: all(
+        base.incident(face_map[a], face_map[b]) for cover, base, face_map in _cover_face_maps()
+        for a in cover.all_refs() for b in cover._inc[a]),
 }
 
 

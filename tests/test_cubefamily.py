@@ -44,9 +44,10 @@ from polytope_forge.groupcore import (ConcreteGroup, check, extend_homomorphism,
                                       intersection_condition, setwise_stabilizer, stabilizer,
                                       string_condition)
 from polytope_forge.polycore import (Classification, CosetGeometry, RankedIncidenceStructure,
-                                     _face_map_fault, face_permutation, isomorphisms)
+                                     face_permutation, isomorphisms)
 from polytope_forge.signedperm import SignedPerm, block_pair
 from test_checks import clear_build_caches
+from test_polycore import _face_map_fault
 from test_signedperm import matrix
 
 
@@ -152,6 +153,20 @@ def test_petrie_orbit_makes_at_most_96_images(monkeypatch):
                         lambda p, g: calls.append(g) or transformed(p, g))
     assert petrie_polygons.__wrapped__() == expected
     assert len(calls) <= 96
+
+
+def test_transformed_equals_the_validated_polygon(atlas):
+    """transformed skips the validation that __init__ runs: its images
+    under the cube group's generators and rho0 are the validated polygons
+    of the same points."""
+    gens = group_cube().generator_list() + [atlas.rho0]
+    for p in petrie_polygons():
+        for g in gens:
+            image = p.transformed(g)
+            assert image == PetriePolygon(tuple(map(g.act, p.vertices)))
+            assert image.vertices == PetriePolygon(image.vertices).vertices
+    with pytest.raises(ValueError, match="degree 4, not 8"):
+        atlas.base_octagon.transformed(atlas.tau0)
 
 
 def _walk(start, directions):

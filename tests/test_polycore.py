@@ -20,6 +20,9 @@ import polytope_forge
 from polytope_forge import polycore
 from polytope_forge.cubefamily import (
     _adjacency,
+    _project_first,
+    _project_second_mirror,
+    _realized_face_map,
     build_atlas,
     build_cover,
     build_cube,
@@ -30,13 +33,14 @@ from polytope_forge.cubefamily import (
     gp83_graph,
     group_cube,
     group_cover,
+    group_cover_rotation,
     group_rotation_sigma,
 )
-from polytope_forge.groupcore import CheckFailed, ConcreteGroup, intersection_condition, reach
+from polytope_forge.groupcore import (CheckFailed, ConcreteGroup, Homomorphism, check,
+                                      extend_homomorphism, intersection_condition, reach)
 from polytope_forge.polycore import (
     _base_flag,
     _coset_decomposition,
-    _face_map_fault,
     automorphism_count,
     Classification,
     ClassifyResult,
@@ -792,12 +796,74 @@ def test_improper_colourings_rejected():
 # -- coverings -------------------------------------------------------------------
 
 
+def _face_map_fault(p: RankedIncidenceStructure, fm, faces, q: RankedIncidenceStructure,
+                    targets) -> tuple | None:
+    """None when fm maps the faces `faces` of p bijectively onto the faces
+    `targets` of q, keeping each face's rank, with two faces incident
+    exactly when their images are; otherwise (fault, face)."""
+    inside, targets = set(faces), set(targets)
+    if len(inside) != len(targets) or {fm[a] for a in inside} != targets:
+        return "not a bijection", None
+    return next((("breaks rank or incidence", a) for a in faces
+                 if fm[a][0] != a[0] or {fm[b] for b in p._inc[a] & inside}
+                 != q._inc[fm[a]] & targets), None)
+
+
+def _verify_covering_by_faces(cover: RankedIncidenceStructure, base: RankedIncidenceStructure,
+                              face_map) -> polycore.CoveringReport:
+    """The face-by-face oracle of `verify_covering`: check a rank- and
+    incidence-preserving surjection of proper faces, and report preimage
+    counts plus whether the map is isomorphic on every facet and every
+    vertex-figure, by comparing their closed sections."""
+    check(cover.rank == base.rank, "covering.same-rank", (cover.rank, base.rank))
+    refs = cover.all_refs()
+    bad = next((ref for ref in refs if ref not in face_map), None)
+    check(bad is None, "covering.face-map-covers-every-face", bad)
+    bad = next((ref for ref in refs if face_map[ref][0] != ref[0]), None)
+    check(bad is None, "covering.face-map-keeps-rank", bad)
+
+    per_face = dict.fromkeys(base.all_refs(), 0)
+    for ref in refs:
+        per_face[face_map[ref]] += 1
+    bad = next((ref for ref, count in per_face.items() if count == 0), None)
+    check(bad is None, "covering.onto", bad)
+    counts = [tuple(per_face[ref] for ref in base.refs(r)) for r in range(base.rank)]
+
+    bad = next(((a, b) for a in refs for b in cover._inc[a]
+                if not base.incident(face_map[a], face_map[b])), None)
+    check(bad is None, "covering.keeps-incidence", bad)
+
+    def closed_section(s, a, below: bool) -> list:
+        return (s.between(None, a) if below else s.between(a, None)) + [a]
+
+    def isomorphic_on(anchors, below: bool) -> bool:
+        return all(_face_map_fault(cover, face_map, closed_section(cover, a, below),
+                                   base, closed_section(base, face_map[a], below)) is None
+                   for a in anchors)
+
+    return polycore.CoveringReport(
+        preimage_counts=tuple(counts),
+        isomorphic_on_facets=isomorphic_on(cover.refs(cover.rank - 1), below=True),
+        isomorphic_on_vertex_figures=isomorphic_on(cover.refs(0), below=False))
+
+
+def _identity_hom(group):
+    return Homomorphism(group, {e: e for e in group})
+
+
+def _base_flag_of(struct):
+    """The faces that hold the identity."""
+    return tuple(canon[0] for canon in struct.canon)
+
+
 def test_identity_covering():
     struct = build_cube().structure
     ident = {ref: ref for ref in struct.all_refs()}
-    report = verify_covering(struct, struct, ident)
+    report = _verify_covering_by_faces(struct, struct, ident)
     assert report.uniform_fiber_size() == 1
     assert report.is_k_covering
+    assert verify_covering(struct, struct, _identity_hom(struct.group),
+                           _base_flag_of(struct)) == (ident, report)
 
 
 def test_rank_breaking_map_rejected():
@@ -805,7 +871,7 @@ def test_rank_breaking_map_rejected():
     bad = {ref: ref for ref in struct.all_refs()}
     bad[(0, 0)] = (1, 0)
     with pytest.raises(CheckFailed) as exc:
-        verify_covering(struct, struct, bad)
+        _verify_covering_by_faces(struct, struct, bad)
     assert exc.value.name == "covering.face-map-keeps-rank" and exc.value.witness == (0, 0)
 
 
@@ -814,7 +880,7 @@ def test_non_surjective_map_rejected():
     bad = {ref: ref for ref in struct.all_refs()}
     bad[(0, 0)] = (0, 1)
     with pytest.raises(CheckFailed) as exc:
-        verify_covering(struct, struct, bad)
+        _verify_covering_by_faces(struct, struct, bad)
     assert exc.value.name == "covering.onto" and exc.value.witness == (0, 0)
 
 
@@ -824,10 +890,75 @@ def test_covering_that_breaks_incidence_rejected():
     bad = {ref: ref for ref in struct.all_refs()}
     bad[(0, 0)], bad[(0, 1)] = (0, 1), (0, 0)
     with pytest.raises(CheckFailed) as exc:
-        verify_covering(struct, struct, bad)
+        _verify_covering_by_faces(struct, struct, bad)
     a, b = exc.value.witness
     assert exc.value.name == "covering.keeps-incidence" and a == (0, 0)
     assert struct.incident(a, b) and not struct.incident(bad[a], bad[b])
+
+
+def _cover_homs(a):
+    """hom, hom_r and hom_l of `build_cover`."""
+    return (extend_homomorphism(group_cover(), {"tau0": a.rho0, "tau1": a.rho1,
+                                                "tau2": a.rho2, "tau3": a.rho3}),
+            extend_homomorphism(group_cover_rotation(), {
+                "kappa1": a.sigma1, "kappa2": a.sigma2, "kappa3": a.sigma3}),
+            extend_homomorphism(group_cover_rotation(), {
+                "kappa1": a.sigma1_bar.conjugate(a.rho0), "kappa2": a.sigma2_bar.conjugate(a.rho0),
+                "kappa3": a.sigma3_bar.conjugate(a.rho0)}))
+
+
+def _left_anchor(cover=None):
+    """Where the realized map onto the enantiomorph sends the cover's base
+    flag."""
+    cover = cover or build_cover()
+    realized = _realized_face_map(cover.realization, build_enantiomorph().realization,
+                                  _project_second_mirror)
+    return tuple(realized[ref][1] for ref in enumerate(_base_flag_of(cover.structure)))
+
+
+def test_the_three_coverings_equal_the_face_by_face_oracle(atlas):
+    cover = build_cover()
+    struct = cover.structure
+    hom, hom_r, hom_l = _cover_homs(atlas)
+    cube, roli, bar = build_cube(), build_roli(), build_enantiomorph()
+    cube_index = cube.structure.group.table().index
+    by_hom = {ref: (ref[0], cube.structure.canon[ref[0]][cube_index[hom(struct.key(ref))]])
+              for ref in struct.all_refs()}
+    cases = [
+        (roli.structure, hom_r, _base_flag_of(roli.structure),
+         _realized_face_map(cover.realization, roli.realization, _project_first),
+         cover.covering_right),
+        (bar.structure, hom_l, _left_anchor(cover),
+         _realized_face_map(cover.realization, bar.realization, _project_second_mirror),
+         cover.covering_left),
+        (cube.structure, hom, _base_flag_of(cube.structure), by_hom, cover.covering_cube),
+    ]
+    for base, h, anchor, face_map, report in cases:
+        assert verify_covering(struct, base, h, anchor) == (face_map, report)
+        assert _verify_covering_by_faces(struct, base, face_map) == report
+    assert not cover.covering_cube.isomorphic_on_facets
+    assert cover.covering_cube.isomorphic_on_vertex_figures
+
+
+def test_verify_covering_takes_coset_geometries_and_a_face_per_rank():
+    cube = build_cube().structure
+    hom = _identity_hom(cube.group)
+    with pytest.raises(ValueError, match="two coset geometries"):
+        verify_covering(build_cube().colourful, cube, hom, (0, 0, 0, 0))
+    for anchor in [(0, 0, 0), (0, 0, 0, 8)]:
+        with pytest.raises(ValueError, match="names no face"):
+            verify_covering(cube, cube, hom, anchor)
+    # the cover's rotations are not symmetries of the cube, and the cube's
+    # reflections are not rotations of Roli's cube
+    with pytest.raises(ValueError, match="is not in the group"):
+        verify_covering(cube, cube, _identity_hom(group_cover_rotation()), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="is not in the group"):
+        verify_covering(cube, build_roli().structure, hom, (0, 0, 0, 0))
+
+
+def _triangle(a):
+    """The triangle from the reflections rho1, rho2."""
+    return polytope_from_reflections(ConcreteGroup.generate({"a": a.rho1, "b": a.rho2}))
 
 
 def _cyclic_geometry(c):
@@ -934,13 +1065,53 @@ FAILURES = {
                       "colouring.colour-in-range", lambda a: (2, 1)),
     "bare-vertex": (lambda a: ColoredGraph(("a", "b", "c"), {frozenset("ab"): 1}, 1),
                     "colouring.every-colour-at-every-vertex", lambda a: "c"),
-    "cube-onto-map": (lambda a: verify_covering(build_cube().structure,
-                                                build_map().structure, {}),
+    "cube-onto-map": (lambda a: verify_covering(build_cube().structure, build_map().structure,
+                                                _identity_hom(group_cube()), (0, 0, 0)),
                       "covering.same-rank", lambda a: (4, 3)),
-    "face-unmapped": (lambda a: verify_covering(build_cube().structure, build_cube().structure,
-                                                {ref: ref for ref in build_cube().structure
-                                                 .all_refs() if ref != (2, 3)}),
+    "face-unmapped": (lambda a: _verify_covering_by_faces(
+                          build_cube().structure, build_cube().structure,
+                          {ref: ref for ref in build_cube().structure.all_refs() if ref != (2, 3)}),
                       "covering.face-map-covers-every-face", lambda a: (2, 3)),
+    "vertex-stabilizer-on-the-cube": (
+        lambda a: verify_covering(build_cube().structure, build_cube().structure,
+                                  _identity_hom(build_cube().structure.subgroups[0]),
+                                  _base_flag_of(build_cube().structure)),
+        "covering.transitive-on-faces", lambda a: (0, 0)),
+    # transitive on vertices and on edges, but not on the six incident pairs
+    "rotations-of-the-triangle": (
+        lambda a: verify_covering(_triangle(a), _triangle(a),
+                                  _identity_hom(_triangle(a).group.subgroup([a.rho1 * a.rho2])),
+                                  _base_flag_of(_triangle(a))),
+        "covering.transitive-on-faces", lambda a: (0, 1)),
+    "roli-anchor-not-a-flag": (
+        lambda a: verify_covering(build_cover().structure, build_roli().structure,
+                                  _cover_homs(a)[1], (0, 0, 0, 1)),
+        "covering.anchor-is-a-flag", lambda a: (1, 3)),
+    "cube-rotations-onto-the-cube": (
+        lambda a: verify_covering(build_cube().structure, build_cube().structure,
+                                  _identity_hom(group_rotation_sigma()),
+                                  _base_flag_of(build_cube().structure)),
+        "covering.onto", lambda a: (192, 384)),
+    # a flag of Roli's cube whose stabilizers are not the images of hom_r's
+    "roli-wrong-anchor": (
+        lambda a: verify_covering(build_cover().structure, build_roli().structure,
+                                  _cover_homs(a)[1], (0, 0, 0, 2)),
+        "covering.stabilizers-fix-the-anchor", lambda a: (3, 0)),
+    # kappa_i -> sigma_i_bar, without the conjugation by rho0 that
+    # _project_second_mirror needs
+    "left-unconjugated": (
+        lambda a: verify_covering(build_cover().structure, build_enantiomorph().structure,
+                                  extend_homomorphism(group_cover_rotation(), {
+                                      "kappa1": a.sigma1_bar, "kappa2": a.sigma2_bar,
+                                      "kappa3": a.sigma3_bar}), _left_anchor()),
+        "covering.stabilizers-fix-the-anchor", lambda a: (0, 3)),
+    # zeta lies in every face subgroup of the hemi-cube's coset geometry of
+    # the cube group, so the cube's own stabilizers are half as large
+    "cube-onto-the-hemi-cube": (
+        lambda a: verify_covering(build_cube().structure, build_hemi().structure,
+                                  _identity_hom(group_cube()),
+                                  _base_flag_of(build_hemi().structure)),
+        "covering.stabilizer-orders", lambda a: (0, 0)),
     "zeta-of-the-cover": (lambda a: central_quotient(build_cube().structure, a.tau0),
                           "quotient.element-in-the-group", lambda a: a.tau0),
     "order-4-centre": (lambda a: central_quotient(_cyclic_geometry(a.sigma1 ** 2),

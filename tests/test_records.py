@@ -50,7 +50,7 @@ FIELDS = {
     groupcore.Homomorphism: ("source", "mapping"),
     groupcore.HomomorphismFailure: ("word_a", "word_b"),
     groupcore.Presentation: ("generator_count", "relators"),
-    groupcore.CosetTable: ("generator_count", "rows", "subgroup_words"),
+    groupcore.CosetTable: ("generator_count", "rows"),
     mkconfig.MKPoint: ("label", "ambient", "z1", "z2"),
     mkconfig.MKLine: ("coeff_z1", "coeff_z2", "rhs", "points"),
     mkconfig.Configuration: ("points", "lines", "incidence"),
