@@ -445,8 +445,12 @@ class Presentation(_PresentationFields):
     __slots__ = ()
 
     # a NamedTuple body may not define __new__, so the fields live in the
-    # base and this subclass validates every construction
-    def __new__(cls, generator_count: int, relators: tuple[tuple[int, ...], ...]):
+    # base and this subclass validates every construction; relators are
+    # stored as tuples, so equal presentations compare and hash alike
+    def __new__(cls, generator_count: int, relators: Iterable[Sequence[int]]):
+        if type(generator_count) is not int or generator_count < 0:
+            raise ValueError(f"generator count {generator_count!r} is not a non-negative int")
+        relators = tuple(map(tuple, relators))
         for rel in relators:
             for x in rel:
                 if x == 0 or abs(x) > generator_count:
@@ -541,18 +545,18 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
     - each subgroup word closes at coset 0 on its first, filling, scan;
     - every other relator is marked closed at every live coset before the
       hole-free pass ends, since a pass also visits the cosets it defines;
-    - merges keep closed cycles closed.
+    - a scan marks its relator w as it walks: at its coset, and at each
+      coset it reaches, forward, backward or by a definition, after one of
+      w's `_repeat_positions`, where w reads again once the cycle closes.
+      Those cosets stay live until the scan's closing deduction or merge,
+      and a merge ORs the marks of the coset it kills into the one it keeps;
+    - marks stay true: definitions and deductions only add entries, and a
+      merge maps a closed path to a closed path.
 
-    A scan that returns leaves its relator w closed at the coset, and the
-    walk of that closed cycle marks the coset and the cosets after each of
-    w's `_repeat_positions`, where w closes too: the cycle read from there
-    spells w again.  A mark is never wrong later: definitions and
-    deductions only add entries, and a merge maps a closed path to a closed
-    path, so merging y into x ORs y's marks into x's.  Scanning a complete
-    closed path meets itself with f == b and touches nothing, so the
-    skipped scans are exactly the scans that do nothing, and the
-    enumeration makes the same definitions, deductions and merges in the
-    same order as one that scans every pair.
+    Scanning a complete closed path meets itself with f == b and touches
+    nothing, so the skipped scans are exactly the scans that do nothing,
+    and the enumeration makes the same definitions, deductions and merges
+    in the same order as one that scans every pair.
 
     Cosets are numbered in first-appearance order and the final table is
     renumbered by breadth-first search from the subgroup coset, so the
@@ -584,15 +588,15 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
             inv += [col[g] + 1, col[g]]
     ncols = len(inv)
 
-    # per scanned relator: its columns, the walk of its cycle as (column,
-    # whether the coset reached is at a repeat position) up to the last
-    # repeat, and its bit; closed[a] holds the bits of the relators known
-    # to close at coset a
+    # per scanned relator: its columns, its marks (marks[p] is its bit
+    # where it closes whenever it closes at its start, 0 elsewhere: p = 0,
+    # p = len and the `_repeat_positions`) and its bit; closed[a] holds
+    # the bits of the relators known to close at coset a
     relators = []
     for cols in ([col[x] for x in rel] for rel in pres.relators if rel not in squares):
-        repeats = _repeat_positions(cols, inv)
-        walk = [(c, p in repeats) for p, c in enumerate(cols[:max(repeats, default=0)], 1)]
-        relators.append((cols, walk, 1 << len(relators)))
+        bit = 1 << len(relators)
+        repeats = {0, len(cols), *_repeat_positions(cols, inv)}
+        relators.append((cols, [bit if p in repeats else 0 for p in range(len(cols) + 1)], bit))
     closed = [0]
 
     table: list[list[int]] = [[-1] * ncols]
@@ -651,13 +655,14 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                 if d != -1:
                     deduce(x, c, find(d))
 
-    def scan_and_fill(a: int, cols: Sequence[int]) -> None:
-        """Scan the word whose letters are the table columns `cols`."""
+    def scan_and_fill(a: int, cols: Sequence[int], marks: Sequence[int]) -> None:
+        """Scan the word whose letters are the table columns `cols` at the
+        live coset a, and OR marks[p] into each coset the scan reaches p
+        letters on."""
         n = len(cols)
-        if n == 0:
-            return
-        f, i = find(a), 0
-        b, j = find(a), n
+        closed[a] |= marks[0]
+        f, i = a, 0
+        b, j = a, n
         while True:
             while i < j:
                 nxt = table[f][cols[i]]
@@ -665,6 +670,7 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                     break
                 f = nxt if parent[nxt] == nxt else find(nxt)
                 i += 1
+                closed[f] |= marks[i]
             if i == j:
                 if f != b:
                     pending.append((f, b))
@@ -676,54 +682,49 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
                     break
                 b = prv if parent[prv] == prv else find(prv)
                 j -= 1
+                closed[b] |= marks[j]
             if j == i + 1:
                 deduce(f, cols[i], b)
-                process_pending()
+                if pending:
+                    process_pending()
                 return
             f = define(f, cols[i])
             i += 1
-
-    def mark(a: int, walk: Sequence[tuple[int, bool]], bit: int) -> None:
-        """Mark the relator closed at a, where it has just been scanned,
-        and along its cycle at each repeat position."""
-        a = find(a)
-        closed[a] |= bit
-        for c, repeat in walk:
-            nxt = table[a][c]
-            a = nxt if parent[nxt] == nxt else find(nxt)
-            if repeat:
-                closed[a] |= bit
+            closed[f] |= marks[i]
 
     for w in subgroup_words:
-        scan_and_fill(find(0), [col[x] for x in w])
+        scan_and_fill(0, [col[x] for x in w], [0] * (len(w) + 1))
 
     while True:
         i = 0
         while i < len(table):
             if parent[i] == i:  # i is live
-                for cols, walk, bit in relators:
+                for cols, marks, bit in relators:
                     if parent[i] != i:
                         break
                     if not closed[i] & bit:
-                        scan_and_fill(i, cols)
-                        mark(i, walk, bit)
+                        scan_and_fill(i, cols, marks)
             i += 1
-        holes = [(c, k) for c in range(len(table)) if parent[c] == c
-                 for k in range(ncols) if table[c][k] == -1]
+        holes = [(c, k) for c, row in enumerate(table) if parent[c] == c and -1 in row
+                 for k in range(ncols) if row[k] == -1]
         if not holes:
             break
         for c, k in holes:
             define(c, k)
 
     # compact: breadth-first renumbering from the subgroup coset; rows come
-    # out in the order cosets are numbered.  number[d] is the number of d's
-    # live coset, so rows are read as the table left them.
-    root = [find(c) for c in range(len(table))]
-    order = reach(root[0], lambda c: map(root.__getitem__, table[c]))
-    number = [0] * len(table)
-    for i, c in enumerate(order):
-        number[c] = i
-    number = [number[r] for r in root]
+    # out in the order cosets are numbered.  A merge keeps the smaller coset,
+    # so parent[c] <= c, and read in order parent becomes each coset's root.
+    # number[d] is the number of d's live coset, -1 until it is reached.
+    for c, p in enumerate(parent):
+        parent[c] = parent[p]
+    number, order = [0] + [-1] * (len(table) - 1), [0]
+    for c in order:  # the list grows while it is read
+        for d in map(parent.__getitem__, table[c]):
+            if number[d] < 0:
+                number[d] = len(order)
+                order.append(d)
+    number = [number[r] for r in parent]
     if ngens:  # else one coset and no column; itemgetter needs two indices
         out = operator.itemgetter(*[col[x] for g in range(1, ngens + 1) for x in (g, -g)])
         rows = tuple(operator.itemgetter(*out(table[c]))(number) for c in order)

@@ -282,7 +282,7 @@ def test_check_ids_are_unique_layer_kebab_literals():
     assert {"groups.petrie-stabilizer-generated-by-mu0-mu1",
             "enantiomorph.barred-words-give-the-mirrored-subgroups",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 159
+    assert len(ids) >= 158
 
 
 def _package_check_ids() -> set:
@@ -361,12 +361,16 @@ DELETED_AS_IMPLIED = {
         ("covering.transitive-on-faces", "covering.anchor-is-a-flag",
          "covering.stabilizers-fix-the-anchor"),
         "an incident pair is (Gamma_j g, Gamma_k g) with g in G, sent to (A_j, A_k) phi(g)"),
+    "cover.onto-the-cube-group": (
+        ("covering.onto",),
+        "the cube covering's hom has no image outside the cube group (_words refuses one) "
+        "and |G| = |K| |cube group|"),
 }
 
 
 def test_deleted_checks_stay_deleted_and_their_reasons_stand():
     ids = _package_check_ids()
-    assert len(DELETED_AS_IMPLIED) == 29
+    assert len(DELETED_AS_IMPLIED) == 30
     assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
     missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
     assert not missing, sorted(missing)
@@ -429,6 +433,12 @@ def _cover_face_maps() -> list:
             for base, h, anchor in cases]
 
 
+def _cover_hom_is_onto_the_cube_group() -> bool:
+    from test_polycore import _cover_homs
+
+    return _cover_homs(cf.build_atlas())[0].image_set() == cf.group_cube().element_set
+
+
 # deleted check id -> its fact, asserted on the built objects
 IMPLIED_FACTS = {
     "roli.f-vector": lambda: cf.build_roli().structure.f_vector == (16, 32, 12, 4),
@@ -482,6 +492,7 @@ IMPLIED_FACTS = {
     "covering.keeps-incidence": lambda: all(
         base.incident(face_map[a], face_map[b]) for cover, base, face_map in _cover_face_maps()
         for a in cover.all_refs() for b in cover._inc[a]),
+    "cover.onto-the-cube-group": _cover_hom_is_onto_the_cube_group,
 }
 
 

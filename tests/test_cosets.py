@@ -185,7 +185,7 @@ def _conjugated_bn(n: int, rng: random.Random) -> ConcreteGroup:
     return ConcreteGroup.generate([r.conjugate(h) for r in [rho0] + swaps])
 
 
-@pytest.mark.parametrize("n, seed", [(3, 1), (3, 7), (4, 1), (4, 7), (5, 1), (5, 7)])
+@pytest.mark.parametrize("n, seed", [(3, 1), (3, 7), (4, 1), (4, 7), (5, 1), (5, 7), (6, 1)])
 def test_forward_action_is_the_coxeter_closure(n, seed):
     """The second derivation of B_n: the presented group is the concrete one."""
     group = _conjugated_bn(n, random.Random(seed))
@@ -411,6 +411,14 @@ _ORACLE_CASES = {
     "dihedral-8-over-rotation-squared": (
         lambda: Presentation(2, ((1,) * 4, (-2, -2), (2, 1, -2, 1))), [(1, 1)]),
     "no-generators": (lambda: Presentation(0, ()), ()),
+    # an empty relator closes at once, and is marked there
+    "empty-relator": (lambda: Presentation(1, ((), (1,) * 3)), ()),
+    # the Heisenberg group of order 27: (g1 g2)^3 and (g1 g2^-1)^3 over two
+    # non-involutions repeat after 2 and 4 of their 6 letters only
+    "heisenberg-27": (lambda: Presentation(2, ((1,) * 3, (2,) * 3, (1, 2) * 3, (1, -2) * 3)),
+                      ()),
+    "heisenberg-27-over-g1": (
+        lambda: Presentation(2, ((1,) * 3, (2,) * 3, (1, 2) * 3, (1, -2) * 3)), [(1,)]),
 }
 
 
@@ -528,21 +536,40 @@ def test_repeat_marks_change_no_table(monkeypatch):
 
 
 def test_closed_cycles_are_not_scanned_again():
-    # B_4 has 384 cosets and 6 relators that are not squares: 2,304 scans
-    # if every relator were scanned at every coset
-    scans = []
+    # one scan per relator cycle of the final table, sum over r of index / |r|
+    # (B_5: 480 + 6 * 960 + 3 * 640); scanning every relator that is not a
+    # square at every coset would take 2,304 scans on B_4 and 38,400 on B_5
+    for n, index, scans in ((3, 48, 26), (4, 384, 464), (5, 3840, 8160)):
+        pres = _coxeter_b(n)
+        cycles = sum(index // len(rel) for rel in pres.relators if len(rel) > 2)
+        table, seen = _counted_scans(pres)
+        assert table.index == index
+        assert len(seen) == cycles == scans, n
+
+
+def _counted_scans(pres: Presentation) -> tuple[CosetTable, list]:
+    """The table, and the columns of every scan made on the way."""
+    seen = []
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "scan_and_fill":
-            scans.append(frame.f_locals["cols"])
+            seen.append(frame.f_locals["cols"])
 
     sys.setprofile(count)
     try:
-        table = enumerate_cosets(_coxeter_b(4))
+        table = enumerate_cosets(pres)
     finally:
         sys.setprofile(None)
-    assert table.index == 384
-    assert len(scans) == 464
+    return table, seen
+
+
+@pytest.mark.parametrize("ngens, relators", [(2, ((2, 2), (1,))), (1, ((1, 1), ()))])
+def test_a_scan_marks_its_own_coset(ngens, relators):
+    # the involution's column is first filled by the second pass, which
+    # then scans only the coset it defines: the first coset's own mark
+    # keeps it from being scanned again
+    table, seen = _counted_scans(Presentation(ngens, relators))
+    assert table.index == len(seen) == 2
 
 
 def _validate_by_rows(table: CosetTable, pres: Presentation, subgroup_words=()) -> bool:

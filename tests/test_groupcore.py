@@ -34,6 +34,7 @@ from polytope_forge.groupcore import (
     HomomorphismFailure,
     Presentation,
     broken_relator,
+    enumerate_cosets,
     eval_word,
     extend_homomorphism,
     intersection_condition,
@@ -271,6 +272,21 @@ def test_presentation_validation():
         Presentation(2, ((1, -1),))  # not freely reduced
     with pytest.raises(ValueError):
         Presentation(2, ((3,),))  # letter out of range
+
+
+@pytest.mark.parametrize("count", [-1, 1.5, "2", None, True])
+def test_presentation_rejects_a_generator_count_that_is_no_count(count):
+    with pytest.raises(ValueError, match="not a non-negative int"):
+        Presentation(count, ())
+
+
+def test_presentation_stores_its_relators_as_tuples():
+    pres = Presentation(2, [[1, 1], (2,) * 3, [1, 2] * 2])
+    assert pres.relators == ((1, 1), (2, 2, 2), (1, 2, 1, 2))
+    assert pres == Presentation(2, ((1, 1), (2, 2, 2), (1, 2, 1, 2)))
+    assert hash(pres) == hash(Presentation(2, ((1, 1), (2, 2, 2), (1, 2, 1, 2))))
+    # a list relator once reached enumeration and failed there as a TypeError
+    assert enumerate_cosets(pres).index == 6
 
 
 class _QuotientElem:

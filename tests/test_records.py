@@ -95,6 +95,11 @@ def test_validating_records_check_replace_too():
     pres = Presentation(generator_count=2, relators=((1, 1),))
     with pytest.raises(ValueError, match="outside"):
         pres._replace(relators=((3,),))
+    with pytest.raises(ValueError, match="not a non-negative int"):
+        pres._replace(generator_count=-1)
+    with pytest.raises(ValueError, match="not a non-negative int"):
+        pres._replace(generator_count=2.0)
+    assert pres._replace(relators=[[1, 1], [2, 2]]) == Presentation(2, ((1, 1), (2, 2)))
     graph = ColoredGraph(("a", "b"), {frozenset("ab"): 1}, 1)
     assert graph._replace(vertices=("b", "a")).vertices == ("b", "a")
     with pytest.raises(CheckFailed, match=r"^colouring\.colour-in-range"):
