@@ -430,6 +430,15 @@ def intersection_condition(group: ConcreteGroup) -> bool:
 # -- presentations --------------------------------------------------------------
 
 
+def _check_letter(x, n: int) -> None:
+    """A signed letter names generator |x| of n: a non-zero int (a bool is
+    no letter) within +-1..n."""
+    if type(x) is not int:
+        raise ValueError(f"letter {x!r} is not an int")
+    if x == 0 or abs(x) > n:
+        raise ValueError(f"letter {x} outside +-1..{n}")
+
+
 def _freely_reduced(word: Sequence[int]) -> bool:
     return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
 
@@ -453,8 +462,7 @@ class Presentation(_PresentationFields):
         relators = tuple(map(tuple, relators))
         for rel in relators:
             for x in rel:
-                if x == 0 or abs(x) > generator_count:
-                    raise ValueError(f"letter {x} outside +-1..{generator_count}")
+                _check_letter(x, generator_count)
             if not _freely_reduced(rel):
                 raise ValueError(f"relator {rel} is not freely reduced")
         return super().__new__(cls, generator_count, relators)
@@ -570,8 +578,7 @@ def enumerate_cosets(pres: Presentation, subgroup_words: Sequence[Sequence[int]]
     subgroup_words = tuple(tuple(w) for w in subgroup_words)
     for w in subgroup_words:
         for x in w:
-            if x == 0 or abs(x) > ngens:
-                raise ValueError(f"subgroup word letter {x} out of range")
+            _check_letter(x, ngens)
     squares = {rel for rel in pres.relators if len(rel) == 2 and rel[0] == rel[1]}
     involutions = {abs(rel[0]) for rel in squares}
     # col[x] is the table column of the signed letter x, inv[c] the column

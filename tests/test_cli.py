@@ -1,11 +1,20 @@
 """Command-line front end: battery, reports, SVG determinism, exit codes."""
 
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polytope_forge
 from polytope_forge import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(polytope_forge.__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +286,47 @@ def test_hemi_and_the_chiral_row_read_tables_not_products(monkeypatch):
     assert cli._chiral_full_matches_rotation_group(cli.CliConfig()) \
         == (True, "index 192, distinct images 192")
     assert products == []
+
+
+def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """A fresh interpreter with no PYTHON* setting but the path, so that
+    stdout is block-buffered, as a pipe's is by default."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=300, env={**env, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("args", [("verify", "--all", "--format", "json"), ("verify", "--list")],
+                         ids=["write-in-main", "write-in-the-flush"])
+def test_a_closed_stdout_exits_2(args):
+    """The report outgrows the stream's buffer and fails in `main`; the
+    claim list fails in `run`'s flush.  Either way: exit 2, no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python("-m", "polytope_forge.cli", *args, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output: Broken pipe\n")
+
+
+def test_a_profiler_still_writes_its_report():
+    """Under a profiler `run` exits normally, so cProfile prints its table
+    after the output; an unguarded `os._exit` would drop it."""
+    proc = _python("-m", "cProfile", "-m", "polytope_forge.cli", "verify", "--list")
+    assert proc.returncode == 0, proc.stderr
+    ids = "".join(claim_id + "\n" for claim_id in cli.all_claim_ids())
+    assert proc.stdout.startswith(ids)
+    assert "function calls" in proc.stdout[len(ids):]
+
+
+def test_main_leaves_the_collector_on(capsys):
+    assert cli.main(["verify", "--list"]) == 0
+    assert gc.isenabled()
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        scripts = tomllib.load(handle)["project"]["scripts"]
+    assert scripts == {"polytope-forge": "polytope_forge.cli:run"}

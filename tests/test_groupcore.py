@@ -3,6 +3,7 @@
 import collections
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -278,6 +279,18 @@ def test_presentation_validation():
 def test_presentation_rejects_a_generator_count_that_is_no_count(count):
     with pytest.raises(ValueError, match="not a non-negative int"):
         Presentation(count, ())
+
+
+@pytest.mark.parametrize("letter", [1.5, True, "1", None, 0, 3])
+def test_a_letter_is_a_nonzero_int_within_the_generators(letter):
+    """Relators, subgroup words and `_replace` share one letter check; a
+    float once failed in enumeration as a KeyError, and True passed as 1."""
+    pres = Presentation(2, ((1, 1), (2, 2)))
+    for make in (lambda: Presentation(2, ((letter,), (1, 1), (2, 2))),
+                 lambda: enumerate_cosets(pres, [(letter,)]),
+                 lambda: pres._replace(relators=((letter,),))):
+        with pytest.raises(ValueError, match=re.escape(f"letter {letter!r} ")):
+            make()
 
 
 def test_presentation_stores_its_relators_as_tuples():
