@@ -61,8 +61,7 @@ class Claim(NamedTuple):
 
 
 class Report:
-    """The battery's outcome; `run_claims` sets the time once the claims
-    are in, so unlike the value records it is mutable."""
+    """The battery's outcome."""
 
     def __init__(self, object_name: str, claims: list[Claim] | None = None,
                  elapsed_seconds: float = 0.0):
@@ -76,7 +75,6 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": SCHEMA,
             "object": self.object_name,
             "claims": [c.to_json_dict() for c in self.claims],
             "all_passed": self.all_passed,
@@ -289,9 +287,8 @@ def run_claims(cfg: CliConfig | None = None, only: set[str] | None = None) -> Re
         raise KeyError(f"unknown claim ids: {sorted(unknown)}")
     claims = [_evaluate(row, cfg) for row in _CLAIMS
               if only is None or row.claim_id in only]
-    report = Report(object_name="verification-battery", claims=claims)
-    report.elapsed_seconds = time.perf_counter() - start
-    return report
+    return Report(object_name="verification-battery", claims=claims,
+                  elapsed_seconds=time.perf_counter() - start)
 
 
 def all_claim_ids() -> list[str]:
@@ -459,7 +456,7 @@ def render_projection(spec: ProjectionSpec) -> str:
 # command-line interface
 # ---------------------------------------------------------------------------
 
-def _mk_certificate(cfg: CliConfig) -> dict:
+def _mk_certificate() -> dict:
     data = _mk().build_configuration().to_json_dict()
     # build_configuration checks each point against the table row of its own
     # label (mk.coordinates-match-the-table), so the match is literal
@@ -470,12 +467,12 @@ def _mk_certificate(cfg: CliConfig) -> dict:
 
 # build target -> certificate builder
 _BUILDERS = {
-    "cube": lambda cfg: cf.build_cube().certificate(),
-    "hemi": lambda cfg: cf.build_hemi().certificate(),
-    "map": lambda cfg: cf.build_map().certificate(),
-    "roli": lambda cfg: cf.build_roli().certificate(),
-    "enantiomorph": lambda cfg: cf.build_enantiomorph().certificate(),
-    "cover": lambda cfg: cf.build_cover().certificate(),
+    "cube": lambda: cf.build_cube().certificate(),
+    "hemi": lambda: cf.build_hemi().certificate(),
+    "map": lambda: cf.build_map().certificate(),
+    "roli": lambda: cf.build_roli().certificate(),
+    "enantiomorph": lambda: cf.build_enantiomorph().certificate(),
+    "cover": lambda: cf.build_cover().certificate(),
     "mk": _mk_certificate,
 }
 _BUILD_TARGETS = tuple(_BUILDERS)
@@ -497,6 +494,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(data: dict, fmt: str, out: str | None) -> None:
+    """Write a certificate or the battery report, stamped with the schema."""
+    data = {**data, "schema": SCHEMA}
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     else:
@@ -514,13 +513,11 @@ def _positive_int(text: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--out", default=None, help="write output to a file")
-    common.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
-                        help="cap on the number of cosets defined during coset "
-                             "enumeration (cosets later merged count too, so "
-                             "this bounds the work, not the index)")
+    # each subcommand takes only the options it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to a file")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[output])
+    formatted.add_argument("--format", choices=("json", "text"), default="text")
 
     parser = argparse.ArgumentParser(
         prog="polytope-forge",
@@ -529,12 +526,16 @@ def main(argv: list[str] | None = None) -> int:
                     "configuration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=[common],
+    p_build = sub.add_parser("build", parents=[formatted],
                              help="build one object, emit its certificate")
     p_build.add_argument("target", choices=_BUILD_TARGETS)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[formatted],
                               help="run the verification battery")
+    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                          help="cap on the cosets defined by the enumerations of the "
+                               "orders.map-full and cosets.* rows (merged ones count "
+                               "too: it bounds the work, not the index)")
     # one of: claim ids, --all, --list.  The positional's default must be a
     # value argparse can tell from an empty match, or a bare --all conflicts
     chosen = p_verify.add_mutually_exclusive_group()
@@ -543,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
     chosen.add_argument("--list", action="store_true", dest="list_ids",
                         help="list claim ids and exit")
 
-    p_project = sub.add_parser("project", parents=[common],
+    p_project = sub.add_parser("project", parents=[output],
                                help="render an SVG projection")
     p_project.add_argument("--preset", choices=tuple(_PRESETS), default="coxeter")
     p_project.add_argument("--scale", type=float, default=100.0)
@@ -551,12 +552,10 @@ def main(argv: list[str] | None = None) -> int:
                            help="edge direction classes to draw")
 
     args = parser.parse_args(argv)
-    cfg = CliConfig(cap=args.cap)
 
     try:
         if args.command == "build":
-            data = _BUILDERS[args.target](cfg)
-            _emit(data, args.format, args.out)
+            _emit(_BUILDERS[args.target](), args.format, args.out)
             return 0
 
         if args.command == "verify":
@@ -568,7 +567,7 @@ def main(argv: list[str] | None = None) -> int:
             if not args.run_all and not args.claims:
                 parser.error("verify needs claim ids or --all")
             only = set(args.claims) or None
-            report = run_claims(cfg, only=only)
+            report = run_claims(CliConfig(cap=args.cap), only=only)
             if args.format == "json":
                 _emit(report.to_json_dict(), "json", args.out)
             else:
@@ -602,6 +601,17 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
+def _flush(stream) -> bool:
+    """Flush `stream`; when its reader has gone, point it at devnull, so
+    that no later flush raises, and return False."""
+    try:
+        stream.flush()
+        return True
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return False
+
+
 def run() -> None:
     """Process entry of `python -m polytope_forge.cli` and `polytope-forge`:
     `main()` with the cyclic collector off (it would only re-traverse the
@@ -611,18 +621,25 @@ def run() -> None:
     BENCH_35.json).  That is safe: the package registers no `atexit`
     handler, writes `--out` inside a `with`, and both streams are flushed
     here.  Under a tracer or profiler (cProfile, trace, coverage) the exit
-    is normal, so its report is still written.  A closed stdout exits 2,
-    with stdout on devnull so that no later flush raises; anything else
-    `main` raises, argparse's `SystemExit` too, propagates."""
+    is normal, so its report is still written.  A closed stdout or stderr
+    exits 2, with that stream on devnull so that no later flush raises;
+    anything else `main` raises, argparse's `SystemExit` too, propagates,
+    after both streams are flushed."""
     gc.disable()
     try:
         code = main()
         sys.stdout.flush()
-        sys.stderr.flush()
     except BrokenPipeError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr, flush=True)
         code = 2
+        try:  # stderr takes the message only when it is stdout that closed
+            print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr,
+                  flush=True)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except BrokenPipeError:
+            pass
+    finally:  # argparse's SystemExit too: it writes ignoring a closed stream
+        if not all([_flush(sys.stdout), _flush(sys.stderr)]):
+            code = 2
     monitoring = getattr(sys, "monitoring", None)  # 3.12+: cProfile, coverage's sysmon core
     if sys.gettrace() is None and sys.getprofile() is None and not (
             monitoring and any(map(monitoring.get_tool, range(6)))):

@@ -150,13 +150,13 @@ class ConcreteGroup:
     def generator_list(self) -> list:
         return list(self.generators.values())
 
-    def subgroup(self, generators, names: Sequence[str] | None = None) -> "ConcreteGroup":
+    def subgroup(self, generators) -> "ConcreteGroup":
         """The closure of generators from this group.  A closure of members
         of a group stays inside it, so only the generators are checked."""
         gens = generators.values() if isinstance(generators, Mapping) else generators
         outside = next((g for g in gens if g not in self.element_set), None)
         check(outside is None, "group.subgroup-inside", outside)
-        return ConcreteGroup.generate(generators, names=names)
+        return ConcreteGroup.generate(generators)
 
     def centre(self) -> "ConcreteGroup":
         """The elements z with z * g == g * z for every generator g, read

@@ -345,7 +345,6 @@ class Configuration(NamedTuple):
             return [str(t) for t in x.as_tuple()]
 
         return {
-            "schema": "polytope-forge/1",
             "object": "moebius-kantor",
             "points": [{"label": p.label, "ambient": list(p.ambient),
                         "z1": qf(p.z1), "z2": qf(p.z2)} for p in self.points],

@@ -106,12 +106,10 @@ class SignedPerm(_SignedPermFields):
         return cls((1,) * n, tuple(range(1, n + 1)))
 
     @classmethod
-    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]] = (),
-                    signs: Sequence[int] | None = None) -> "SignedPerm":
-        """Build from cycle notation; (4,3,2,1) maps 4->3->2->1->4."""
-        if signs is None:
-            signs = (1,) * n
-        return cls(signs, _cycles_to_image(n, cycles))
+    def from_cycles(cls, n: int, cycles: Iterable[Sequence[int]] = ()) -> "SignedPerm":
+        """Build from cycle notation, all signs +1; (4,3,2,1) maps
+        4->3->2->1->4."""
+        return cls((1,) * n, _cycles_to_image(n, cycles))
 
     @classmethod
     def parse(cls, text: str) -> "SignedPerm":

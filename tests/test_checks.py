@@ -14,7 +14,8 @@ import polytope_forge
 from polytope_forge import cli
 from polytope_forge import cubefamily as cf
 from polytope_forge import mkconfig as mk
-from polytope_forge.groupcore import (CheckFailed, Presentation, check, enumerate_cosets,
+from polytope_forge.groupcore import (CheckFailed, ConcreteGroup, Homomorphism, Presentation,
+                                      check, enumerate_cosets, extend_homomorphism,
                                       intersection_condition, stabilizer, string_condition)
 from polytope_forge.polycore import CosetGeometry, verify_covering
 from polytope_forge.signedperm import block_pair
@@ -282,7 +283,7 @@ def test_check_ids_are_unique_layer_kebab_literals():
     assert {"groups.petrie-stabilizer-generated-by-mu0-mu1",
             "enantiomorph.barred-words-give-the-mirrored-subgroups",
             "atlas.pi-display"} <= set(ids)
-    assert len(ids) >= 158
+    assert len(ids) >= 156
 
 
 def _package_check_ids() -> set:
@@ -365,12 +366,21 @@ DELETED_AS_IMPLIED = {
         ("covering.onto",),
         "the cube covering's hom has no image outside the cube group (_words refuses one) "
         "and |G| = |K| |cube group|"),
+    "groups.barred-sigmas-generate-rotations": (
+        ("groups.sigmas-generate-rotations",),
+        "build_atlas defines sigma1_bar = sigma1^-1, sigma2_bar = sigma1^2 sigma2 and "
+        "sigma3_bar = sigma3, so the barred sigmas generate what the sigmas do"),
+    "cover.cube-rotation-kernel": (
+        ("atlas.taus-are-involutions", "cover.rotation-subgroup-of-index-2", "cover.cube-kernel",
+         "cover.centre-words"),
+        "kappa_i = tau_(i-1) tau_i, so rho_(i-1) rho_i on the kappas is hom on Gamma+, with "
+        "kernel ker(hom) & Gamma+ = {1, zz} since zz = kappa1^4"),
 }
 
 
 def test_deleted_checks_stay_deleted_and_their_reasons_stand():
     ids = _package_check_ids()
-    assert len(DELETED_AS_IMPLIED) == 30
+    assert len(DELETED_AS_IMPLIED) == 32
     assert not set(DELETED_AS_IMPLIED) & ids, sorted(set(DELETED_AS_IMPLIED) & ids)
     missing = {i for implied, _ in DELETED_AS_IMPLIED.values() for i in implied} - ids
     assert not missing, sorted(missing)
@@ -439,6 +449,30 @@ def _cover_hom_is_onto_the_cube_group() -> bool:
     return _cover_homs(cf.build_atlas())[0].image_set() == cf.group_cube().element_set
 
 
+def _barred_sigmas_generate_rotations() -> bool:
+    a = cf.build_atlas()
+    barred = ConcreteGroup.generate(
+        {"sigma1": a.sigma1_bar, "sigma2": a.sigma2_bar, "sigma3": a.sigma3_bar})
+    return barred.element_set == cf.group_rotation().element_set
+
+
+def _rotation_hom_onto_the_cube_rotations() -> bool:
+    """kappa_i -> rho_(i-1) rho_i extends to the rotation group of the
+    cube, agrees with hom on the cover's rotation group, and has kernel
+    {1, zz}."""
+    from test_polycore import _cover_homs
+
+    a = cf.build_atlas()
+    t_plus = cf.group_cover_rotation()
+    hom_p = extend_homomorphism(t_plus, {
+        "kappa1": a.rho0 * a.rho1, "kappa2": a.rho1 * a.rho2, "kappa3": a.rho2 * a.rho3})
+    hom = _cover_homs(a)[0]
+    return (isinstance(hom_p, Homomorphism)
+            and hom_p.image_set() == cf.group_rotation().element_set
+            and all(hom_p(g) == hom(g) for g in t_plus)
+            and frozenset(hom_p.kernel()) == {t_plus.identity, block_pair(a.zeta, a.zeta)})
+
+
 # deleted check id -> its fact, asserted on the built objects
 IMPLIED_FACTS = {
     "roli.f-vector": lambda: cf.build_roli().structure.f_vector == (16, 32, 12, 4),
@@ -493,6 +527,8 @@ IMPLIED_FACTS = {
         base.incident(face_map[a], face_map[b]) for cover, base, face_map in _cover_face_maps()
         for a in cover.all_refs() for b in cover._inc[a]),
     "cover.onto-the-cube-group": _cover_hom_is_onto_the_cube_group,
+    "groups.barred-sigmas-generate-rotations": _barred_sigmas_generate_rotations,
+    "cover.cube-rotation-kernel": _rotation_hom_onto_the_cube_rotations,
 }
 
 

@@ -175,10 +175,24 @@ def test_main_usage_errors(capsys):
         assert cli.main(["project", *bad]) == 2, bad
     # --cap must be positive, also where no coset enumeration would read it
     for argv in (["verify", "orders.cube-full", "--cap", "-5"],
-                 ["verify", "orders.cube-full", "--cap", "0"], ["build", "cube", "--cap", "0"]):
+                 ["verify", "orders.cube-full", "--cap", "0"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv", [["build", "cube", "--cap", "3"], ["build", "mk", "--cap", "1"],
+                                  ["build", "cube", "--cap", "0"], ["project", "--cap", "1"],
+                                  ["project", "--format", "json"]],
+                         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
+def test_main_rejects_an_option_its_command_does_not_read(argv, capsys):
+    # build reads neither --cap nor the battery's config, project neither
+    # --cap nor --format: each is a usage error, not an option ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err, err
 
 
 @pytest.mark.parametrize("scale,width", [("1e308", "inf"), ("1e-320", "0.0")])
@@ -289,11 +303,16 @@ def test_hemi_and_the_chiral_row_read_tables_not_products(monkeypatch):
 
 
 def _python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    """A fresh interpreter with no PYTHON* setting but the path, so that
-    stdout is block-buffered, as a pipe's is by default."""
-    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    """A fresh interpreter in `_clean_env()`, so that stdout is
+    block-buffered, as a pipe's is by default."""
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, timeout=300, env={**env, "PYTHONPATH": str(SRC)})
+                          text=True, timeout=300, env=_clean_env())
+
+
+def _clean_env() -> dict:
+    """This environment with no PYTHON* setting but the path."""
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    return {**env, "PYTHONPATH": str(SRC)}
 
 
 @pytest.mark.parametrize("args", [("verify", "--all", "--format", "json"), ("verify", "--list")],
@@ -308,6 +327,25 @@ def test_a_closed_stdout_exits_2(args):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (2, "error: cannot write standard output: Broken pipe\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [("project", "--colors", "9"), ("build", "nosuch"),
+                                  ("project", "--format", "json")],
+                         ids=["error-in-main", "argparse-choice", "argparse-option"])
+def test_a_closed_stderr_exits_2(args, unbuffered):
+    """The error message cannot be written, from `main` or from argparse,
+    which ignores the failed write and leaves the message buffered."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "polytope_forge.cli", *args],
+                              stdout=subprocess.PIPE, stderr=write, text=True, timeout=300,
+                              env={**_clean_env(), **env})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_a_profiler_still_writes_its_report():

@@ -860,9 +860,13 @@ def test_binary_tetrahedral_subgroup(atlas):
     assert report["identities_hold"]
     assert report["order"] == 24
     assert report["normal_in_map_rotation_group"]
-    assert report["rotation_centre_generated_by_sigma1_fourth"]
-    # the defining identities, spelled out
+    assert report.keys() == {"identities_hold", "order", "normal_in_map_rotation_group"}
+    # the centre of the map's rotation group is generated by sigma1^4 = zeta
     s1, s2 = atlas.sigma1, atlas.sigma2
+    rot = group_map_rotation()
+    assert rot.centre().element_set == frozenset((rot.identity, s1 ** 4))
+    assert s1 ** 4 == atlas.zeta
+    # the defining identities, spelled out
     a = s1.inverse() * s2 * s1.inverse()
     b = s2 * s1 ** 4
     assert a ** 3 == atlas.zeta and b ** 3 == atlas.zeta

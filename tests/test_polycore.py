@@ -940,6 +940,59 @@ def test_the_three_coverings_equal_the_face_by_face_oracle(atlas):
     assert cover.covering_cube.isomorphic_on_vertex_figures
 
 
+def _quotient_rotations(group, z) -> list:
+    """The images of rho_(i-1) rho_i in group / <z>, for central z: each
+    a permutation of the classes {g, g z}, read from the action table."""
+    act = group.table().act
+    z_word = group.word(group.table().index[z])
+    mate = [group.walk(p, z_word) for p in range(len(group))]
+    classes = sorted({min(p, q) for p, q in enumerate(mate)})
+    number = {c: i + 1 for i, c in enumerate(classes)}
+    cls = lambda p: number[min(p, mate[p])]
+    return [SignedPerm((1,) * len(classes), [cls(act[act[c][i - 1]][i]) for c in classes])
+            for i in range(1, len(group.generators))]
+
+
+def test_verify_covering_on_seeded_random_rotary_sources():
+    """Gamma+ = <rho_(i-1) rho_i> of a random string C-group Gamma, onto the
+    rotary geometry of Lambda+ for Lambda = Gamma and Gamma / <z>: the
+    shape of build_cover's hom_r and hom_l.  The anchor is the base's own
+    flag or two random faces per rank."""
+    rng = random.Random(7)
+    outcomes = collections.Counter()
+    for _ in range(100):
+        group = _random_string_group(rng)
+        if len(group) > 400 or not intersection_condition(group):
+            continue
+        cover = polytope_from_reflections(group)
+        rho = group.generator_list()
+        names = [f"s{i}" for i in range(1, len(rho))]
+        plus = ConcreteGroup.generate(dict(zip(names, (a * b for a, b in zip(rho, rho[1:])))))
+        targets = [plus.generator_list()] + [_quotient_rotations(group, z)
+                                             for z in group.centre() if z != group.identity]
+        for images in targets:
+            try:
+                base = polytope_from_rotations(ConcreteGroup.generate(dict(zip(names, images))))
+            except CheckFailed:
+                continue
+            hom = extend_homomorphism(plus, dict(zip(names, images)))
+            assert isinstance(hom, Homomorphism)
+            anchors = [_base_flag_of(base)] + [tuple(rng.randrange(f) for f in base.f_vector)
+                                               for _ in range(2)]
+            for anchor in anchors:
+                try:
+                    face_map, report = verify_covering(cover, base, hom, anchor)
+                except CheckFailed as exc:
+                    outcomes[exc.name] += 1
+                    continue
+                assert _verify_covering_by_faces(cover, base, face_map) == report
+                outcomes["accepted"] += 1
+                outcomes[f"fibre {report.uniform_fiber_size()}"] += 1
+    assert outcomes["accepted"] and outcomes["fibre 2"], outcomes
+    assert outcomes["covering.anchor-is-a-flag"], outcomes
+    assert outcomes["covering.stabilizers-fix-the-anchor"], outcomes
+
+
 def test_verify_covering_takes_coset_geometries_and_a_face_per_rank():
     cube = build_cube().structure
     hom = _identity_hom(cube.group)
