@@ -532,10 +532,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", parents=[formatted],
                               help="run the verification battery")
-    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+    p_verify.add_argument("--cap", type=_positive_int, default=None,
                           help="cap on the cosets defined by the enumerations of the "
                                "orders.map-full and cosets.* rows (merged ones count "
-                               "too: it bounds the work, not the index)")
+                               "too: it bounds the work, not the index; default "
+                               f"{DEFAULT_CAP}); not with --list")
     # one of: claim ids, --all, --list.  The positional's default must be a
     # value argparse can tell from an empty match, or a bare --all conflicts
     chosen = p_verify.add_mutually_exclusive_group()
@@ -560,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "verify":
             if args.list_ids:
+                if args.cap is not None:
+                    parser.error("argument --cap: not allowed with argument --list")
                 ids = all_claim_ids()
                 _write(json.dumps(ids, indent=2) + "\n" if args.format == "json"
                        else "".join(claim_id + "\n" for claim_id in ids), args.out)
@@ -567,7 +570,8 @@ def main(argv: list[str] | None = None) -> int:
             if not args.run_all and not args.claims:
                 parser.error("verify needs claim ids or --all")
             only = set(args.claims) or None
-            report = run_claims(CliConfig(cap=args.cap), only=only)
+            cap = DEFAULT_CAP if args.cap is None else args.cap
+            report = run_claims(CliConfig(cap=cap), only=only)
             if args.format == "json":
                 _emit(report.to_json_dict(), "json", args.out)
             else:

@@ -93,15 +93,13 @@ def _edges_share_facet(directions) -> bool:
     return len(set(directions)) < 4
 
 
-def _canonical_cycle(seq: tuple[Point, ...]) -> tuple[Point, ...]:
-    best = None
-    n = len(seq)
-    for base in (seq, tuple(reversed(seq))):
-        for shift in range(n):
-            cand = base[shift:] + base[:shift]
-            if best is None or cand < best:
-                best = cand
-    return best
+def _canonical_cycle(seq: tuple) -> tuple:
+    """The lexicographically least of the rotations of seq and of its
+    reverse.  It starts with the least entry, so only the rotations that
+    start there are compared."""
+    low = min(seq)
+    return min(base[i:] + base[:i] for base in (seq, seq[::-1])
+               for i, x in enumerate(base) if x == low)
 
 
 def _cycle_edges(cycle) -> frozenset:
@@ -166,17 +164,23 @@ class PetriePolygon:
     def edge_set(self) -> frozenset:
         return _cycle_edges(self.vertices)
 
+    @classmethod
+    def _image(cls, vertices) -> "PetriePolygon":
+        """The polygon on these vertices, the image of a Petrie polygon
+        under a symmetry of the 4-cube: put in canonical form, not
+        validated again."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "vertices", _canonical_cycle(tuple(vertices)))
+        return image
+
     def transformed(self, g: SignedPerm) -> "PetriePolygon":
         """The image under g.  Every signed permutation of degree 4 is a
         symmetry of the 4-cube, so it maps Petrie polygons to Petrie
-        polygons: the image is put in canonical form, not validated again.
-        Any other degree is a `ValueError`."""
+        polygons, and the image is not validated again.  Any other degree
+        is a `ValueError`."""
         if g.n != 4:
             raise ValueError(f"a symmetry of the 4-cube has degree 4, not {g.n}")
-        image = object.__new__(PetriePolygon)
-        object.__setattr__(image, "vertices",
-                           _canonical_cycle(tuple(map(g.act, self.vertices))))
-        return image
+        return PetriePolygon._image(map(g.act, self.vertices))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PetriePolygon) and self.vertices == other.vertices
@@ -407,8 +411,10 @@ def group_petrie_stabilizer() -> ConcreteGroup:
     check(len(k) == 16, "groups.petrie-stabilizer-order", len(k))
     conjugate = a.mu0.inverse() * a.pi * a.mu0
     check(conjugate == a.pi.inverse(), "groups.petrie-stabilizer-dihedral", conjugate)
-    fault = _stabilizer_fault(group_cube(), k, a.base_octagon.vertex_set(),
-                              lambda pts, g: frozenset(map(g.act, pts)))
+    table = _point_table(group_cube(), a.v)
+    octagon = frozenset(map(table.index.__getitem__, a.base_octagon.vertices))
+    fault = _stabilizer_fault(group_cube(), k, octagon,
+                              lambda pts, g: frozenset(map(table.move(g).__getitem__, pts)))
     check(fault is None, "groups.petrie-stabilizer-generated-by-mu0-mu1", fault)
     return k
 
@@ -445,9 +451,12 @@ def group_unitary() -> ConcreteGroup:
 
 @lru_cache(maxsize=None)
 def petrie_polygons() -> tuple[PetriePolygon, ...]:
-    """All Petrie polygons as the symmetry orbit of the base octagon."""
-    return tuple(sorted(orbit(group_cube(), build_atlas().base_octagon,
-                              PetriePolygon.transformed)))
+    """All Petrie polygons as the symmetry orbit of the base octagon, walked
+    on the cube group's point table."""
+    table = _point_table(group_cube(), build_atlas().v)
+    cycles = orbit(group_cube(), table.numbered(2, build_atlas().base_octagon.vertices),
+                   table.action(2))
+    return tuple(PetriePolygon._image(table.read(2, c)) for c in sorted(cycles))
 
 
 @lru_cache(maxsize=None)
@@ -551,8 +560,64 @@ def presentation_unitary_triangle() -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# realization plumbing
+# point tables and realization
 # ---------------------------------------------------------------------------
+
+class PointTable:
+    """The orbit of a point under a group, numbered in coordinate order, and
+    each generator's permutation of the numbers: moves[k][i] is the number
+    of points[i] moved by generator k.  It takes one `act` per point and
+    generator; every later move is a list lookup.  The numbering keeps the
+    order of the points, so a face of numbers is sorted, or a canonical
+    cycle, exactly when the face of their points is."""
+
+    __slots__ = ("group", "points", "index", "moves", "_lists")
+
+    def __init__(self, group: ConcreteGroup, seed: Point):
+        gens = group.generator_list()
+        images = {}
+
+        def step(p: Point) -> list:
+            images[p] = [g.act(p) for g in gens]
+            return images[p]
+
+        self.group = group
+        self.points = tuple(sorted(reach(seed, step)))
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.moves = [[self.index[images[p][k]] for p in self.points] for k in range(len(gens))]
+        self._lists = dict(zip(gens, self.moves))
+
+    def move(self, g) -> list[int]:
+        """The permutation of the numbers by g, an element of the group:
+        the generators' lists composed along g's word."""
+        moved = self._lists.get(g)
+        if moved is None:
+            group = self.group
+            moved = list(range(len(self.points)))
+            for k in group.word(group.table().index[g]):
+                step = self.moves[k]
+                moved = [step[i] for i in moved]
+            self._lists[g] = moved
+        return moved
+
+    def action(self, rank: int):
+        """The group's action on numbered faces of one rank, as `orbit`
+        takes it."""
+        return lambda face, g: _face_image(rank, face, self.move(g).__getitem__)
+
+    def numbered(self, rank: int, face):
+        """A face of points as a face of their numbers."""
+        return _relabel(rank, face, self.index.__getitem__)
+
+    def read(self, rank: int, face):
+        """A face of numbers as a face of their points."""
+        return _relabel(rank, face, self.points.__getitem__)
+
+
+@lru_cache(maxsize=None)
+def _point_table(group: ConcreteGroup, seed: Point) -> PointTable:
+    return PointTable(group, seed)
+
 
 def _face_image(rank: int, face, f):
     """Image of a face of the polygon family under the point map f.  A face
@@ -567,9 +632,14 @@ def _face_image(rank: int, face, f):
     return tuple(sorted(_face_image(1, e, f) for e in face))
 
 
-def _edge_image(edge, g: SignedPerm):
-    """The image of a sorted vertex pair under g, the edge action of `orbit`."""
-    return _face_image(1, edge, g.act)
+def _relabel(rank: int, face, f):
+    """The face with each point p replaced by f(p), in place: for an f that
+    keeps the order of points, the image of `_face_image` without sorting."""
+    if rank == 0:
+        return f(face)
+    if rank == 3:
+        return tuple(tuple(map(f, e)) for e in face)
+    return tuple(map(f, face))
 
 
 # geometric containment between faces of the polygon family, by rank pair
@@ -586,28 +656,47 @@ _FACE_CONTAINS = {
 def _realize(struct: CosetGeometry, base_faces) -> dict:
     """The geometric meaning of a coset structure, face -> realized face,
     checked to make coset incidence coincide with geometric containment.
-    The rank-r face of coset key g is _face_image(r, base_faces[r], g.act).
-    Its checks make H = subgroups[r] the whole stabilizer of base_faces[r]:
+    The rank-r face of the coset H g is base_faces[r] moved by g.  Its
+    checks make H = subgroups[r] the whole stabilizer of base_faces[r]:
     H's generators fix the face, and an element g that fixes it makes the
-    faces H g and H one realized face, so by faithfulness g lies in H."""
-    moved = next(((r, s) for r, face in enumerate(base_faces)
+    faces H g and H one realized face, so by faithfulness g lies in H.
+
+    The work runs on the point table of the base vertex, base_faces[0]:
+    every point of a base face must lie in its orbit (another point is a
+    `KeyError`).  With H fixing its face, the faces are carried along
+    the walk of the group's action table, as `right_cosets` walks it: the
+    face of a coset first met at g = p * gens[k] is the face of p's coset
+    moved by generator k's list.  The checks compare numbered faces, and
+    the faces are read back to points at the end."""
+    table = _point_table(struct.group, base_faces[0])
+    base = [table.numbered(r, face) for r, face in enumerate(base_faces)]
+    moved = next(((r, s) for r, face in enumerate(base)
                   for s in struct.subgroups[r].generator_list()
-                  if _face_image(r, face, s.act) != face), None)
+                  if _face_image(r, face, table.move(s).__getitem__) != face), None)
     check(moved is None, "realization.base-faces-stabilized", moved)
-    realization = {ref: _face_image(ref[0], base_faces[ref[0]], struct.key(ref).act)
-                   for ref in struct.all_refs()}
-    distinct = len({(ref[0], face) for ref, face in realization.items()})
-    check(distinct == len(realization), "realization.faithful", (distinct, len(realization)))
+    parent = struct.group.table().parent
+    faces = []
+    for r, canon in enumerate(struct.canon):
+        row = [None] * struct.f_vector[r]
+        row[canon[0]] = base[r]
+        for c, link in zip(canon, parent):
+            if row[c] is None:
+                p, k = link
+                row[c] = _face_image(r, row[canon[p]], table.moves[k].__getitem__)
+        faces.append(row)
+    distinct, total = sum(len(set(row)) for row in faces), sum(map(len, faces))
+    check(distinct == total, "realization.faithful", (distinct, total))
     # With the base faces stabilized, the realization commutes with the
     # group's right action.  Incidence and containment are both invariant
     # under it, and it is transitive on each rank, so the face holding the
     # identity in each lower rank, against every face above, decides all pairs.
     mismatch = next(((ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
                      for ra in [(r1, struct.canon[r1][0])] for rb in struct.refs(r2)
-                     if _FACE_CONTAINS[(r1, r2)](realization[ra], realization[rb])
+                     if _FACE_CONTAINS[(r1, r2)](faces[r1][ra[1]], faces[r2][rb[1]])
                      != struct.incident(ra, rb)), None)
     check(mismatch is None, "realization.incidence-is-containment", mismatch)
-    return realization
+    return {(r, c): table.read(r, face) for r, row in enumerate(faces)
+            for c, face in enumerate(row)}
 
 
 def _realized_face_map(source: dict, target: dict, f) -> dict:
@@ -621,8 +710,10 @@ def _realized_face_map(source: dict, target: dict, f) -> dict:
 
 
 def _two_faces_class(realization: dict) -> str:
-    """The chiral class of the realized 2-faces, checked to be one class."""
-    classes = {PetriePolygon(face).chiral_class
+    """The chiral class of the realized 2-faces, checked to be one class.
+    Each is the base octagon moved by a symmetry of the 4-cube, so it is
+    not validated again."""
+    classes = {PetriePolygon._image(face).chiral_class
                for (rank, _), face in realization.items() if rank == 2}
     check(len(classes) == 1, "realization.two-faces-share-a-chiral-class", classes)
     return classes.pop()
@@ -666,7 +757,9 @@ def build_cube() -> CubeBundle:
 
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
     square = _canonical_cycle(_cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
-    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge, _edge_image)))
+    table = _point_table(g, atlas.v)
+    base_facet = table.read(3, sorted(orbit(struct.subgroups[3], table.numbered(1, base_edge),
+                                            table.action(1))))
     realization = _realize(struct, [atlas.v, base_edge, square, base_facet])
 
     edge_colors = {}
@@ -804,14 +897,20 @@ def build_map() -> MapBundle:
     rot = group_map_rotation()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
-    edges = set(orbit(rot, base_edge, _edge_image))
-    octagons = set(orbit(rot, atlas.base_octagon, PetriePolygon.transformed))
+    # the orbits run on the cube group's point table, which rot's elements
+    # move along their words in the cube group's generators
+    full = group_cube()
+    table = _point_table(full, atlas.v)
+    numbered_edges = set(orbit(rot, table.numbered(1, base_edge), table.action(1)))
+    edges = {table.read(1, e) for e in numbered_edges}
+    octagons = {PetriePolygon._image(table.read(2, c)) for c in orbit(
+        rot, table.numbered(2, atlas.base_octagon.vertices), table.action(2))}
     check(atlas.base_octagram in octagons, "map.octagram-is-a-face", atlas.base_octagram)
     stray = octagons - set(petrie_polygons())
     check(not stray, "map.faces-are-petrie-polygons", stray)
 
-    cube_edges = set(orbit(group_cube(), base_edge, _edge_image))
-    covered = len({p for e in cube_edges - edges for p in e})
+    cube_edges = set(orbit(full, table.numbered(1, base_edge), table.action(1)))
+    covered = len({p for e in cube_edges - numbered_edges for p in e})
     check(covered == 16, "map.deleted-edges-perfect-matching", covered)
 
     # the cosets of <sigma2>, <sigma1 sigma2> and <sigma1>
@@ -878,16 +977,18 @@ def build_map() -> MapBundle:
     moved = next((e for e in rot if hom(hom(e)) != e), None)
     check(moved is None, "map.regularity-automorphism-involutory", moved)
 
+    def keeps_edges(g) -> bool:
+        move = table.move(g).__getitem__
+        return {_face_image(1, e, move) for e in numbered_edges} == numbered_edges
+
     # edges is a rot-orbit, so every member of a right coset (rot)g moves it
     # as g does: the stabilizer is the union of the cosets whose member keeps it
-    full = group_cube()
     stab = frozenset(full.elements[i] for coset in full.right_cosets(rot)
-                     if {_face_image(1, e, full.elements[coset[0]].act) for e in edges} == edges
-                     for i in coset)
+                     if keeps_edges(full.elements[coset[0]]) for i in coset)
     check(stab == rot.element_set, "map.edge-stabilizer-is-the-rotation-group", len(stab))
     bad = next((g for g in stab if g.determinant() != 1), None)
     check(bad is None, "map.edge-stabilizer-rotational", bad)
-    mu0_keeps = {_face_image(1, e, atlas.mu0.act) for e in edges} == edges
+    mu0_keeps = keeps_edges(atlas.mu0)
     check(not mu0_keeps, "map.mu0-moves-the-edges", atlas.mu0)
 
     return MapBundle(
@@ -1031,7 +1132,10 @@ def build_enantiomorph() -> EnantiomorphBundle:
     mirror_octagon = atlas.base_octagon.transformed(rho0)
     mirror_class = mirror_octagon.chiral_class
     check(mirror_class == "L", "enantiomorph.mirror-octagon-left-handed", mirror_class)
-    mirror_facet = _face_image(3, tuple(sorted(build_map().edges)), rho0.act)
+    # rho0, a generator of the cube group, mirrors the facet on its point table
+    table = _point_table(group_cube(), atlas.v)
+    mirror_facet = table.read(3, _face_image(3, table.numbered(3, sorted(build_map().edges)),
+                                             table.move(rho0).__getitem__))
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     subs = [rot.subgroup([g.conjugate(rho0) for g in sub.generator_list()])
@@ -1123,7 +1227,9 @@ def build_cover() -> CoverBundle:
     base_edge = tuple(sorted((bv, atlas.tau0.act(bv))))
     base_oct = _canonical_cycle(_cycle_of(bv, atlas.kappa1))
     # struct.subgroups[3] is generated by tau0, tau1, tau2 in that order
-    base_facet = tuple(sorted(orbit(struct.subgroups[3], base_edge, _edge_image)))
+    table = _point_table(t_full, bv)
+    base_facet = table.read(3, sorted(orbit(struct.subgroups[3], table.numbered(1, base_edge),
+                                            table.action(1))))
     check(len(base_facet) == 24, "cover.facet-edge-count", len(base_facet))
     realization = _realize(struct, [bv, base_edge, base_oct, base_facet])
 

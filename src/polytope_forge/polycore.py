@@ -677,15 +677,6 @@ class ColoredGraph(_ColoredGraphFields):
         """`_replace` builds through here: check it too."""
         return cls(*iterable)
 
-    def neighbors(self, v, colors: frozenset):
-        for edge, color in self.edge_colors.items():
-            if color in colors and v in edge:
-                (w,) = edge - {v}
-                yield w
-
-    def component(self, v, colors: frozenset) -> tuple:
-        return tuple(sorted(reach(v, lambda u: self.neighbors(u, colors))))
-
 
 def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
     """The simple d-polytope whose j-faces are (colour set of size j,
@@ -698,8 +689,17 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
     Schulte, "Colorful polytopes and graphs", Israel J. Math. 195, 2013).
     `ColoredGraph` and `colouring.graph-connected` check exactly that
     hypothesis, so the result is not validated again."""
-    all_colors = frozenset(range(1, cg.d + 1))
-    reached = cg.component(cg.vertices[0], all_colors)
+    # colour -> vertex -> its neighbour along that colour, which exists
+    # and is one, since each colour class is a perfect matching
+    along: dict[int, dict] = {c: {} for c in range(1, cg.d + 1)}
+    for (a, b), color in cg.edge_colors.items():
+        along[color][a], along[color][b] = b, a
+
+    def component(v, colors: frozenset) -> tuple:
+        return tuple(sorted(reach(v, lambda u: [along[c][u] for c in colors])))
+
+    all_colors = frozenset(along)
+    reached = component(cg.vertices[0], all_colors)
     check(reached == tuple(sorted(cg.vertices)), "colouring.graph-connected", len(reached))
 
     faces_by_rank: list[list] = []
@@ -712,7 +712,7 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
             remaining = set(cg.vertices)
             while remaining:
                 v = min(remaining)
-                comp = cg.component(v, cset)
+                comp = component(v, cset)
                 remaining -= set(comp)
                 key = (tuple(sorted(cset)), comp)
                 keys.append(key)

@@ -130,6 +130,34 @@ def _swapped_left_vertices(patch):
     patch(cf, "_realized_face_map", swapped)
 
 
+def _roli_base_face(rank: int, face):
+    """An injection: `_realize` gets `face` as Roli's cube's base face of
+    this rank (the other builds of `build roli` realize as before)."""
+    def inject(patch):
+        real = cf._realize
+
+        def realize(struct, base_faces):
+            if struct.group is cf.group_rotation_sigma():
+                base_faces = [*base_faces[:rank], face(), *base_faces[rank + 1:]]
+            return real(struct, base_faces)
+        patch(cf, "_realize", realize)
+    return inject
+
+
+def _mirrored_roli_two_face(patch):
+    """One realized 2-face of Roli's cube is swapped for its mirror image
+    under rho0, a left-handed octagon, after `_realize` has checked it."""
+    real = cf._realize
+
+    def realize(struct, base_faces):
+        out = real(struct, base_faces)
+        if struct.group is cf.group_rotation_sigma():
+            ref = struct.refs(2)[0]
+            out[ref] = cf.PetriePolygon(out[ref]).transformed(cf.build_atlas().rho0).vertices
+        return out
+    patch(cf, "_realize", realize)
+
+
 def _swapped_table_rows(patch):
     """Rows 1 and 2 of the published coordinate table trade places."""
     real = mk.table_coordinates
@@ -176,6 +204,21 @@ FAULTS = {
                            "covering.stabilizers-fix-the-anchor"),
     "cover-left-swapped": (_swapped_left_vertices, ["build", "cover"],
                            "cover.left-face-map-is-realized"),
+    # Roli's base vertex is w, which <sigma2, sigma3> moves
+    "realize-moved-vertex": (_roli_base_face(0, lambda: (1, -1, 1, 1)), ["build", "roli"],
+                             "realization.base-faces-stabilized"),
+    # the facet is all 32 cube edges: every symmetry fixes it, so the four
+    # facet cosets are one realized face
+    "realize-all-edges-facet": (
+        _roli_base_face(3, lambda: tuple(sorted(
+            tuple(sorted(e)) for e in cf.build_cube().skeleton.edge_colors))),
+        ["build", "roli"], "realization.faithful"),
+    # -v is fixed by the vertex subgroup and has 16 distinct images, but
+    # is not on the base edge, with which its coset is incident
+    "realize-antipodal-vertex": (_roli_base_face(0, lambda: (-1, -1, -1, -1)), ["build", "roli"],
+                                 "realization.incidence-is-containment"),
+    "realize-mixed-two-faces": (_mirrored_roli_two_face, ["build", "roli"],
+                                "realization.two-faces-share-a-chiral-class"),
     "cube-face-maps": (_fewer_face_maps, ["build", "cube"], "cube.regular"),
     "cover-face-maps": (_fewer_face_maps, ["build", "cover"], "cover.regular-with-768-flags"),
     # build roli classifies the cube and the map first: patch Roli's maps alone

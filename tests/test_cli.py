@@ -267,6 +267,32 @@ def test_main_verify_rejects_conflicting_selections(argv, capsys, monkeypatch):
     assert "not allowed with argument" in err, err
 
 
+@pytest.mark.parametrize("argv", [["--list", "--cap", "1"], ["--cap", "1", "--list"],
+                                  ["--list", "--cap", "1", "--format", "json"]])
+def test_main_verify_list_rejects_cap(argv, capsys, monkeypatch):
+    # listing enumerates no cosets, so a cap there is a usage error, not an
+    # option ignored
+    def battery(*args, **kwargs):
+        raise AssertionError("listing the claims must not run the battery")
+
+    monkeypatch.setattr(cli, "run_claims", battery)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --cap: not allowed with argument --list" in captured.err, captured.err
+
+
+def test_main_verify_cap_defaults_to_the_default_cap(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_claims",
+                        lambda cfg, only=None: seen.append(cfg.cap) or cli.Report("battery"))
+    assert cli.main(["verify", "orders.cube-full", "--out", os.devnull]) == 0
+    assert cli.main(["verify", "orders.cube-full", "--cap", "7", "--out", os.devnull]) == 0
+    assert seen == [cli.DEFAULT_CAP, 7]
+
+
 def test_main_verify_list_honours_out_and_format(tmp_path, capsys):
     ids = cli.all_claim_ids()
     text, as_json = tmp_path / "ids.txt", tmp_path / "ids.json"

@@ -5,7 +5,12 @@ import contextlib
 import io
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 from operator import itemgetter
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -40,9 +45,9 @@ from polytope_forge.cubefamily import (
     petrie_polygons_brute_force,
     point_labels,
 )
-from polytope_forge.groupcore import (ConcreteGroup, check, extend_homomorphism,
-                                      intersection_condition, setwise_stabilizer, stabilizer,
-                                      string_condition)
+from polytope_forge.groupcore import (CheckFailed, ConcreteGroup, check, extend_homomorphism,
+                                      intersection_condition, orbit, setwise_stabilizer,
+                                      stabilizer, string_condition)
 from polytope_forge.polycore import (Classification, CosetGeometry, RankedIncidenceStructure,
                                      face_permutation, isomorphisms)
 from polytope_forge.signedperm import SignedPerm, block_pair
@@ -148,9 +153,9 @@ def test_brute_force_traces_each_polygon_once(monkeypatch):
 def test_petrie_orbit_makes_at_most_96_images(monkeypatch):
     expected = petrie_polygons()
     calls = []
-    transformed = PetriePolygon.transformed
-    monkeypatch.setattr(PetriePolygon, "transformed",
-                        lambda p, g: calls.append(g) or transformed(p, g))
+    real = cf.orbit
+    monkeypatch.setattr(cf, "orbit", lambda group, point, action: real(
+        group, point, lambda p, g: calls.append(g) or action(p, g)))
     assert petrie_polygons.__wrapped__() == expected
     assert len(calls) <= 96
 
@@ -423,6 +428,213 @@ def test_realized_containment_is_incidence_on_every_pair(build, atlas):
     bundle = build()
     realization = _map_realization(atlas) if build is build_map else bundle.realization
     assert _containment_mismatches(bundle.structure, realization) == []
+
+
+# -- point tables, against the act-based oracles ----------------------------------------
+
+
+def _edge_image_by_act(edge, g):
+    """The edge action of `orbit` as it was before point tables."""
+    return _face_image(1, edge, g.act)
+
+
+def _faces_by_act(struct, base_faces) -> dict:
+    """The first two checks of `_realize` and its faces, as they were before
+    point tables: each face is its base face moved by the least member of
+    its coset with `SignedPerm.act`."""
+    moved = next(((r, s) for r, face in enumerate(base_faces)
+                  for s in struct.subgroups[r].generator_list()
+                  if _face_image(r, face, s.act) != face), None)
+    check(moved is None, "realization.base-faces-stabilized", moved)
+    realization = {ref: _face_image(ref[0], base_faces[ref[0]], struct.key(ref).act)
+                   for ref in struct.all_refs()}
+    distinct = len({(ref[0], face) for ref, face in realization.items()})
+    check(distinct == len(realization), "realization.faithful", (distinct, len(realization)))
+    return realization
+
+
+def _realize_by_act(struct, base_faces) -> dict:
+    """`_realize` as it was before point tables: the oracle of the table walk."""
+    realization = _faces_by_act(struct, base_faces)
+    mismatch = next(((ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
+                     for ra in [(r1, struct.canon[r1][0])] for rb in struct.refs(r2)
+                     if _FACE_CONTAINS[(r1, r2)](realization[ra], realization[rb])
+                     != struct.incident(ra, rb)), None)
+    check(mismatch is None, "realization.incidence-is-containment", mismatch)
+    return realization
+
+
+def _base_faces_by_act(build) -> list:
+    """The base faces each build hands `_realize`, made by act-based orbits."""
+    atlas = build_atlas()
+    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
+    map_edges = tuple(sorted(orbit(group_map_rotation(), base_edge, _edge_image_by_act)))
+    if build is build_cube:
+        square = cf._canonical_cycle(cf._cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
+        facet = orbit(build_cube().structure.subgroups[3], base_edge, _edge_image_by_act)
+        return [atlas.v, base_edge, square, tuple(sorted(facet))]
+    if build is build_map:
+        return [atlas.v, base_edge, atlas.base_octagon.vertices]
+    if build is build_roli:
+        return [atlas.v, base_edge, atlas.base_octagon.vertices, map_edges]
+    if build is build_enantiomorph:
+        return [atlas.v_bar, base_edge, atlas.base_octagon.transformed(atlas.rho0).vertices,
+                _face_image(3, map_edges, atlas.rho0.act)]
+    bv = atlas.v + atlas.v_bar
+    edge = tuple(sorted((bv, atlas.tau0.act(bv))))
+    facet = orbit(build_cover().structure.subgroups[3], edge, _edge_image_by_act)
+    return [bv, edge, cf._canonical_cycle(cf._cycle_of(bv, atlas.kappa1)), tuple(sorted(facet))]
+
+
+_REALIZED_BUILDS = [build_cube, build_map, build_roli, build_enantiomorph, build_cover]
+
+
+@pytest.mark.parametrize("build", _REALIZED_BUILDS)
+def test_realization_equals_the_act_based_oracle(build):
+    struct = build().structure
+    faces = _base_faces_by_act(build)
+    oracle = _realize_by_act(struct, faces)
+    realization = _realize(struct, faces) if build is build_map else build().realization
+    assert realization == oracle
+    assert list(realization) == list(oracle)  # the same order of faces too
+
+
+def test_table_orbits_equal_the_act_based_orbits(atlas):
+    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
+    rot, full = group_map_rotation(), group_cube()
+    bundle = build_map()
+    assert bundle.edges == frozenset(orbit(rot, base_edge, _edge_image_by_act))
+    assert bundle.octagons == tuple(sorted(
+        orbit(rot, atlas.base_octagon, PetriePolygon.transformed)))
+    assert petrie_polygons() == tuple(sorted(
+        orbit(full, atlas.base_octagon, PetriePolygon.transformed)))
+    assert {tuple(sorted(e)) for e in build_cube().skeleton.edge_colors} \
+        == set(orbit(full, base_edge, _edge_image_by_act))
+    # the edge stabilizer, by a scan of all 384 symmetries
+    assert bundle.edge_stabilizer_in_full_group == frozenset(
+        g for g in full if {_edge_image_by_act(e, g) for e in bundle.edges} == bundle.edges)
+
+
+@pytest.mark.parametrize("group, seed", [
+    (group_cube, lambda a: a.v), (group_map_rotation, lambda a: a.v),
+    (cf.group_rotation_sigma, lambda a: a.v_bar), (cf.group_cover, lambda a: a.v + a.v_bar)],
+    ids=["cube", "map", "rotation-at-v-bar", "cover"])
+def test_point_table_moves_every_point_as_act_does(group, seed, atlas):
+    group, seed = group(), seed(atlas)
+    table = cf._point_table(group, seed)
+    assert list(table.points) == sorted(orbit(group, seed))
+    assert all(table.index[p] == i for i, p in enumerate(table.points))
+    for g in group:
+        assert table.move(g) == [table.index[g.act(p)] for p in table.points]
+
+
+def test_point_table_counts_one_act_per_point_and_generator(monkeypatch, atlas):
+    calls = []
+    act = SignedPerm.act
+    monkeypatch.setattr(SignedPerm, "act", lambda g, p: calls.append(g) or act(g, p))
+    table = cf.PointTable(group_cube(), atlas.v)
+    assert len(calls) == 16 * 4
+    assert table.move(atlas.mu0) and len(calls) == 64  # composed along a word, no act
+
+
+_COUNT_ACT = """
+from polytope_forge import cubefamily, signedperm
+calls = 0
+act = signedperm.SignedPerm.act
+def counted(g, p):
+    global calls
+    calls += 1
+    return act(g, p)
+signedperm.SignedPerm.act = counted
+cubefamily.build_cover()
+print(calls)
+"""
+
+
+def test_build_cover_moves_points_on_tables_not_by_act():
+    """build_cover builds the cube, the map, Roli's cube and the
+    enantiomorph too.  Their point tables take one act per point and
+    generator, 320 in all (16 points for 4, 2, 3 and 3 generators, and 32
+    for the cover's 4, with Roli's and the enantiomorph's tables seeded at
+    v and v_bar), and the atlas and the base faces a few dozen more.  One
+    realization or orbit moved point by point with act would add hundreds."""
+    src = str(Path(cf.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _COUNT_ACT], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) <= 400
+
+
+def test_realize_refuses_a_base_face_off_the_vertex_orbit(atlas):
+    struct = build_map().structure
+    faces = _base_faces_by_act(build_map)
+    with pytest.raises(KeyError, match=r"\(2, 2, 2, 2\)"):
+        _realize(struct, [faces[0], (atlas.v, (2, 2, 2, 2)), faces[2]])
+
+
+def _verdict(realize, struct, faces) -> str:
+    try:
+        realize(struct, faces)
+    except CheckFailed as exc:
+        return exc.name
+    return "pass"
+
+
+def _full_scan_verdict(struct, faces) -> str:
+    """The verdict with every pair of faces compared, not one row."""
+    try:
+        realization = _faces_by_act(struct, faces)
+    except CheckFailed as exc:
+        return exc.name
+    if _containment_mismatches(struct, realization):
+        return "realization.incidence-is-containment"
+    return "pass"
+
+
+def _invariant_faces(rng, struct, rank: int, face, symmetries) -> list:
+    """Faces of the base face's shape fixed by the rank's subgroup: the
+    images of the base face under the symmetries that it fixes, and at
+    rank 3 a union of its orbits on the edges."""
+    def image(f, g):
+        return _face_image(rank, f, g.act)
+
+    gens = struct.subgroups[rank].generator_list()
+    found = [f for f in orbit(symmetries, face, image) if all(image(f, g) == f for g in gens)]
+    if rank == 3:
+        edges = orbit(symmetries, face[0], _edge_image_by_act)
+        orbits = {frozenset(orbit(struct.subgroups[3], e, _edge_image_by_act)) for e in edges}
+        chosen = [o for o in sorted(orbits, key=sorted) if rng.random() < 0.5]
+        found.append(tuple(sorted(set().union(*chosen or [min(orbits, key=sorted)]))))
+    return found
+
+
+@pytest.mark.parametrize("build", _REALIZED_BUILDS)
+def test_realize_on_seeded_random_base_faces_agrees_with_the_full_scan(build):
+    """Some ranks' base faces are moved by a random symmetry, or replaced by
+    faces that the rank's subgroup fixes.  `_realize`, which compares one
+    row of faces, must give the verdict of the act-based faces with every
+    pair compared, and the same faces when it passes."""
+    rng = random.Random(37)
+    struct = build().structure
+    true = _base_faces_by_act(build)
+    symmetries = cf.group_cover() if build is build_cover else group_cube()
+    verdicts = []
+    for _ in range(60):
+        faces = list(true)
+        ranks = [r for r in range(struct.rank) if rng.random() < 0.4]
+        ranks = ranks or [rng.randrange(struct.rank)]
+        g = rng.choice(symmetries.elements)
+        invariant = rng.random() < 0.5
+        for r in ranks:
+            faces[r] = (rng.choice(_invariant_faces(rng, struct, r, true[r], symmetries))
+                        if invariant else _face_image(r, true[r], g.act))
+        verdict = _verdict(_realize, struct, faces)
+        assert verdict == _full_scan_verdict(struct, faces), (ranks, faces)
+        if verdict == "pass":
+            assert _realize(struct, faces) == _faces_by_act(struct, faces)
+        verdicts.append(verdict)
+    assert "pass" in verdicts and "realization.base-faces-stabilized" in verdicts
+    assert len(set(verdicts)) >= 3, sorted(set(verdicts))
 
 
 # -- the trivalent map --------------------------------------------------------------
