@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import cubefamily as cf
 from .groupcore import (DEFAULT_CAP, CapExceeded, CheckFailed, Homomorphism, enumerate_cosets,
@@ -33,20 +32,16 @@ TOL = 1e-9
 
 def _mk():
     """The Möbius–Kantor module, imported on first use: only the `mk.*`
-    rows, `build mk` and the plane projection need it (and `fractions`,
-    which it brings).  Callers reach its functions through the module, so
-    a function rebound there is the one they call."""
+    rows, `build mk` and the plane projection need it.  Callers reach its
+    functions through the module, so a function rebound there is the one
+    they call."""
     from . import mkconfig
     return mkconfig
 
 
-class Claim(NamedTuple):
-    claim_id: str
-    criterion: int
-    expected: str
-    computed: str
-    passed: bool
-    note: str = ""
+class Claim(namedtuple("Claim", "claim_id criterion expected computed passed note",
+                       defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -81,23 +76,19 @@ class Report:
         }
 
 
-class CliConfig(NamedTuple):
-    cap: int = DEFAULT_CAP
+CliConfig = namedtuple("CliConfig", "cap", defaults=(DEFAULT_CAP,))
 
 
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------
 
-class _Row(NamedTuple):
+class _Row(namedtuple("_Row", "claim_id criterion expected compute note", defaults=("",))):
     """One claim.  `compute(cfg)` gives the computed value; a boolean claim
     expects True and computes a real bool.  When `note` is None the note
     reports on the computed value, and `compute` returns (value, note)."""
-    claim_id: str
-    criterion: int
-    expected: object
-    compute: Callable[[CliConfig], object]
-    note: str | None = ""
+
+    __slots__ = ()
 
 
 def _evaluate(row: _Row, cfg: CliConfig) -> Claim:
@@ -300,12 +291,11 @@ def all_claim_ids() -> list[str]:
 # projections
 # ---------------------------------------------------------------------------
 
-class ProjectionSpec(NamedTuple):
-    name: str
-    basis: tuple[tuple[float, float, float, float], tuple[float, float, float, float]]
-    scale: float = 100.0
-    colors: tuple[int, ...] = (1, 2, 3, 4)
-    labelled_points_only: bool = False
+class ProjectionSpec(namedtuple("ProjectionSpec", "name basis scale colors labelled_points_only",
+                                defaults=(100.0, (1, 2, 3, 4), False))):
+    """`basis` is two 4-vectors that span the drawing plane."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if not (math.isfinite(self.scale) and self.scale > 0):
@@ -493,11 +483,18 @@ def _write(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
+def _json(data, **options) -> str:
+    """Indented JSON text.  Only JSON output needs `json`, so it is
+    imported here."""
+    import json
+    return json.dumps(data, indent=2, **options) + "\n"
+
+
 def _emit(data: dict, fmt: str, out: str | None) -> None:
     """Write a certificate or the battery report, stamped with the schema."""
     data = {**data, "schema": SCHEMA}
     if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        text = _json(data, sort_keys=True)
     else:
         text = "".join(f"{k}: {v}\n" for k, v in sorted(data.items()))
     _write(text, out)
@@ -564,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
                 if args.cap is not None:
                     parser.error("argument --cap: not allowed with argument --list")
                 ids = all_claim_ids()
-                _write(json.dumps(ids, indent=2) + "\n" if args.format == "json"
+                _write(_json(ids) if args.format == "json"
                        else "".join(claim_id + "\n" for claim_id in ids), args.out)
                 return 0
             if not args.run_all and not args.claims:

@@ -10,8 +10,8 @@ against its sign-vector/cycle display at construction time.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .groupcore import (
     ConcreteGroup,
@@ -29,7 +29,6 @@ from .polycore import (
     Classification,
     ColoredGraph,
     CosetGeometry,
-    RankedIncidenceStructure,
     automorphism_count,
     central_quotient,
     classify,
@@ -213,37 +212,15 @@ def _trace_polygon(start: Point, directions: list[int]) -> PetriePolygon:
 # atlas
 # ---------------------------------------------------------------------------
 
-class Atlas(NamedTuple):
-    """Symbol table of the standard named elements, all relation-checked."""
+class Atlas(namedtuple("Atlas", "rho0 rho1 rho2 rho3 pi zeta mu0 mu1 mu2 sigma1 sigma2 sigma3 "
+                                "sigma1_bar sigma2_bar sigma3_bar kappa1 kappa2 kappa3 "
+                                "tau0 tau1 tau2 tau3 gamma1 gamma2 v v_bar "
+                                "base_octagon base_octagram")):
+    """Symbol table of the standard named elements, all relation-checked:
+    `SignedPerm`s from rho0 to gamma2, the points v and v_bar, and the
+    base octagon and octagram as `PetriePolygon`s."""
 
-    rho0: SignedPerm
-    rho1: SignedPerm
-    rho2: SignedPerm
-    rho3: SignedPerm
-    pi: SignedPerm
-    zeta: SignedPerm
-    mu0: SignedPerm
-    mu1: SignedPerm
-    mu2: SignedPerm
-    sigma1: SignedPerm
-    sigma2: SignedPerm
-    sigma3: SignedPerm
-    sigma1_bar: SignedPerm
-    sigma2_bar: SignedPerm
-    sigma3_bar: SignedPerm
-    kappa1: SignedPerm
-    kappa2: SignedPerm
-    kappa3: SignedPerm
-    tau0: SignedPerm
-    tau1: SignedPerm
-    tau2: SignedPerm
-    tau3: SignedPerm
-    gamma1: SignedPerm
-    gamma2: SignedPerm
-    v: Point
-    v_bar: Point
-    base_octagon: PetriePolygon
-    base_octagram: PetriePolygon
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -615,8 +592,21 @@ class PointTable:
 
 
 @lru_cache(maxsize=None)
+def _point_tables(group: ConcreteGroup) -> list[PointTable]:
+    """The point tables built for group so far, one per orbit."""
+    return []
+
+
 def _point_table(group: ConcreteGroup, seed: Point) -> PointTable:
-    return PointTable(group, seed)
+    """The table of the orbit of seed under group.  A table numbers its
+    orbit in coordinate order, whatever point it was seeded at, so a seed
+    that an earlier table of the group numbers shares that table."""
+    tables = _point_tables(group)
+    table = next((t for t in tables if seed in t.index), None)
+    if table is None:
+        table = PointTable(group, seed)
+        tables.append(table)
+    return table
 
 
 def _face_image(rank: int, face, f):
@@ -727,14 +717,9 @@ def _sigma_face_maps(struct: CosetGeometry) -> list:
 # builds
 # ---------------------------------------------------------------------------
 
-class CubeBundle(NamedTuple):
-    structure: CosetGeometry
-    realization: dict
-    skeleton: ColoredGraph
-    colourful: RankedIncidenceStructure
-    classification: Classification
-    flag_count: int
-    type_vector: tuple[int, ...]
+class CubeBundle(namedtuple("CubeBundle", "structure realization skeleton colourful "
+                                          "classification flag_count type_vector")):
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -779,11 +764,9 @@ def build_cube() -> CubeBundle:
                       flag_count=result.flag_count, type_vector=struct.schlafli_type())
 
 
-class HemiBundle(NamedTuple):
-    structure: RankedIncidenceStructure
-    quotient_group_order: int
-    generator_product_order: int
-    colourful: RankedIncidenceStructure
+class HemiBundle(namedtuple("HemiBundle", "structure quotient_group_order "
+                                          "generator_product_order colourful")):
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -842,16 +825,12 @@ def build_hemi() -> HemiBundle:
                       generator_product_order=prod_order, colourful=colourful)
 
 
-class MapBundle(NamedTuple):
-    structure: CosetGeometry
-    octagons: tuple[PetriePolygon, ...]
-    edges: frozenset
-    levi_automorphism_count: int
-    full_group: ConcreteGroup  # generated by t0, t1, t2
-    regularity_hom: Homomorphism
-    rotation_classification: Classification
-    edge_stabilizer_in_full_group: frozenset
-    mu0_preserves_edges: bool
+class MapBundle(namedtuple("MapBundle", "structure octagons edges levi_automorphism_count "
+                                        "full_group regularity_hom rotation_classification "
+                                        "edge_stabilizer_in_full_group mu0_preserves_edges")):
+    """`full_group` is generated by t0, t1, t2."""
+
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -1001,16 +980,10 @@ def build_map() -> MapBundle:
     )
 
 
-class RoliBundle(NamedTuple):
-    structure: CosetGeometry
-    realization: dict
-    stabilizer_orders: tuple[int, int, int, int]
-    classification: Classification
-    orbit_count: int
-    flag_count: int
-    type_vector: tuple[int, ...]
-    witness_holds: bool
-    two_faces_class: str
+class RoliBundle(namedtuple("RoliBundle", "structure realization stabilizer_orders "
+                                          "classification orbit_count flag_count type_vector "
+                                          "witness_holds two_faces_class")):
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -1093,11 +1066,9 @@ def build_roli() -> RoliBundle:
     )
 
 
-class EnantiomorphBundle(NamedTuple):
-    structure: CosetGeometry
-    realization: dict
-    stabilizer_orders: tuple[int, int, int, int]
-    two_faces_class: str
+class EnantiomorphBundle(namedtuple("EnantiomorphBundle", "structure realization "
+                                                          "stabilizer_orders two_faces_class")):
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -1161,18 +1132,11 @@ def build_enantiomorph() -> EnantiomorphBundle:
                               two_faces_class=two_faces_class)
 
 
-class CoverBundle(NamedTuple):
-    structure: CosetGeometry
-    realization: dict
-    classification: Classification
-    flag_count: int
-    type_vector: tuple[int, ...]
-    centre_plus: frozenset
-    centre_word_identities: bool
-    injective_on_tetrahedral: bool
-    covering_right: "object"
-    covering_left: "object"
-    covering_cube: "object"
+class CoverBundle(namedtuple("CoverBundle", "structure realization classification flag_count "
+                                            "type_vector centre_plus centre_word_identities "
+                                            "injective_on_tetrahedral covering_right "
+                                            "covering_left covering_cube")):
+    __slots__ = ()
 
     def certificate(self) -> dict:
         return {
@@ -1348,9 +1312,8 @@ CONFIGURATION_LINES = tuple(
     frozenset({i, (i + 1) % 8, (i + 3) % 8}) for i in range(8))
 
 
-class Labeling(NamedTuple):
-    point_of: tuple  # label -> point, as a tuple indexed by label
-    label_of: dict
+# point_of: label -> point, as a tuple indexed by label; label_of: its inverse
+Labeling = namedtuple("Labeling", "point_of label_of")
 
 
 def _parity(p: Point) -> int:

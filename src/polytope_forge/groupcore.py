@@ -13,9 +13,9 @@ products of group elements.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .signedperm import SignedPerm
 
@@ -64,16 +64,14 @@ class CapExceeded(Exception):
     """Closure or coset table grew past the requested cap."""
 
 
-class ActionTable(NamedTuple):
+class ActionTable(namedtuple("ActionTable", "index act parent")):
     """A group's closure as integers: `index[e]` is the position of element
     e, `act[i][k]` the position of elements[i] * gens[k], and `parent[i] =
     (p, k)` says that elements[i] = elements[p] * gens[k] with p < i (None
     at the identity, position 0).  Following parents back to the identity
     spells a generator word for every element."""
 
-    index: dict
-    act: list
-    parent: list
+    __slots__ = ()
 
 
 class ConcreteGroup:
@@ -160,13 +158,18 @@ class ConcreteGroup:
 
     def centre(self) -> "ConcreteGroup":
         """The elements z with z * g == g * z for every generator g, read
-        from the action table: z * g is a column of z's row, and g * z is
-        g (a column of the identity's row) walked along z's word."""
-        act = self.table().act
-        words = map(self.word, range(len(self)))
-        central = [z for z, row, word in zip(self.elements, act, words)
-                   if all(row[k] == self.walk(g, word) for k, g in enumerate(act[0]))]
-        return self.subgroup(central)
+        from the action table: z * g is a column of z's row.  The left
+        multiplication by g takes one pass along the parents: g is a column
+        of the identity's row, and if z = p * gens[k], then g * z is
+        (g * p) * gens[k]."""
+        _, act, parent = self.table()
+        central = range(len(self))
+        for k, g in enumerate(act[0]):
+            left = [g]
+            for p, j in parent[1:]:
+                left.append(act[left[p]][j])
+            central = [z for z in central if act[z][k] == left[z]]
+        return self.subgroup([self.elements[z] for z in central])
 
     # -- the action table -----------------------------------------------------
 
@@ -327,11 +330,11 @@ def setwise_stabilizer(group: ConcreteGroup, points: Iterable, action: Callable 
 # -- homomorphisms -------------------------------------------------------------
 
 
-class Homomorphism(NamedTuple):
-    """A homomorphism given by its full element-to-image mapping."""
+class Homomorphism(namedtuple("Homomorphism", "source mapping")):
+    """A homomorphism given by its full element-to-image mapping: `source`
+    is the ConcreteGroup, `mapping` a dict from its elements."""
 
-    source: ConcreteGroup
-    mapping: dict
+    __slots__ = ()
 
     def __call__(self, e):
         return self.mapping[e]
@@ -350,15 +353,14 @@ class Homomorphism(NamedTuple):
         return all(self.mapping[self.mapping[e]] == e for e in self.source.elements)
 
 
-class HomomorphismFailure(NamedTuple):
+class HomomorphismFailure(namedtuple("HomomorphismFailure", "word_a word_b")):
     """Witness that a generator assignment extends to no homomorphism.
 
     `word_a` and `word_b` are positive generator-name words with equal
     evaluations in the source but different evaluations under the images.
     """
 
-    word_a: tuple
-    word_b: tuple
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return False
@@ -443,19 +445,13 @@ def _freely_reduced(word: Sequence[int]) -> bool:
     return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
 
 
-class _PresentationFields(NamedTuple):
-    generator_count: int
-    relators: tuple[tuple[int, ...], ...]
-
-
-class Presentation(_PresentationFields):
+class Presentation(namedtuple("Presentation", "generator_count relators")):
     """Abstract generators and relator words as signed 1-based indices."""
 
     __slots__ = ()
 
-    # a NamedTuple body may not define __new__, so the fields live in the
-    # base and this subclass validates every construction; relators are
-    # stored as tuples, so equal presentations compare and hash alike
+    # every construction is validated; relators are stored as tuples, so
+    # equal presentations compare and hash alike
     def __new__(cls, generator_count: int, relators: Iterable[Sequence[int]]):
         if type(generator_count) is not int or generator_count < 0:
             raise ValueError(f"generator count {generator_count!r} is not a non-negative int")
@@ -496,12 +492,11 @@ def broken_relator(assignment: Sequence, pres: Presentation) -> tuple | None:
 # -- Todd-Coxeter coset enumeration ---------------------------------------------
 
 
-class CosetTable(NamedTuple):
+class CosetTable(namedtuple("CosetTable", "generator_count rows")):
     """A completed coset table: one row per coset, one column per signed
     generator (g1, g1^-1, g2, g2^-1, ...), entries are coset indices."""
 
-    generator_count: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def index(self) -> int:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .cubefamily import (
     CONFIGURATION_LINES,
@@ -44,14 +43,15 @@ class QF:
     """An element a + b*sqrt(3) + c*i + d*i*sqrt(3) with rational parts,
     stored as four integer numerators over one positive common denominator
     in lowest terms, so equal values are equal tuples and no arithmetic
-    builds a `Fraction`.  The parts are given as `int`s or `Fraction`s."""
+    builds a `Fraction`.  The parts are given as `int`s or `Fraction`s;
+    only `.a` to `.d`, and `as_tuple`, give them back as `Fraction`s."""
 
     __slots__ = ("_q",)  # (a, b, c, d, den): the parts are a/den .. d/den
 
     def __init__(self, a=0, b=0, c=0, d=0):
         parts = (a, b, c, d)
         for x in parts:
-            if not isinstance(x, (int, Fraction)):
+            if not _rational(x):
                 raise TypeError(f"QF parts are int or Fraction, not {type(x).__name__}")
         # over the lcm of reduced denominators the numerators share no factor
         # with it, so the result is in lowest terms
@@ -61,10 +61,10 @@ class QF:
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QF is immutable")
 
-    a = property(lambda self: Fraction(self._q[0], self._q[4]))
-    b = property(lambda self: Fraction(self._q[1], self._q[4]))
-    c = property(lambda self: Fraction(self._q[2], self._q[4]))
-    d = property(lambda self: Fraction(self._q[3], self._q[4]))
+    a = property(lambda self: _fraction(self._q[0], self._q[4]))
+    b = property(lambda self: _fraction(self._q[1], self._q[4]))
+    c = property(lambda self: _fraction(self._q[2], self._q[4]))
+    d = property(lambda self: _fraction(self._q[3], self._q[4]))
 
     # constructors
     @classmethod
@@ -84,7 +84,7 @@ class QF:
     def _coerce(x) -> "QF":
         if isinstance(x, QF):
             return x
-        if isinstance(x, (int, Fraction)):
+        if _rational(x):
             return QF(x)
         return NotImplemented
 
@@ -180,15 +180,39 @@ class QF:
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.a, self.b, self.c, self.d)
 
+    def part_strings(self) -> tuple[str, str, str, str]:
+        """Each part as `str` prints its `Fraction`, "n" or "n/d" in lowest
+        terms, read from the integers."""
+        *nums, den = self._q
+        out = []
+        for n in nums:
+            g = math.gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return tuple(out)
+
     def __float__(self) -> float:
         a, b, _, _, m = self._q
         return a / m + b / m * 3 ** 0.5  # int / int rounds as float(Fraction) does
 
     def __repr__(self) -> str:
-        return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"QF({', '.join(self.part_strings())})"
 
 
 _set = object.__setattr__
+
+
+def _rational(x) -> bool:
+    """Whether x is an int or a Fraction.  `fractions` is imported only for
+    a value that is no int, so integer parts never load it."""
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+    return isinstance(x, Fraction)
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
 
 
 def _exact(q: tuple[int, int, int, int, int]) -> QF:
@@ -312,27 +336,22 @@ def complexify(point) -> tuple[QF, QF]:
 # the configuration
 # ---------------------------------------------------------------------------
 
-class MKPoint(NamedTuple):
-    label: int
-    ambient: tuple[int, ...]
-    z1: QF
-    z2: QF
+# ambient: the point of E^4; z1, z2: its complex coordinates, as QFs
+MKPoint = namedtuple("MKPoint", "label ambient z1 z2")
 
 
-class MKLine(NamedTuple):
-    coeff_z1: QF
-    coeff_z2: QF
-    rhs: QF
-    points: tuple[int, int, int]
+class MKLine(namedtuple("MKLine", "coeff_z1 coeff_z2 rhs points")):
+    """The line coeff_z1 * z1 + coeff_z2 * z2 = rhs through the three
+    labels of `points`."""
+
+    __slots__ = ()
 
     def contains(self, p: MKPoint) -> bool:
         return (self.coeff_z1 * p.z1 + self.coeff_z2 * p.z2 - self.rhs).is_zero()
 
 
-class Configuration(NamedTuple):
-    points: tuple[MKPoint, ...]
-    lines: tuple[MKLine, ...]
-    incidence: tuple[tuple[int, ...], ...]
+class Configuration(namedtuple("Configuration", "points lines incidence")):
+    __slots__ = ()
 
     def incidence_row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.incidence)
@@ -342,7 +361,7 @@ class Configuration(NamedTuple):
 
     def to_json_dict(self) -> dict:
         def qf(x: QF):
-            return [str(t) for t in x.as_tuple()]
+            return list(x.part_strings())
 
         return {
             "object": "moebius-kantor",

@@ -9,10 +9,10 @@ of the structures built here can share all their vertices.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .groupcore import (ConcreteGroup, Homomorphism, check, intersection_condition, reach,
                         string_condition)
@@ -329,10 +329,7 @@ class Classification(Enum):
     OTHER = "other"
 
 
-class ClassifyResult(NamedTuple):
-    kind: Classification
-    orbit_count: int
-    flag_count: int
+ClassifyResult = namedtuple("ClassifyResult", "kind orbit_count flag_count")
 
 
 def _images_by_rank(struct: RankedIncidenceStructure,
@@ -639,20 +636,14 @@ def central_quotient(p: CosetGeometry, z) -> CosetGeometry:
 # -- colourful polytopes ----------------------------------------------------------
 
 
-class _ColoredGraphFields(NamedTuple):
-    vertices: tuple
-    edge_colors: Mapping[frozenset, int]
-    d: int
-
-
-class ColoredGraph(_ColoredGraphFields):
+class ColoredGraph(namedtuple("ColoredGraph", "vertices edge_colors d")):
     """A properly edge-coloured d-valent graph: every colour class is a
-    perfect matching."""
+    perfect matching.  `edge_colors` maps each edge, a frozenset of two
+    vertices, to its colour in 1..d."""
 
     __slots__ = ()
 
-    # a NamedTuple body may not define __new__, so the fields live in the
-    # base and this subclass checks every construction
+    # every construction is checked
     def __new__(cls, vertices: tuple, edge_colors: Mapping[frozenset, int], d: int):
         vertex_set = set(vertices)
         bad = next((edge for edge in edge_colors
@@ -734,10 +725,9 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
 # -- coverings ---------------------------------------------------------------------
 
 
-class CoveringReport(NamedTuple):
-    preimage_counts: tuple[tuple[int, ...], ...]
-    isomorphic_on_facets: bool
-    isomorphic_on_vertex_figures: bool
+class CoveringReport(namedtuple("CoveringReport", "preimage_counts isomorphic_on_facets "
+                                                   "isomorphic_on_vertex_figures")):
+    __slots__ = ()
 
     @property
     def is_k_covering(self) -> bool:

@@ -11,8 +11,8 @@ the tuple of their fields (n, perm, signs).
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "SignedPerm",
@@ -20,7 +20,8 @@ __all__ = [
     "block_pair",
 ]
 
-_ELEMENT_RE = re.compile(r"^\(([^()]*)\)\s*[·*]\s*((?:\([^()]*\))+|\(\))$")
+# what `SignedPerm.parse` reads; `re` compiles it on the first parse
+_ELEMENT_PATTERN = r"^\(([^()]*)\)\s*[·*]\s*((?:\([^()]*\))+|\(\))$"
 
 
 def _cycles_to_image(n: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]:
@@ -38,19 +39,12 @@ def _cycles_to_image(n: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]
     return tuple(image)
 
 
-class _SignedPermFields(NamedTuple):
-    n: int
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-
-class SignedPerm(_SignedPermFields):
+class SignedPerm(namedtuple("SignedPerm", "n perm signs")):
     """A signed permutation matrix in sign-vector * permutation form."""
 
     __slots__ = ()
 
-    # a NamedTuple body may not define __new__, so the fields live in the
-    # base.  Here __new__ stores them and __init__ checks them, so that the
+    # __new__ stores the fields and __init__ checks them, so that the
     # records built by tuple.__new__ (products, inverses, decoded codes) are
     # trusted and only the public constructor validates.
     def __new__(cls, signs: Sequence[int], perm: Sequence[int]):
@@ -113,7 +107,8 @@ class SignedPerm(_SignedPermFields):
 
     @classmethod
     def parse(cls, text: str) -> "SignedPerm":
-        m = _ELEMENT_RE.match(text.strip())
+        import re
+        m = re.match(_ELEMENT_PATTERN, text.strip())
         if not m:
             raise ValueError(f"cannot parse signed permutation {text!r}")
         signs = tuple(int(tok) for tok in m.group(1).split(","))

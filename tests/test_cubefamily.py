@@ -554,15 +554,28 @@ print(calls)
 def test_build_cover_moves_points_on_tables_not_by_act():
     """build_cover builds the cube, the map, Roli's cube and the
     enantiomorph too.  Their point tables take one act per point and
-    generator, 320 in all (16 points for 4, 2, 3 and 3 generators, and 32
-    for the cover's 4, with Roli's and the enantiomorph's tables seeded at
-    v and v_bar), and the atlas and the base faces a few dozen more.  One
-    realization or orbit moved point by point with act would add hundreds."""
+    generator, 272 in all (16 points for 4, 2 and 3 generators, and 32 for
+    the cover's 4; the enantiomorph's seed v_bar is in the orbit that
+    Roli's table numbers, so it shares that table), and the atlas and the
+    base faces 62 more.  One realization or orbit moved point by point
+    with act would add hundreds."""
     src = str(Path(cf.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", _COUNT_ACT], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) <= 400
+    assert int(run.stdout) == 334
+
+
+def test_a_seed_in_a_numbered_orbit_shares_its_table(atlas):
+    # a fresh copy of the rotation group, so no build shares these tables
+    group = ConcreteGroup.generate(cf.group_rotation_sigma().generators)
+    table = cf._point_table(group, atlas.v)
+    assert cf._point_table(group, atlas.v_bar) is table
+    assert cf._point_table(group, table.points[-1]) is table
+    # another orbit of the same group is numbered on its own
+    other = cf._point_table(group, (2, 0, 0, 0))
+    assert other.points == tuple(sorted(orbit(group, (2, 0, 0, 0))))
+    assert cf._point_tables(group) == [table, other]
 
 
 def test_realize_refuses_a_base_face_off_the_vertex_orbit(atlas):

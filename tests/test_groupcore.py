@@ -110,6 +110,49 @@ def test_centre_reads_the_action_table(make, monkeypatch):
     assert calls == []
 
 
+def _centre_by_words(group):
+    """The former `centre`: g * z as g (a column of the identity's row)
+    walked along z's word, rebuilt from the parents for every element."""
+    act = group.table().act
+    words = map(group.word, range(len(group)))
+    central = [z for z, row, word in zip(group.elements, act, words)
+               if all(row[k] == group.walk(g, word) for k, g in enumerate(act[0]))]
+    return group.subgroup(central)
+
+
+def _assert_centre_matches_the_words(group):
+    centre, oracle = group.centre(), _centre_by_words(group)
+    assert centre.elements == oracle.elements and centre.table() == oracle.table()
+
+
+@pytest.mark.parametrize("make", [
+    group_cube, group_rotation, group_rotation_sigma, group_map_rotation,
+    cubefamily.group_petrie_stabilizer, group_cover_rotation, group_cover,
+    cubefamily.group_unitary, lambda: _bn_group(3), lambda: _bn_group(4),
+    lambda: _bn_group(5), lambda: ConcreteGroup.generate({"r": build_atlas().rho0}),
+    lambda: ConcreteGroup.generate([SignedPerm.identity(3)]),
+], ids=["cube", "rotation", "rotation-sigma", "map-rotation", "petrie-stabilizer",
+        "cover-rotation", "cover", "unitary", "b3", "b4", "b5", "segment", "trivial"])
+def test_centre_equals_the_word_walk(make):
+    _assert_centre_matches_the_words(make())
+
+
+def test_centre_equals_the_word_walk_on_seeded_random_groups():
+    rng = random.Random(38)
+    orders = set()
+    for _ in range(40):
+        group = _random_string_group(rng)
+        _assert_centre_matches_the_words(group)
+        orders.add(len(group.centre()))
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        group = ConcreteGroup.generate(
+            [_random_signed_perm(rng, n) for _ in range(rng.randint(1, 3))])
+        _assert_centre_matches_the_words(group)
+        orders.add(len(group.centre()))
+    assert len(orders) >= 3, orders  # trivial and larger centres are both drawn
+
+
 def test_orbit_of_base_vertex_is_all_sign_vectors(atlas):
     pts = orbit(group_cube(), atlas.v)
     assert len(pts) == 16

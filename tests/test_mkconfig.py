@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -248,19 +249,33 @@ def test_parts_must_be_rational(part):
 
 def test_arithmetic_builds_no_fraction(monkeypatch):
     x, y = QF(Fraction(1, 2), -3, Fraction(2, 7), 1), QF(-1, Fraction(5, 3), 0, 2)
-    made = []
+    made, half = [], Fraction(1, 2)
+    new = Fraction.__new__
 
-    class Counted(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(mk, "Fraction", Counted)
-    assert x.a == Fraction(1, 2) and len(made) == 1  # the patch counts
+    # every Fraction is built through its class's __new__, wherever it is imported
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert x.a == half and len(made) == 1  # the patch counts
     made.clear()
     results = [x + y, -x, x - y, x * y, y * x, x.conj_i(), y.conj_sqrt3(),
-               x == y, x == x, (x - x).is_zero(), x.is_zero(), x.is_real()]
-    assert made == [] and len(results) == 12
+               x == y, x == x, (x - x).is_zero(), x.is_zero(), x.is_real(),
+               x.part_strings(), repr(y), QF(3, -1) * 2]
+    assert made == [] and len(results) == 15
+
+
+def test_part_strings_print_as_fractions_do():
+    # every part n/d in [-20, 20] with d <= 12, each beside three seeded
+    # random ones, and products of neighbours, whose denominators pass 12
+    singles = sorted({Fraction(n, d) for d in range(1, 13) for n in range(-20 * d, 20 * d + 1)})
+    rng = random.Random(38)
+    values = [QF(*rng.sample(singles, 3), x) for x in singles]
+    values += [x * y for x, y in zip(values, values[1:])]
+    for x in values:
+        assert x.part_strings() == tuple(map(str, x.as_tuple()))
+        assert repr(x) == "QF({}, {}, {}, {})".format(*x.as_tuple())
 
 
 @given(x=field_elements, y=field_elements, z=field_elements)

@@ -1553,17 +1553,27 @@ def _imported(args: tuple) -> set:
 
 _CLI = ("-m", "polytope_forge.cli")
 # every cold command pays for these; only the Möbius–Kantor rows, `build mk`
-# and the plane projection need mkconfig and its number fields
+# and the plane projection need mkconfig, and only JSON output needs json
 _NOT_AT_START = {"networkx", "dataclasses", "inspect", "fractions", "decimal",
-                 "polytope_forge.mkconfig"}
+                 "polytope_forge.mkconfig", "json"}
+# mkconfig's arithmetic is on integers: no command builds a Fraction
+_NO_FRACTIONS = {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("args, absent, present", [
     (("-c", "import polytope_forge.cli"), _NOT_AT_START, set()),
     (("-c", "import polytope_forge.polycore"), {"dataclasses"}, set()),  # the ladder's path
-    ((*_CLI, "build", "cube", "--format", "json"), {"polytope_forge.mkconfig"}, set()),
-    ((*_CLI, "verify", "--all"), set(), {"polytope_forge.mkconfig"}),
-], ids=("import-cli", "import-polycore", "build-cube", "verify-all"))
+    ((*_CLI, "build", "cube", "--format", "json"), {"polytope_forge.mkconfig"}, {"json"}),
+    ((*_CLI, "verify", "--all"), _NO_FRACTIONS | {"json"}, {"polytope_forge.mkconfig"}),
+    ((*_CLI, "verify", "--all", "--format", "json"), _NO_FRACTIONS,
+     {"polytope_forge.mkconfig", "json"}),
+    ((*_CLI, "build", "mk", "--format", "json"), _NO_FRACTIONS,
+     {"polytope_forge.mkconfig", "json"}),
+    ((*_CLI, "project", "--preset", "plane"), _NO_FRACTIONS | {"json"},
+     {"polytope_forge.mkconfig"}),
+    ((*_CLI, "verify", "--list"), _NOT_AT_START, set()),
+], ids=("import-cli", "import-polycore", "build-cube", "verify-all", "verify-all-json",
+        "build-mk-json", "project-plane", "verify-list"))
 def test_import_footprint(args, absent, present):
     imported = _imported(args)
     assert not absent & imported, absent & imported

@@ -1,7 +1,10 @@
-"""Value records are `NamedTuple`s with fixed field names and defaults whose
-attributes cannot be assigned; the ones that validate do so on every
-construction; and nothing in the package uses `dataclasses`, whose class
-decorations cost most of the cold-start import."""
+"""Value records are `collections.namedtuple`s, subclassed with
+`__slots__ = ()` where a record has a docstring, methods or validation.
+They keep fixed field names and defaults, and their attributes cannot be
+assigned; the ones that validate do so on every construction.  Nothing in
+the package uses `dataclasses`, whose class decorations cost most of the
+cold-start import, nor `typing`, whose `NamedTuple` compiles a
+`ForwardRef` for every field of every record at import."""
 
 import ast
 import os
@@ -137,7 +140,7 @@ def test_validating_records_fire_under_optimize():
 
 
 def test_package_uses_no_dataclasses():
-    """A NamedTuple never calls __post_init__, so a validation left there
+    """A namedtuple never calls __post_init__, so a validation left there
     would silently stop running."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -148,3 +151,20 @@ def test_package_uses_no_dataclasses():
                     or isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_package_imports_no_typing():
+    """No record is a `typing.NamedTuple`, and no module imports `typing`
+    at all: the annotations are strings, and their names come from
+    `collections.abc`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "typing" for alias in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "typing" \
+                    or isinstance(node, (ast.Name, ast.Attribute)) \
+                    and getattr(node, "id", getattr(node, "attr", None)) == "NamedTuple":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
