@@ -7,6 +7,6 @@ Everything outside the SVG renderer is exact integer / rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .signedperm import SignedPerm, act, block_pair
+from .signedperm import SignedPerm, block_pair
 
-__all__ = ["SignedPerm", "act", "block_pair", "__version__"]
+__all__ = ["SignedPerm", "block_pair", "__version__"]

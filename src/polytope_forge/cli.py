@@ -55,14 +55,11 @@ class Claim(namedtuple("Claim", "claim_id criterion expected computed passed not
                 "passed": self.passed, "note": self.note}
 
 
-class Report:
-    """The battery's outcome."""
+class Report(namedtuple("Report", "claims elapsed_seconds")):
+    """The battery's outcome: its claims, in battery order, and the time
+    they took."""
 
-    def __init__(self, object_name: str, claims: list[Claim] | None = None,
-                 elapsed_seconds: float = 0.0):
-        self.object_name = object_name
-        self.claims = [] if claims is None else claims
-        self.elapsed_seconds = elapsed_seconds
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -70,7 +67,7 @@ class Report:
 
     def to_json_dict(self) -> dict:
         return {
-            "object": self.object_name,
+            "object": "verification-battery",
             "claims": [c.to_json_dict() for c in self.claims],
             "all_passed": self.all_passed,
         }
@@ -278,8 +275,7 @@ def run_claims(cfg: CliConfig | None = None, only: set[str] | None = None) -> Re
         raise KeyError(f"unknown claim ids: {sorted(unknown)}")
     claims = [_evaluate(row, cfg) for row in _CLAIMS
               if only is None or row.claim_id in only]
-    return Report(object_name="verification-battery", claims=claims,
-                  elapsed_seconds=time.perf_counter() - start)
+    return Report(claims=claims, elapsed_seconds=time.perf_counter() - start)
 
 
 def all_claim_ids() -> list[str]:
@@ -546,8 +542,9 @@ def main(argv: list[str] | None = None) -> int:
                                help="render an SVG projection")
     p_project.add_argument("--preset", choices=tuple(_PRESETS), default="coxeter")
     p_project.add_argument("--scale", type=float, default=100.0)
-    p_project.add_argument("--colors", default="1,2,3,4",
-                           help="edge direction classes to draw")
+    p_project.add_argument("--colors", default=None,
+                           help="edge direction classes to draw (default 1,2,3,4); "
+                                "not with --preset plane, which draws no cube edges")
 
     args = parser.parse_args(argv)
 
@@ -583,12 +580,16 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "project":
-            try:
-                colors = tuple(int(tok) for tok in args.colors.split(","))
-            except ValueError:
-                raise ValueError("edge colours must be one or more of 1..4, "
-                                 f"got {args.colors!r}") from None
-            spec = _PRESETS[args.preset](scale=args.scale)._replace(colors=colors)
+            if args.colors is not None and args.preset == "plane":
+                parser.error("argument --colors: not allowed with --preset plane")
+            spec = _PRESETS[args.preset](scale=args.scale)
+            if args.colors is not None:
+                try:
+                    colors = tuple(int(tok) for tok in args.colors.split(","))
+                except ValueError:
+                    raise ValueError("edge colours must be one or more of 1..4, "
+                                     f"got {args.colors!r}") from None
+                spec = spec._replace(colors=colors)
             _write(render_projection(spec), args.out)
             return 0
     except CheckFailed as exc:

@@ -106,22 +106,20 @@ def _cycle_edges(cycle) -> frozenset:
     return frozenset(tuple(sorted((cycle[k], cycle[(k + 1) % n]))) for k in range(n))
 
 
-class PetriePolygon:
+class PetriePolygon(namedtuple("PetriePolygon", "vertices")):
     """A closed 8-step edge path in which any 3, but no 4, consecutive edges
     lie in a cube facet.  Stored in canonical cyclic form (lexicographically
     least over rotations and both directions)."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ()
+
+    # __new__ puts the vertices in canonical form and __init__ checks them,
+    # so that the images `_image` builds by tuple.__new__ are trusted and
+    # only the public constructor validates
+    def __new__(cls, vertices: tuple[Point, ...]):
+        return tuple.__new__(cls, (_canonical_cycle(tuple(tuple(v) for v in vertices)),))
 
     def __init__(self, vertices: tuple[Point, ...]):
-        canon = _canonical_cycle(tuple(tuple(v) for v in vertices))
-        object.__setattr__(self, "vertices", canon)
-        self._validate()
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PetriePolygon is immutable")
-
-    def _validate(self) -> None:
         verts = self.vertices
         n = len(verts)
         if len(set(verts)) != n:
@@ -138,6 +136,12 @@ class PetriePolygon:
                 raise ValueError("vertex sequence is not centrally symmetric")
             if _det_int([verts[(k + t) % n] for t in range(4)]) == 0:
                 raise ValueError("four consecutive vertices are degenerate")
+
+    @classmethod
+    def _make(cls, iterable) -> "PetriePolygon":
+        """`_replace` builds through here: validate it too."""
+        (vertices,) = iterable
+        return cls(vertices)
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -168,9 +172,7 @@ class PetriePolygon:
         """The polygon on these vertices, the image of a Petrie polygon
         under a symmetry of the 4-cube: put in canonical form, not
         validated again."""
-        image = object.__new__(cls)
-        object.__setattr__(image, "vertices", _canonical_cycle(tuple(vertices)))
-        return image
+        return tuple.__new__(cls, (_canonical_cycle(tuple(vertices)),))
 
     def transformed(self, g: SignedPerm) -> "PetriePolygon":
         """The image under g.  Every signed permutation of degree 4 is a
@@ -180,18 +182,6 @@ class PetriePolygon:
         if g.n != 4:
             raise ValueError(f"a symmetry of the 4-cube has degree 4, not {g.n}")
         return PetriePolygon._image(map(g.act, self.vertices))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PetriePolygon) and self.vertices == other.vertices
-
-    def __lt__(self, other: "PetriePolygon") -> bool:
-        return self.vertices < other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"PetriePolygon({self.vertices!r})"
 
 
 def _cycle_of(point: Point, g: SignedPerm) -> tuple[Point, ...]:
@@ -681,7 +671,7 @@ def _realize(struct: CosetGeometry, base_faces) -> dict:
     # under it, and it is transitive on each rank, so the face holding the
     # identity in each lower rank, against every face above, decides all pairs.
     mismatch = next(((ra, rb) for r1 in range(struct.rank) for r2 in range(r1 + 1, struct.rank)
-                     for ra in [(r1, struct.canon[r1][0])] for rb in struct.refs(r2)
+                     for ra in [(r1, struct.base_flag[r1])] for rb in struct.refs(r2)
                      if _FACE_CONTAINS[(r1, r2)](faces[r1][ra[1]], faces[r2][rb[1]])
                      != struct.incident(ra, rb)), None)
     check(mismatch is None, "realization.incidence-is-containment", mismatch)
@@ -924,7 +914,7 @@ def build_map() -> MapBundle:
     # act freely on its flags (McMullen & Schulte, Abstract Regular
     # Polytopes, 2B), so the first hit is the only one: one first-hit
     # search per flag j-adjacent to the base flag
-    base_flag = tuple(canon[0] for canon in struct.canon)  # the faces holding the identity
+    base_flag = struct.base_flag
     adjacent = [f for j in range(3) for f in struct.flag_adjacent(base_flag, j)]
     hits = [next(isomorphisms(struct._inc, struct._inc, _in_flag(base_flag), _in_flag(f)), None)
             for f in adjacent]
@@ -1245,18 +1235,15 @@ def build_cover() -> CoverBundle:
     roli = build_roli()
     bar = build_enantiomorph()
 
-    def base_flag(p: CosetGeometry) -> tuple[int, ...]:
-        """The faces that hold the identity, where each covering sends the
-        cover's own."""
-        return tuple(canon[0] for canon in p.canon)
-
+    # the right and cube coverings send the cover's base flag to the base's
+    # own, the left one where the realization sends it
     fm_right, covering_right = verify_covering(struct, roli.structure, hom_r,
-                                               base_flag(roli.structure))
+                                               roli.structure.base_flag)
     realized = _realized_face_map(realization, roli.realization, _project_first)
     bad = next((ref for ref in realized if fm_right[ref] != realized[ref]), None)
     check(bad is None, "cover.right-face-map-is-realized", bad)
     realized = _realized_face_map(realization, bar.realization, _project_second_mirror)
-    anchor = [realized[ref][1] for ref in enumerate(base_flag(struct))]
+    anchor = [realized[ref][1] for ref in enumerate(struct.base_flag)]
     fm_left, covering_left = verify_covering(struct, bar.structure, hom_l, anchor)
     bad = next((ref for ref in realized if fm_left[ref] != realized[ref]), None)
     check(bad is None, "cover.left-face-map-is-realized", bad)
@@ -1265,7 +1252,7 @@ def build_cover() -> CoverBundle:
           "cover.two-to-one-three-coverings", (covering_right, covering_left))
 
     cube = build_cube()
-    _, covering_cube = verify_covering(struct, cube.structure, hom, base_flag(cube.structure))
+    _, covering_cube = verify_covering(struct, cube.structure, hom, cube.structure.base_flag)
     check([c[0] for c in covering_cube.preimage_counts] == [2, 2, 1, 1],
           "cover.cube-fibers", covering_cube.preimage_counts)
 

@@ -339,9 +339,6 @@ class Homomorphism(namedtuple("Homomorphism", "source mapping")):
     def __call__(self, e):
         return self.mapping[e]
 
-    def image_set(self) -> frozenset:
-        return frozenset(self.mapping.values())
-
     def kernel(self) -> list:
         """The elements sent to the identity, in the mapping's order (the
         source's element order, for `extend_homomorphism`)."""

@@ -44,7 +44,7 @@ class QF:
     stored as four integer numerators over one positive common denominator
     in lowest terms, so equal values are equal tuples and no arithmetic
     builds a `Fraction`.  The parts are given as `int`s or `Fraction`s;
-    only `.a` to `.d`, and `as_tuple`, give them back as `Fraction`s."""
+    only `.a` to `.d` give them back as `Fraction`s."""
 
     __slots__ = ("_q",)  # (a, b, c, d, den): the parts are a/den .. d/den
 
@@ -176,9 +176,6 @@ class QF:
 
     def __hash__(self) -> int:
         return hash(self._q)
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
 
     def part_strings(self) -> tuple[str, str, str, str]:
         """Each part as `str` prints its `Fraction`, "n" or "n/d" in lowest

@@ -157,20 +157,20 @@ class RankedIncidenceStructure:
         self.rank = rank
         self.faces_by_rank: tuple[tuple, ...] = tuple(
             tuple(sorted(keys)) for keys in faces_by_rank)
-        self._index: dict[tuple[int, Hashable], int] = {}
+        index: dict[tuple[int, Hashable], int] = {}
         for r, keys in enumerate(self.faces_by_rank):
             if len(set(keys)) != len(keys):
                 raise ValueError(f"duplicate face keys at rank {r}")
             for i, k in enumerate(keys):
-                self._index[(r, k)] = i
+                index[(r, k)] = i
         self._inc: dict[FaceRef, set[FaceRef]] = {
             (r, i): set() for r in range(rank) for i in range(len(self.faces_by_rank[r]))}
         for (r1, k1), (r2, k2) in incident_pairs:
             if r1 == r2:
                 raise ValueError("incidence requires distinct ranks")
             try:
-                a = (r1, self._index[(r1, k1)])
-                b = (r2, self._index[(r2, k2)])
+                a = (r1, index[(r1, k1)])
+                b = (r2, index[(r2, k2)])
             except KeyError as err:
                 raise ValueError("incidence names an unknown face", err.args[0]) from None
             self._inc[a].add(b)
@@ -185,9 +185,6 @@ class RankedIncidenceStructure:
 
     def key(self, ref: FaceRef):
         return self.faces_by_rank[ref[0]][ref[1]]
-
-    def ref(self, rank: int, key) -> FaceRef:
-        return (rank, self._index[(rank, key)])
 
     def refs(self, rank: int) -> list[FaceRef]:
         return [(rank, i) for i in range(len(self.faces_by_rank[rank]))]
@@ -362,29 +359,22 @@ def _flag_count(p: RankedIncidenceStructure) -> int:
     return sum(below)
 
 
-def _base_flag(p: RankedIncidenceStructure) -> tuple[int, ...]:
-    """The least face of each rank incident with the chain so far.  Every
-    chain of a polytope extends to a flag, so this is `p.flags()[0]`."""
-    chain: list[FaceRef] = []
-    for r in range(p.rank):
-        chain.append(min(f for f in p._common(chain) if f[0] == r))
-    return tuple(i for _, i in chain)
-
-
-def classify(p: RankedIncidenceStructure,
-             face_maps: Sequence[Mapping[FaceRef, FaceRef]]) -> ClassifyResult:
-    """Flag-orbit classification under a group given by face bijections.
+def classify(p: CosetGeometry, face_maps: Sequence[Mapping[FaceRef, FaceRef]]
+             ) -> ClassifyResult:
+    """Flag-orbit classification of a coset geometry under a group given by
+    face bijections.
 
     Regular: one orbit.  Chiral: two orbits and every pair of adjacent flags
     is split across them.  Anything else: Other.
 
     Each face map must be an automorphism of the polytope p.  One that
-    misses a face or sends a face to another rank is a `ValueError`;
-    nothing else is checked.  A coset face action is one, since right
-    multiplication keeps intersecting cosets intersecting.  Automorphisms
-    of a polytope act freely on its flags (McMullen & Schulte, Abstract
-    Regular Polytopes, 2B), so every orbit has as many flags as the orbit
-    of the base flag, the only one walked, and the flags are counted, not
+    misses a face or sends a face to another rank is a `ValueError`, and so
+    is a p that is no `CosetGeometry`; nothing else is checked.  A coset
+    face action is one, since right multiplication keeps intersecting
+    cosets intersecting.  Automorphisms of a polytope act freely on its
+    flags (McMullen & Schulte, Abstract Regular Polytopes, 2B), so every
+    orbit has as many flags as the orbit of p's base flag, the faces that
+    hold the identity, the only one walked, and the flags are counted, not
     listed.  Automorphisms commute with j-adjacency, so when the base
     flag's j-adjacent flag lies outside its orbit, j-adjacency maps the
     base orbit injectively into the other orbit, of the same size, and so
@@ -395,8 +385,10 @@ def classify(p: RankedIncidenceStructure,
     rank-r faces form one column, each face map moves every column through
     its rank-r index table, and the moved columns zip back into flags.
     """
+    if not isinstance(p, CosetGeometry):
+        raise ValueError("structure carries no coset decomposition")
     tables = [_images_by_rank(p, fm) for fm in face_maps]
-    base = _base_flag(p)
+    base = p.base_flag
     orbit = {base}
     layer = orbit
     while layer:
@@ -440,8 +432,10 @@ def _coset_decomposition(group: ConcreteGroup, sub: ConcreteGroup) -> tuple[list
 class CosetGeometry(RankedIncidenceStructure):
     """Faces of rank j are the right cosets of subgroups[j], keyed by their
     least member; two faces are incident when the cosets intersect.
-    canon[j][i] is the index of the rank-j face holding group.elements[i].
-    A subgroup that escapes the group fails `group.cosets-of-a-subgroup`."""
+    canon[j][i] is the index of the rank-j face holding group.elements[i],
+    and base_flag[j] that of the face holding the identity, elements[0]:
+    the one base flag of every walk and anchor.  A subgroup that escapes
+    the group fails `group.cosets-of-a-subgroup`."""
 
     def __init__(self, group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]):
         rank = len(subgroups)
@@ -459,6 +453,7 @@ class CosetGeometry(RankedIncidenceStructure):
         self.group = group
         self.subgroups = tuple(subgroups)
         self.canon = canons
+        self.base_flag = tuple(canon[0] for canon in canons)
 
 
 def coset_geometry(group: ConcreteGroup, subgroups: Sequence[ConcreteGroup]) -> CosetGeometry:
@@ -609,7 +604,7 @@ def central_quotient(p: CosetGeometry, z) -> CosetGeometry:
     identity = group.identity
     check(z == identity or z * z == identity, "quotient.element-an-involution", z)
     fixed = None if z == identity else next(
-        ((j, p.canon[j][0]) for j, sub in enumerate(p.subgroups) if z in sub), None)
+        ((j, p.base_flag[j]) for j, sub in enumerate(p.subgroups) if z in sub), None)
     check(fixed is None, "quotient.acts-freely", fixed)
     bad = next((name for name, g in group.generators.items() if g == z), None)
     check(bad is None, "quotient.generators-stay-involutions", bad)

@@ -16,7 +16,6 @@ from collections.abc import Iterable, Sequence
 
 __all__ = [
     "SignedPerm",
-    "act",
     "block_pair",
 ]
 
@@ -234,11 +233,6 @@ class SignedPerm(namedtuple("SignedPerm", "n perm signs")):
 
     def __repr__(self) -> str:
         return f"SignedPerm.parse({str(self)!r})"
-
-
-def act(point: Sequence, g: SignedPerm) -> tuple:
-    """Row-vector action (p)g."""
-    return g.act(point)
 
 
 def block_pair(a: SignedPerm, b: SignedPerm) -> SignedPerm:

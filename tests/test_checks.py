@@ -475,13 +475,13 @@ def _every_oracle_table_satisfies_its_presentation() -> bool:
 def _cover_face_maps() -> list:
     """(cover, base, face map) of each of build_cover's three coverings,
     as verify_covering returns it."""
-    from test_polycore import _base_flag_of, _cover_homs, _left_anchor
+    from test_polycore import _cover_homs, _left_anchor
 
     cover = cf.build_cover().structure
     hom, hom_r, hom_l = _cover_homs(cf.build_atlas())
-    cases = [(cf.build_roli().structure, hom_r, _base_flag_of(cf.build_roli().structure)),
+    cases = [(cf.build_roli().structure, hom_r, cf.build_roli().structure.base_flag),
              (cf.build_enantiomorph().structure, hom_l, _left_anchor()),
-             (cf.build_cube().structure, hom, _base_flag_of(cf.build_cube().structure))]
+             (cf.build_cube().structure, hom, cf.build_cube().structure.base_flag)]
     return [(cover, base, verify_covering(cover, base, h, anchor)[0])
             for base, h, anchor in cases]
 
@@ -489,7 +489,8 @@ def _cover_face_maps() -> list:
 def _cover_hom_is_onto_the_cube_group() -> bool:
     from test_polycore import _cover_homs
 
-    return _cover_homs(cf.build_atlas())[0].image_set() == cf.group_cube().element_set
+    hom = _cover_homs(cf.build_atlas())[0]
+    return frozenset(hom.mapping.values()) == cf.group_cube().element_set
 
 
 def _barred_sigmas_generate_rotations() -> bool:
@@ -511,7 +512,7 @@ def _rotation_hom_onto_the_cube_rotations() -> bool:
         "kappa1": a.rho0 * a.rho1, "kappa2": a.rho1 * a.rho2, "kappa3": a.rho2 * a.rho3})
     hom = _cover_homs(a)[0]
     return (isinstance(hom_p, Homomorphism)
-            and hom_p.image_set() == cf.group_rotation().element_set
+            and frozenset(hom_p.mapping.values()) == cf.group_rotation().element_set
             and all(hom_p(g) == hom(g) for g in t_plus)
             and frozenset(hom_p.kernel()) == {t_plus.identity, block_pair(a.zeta, a.zeta)})
 
@@ -543,7 +544,7 @@ IMPLIED_FACTS = {
         cf.build_atlas().sigma3.act(cf.build_atlas().v)) == (cf.build_atlas().v,) * 2,
     "hemi.quotient-group-order": lambda: cf.build_hemi().quotient_group_order == 192,
     "group.cosets-partition-the-group": _cosets_partition_every_built_group,
-    "map.base-flag-is-a-flag": lambda: tuple(canon[0] for canon in cf.build_map().structure.canon)
+    "map.base-flag-is-a-flag": lambda: cf.build_map().structure.base_flag
     in cf.build_map().structure.flags(),
     "groups.petrie-stabilizer-holds-mu0-mu1-pi": lambda: all(
         g in cf.group_petrie_stabilizer()

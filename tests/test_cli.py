@@ -58,7 +58,7 @@ def test_claim_line_rendering():
     claim = cli.Claim(claim_id="x.y", criterion=3, expected="1", computed="2",
                       passed=False, note="why")
     assert claim.line().startswith("FAIL [3] x.y")
-    rep = cli.Report(object_name="t", claims=[claim])
+    rep = cli.Report(claims=[claim], elapsed_seconds=0.0)
     assert not rep.all_passed
 
 
@@ -155,6 +155,27 @@ def test_main_project(tmp_path):
     assert out.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("colors", ["1,2,3,4", "2", "9"])
+def test_main_project_plane_rejects_colors(tmp_path, capsys, colors):
+    # the plane preset draws no cube edges: --colors there is a usage error,
+    # not an option ignored, and it fails before anything is built
+    out = tmp_path / "plane.svg"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["project", "--preset", "plane", "--colors", colors, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --colors: not allowed with --preset plane" in err, err
+    assert not out.exists()
+
+
+def test_main_project_coxeter_draws_every_colour_by_default(tmp_path):
+    default, explicit = tmp_path / "default.svg", tmp_path / "explicit.svg"
+    assert cli.main(["project", "--out", str(default)]) == 0
+    assert cli.main(["project", "--colors", "1,2,3,4", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert default.read_text().count("<line ") == 32
+
+
 def test_main_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "nonsense"])
@@ -169,7 +190,7 @@ def test_main_usage_errors(capsys):
     assert code == 2
     for bad in (["--scale", "0"], ["--scale", "nan"], ["--scale", "inf"],
                 ["--scale=-inf"], ["--scale=-1"], ["--colors", "1,9"], ["--colors", "9"],
-                ["--preset", "plane", "--colors", "9"], ["--colors", ","],
+                ["--colors", ","],
                 ["--colors", "1,,2"], ["--colors", "1,"], ["--colors", "1,1"],
                 ["--colors", "1,1,1,1,2"]):
         assert cli.main(["project", *bad]) == 2, bad
@@ -287,7 +308,7 @@ def test_main_verify_list_rejects_cap(argv, capsys, monkeypatch):
 def test_main_verify_cap_defaults_to_the_default_cap(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_claims",
-                        lambda cfg, only=None: seen.append(cfg.cap) or cli.Report("battery"))
+                        lambda cfg, only=None: seen.append(cfg.cap) or cli.Report([], 0.0))
     assert cli.main(["verify", "orders.cube-full", "--out", os.devnull]) == 0
     assert cli.main(["verify", "orders.cube-full", "--cap", "7", "--out", os.devnull]) == 0
     assert seen == [cli.DEFAULT_CAP, 7]

@@ -673,7 +673,8 @@ def test_map_cosets_are_the_hand_built_map(atlas):
     assert bundle.structure.isomorphic_to(hand)
     # the realization itself is an isomorphism onto it
     realization = _map_realization(atlas)
-    face_map = {ref: hand.ref(ref[0], face) for ref, face in realization.items()}
+    face_map = {ref: (ref[0], hand.faces_by_rank[ref[0]].index(face))
+                for ref, face in realization.items()}
     assert _face_map_fault(bundle.structure, face_map, bundle.structure.all_refs(),
                            hand, hand.all_refs()) is None
 

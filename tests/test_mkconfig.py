@@ -179,14 +179,16 @@ class _FractionQF:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))
 
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * 3 ** 0.5
 
     def __repr__(self) -> str:
         return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+def _parts(x) -> tuple:
+    """The four parts of a QF or of its oracle, as `Fraction`s or `int`s."""
+    return (x.a, x.b, x.c, x.d)
 
 
 def _canonical(x: QF) -> bool:
@@ -197,7 +199,7 @@ def _canonical(x: QF) -> bool:
 
 @given(x=field_elements, y=field_elements)
 def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
-    ox, oy = (_FractionQF(*v.as_tuple()) for v in (x, y))
+    ox, oy = (_FractionQF(*_parts(v)) for v in (x, y))
     pairs = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
              (x.conj_i(), ox.conj_i()), (x.conj_sqrt3(), ox.conj_sqrt3()),
              (x + 2, ox + 2), (Fraction(1, 3) * y, Fraction(1, 3) * oy)]
@@ -205,7 +207,7 @@ def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
         pairs += [(y.inverse(), oy.inverse()), (x / y, ox / oy)]
     for new, old in pairs:
         assert _canonical(new)
-        assert new.as_tuple() == old.as_tuple()
+        assert _parts(new) == _parts(old)
         assert (repr(new), float(new)) == (repr(old), float(old))
         assert (new.is_zero(), new.is_real()) == (old.is_zero(), old.is_real())
     assert (x == y) == (ox == oy) and (x == x.conj_i()) == (ox == ox.conj_i())
@@ -221,7 +223,7 @@ def test_equal_values_are_stored_alike():
             half_third + QF.sqrt3() - QF.sqrt3()]
     for x in ways:
         assert x == half_third and hash(x) == hash(half_third) and _canonical(x)
-        assert x.as_tuple() == (Fraction(1, 2), 0, Fraction(1, 3), 0)
+        assert _parts(x) == (Fraction(1, 2), 0, Fraction(1, 3), 0)
     zeros = [QF(), QF(Fraction(5, 7)) - QF(Fraction(10, 14)), half_third * 0,
              QF.sqrt3() / 6 + (-QF.sqrt3()) / 6]
     assert all(z._q == (0, 0, 0, 0, 1) and z == ZERO and z.is_zero() for z in zeros)
@@ -274,8 +276,8 @@ def test_part_strings_print_as_fractions_do():
     values = [QF(*rng.sample(singles, 3), x) for x in singles]
     values += [x * y for x, y in zip(values, values[1:])]
     for x in values:
-        assert x.part_strings() == tuple(map(str, x.as_tuple()))
-        assert repr(x) == "QF({}, {}, {}, {})".format(*x.as_tuple())
+        assert x.part_strings() == tuple(map(str, _parts(x)))
+        assert repr(x) == "QF({}, {}, {}, {})".format(*_parts(x))
 
 
 @given(x=field_elements, y=field_elements, z=field_elements)

@@ -39,7 +39,6 @@ from polytope_forge.cubefamily import (
 from polytope_forge.groupcore import (CheckFailed, ConcreteGroup, Homomorphism, check,
                                       extend_homomorphism, intersection_condition, reach)
 from polytope_forge.polycore import (
-    _base_flag,
     _coset_decomposition,
     automorphism_count,
     Classification,
@@ -282,8 +281,9 @@ def test_coset_decomposition_against_products(make, monkeypatch):
     group = struct.group
     old = [_decomposition_by_products(group, sub) for sub in struct.subgroups]
     elements = group.generator_list() + list(group.elements[-3:])
-    old_actions = [{ref: struct.ref(ref[0], old[ref[0]][1][struct.key(ref) * g])
-                    for ref in struct.all_refs()} for g in elements]
+    old_actions = [{ref: (ref[0], struct.faces_by_rank[ref[0]].index(
+                        old[ref[0]][1][struct.key(ref) * g])) for ref in struct.all_refs()}
+                   for g in elements]
     # the integer routines multiply no group elements
     products = []
     monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: products.append(1))
@@ -346,12 +346,20 @@ def test_coset_face_action_needs_coset_data():
         coset_face_action(build_cube().colourful, group_cube().identity)
 
 
+def test_classify_needs_coset_data():
+    # the colourful cube is the cube's poset, but it carries no base flag
+    colourful = build_cube().colourful
+    maps = [{ref: ref for ref in colourful.all_refs()}]
+    with pytest.raises(ValueError, match="no coset decomposition"):
+        classify(colourful, maps)
+
+
 def test_plain_structures_carry_no_coset_data():
     # coset data lives on CosetGeometry and realizations on the bundles
     for struct in (build_cube().colourful, build_hemi().colourful):
         assert not isinstance(struct, CosetGeometry)
-        assert [name for name in ("group", "subgroups", "canon", "coset_canon", "realization")
-                if hasattr(struct, name)] == []
+        names = ("group", "subgroups", "canon", "base_flag", "coset_canon", "realization")
+        assert [name for name in names if hasattr(struct, name)] == []
 
 
 def test_roli_coset_geometry_f_vector():
@@ -511,7 +519,7 @@ def test_classify_against_the_face_map_oracle(make, kind, orbits):
     result = classify(p, face_maps)
     assert result == _classify_by_face_maps(p, face_maps)
     assert (result.kind, result.orbit_count, result.flag_count) == (kind, orbits, len(p.flags()))
-    assert _base_flag(p) == p.flags()[0]
+    assert p.base_flag in p.flags()
 
 
 @pytest.mark.parametrize("make,kind", [
@@ -851,11 +859,6 @@ def _identity_hom(group):
     return Homomorphism(group, {e: e for e in group})
 
 
-def _base_flag_of(struct):
-    """The faces that hold the identity."""
-    return tuple(canon[0] for canon in struct.canon)
-
-
 def test_identity_covering():
     struct = build_cube().structure
     ident = {ref: ref for ref in struct.all_refs()}
@@ -863,7 +866,7 @@ def test_identity_covering():
     assert report.uniform_fiber_size() == 1
     assert report.is_k_covering
     assert verify_covering(struct, struct, _identity_hom(struct.group),
-                           _base_flag_of(struct)) == (ident, report)
+                           struct.base_flag) == (ident, report)
 
 
 def test_rank_breaking_map_rejected():
@@ -913,7 +916,7 @@ def _left_anchor(cover=None):
     cover = cover or build_cover()
     realized = _realized_face_map(cover.realization, build_enantiomorph().realization,
                                   _project_second_mirror)
-    return tuple(realized[ref][1] for ref in enumerate(_base_flag_of(cover.structure)))
+    return tuple(realized[ref][1] for ref in enumerate(cover.structure.base_flag))
 
 
 def test_the_three_coverings_equal_the_face_by_face_oracle(atlas):
@@ -925,13 +928,13 @@ def test_the_three_coverings_equal_the_face_by_face_oracle(atlas):
     by_hom = {ref: (ref[0], cube.structure.canon[ref[0]][cube_index[hom(struct.key(ref))]])
               for ref in struct.all_refs()}
     cases = [
-        (roli.structure, hom_r, _base_flag_of(roli.structure),
+        (roli.structure, hom_r, roli.structure.base_flag,
          _realized_face_map(cover.realization, roli.realization, _project_first),
          cover.covering_right),
         (bar.structure, hom_l, _left_anchor(cover),
          _realized_face_map(cover.realization, bar.realization, _project_second_mirror),
          cover.covering_left),
-        (cube.structure, hom, _base_flag_of(cube.structure), by_hom, cover.covering_cube),
+        (cube.structure, hom, cube.structure.base_flag, by_hom, cover.covering_cube),
     ]
     for base, h, anchor, face_map, report in cases:
         assert verify_covering(struct, base, h, anchor) == (face_map, report)
@@ -977,7 +980,7 @@ def test_verify_covering_on_seeded_random_rotary_sources():
                 continue
             hom = extend_homomorphism(plus, dict(zip(names, images)))
             assert isinstance(hom, Homomorphism)
-            anchors = [_base_flag_of(base)] + [tuple(rng.randrange(f) for f in base.f_vector)
+            anchors = [base.base_flag] + [tuple(rng.randrange(f) for f in base.f_vector)
                                                for _ in range(2)]
             for anchor in anchors:
                 try:
@@ -1128,13 +1131,13 @@ FAILURES = {
     "vertex-stabilizer-on-the-cube": (
         lambda a: verify_covering(build_cube().structure, build_cube().structure,
                                   _identity_hom(build_cube().structure.subgroups[0]),
-                                  _base_flag_of(build_cube().structure)),
+                                  build_cube().structure.base_flag),
         "covering.transitive-on-faces", lambda a: (0, 0)),
     # transitive on vertices and on edges, but not on the six incident pairs
     "rotations-of-the-triangle": (
         lambda a: verify_covering(_triangle(a), _triangle(a),
                                   _identity_hom(_triangle(a).group.subgroup([a.rho1 * a.rho2])),
-                                  _base_flag_of(_triangle(a))),
+                                  _triangle(a).base_flag),
         "covering.transitive-on-faces", lambda a: (0, 1)),
     "roli-anchor-not-a-flag": (
         lambda a: verify_covering(build_cover().structure, build_roli().structure,
@@ -1143,7 +1146,7 @@ FAILURES = {
     "cube-rotations-onto-the-cube": (
         lambda a: verify_covering(build_cube().structure, build_cube().structure,
                                   _identity_hom(group_rotation_sigma()),
-                                  _base_flag_of(build_cube().structure)),
+                                  build_cube().structure.base_flag),
         "covering.onto", lambda a: (192, 384)),
     # a flag of Roli's cube whose stabilizers are not the images of hom_r's
     "roli-wrong-anchor": (
@@ -1163,7 +1166,7 @@ FAILURES = {
     "cube-onto-the-hemi-cube": (
         lambda a: verify_covering(build_cube().structure, build_hemi().structure,
                                   _identity_hom(group_cube()),
-                                  _base_flag_of(build_hemi().structure)),
+                                  build_hemi().structure.base_flag),
         "covering.stabilizer-orders", lambda a: (0, 0)),
     "zeta-of-the-cover": (lambda a: central_quotient(build_cube().structure, a.tau0),
                           "quotient.element-in-the-group", lambda a: a.tau0),

@@ -20,6 +20,7 @@ from polytope_forge.groupcore import CheckFailed, Presentation
 from polytope_forge.polycore import ColoredGraph
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 # record -> its fields in order; certificate keys and keyword construction
 # read these names
@@ -27,6 +28,8 @@ FIELDS = {
     cli.Claim: ("claim_id", "criterion", "expected", "computed", "passed", "note"),
     cli.CliConfig: ("cap",),
     cli.ProjectionSpec: ("name", "basis", "scale", "colors", "labelled_points_only"),
+    cli.Report: ("claims", "elapsed_seconds"),
+    cubefamily.PetriePolygon: ("vertices",),
     cubefamily.Atlas: (
         "rho0", "rho1", "rho2", "rho3", "pi", "zeta", "mu0", "mu1", "mu2",
         "sigma1", "sigma2", "sigma3", "sigma1_bar", "sigma2_bar", "sigma3_bar",
@@ -86,14 +89,6 @@ def test_record_is_immutable(record):
         instance.not_a_field = 1
 
 
-def test_report_stays_mutable_with_a_fresh_claim_list_each():
-    first, second = cli.Report(object_name="a"), cli.Report("b")
-    assert first.claims == [] and first.claims is not second.claims
-    assert first.elapsed_seconds == 0.0
-    first.elapsed_seconds = 1.5
-    assert "timing_seconds" not in first.to_json_dict()
-
-
 def test_validating_records_check_replace_too():
     pres = Presentation(generator_count=2, relators=((1, 1),))
     with pytest.raises(ValueError, match="outside"):
@@ -107,6 +102,10 @@ def test_validating_records_check_replace_too():
     assert graph._replace(vertices=("b", "a")).vertices == ("b", "a")
     with pytest.raises(CheckFailed, match=r"^colouring\.colour-in-range"):
         graph._replace(d=0)
+    octagon = cubefamily.build_atlas().base_octagon
+    assert octagon._replace(vertices=octagon.vertices[::-1]) == octagon
+    with pytest.raises(ValueError, match="repeated vertex"):
+        octagon._replace(vertices=octagon.vertices[:7] + octagon.vertices[:1])
 
 
 _OPTIMIZED_FAULTS = """
@@ -168,3 +167,67 @@ def test_package_imports_no_typing():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
+
+def test_only_qf_defines_equality_hashing_ordering_or_assignment():
+    """Every other value type is a record, which has them from its tuple:
+    a hand-written one would be a second way to make a record."""
+    dunders = {"__eq__", "__hash__", "__lt__", "__setattr__"}
+    found = [f"{path.name}:{node.name}.{item.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef) and node.name != "QF"
+             for item in node.body
+             if isinstance(item, ast.FunctionDef) and item.name in dunders]
+    assert not found, found
+
+
+def _names_read(tree) -> tuple[set, set]:
+    """(attributes, names) that code in tree reads.  Attributes are the
+    `x.name`s; names are the bare names, the imported ones and the
+    attributes.  A string constant that is an identifier counts as both,
+    since `perfbench/tracer.py` hooks methods by name; the strings of
+    `__all__` do not count."""
+    exports = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+               and any(getattr(target, "id", None) == "__all__" for target in stmt.targets)
+               for node in ast.walk(stmt.value)}
+    attributes, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in exports):
+            attributes.add(node.value)
+    return attributes, names | attributes
+
+
+def test_every_definition_is_named_by_the_package_or_perfbench():
+    """A function, method or class that only the tests call is dead code
+    kept alive by its tests.  Each one defined in the package must be named
+    somewhere in the package or in perfbench besides its own def and
+    `__all__`: a method as an attribute or a string, anything else by any
+    name.  Dunders are exempt, and so is `_make`, which `_replace` calls."""
+    attributes, names = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        read = _names_read(ast.parse(path.read_text(encoding="utf-8")))
+        attributes |= read[0]
+        names |= read[1]
+
+    def unnamed(path, node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__") or name == "_make"
+                        or name in (attributes if in_class else names)):
+                    yield f"{path.name}:{child.lineno} {name}"
+                yield from unnamed(path, child, isinstance(child, ast.ClassDef))
+            else:
+                yield from unnamed(path, child, in_class)
+
+    assert PERFBENCH.is_dir()
+    found = [where for path in sorted(PACKAGE.glob("*.py"))
+             for where in unnamed(path, ast.parse(path.read_text(encoding="utf-8")), False)]
+    assert not found, found
