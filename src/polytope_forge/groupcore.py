@@ -88,7 +88,7 @@ class ConcreteGroup:
 
     def __init__(self, elements: Sequence, generators: Mapping[str, object], table: ActionTable):
         self.elements: tuple = tuple(elements)
-        self.element_set: frozenset = frozenset(elements)
+        self.element_set = table.index.keys()  # a set view: one hash table of the elements
         self.generators: dict = dict(generators)
         self.identity = self.elements[0]
         self._table = table
@@ -143,7 +143,7 @@ class ConcreteGroup:
         return iter(self.elements)
 
     def __contains__(self, e) -> bool:
-        return e in self.element_set
+        return e in self._table.index
 
     def generator_list(self) -> list:
         return list(self.generators.values())

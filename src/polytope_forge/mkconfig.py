@@ -40,31 +40,21 @@ __all__ = [
 
 
 class QF:
-    """An element a + b*sqrt(3) + c*i + d*i*sqrt(3) with rational parts,
-    stored as four integer numerators over one positive common denominator
-    in lowest terms, so equal values are equal tuples and no arithmetic
-    builds a `Fraction`.  The parts are given as `int`s or `Fraction`s;
-    only `.a` to `.d` give them back as `Fraction`s."""
+    """An element (a + b*sqrt(3) + c*i + d*i*sqrt(3)) / den, stored as four
+    integer numerators over one positive denominator in lowest terms, so
+    equal values are equal tuples.  It is made from four `int` parts, over
+    den = 1; division gives the other denominators."""
 
     __slots__ = ("_q",)  # (a, b, c, d, den): the parts are a/den .. d/den
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        parts = (a, b, c, d)
-        for x in parts:
-            if not _rational(x):
-                raise TypeError(f"QF parts are int or Fraction, not {type(x).__name__}")
-        # over the lcm of reduced denominators the numerators share no factor
-        # with it, so the result is in lowest terms
-        den = math.lcm(*(x.denominator for x in parts))
-        _set(self, "_q", (*(x.numerator * (den // x.denominator) for x in parts), den))
+        for x in (a, b, c, d):
+            if not isinstance(x, int):
+                raise TypeError(f"QF parts are int, not {type(x).__name__}")
+        _set(self, "_q", (a, b, c, d, 1))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("QF is immutable")
-
-    a = property(lambda self: _fraction(self._q[0], self._q[4]))
-    b = property(lambda self: _fraction(self._q[1], self._q[4]))
-    c = property(lambda self: _fraction(self._q[2], self._q[4]))
-    d = property(lambda self: _fraction(self._q[3], self._q[4]))
 
     # constructors
     @classmethod
@@ -84,7 +74,7 @@ class QF:
     def _coerce(x) -> "QF":
         if isinstance(x, QF):
             return x
-        if _rational(x):
+        if isinstance(x, int):
             return QF(x)
         return NotImplemented
 
@@ -99,8 +89,6 @@ class QF:
             return _reduced(a + e, b + f, c + g, d + h, m)
         return _reduced(a * n + e * m, b * n + f * m, c * n + g * m, d * n + h * m, m * n)
 
-    __radd__ = __add__
-
     def __neg__(self):
         a, b, c, d, m = self._q
         return _exact((-a, -b, -c, -d, m))
@@ -110,9 +98,6 @@ class QF:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -154,9 +139,6 @@ class QF:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def is_zero(self) -> bool:
         return self._q[:4] == (0, 0, 0, 0)
 
@@ -178,8 +160,7 @@ class QF:
         return hash(self._q)
 
     def part_strings(self) -> tuple[str, str, str, str]:
-        """Each part as `str` prints its `Fraction`, "n" or "n/d" in lowest
-        terms, read from the integers."""
+        """Each part as "n" or "n/d" in lowest terms."""
         *nums, den = self._q
         out = []
         for n in nums:
@@ -188,28 +169,16 @@ class QF:
         return tuple(out)
 
     def __float__(self) -> float:
+        """The real part a/den + b/den * sqrt(3); each int / int quotient is
+        correctly rounded."""
         a, b, _, _, m = self._q
-        return a / m + b / m * 3 ** 0.5  # int / int rounds as float(Fraction) does
+        return a / m + b / m * 3 ** 0.5
 
     def __repr__(self) -> str:
         return f"QF({', '.join(self.part_strings())})"
 
 
 _set = object.__setattr__
-
-
-def _rational(x) -> bool:
-    """Whether x is an int or a Fraction.  `fractions` is imported only for
-    a value that is no int, so integer parts never load it."""
-    if isinstance(x, int):
-        return True
-    from fractions import Fraction
-    return isinstance(x, Fraction)
-
-
-def _fraction(numerator: int, denominator: int) -> Fraction:
-    from fractions import Fraction
-    return Fraction(numerator, denominator)
 
 
 def _exact(q: tuple[int, int, int, int, int]) -> QF:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,10 +17,28 @@ from polytope_forge.mkconfig import ONE, QF, ZERO
 from test_signedperm import matrix
 
 
+def _qf(a=0, b=0, c=0, d=0) -> QF:
+    """The QF with these rational parts.  Over the lcm of the reduced
+    denominators the numerators share no factor with it, so the stored
+    tuple is in lowest terms."""
+    parts = [Fraction(x) for x in (a, b, c, d)]
+    den = math.lcm(*(x.denominator for x in parts))
+    return mk._exact((*(x.numerator * (den // x.denominator) for x in parts), den))
+
+
+def _parts(x) -> tuple:
+    """The four parts of a QF, read from `_q`, or of its oracle, as
+    `Fraction`s."""
+    if isinstance(x, QF):
+        *nums, den = x._q
+        return tuple(Fraction(n, den) for n in nums)
+    return (x.a, x.b, x.c, x.d)
+
+
 # n/d in [-20, 20] with d <= 12, drawn as integers: st.fractions draws far slower
 rationals = st.integers(1, 12).flatmap(
     lambda d: st.integers(-20 * d, 20 * d).map(lambda n: Fraction(n, d)))
-field_elements = st.builds(QF, rationals, rationals, rationals, rationals)
+field_elements = st.builds(_qf, rationals, rationals, rationals, rationals)
 
 
 def _lift(point) -> tuple[QF, ...]:
@@ -29,15 +48,15 @@ def _lift(point) -> tuple[QF, ...]:
 def _norm(x: QF) -> Fraction:
     """The product of x's four conjugates, which lies in Q."""
     n1 = x * x.conj_i()
-    full = n1 * n1.conj_sqrt3()
-    assert full.b == full.c == full.d == 0, full
-    return full.a
+    a, *rest = _parts(n1 * n1.conj_sqrt3())
+    assert rest == [0, 0, 0], rest
+    return a
 
 
 def _apply_complex(z: QF, u) -> tuple[QF, ...]:
     """(x + iy) u = x*u + y*(uJ), with x, y in Q(sqrt(3))."""
-    x = QF(z.a, z.b)
-    y = QF(z.c, z.d)
+    a, b, c, d = _parts(z)
+    x, y = _qf(a, b), _qf(c, d)
     return mk.vec_add(mk.scalar_mul(x, u),
                       mk.scalar_mul(y, mk.row_times_matrix(u, mk.build_J())))
 
@@ -49,8 +68,8 @@ def _decode_table() -> tuple[tuple[int, ...], ...]:
     for label in range(8):
         z1, z2 = mk.table_coordinates()[label]
         ambient = mk.vec_add(_apply_complex(z1, a1), _apply_complex(z2, a2))
-        assert all(x.b == x.c == x.d == 0 and x.a in (1, -1) for x in ambient), label
-        point_of.append(tuple(int(x.a) for x in ambient))
+        assert all(x in (ONE, -ONE) for x in ambient), label
+        point_of.append(tuple(x._q[0] for x in ambient))
     assert len(set(point_of)) == 8
     return tuple(point_of)
 
@@ -186,11 +205,6 @@ class _FractionQF:
         return f"QF({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-def _parts(x) -> tuple:
-    """The four parts of a QF or of its oracle, as `Fraction`s or `int`s."""
-    return (x.a, x.b, x.c, x.d)
-
-
 def _canonical(x: QF) -> bool:
     """Four numerators over a positive denominator, sharing no factor."""
     *_, den = x._q
@@ -202,7 +216,7 @@ def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
     ox, oy = (_FractionQF(*_parts(v)) for v in (x, y))
     pairs = [(x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (-x, -ox),
              (x.conj_i(), ox.conj_i()), (x.conj_sqrt3(), ox.conj_sqrt3()),
-             (x + 2, ox + 2), (Fraction(1, 3) * y, Fraction(1, 3) * oy)]
+             (x + 2, ox + 2), (3 * y, 3 * oy), (_qf(Fraction(1, 3)) * y, Fraction(1, 3) * oy)]
     if not y.is_zero():
         pairs += [(y.inverse(), oy.inverse()), (x / y, ox / oy)]
     for new, old in pairs:
@@ -211,20 +225,20 @@ def test_arithmetic_agrees_with_the_fraction_oracle(x, y):
         assert (repr(new), float(new)) == (repr(old), float(old))
         assert (new.is_zero(), new.is_real()) == (old.is_zero(), old.is_real())
     assert (x == y) == (ox == oy) and (x == x.conj_i()) == (ox == ox.conj_i())
-    assert (x.a, x.b, x.c, x.d) == (ox.a, ox.b, ox.c, ox.d)
+    assert _parts(x) == _parts(ox)
 
 
 def test_equal_values_are_stored_alike():
-    half_third = QF(Fraction(1, 2), 0, Fraction(1, 3))
-    ways = [QF(Fraction(2, 4), 0, Fraction(-3, -9)),
+    half_third = _qf(Fraction(1, 2), 0, Fraction(1, 3))
+    ways = [QF(3, 0, 2) / 6,
             QF(1) / 2 + QF.i() / 3,
-            QF(3, 0, 2) * QF(Fraction(1, 6)),
+            QF(3, 0, 2) * _qf(Fraction(1, 6)),
             (half_third * QF.r()) * QF.r().inverse(),
             half_third + QF.sqrt3() - QF.sqrt3()]
     for x in ways:
         assert x == half_third and hash(x) == hash(half_third) and _canonical(x)
         assert _parts(x) == (Fraction(1, 2), 0, Fraction(1, 3), 0)
-    zeros = [QF(), QF(Fraction(5, 7)) - QF(Fraction(10, 14)), half_third * 0,
+    zeros = [QF(), QF(5) / 7 - QF(10) / 14, half_third * 0,
              QF.sqrt3() / 6 + (-QF.sqrt3()) / 6]
     assert all(z._q == (0, 0, 0, 0, 1) and z == ZERO and z.is_zero() for z in zeros)
     assert len({hash(z) for z in zeros}) == 1
@@ -233,24 +247,29 @@ def test_equal_values_are_stored_alike():
 
 def test_only_a_qf_equals_a_qf():
     # an int or Fraction that compared equal would have to hash as the QF
-    for x, part in ((QF(1), 1), (QF(Fraction(1, 2)), Fraction(1, 2)), (ZERO, 0)):
+    for x, part in ((QF(1), 1), (QF(1) / 2, Fraction(1, 2)), (ZERO, 0)):
         assert x != part and part != x
         assert part not in {x} and x not in {part}
-        assert QF(part) == x and hash(QF(part)) == hash(x)
+        assert _qf(part) == x and hash(_qf(part)) == hash(x)
 
 
-@pytest.mark.parametrize("part", [0.1, "1/3", 1j, None])
+@pytest.mark.parametrize("part", [0.1, "1/3", 1j, None, 0.5, Fraction(1, 2)])
 def test_parts_must_be_rational(part):
-    with pytest.raises(TypeError, match="int or Fraction"):
+    """A part or an operand that is no `int` is a `TypeError`, from either
+    side: `Fraction(1, 3) * QF(1)` as much as `QF(Fraction(1, 2))`."""
+    with pytest.raises(TypeError, match=f"^QF parts are int, not {type(part).__name__}$"):
         QF(part)
     with pytest.raises(TypeError):
         QF(1, 0, part)
-    with pytest.raises(TypeError):
-        QF.sqrt3() * part
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(QF.sqrt3(), part)
+        with pytest.raises(TypeError):
+            op(part, QF.sqrt3())
 
 
 def test_arithmetic_builds_no_fraction(monkeypatch):
-    x, y = QF(Fraction(1, 2), -3, Fraction(2, 7), 1), QF(-1, Fraction(5, 3), 0, 2)
+    x, y = _qf(Fraction(1, 2), -3, Fraction(2, 7), 1), _qf(-1, Fraction(5, 3), 0, 2)
     made, half = [], Fraction(1, 2)
     new = Fraction.__new__
 
@@ -260,7 +279,7 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
 
     # every Fraction is built through its class's __new__, wherever it is imported
     monkeypatch.setattr(Fraction, "__new__", counted)
-    assert x.a == half and len(made) == 1  # the patch counts
+    assert Fraction(1, 2) == half and len(made) == 1  # the patch counts
     made.clear()
     results = [x + y, -x, x - y, x * y, y * x, x.conj_i(), y.conj_sqrt3(),
                x == y, x == x, (x - x).is_zero(), x.is_zero(), x.is_real(),
@@ -273,7 +292,7 @@ def test_part_strings_print_as_fractions_do():
     # random ones, and products of neighbours, whose denominators pass 12
     singles = sorted({Fraction(n, d) for d in range(1, 13) for n in range(-20 * d, 20 * d + 1)})
     rng = random.Random(38)
-    values = [QF(*rng.sample(singles, 3), x) for x in singles]
+    values = [_qf(*rng.sample(singles, 3), x) for x in singles]
     values += [x * y for x, y in zip(values, values[1:])]
     for x in values:
         assert x.part_strings() == tuple(map(str, _parts(x)))
@@ -357,7 +376,7 @@ def test_basis_orthogonality_relations():
     assert mk.dot(a1, b1) == ZERO
     assert mk.dot(a1, a2) == ZERO
     # a rational rescaling keeps every orthogonality relation
-    scaled = [mk.scalar_mul(QF(Fraction(3, 7)), row) for row in (a1, b1, a2, b2)]
+    scaled = [mk.scalar_mul(QF(3) / 7, row) for row in (a1, b1, a2, b2)]
     assert mk.dot(scaled[0], scaled[1]) == ZERO
     assert mk.dot(scaled[0], scaled[0]) == mk.dot(scaled[1], scaled[1])
 
@@ -383,7 +402,7 @@ def test_complexify_labelled_points():
 
 @given(a=rationals, b=rationals)
 def test_complexify_is_complex_linear(a, b):
-    scalar = QF(a, 0, b, 0)
+    scalar = _qf(a, 0, b, 0)
     u = _lift((1, 1, 1, -1))
     w = _lift((1, -1, 1, 1))
     lhs = mk.complexify(mk.vec_add(u, _apply_complex(scalar, w)))
@@ -452,7 +471,7 @@ def test_central_symmetry(config):
 
 def test_plane_shadows(config):
     # projections to z2 = 0, as exact (real, imaginary) pairs
-    shadows = {(QF(p.z1.a, p.z1.b), QF(p.z1.c, p.z1.d)) for p in config.points}
+    shadows = {(_qf(*_parts(p.z1)[:2]), _qf(*_parts(p.z1)[2:])) for p in config.points}
     r = QF.r()
     expected = set()
     for s in (1, -1):
@@ -529,8 +548,8 @@ def test_commutation_test_agrees_with_integer_products():
     # the integer products gK and Kg agree.
     j = mk.build_J()
     scaled = [[x * QF.sqrt3() for x in row] for row in j]
-    assert all(x.b == x.c == x.d == 0 and x.a in (0, 1, -1) for row in scaled for x in row)
-    k = [[int(x.a) for x in row] for row in scaled]
+    assert all(x in (ZERO, ONE, -ONE) for row in scaled for x in row)
+    k = [[x._q[0] for x in row] for row in scaled]
 
     def mul(p, q):
         return [[sum(p[r][t] * q[t][c] for t in range(4)) for c in range(4)]

@@ -152,19 +152,32 @@ def test_package_uses_no_dataclasses():
     assert not found, found
 
 
-def test_package_imports_no_typing():
-    """No record is a `typing.NamedTuple`, and no module imports `typing`
-    at all: the annotations are strings, and their names come from
-    `collections.abc`."""
+def _imports_or_names(module: str, name: str) -> list:
+    """Each place in the package that imports `module` or names `name`."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import) and any(
-                    alias.name.split(".")[0] == "typing" for alias in node.names) \
-                    or isinstance(node, ast.ImportFrom) and node.module == "typing" \
+                    alias.name.split(".")[0] == module for alias in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == module \
                     or isinstance(node, (ast.Name, ast.Attribute)) \
-                    and getattr(node, "id", getattr(node, "attr", None)) == "NamedTuple":
+                    and getattr(node, "id", getattr(node, "attr", None)) == name:
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_package_imports_no_typing():
+    """No record is a `typing.NamedTuple`, and no module imports `typing`
+    at all: the annotations are strings, and their names come from
+    `collections.abc`."""
+    found = _imports_or_names("typing", "NamedTuple")
+    assert not found, found
+
+
+def test_package_imports_no_fractions():
+    """`QF` takes `int` parts and keeps integers, so no module imports
+    `fractions` or names `Fraction`."""
+    found = _imports_or_names("fractions", "Fraction")
     assert not found, found
 
 
@@ -181,19 +194,39 @@ def test_only_qf_defines_equality_hashing_ordering_or_assignment():
     assert not found, found
 
 
+# the package's modules: an import of one of these names binds a module
+_MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
 def _names_read(tree) -> tuple[set, set]:
     """(attributes, names) that code in tree reads.  Attributes are the
-    `x.name`s; names are the bare names, the imported ones and the
-    attributes.  A string constant that is an identifier counts as both,
-    since `perfbench/tracer.py` hooks methods by name; the strings of
-    `__all__` do not count."""
+    `x.name`s.  Names are the bare names, the imported ones and the
+    attributes of a module: `cf.name` for a module bound by an import, or
+    `_mk().name` for a function that returns one.  A string constant that
+    is an identifier counts as both, since `perfbench/tracer.py` hooks
+    functions and methods by name; the strings of `__all__` do not count."""
     exports = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
                and any(getattr(target, "id", None) == "__all__" for target in stmt.targets)
                for node in ast.walk(stmt.value)}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {alias.asname or alias.name.split(".")[0] for node in imports
+               for alias in node.names
+               if isinstance(node, ast.Import) or alias.name in _MODULES}
+    getters = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Return) and getattr(node.value, "id", None) in modules
+                       for node in ast.walk(fn))}
+
+    def is_module(node) -> bool:
+        if isinstance(node, ast.Call):
+            return not node.args and getattr(node.func, "id", None) in getters
+        return getattr(node, "id", None) in modules
+
     attributes, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             attributes.add(node.attr)
+            if is_module(node.value):
+                names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.alias):
@@ -201,33 +234,65 @@ def _names_read(tree) -> tuple[set, set]:
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in exports):
             attributes.add(node.value)
-    return attributes, names | attributes
+            names.add(node.value)
+    return attributes, names
+
+
+def _unnamed(defining: dict, reading: list) -> list:
+    """The "file:line name" of each function, method or class defined in the
+    trees of `defining` (file name -> tree) that no tree of `reading`
+    names: a method as an attribute or a string, anything else as a name.
+    Dunders are exempt, and so is `_make`, which `_replace` calls."""
+    attributes, names = set(), set()
+    for tree in reading:
+        read = _names_read(tree)
+        attributes |= read[0]
+        names |= read[1]
+
+    def walk(where, node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__") or name == "_make"
+                        or name in (attributes if in_class else names)):
+                    yield f"{where}:{child.lineno} {name}"
+                yield from walk(where, child, isinstance(child, ast.ClassDef))
+            else:
+                yield from walk(where, child, in_class)
+
+    return [found for where, tree in defining.items() for found in walk(where, tree, False)]
 
 
 def test_every_definition_is_named_by_the_package_or_perfbench():
     """A function, method or class that only the tests call is dead code
     kept alive by its tests.  Each one defined in the package must be named
     somewhere in the package or in perfbench besides its own def and
-    `__all__`: a method as an attribute or a string, anything else by any
-    name.  Dunders are exempt, and so is `_make`, which `_replace` calls."""
-    attributes, names = set(), set()
-    for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
-        read = _names_read(ast.parse(path.read_text(encoding="utf-8")))
-        attributes |= read[0]
-        names |= read[1]
-
-    def unnamed(path, node, in_class):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                name = child.name
-                if not (name.startswith("__") and name.endswith("__") or name == "_make"
-                        or name in (attributes if in_class else names)):
-                    yield f"{path.name}:{child.lineno} {name}"
-                yield from unnamed(path, child, isinstance(child, ast.ClassDef))
-            else:
-                yield from unnamed(path, child, in_class)
-
+    `__all__`."""
     assert PERFBENCH.is_dir()
-    found = [where for path in sorted(PACKAGE.glob("*.py"))
-             for where in unnamed(path, ast.parse(path.read_text(encoding="utf-8")), False)]
+    package = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    perfbench = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(PERFBENCH.glob("*.py"))]
+    found = _unnamed(package, [*package.values(), *perfbench])
     assert not found, found
+
+
+_GETTER = "def _sp():\n    from . import signedperm\n    return signedperm\n"
+
+
+@pytest.mark.parametrize("reader, named", [
+    ("g.act(p)", False),
+    ("build().act(p)", False),
+    ("'act'", True),
+    ("act(g, p)", True),
+    ("from .signedperm import act", True),
+    ("from . import signedperm as sp\nsp.act(g, p)", True),
+    ("import polytope_forge.signedperm as sp\nsp.act(g, p)", True),
+    (_GETTER + "_sp().act(g, p)", True),
+], ids=["method", "call-result", "string", "bare", "import", "module", "dotted-import",
+        "module-getter"])
+def test_a_module_function_read_only_as_a_method_is_unnamed(reader, named):
+    """A module-level `act` that only `g.act(p)` seems to name is flagged."""
+    planted = {"planted.py": ast.parse("def act(g, p):\n    return None\n")}
+    found = _unnamed(planted, [*planted.values(), ast.parse(reader)])
+    assert found == ([] if named else ["planted.py:1 act"])
