@@ -184,11 +184,6 @@ class PetriePolygon(namedtuple("PetriePolygon", "vertices")):
         return PetriePolygon._image(map(g.act, self.vertices))
 
 
-def _cycle_of(point: Point, g: SignedPerm) -> tuple[Point, ...]:
-    """The points p, p·g, p·g², … up to the first return to p."""
-    return tuple(reach(point, lambda p: [g.act(p)]))
-
-
 def _trace_polygon(start: Point, directions: list[int]) -> PetriePolygon:
     verts = [start]
     for d in directions:
@@ -293,7 +288,7 @@ def build_atlas() -> Atlas:
     images = (sigma2_bar.act(v_bar), sigma3_bar.act(v_bar))
     check(images == (v_bar, v_bar), "atlas.barred-generators-fix-v-bar", images)
 
-    cycle = _cycle_of(v, pi)
+    cycle = tuple(reach(v, lambda p: [pi.act(p)]))  # v, v·pi, v·pi², …
     check(cycle[1:5] == ((1, 1, 1, -1), (1, 1, -1, -1), (1, -1, -1, -1), (-1, -1, -1, -1)),
           "atlas.octagon-vertex-cycle", cycle)
     base_octagon = PetriePolygon(cycle)
@@ -633,27 +628,47 @@ _FACE_CONTAINS = {
 }
 
 
-def _realize(struct: CosetGeometry, base_faces) -> dict:
+def _closed_cycle(edges) -> tuple:
+    """The canonical cycle that edges close, walked from the first edge one
+    step per edge at most, each step away from the point just left (back at
+    a dead end), so a path, a star or a union of cycles ends the walk too."""
+    ends = _adjacency((e[0], e[-1]) for e in edges)
+    cycle = [edges[0][0], edges[0][-1]]
+    while len(cycle) < len(edges):
+        cycle.append(next((q for q in ends[cycle[-1]] if q != cycle[-2]), cycle[-2]))
+    check(len(set(cycle)) == len(edges) and _cycle_edges(cycle) == set(edges),
+          "realization.two-face-edges-close-a-cycle", cycle)
+    return _canonical_cycle(tuple(cycle))
+
+
+def _realize(struct: CosetGeometry, vertex: Point) -> dict:
     """The geometric meaning of a coset structure, face -> realized face,
     checked to make coset incidence coincide with geometric containment.
-    The rank-r face of the coset H g is base_faces[r] moved by g.  Its
-    checks make H = subgroups[r] the whole stabilizer of base_faces[r]:
-    H's generators fix the face, and an element g that fixes it makes the
-    faces H g and H one realized face, so by faithfulness g lies in H.
+    The base faces come from the base vertex by Wythoff's rule (McMullen &
+    Schulte, Abstract Regular Polytopes, ch. 5): the base edge is the orbit of
+    the vertex under subgroups[1], and the base 2-face and facet are the
+    orbit of that edge under subgroups[2] and [3], as the cycle it closes
+    and as a sorted edge tuple.  The rank-r face of the coset H g is the
+    base face moved by g.  An orbit under H is fixed by H, so of the base
+    faces only the vertex is checked to be fixed by H = subgroups[0].  Each
+    H is then the whole stabilizer of its base face: an element g that
+    fixes it makes the faces H g and H one realized face, so by
+    faithfulness g lies in H.
 
-    The work runs on the point table of the base vertex, base_faces[0]:
-    every point of a base face must lie in its orbit (another point is a
-    `KeyError`).  With H fixing its face, the faces are carried along
-    the walk of the group's action table, as `right_cosets` walks it: the
-    face of a coset first met at g = p * gens[k] is the face of p's coset
-    moved by generator k's list.  The checks compare numbered faces, and
-    the faces are read back to points at the end."""
-    table = _point_table(struct.group, base_faces[0])
-    base = [table.numbered(r, face) for r, face in enumerate(base_faces)]
-    moved = next(((r, s) for r, face in enumerate(base)
-                  for s in struct.subgroups[r].generator_list()
-                  if _face_image(r, face, table.move(s).__getitem__) != face), None)
+    The work runs on the point table of the base vertex.  With H fixing
+    its face, the faces are carried along the walk of the group's action
+    table, as `right_cosets` walks it: the face of a coset first met at
+    g = p * gens[k] is the face of p's coset moved by generator k's list.
+    The checks compare numbered faces, and the faces are read back to
+    points at the end."""
+    table, subs = _point_table(struct.group, vertex), struct.subgroups
+    v = table.index[vertex]
+    moved = next((s for s in subs[0].generator_list() if table.move(s)[v] != v), None)
     check(moved is None, "realization.base-faces-stabilized", moved)
+    base = [v, tuple(sorted(orbit(subs[1], v, table.action(0))))]
+    for r in range(2, struct.rank):
+        edges = orbit(subs[r], base[1], table.action(1))
+        base.append(_closed_cycle(edges) if r == 2 else tuple(sorted(edges)))
     parent = struct.group.table().parent
     faces = []
     for r, canon in enumerate(struct.canon):
@@ -730,12 +745,7 @@ def build_cube() -> CubeBundle:
     struct = polytope_from_reflections(g)
     check(struct.f_vector == (16, 32, 24, 8), "cube.f-vector", struct.f_vector)
 
-    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
-    square = _canonical_cycle(_cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
-    table = _point_table(g, atlas.v)
-    base_facet = table.read(3, sorted(orbit(struct.subgroups[3], table.numbered(1, base_edge),
-                                            table.action(1))))
-    realization = _realize(struct, [atlas.v, base_edge, square, base_facet])
+    realization = _realize(struct, atlas.v)
 
     edge_colors = {}
     for ref in struct.refs(1):
@@ -864,7 +874,6 @@ def gp83_graph() -> dict:
 def build_map() -> MapBundle:
     atlas = build_atlas()
     rot = group_map_rotation()
-    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
 
     # the cosets of <sigma2>, <sigma1 sigma2> and <sigma1>
     struct = polytope_from_rotations(rot)
@@ -875,7 +884,7 @@ def build_map() -> MapBundle:
     # are the map itself: its 24 edges and 6 octagons, every octagon edge a
     # map edge and every edge on two octagons (the diamond) follow from the
     # coset geometry
-    realization = _realize(struct, [atlas.v, base_edge, atlas.base_octagon.vertices])
+    realization = _realize(struct, atlas.v)
     edges = {face for (rank, _), face in realization.items() if rank == 1}
     octagons = {PetriePolygon._image(face) for (rank, _), face in realization.items()
                 if rank == 2}
@@ -884,11 +893,11 @@ def build_map() -> MapBundle:
     check(not stray, "map.faces-are-petrie-polygons", stray)
 
     # the edges numbered on the cube group's point table, which moves them
-    # by any symmetry of the cube
+    # by any symmetry of the cube; the cube's edges are the orbit of one
     full = group_cube()
     table = _point_table(full, atlas.v)
     numbered_edges = {table.numbered(1, e) for e in edges}
-    cube_edges = set(orbit(full, table.numbered(1, base_edge), table.action(1)))
+    cube_edges = set(orbit(full, min(numbered_edges), table.action(1)))
     covered = len({p for e in cube_edges - numbered_edges for p in e})
     check(covered == 16, "map.deleted-edges-perfect-matching", covered)
 
@@ -1002,11 +1011,7 @@ def build_roli() -> RoliBundle:
     type_vector = struct.schlafli_type()
     check(type_vector == (8, 3, 3), "roli.type-8-3-3", type_vector)
 
-    map_bundle = build_map()
-    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
-    base_facet = tuple(sorted(map_bundle.edges))
-    realization = _realize(struct, [atlas.v, base_edge, atlas.base_octagon.vertices,
-                                    base_facet])
+    realization = _realize(struct, atlas.v)
 
     polys = petrie_polygons()
     two_faces_class = _two_faces_class(realization)
@@ -1085,15 +1090,6 @@ def build_enantiomorph() -> EnantiomorphBundle:
     roli = build_roli()
     rho0 = atlas.rho0
 
-    mirror_octagon = atlas.base_octagon.transformed(rho0)
-    mirror_class = mirror_octagon.chiral_class
-    check(mirror_class == "L", "enantiomorph.mirror-octagon-left-handed", mirror_class)
-    # rho0, a generator of the cube group, mirrors the facet on its point table
-    table = _point_table(group_cube(), atlas.v)
-    mirror_facet = table.read(3, _face_image(3, table.numbered(3, sorted(build_map().edges)),
-                                             table.move(rho0).__getitem__))
-    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
-
     subs = [rot.subgroup([g.conjugate(rho0) for g in sub.generator_list()])
             for sub in roli.structure.subgroups]
     # the paper's barred description of the vertex and edge subgroups
@@ -1108,8 +1104,12 @@ def build_enantiomorph() -> EnantiomorphBundle:
           "enantiomorph.barred-words-give-the-octagon-stabilizer", len(barred_rank2))
 
     struct = CosetGeometry(rot, subs)
-    realization = _realize(struct, [atlas.v_bar, base_edge, mirror_octagon.vertices,
-                                    mirror_facet])
+    realization = _realize(struct, atlas.v_bar)
+    # the base 2-face is the base octagon mirrored by rho0, a left-handed one
+    mirror_octagon = atlas.base_octagon.transformed(rho0)
+    check(mirror_octagon.chiral_class == "L"
+          and realization[2, struct.base_flag[2]] == mirror_octagon.vertices,
+          "enantiomorph.mirror-octagon-left-handed", mirror_octagon.chiral_class)
     two_faces_class = _two_faces_class(realization)
     check(two_faces_class == "L", "enantiomorph.two-faces-left-handed", two_faces_class)
     return EnantiomorphBundle(structure=struct, realization=realization,
@@ -1172,15 +1172,9 @@ def build_cover() -> CoverBundle:
     type_vector = struct.schlafli_type()
     check(type_vector == (8, 3, 3), "cover.type-8-3-3", type_vector)
 
-    bv = atlas.v + atlas.v_bar
-    base_edge = tuple(sorted((bv, atlas.tau0.act(bv))))
-    base_oct = _canonical_cycle(_cycle_of(bv, atlas.kappa1))
-    # struct.subgroups[3] is generated by tau0, tau1, tau2 in that order
-    table = _point_table(t_full, bv)
-    base_facet = table.read(3, sorted(orbit(struct.subgroups[3], table.numbered(1, base_edge),
-                                            table.action(1))))
+    realization = _realize(struct, atlas.v + atlas.v_bar)
+    base_facet = realization[3, struct.base_flag[3]]
     check(len(base_facet) == 24, "cover.facet-edge-count", len(base_facet))
-    realization = _realize(struct, [bv, base_edge, base_oct, base_facet])
 
     result = classify(struct, _sigma_face_maps(struct))
     check(result.kind is Classification.REGULAR and result.flag_count == 768,

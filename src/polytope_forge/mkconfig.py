@@ -23,7 +23,7 @@ from .cubefamily import (
     point_labels,
     presentation_unitary_triangle,
 )
-from .groupcore import broken_relator, check, enumerate_cosets
+from .groupcore import broken_relator, check, enumerate_cosets, orbit
 
 __all__ = [
     "QF",
@@ -480,11 +480,12 @@ def line_matches_paper(config: Configuration) -> bool:
 # the unitary triangle group and the centralizer of J
 # ---------------------------------------------------------------------------
 
-def _commutes(g, m: Mat4) -> bool:
-    """Does g = diag(e)·P(mu) commute with m?  Row i of gm is e_i·m[(i)mu],
-    and row i of mg is m[i] acted on by g."""
-    return all(tuple(e * x for x in m[p - 1]) == g.act(m[i])
-               for i, (e, p) in enumerate(zip(g.signs, g.perm)))
+def _conjugate(m: Mat4, g) -> Mat4:
+    """g·m·g^-1 for g = diag(e)·P(mu): row r of gm is e_r·m[(r)mu], so its
+    entry (r, c) is e_r·e_c·m[(r)mu][(c)mu]."""
+    e, mu = g.signs, g.perm
+    return tuple(tuple(e[r] * e[c] * m[mu[r] - 1][mu[c] - 1] for c in range(4))
+                 for r in range(4))
 
 
 @lru_cache(maxsize=None)
@@ -492,14 +493,18 @@ def group_333() -> dict:
     """The symmetry group of the complex polygon spanned by the eight
     points: generated by two period-3 elements satisfying the braid
     relation, of order 24, and equal to the centralizer of J in the full
-    cube group, found on the integer pattern of J."""
+    cube group.  The centralizer is the stabilizer of J's integer pattern M
+    under conjugation, of order 384 over the size of M's orbit; the group's
+    generators fix M, so it is the centralizer when the orders agree."""
     atlas = build_atlas()
     g1, g2 = atlas.gamma1, atlas.gamma2
     ident = atlas.rho0 * atlas.rho0
     braid = g1 * g2 * g1 == g2 * g1 * g2
     group = group_unitary()
 
-    centralizer = [g for g in group_cube() if _commutes(g, _J_PATTERN)]
+    cube = group_cube()
+    centralizer_order = len(cube) // len(orbit(cube, _J_PATTERN, _conjugate))
+    inside = all(_conjugate(_J_PATTERN, g) == _J_PATTERN for g in group.generator_list())
 
     pres = presentation_unitary_triangle()
     table = enumerate_cosets(pres, subgroup_words=(), cap=10_000)
@@ -510,7 +515,7 @@ def group_333() -> dict:
         "braid_relation": braid,
         "relators_hold": broken_relator([g1, g2], pres) is None,
         "group_order": len(group),
-        "centralizer_order": len(centralizer),
-        "centralizer_equals_group": frozenset(centralizer) == group.element_set,
+        "centralizer_order": centralizer_order,
+        "centralizer_equals_group": inside and len(group) == centralizer_order,
         "presentation_index": table.index,
     }

@@ -2,6 +2,7 @@
 exits 1 and names the check, and all of it holds under `python -O`."""
 
 import ast
+import copy
 import itertools
 import os
 import re
@@ -132,16 +133,32 @@ def _swapped_left_vertices(patch):
     patch(cf, "_realized_face_map", swapped)
 
 
-def _roli_base_face(rank: int, face):
-    """An injection: `_realize` gets `face` as Roli's cube's base face of
-    this rank (the other builds of `build roli` realize as before)."""
+def _roli_base_vertex(vertex):
+    """An injection: `_realize` gets `vertex` as Roli's cube's base vertex
+    (the other builds of `build roli` realize as before)."""
     def inject(patch):
         real = cf._realize
 
-        def realize(struct, base_faces):
+        def realize(struct, base_vertex):
+            return real(struct, vertex if struct.group is cf.group_rotation_sigma()
+                        else base_vertex)
+        patch(cf, "_realize", realize)
+    return inject
+
+
+def _roli_wythoff_subgroup(rank: int, sub):
+    """An injection: `_realize` makes Roli's cube's base face of this rank
+    from the subgroup `sub(struct)` in place of the rank's own, while the
+    coset geometry, and so the faces and their incidence, stay Roli's."""
+    def inject(patch):
+        real = cf._realize
+
+        def realize(struct, vertex):
             if struct.group is cf.group_rotation_sigma():
-                base_faces = [*base_faces[:rank], face(), *base_faces[rank + 1:]]
-            return real(struct, base_faces)
+                struct = copy.copy(struct)
+                subs = struct.subgroups
+                struct.subgroups = (*subs[:rank], sub(struct), *subs[rank + 1:])
+            return real(struct, vertex)
         patch(cf, "_realize", realize)
     return inject
 
@@ -151,8 +168,8 @@ def _mirrored_roli_two_face(patch):
     under rho0, a left-handed octagon, after `_realize` has checked it."""
     real = cf._realize
 
-    def realize(struct, base_faces):
-        out = real(struct, base_faces)
+    def realize(struct, vertex):
+        out = real(struct, vertex)
         if struct.group is cf.group_rotation_sigma():
             ref = struct.refs(2)[0]
             out[ref] = cf.PetriePolygon(out[ref]).transformed(cf.build_atlas().rho0).vertices
@@ -207,18 +224,20 @@ FAULTS = {
     "cover-left-swapped": (_swapped_left_vertices, ["build", "cover"],
                            "cover.left-face-map-is-realized"),
     # Roli's base vertex is w, which <sigma2, sigma3> moves
-    "realize-moved-vertex": (_roli_base_face(0, lambda: (1, -1, 1, 1)), ["build", "roli"],
+    "realize-moved-vertex": (_roli_base_vertex((1, -1, 1, 1)), ["build", "roli"],
                              "realization.base-faces-stabilized"),
-    # the facet is all 32 cube edges: every symmetry fixes it, so the four
-    # facet cosets are one realized face
-    "realize-all-edges-facet": (
-        _roli_base_face(3, lambda: tuple(sorted(
-            tuple(sorted(e)) for e in cf.build_cube().skeleton.edge_colors))),
-        ["build", "roli"], "realization.faithful"),
-    # -v is fixed by the vertex subgroup and has 16 distinct images, but
-    # is not on the base edge, with which its coset is incident
-    "realize-antipodal-vertex": (_roli_base_face(0, lambda: (-1, -1, -1, -1)), ["build", "roli"],
-                                 "realization.incidence-is-containment"),
+    # the facet is the base edge's orbit under the whole rotation group, all
+    # 32 cube edges: every symmetry fixes it, so the four facet cosets are
+    # one realized face
+    "realize-all-edges-facet": (_roli_wythoff_subgroup(3, lambda struct: struct.group),
+                                ["build", "roli"], "realization.faithful"),
+    # the facet is the base edge's orbit under the octagon subgroup, the
+    # base octagon's 8 edges: its images are 4 distinct faces, but the base
+    # vertex, on all four facets, is not on all four octagons.  The
+    # antipodal vertex -v is no fault: the faces made from it are Roli's
+    # moved by the central zeta
+    "realize-octagon-facet": (_roli_wythoff_subgroup(3, lambda struct: struct.subgroups[2]),
+                              ["build", "roli"], "realization.incidence-is-containment"),
     "realize-mixed-two-faces": (_mirrored_roli_two_face, ["build", "roli"],
                                 "realization.two-faces-share-a-chiral-class"),
     "cube-face-maps": (_fewer_face_maps, ["build", "cube"], "cube.regular"),
@@ -445,7 +464,7 @@ def _map_faces_are_the_rotation_orbits() -> bool:
     4-cube, the map's edges and its octagons."""
     a, bundle = cf.build_atlas(), cf.build_map()
     base = [a.v, tuple(sorted((a.v, a.v_bar))), a.base_octagon.vertices]
-    realization = cf._realize(bundle.structure, base)
+    realization = cf._realize(bundle.structure, a.v)
     realized = [{face for (rank, _), face in realization.items() if rank == r} for r in range(3)]
     orbits = [set(orbit(cf.group_map_rotation(), face,
                         lambda f, g, r=r: cf._face_image(r, f, g.act)))

@@ -417,8 +417,7 @@ def _containment_mismatches(struct, realization):
 
 
 def _map_realization(atlas):
-    base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
-    return _realize(build_map().structure, [atlas.v, base_edge, atlas.base_octagon.vertices])
+    return _realize(build_map().structure, atlas.v)
 
 
 @pytest.mark.parametrize("build", [build_cube, build_map, build_roli, build_enantiomorph,
@@ -464,13 +463,24 @@ def _realize_by_act(struct, base_faces) -> dict:
     return realization
 
 
+def _cycle_by_act(point, g) -> tuple:
+    """The canonical cycle of the points p, p·g, p·g², … up to the first
+    return to p."""
+    points = [point]
+    while g.act(points[-1]) != point:
+        points.append(g.act(points[-1]))
+    return cf._canonical_cycle(tuple(points))
+
+
 def _base_faces_by_act(build) -> list:
-    """The base faces each build hands `_realize`, made by act-based orbits."""
+    """The base faces each build handed `_realize` before they were made
+    from the base vertex by Wythoff's rule, made by act-based orbits:
+    the oracle of Wythoff's faces."""
     atlas = build_atlas()
     base_edge = tuple(sorted((atlas.v, atlas.v_bar)))
     map_edges = tuple(sorted(orbit(group_map_rotation(), base_edge, _edge_image_by_act)))
     if build is build_cube:
-        square = cf._canonical_cycle(cf._cycle_of(atlas.v, atlas.rho0 * atlas.rho1))
+        square = _cycle_by_act(atlas.v, atlas.rho0 * atlas.rho1)
         facet = orbit(build_cube().structure.subgroups[3], base_edge, _edge_image_by_act)
         return [atlas.v, base_edge, square, tuple(sorted(facet))]
     if build is build_map:
@@ -483,7 +493,7 @@ def _base_faces_by_act(build) -> list:
     bv = atlas.v + atlas.v_bar
     edge = tuple(sorted((bv, atlas.tau0.act(bv))))
     facet = orbit(build_cover().structure.subgroups[3], edge, _edge_image_by_act)
-    return [bv, edge, cf._canonical_cycle(cf._cycle_of(bv, atlas.kappa1)), tuple(sorted(facet))]
+    return [bv, edge, _cycle_by_act(bv, atlas.kappa1), tuple(sorted(facet))]
 
 
 _REALIZED_BUILDS = [build_cube, build_map, build_roli, build_enantiomorph, build_cover]
@@ -491,12 +501,15 @@ _REALIZED_BUILDS = [build_cube, build_map, build_roli, build_enantiomorph, build
 
 @pytest.mark.parametrize("build", _REALIZED_BUILDS)
 def test_realization_equals_the_act_based_oracle(build):
+    # Wythoff's faces from the base vertex are the faces of the old recipes
     struct = build().structure
     faces = _base_faces_by_act(build)
     oracle = _realize_by_act(struct, faces)
-    realization = _realize(struct, faces) if build is build_map else build().realization
+    realization = _realize(struct, faces[0])
     assert realization == oracle
     assert list(realization) == list(oracle)  # the same order of faces too
+    if build is not build_map:
+        assert build().realization == realization
 
 
 def test_table_orbits_equal_the_act_based_orbits(atlas):
@@ -552,18 +565,18 @@ print(calls)
 
 
 def test_build_cover_moves_points_on_tables_not_by_act():
-    """build_cover builds the cube, the map, Roli's cube and the
-    enantiomorph too.  Their point tables take one act per point and
-    generator, 272 in all (16 points for 4, 2 and 3 generators, and 32 for
+    """build_cover builds the cube, Roli's cube and the enantiomorph too,
+    but not the map.  Their point tables take one act per point and
+    generator, 240 in all (16 points for 4 and 3 generators, and 32 for
     the cover's 4; the enantiomorph's seed v_bar is in the orbit that
-    Roli's table numbers, so it shares that table), and the atlas and the
-    base faces 62 more.  One realization or orbit moved point by point
-    with act would add hundreds."""
+    Roli's table numbers, so it shares that table), and the atlas 49 more.
+    Wythoff's rule makes the base faces on the tables, with no act.  One
+    realization or orbit moved point by point with act would add hundreds."""
     src = str(Path(cf.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", _COUNT_ACT], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) == 334
+    assert int(run.stdout) == 289
 
 
 def test_a_seed_in_a_numbered_orbit_shares_its_table(atlas):
@@ -578,23 +591,44 @@ def test_a_seed_in_a_numbered_orbit_shares_its_table(atlas):
     assert cf._point_tables(group) == [table, other]
 
 
-def test_realize_refuses_a_base_face_off_the_vertex_orbit(atlas):
-    struct = build_map().structure
-    faces = _base_faces_by_act(build_map)
-    with pytest.raises(KeyError, match=r"\(2, 2, 2, 2\)"):
-        _realize(struct, [faces[0], (atlas.v, (2, 2, 2, 2)), faces[2]])
-
-
-def _verdict(realize, struct, faces) -> str:
+def _verdict(struct, vertex) -> str:
     try:
-        realize(struct, faces)
+        _realize(struct, vertex)
     except CheckFailed as exc:
         return exc.name
     return "pass"
 
 
-def _full_scan_verdict(struct, faces) -> str:
-    """The verdict with every pair of faces compared, not one row."""
+def _cycle_by_networkx(edges):
+    """The canonical cycle that edges close, found by networkx, or None
+    when they are not the edges of one cycle."""
+    if len(edges) < 3 or any(len(e) != 2 for e in edges):
+        return None
+    graph = nx.Graph(list(edges))
+    if not nx.is_connected(graph) or any(d != 2 for _, d in graph.degree):
+        return None
+    return cf._canonical_cycle(tuple(u for u, _ in nx.find_cycle(graph)))
+
+
+def _wythoff_faces_by_act(struct, vertex) -> list:
+    """Wythoff's base faces from the vertex, made by act-based orbits, the
+    2-face by networkx (None when the edges close no cycle)."""
+    subs = struct.subgroups
+    faces = [vertex, tuple(sorted(orbit(subs[1], vertex)))]
+    for r in range(2, struct.rank):
+        edges = orbit(subs[r], faces[1], _edge_image_by_act)
+        faces.append(_cycle_by_networkx(edges) if r == 2 else tuple(sorted(edges)))
+    return faces
+
+
+def _full_scan_verdict(struct, vertex) -> str:
+    """The verdict on the act-based Wythoff faces, with every base face
+    checked to be fixed by its subgroup and every pair of faces compared."""
+    faces = _wythoff_faces_by_act(struct, vertex)
+    if any(s.act(vertex) != vertex for s in struct.subgroups[0].generator_list()):
+        return "realization.base-faces-stabilized"
+    if None in faces:
+        return "realization.two-face-edges-close-a-cycle"
     try:
         realization = _faces_by_act(struct, faces)
     except CheckFailed as exc:
@@ -604,50 +638,94 @@ def _full_scan_verdict(struct, faces) -> str:
     return "pass"
 
 
-def _invariant_faces(rng, struct, rank: int, face, symmetries) -> list:
-    """Faces of the base face's shape fixed by the rank's subgroup: the
-    images of the base face under the symmetries that it fixes, and at
-    rank 3 a union of its orbits on the edges."""
-    def image(f, g):
-        return _face_image(rank, f, g.act)
+def _random_subgroup(rng, group, subs, rank: int):
+    """A wrong subgroup for the rank: a random conjugate of its own,
+    another rank's, or the closure of one or two random elements."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        h = rng.choice(group.elements)
+        return group.subgroup([g.conjugate(h) for g in subs[rank].generator_list()])
+    if kind == 1:
+        return subs[rng.choice([r for r in range(len(subs)) if r != rank])]
+    return group.subgroup(rng.sample(group.elements, rng.randint(1, 2)))
 
-    gens = struct.subgroups[rank].generator_list()
-    found = [f for f in orbit(symmetries, face, image) if all(image(f, g) == f for g in gens)]
-    if rank == 3:
-        edges = orbit(symmetries, face[0], _edge_image_by_act)
-        orbits = {frozenset(orbit(struct.subgroups[3], e, _edge_image_by_act)) for e in edges}
-        chosen = [o for o in sorted(orbits, key=sorted) if rng.random() < 0.5]
-        found.append(tuple(sorted(set().union(*chosen or [min(orbits, key=sorted)]))))
-    return found
+
+def _random_vertex(rng, points):
+    """The first point (the base vertex) half the time, else another point
+    of its orbit, or a point off it: a multiple of a point, or one with a
+    coordinate zeroed."""
+    point = rng.choice(points)
+    kind = rng.randrange(6)
+    if kind < 3:
+        return points[0]
+    if kind == 3:
+        return point
+    if kind == 4:
+        return tuple(rng.choice((2, -1)) * x for x in point)
+    k = rng.randrange(len(point))
+    return point[:k] + (0,) + point[k + 1:]
 
 
 @pytest.mark.parametrize("build", _REALIZED_BUILDS)
 def test_realize_on_seeded_random_base_faces_agrees_with_the_full_scan(build):
-    """Some ranks' base faces are moved by a random symmetry, or replaced by
-    faces that the rank's subgroup fixes.  `_realize`, which compares one
-    row of faces, must give the verdict of the act-based faces with every
-    pair compared, and the same faces when it passes."""
+    """Wythoff's base faces from seeded random vertices, on the base
+    vertex's orbit and off it, and random subgroup lists, some of whose
+    ranks take a wrong subgroup.  `_realize`, which checks only the vertex
+    to be fixed and compares one row of faces, must give the verdict of
+    the act-based faces with every face checked to be fixed and every pair
+    compared, and the same faces when it passes."""
     rng = random.Random(37)
-    struct = build().structure
-    true = _base_faces_by_act(build)
-    symmetries = cf.group_cover() if build is build_cover else group_cube()
+    true = build().structure
+    # a fresh copy of the group, so the points off the orbit number tables
+    # that no build shares
+    group = ConcreteGroup.generate(true.group.generators)
+    vertex = _base_faces_by_act(build)[0]
+    points = [vertex] + sorted(set(orbit(group, vertex)) - {vertex})
     verdicts = []
     for _ in range(60):
-        faces = list(true)
-        ranks = [r for r in range(struct.rank) if rng.random() < 0.4]
-        ranks = ranks or [rng.randrange(struct.rank)]
-        g = rng.choice(symmetries.elements)
-        invariant = rng.random() < 0.5
-        for r in ranks:
-            faces[r] = (rng.choice(_invariant_faces(rng, struct, r, true[r], symmetries))
-                        if invariant else _face_image(r, true[r], g.act))
-        verdict = _verdict(_realize, struct, faces)
-        assert verdict == _full_scan_verdict(struct, faces), (ranks, faces)
+        subs = list(true.subgroups)
+        for r in range(1, true.rank):
+            if rng.random() < 0.25:
+                subs[r] = _random_subgroup(rng, group, true.subgroups, r)
+        struct = CosetGeometry(group, subs)
+        v = _random_vertex(rng, points)
+        verdict = _verdict(struct, v)
+        assert verdict == _full_scan_verdict(struct, v), (v, [len(sub) for sub in subs])
         if verdict == "pass":
-            assert _realize(struct, faces) == _faces_by_act(struct, faces)
+            assert _realize(struct, v) == _faces_by_act(struct, _wythoff_faces_by_act(struct, v))
         verdicts.append(verdict)
-    assert "pass" in verdicts and "realization.base-faces-stabilized" in verdicts
-    assert len(set(verdicts)) >= 3, sorted(set(verdicts))
+    assert "pass" in verdicts and len(set(verdicts)) >= 3, sorted(set(verdicts))
+
+
+def test_realize_ends_the_walk_of_a_two_face_orbit_that_closes_no_cycle(atlas):
+    """The cube with its vertex subgroup for the 2-face subgroup: the base
+    edge's orbit is the star of the four edges at v, whose far ends have
+    no way on.  The walk ends after one step per edge and names its check."""
+    subs = build_cube().structure.subgroups
+    struct = CosetGeometry(group_cube(), [subs[0], subs[1], subs[0], subs[3]])
+    with pytest.raises(CheckFailed) as exc:
+        _realize(struct, atlas.v)
+    assert exc.value.name == "realization.two-face-edges-close-a-cycle"
+    assert len(exc.value.witness) == 4
+
+
+def test_closed_cycle_walks_at_most_one_step_per_edge():
+    star = [(0, 1), (0, 2), (0, 3)]
+    path = [(0, 1), (1, 2), (2, 3)]
+    two_squares = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]
+    for edges in (star, path, two_squares, [(0, 1)], [(0, 1, 2)]):
+        with pytest.raises(CheckFailed, match=r"^realization\.two-face-edges-close-a-cycle"):
+            cf._closed_cycle(edges)
+    assert cf._closed_cycle([(2, 3), (0, 1), (1, 2), (0, 3)]) == (0, 1, 2, 3)
+
+
+def test_realize_at_the_antipodal_vertex_gives_the_zeta_image(atlas):
+    # -v is fixed by the vertex subgroup, and zeta = -I is central, so
+    # Wythoff's faces from -v are Roli's moved by zeta
+    roli = build_roli()
+    antipodal = _realize(roli.structure, atlas.zeta.act(atlas.v))
+    assert antipodal == {ref: _face_image(ref[0], face, atlas.zeta.act)
+                         for ref, face in roli.realization.items()}
 
 
 # -- the trivalent map --------------------------------------------------------------
@@ -873,6 +951,27 @@ def test_roli_two_faces_are_the_right_handed_polygons():
         assert polys[bundle.realization[ref]].chiral_class == "R"
 
 
+def test_roli_base_facet_is_the_map():
+    bundle = build_roli()
+    base_facet = bundle.realization[3, bundle.structure.base_flag[3]]
+    assert base_facet == tuple(sorted(build_map().edges))
+
+
+_BUILT_MAPS = """
+from polytope_forge import cubefamily as cf
+cf.build_roli(), cf.build_enantiomorph(), cf.build_cover()
+print(cf.build_map.cache_info().currsize)
+"""
+
+
+def test_roli_enantiomorph_and_cover_build_no_map():
+    src = str(Path(cf.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _BUILT_MAPS], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
+
+
 def test_roli_facets_share_all_vertices():
     struct = build_roli().structure
     for facet in struct.refs(3):
@@ -924,8 +1023,9 @@ def _enantiomorph_by_stabilizers():
     sub2 = rot.subgroup([g.conjugate(rho0) for g in group_petrie_stabilizer().generator_list()])
     sub3 = rot.subgroup([g.conjugate(rho0) for g in roli.structure.subgroups[3].generator_list()])
     struct = CosetGeometry(rot, [sub0, sub1, sub2, sub3])
-    realization = _realize(struct, [atlas.v_bar, base_edge,
-                                    atlas.base_octagon.transformed(rho0).vertices, mirror_facet])
+    realization = _realize_by_act(struct, [atlas.v_bar, base_edge,
+                                           atlas.base_octagon.transformed(rho0).vertices,
+                                           mirror_facet])
     mirror = cf._realized_face_map(roli.realization, realization, rho0.act)
     assert _face_map_fault(roli.structure, mirror, roli.structure.all_refs(),
                            struct, struct.all_refs()) is None
@@ -945,6 +1045,13 @@ def test_enantiomorph_against_the_stabilizer_build():
     assert struct._inc == expected._inc
     assert bundle.realization == oracle.realization
     assert bundle.certificate() == oracle.certificate()
+
+
+def test_enantiomorph_base_faces_are_rolis_mirrored_by_rho0(atlas):
+    roli, bar = build_roli(), build_enantiomorph()
+    for r, (right, left) in enumerate(zip(roli.structure.base_flag, bar.structure.base_flag)):
+        assert bar.realization[r, left] == _face_image(r, roli.realization[r, right],
+                                                       atlas.rho0.act)
 
 
 def test_enantiomorph_two_faces_are_left_handed():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from polytope_forge import mkconfig as mk
 from polytope_forge.cubefamily import build_atlas, group_cube, group_unitary, point_labels
-from polytope_forge.groupcore import CheckFailed
+from polytope_forge.groupcore import CheckFailed, ConcreteGroup
 from polytope_forge.mkconfig import ONE, QF, ZERO
 from test_signedperm import matrix
 
@@ -543,6 +543,14 @@ def test_group_333_makes_no_field_product(monkeypatch):
     assert count[0] == 0
 
 
+def _commutes(g, m) -> bool:
+    """Does g = diag(e)·P(mu) commute with m?  Row i of gm is e_i·m[(i)mu],
+    and row i of mg is m[i] acted on by g.  The scan of every cube
+    symmetry with it is the oracle of group_333's orbit–stabilizer count."""
+    return all(tuple(e * x for x in m[p - 1]) == g.act(m[i])
+               for i, (e, p) in enumerate(zip(g.signs, g.perm)))
+
+
 def test_commutation_test_agrees_with_integer_products():
     # K = sqrt(3) J has entries 0 and +-1: g commutes with J exactly when
     # the integer products gK and Kg agree.
@@ -560,13 +568,47 @@ def test_commutation_test_agrees_with_integer_products():
     assert len(group) == 384 and len(commuting) == 24
     assert k == [list(row) for row in mk._J_PATTERN]
     for g in group:
-        assert mk._commutes(g, j) == (g in commuting), g
-    # group_333 scans on the integer pattern; the field scan is its oracle
+        assert _commutes(g, j) == (g in commuting), g
+    # group_333 counts on the integer pattern; the scans are its oracle
     report = mk.group_333()
     assert report["centralizer_order"] == len(commuting)
     assert report["centralizer_equals_group"]
-    assert set(commuting) == {g for g in group if mk._commutes(g, mk._J_PATTERN)}
+    assert set(commuting) == {g for g in group if _commutes(g, mk._J_PATTERN)}
     assert set(commuting) == group_unitary().element_set
+
+
+def test_conjugation_is_the_matrix_product_and_m_has_16_conjugates():
+    m = [list(row) for row in mk._J_PATTERN]
+
+    def mul(p, q):
+        return [[sum(p[r][t] * q[t][c] for t in range(4)) for c in range(4)]
+                for r in range(4)]
+
+    group = group_cube()
+    for g in group:
+        conjugate = mul(mul(matrix(g), m), matrix(g.inverse()))
+        assert [list(row) for row in mk._conjugate(mk._J_PATTERN, g)] == conjugate, g
+        assert (mk._conjugate(mk._J_PATTERN, g) == mk._J_PATTERN) == _commutes(g, mk._J_PATTERN)
+    # orbit–stabilizer: 384 symmetries, 16 conjugates, a centralizer of 24
+    conjugates = {mk._conjugate(mk._J_PATTERN, g) for g in group}
+    assert len(conjugates) == 16 and len(group) // len(conjugates) == 24
+
+
+@pytest.mark.parametrize("generators", [("gamma1", "rho0"), ("gamma1",)],
+                         ids=["order-24-moving-m", "order-3-fixing-m"])
+def test_group_333_tells_a_wrong_group_from_the_centralizer(generators, monkeypatch):
+    """<gamma1, rho0> has the centralizer's order, but rho0 does not
+    commute with M; <gamma1> commutes with M, but is too small."""
+    atlas = build_atlas()
+    wrong = ConcreteGroup.generate([getattr(atlas, name) for name in generators])
+    monkeypatch.setattr(mk, "group_unitary", lambda: wrong)
+    mk.group_333.cache_clear()
+    try:
+        report = mk.group_333()
+    finally:
+        mk.group_333.cache_clear()
+    assert report["centralizer_order"] == 24
+    assert not report["centralizer_equals_group"]
 
 
 def test_cross_polytope():
