@@ -757,7 +757,7 @@ def build_cube() -> CubeBundle:
     colourful = colourful_polytope(skeleton)
     check(colourful.isomorphic_to(struct), "cube.colourful-isomorphic", colourful.f_vector)
 
-    result = classify(struct, _sigma_face_maps(struct))
+    result = classify(struct)
     check(result.kind is Classification.REGULAR, "cube.regular", result.kind)
     return CubeBundle(structure=struct, realization=realization, skeleton=skeleton,
                       colourful=colourful, classification=result.kind,
@@ -907,8 +907,7 @@ def build_map() -> MapBundle:
     aut_count = automorphism_count(levi)
     check(aut_count == 96, "map.levi-automorphisms", aut_count)
 
-    rot_maps = _sigma_face_maps(struct)
-    rot_result = classify(struct, rot_maps)
+    rot_result = classify(struct)
     check(rot_result.orbit_count == 2 and rot_result.flag_count == 96,
           "map.rotation-group-has-two-flag-orbits", rot_result)
 
@@ -936,7 +935,7 @@ def build_map() -> MapBundle:
 
     # the same involutions arise as words in the base one and the rotations:
     # t1 = t0 * s1 and t2 = t0 * s1 * s2 as face bijections
-    fs1, fs2 = (face_permutation(struct, mapping) for mapping in rot_maps)
+    fs1, fs2 = (face_permutation(struct, mapping) for mapping in _sigma_face_maps(struct))
     word = t_gens[0] * fs1
     check(t_gens[1] == word, "map.t1-is-t0-s1", word)
     word = word * fs2
@@ -1028,7 +1027,7 @@ def build_roli() -> RoliBundle:
                 and sum(p.edge_set() <= m for m in facet_edge_sets) != 2), None)
     check(bad is None, "roli.octagon-on-two-facets", bad)
 
-    result = classify(struct, _sigma_face_maps(struct))
+    result = classify(struct)
     check(result.kind is Classification.CHIRAL, "roli.chiral", result)
 
     # the mirror map sigma1 -> sigma1^-1, sigma2 -> sigma1^2 sigma2, sigma3 -> sigma3
@@ -1176,7 +1175,7 @@ def build_cover() -> CoverBundle:
     base_facet = realization[3, struct.base_flag[3]]
     check(len(base_facet) == 24, "cover.facet-edge-count", len(base_facet))
 
-    result = classify(struct, _sigma_face_maps(struct))
+    result = classify(struct)
     check(result.kind is Classification.REGULAR and result.flag_count == 768,
           "cover.regular-with-768-flags", result)
 

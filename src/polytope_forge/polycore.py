@@ -299,11 +299,26 @@ class RankedIncidenceStructure:
 
     def schlafli_type(self) -> tuple[int, ...]:
         """The type vector {p_1, ..., p_{n-1}}; fails the check
-        `polytope.equivelar` when the rank-j sections disagree."""
+        `polytope.equivelar` when the rank-j sections disagree.
+
+        p_j is the number of (j-1)-faces in every section from a (j-2)-face
+        to an incident (j+1)-face, counted in the faces incident with both
+        ends.  The formal bottom and top are incident with every face, so a
+        section that starts at the bottom or ends at the top counts the
+        faces incident with its other end, or every face when it does both."""
+        inc, n = self._inc, self.rank
         out = []
-        for j in range(1, self.rank):
-            values = {sum(1 for ref in mid if ref[0] == j - 1)
-                      for _, _, mid in self.sections(j - 2, j + 1)}
+        for j in range(1, n):
+            if n == 2:
+                sections = [self.all_refs()]
+            elif j == 1:
+                sections = [inc[hi] for hi in self.refs(2)]
+            elif j == n - 1:
+                sections = [inc[lo] for lo in self.refs(j - 2)]
+            else:
+                sections = [inc[lo] & inc[hi] for lo in self.refs(j - 2)
+                            for hi in inc[lo] if hi[0] == j + 1]
+            values = {sum(1 for r, _ in faces if r == j - 1) for faces in sections}
             check(len(values) == 1, "polytope.equivelar", (j, sorted(values)))
             out.append(values.pop())
         return tuple(out)
@@ -359,46 +374,51 @@ def _flag_count(p: RankedIncidenceStructure) -> int:
     return sum(below)
 
 
-def classify(p: CosetGeometry, face_maps: Sequence[Mapping[FaceRef, FaceRef]]
+def classify(p: CosetGeometry, face_maps: Sequence[Mapping[FaceRef, FaceRef]] | None = None
              ) -> ClassifyResult:
-    """Flag-orbit classification of a coset geometry under a group given by
-    face bijections.
+    """Flag-orbit classification of a coset geometry under p.group acting by
+    right multiplication, or under the group generated by `face_maps`.
 
     Regular: one orbit.  Chiral: two orbits and every pair of adjacent flags
     is split across them.  Anything else: Other.
 
-    Each face map must be an automorphism of the polytope p.  One that
-    misses a face or sends a face to another rank is a `ValueError`, and so
-    is a p that is no `CosetGeometry`; nothing else is checked.  A coset
-    face action is one, since right multiplication keeps intersecting
-    cosets intersecting.  Automorphisms of a polytope act freely on its
-    flags (McMullen & Schulte, Abstract Regular Polytopes, 2B), so every
-    orbit has as many flags as the orbit of p's base flag, the faces that
-    hold the identity, the only one walked, and the flags are counted, not
-    listed.  Automorphisms commute with j-adjacency, so when the base
-    flag's j-adjacent flag lies outside its orbit, j-adjacency maps the
-    base orbit injectively into the other orbit, of the same size, and so
-    onto it: every j-adjacent pair is split, and `rank` adjacency tests
-    decide chirality.
+    A p that is no `CosetGeometry` is a `ValueError`.  Each face map must be
+    an automorphism of the polytope p.  One that misses a face or sends a
+    face to another rank is a `ValueError`; nothing else is checked.
+    Right multiplication by g is one, since it keeps intersecting cosets
+    intersecting.  Automorphisms of a polytope act freely on its flags
+    (McMullen & Schulte, Abstract Regular Polytopes, 2B), so every orbit has
+    as many flags as the orbit of p's base flag, the faces that hold the
+    identity, and the flags are counted, not listed.  Automorphisms commute
+    with j-adjacency, so when the base flag's j-adjacent flag lies outside
+    its orbit, j-adjacency maps the base orbit injectively into the other
+    orbit, of the same size, and so onto it: every j-adjacent pair is split,
+    and `rank` adjacency tests decide chirality.
 
-    The orbit is walked a breadth-first layer at a time: the new flags'
-    rank-r faces form one column, each face map moves every column through
-    its rank-r index table, and the moved columns zip back into flags.
+    Under p.group, g sends the base flag to the flag of the faces that hold
+    g, so the base orbit is read off the cosets: one flag per column of
+    p.canon.  Face maps are walked a breadth-first layer at a time: the new
+    flags' rank-r faces form one column, each face map moves every column
+    through its rank-r index table, and the moved columns zip back into
+    flags.
     """
     if not isinstance(p, CosetGeometry):
         raise ValueError("structure carries no coset decomposition")
-    tables = [_images_by_rank(p, fm) for fm in face_maps]
     base = p.base_flag
-    orbit = {base}
-    layer = orbit
-    while layer:
-        columns = list(zip(*layer))
-        moved = set()
-        for table in tables:
-            moved.update(zip(*[map(images.__getitem__, column)
-                               for images, column in zip(table, columns)]))
-        layer = moved - orbit
-        orbit |= layer
+    if face_maps is None:
+        orbit = set(zip(*p.canon))
+    else:
+        tables = [_images_by_rank(p, fm) for fm in face_maps]
+        orbit = {base}
+        layer = orbit
+        while layer:
+            columns = list(zip(*layer))
+            moved = set()
+            for table in tables:
+                moved.update(zip(*[map(images.__getitem__, column)
+                                   for images, column in zip(table, columns)]))
+            layer = moved - orbit
+            orbit |= layer
     flag_count = _flag_count(p)
     orbits = flag_count // len(orbit)
     if orbits == 1:

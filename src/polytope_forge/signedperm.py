@@ -19,10 +19,6 @@ __all__ = [
     "block_pair",
 ]
 
-# what `SignedPerm.parse` reads; `re` compiles it on the first parse
-_ELEMENT_PATTERN = r"^\(([^()]*)\)\s*[·*]\s*((?:\([^()]*\))+|\(\))$"
-
-
 def _cycles_to_image(n: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]:
     image = list(range(1, n + 1))
     for cycle in cycles:
@@ -106,17 +102,21 @@ class SignedPerm(namedtuple("SignedPerm", "n perm signs")):
 
     @classmethod
     def parse(cls, text: str) -> "SignedPerm":
-        import re
-        m = re.match(_ELEMENT_PATTERN, text.strip())
-        if not m:
+        """Read the form `str` writes: the sign vector in parentheses, a `·`
+        or `*` with optional white space around it, then one or more
+        parenthesized cycles with nothing between them, `()` for none.  No
+        other parenthesis may appear; anything else is a `ValueError`."""
+        head, _, rest = text.strip().partition(")")
+        rest = rest.lstrip()
+        body = rest[1:].lstrip()
+        if not (head[:1] == "(" and rest[:1] in ("·", "*")
+                and body[:1] == "(" and body[-1:] == ")"):
             raise ValueError(f"cannot parse signed permutation {text!r}")
-        signs = tuple(int(tok) for tok in m.group(1).split(","))
-        n = len(signs)
-        cycles = []
-        for cyc in re.findall(r"\(([^()]*)\)", m.group(2)):
-            if cyc.strip():
-                cycles.append(tuple(int(tok) for tok in cyc.split(",")))
-        return cls(signs, _cycles_to_image(n, cycles))
+        # a parenthesis left inside the signs or a cycle fails int()
+        signs = tuple(int(tok) for tok in head[1:].split(","))
+        cycles = [tuple(int(tok) for tok in cyc.split(","))
+                  for cyc in body[1:-1].split(")(") if cyc.strip()]
+        return cls(signs, _cycles_to_image(len(signs), cycles))
 
     # -- group operations --------------------------------------------------
 

@@ -3,7 +3,9 @@ exits 1 and names the check, and all of it holds under `python -O`."""
 
 import ast
 import copy
+import importlib.util
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -183,13 +185,21 @@ def _swapped_table_rows(patch):
     patch(mk, "table_coordinates", lambda: {**real(), 1: real()[2], 2: real()[1]})
 
 
-def _fewer_face_maps(patch, group=None):
-    """`classify` gets the face maps of every generator but the last, so the
-    flags fall into more orbits than the build expects.  With `group`, only
-    the coset geometry of that group's build is affected."""
-    real = cf._sigma_face_maps
-    patch(cf, "_sigma_face_maps", lambda struct: real(struct)[:-1]
-          if group is None or struct.group is group() else real(struct))
+def _fewer_flags(patch):
+    """`classify` sees only the flags of the subgroup generated by every
+    generator but the last: `canon` keeps the positions of its elements, so
+    the base orbit is that subgroup's and the flags fall into more orbits
+    than the build expects."""
+    real = cf.classify
+
+    def classify(struct, face_maps=None):
+        whole = struct.group
+        index = whole.table().index
+        kept = [index[g] for g in whole.subgroup(whole.generator_list()[:-1])]
+        struct = copy.copy(struct)
+        struct.canon = tuple([canon[i] for i in kept] for canon in struct.canon)
+        return real(struct, face_maps)
+    patch(cf, "classify", classify)
 
 
 def _prism_for_gp83(patch):
@@ -240,11 +250,9 @@ FAULTS = {
                               ["build", "roli"], "realization.incidence-is-containment"),
     "realize-mixed-two-faces": (_mirrored_roli_two_face, ["build", "roli"],
                                 "realization.two-faces-share-a-chiral-class"),
-    "cube-face-maps": (_fewer_face_maps, ["build", "cube"], "cube.regular"),
-    "cover-face-maps": (_fewer_face_maps, ["build", "cover"], "cover.regular-with-768-flags"),
-    # build roli classifies the cube and the map first: patch Roli's maps alone
-    "roli-face-maps": (lambda patch: _fewer_face_maps(patch, cf.group_rotation_sigma),
-                       ["build", "roli"], "roli.chiral"),
+    "cube-face-maps": (_fewer_flags, ["build", "cube"], "cube.regular"),
+    "cover-face-maps": (_fewer_flags, ["build", "cover"], "cover.regular-with-768-flags"),
+    "roli-face-maps": (_fewer_flags, ["build", "roli"], "roli.chiral"),
 }
 
 
@@ -692,3 +700,27 @@ def test_every_failure_in_the_package_is_a_check():
                     and "CheckFailed" in ast.unparse(node.exc or node):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert not found, found
+
+
+def _check_mutants():
+    """tools/check_mutants.py, the mutation audit, loaded as a module."""
+    path = PACKAGE.parents[1] / "tools" / "check_mutants.py"
+    spec = importlib.util.spec_from_file_location("check_mutants", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mutation_audit_adds_up_repeated_only_flags(monkeypatch, capsys):
+    # the audit lists the sites it selects; nothing is mutated or tested here
+    audit = _check_mutants()
+    monkeypatch.setattr(audit, "mutated", lambda source, site: source)
+    monkeypatch.setattr(audit, "run_tests", lambda copy, site, full: ("survived", None))
+
+    def audited(*argv):
+        assert audit.main(list(argv)) == 0
+        return [json.loads(line)["id"] for line in capsys.readouterr().out.splitlines()]
+
+    assert audited("--only", "cube.regular", "--only", "roli.chiral", "cover.regular-*") == [
+        "cube.regular", "roli.chiral", "cover.regular-with-768-flags"]
+    assert set(audited()) == _package_check_ids()

@@ -23,6 +23,7 @@ from polytope_forge.cubefamily import (
     _project_first,
     _project_second_mirror,
     _realized_face_map,
+    _sigma_face_maps,
     build_atlas,
     build_cover,
     build_cube,
@@ -522,12 +523,31 @@ def test_classify_against_the_face_map_oracle(make, kind, orbits):
     assert p.base_flag in p.flags()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: build_cube().structure,
+    lambda: build_map().structure,
+    lambda: build_roli().structure,
+    lambda: build_enantiomorph().structure,
+    lambda: build_cover().structure,
+    lambda: _bn_polytope(3, SignedPerm((1, -1, 1), (3, 1, 2))),
+    lambda: _bn_polytope(4),
+    lambda: _bn_polytope(5),
+], ids=["cube", "map", "roli", "enantiomorph", "cover", "b3", "b4", "b5"])
+def test_classify_under_the_group_equals_its_generators_face_maps(make):
+    # right multiplication by the group has the base orbit read off canon;
+    # the generators' face maps walk the same orbit
+    p = make()
+    assert classify(p) == classify(p, _sigma_face_maps(p))
+
+
 @pytest.mark.parametrize("make,kind", [
     (lambda: _own_action(build_cube().structure), REG),
     (lambda: _own_action(build_roli().structure), CHI),
     (lambda: _own_action(build_cover().structure), REG),
     (lambda: _ladder_rung(5), REG),
-], ids=["cube", "roli", "cover", "b5"])
+    (lambda: (build_roli().structure, None), CHI),
+    (lambda: (build_cover().structure, None), REG),
+], ids=["cube", "roli", "cover", "b5", "roli-group", "cover-group"])
 def test_classify_lists_no_flags(make, kind, monkeypatch):
     # flags are counted as chains and only the base orbit is walked
     p, face_maps = make()
@@ -603,6 +623,32 @@ def test_schlafli_types():
     assert build_cube().structure.schlafli_type() == (4, 3, 3)
     assert build_map().structure.schlafli_type() == (8, 3)
     assert build_roli().structure.schlafli_type() == (8, 3, 3)
+
+
+_FACE_MAP_CALLS = """
+from polytope_forge import cubefamily as cf
+calls = 0
+real = cf.coset_face_action
+def counted(struct, element):
+    global calls
+    calls += 1
+    return real(struct, element)
+cf.coset_face_action = counted
+cf.build_cover()
+print(calls)
+cf.build_map()
+print(calls)
+"""
+
+
+def test_build_cover_makes_no_face_map():
+    # the cover, the cube and Roli's cube are classified under their own
+    # groups; build_map still makes its generators' two face maps
+    src = str(Path(polytope_forge.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", _FACE_MAP_CALLS], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "2"]
 
 
 # -- central quotient ----------------------------------------------------------
@@ -1252,6 +1298,110 @@ def test_triangular_prism_is_a_polytope_but_not_equivelar():
     with pytest.raises(CheckFailed) as exc:
         struct.schlafli_type()
     assert exc.value.name == "polytope.equivelar" and exc.value.witness == (1, [3, 4])
+
+
+def _schlafli_type_by_sections(struct):
+    """schlafli_type as it was before it counted incidences: every section
+    listed and sorted by `sections`."""
+    out = []
+    for j in range(1, struct.rank):
+        values = {sum(1 for ref in mid if ref[0] == j - 1)
+                  for _, _, mid in struct.sections(j - 2, j + 1)}
+        check(len(values) == 1, "polytope.equivelar", (j, sorted(values)))
+        out.append(values.pop())
+    return tuple(out)
+
+
+def _type_or_failure(schlafli_type):
+    try:
+        return schlafli_type()
+    except CheckFailed as exc:
+        return exc.name, exc.witness
+
+
+def _prism(faces_by_rank):
+    """The faces, as vertex tuples, of the prism over a polytope given so:
+    F x {0}, F x {1} and F x [0, 1], with the vertex (v, s) numbered 2v + s,
+    one rank up."""
+    n = len(faces_by_rank)
+    whole = tuple(sorted({v for (v,) in faces_by_rank[0]}))
+
+    def at(face, ends):
+        return tuple(sorted(2 * v + s for v in face for s in ends))
+
+    return [
+        [at(f, (s,)) for f in (faces_by_rank[k] if k < n else [whole]) for s in (0, 1)]
+        + ([at(f, (0, 1)) for f in faces_by_rank[k - 1]] if k else [])
+        for k in range(n + 1)]
+
+
+def _simplex(n):
+    return [list(itertools.combinations(range(n + 1), k + 1)) for k in range(n)]
+
+
+_SEGMENT = [[(0,), (1,)]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_cube().structure,
+    lambda: build_cube().colourful,
+    lambda: build_hemi().structure,
+    lambda: build_hemi().colourful,
+    lambda: build_map().structure,
+    lambda: build_roli().structure,
+    lambda: build_enantiomorph().structure,
+    lambda: build_cover().structure,
+    lambda: _bn_polytope(2),
+    lambda: _bn_polytope(5),
+    lambda: _wythoff(ConcreteGroup.generate({"r": build_atlas().rho0})),
+    lambda: _from_vertex_sets(_prism(_SEGMENT)),
+    lambda: _from_vertex_sets(_prism(_simplex(2))),
+    lambda: _from_vertex_sets(_prism(_simplex(3))),
+    lambda: _from_vertex_sets(_prism([[(v,) for v in range(4)],
+                                      [(0, 1), (1, 2), (2, 3), (0, 3)]])),
+    lambda: _from_vertex_sets(_prism(_prism(_prism(_SEGMENT)))),
+], ids=["cube", "cube-colourful", "hemi", "hemi-colourful", "map", "roli", "enantiomorph",
+        "cover", "square", "b5", "segment", "segment-prism", "triangular-prism",
+        "tetrahedral-prism", "square-prism", "tesseract"])
+def test_schlafli_type_against_the_sections_oracle(make):
+    struct = make()
+    struct.validate_polytope()
+    assert _type_or_failure(struct.schlafli_type) == _type_or_failure(
+        lambda: _schlafli_type_by_sections(struct))
+
+
+def test_schlafli_type_of_prisms():
+    assert _from_vertex_sets(_prism(_SEGMENT)).schlafli_type() == (4,)
+    tesseract = _from_vertex_sets(_prism(_prism(_prism(_SEGMENT))))
+    assert tesseract.f_vector == (16, 32, 24, 8) and tesseract.schlafli_type() == (4, 3, 3)
+    # triangles and squares: the non-equivelar case, in rank 3 and rank 4
+    for struct in map(_from_vertex_sets, (_prism(_simplex(2)), _prism(_simplex(3)))):
+        with pytest.raises(CheckFailed) as exc:
+            struct.schlafli_type()
+        assert exc.value.name == "polytope.equivelar" and exc.value.witness == (1, [3, 4])
+
+
+def test_schlafli_type_on_seeded_random_incidence_structures():
+    # any ranked incidence structure, polytope or not: a section counts the
+    # (j-1)-faces incident with both its ends, so the two agree everywhere
+    rng = random.Random(42)
+    verdicts = collections.Counter()
+    for _ in range(400):
+        rank = rng.randint(1, 5)
+        faces = [list(range(rng.randint(0, 3))) for _ in range(rank)]
+        refs = [(r, k) for r, keys in enumerate(faces) for k in keys]
+        pairs = [(a, b) for a, b in itertools.combinations(refs, 2)
+                 if a[0] != b[0] and rng.random() < 0.7]
+        struct = RankedIncidenceStructure(rank, faces, pairs)
+        found = _type_or_failure(struct.schlafli_type)
+        assert found == _type_or_failure(lambda: _schlafli_type_by_sections(struct))
+        if found and found[0] == "polytope.equivelar":
+            j = found[1][0]
+            verdicts["bottom" if j == 1 else "top" if j == rank - 1 else "middle"] += 1
+        else:
+            verdicts["type"] += 1
+    # types, and failures at sections from the bottom, to the top and between
+    assert all(verdicts[k] for k in ("type", "bottom", "top", "middle")), verdicts
 
 
 def test_validate_polytope_rejects_disconnected_section():

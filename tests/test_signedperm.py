@@ -3,13 +3,14 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polytope_forge.cubefamily import build_atlas, group_cube
-from polytope_forge.signedperm import SignedPerm, block_pair
+from polytope_forge.signedperm import SignedPerm, _cycles_to_image, block_pair
 
 
 def matrix(g):
@@ -219,8 +220,54 @@ def test_invalid_constructions_rejected():
                         ((1, 1, 1, 1), (2, 3, 4, 5)), ((1, 1, 1), (1, 2, 3, 4))]:
         with pytest.raises(ValueError):
             SignedPerm(signs, perm)
-    with pytest.raises(ValueError):
-        SignedPerm.parse("garbage")
+    for text in ["garbage", "", "()", "(1,1)", "(1,1)·", "(1,1)(1,2)", "(1,1)·(1,2",
+                 "(1,1)·1,2)", "(1,1)·(1,2) (3,4)", "(1,1)·(1,2)x", "((1,1))·(1,2)",
+                 "(1,1)·((1,2))", "(1,1)··(1,2)", "(1,1)+(1,2)", "x(1,1)·(1,2)",
+                 "(1,1)·(1,2))", "(1,1)·(1,(2)", "()·()", "(1,1)·(1,3)", "(1,2)·()"]:
+        with pytest.raises(ValueError):
+            SignedPerm.parse(text)
+
+
+# what `SignedPerm.parse` matched before it read the text without `re`
+_ELEMENT_PATTERN = r"^\(([^()]*)\)\s*[·*]\s*((?:\([^()]*\))+|\(\))$"
+
+
+def _parse_by_pattern(text):
+    m = re.match(_ELEMENT_PATTERN, text.strip())
+    if not m:
+        raise ValueError(f"cannot parse signed permutation {text!r}")
+    signs = tuple(int(tok) for tok in m.group(1).split(","))
+    cycles = [tuple(int(tok) for tok in cyc.split(","))
+              for cyc in re.findall(r"\(([^()]*)\)", m.group(2)) if cyc.strip()]
+    return SignedPerm(signs, _cycles_to_image(len(signs), cycles))
+
+
+def _parsed_or_rejected(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+def test_parse_accepts_and_rejects_what_the_pattern_did():
+    # seeded edits of printed elements: a token inserted, deleted or
+    # swapped for another, white space around the pieces, or both
+    rng = random.Random(17)
+    tokens = ["(", ")", ",", "·", "*", " ", "\t", "\n", "-1", "1", "2", "3", "x", ")(", "()"]
+    elements = [g for g in group_cube()] + [build_atlas().kappa2, SignedPerm.identity(3)]
+    outcomes = {True: 0, False: 0}
+    for _ in range(3000):
+        text = str(rng.choice(elements)).replace("·", rng.choice(["·", "*", " · ", "\t*"]))
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            text = (text[:k] + (rng.choice(tokens) if edit else "")
+                    + text[k + (edit != 1):])
+        text = rng.choice(["", " ", "\n"]) + text + rng.choice(["", " ", "\n", "\t "])
+        found = _parsed_or_rejected(SignedPerm.parse, text)
+        assert found == _parsed_or_rejected(_parse_by_pattern, text), text
+        outcomes[found is not ValueError] += 1
+    assert min(outcomes.values()) > 500, outcomes
 
 
 def test_copy_deepcopy_and_pickle_round_trip(atlas):

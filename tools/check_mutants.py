@@ -13,8 +13,9 @@ exit code when none is named).  The counts go to standard error at the end.
 
 The fast mode (the default) runs `tests/test_checks.py` and the test file
 of the site's module, `tests/test_<module>.py`; `--full` runs `tests/`.
-`--only` keeps the sites whose id matches one of its shell patterns.  Sites
-run one at a time.  The audit is not part of the test suite.
+`--only` keeps the sites whose id matches one of its shell patterns, and a
+repeated `--only` adds its patterns to the earlier ones.  Sites run one at
+a time.  The audit is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def run_tests(copy: Path, site: Site, full: bool) -> tuple[str, str | None]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--full", action="store_true", help="run all of tests/ per site")
-    parser.add_argument("--only", nargs="+", default=["*"], metavar="PATTERN",
-                        help="shell patterns of the check ids to mutate")
+    # no default list: "extend" would add to it, and "*" matches every id
+    parser.add_argument("--only", nargs="+", action="extend", metavar="PATTERN",
+                        help="shell patterns of the check ids to mutate (default: all)")
     args = parser.parse_args(argv)
+    patterns = args.only or ["*"]
 
     counts = {"killed": 0, "survived": 0}
     with tempfile.TemporaryDirectory(prefix="check-mutants-") as tmp:
@@ -108,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in sorted((copy / PACKAGE).glob("*.py")):
             source = path.read_bytes()
             for site in check_sites(source, path.stem):
-                if not any(fnmatch.fnmatchcase(site.check_id, p) for p in args.only):
+                if not any(fnmatch.fnmatchcase(site.check_id, p) for p in patterns):
                     continue
                 path.write_bytes(mutated(source, site))
                 try:
