@@ -13,12 +13,12 @@ import math
 import os
 import sys
 import time
-from collections import namedtuple
 
 from . import cubefamily as cf
 from .groupcore import (DEFAULT_CAP, CapExceeded, CheckFailed, Homomorphism, enumerate_cosets,
                         intersection_condition, string_condition)
 from .polycore import Classification, isomorphisms
+from .records import record
 
 __all__ = [
     "Claim", "Report", "ProjectionSpec", "CliConfig",
@@ -39,8 +39,8 @@ def _mk():
     return mkconfig
 
 
-class Claim(namedtuple("Claim", "claim_id criterion expected computed passed note",
-                       defaults=("",))):
+class Claim(record("Claim", "claim_id criterion expected computed passed note",
+                   defaults=("",))):
     __slots__ = ()
 
     def line(self) -> str:
@@ -55,7 +55,7 @@ class Claim(namedtuple("Claim", "claim_id criterion expected computed passed not
                 "passed": self.passed, "note": self.note}
 
 
-class Report(namedtuple("Report", "claims elapsed_seconds")):
+class Report(record("Report", "claims elapsed_seconds")):
     """The battery's outcome: its claims, in battery order, and the time
     they took."""
 
@@ -73,14 +73,14 @@ class Report(namedtuple("Report", "claims elapsed_seconds")):
         }
 
 
-CliConfig = namedtuple("CliConfig", "cap", defaults=(DEFAULT_CAP,))
+CliConfig = record("CliConfig", "cap", defaults=(DEFAULT_CAP,))
 
 
 # ---------------------------------------------------------------------------
 # the battery
 # ---------------------------------------------------------------------------
 
-class _Row(namedtuple("_Row", "claim_id criterion expected compute note", defaults=("",))):
+class _Row(record("_Row", "claim_id criterion expected compute note", defaults=("",))):
     """One claim.  `compute(cfg)` gives the computed value; a boolean claim
     expects True and computes a real bool.  When `note` is None the note
     reports on the computed value, and `compute` returns (value, note)."""
@@ -287,8 +287,8 @@ def all_claim_ids() -> list[str]:
 # projections
 # ---------------------------------------------------------------------------
 
-class ProjectionSpec(namedtuple("ProjectionSpec", "name basis scale colors labelled_points_only",
-                                defaults=(100.0, (1, 2, 3, 4), False))):
+class ProjectionSpec(record("ProjectionSpec", "name basis scale colors labelled_points_only",
+                            defaults=(100.0, (1, 2, 3, 4), False))):
     """`basis` is two 4-vectors that span the drawing plane."""
 
     __slots__ = ()

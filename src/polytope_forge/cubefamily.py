@@ -10,7 +10,6 @@ against its sign-vector/cycle display at construction time.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from functools import lru_cache
 
 from .groupcore import (
@@ -40,6 +39,7 @@ from .polycore import (
     polytope_from_rotations,
     verify_covering,
 )
+from .records import record
 from .signedperm import SignedPerm, block_pair
 
 __all__ = [
@@ -106,7 +106,7 @@ def _cycle_edges(cycle) -> frozenset:
     return frozenset(tuple(sorted((cycle[k], cycle[(k + 1) % n]))) for k in range(n))
 
 
-class PetriePolygon(namedtuple("PetriePolygon", "vertices")):
+class PetriePolygon(record("PetriePolygon", "vertices")):
     """A closed 8-step edge path in which any 3, but no 4, consecutive edges
     lie in a cube facet.  Stored in canonical cyclic form (lexicographically
     least over rotations and both directions)."""
@@ -197,10 +197,10 @@ def _trace_polygon(start: Point, directions: list[int]) -> PetriePolygon:
 # atlas
 # ---------------------------------------------------------------------------
 
-class Atlas(namedtuple("Atlas", "rho0 rho1 rho2 rho3 pi zeta mu0 mu1 mu2 sigma1 sigma2 sigma3 "
-                                "sigma1_bar sigma2_bar sigma3_bar kappa1 kappa2 kappa3 "
-                                "tau0 tau1 tau2 tau3 gamma1 gamma2 v v_bar "
-                                "base_octagon base_octagram")):
+class Atlas(record("Atlas", "rho0 rho1 rho2 rho3 pi zeta mu0 mu1 mu2 sigma1 sigma2 sigma3 "
+                            "sigma1_bar sigma2_bar sigma3_bar kappa1 kappa2 kappa3 "
+                            "tau0 tau1 tau2 tau3 gamma1 gamma2 v v_bar "
+                            "base_octagon base_octagram")):
     """Symbol table of the standard named elements, all relation-checked:
     `SignedPerm`s from rho0 to gamma2, the points v and v_bar, and the
     base octagon and octagram as `PetriePolygon`s."""
@@ -722,8 +722,8 @@ def _sigma_face_maps(struct: CosetGeometry) -> list:
 # builds
 # ---------------------------------------------------------------------------
 
-class CubeBundle(namedtuple("CubeBundle", "structure realization skeleton colourful "
-                                          "classification flag_count type_vector")):
+class CubeBundle(record("CubeBundle", "structure realization skeleton colourful "
+                                      "classification flag_count type_vector")):
     __slots__ = ()
 
     def certificate(self) -> dict:
@@ -764,8 +764,8 @@ def build_cube() -> CubeBundle:
                       flag_count=result.flag_count, type_vector=struct.schlafli_type())
 
 
-class HemiBundle(namedtuple("HemiBundle", "structure quotient_group_order "
-                                          "generator_product_order colourful")):
+class HemiBundle(record("HemiBundle", "structure quotient_group_order "
+                                      "generator_product_order colourful")):
     __slots__ = ()
 
     def certificate(self) -> dict:
@@ -825,9 +825,10 @@ def build_hemi() -> HemiBundle:
                       generator_product_order=prod_order, colourful=colourful)
 
 
-class MapBundle(namedtuple("MapBundle", "structure octagons edges levi_automorphism_count "
-                                        "full_group regularity_hom rotation_classification "
-                                        "edge_stabilizer_in_full_group mu0_preserves_edges")):
+class MapBundle(record("MapBundle", "structure octagons edges levi_automorphism_count "
+                                    "full_group regularity_hom rotation_classification "
+                                    "edge_stabilizer_in_full_group mu0_preserves_edges "
+                                    "type_vector")):
     """`full_group` is generated by t0, t1, t2."""
 
     __slots__ = ()
@@ -836,7 +837,7 @@ class MapBundle(namedtuple("MapBundle", "structure octagons edges levi_automorph
         return {
             "object": "map",
             "f_vector": list(self.structure.f_vector),
-            "type_vector": list(self.structure.schlafli_type()),
+            "type_vector": list(self.type_vector),
             "rotation_group_order": len(self.structure.group),
             "full_automorphism_order": len(self.full_group),
             "levi_automorphism_count": self.levi_automorphism_count,
@@ -879,7 +880,8 @@ def build_map() -> MapBundle:
     struct = polytope_from_rotations(rot)
     orders = tuple(map(len, struct.subgroups))
     check(orders == (3, 2, 8), "map.coset-subgroup-orders", orders)
-    check(struct.schlafli_type() == (8, 3), "map.type-8-3", struct.schlafli_type())
+    type_vector = struct.schlafli_type()
+    check(type_vector == (8, 3), "map.type-8-3", type_vector)
     # with _realize's faithfulness and containment checks, the realized faces
     # are the map itself: its 24 edges and 6 octagons, every octagon edge a
     # map edge and every edge on two octagons (the diamond) follow from the
@@ -969,13 +971,13 @@ def build_map() -> MapBundle:
         full_group=full_group, regularity_hom=hom,
         rotation_classification=rot_result.kind,
         edge_stabilizer_in_full_group=stab,
-        mu0_preserves_edges=mu0_keeps,
+        mu0_preserves_edges=mu0_keeps, type_vector=type_vector,
     )
 
 
-class RoliBundle(namedtuple("RoliBundle", "structure realization stabilizer_orders "
-                                          "classification orbit_count flag_count type_vector "
-                                          "witness_holds two_faces_class")):
+class RoliBundle(record("RoliBundle", "structure realization stabilizer_orders "
+                                      "classification orbit_count flag_count type_vector "
+                                      "witness_holds two_faces_class")):
     __slots__ = ()
 
     def certificate(self) -> dict:
@@ -1055,8 +1057,8 @@ def build_roli() -> RoliBundle:
     )
 
 
-class EnantiomorphBundle(namedtuple("EnantiomorphBundle", "structure realization "
-                                                          "stabilizer_orders two_faces_class")):
+class EnantiomorphBundle(record("EnantiomorphBundle", "structure realization "
+                                                      "stabilizer_orders two_faces_class")):
     __slots__ = ()
 
     def certificate(self) -> dict:
@@ -1116,10 +1118,10 @@ def build_enantiomorph() -> EnantiomorphBundle:
                               two_faces_class=two_faces_class)
 
 
-class CoverBundle(namedtuple("CoverBundle", "structure realization classification flag_count "
-                                            "type_vector centre_plus centre_word_identities "
-                                            "injective_on_tetrahedral covering_right "
-                                            "covering_left covering_cube")):
+class CoverBundle(record("CoverBundle", "structure realization classification flag_count "
+                                        "type_vector centre_plus centre_word_identities "
+                                        "injective_on_tetrahedral covering_right "
+                                        "covering_left covering_cube")):
     __slots__ = ()
 
     def certificate(self) -> dict:
@@ -1288,7 +1290,7 @@ CONFIGURATION_LINES = tuple(
 
 
 # point_of: label -> point, as a tuple indexed by label; label_of: its inverse
-Labeling = namedtuple("Labeling", "point_of label_of")
+Labeling = record("Labeling", "point_of label_of")
 
 
 def _parity(p: Point) -> int:

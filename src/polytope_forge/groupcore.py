@@ -13,10 +13,11 @@ products of group elements.
 from __future__ import annotations
 
 import operator
-from collections import deque, namedtuple
+from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 
+from .records import record
 from .signedperm import SignedPerm
 
 __all__ = [
@@ -64,7 +65,7 @@ class CapExceeded(Exception):
     """Closure or coset table grew past the requested cap."""
 
 
-class ActionTable(namedtuple("ActionTable", "index act parent")):
+class ActionTable(record("ActionTable", "index act parent")):
     """A group's closure as integers: `index[e]` is the position of element
     e, `act[i][k]` the position of elements[i] * gens[k], and `parent[i] =
     (p, k)` says that elements[i] = elements[p] * gens[k] with p < i (None
@@ -80,18 +81,20 @@ class ConcreteGroup:
     Elements may be any hashable values supporting `*` and `.inverse()`;
     the element list is kept in breadth-first closure order from the
     identity, which makes every derived listing deterministic.  Every group
-    is made by `generate` (or `subgroup`, which calls it), and keeps the
-    ActionTable recorded while it closed.  Subgroups generated by generator
+    is made by `generate`, or by `subgroup` on its parent's table, through
+    the one closure loop `_close`, and keeps the ActionTable recorded while
+    it closed.  Subgroups generated by generator
     columns, right cosets and products with an element's word are then
     integer searches over the table.
     """
 
-    def __init__(self, elements: Sequence, generators: Mapping[str, object], table: ActionTable):
+    def __init__(self, elements: Iterable, generators: Mapping[str, object],
+                 act: list[list[int]], parent: list):
         self.elements: tuple = tuple(elements)
-        self.element_set = table.index.keys()  # a set view: one hash table of the elements
+        self._table = ActionTable(dict(zip(self.elements, range(len(self.elements)))), act, parent)
+        self.element_set = self._table.index.keys()  # a set view: one hash table of the elements
         self.generators: dict = dict(generators)
         self.identity = self.elements[0]
-        self._table = table
 
     @classmethod
     def generate(cls, generators, cap: int = DEFAULT_CAP, names: Sequence[str] | None = None
@@ -99,40 +102,14 @@ class ConcreteGroup:
         """Close a generating set under multiplication, breadth first,
         recording the action table on the way.  The closure runs on the
         codes of `_codec` and decodes each element once, at the end."""
-        if isinstance(generators, Mapping):
-            named = dict(generators)
-        else:
-            gens = list(generators)
-            if names is None:
-                names = [f"g{i}" for i in range(len(gens))]
-            named = dict(zip(names, gens))
-        if not named:
-            raise ValueError("need at least one generator")
+        named = _named(generators, names)
         gen_list = list(named.values())
         encode, operand, compose, decode = _codec(gen_list)
-        operands = [operand(g) for g in gen_list]
-        found = [compose(encode(gen_list[0]), operand(gen_list[0].inverse()))]
-        index = {found[0]: 0}
-        act = []
-        parent = [None]
-        for i, e in enumerate(found):  # the list grows while it is read
-            row = []
-            for k, g in enumerate(operands):
-                prod = compose(e, g)
-                j = index.get(prod)
-                if j is None:
-                    j = index[prod] = len(found)
-                    found.append(prod)
-                    parent.append((i, k))
-                    if len(found) > cap:
-                        raise CapExceeded(
-                            f"closure exceeded cap={cap}; wrong generators?")
-                row.append(j)
-            act.append(row)
+        identity = compose(encode(gen_list[0]), operand(gen_list[0].inverse()))
+        found, act, parent = _close(identity, list(map(operand, gen_list)), compose, cap)
         elements = list(map(decode, found))
-        del found, index  # the codes are not needed past the closure
-        return cls(elements, named, ActionTable(dict(zip(elements, range(len(elements)))),
-                                                act, parent))
+        del found  # the codes are not needed past the closure
+        return cls(elements, named, act, parent)
 
     # -- basics --------------------------------------------------------------
 
@@ -149,12 +126,18 @@ class ConcreteGroup:
         return list(self.generators.values())
 
     def subgroup(self, generators) -> "ConcreteGroup":
-        """The closure of generators from this group.  A closure of members
-        of a group stays inside it, so only the generators are checked."""
-        gens = generators.values() if isinstance(generators, Mapping) else generators
-        outside = next((g for g in gens if g not in self.element_set), None)
+        """The closure of generators from this group, made as `generate`
+        makes it, on this group's table: each generator is its word here,
+        and a product x * h is the walk of h's word from x.  A closure of
+        members of a group stays inside it, so only the generators are
+        checked, and the elements are this group's own objects."""
+        named = _named(generators)
+        index = self.table().index
+        positions = [index.get(g) for g in named.values()]
+        outside = next((g for g, i in zip(named.values(), positions) if i is None), None)
         check(outside is None, "group.subgroup-inside", outside)
-        return ConcreteGroup.generate(generators)
+        found, act, parent = _close(0, list(map(self.word, positions)), self.walk, DEFAULT_CAP)
+        return ConcreteGroup(map(self.elements.__getitem__, found), named, act, parent)
 
     def centre(self) -> "ConcreteGroup":
         """The elements z with z * g == g * z for every generator g, read
@@ -174,7 +157,7 @@ class ConcreteGroup:
     # -- the action table -----------------------------------------------------
 
     def table(self) -> ActionTable:
-        """The action table `generate` recorded.  It is closed under the
+        """The action table `_close` recorded.  It is closed under the
         generators and reaches every element by construction."""
         return self._table
 
@@ -231,6 +214,47 @@ class ConcreteGroup:
                 coset_of[x] = len(cosets)
             cosets.append(members)
         return cosets
+
+
+def _named(generators, names: Sequence[str] | None = None) -> dict:
+    """Generators by name: a mapping as given, a sequence under `names`,
+    or g0, g1, ... when there are none."""
+    if isinstance(generators, Mapping):
+        named = dict(generators)
+    else:
+        gens = list(generators)
+        if names is None:
+            names = [f"g{i}" for i in range(len(gens))]
+        named = dict(zip(names, gens))
+    if not named:
+        raise ValueError("need at least one generator")
+    return named
+
+
+def _close(identity, operands: Sequence, compose: Callable, cap: int
+           ) -> tuple[list, list[list[int]], list]:
+    """The breadth-first closure from identity under x -> compose(x,
+    operand), for each operand in turn: (found, act, parent) as an
+    ActionTable records them.  So, in row order, the first row that
+    reaches j holds j's parent edge."""
+    found = [identity]
+    index = {identity: 0}
+    act = []
+    parent = [None]
+    for i, e in enumerate(found):  # the list grows while it is read
+        row = []
+        for k, g in enumerate(operands):
+            prod = compose(e, g)
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(found)
+                found.append(prod)
+                parent.append((i, k))
+                if len(found) > cap:
+                    raise CapExceeded(f"closure exceeded cap={cap}; wrong generators?")
+            row.append(j)
+        act.append(row)
+    return found, act, parent
 
 
 def _same(x):
@@ -330,7 +354,7 @@ def setwise_stabilizer(group: ConcreteGroup, points: Iterable, action: Callable 
 # -- homomorphisms -------------------------------------------------------------
 
 
-class Homomorphism(namedtuple("Homomorphism", "source mapping")):
+class Homomorphism(record("Homomorphism", "source mapping")):
     """A homomorphism given by its full element-to-image mapping: `source`
     is the ConcreteGroup, `mapping` a dict from its elements."""
 
@@ -350,7 +374,7 @@ class Homomorphism(namedtuple("Homomorphism", "source mapping")):
         return all(self.mapping[self.mapping[e]] == e for e in self.source.elements)
 
 
-class HomomorphismFailure(namedtuple("HomomorphismFailure", "word_a word_b")):
+class HomomorphismFailure(record("HomomorphismFailure", "word_a word_b")):
     """Witness that a generator assignment extends to no homomorphism.
 
     `word_a` and `word_b` are positive generator-name words with equal
@@ -369,12 +393,12 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
 
     Returns the unique extension when consistent, otherwise a failure
     carrying two words that evaluate equally in `src` but differently
-    under the assignment.  The images are walked as codes of `_codec` and
-    decoded once, for the mapping.
+    under the assignment.  The images are walked as codes of `_codec`, and
+    each distinct image is decoded once, for the mapping.
 
-    Every element j >= 1 has a parent (i, k) with act[i][k] == j: `generate`
-    builds every group's table so.  So row i sets image[j], and the
-    extension covers the group.
+    Every element j >= 1 has a parent (i, k) with act[i][k] == j, and
+    `_close` makes it the first entry j in row order: so row i sets image[j]
+    where image[j] is still None, and the extension covers the group.
     """
     missing = set(src.generators) - set(images)
     if missing:
@@ -383,18 +407,19 @@ def extend_homomorphism(src: ConcreteGroup, images: Mapping[str, object]
     names = list(src.generators)
     encode, operand, compose, decode = _codec(list(images.values()))
     operands = [operand(images[name]) for name in names]
-    _, act, parent = src.table()
+    act = src.table().act
     image = [compose(encode(some_image), operand(some_image.inverse()))] + [None] * (len(src) - 1)
     for i, row in enumerate(act):  # parents come first: image[i] is set
         for k, j in enumerate(row):
             img = compose(image[i], operands[k])
-            if parent[j] == (i, k):
+            if image[j] is None:
                 image[j] = img
             elif image[j] != img:
                 return HomomorphismFailure(
                     word_a=tuple(names[c] for c in src.word(i)) + (names[k],),
                     word_b=tuple(names[c] for c in src.word(j)))
-    return Homomorphism(source=src, mapping=dict(zip(src.elements, map(decode, image))))
+    decoded = {code: decode(code) for code in set(image)}
+    return Homomorphism(source=src, mapping=dict(zip(src.elements, map(decoded.__getitem__, image))))
 
 
 # -- string C-group conditions --------------------------------------------------
@@ -442,7 +467,7 @@ def _freely_reduced(word: Sequence[int]) -> bool:
     return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
 
 
-class Presentation(namedtuple("Presentation", "generator_count relators")):
+class Presentation(record("Presentation", "generator_count relators")):
     """Abstract generators and relator words as signed 1-based indices."""
 
     __slots__ = ()
@@ -489,7 +514,7 @@ def broken_relator(assignment: Sequence, pres: Presentation) -> tuple | None:
 # -- Todd-Coxeter coset enumeration ---------------------------------------------
 
 
-class CosetTable(namedtuple("CosetTable", "generator_count rows")):
+class CosetTable(record("CosetTable", "generator_count rows")):
     """A completed coset table: one row per coset, one column per signed
     generator (g1, g1^-1, g2, g2^-1, ...), entries are coset indices."""
 
@@ -504,9 +529,9 @@ class CosetTable(namedtuple("CosetTable", "generator_count rows")):
         `act`: the forward columns rows[c][2k], with the cosets renumbered
         in breadth-first order from coset 0 along them.  Each column is a
         permutation of finitely many cosets, so its inverse is one of its
-        powers and the walk reaches every coset.  `ConcreteGroup.generate`
-        numbers a closure the same way, so when this equals the closure's
-        act, coset -> element is a bijection that respects the generators."""
+        powers and the walk reaches every coset.  `_close` numbers a closure
+        the same way, so when this equals the closure's act, coset ->
+        element is a bijection that respects the generators."""
         forward = lambda c: [self.rows[c][2 * k] for k in range(self.generator_count)]
         order = reach(0, forward)
         number = {c: i for i, c in enumerate(order)}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
 from functools import lru_cache
 
 from .cubefamily import (
@@ -24,6 +23,7 @@ from .cubefamily import (
     presentation_unitary_triangle,
 )
 from .groupcore import broken_relator, check, enumerate_cosets, orbit
+from .records import record
 
 __all__ = [
     "QF",
@@ -303,10 +303,10 @@ def complexify(point) -> tuple[QF, QF]:
 # ---------------------------------------------------------------------------
 
 # ambient: the point of E^4; z1, z2: its complex coordinates, as QFs
-MKPoint = namedtuple("MKPoint", "label ambient z1 z2")
+MKPoint = record("MKPoint", "label ambient z1 z2")
 
 
-class MKLine(namedtuple("MKLine", "coeff_z1 coeff_z2 rhs points")):
+class MKLine(record("MKLine", "coeff_z1 coeff_z2 rhs points")):
     """The line coeff_z1 * z1 + coeff_z2 * z2 = rhs through the three
     labels of `points`."""
 
@@ -316,7 +316,7 @@ class MKLine(namedtuple("MKLine", "coeff_z1 coeff_z2 rhs points")):
         return (self.coeff_z1 * p.z1 + self.coeff_z2 * p.z2 - self.rhs).is_zero()
 
 
-class Configuration(namedtuple("Configuration", "points lines incidence")):
+class Configuration(record("Configuration", "points lines incidence")):
     __slots__ = ()
 
     def incidence_row_sums(self) -> tuple[int, ...]:

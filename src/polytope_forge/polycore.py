@@ -9,13 +9,14 @@ of the structures built here can share all their vertices.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from operator import itemgetter
 
 from .groupcore import (ConcreteGroup, Homomorphism, check, intersection_condition, reach,
                         string_condition)
+from .records import record
 from .signedperm import SignedPerm
 
 __all__ = [
@@ -341,7 +342,7 @@ class Classification(Enum):
     OTHER = "other"
 
 
-ClassifyResult = namedtuple("ClassifyResult", "kind orbit_count flag_count")
+ClassifyResult = record("ClassifyResult", "kind orbit_count flag_count")
 
 
 def _images_by_rank(struct: RankedIncidenceStructure,
@@ -651,7 +652,7 @@ def central_quotient(p: CosetGeometry, z) -> CosetGeometry:
 # -- colourful polytopes ----------------------------------------------------------
 
 
-class ColoredGraph(namedtuple("ColoredGraph", "vertices edge_colors d")):
+class ColoredGraph(record("ColoredGraph", "vertices edge_colors d")):
     """A properly edge-coloured d-valent graph: every colour class is a
     perfect matching.  `edge_colors` maps each edge, a frozenset of two
     vertices, to its colour in 1..d."""
@@ -740,8 +741,8 @@ def colourful_polytope(cg: ColoredGraph) -> RankedIncidenceStructure:
 # -- coverings ---------------------------------------------------------------------
 
 
-class CoveringReport(namedtuple("CoveringReport", "preimage_counts isomorphic_on_facets "
-                                                   "isomorphic_on_vertex_figures")):
+class CoveringReport(record("CoveringReport", "preimage_counts isomorphic_on_facets "
+                                               "isomorphic_on_vertex_figures")):
     __slots__ = ()
 
     @property

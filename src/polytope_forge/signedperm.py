@@ -11,8 +11,9 @@ the tuple of their fields (n, perm, signs).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Sequence
+
+from .records import record
 
 __all__ = [
     "SignedPerm",
@@ -34,7 +35,7 @@ def _cycles_to_image(n: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]
     return tuple(image)
 
 
-class SignedPerm(namedtuple("SignedPerm", "n perm signs")):
+class SignedPerm(record("SignedPerm", "n perm signs")):
     """A signed permutation matrix in sign-vector * permutation form."""
 
     __slots__ = ()

@@ -649,8 +649,7 @@ def _closure_by_products(generators, cap=DEFAULT_CAP, names=None):
     return elements, named, ActionTable(index, act, parent)
 
 
-def _assert_closure_matches(generators, cap=DEFAULT_CAP, names=None):
-    group = ConcreteGroup.generate(generators, cap=cap, names=names)
+def _assert_equals_products(group, generators, cap=DEFAULT_CAP, names=None):
     elements, named, table = _closure_by_products(generators, cap=cap, names=names)
     assert list(group.elements) == elements
     assert group.identity == elements[0]
@@ -658,6 +657,11 @@ def _assert_closure_matches(generators, cap=DEFAULT_CAP, names=None):
     assert group.table() == table
     assert list(group.table().index) == elements  # the same insertion order
     return group
+
+
+def _assert_closure_matches(generators, cap=DEFAULT_CAP, names=None):
+    return _assert_equals_products(ConcreteGroup.generate(generators, cap=cap, names=names),
+                                   generators, cap=cap, names=names)
 
 
 def _random_signed_perm(rng, n, support=None):
@@ -683,31 +687,45 @@ def test_closure_against_products_on_bn(n):
 
 
 def test_closure_against_products_on_every_build_group():
-    calls = []
-    real = ConcreteGroup.generate.__func__
+    """Every closure the builds make, by `generate` or by `subgroup` on a
+    parent's table, equals the closure by element products."""
+    closed, subgroups = [], []
+    real_generate, real_subgroup = ConcreteGroup.generate.__func__, ConcreteGroup.subgroup
 
-    def spy(cls, generators, cap=DEFAULT_CAP, names=None):
-        calls.append((generators, cap, names))
-        return real(cls, generators, cap, names)
+    def spy_generate(cls, generators, cap=DEFAULT_CAP, names=None):
+        group = real_generate(cls, generators, cap, names)
+        closed.append((group, generators, cap, names))
+        return group
+
+    def spy_subgroup(self, generators):
+        group = real_subgroup(self, generators)
+        closed.append((group, generators, DEFAULT_CAP, None))
+        subgroups.append((self, group))
+        return group
 
     builds = (cubefamily.build_cube, cubefamily.build_map, cubefamily.build_roli,
               cubefamily.build_enantiomorph, cubefamily.build_cover, cubefamily.build_hemi)
     clear_build_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ConcreteGroup, "generate", classmethod(spy))
+            mp.setattr(ConcreteGroup, "generate", classmethod(spy_generate))
+            mp.setattr(ConcreteGroup, "subgroup", spy_subgroup)
             for build in builds:
                 build()
     finally:
         clear_build_caches()
     kinds = set()
-    for generators, cap, names in calls:
-        group = _assert_closure_matches(generators, cap=cap, names=names)
+    for group, generators, cap, names in closed:
+        _assert_equals_products(group, generators, cap=cap, names=names)
         kinds.add(type(group.identity))
-        # every build closure composes byte codes
+        # every build group is one whose `generate` closure composes byte codes
         assert _codec(group.generator_list())[2] is bytes.translate
+    # a subgroup holds its parent's own element objects
+    for parent, group in subgroups:
+        index = parent.table().index
+        assert all(e is parent.elements[index[e]] for e in group.elements)
     assert kinds == {SignedPerm}
-    assert len(calls) >= 10
+    assert len(closed) - len(subgroups) >= 7 and len(subgroups) >= 30
 
 
 def test_closure_against_products_on_random_degree_8_sets():

@@ -1,15 +1,21 @@
-"""Value records are `collections.namedtuple`s, subclassed with
-`__slots__ = ()` where a record has a docstring, methods or validation.
-They keep fixed field names and defaults, and their attributes cannot be
-assigned; the ones that validate do so on every construction.  Nothing in
-the package uses `dataclasses`, whose class decorations cost most of the
-cold-start import, nor `typing`, whose `NamedTuple` compiles a
+"""Value records are made by `polytope_forge.records.record`, subclassed
+with `__slots__ = ()` where a record has a docstring, methods or
+validation.  They keep fixed field names and defaults, and their
+attributes cannot be assigned; the ones that validate do so on every
+construction.  Each builds, fails, prints, copies and pickles as the
+`collections.namedtuple` it replaced, which these tests keep as the
+reference; the package itself names no namedtuple and compiles no source.
+Nothing in the package uses `dataclasses`, whose class decorations cost
+most of the cold-start import, nor `typing`, whose `NamedTuple` compiles a
 `ForwardRef` for every field of every record at import."""
 
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,7 @@ import polytope_forge
 from polytope_forge import cli, cubefamily, groupcore, mkconfig, polycore, signedperm
 from polytope_forge.groupcore import CheckFailed, Presentation
 from polytope_forge.polycore import ColoredGraph
+from polytope_forge.signedperm import SignedPerm
 
 PACKAGE = Path(polytope_forge.__file__).resolve().parent
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
@@ -29,6 +36,7 @@ FIELDS = {
     cli.CliConfig: ("cap",),
     cli.ProjectionSpec: ("name", "basis", "scale", "colors", "labelled_points_only"),
     cli.Report: ("claims", "elapsed_seconds"),
+    cli._Row: ("claim_id", "criterion", "expected", "compute", "note"),
     cubefamily.PetriePolygon: ("vertices",),
     cubefamily.Atlas: (
         "rho0", "rho1", "rho2", "rho3", "pi", "zeta", "mu0", "mu1", "mu2",
@@ -42,7 +50,7 @@ FIELDS = {
     cubefamily.MapBundle: (
         "structure", "octagons", "edges", "levi_automorphism_count",
         "full_group", "regularity_hom", "rotation_classification",
-        "edge_stabilizer_in_full_group", "mu0_preserves_edges"),
+        "edge_stabilizer_in_full_group", "mu0_preserves_edges", "type_vector"),
     cubefamily.RoliBundle: ("structure", "realization", "stabilizer_orders", "classification",
                             "orbit_count", "flag_count", "type_vector", "witness_holds",
                             "two_faces_class"),
@@ -53,6 +61,7 @@ FIELDS = {
         "centre_plus", "centre_word_identities", "injective_on_tetrahedral",
         "covering_right", "covering_left", "covering_cube"),
     cubefamily.Labeling: ("point_of", "label_of"),
+    groupcore.ActionTable: ("index", "act", "parent"),
     groupcore.Homomorphism: ("source", "mapping"),
     groupcore.HomomorphismFailure: ("word_a", "word_b"),
     groupcore.Presentation: ("generator_count", "relators"),
@@ -69,6 +78,7 @@ FIELDS = {
 DEFAULTS = {
     cli.Claim: {"note": ""},
     cli.CliConfig: {"cap": 10**6},
+    cli._Row: {"note": ""},
     cli.ProjectionSpec: {"scale": 100.0, "colors": (1, 2, 3, 4), "labelled_points_only": False},
 }
 
@@ -87,6 +97,91 @@ def test_record_is_immutable(record):
         setattr(instance, FIELDS[record][0], 1)
     with pytest.raises(AttributeError):
         instance.not_a_field = 1
+
+
+# records that validate on construction -> a valid instance; every other
+# record takes any field values
+VALIDATING = {
+    cubefamily.PetriePolygon: lambda: cubefamily.build_atlas().base_octagon,
+    groupcore.Presentation: lambda: Presentation(2, ((1, 1), (1, 2, -1, -2))),
+    polycore.ColoredGraph: lambda: ColoredGraph(("a", "b"), {frozenset("ab"): 1}, 1),
+    signedperm.SignedPerm: lambda: SignedPerm((1, -1), (2, 1)),
+}
+
+
+def _reference(record):
+    """The `collections.namedtuple` the record was made with before."""
+    return namedtuple(record.__name__, record._fields,
+                      defaults=tuple(record._field_defaults.values()))
+
+
+def _sample(record):
+    if record in VALIDATING:
+        return VALIDATING[record]()
+    return record(*range(len(record._fields)))
+
+
+def _outcome(make):
+    """(None, the values make() builds), or (the type, the message) of what
+    it raises."""
+    try:
+        return None, tuple(make())
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_PLAIN = [record for record in FIELDS if record not in VALIDATING]
+
+
+@pytest.mark.parametrize("record", _PLAIN, ids=lambda record: record.__name__)
+def test_record_binds_arguments_as_namedtuple_does(record):
+    reference = _reference(record)
+    values = tuple(range(len(record._fields)))
+    by_name = dict(zip(record._fields, values))
+    required = len(values) - len(record._field_defaults)
+    calls = [
+        ((), {}), (values, {}), ((), by_name), (values[:1], dict(list(by_name.items())[1:])),
+        (values[:required], {}), (values[:required - 1], {}), (values + (0,), {}),
+        (values, {"not_a_field": 0}), (values, {record._fields[0]: 0}),
+    ]
+    for args, kwargs in calls:
+        got = _outcome(lambda: record(*args, **kwargs))
+        expected = _outcome(lambda: reference(*args, **kwargs))
+        # the messages differ: namedtuple's name its generated __new__
+        assert got[0] is expected[0] in (None, TypeError), (args, kwargs)
+        if got[0] is None:
+            assert got == expected and type(record(*args, **kwargs)) is record, (args, kwargs)
+    assert record(*values) == record(**by_name) == values
+    assert record(*values[:required]) == values[:required] + tuple(
+        record._field_defaults.values())
+
+
+@pytest.mark.parametrize("record", _PLAIN, ids=lambda record: record.__name__)
+def test_record_make_checks_the_length_as_namedtuple_does(record):
+    reference = _reference(record)
+    values = tuple(range(len(record._fields)))
+    for given in (values, values[:-1], values + (0,)):
+        assert _outcome(lambda: record._make(given)) == _outcome(lambda: reference._make(given))
+    made = record._make(iter(values))
+    assert made == values and type(made) is record
+
+
+@pytest.mark.parametrize("record", FIELDS, ids=lambda record: record.__name__)
+def test_record_prints_replaces_copies_and_pickles_as_namedtuple_does(record):
+    sample = _sample(record)
+    reference = _reference(record)._make(sample)
+    if "__repr__" not in vars(record):  # SignedPerm prints its `parse` form
+        assert repr(sample) == repr(reference)
+    first = record._fields[0]
+    assert sample._replace(**{first: sample[0]}) == sample
+    got = _outcome(lambda: sample._replace(not_a_field=0))
+    assert got == _outcome(lambda: reference._replace(not_a_field=0))
+    assert got[0] is ValueError
+    copies = [copy.copy(sample), copy.deepcopy(sample)]
+    copies += [pickle.loads(pickle.dumps(sample, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert twin == sample and type(twin) is record
 
 
 def test_validating_records_check_replace_too():
@@ -171,6 +266,20 @@ def test_package_imports_no_typing():
     at all: the annotations are strings, and their names come from
     `collections.abc`."""
     found = _imports_or_names("typing", "NamedTuple")
+    assert not found, found
+
+
+def test_package_names_no_namedtuple_and_compiles_no_source():
+    """Records come from `records.record`, which compiles nothing: no module
+    imports or names `namedtuple`, or calls `eval`, `exec` or `compile`."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == "namedtuple"
+             or getattr(node, "id", getattr(node, "attr", None)) == "namedtuple"
+             or isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             in ("eval", "exec", "compile")]
     assert not found, found
 
 

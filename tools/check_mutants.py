@@ -5,9 +5,9 @@ does nothing?
 
 Run it from the repository root.  For each `check(condition, "layer.id",
 witness)` call in `src/polytope_forge/`, the condition is replaced by `True`
-in a copy of `src/`, `tests/`, `perfbench/` and `pyproject.toml`, made once
-in a temporary directory, and `pytest -x` runs there; the working tree is
-never written.  One JSON line per site goes to standard output: its id,
+in a copy of `src/`, `tests/`, `perfbench/`, `tools/` and `pyproject.toml`,
+made once in a temporary directory, and `pytest -x` runs there; the working
+tree is never written.  One JSON line per site goes to standard output: its id,
 module and line, `killed` or `survived`, and the first failing test (the
 exit code when none is named).  The counts go to standard error at the end.
 
@@ -35,7 +35,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "polytope_forge"
-_TESTED = ("src", "tests", "perfbench")  # with pyproject.toml, all that the tests read
+# with pyproject.toml, all that the tests read: tests/test_checks.py loads
+# this script from tools/, and fails every mutant in a copy without it
+_TESTED = ("src", "tests", "perfbench", "tools")
 _FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 
 
